@@ -1,11 +1,15 @@
 """Command line behavior: exit codes, formats, and reproducible files."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from nlbox import cli
 from nlbox.cli import main, sig12
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_json(capsys, argv):
@@ -211,3 +215,24 @@ class TestParsing:
     def test_sig12_rounding(self):
         assert sig12(1 / 3) == 0.333333333333
         assert sig12(9.000000000000001) == 9.0
+
+
+class TestGoldenOutput:
+    """The exact reports, captured once; sample output is not pinned."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["verify-table3", "--format", "json"], "verify-table3.json"),
+            (["verify-table3", "--format", "csv"], "verify-table3.csv"),
+            (["bounds", "--format", "json"], "bounds.json"),
+            (["bounds", "--format", "csv"], "bounds.csv"),
+            (["swap-map", "--format", "json"], "swap-map.json"),
+            (["swap-map", "--format", "csv"], "swap-map.csv"),
+            (["swap-map", "--sources", "PM,PP"], "swap-map-PM-PP.json"),
+        ],
+    )
+    def test_stdout_is_byte_identical(self, capsys, argv, name):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
