@@ -6,12 +6,21 @@ bipartite Bell expressions with deterministic bound 7 and algebraic bound
 expression, and the entanglement-swapping protocol that distributes those
 products between parties whose systems never interacted.  Everything is
 checked by exact computation: integer enumeration for the deterministic
-bound, fraction-free integer ranks for facet certificates, dense complex
-algebra for the quantum values, and seeded sampling for the simulated
-runs.
+bound, fraction-free integer ranks for facet certificates, and seeded
+sampling for the simulated runs.  Every expression value is one row of a
+16x144 integer coefficient matrix dotted with a behavior p(a, b | x, y):
+the Born behavior of a Bell-state product, a deterministic vertex, or the
+event counts of a sampled class.
 """
 
-from .inequalities import beta_behavior, beta_quantum, matched_state
+from .inequalities import (
+    C,
+    MATCHED_PAIRS,
+    coefficient_rows,
+    coefficients,
+    matched_state,
+    state_behavior,
+)
 from .polytope import facet_check, lhv_bound, ns_bound
 from .sampler import estimate_beta, sample_events, sort_events
 from .states import BellLabel, eight_qubit_initial, four_qubit_product
@@ -19,9 +28,11 @@ from .swap import class_map, premeasurement_marginal
 
 __all__ = [
     "BellLabel",
-    "beta_behavior",
-    "beta_quantum",
+    "C",
+    "MATCHED_PAIRS",
     "class_map",
+    "coefficient_rows",
+    "coefficients",
     "eight_qubit_initial",
     "estimate_beta",
     "facet_check",
@@ -32,6 +43,7 @@ __all__ = [
     "premeasurement_marginal",
     "sample_events",
     "sort_events",
+    "state_behavior",
 ]
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Command line interface: verify-table3, bounds, swap-map, sample.
 
-Exit codes: 0 on success, 1 when a verification fails or a computation
-reports an inconsistency, 2 on usage errors.  All numeric output is
-printed at 12 significant digits, and identical invocations with the
-same seed produce byte-identical files and stdout.
+Exit codes: 0 on success, 1 when a verification fails, a computation
+reports an inconsistency or an output file cannot be written, 2 on usage
+errors.  All numeric output is printed at 12 significant digits, and
+identical invocations with the same seed produce byte-identical files and
+stdout.
 """
 
 from __future__ import annotations
@@ -75,23 +76,24 @@ def cmd_verify_table3(args) -> int:
     """Recompute all 256 expression values and compare to the reference."""
     reference = load_reference_table()
     expected = np.array(reference["values"], dtype=float)
-    computed = np.zeros((16, 16))
-    mismatches = []
-    for row, (first, second) in enumerate(PRODUCT_LABELS):
-        state = inequalities.matched_state(row + 1)
-        assert (first, second) == PRODUCT_LABELS[row]
-        for col in range(16):
-            value = inequalities.beta_quantum(state, col + 1)
-            computed[row, col] = value
-            if abs(value - expected[row, col]) > BETA_ATOL:
-                mismatches.append(
-                    {
-                        "state": _state_code(first, second),
-                        "expression": col + 1,
-                        "computed": sig12(value),
-                        "expected": expected[row, col],
-                    }
-                )
+    behaviors = np.array(
+        [
+            inequalities.state_behavior(
+                inequalities.matched_state(row + 1), *inequalities.MATCHED_PAIRS
+            )
+            for row in range(16)
+        ]
+    )
+    computed = behaviors @ inequalities.C.T
+    mismatches = [
+        {
+            "state": _state_code(*PRODUCT_LABELS[row]),
+            "expression": int(col) + 1,
+            "computed": sig12(computed[row, col]),
+            "expected": expected[row, col],
+        }
+        for row, col in zip(*np.nonzero(np.abs(computed - expected) > BETA_ATOL))
+    ]
     ok = not mismatches
     if args.format == "json":
         doc = {
@@ -431,7 +433,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RuntimeError, ValueError) as err:
+    except (OSError, RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -1,23 +1,24 @@
-"""The sixteen Bell expressions and their evaluation on states and behaviors.
+"""The sixteen Bell expressions as integer rows over the behavior space.
 
 Each expression is a signed sum over a 3x3 grid of setting pairs.  In cell
 (i, j) Alice measures her setting i and Bob his setting j; the correlator
 multiplies Alice's bits masked by the column mask mu(j) with Bob's bits
-masked by the row mask mu(i), where mu = (10, 01, 11).  Every expression
-is bounded by 7 for local deterministic models and by 9 algebraically;
-each of the sixteen Bell-state products reaches 9 on exactly one
-expression.
+masked by the row mask mu(i), where mu = (10, 01, 11).  Expanding the
+correlators turns every expression into one integer row of the 16x144
+coefficient matrix ``C`` over the behavior p(a, b | x, y), so each value,
+quantum, deterministic or sampled, is a dot product with a behavior.
+Every expression is bounded by 7 for local deterministic models and by 9
+algebraically; each of the sixteen Bell-state products reaches 9 on
+exactly one expression.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import observables, states
 from .observables import MASKS, mask_value
-from .qla import ATOL_STRUCT, StateVector, embed, expectation, tensor
+from .qla import StateVector
 
 NUM_EXPRESSIONS = 16
 
@@ -71,156 +72,69 @@ def mask_pattern(i: int, j: int) -> tuple[str, str]:
     return MASKS[j], MASKS[i]
 
 
-def _default_pairs(state: StateVector) -> tuple[tuple[int, int], tuple[int, int]]:
-    if state.labels == (1, 2, 3, 4):
-        return (1, 3), (2, 4)
-    if state.labels == (1, 3, 6, 8):
-        return (1, 3), (6, 8)
-    raise ValueError(
-        f"cannot infer measurement pairs for labels {state.labels}; "
-        "pass alice_pair and bob_pair explicitly"
-    )
+def coefficient_rows(sign_tables) -> np.ndarray:
+    """Integer coefficient rows over the 144-entry behavior space.
 
-
-def cell_operator(
-    i: int,
-    j: int,
-    alice_pair: tuple[int, int],
-    bob_pair: tuple[int, int],
-    context: tuple[int, ...],
-) -> np.ndarray:
-    """Product of the two masked observables of cell (i, j) on a register."""
-    alice_mask, bob_mask = mask_pattern(i, j)
-    ma = observables.masked_operator(observables.alice_observable(i), alice_mask)
-    mb = observables.masked_operator(observables.bob_observable(j), bob_mask)
-    return embed(tensor(ma, mb), tuple(alice_pair) + tuple(bob_pair), context)
-
-
-def correlator_quantum(
-    state: StateVector,
-    i: int,
-    j: int,
-    alice_pair: tuple[int, int] | None = None,
-    bob_pair: tuple[int, int] | None = None,
-) -> float:
-    """Masked correlator of cell (i, j) on a four-qubit pure state."""
-    if alice_pair is None or bob_pair is None:
-        alice_pair, bob_pair = _default_pairs(state)
-    op = cell_operator(i, j, alice_pair, bob_pair, state.labels)
-    return expectation(state, op)
-
-
-def beta_quantum(
-    state: StateVector,
-    index: int,
-    alice_pair: tuple[int, int] | None = None,
-    bob_pair: tuple[int, int] | None = None,
-) -> float:
-    """Value of expression ``index`` on a four-qubit pure state."""
-    signs = sign_table(index)
-    total = 0.0
-    for i in range(3):
-        for j in range(3):
-            total += signs[i, j] * correlator_quantum(state, i, j, alice_pair, bob_pair)
-    return total
-
-
-@dataclass(frozen=True)
-class Behavior:
-    """Conditional outcome table p(a, b | x, y), indexed [x, y, a, b]."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.probs, dtype=float)
-        if arr.shape != (3, 3, 4, 4):
-            raise ValueError(f"behavior shape {arr.shape}, expected (3, 3, 4, 4)")
-        if arr.min() < -ATOL_STRUCT:
-            raise ValueError("behavior has a negative probability")
-        sums = arr.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise ValueError("behavior columns are not normalized")
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
-
-    def no_signaling_defect(self) -> float:
-        """Largest change of either party's marginal across the other's settings."""
-        alice = self.probs.sum(axis=3)  # [x, y, a]
-        bob = self.probs.sum(axis=2)  # [x, y, b]
-        d_alice = np.max(np.abs(alice - alice[:, :1, :]))
-        d_bob = np.max(np.abs(bob - bob[:1, :, :]))
-        return float(max(d_alice, d_bob))
-
-
-def behavior_from_state(
-    state: StateVector,
-    alice_pair: tuple[int, int] | None = None,
-    bob_pair: tuple[int, int] | None = None,
-) -> Behavior:
-    """Joint outcome table induced by measuring a four-qubit pure state."""
-    if alice_pair is None or bob_pair is None:
-        alice_pair, bob_pair = _default_pairs(state)
-    probs = np.zeros((3, 3, 4, 4))
-    for x in range(3):
-        pa = observables.alice_observable(x).projectors
-        for y in range(3):
-            pb = observables.bob_observable(y).projectors
-            for a in range(4):
-                for b in range(4):
-                    op = embed(
-                        tensor(pa[a], pb[b]),
-                        tuple(alice_pair) + tuple(bob_pair),
-                        state.labels,
-                    )
-                    v = op @ state.amplitudes
-                    probs[x, y, a, b] = float(np.vdot(state.amplitudes, v).real)
-    return Behavior(probs)
-
-
-def correlator_behavior(behavior: Behavior, i: int, j: int) -> float:
-    """Masked correlator of cell (i, j) read off a behavior table."""
-    alice_mask, bob_mask = mask_pattern(i, j)
-    total = 0.0
-    for a in range(4):
-        for b in range(4):
-            total += (
-                mask_value(a, alice_mask)
-                * mask_value(b, bob_mask)
-                * behavior.probs[i, j, a, b]
-            )
-    return total
-
-
-def beta_behavior(behavior: Behavior, index: int) -> float:
-    """Value of expression ``index`` on an explicit behavior."""
-    signs = sign_table(index)
-    total = 0.0
-    for i in range(3):
-        for j in range(3):
-            total += signs[i, j] * correlator_behavior(behavior, i, j)
-    return total
-
-
-def bob_bit_conditionals(behavior: Behavior, i: int, j: int) -> np.ndarray:
-    """P(Bob's masked bit = +1 | Alice's outcome) for cell (i, j).
-
-    Entries for Alice outcomes of zero probability are returned as nan.
-    On a product of Bell states these conditionals are all 0 or 1: either
-    party's full outcome fixes the other's masked bit with certainty.
+    ``sign_tables`` has shape (n, 3, 3).  Row k holds, at column
+    16*(3x + y) + 4a + b, the sign of cell (x, y) times Alice's masked bit
+    of outcome a times Bob's masked bit of outcome b, so the row dotted
+    with a behavior p(a, b | x, y) is the expression's value on it.
     """
-    _, bob_mask = mask_pattern(i, j)
-    cond = np.full(4, np.nan)
-    for a in range(4):
-        p_a = float(behavior.probs[i, j, a, :].sum())
-        if p_a <= ATOL_STRUCT:
-            continue
-        p_plus = sum(
-            behavior.probs[i, j, a, b]
-            for b in range(4)
-            if mask_value(b, bob_mask) == 1
+    signs = np.asarray(sign_tables, dtype=np.int64)
+    if signs.ndim != 3 or signs.shape[1:] != (3, 3):
+        raise ValueError(f"sign tables of shape {signs.shape}, expected (n, 3, 3)")
+    bits = np.zeros((3, 3, 4, 4), dtype=np.int64)
+    for x in range(3):
+        for y in range(3):
+            alice_mask, bob_mask = mask_pattern(x, y)
+            bits[x, y] = np.outer(
+                [mask_value(a, alice_mask) for a in range(4)],
+                [mask_value(b, bob_mask) for b in range(4)],
+            )
+    return (signs[:, :, :, None, None] * bits).reshape(len(signs), 144)
+
+
+# Row k - 1 is expression k; the columns follow polytope.vertex_matrix.
+C = coefficient_rows(SIGN_TABLES)
+C.flags.writeable = False
+
+
+def coefficients(index: int) -> np.ndarray:
+    """Coefficient row of expression ``index`` (1-based)."""
+    if not 1 <= index <= NUM_EXPRESSIONS:
+        raise ValueError(f"expression index {index} outside 1..{NUM_EXPRESSIONS}")
+    return C[index - 1]
+
+
+# Measurement kets indexed [setting, outcome, two-qubit basis index].
+_ALICE_KETS = np.array([observables.alice_kets(x) for x in range(3)], dtype=complex)
+_BOB_KETS = np.array([observables.bob_kets(y) for y in range(3)], dtype=complex)
+
+
+def state_behavior(
+    state: StateVector, alice_pair: tuple[int, int], bob_pair: tuple[int, int]
+) -> np.ndarray:
+    """The 144-entry behavior p(a, b | x, y) of a four-qubit pure state.
+
+    Alice measures the qubits ``alice_pair`` and Bob the qubits
+    ``bob_pair``, the first qubit of a pair being the more significant
+    bit of the party's kets.  Entry 16*(3x + y) + 4a + b is the Born
+    probability of outcomes (a, b) under settings (x, y).
+    """
+    order = tuple(alice_pair) + tuple(bob_pair)
+    if sorted(order) != sorted(state.labels):
+        raise ValueError(
+            f"pairs {alice_pair} and {bob_pair} do not cover the qubits {state.labels}"
         )
-        cond[a] = p_plus / p_a
-    return cond
+    axes = [state.labels.index(q) for q in order]
+    psi = state.amplitudes.reshape((2,) * 4).transpose(axes).reshape(4, 4)
+    amps = np.einsum("xai,ybj,ij->xyab", _ALICE_KETS.conj(), _BOB_KETS.conj(), psi)
+    return (np.abs(amps) ** 2).reshape(144)
+
+
+# Alice's and Bob's qubits in matched_state: bell(first) sits on (1, 2)
+# and bell(second) on (3, 4).
+MATCHED_PAIRS = ((1, 3), (2, 4))
 
 
 def matched_state(index: int) -> StateVector:

@@ -3,8 +3,7 @@
 Each setting is a projective measurement onto an orthonormal basis of the
 party's qubit pair.  An outcome carries two sign bits; the label order is
 fixed as ++, +-, -+, -- and every basis below is listed in that order.
-Masking an observable keeps the first bit, the second bit, or their
-product, which always yields a +-1-valued two-qubit observable.
+A mask keeps an outcome's first bit, its second bit, or their product.
 """
 
 from __future__ import annotations
@@ -57,7 +56,8 @@ def _projectors_from_kets(kets) -> tuple[np.ndarray, ...]:
     return tuple(projs)
 
 
-def _alice_kets(setting: int):
+def alice_kets(setting: int):
+    """Alice's four measurement kets of a setting, in outcome order."""
     k0, k1 = states.KET_0, states.KET_1
     kp, km = states.KET_PLUS, states.KET_MINUS
     if setting == 0:
@@ -74,7 +74,8 @@ def _alice_kets(setting: int):
     raise ValueError(f"setting {setting} outside 0..2")
 
 
-def _bob_kets(setting: int):
+def bob_kets(setting: int):
+    """Bob's four measurement kets of a setting, in outcome order."""
     k0, k1 = states.KET_0, states.KET_1
     kp, km = states.KET_PLUS, states.KET_MINUS
     if setting == 0:
@@ -99,7 +100,7 @@ def alice_observable(setting: int) -> FourOutcomeObservable:
     |+-> respectively), and setting 2 the chi/omega basis.
     """
     return FourOutcomeObservable(
-        "alice", setting, _projectors_from_kets(_alice_kets(setting))
+        "alice", setting, _projectors_from_kets(alice_kets(setting))
     )
 
 
@@ -110,15 +111,6 @@ def bob_observable(setting: int) -> FourOutcomeObservable:
     setting 1 the other way round, and setting 2 is the Bell basis.
     """
     return FourOutcomeObservable(
-        "bob", setting, _projectors_from_kets(_bob_kets(setting))
+        "bob", setting, _projectors_from_kets(bob_kets(setting))
     )
 
-
-def masked_operator(obs: FourOutcomeObservable, mask: str) -> np.ndarray:
-    """The +-1-valued observable obtained by masking the outcome bits."""
-    if mask not in MASKS:
-        raise ValueError(f"invalid mask {mask!r}, expected one of {MASKS}")
-    out = np.zeros_like(obs.projectors[0])
-    for outcome in range(4):
-        out = out + mask_value(outcome, mask) * obs.projectors[outcome]
-    return out

@@ -3,8 +3,9 @@
 The scenario has two parties, three settings each, four outcomes each, so
 a party has 4**3 = 64 deterministic strategies and the local polytope has
 4096 vertices.  Everything here is exact: expression values over
-strategies are integer arithmetic, and ranks are computed by fraction-free
-integer elimination, never floating point.
+strategies are the integer products of the vertex matrix with the
+coefficient rows, and ranks are computed by fraction-free integer
+elimination, never floating point.
 """
 
 from __future__ import annotations
@@ -15,8 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import inequalities, observables
-from .inequalities import NUM_EXPRESSIONS, beta_quantum, matched_state, sign_table
+from .inequalities import (
+    MATCHED_PAIRS,
+    NUM_EXPRESSIONS,
+    coefficients,
+    matched_state,
+    sign_table,
+    state_behavior,
+)
 
 NUM_PARTY_STRATEGIES = 64
 NUM_JOINT_STRATEGIES = NUM_PARTY_STRATEGIES**2
@@ -53,77 +60,34 @@ def enumerate_strategies():
             yield DeterministicStrategy(alice, bob)
 
 
-@lru_cache(maxsize=1)
-def _mask_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Per-party masked sign tables.
-
-    ta[f, i, j] is Alice's masked sign in cell (i, j) when her strategy f
-    answers setting i; tb[g, i, j] is Bob's counterpart for setting j.
-    """
-    singles = party_strategies()
-    ta = np.zeros((NUM_PARTY_STRATEGIES, 3, 3), dtype=np.int64)
-    tb = np.zeros((NUM_PARTY_STRATEGIES, 3, 3), dtype=np.int64)
-    for s, strat in enumerate(singles):
-        for i in range(3):
-            for j in range(3):
-                alice_mask, bob_mask = inequalities.mask_pattern(i, j)
-                ta[s, i, j] = observables.mask_value(strat[i], alice_mask)
-                tb[s, i, j] = observables.mask_value(strat[j], bob_mask)
-    return ta, tb
-
-
-def strategy_beta_matrix(signs: np.ndarray) -> np.ndarray:
-    """Expression values for an arbitrary 3x3 sign table on all strategies.
-
-    Returns a 64x64 integer matrix indexed [alice strategy, bob strategy].
-    """
-    signs = np.asarray(signs, dtype=np.int64)
-    if signs.shape != (3, 3):
-        raise ValueError(f"sign table shape {signs.shape}, expected (3, 3)")
-    ta, tb = _mask_tables()
-    weighted = (ta * signs).reshape(NUM_PARTY_STRATEGIES, 9)
-    return weighted @ tb.reshape(NUM_PARTY_STRATEGIES, 9).T
-
-
 @lru_cache(maxsize=NUM_EXPRESSIONS)
-def _beta_matrix(index: int) -> np.ndarray:
-    mat = strategy_beta_matrix(sign_table(index))
-    mat.flags.writeable = False
-    return mat
+def vertex_values(index: int) -> np.ndarray:
+    """Exact values of expression ``index`` on all 4096 vertices, in row order."""
+    values = vertex_matrix() @ coefficients(index)
+    values.flags.writeable = False
+    return values
 
 
 def lhv_bound(index: int) -> tuple[int, DeterministicStrategy]:
     """Exact deterministic maximum of an expression and a witness strategy."""
-    mat = _beta_matrix(index)
-    flat = int(np.argmax(mat))
+    values = vertex_values(index)
+    flat = int(np.argmax(values))
     f, g = divmod(flat, NUM_PARTY_STRATEGIES)
     singles = party_strategies()
     witness = DeterministicStrategy(singles[f], singles[g])
-    return int(mat[f, g]), witness
+    return int(values[flat]), witness
 
 
-def lhv_value(index: int, strategy: DeterministicStrategy) -> int:
-    """Exact expression value of one deterministic strategy."""
-    signs = sign_table(index)
-    total = 0
-    for i in range(3):
-        for j in range(3):
-            alice_mask, bob_mask = inequalities.mask_pattern(i, j)
-            total += int(signs[i, j]) * observables.mask_value(
-                strategy.alice[i], alice_mask
-            ) * observables.mask_value(strategy.bob[j], bob_mask)
-    return total
-
-
-def ns_bound(index: int, atol: float = 1e-9) -> int:
+def ns_bound(index: int) -> int:
     """Algebraic maximum of an expression, checked to be quantum-attainable.
 
     The bound is the sum of the absolute sign entries.  The matched
     Bell-state product must reach it; a miss signals a construction bug.
     """
     bound = int(np.abs(sign_table(index)).sum())
-    attained = beta_quantum(matched_state(index), index)
-    if abs(attained - bound) > atol:
+    behavior = state_behavior(matched_state(index), *MATCHED_PAIRS)
+    attained = float(behavior @ coefficients(index))
+    if abs(attained - bound) > 1e-9:
         raise RuntimeError(
             f"expression {index}: matched state reaches {attained}, "
             f"expected the algebraic bound {bound}"
@@ -224,10 +188,8 @@ def polytope_affine_dim() -> int:
 
 def saturating_vertices(index: int) -> np.ndarray:
     """Vertex rows whose expression value equals the deterministic maximum."""
-    mat = _beta_matrix(index)
     bound, _ = lhv_bound(index)
-    mask = (mat == bound).reshape(-1)
-    return vertex_matrix()[mask]
+    return vertex_matrix()[vertex_values(index) == bound]
 
 
 def facet_check(index: int) -> FacetReport:

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import observables, states, swap
-from .inequalities import mask_pattern, sign_table
-from .observables import mask_value
-from .qla import StateVector, embed
+from . import states, swap
+from .inequalities import coefficients, state_behavior
+from .qla import StateVector
 from .states import BELL_ORDER, BellLabel
 from .swap import ROBOT_OUTCOMES, RobotOutcome
 
@@ -75,45 +74,22 @@ class ProtocolTables:
             swap.resulting_state_vector(e) for e in self.entries
         ]
 
-        context = swap.KEPT_QUBITS
-        alice_projs = [
+        # Alice's outcome distribution and Bob's conditional on her result,
+        # read off the class behaviors p(a, b | x, y).  Alice's marginal is
+        # taken at Bob's setting 0; no signaling makes every setting agree.
+        behaviors = np.array(
             [
-                embed(p, swap.ALICE_PAIR, context)
-                for p in observables.alice_observable(x).projectors
+                state_behavior(state, swap.ALICE_PAIR, swap.BOB_PAIR)
+                for state in self.class_states
             ]
-            for x in range(3)
-        ]
-        bob_projs = [
-            [
-                embed(p, swap.BOB_PAIR, context)
-                for p in observables.bob_observable(y).projectors
-            ]
-            for y in range(3)
-        ]
-
-        # Alice's outcome distribution and Bob's conditional on her result.
-        self.alice_cum = np.zeros((16, 3, 4))
-        self.bob_cum = np.zeros((16, 3, 4, 3, 4))
-        for c, state in enumerate(self.class_states):
-            psi = state.amplitudes
-            for x in range(3):
-                probs_a = np.array(
-                    [float(np.vdot(psi, p @ psi).real) for p in alice_projs[x]]
-                )
-                self.alice_cum[c, x] = np.cumsum(probs_a)
-                for a in range(4):
-                    if probs_a[a] <= 0.0:
-                        self.bob_cum[c, x, a] = 1.0
-                        continue
-                    collapsed = (alice_projs[x][a] @ psi) / np.sqrt(probs_a[a])
-                    for y in range(3):
-                        probs_b = np.array(
-                            [
-                                float(np.vdot(collapsed, p @ collapsed).real)
-                                for p in bob_projs[y]
-                            ]
-                        )
-                        self.bob_cum[c, x, a, y] = np.cumsum(probs_b)
+        ).reshape(16, 3, 3, 4, 4)
+        alice = behaviors[:, :, 0].sum(axis=3)  # [c, x, a]
+        self.alice_cum = np.cumsum(alice, axis=2)
+        self.bob_cum = np.ones((16, 3, 4, 3, 4))
+        for c, x, a in zip(*np.nonzero(alice > 0.0)):
+            self.bob_cum[c, x, a] = np.cumsum(
+                behaviors[c, x, :, a] / alice[c, x, a], axis=1
+            )
 
 
 def _pick(cum: np.ndarray, rand: float) -> int:
@@ -165,14 +141,6 @@ def sort_events(events: list[EventRecord]) -> dict[RobotOutcome, list[EventRecor
     return classes
 
 
-def event_masked_product(event: EventRecord) -> int:
-    """The +-1 product of the masked bits of one event's cell."""
-    alice_mask, bob_mask = mask_pattern(event.alice_setting, event.bob_setting)
-    return mask_value(event.alice_outcome, alice_mask) * mask_value(
-        event.bob_outcome, bob_mask
-    )
-
-
 def estimate_beta(
     events: list[EventRecord], index: int
 ) -> tuple[float, np.ndarray]:
@@ -182,15 +150,15 @@ def estimate_beta(
     Raises InsufficientSamplesError when any cell has no event at all;
     an empty cell cannot be silently skipped without biasing the sum.
     """
-    sums = np.zeros((3, 3))
-    counts = np.zeros((3, 3), dtype=np.int64)
-    for event in events:
-        i, j = event.alice_setting, event.bob_setting
-        sums[i, j] += event_masked_product(event)
-        counts[i, j] += 1
+    columns = [
+        16 * (3 * e.alice_setting + e.bob_setting) + 4 * e.alice_outcome + e.bob_outcome
+        for e in events
+    ]
+    frequencies = np.bincount(np.array(columns, dtype=np.int64), minlength=144)
+    counts = frequencies.reshape(3, 3, 16).sum(axis=2)
     empty = [(i, j) for i in range(3) for j in range(3) if counts[i, j] == 0]
     if empty:
         raise InsufficientSamplesError(empty)
-    signs = sign_table(index)
-    beta_hat = float(np.sum(signs * (sums / counts)))
+    signed = (coefficients(index) * frequencies).reshape(3, 3, 16).sum(axis=2)
+    beta_hat = float(np.sum(signed / counts))
     return beta_hat, counts

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .inequalities import beta_quantum
+from .inequalities import coefficients, state_behavior
 from .qla import (
     DensityMatrix,
     StateVector,
@@ -191,12 +191,8 @@ def resulting_state_vector(entry: ClassMapEntry) -> StateVector:
 
 def matched_beta(entry: ClassMapEntry) -> float:
     """Value of the matched expression on the class's resulting state."""
-    return beta_quantum(
-        resulting_state_vector(entry),
-        entry.matched_inequality,
-        alice_pair=ALICE_PAIR,
-        bob_pair=BOB_PAIR,
-    )
+    behavior = state_behavior(resulting_state_vector(entry), ALICE_PAIR, BOB_PAIR)
+    return float(behavior @ coefficients(entry.matched_inequality))
 
 
 def premeasurement_marginal(

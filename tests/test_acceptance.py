@@ -9,9 +9,16 @@ import json
 import time
 
 import numpy as np
+from oracle import event_masked_product
 
 from nlbox import cli, inequalities, observables, polytope, sampler, states, swap
-from nlbox.inequalities import NUM_EXPRESSIONS, beta_quantum, matched_state
+from nlbox.inequalities import (
+    C,
+    MATCHED_PAIRS,
+    NUM_EXPRESSIONS,
+    matched_state,
+    state_behavior,
+)
 from nlbox.qla import embed, fidelity_with_pure
 from nlbox.states import PRODUCT_LABELS
 
@@ -26,11 +33,10 @@ def test_criterion_01_reference_values():
     """All 256 expression values match the shipped reference within 1e-9."""
     reference = np.array(cli.load_reference_table()["values"], dtype=float)
     start = time.perf_counter()
-    computed = np.zeros((16, 16))
-    for row in range(16):
-        state = matched_state(row + 1)
-        for col in range(16):
-            computed[row, col] = beta_quantum(state, col + 1)
+    behaviors = np.array(
+        [state_behavior(matched_state(row + 1), *MATCHED_PAIRS) for row in range(16)]
+    )
+    computed = behaviors @ C.T
     elapsed = time.perf_counter() - start
     err = float(np.max(np.abs(computed - reference)))
     ok = err <= 1e-9 and elapsed < 10.0
@@ -44,8 +50,8 @@ def test_criterion_01_reference_values():
 
 def test_criterion_02_deterministic_maxima():
     """Brute force over all 4096 strategies gives exactly 7, per expression."""
-    polytope._beta_matrix.cache_clear()
-    polytope._mask_tables.cache_clear()
+    polytope.vertex_matrix.cache_clear()
+    polytope.vertex_values.cache_clear()
     start = time.perf_counter()
     bounds = [polytope.lhv_bound(k)[0] for k in range(1, NUM_EXPRESSIONS + 1)]
     elapsed = time.perf_counter() - start
@@ -144,7 +150,7 @@ def test_criterion_07_sampled_saturation():
         signs = inequalities.sign_table(index)
         for event in members:
             i, j = event.alice_setting, event.bob_setting
-            if sampler.event_masked_product(event) != signs[i, j]:
+            if event_masked_product(event) != signs[i, j]:
                 violations += 1
         beta_hat, _ = sampler.estimate_beta(members, index)
         estimates.append(beta_hat)

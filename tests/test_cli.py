@@ -97,6 +97,16 @@ class TestBounds:
         assert all(line.split(",")[6] == "true" for line in lines[1:])
 
 
+    def test_out_below_a_file_is_an_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        code = main(["bounds", "--out", str(blocker / "x.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+
 class TestSwapMap:
     def test_default_sources(self, capsys):
         code, doc = run_json(capsys, ["swap-map"])
@@ -193,6 +203,15 @@ class TestSample:
         assert shallow
         for entry in shallow:
             assert entry["insufficient_cells"]
+
+    def test_out_on_an_existing_file_is_an_error(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("x")
+        code = main(["sample", "--shots", "20", "--out", str(target)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert target.read_text() == "x"
 
     @pytest.mark.parametrize("bad", ["0", "-3", "abc"])
     def test_rejects_bad_shot_counts(self, bad):

@@ -1,27 +1,28 @@
-"""Sign tables, correlators, and the sixteen expression values."""
+"""Sign tables, the coefficient matrix, and the sixteen expression values."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import Behavior, beta_quantum, bob_bit_conditionals, correlator_quantum
 
-from nlbox import inequalities as ineq
 from nlbox import states
 from nlbox.inequalities import (
+    MATCHED_PAIRS,
     NUM_EXPRESSIONS,
     SIGN_TABLES,
-    Behavior,
-    behavior_from_state,
-    beta_behavior,
-    beta_quantum,
-    bob_bit_conditionals,
-    correlator_behavior,
-    correlator_quantum,
+    C,
+    coefficients,
     mask_pattern,
     matched_state,
     sign_table,
+    state_behavior,
 )
 from nlbox.states import PRODUCT_LABELS, BellLabel
+
+
+def matched_behavior(index):
+    return state_behavior(matched_state(index), *MATCHED_PAIRS)
 
 
 class TestMaskPattern:
@@ -78,13 +79,42 @@ class TestSignTables:
     def test_immutable(self):
         with pytest.raises(ValueError):
             sign_table(1)[0, 0] = 5
+        with pytest.raises(ValueError):
+            C[0, 0] = 5
+
+
+class TestCoefficients:
+    def test_shape_and_entries(self):
+        assert C.shape == (NUM_EXPRESSIONS, 144)
+        assert C.dtype == np.int64
+        assert set(np.unique(C)) == {-1, 1}
+
+    def test_row_accessor(self):
+        np.testing.assert_array_equal(coefficients(5), C[4])
+        with pytest.raises(ValueError):
+            coefficients(0)
+        with pytest.raises(ValueError):
+            coefficients(17)
+
+    def test_cell_blocks_are_signed_mask_products(self):
+        # the 16 entries of cell (x, y) are the sign times the two masked
+        # bits, which a deterministic strategy picks one of
+        for k in (1, 6, 16):
+            block = coefficients(k).reshape(3, 3, 4, 4)
+            signs = sign_table(k)
+            np.testing.assert_array_equal(block.sum(axis=(2, 3)), np.zeros((3, 3)))
+            np.testing.assert_array_equal(block[:, :, 0, 0], signs)
 
 
 class TestQuantumRoute:
     def test_reference_correlators_on_double_phi_plus(self):
         state = matched_state(1)
-        assert correlator_quantum(state, 0, 0) == pytest.approx(1.0, abs=1e-12)
-        assert correlator_quantum(state, 2, 2) == pytest.approx(-1.0, abs=1e-12)
+        assert correlator_quantum(state, 0, 0, *MATCHED_PAIRS) == pytest.approx(
+            1.0, abs=1e-12
+        )
+        assert correlator_quantum(state, 2, 2, *MATCHED_PAIRS) == pytest.approx(
+            -1.0, abs=1e-12
+        )
 
     def test_matched_state_mapping(self):
         assert matched_state(1).labels == (1, 2, 3, 4)
@@ -95,12 +125,13 @@ class TestQuantumRoute:
         np.testing.assert_allclose(got, want, atol=1e-15)
 
     def test_full_value_table_matches_reference(self, reference_doc):
+        # dense operator oracle, independent of the coefficient matrix
         ref = np.array(reference_doc["values"], dtype=float)
         got = np.zeros((16, 16))
         for row, (first, second) in enumerate(PRODUCT_LABELS):
             state = states.four_qubit_product(first, second)
             for k in range(NUM_EXPRESSIONS):
-                got[row, k] = beta_quantum(state, k + 1)
+                got[row, k] = beta_quantum(state, k + 1, *MATCHED_PAIRS)
         np.testing.assert_allclose(got, ref, atol=1e-9)
 
     def test_cellwise_saturation_on_matched_states(self):
@@ -111,21 +142,26 @@ class TestQuantumRoute:
             signs = sign_table(k)
             for i in range(3):
                 for j in range(3):
-                    c = correlator_quantum(state, i, j)
+                    c = correlator_quantum(state, i, j, *MATCHED_PAIRS)
                     assert signs[i, j] * c == pytest.approx(1.0, abs=1e-9)
 
-    def test_default_pairs_rejects_unknown_labels(self):
+    def test_behavior_rejects_pairs_outside_the_state(self):
         odd = states.bell_product(
             BellLabel.PHI_PLUS, BellLabel.PHI_PLUS, (2, 4), (5, 7)
         )
         with pytest.raises(ValueError, match="pairs"):
-            beta_quantum(odd, 1)
+            state_behavior(odd, *MATCHED_PAIRS)
+        with pytest.raises(ValueError, match="pairs"):
+            state_behavior(odd, (2, 2), (5, 7))
 
     def test_explicit_pairs_on_swap_layout(self):
         state = states.bell_product(
             BellLabel.PHI_PLUS, BellLabel.PHI_PLUS, (1, 6), (3, 8)
         )
         assert beta_quantum(state, 1, (1, 3), (6, 8)) == pytest.approx(9.0, abs=1e-9)
+        swapped = state_behavior(state, (1, 3), (6, 8))
+        np.testing.assert_allclose(swapped, matched_behavior(1), atol=1e-15)
+        assert swapped @ coefficients(1) == pytest.approx(9.0, abs=1e-9)
 
 
 class TestBehaviorRoute:
@@ -148,39 +184,44 @@ class TestBehaviorRoute:
 
     def test_quantum_behaviors_are_nonsignaling(self):
         for index in (1, 7, 16):
-            b = behavior_from_state(matched_state(index))
+            b = Behavior(matched_behavior(index).reshape(3, 3, 4, 4))
             assert b.no_signaling_defect() < 1e-10
 
     def test_uniform_behavior_scores_zero(self):
         uniform = Behavior(np.full((3, 3, 4, 4), 1 / 16.0))
-        for k in range(1, NUM_EXPRESSIONS + 1):
-            assert beta_behavior(uniform, k) == pytest.approx(0.0, abs=1e-12)
+        values = uniform.probs.reshape(144) @ C.T
+        np.testing.assert_allclose(values, np.zeros(NUM_EXPRESSIONS), atol=1e-12)
 
     def test_routes_agree_on_all_products(self):
-        # the behavior route and the operator route must give the same 256
-        # numbers
+        # the coefficient route and the dense operator route must give the
+        # same 256 numbers
         for first, second in PRODUCT_LABELS:
             state = states.four_qubit_product(first, second)
-            behavior = behavior_from_state(state)
+            values = state_behavior(state, *MATCHED_PAIRS) @ C.T
             for k in range(1, NUM_EXPRESSIONS + 1):
-                assert beta_behavior(behavior, k) == pytest.approx(
-                    beta_quantum(state, k), abs=1e-9
+                assert values[k - 1] == pytest.approx(
+                    beta_quantum(state, k, *MATCHED_PAIRS), abs=1e-9
                 )
 
     def test_correlator_routes_agree(self):
+        # a cell's block of a coefficient row, unsigned, is the cell's
+        # masked correlator
         state = matched_state(6)
-        behavior = behavior_from_state(state)
+        blocks = (coefficients(1) * state_behavior(state, *MATCHED_PAIRS)).reshape(
+            3, 3, 16
+        )
+        signs = sign_table(1)
         for i in range(3):
             for j in range(3):
-                assert correlator_behavior(behavior, i, j) == pytest.approx(
-                    correlator_quantum(state, i, j), abs=1e-10
+                assert signs[i, j] * blocks[i, j].sum() == pytest.approx(
+                    correlator_quantum(state, i, j, *MATCHED_PAIRS), abs=1e-10
                 )
 
     def test_outcome_certainty_on_products(self):
         # either party's full outcome pins the other's masked bit: every
         # defined conditional is exactly 0 or 1
         for k in range(1, NUM_EXPRESSIONS + 1):
-            behavior = behavior_from_state(matched_state(k))
+            behavior = Behavior(matched_behavior(k).reshape(3, 3, 4, 4))
             for i in range(3):
                 for j in range(3):
                     cond = bob_bit_conditionals(behavior, i, j)
@@ -200,4 +241,5 @@ class TestBehaviorRoute:
     def test_algebraic_bound_on_random_behaviors(self, index, raw):
         table = np.array(raw).reshape(3, 3, 4, 4)
         table /= table.sum(axis=(2, 3), keepdims=True)
-        assert abs(beta_behavior(Behavior(table), index)) <= 9.0 + 1e-9
+        behavior = Behavior(table)
+        assert abs(behavior.probs.reshape(144) @ coefficients(index)) <= 9.0 + 1e-9

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracle import masked_operator
 
 from nlbox import observables, states
 from nlbox.observables import (
@@ -10,7 +11,6 @@ from nlbox.observables import (
     alice_observable,
     bob_observable,
     mask_value,
-    masked_operator,
 )
 from nlbox.qla import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 

@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import Behavior, lhv_value
 
-from nlbox import polytope
-from nlbox.inequalities import NUM_EXPRESSIONS, Behavior, beta_behavior, sign_table
+from nlbox.inequalities import (
+    NUM_EXPRESSIONS,
+    coefficient_rows,
+    coefficients,
+    sign_table,
+)
 from nlbox.polytope import (
     NUM_JOINT_STRATEGIES,
     NUM_PARTY_STRATEGIES,
@@ -19,13 +24,12 @@ from nlbox.polytope import (
     facet_check,
     integer_rank,
     lhv_bound,
-    lhv_value,
     ns_bound,
     party_strategies,
     polytope_affine_dim,
     saturating_vertices,
-    strategy_beta_matrix,
     vertex_matrix,
+    vertex_values,
 )
 
 
@@ -149,12 +153,11 @@ class TestBounds:
     def test_witness_realizes_seven_as_a_behavior(self):
         for k in (1, 8, 16):
             _, witness = lhv_bound(k)
-            assert beta_behavior(strategy_behavior(witness), k) == pytest.approx(
-                7.0, abs=1e-12
-            )
+            behavior = strategy_behavior(witness)
+            assert behavior.probs.reshape(144) @ coefficients(k) == 7
 
     def test_beta_matrix_agrees_with_scalar_route(self):
-        mat = strategy_beta_matrix(sign_table(3))
+        mat = vertex_values(3).reshape(NUM_PARTY_STRATEGIES, NUM_PARTY_STRATEGIES)
         singles = party_strategies()
         rng = np.random.default_rng(20240811)
         for _ in range(40):
@@ -169,15 +172,16 @@ class TestBounds:
 
     def test_party_swap_leaves_value_multiset_invariant(self):
         for k in range(1, NUM_EXPRESSIONS + 1):
-            signs = sign_table(k)
-            orig = strategy_beta_matrix(signs)
-            swapped = strategy_beta_matrix(signs.T)
-            assert sorted(orig.ravel()) == sorted(swapped.ravel())
+            orig = vertex_values(k)
+            swapped = vertex_matrix() @ coefficient_rows(sign_table(k).T[None])[0]
+            assert sorted(orig) == sorted(swapped)
             assert orig.max() == swapped.max()
 
     def test_rejects_bad_sign_shape(self):
         with pytest.raises(ValueError):
-            strategy_beta_matrix(np.ones((2, 3), dtype=np.int64))
+            coefficient_rows(np.ones((1, 2, 3), dtype=np.int64))
+        with pytest.raises(ValueError):
+            coefficient_rows(np.ones((3, 3), dtype=np.int64))
 
 
 class TestFacets:
@@ -192,8 +196,10 @@ class TestFacets:
     def test_saturators_of_expression_one(self):
         sat = saturating_vertices(1)
         assert sat.shape[0] == facet_check(1).num_saturators
-        # every saturating vertex really evaluates to 7
-        signs = sign_table(1)
+        # every saturating vertex really evaluates to 7: read its strategy
+        # off the one-hot cells and score it through the scalar route
         for row in sat[:20]:
-            behavior = Behavior(row.reshape(3, 3, 4, 4).astype(float))
-            assert beta_behavior(behavior, 1) == pytest.approx(7.0, abs=1e-12)
+            cells = Behavior(row.reshape(3, 3, 4, 4).astype(float)).probs
+            alice = tuple(int(np.argmax(cells[x, 0].sum(axis=1))) for x in range(3))
+            bob = tuple(int(np.argmax(cells[0, y].sum(axis=0))) for y in range(3))
+            assert lhv_value(1, DeterministicStrategy(alice, bob)) == 7

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import beta_quantum, event_masked_product
 
 from nlbox import inequalities, states
 from nlbox.sampler import (
@@ -13,7 +14,6 @@ from nlbox.sampler import (
     InsufficientSamplesError,
     ProtocolTables,
     estimate_beta,
-    event_masked_product,
     run_rng,
     sample_events,
     sort_events,
@@ -185,12 +185,13 @@ class TestEstimatorAgainstBehavior:
         # behavior table of the matched state, then compare the estimator
         # with the exact behavior value of a different expression
         state = inequalities.matched_state(1)
-        behavior = inequalities.behavior_from_state(state)
+        pairs = inequalities.MATCHED_PAIRS
+        behavior = inequalities.state_behavior(state, *pairs)
         rng = np.random.default_rng(900913)
         n = 90000
         outcome = ROBOT_OUTCOMES[0]
         events = []
-        flat = behavior.probs.reshape(9, 16)
+        flat = behavior.reshape(9, 16)
         for run in range(n):
             cell = int(rng.integers(9))
             i, j = divmod(cell, 3)
@@ -198,6 +199,6 @@ class TestEstimatorAgainstBehavior:
             a, b = divmod(ab, 4)
             events.append(EventRecord(run, i, a, j, b, outcome))
         beta_hat, counts = estimate_beta(events, 2)
-        want = inequalities.beta_behavior(behavior, 2)
+        want = beta_quantum(state, 2, *pairs)
         se = math.sqrt(float(np.sum(1.0 / counts)))
         assert abs(beta_hat - want) < 5 * se

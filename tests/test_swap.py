@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from oracle import beta_quantum, cell_operator
 
 from nlbox import inequalities, states, swap
-from nlbox.inequalities import NUM_EXPRESSIONS, beta_quantum
+from nlbox.inequalities import NUM_EXPRESSIONS
 from nlbox.qla import density_expectation, fidelity_with_pure, partial_trace
 from nlbox.states import BELL_ORDER, BellLabel
 from nlbox.swap import (
@@ -109,9 +110,7 @@ class TestPremeasurementMarginal:
             total = 0.0
             for i in range(3):
                 for j in range(3):
-                    op = inequalities.cell_operator(
-                        i, j, ALICE_PAIR, BOB_PAIR, KEPT_QUBITS
-                    )
+                    op = cell_operator(i, j, ALICE_PAIR, BOB_PAIR, KEPT_QUBITS)
                     total += signs[i, j] * density_expectation(rho, op)
             assert total == pytest.approx(0.0, abs=1e-9)
             assert ref[:, k - 1].mean() == pytest.approx(0.0, abs=1e-12)
