@@ -22,7 +22,7 @@ from .inequalities import (
     state_behavior,
 )
 from .polytope import facet_check, lhv_bound, ns_bound
-from .sampler import estimate_beta, sample_events, sort_events
+from .sampler import class_counts, estimate_beta, sample_events
 from .states import BellLabel, eight_qubit_initial, four_qubit_product
 from .swap import class_map, premeasurement_marginal
 
@@ -30,6 +30,7 @@ __all__ = [
     "BellLabel",
     "C",
     "MATCHED_PAIRS",
+    "class_counts",
     "class_map",
     "coefficient_rows",
     "coefficients",
@@ -42,7 +43,6 @@ __all__ = [
     "ns_bound",
     "premeasurement_marginal",
     "sample_events",
-    "sort_events",
     "state_behavior",
 ]
 

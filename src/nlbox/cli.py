@@ -10,7 +10,9 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -52,13 +54,30 @@ def _state_code(first, second) -> str:
     return f"{first.code}.{second.code}"
 
 
+def _write_atomic(path: Path, chunks) -> None:
+    """Write text chunks to a temporary file beside ``path``, then rename it.
+
+    A write that fails partway leaves neither a partial ``path`` nor the
+    temporary file behind.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _emit(args, text: str) -> None:
     if args.out is None:
         sys.stdout.write(text)
     else:
         path = Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        _write_atomic(path, [text])
         print(f"wrote {path}")
 
 
@@ -242,59 +261,56 @@ def cmd_swap_map(args) -> int:
     return 0
 
 
-def event_line(event: sampler.EventRecord) -> str:
-    """Serialize one event: run_id,x,y,a1,a2,b1,b2,r1,r2 with +-1 bits."""
-    a1, a2 = OUTCOME_BITS[event.alice_outcome]
-    b1, b2 = OUTCOME_BITS[event.bob_outcome]
-    r1, r2 = event.robot.codes
+def _event_suffixes() -> list[str]:
+    """The text after run_id of every event line, indexed by event code."""
 
     def sign(v: int) -> str:
         return "+1" if v > 0 else "-1"
 
-    return (
-        f"{event.run_id},{event.alice_setting},{event.bob_setting},"
-        f"{sign(a1)},{sign(a2)},{sign(b1)},{sign(b2)},{r1},{r2}"
-    )
+    return [
+        f",{x},{y},{sign(a1)},{sign(a2)},{sign(b1)},{sign(b2)},{r1.code},{r2.code}"
+        for x, y, r1, r2, (a1, a2), (b1, b2) in itertools.product(
+            range(3), range(3), BELL_ORDER, BELL_ORDER, OUTCOME_BITS, OUTCOME_BITS
+        )
+    ]
+
+
+def _event_text(codes: np.ndarray):
+    """events.csv in chunks of one sampler block: run_id,x,y,a1,a2,b1,b2,r1,r2."""
+    suffixes = _event_suffixes()
+    yield EVENT_HEADER + "\n"
+    for start in range(0, codes.size, sampler.BLOCK):
+        chunk = codes[start : start + sampler.BLOCK].tolist()
+        yield "".join(
+            f"{run_id}{suffixes[code]}\n" for run_id, code in enumerate(chunk, start)
+        )
 
 
 def cmd_sample(args) -> int:
     """Run seeded shots, write the event list and a per-class summary."""
-    events = sampler.sample_events(args.shots, args.seed, args.sources)
-    classes = sampler.sort_events(events)
-    class_map = {e.outcome: e for e in swap.class_map(args.sources)}
+    codes = sampler.sample_events(args.shots, args.seed, args.sources)
+    entries = sampler.protocol_tables(args.sources).entries
+    counts = sampler.class_counts(codes)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     events_path = out_dir / "events.csv"
-    lines = [EVENT_HEADER]
-    lines.extend(event_line(e) for e in events)
-    events_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(events_path, _event_text(codes))
 
     summaries = []
-    for outcome in swap.ROBOT_OUTCOMES:
-        entry = class_map[outcome]
-        bucket = classes[outcome]
+    for entry, behavior_counts in zip(entries, counts):
+        cells = behavior_counts.reshape(3, 3, 16).sum(axis=2)
+        insufficient = np.argwhere(cells == 0).tolist()
         beta_hat = None
-        counts = np.zeros((3, 3), dtype=np.int64)
-        insufficient: list[list[int]] = []
-        if bucket:
-            try:
-                beta_hat, counts = sampler.estimate_beta(
-                    bucket, entry.matched_inequality
-                )
-            except sampler.InsufficientSamplesError as err:
-                insufficient = [list(cell) for cell in err.cells]
-                for event in bucket:
-                    counts[event.alice_setting, event.bob_setting] += 1
-        else:
-            insufficient = [[i, j] for i in range(3) for j in range(3)]
+        if not insufficient:
+            beta_hat = sampler.estimate_beta(behavior_counts, entry.matched_inequality)[0]
         summaries.append(
             {
-                "robot_outcome": list(outcome.codes),
-                "count": len(bucket),
+                "robot_outcome": list(entry.outcome.codes),
+                "count": int(cells.sum()),
                 "matched_inequality": entry.matched_inequality,
                 "beta_hat": None if beta_hat is None else sig12(beta_hat),
-                "cell_counts": counts.tolist(),
+                "cell_counts": cells.tolist(),
                 "insufficient_cells": insufficient,
             }
         )
@@ -305,12 +321,13 @@ def cmd_sample(args) -> int:
             "command": "sample",
             "shots": args.shots,
             "seed": args.seed,
+            "rng_contract": sampler.RNG_CONTRACT,
             "sources": [label.code for label in args.sources],
             "events_file": events_path.name,
             "classes": summaries,
         }
         summary_path = out_dir / "summary.json"
-        summary_path.write_text(_json_text(doc), encoding="utf-8")
+        _write_atomic(summary_path, [_json_text(doc)])
     else:
         header = [
             "robot_first",
@@ -333,7 +350,7 @@ def cmd_sample(args) -> int:
                 ]
             )
         summary_path = out_dir / "summary.csv"
-        summary_path.write_text(_csv_text(header, rows), encoding="utf-8")
+        _write_atomic(summary_path, [_csv_text(header, rows)])
 
     print(f"wrote {events_path}")
     print(f"wrote {summary_path}")

@@ -1,41 +1,37 @@
 """Seeded simulation of the full run: robot swap, then local measurements.
 
-Reproducibility contract: run ``k`` draws from its own substream, derived
-from the user seed as SeedSequence(seed, spawn_key=(k,)).  Within a run
-the draw order is fixed: Alice's setting, Bob's setting, the robot's two
-Bell results, Alice's outcome, Bob's outcome.  Identical (shots, seed,
-sources) therefore reproduce identical event lists, and adding shots
-never changes earlier runs.
+Reproducibility contract 2: runs are drawn in fixed blocks of ``BLOCK``.
+Block ``k`` draws from its own substream, derived from the user seed as
+SeedSequence(seed, spawn_key=(k,)), in a fixed order: ``BLOCK`` setting
+cells ``3x + y`` from ``integers(0, 9)``, then ``BLOCK`` uniforms.  Run
+``k * BLOCK + i`` takes the i-th cell and the i-th uniform, and its
+outcome is the inverse CDF of that uniform over the cell's row of the
+exact joint table.  Every block is drawn whole and then truncated, so
+identical (shots, seed, sources) reproduce identical events and adding
+shots never changes earlier runs.
 
-All outcome draws compare a uniform variate against cumulative Born
-probabilities.  The robot's measurements commute with the local ones
-(disjoint qubits), so simulating the robot first is a faithful ordering;
-the distributions are precomputed once per source choice and are exact.
+The robot's measurements commute with the local ones (disjoint qubits),
+so the joint table is the robot's outcome distribution times the Born
+behavior of the Bell product each robot outcome leaves behind.
+
+An event is one integer code ``256 * (3x + y) + 16 * c + 4a + b``, where
+``c = 4 * r1 + r2`` is the robot's outcome (its class) and ``a``, ``b``
+are the parties' outcomes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
-from . import states, swap
+from . import swap
 from .inequalities import coefficients, state_behavior
-from .qla import StateVector
-from .states import BELL_ORDER, BellLabel
-from .swap import ROBOT_OUTCOMES, RobotOutcome
+from .states import BellLabel
 
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One full run: settings, local outcomes, and the robot's Bell results."""
-
-    run_id: int
-    alice_setting: int
-    alice_outcome: int
-    bob_setting: int
-    bob_outcome: int
-    robot: RobotOutcome
+RNG_CONTRACT = 2
+BLOCK = 4096
+NUM_CODES = 9 * 256
 
 
 class InsufficientSamplesError(ValueError):
@@ -46,55 +42,46 @@ class InsufficientSamplesError(ValueError):
         super().__init__(f"no events in cells {cells}")
 
 
-def run_rng(seed: int, run_id: int) -> np.random.Generator:
-    """The dedicated random substream of one run."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(run_id,)))
-    )
-
-
 class ProtocolTables:
-    """Exact Born distributions of every stage, for one source choice."""
+    """The exact joint table p(c, a, b | x, y) of one source choice."""
 
     def __init__(self, sources: tuple[BellLabel, BellLabel] = swap.DEFAULT_SOURCES):
         self.sources = sources
-        initial = states.source_product(*sources)
-
-        # Robot stage: marginal of the (2,5) result and the conditional
-        # distribution of the (4,7) result given it.
-        joint = swap.robot_outcome_distribution(initial)
-        marginal = joint.sum(axis=1)
-        conditional = joint / marginal[:, None]
-        self.robot_first_cum = np.cumsum(marginal)
-        self.robot_second_cum = np.cumsum(conditional, axis=1)
-
-        # Post-robot products on (1,3,6,8), indexed by 4*first + second.
-        self.entries = swap.class_map(sources)
-        self.class_states: list[StateVector] = [
-            swap.resulting_state_vector(e) for e in self.entries
-        ]
-
-        # Alice's outcome distribution and Bob's conditional on her result,
-        # read off the class behaviors p(a, b | x, y).  Alice's marginal is
-        # taken at Bob's setting 0; no signaling makes every setting agree.
+        self.entries = tuple(swap.class_map(sources))
+        robot = np.array([entry.probability for entry in self.entries])
         behaviors = np.array(
             [
-                state_behavior(state, swap.ALICE_PAIR, swap.BOB_PAIR)
-                for state in self.class_states
+                state_behavior(
+                    swap.resulting_state_vector(entry), swap.ALICE_PAIR, swap.BOB_PAIR
+                )
+                for entry in self.entries
             ]
-        ).reshape(16, 3, 3, 4, 4)
-        alice = behaviors[:, :, 0].sum(axis=3)  # [c, x, a]
-        self.alice_cum = np.cumsum(alice, axis=2)
-        self.bob_cum = np.ones((16, 3, 4, 3, 4))
-        for c, x, a in zip(*np.nonzero(alice > 0.0)):
-            self.bob_cum[c, x, a] = np.cumsum(
-                behaviors[c, x, :, a] / alice[c, x, a], axis=1
-            )
+        ).reshape(16, 9, 16)
+        # joint[3x + y, 16c + 4a + b]
+        self.joint = (robot.reshape(16, 1, 1) * behaviors).transpose(1, 0, 2).reshape(9, 256)
+        # From each row's last positive entry on the cumulative sum is exactly
+        # 1.0, so no variate in [0, 1) can pick an outcome of probability 0.
+        self.cum = np.cumsum(self.joint, axis=1)
+        last = 255 - np.argmax(self.joint[:, ::-1] > 0.0, axis=1)
+        self.cum[np.arange(256) >= last[:, None]] = 1.0
+        self.joint.flags.writeable = False
+        self.cum.flags.writeable = False
+
+    def outcomes(self, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Column 16c + 4a + b that each uniform picks in its cell's row."""
+        picked = np.empty(cells.shape, dtype=np.int64)
+        for cell in range(9):
+            hit = cells == cell
+            picked[hit] = np.searchsorted(self.cum[cell], u[hit], side="right")
+        return picked
 
 
-def _pick(cum: np.ndarray, rand: float) -> int:
-    """Smallest index whose cumulative probability exceeds the variate."""
-    return int(min(np.searchsorted(cum, rand, side="right"), cum.size - 1))
+@functools.lru_cache(maxsize=16)
+def protocol_tables(
+    sources: tuple[BellLabel, BellLabel] = swap.DEFAULT_SOURCES,
+) -> ProtocolTables:
+    """The read-only tables of one of the 16 source choices, built once."""
+    return ProtocolTables(sources)
 
 
 def sample_events(
@@ -102,63 +89,39 @@ def sample_events(
     seed: int,
     sources: tuple[BellLabel, BellLabel] = swap.DEFAULT_SOURCES,
     tables: ProtocolTables | None = None,
-) -> list[EventRecord]:
-    """Simulate ``shots`` full runs of the protocol."""
+) -> np.ndarray:
+    """Simulate ``shots`` full runs of the protocol; one int16 code per run."""
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     if tables is None or tables.sources != sources:
-        tables = ProtocolTables(sources)
-    events = []
-    for run_id in range(shots):
-        rng = run_rng(seed, run_id)
-        x = int(rng.integers(0, 3))
-        y = int(rng.integers(0, 3))
-        r1 = _pick(tables.robot_first_cum, rng.random())
-        r2 = _pick(tables.robot_second_cum[r1], rng.random())
-        c = 4 * r1 + r2
-        a = _pick(tables.alice_cum[c, x], rng.random())
-        b = _pick(tables.bob_cum[c, x, a, y], rng.random())
-        events.append(
-            EventRecord(
-                run_id=run_id,
-                alice_setting=x,
-                alice_outcome=a,
-                bob_setting=y,
-                bob_outcome=b,
-                robot=RobotOutcome(BELL_ORDER[r1], BELL_ORDER[r2]),
-            )
+        tables = protocol_tables(sources)
+    blocks = []
+    for block in range(-(-shots // BLOCK)):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,)))
         )
-    return events
+        cells = rng.integers(0, 9, size=BLOCK)
+        u = rng.random(BLOCK)
+        blocks.append((256 * cells + tables.outcomes(cells, u)).astype(np.int16))
+    return np.concatenate(blocks)[:shots]
 
 
-def sort_events(events: list[EventRecord]) -> dict[RobotOutcome, list[EventRecord]]:
-    """Partition events by robot outcome; all 16 classes are always present."""
-    classes: dict[RobotOutcome, list[EventRecord]] = {
-        outcome: [] for outcome in ROBOT_OUTCOMES
-    }
-    for event in events:
-        classes[event.robot].append(event)
-    return classes
+def class_counts(codes: np.ndarray) -> np.ndarray:
+    """Event counts [c, 16 * (3x + y) + 4a + b]: one behavior row per class."""
+    counts = np.bincount(codes, minlength=NUM_CODES).reshape(9, 16, 16)
+    return counts.transpose(1, 0, 2).reshape(16, 144)
 
 
-def estimate_beta(
-    events: list[EventRecord], index: int
-) -> tuple[float, np.ndarray]:
-    """Estimate an expression value from events of a single class.
+def estimate_beta(counts: np.ndarray, index: int) -> tuple[float, np.ndarray]:
+    """Estimate an expression value from one class's 144 event counts.
 
     Returns the estimate and the 3x3 matrix of per-cell event counts.
     Raises InsufficientSamplesError when any cell has no event at all;
     an empty cell cannot be silently skipped without biasing the sum.
     """
-    columns = [
-        16 * (3 * e.alice_setting + e.bob_setting) + 4 * e.alice_outcome + e.bob_outcome
-        for e in events
-    ]
-    frequencies = np.bincount(np.array(columns, dtype=np.int64), minlength=144)
-    counts = frequencies.reshape(3, 3, 16).sum(axis=2)
-    empty = [(i, j) for i in range(3) for j in range(3) if counts[i, j] == 0]
+    cells = counts.reshape(3, 3, 16).sum(axis=2)
+    empty = [(int(i), int(j)) for i, j in np.argwhere(cells == 0)]
     if empty:
         raise InsufficientSamplesError(empty)
-    signed = (coefficients(index) * frequencies).reshape(3, 3, 16).sum(axis=2)
-    beta_hat = float(np.sum(signed / counts))
-    return beta_hat, counts
+    signed = (coefficients(index) * counts).reshape(3, 3, 16).sum(axis=2)
+    return float(np.sum(signed / cells)), cells

@@ -6,6 +6,10 @@ The routes here never touch that matrix: dense cell operators built from
 masked observables, scalar sums over one deterministic strategy, the
 masked product of one sampled event, and a validated behavior table read
 cell by cell.  Tests compare the package against them.
+
+The sampler's integer event codes are decoded here into one record per
+event, and the swap protocol's exact joint table is rebuilt by sequential
+collapse of the dense eight-qubit state.
 """
 
 from __future__ import annotations
@@ -23,6 +27,15 @@ from nlbox.observables import (
     mask_value,
 )
 from nlbox.qla import ATOL_STRUCT, StateVector, embed, expectation, tensor
+from nlbox.states import BELL_ORDER, source_product
+from nlbox.swap import (
+    ALICE_PAIR,
+    BOB_PAIR,
+    ROBOT_OUTCOMES,
+    ROBOT_PAIRS,
+    RobotOutcome,
+    bell_projectors,
+)
 
 
 def masked_operator(obs: FourOutcomeObservable, mask: str) -> np.ndarray:
@@ -87,6 +100,95 @@ def lhv_value(index: int, strategy) -> int:
                 strategy.alice[i], alice_mask
             ) * mask_value(strategy.bob[j], bob_mask)
     return total
+
+
+@dataclass(frozen=True)
+class EventRecord:
+    """One full run: settings, local outcomes, and the robot's Bell results."""
+
+    run_id: int
+    alice_setting: int
+    alice_outcome: int
+    bob_setting: int
+    bob_outcome: int
+    robot: RobotOutcome
+
+
+def decode(codes) -> list[EventRecord]:
+    """One record per event code 256*(3x + y) + 16*(4*r1 + r2) + 4a + b."""
+    events = []
+    for run_id, code in enumerate(int(c) for c in codes):
+        cell, rest = divmod(code, 256)
+        r, ab = divmod(rest, 16)
+        x, y = divmod(cell, 3)
+        a, b = divmod(ab, 4)
+        r1, r2 = divmod(r, 4)
+        robot = RobotOutcome(BELL_ORDER[r1], BELL_ORDER[r2])
+        events.append(EventRecord(run_id, x, a, y, b, robot))
+    return events
+
+
+def sort_events(events: list[EventRecord]) -> dict[RobotOutcome, list[EventRecord]]:
+    """Partition events by robot outcome; all 16 classes are always present."""
+    classes: dict[RobotOutcome, list[EventRecord]] = {
+        outcome: [] for outcome in ROBOT_OUTCOMES
+    }
+    for event in events:
+        classes[event.robot].append(event)
+    return classes
+
+
+def behavior_counts(events: list[EventRecord]) -> np.ndarray:
+    """Event counts at the behavior columns 16*(3x + y) + 4a + b."""
+    counts = np.zeros(144, dtype=np.int64)
+    for e in events:
+        cell = 3 * e.alice_setting + e.bob_setting
+        counts[16 * cell + 4 * e.alice_outcome + e.bob_outcome] += 1
+    return counts
+
+
+def sequential_joint_distribution(state: StateVector, projector_sets) -> np.ndarray:
+    """Exact joint distribution of sequential projective measurements."""
+    shape = (4,) * len(projector_sets)
+    out = np.zeros(shape)
+
+    def recurse(vec, prob, prefix):
+        depth = len(prefix)
+        if depth == len(projector_sets):
+            out[prefix] = prob
+            return
+        for idx, proj in enumerate(projector_sets[depth]):
+            v = proj @ vec
+            q = float(np.vdot(vec, v).real)
+            if prob * q <= 0.0:
+                continue  # the whole subtree stays at probability zero
+            recurse(v / np.sqrt(q), prob * q, prefix + (idx,))
+
+    recurse(state.amplitudes, 1.0, ())
+    return out
+
+
+def protocol_joint_table(sources) -> np.ndarray:
+    """p(c, a, b | x, y) as [3x + y, 16c + 4a + b], by collapsing the dense
+    eight-qubit state: the robot's two Bell measurements, then Alice, then Bob."""
+    state = source_product(*sources)
+    labels = state.labels
+    robot = [bell_projectors(pair, labels) for pair in ROBOT_PAIRS]
+    alice = [
+        [embed(p, ALICE_PAIR, labels) for p in alice_observable(x).projectors]
+        for x in range(3)
+    ]
+    bob = [
+        [embed(p, BOB_PAIR, labels) for p in bob_observable(y).projectors]
+        for y in range(3)
+    ]
+    return np.array(
+        [
+            sequential_joint_distribution(state, robot + [alice[x], bob[y]]).ravel()
+            for x in range(3)
+            for y in range(3)
+        ]
+    )
 
 
 def event_masked_product(event) -> int:

@@ -9,7 +9,7 @@ import json
 import time
 
 import numpy as np
-from oracle import event_masked_product
+from oracle import decode, event_masked_product, sequential_joint_distribution
 
 from nlbox import cli, inequalities, observables, polytope, sampler, states, swap
 from nlbox.inequalities import (
@@ -140,20 +140,20 @@ def test_criterion_07_sampled_saturation():
     """1e5 seeded shots: every event saturates its class's expression and
     every per-class estimate equals 9.0 exactly."""
     shots = 100_000
-    events = sampler.sample_events(shots, seed=20240501)
-    classes = sampler.sort_events(events)
-    by_outcome = {e.outcome: e for e in swap.class_map()}
+    codes = sampler.sample_events(shots, seed=20240501)
+    by_outcome = {e.outcome: e for e in sampler.protocol_tables().entries}
+    # an event is fully described by its code, so checking each distinct
+    # code once checks every event
+    distinct, multiplicity = np.unique(codes, return_counts=True)
     violations = 0
-    estimates = []
-    for outcome, members in classes.items():
-        index = by_outcome[outcome].matched_inequality
-        signs = inequalities.sign_table(index)
-        for event in members:
-            i, j = event.alice_setting, event.bob_setting
-            if event_masked_product(event) != signs[i, j]:
-                violations += 1
-        beta_hat, _ = sampler.estimate_beta(members, index)
-        estimates.append(beta_hat)
+    for event, n in zip(decode(distinct), multiplicity):
+        signs = inequalities.sign_table(by_outcome[event.robot].matched_inequality)
+        if event_masked_product(event) != signs[event.alice_setting, event.bob_setting]:
+            violations += int(n)
+    estimates = [
+        sampler.estimate_beta(row, by_outcome[outcome].matched_inequality)[0]
+        for outcome, row in zip(swap.ROBOT_OUTCOMES, sampler.class_counts(codes))
+    ]
     ok = violations == 0 and all(b == 9.0 for b in estimates)
     _report(
         7,
@@ -161,27 +161,6 @@ def test_criterion_07_sampled_saturation():
         f"{shots} shots: {violations} saturation violations, per-class "
         f"estimates {sorted(set(estimates))} == [9.0] exactly",
     )
-
-
-def _joint_distribution(state, projector_sets):
-    """Exact joint distribution of sequential projective measurements."""
-    shape = (4,) * len(projector_sets)
-    out = np.zeros(shape)
-
-    def recurse(vec, prob, prefix):
-        depth = len(prefix)
-        if depth == len(projector_sets):
-            out[prefix] = prob
-            return
-        for idx, proj in enumerate(projector_sets[depth]):
-            v = proj @ vec
-            q = float(np.vdot(vec, v).real)
-            if prob * q <= 0.0:
-                continue  # the whole subtree stays at probability zero
-            recurse(v / np.sqrt(q), prob * q, prefix + (idx,))
-
-    recurse(state.amplitudes, 1.0, ())
-    return out
 
 
 def test_criterion_08_measurement_order_invariance():
@@ -202,10 +181,10 @@ def test_criterion_08_measurement_order_invariance():
     worst = 0.0
     for x in range(3):
         for y in range(3):
-            robot_first = _joint_distribution(
+            robot_first = sequential_joint_distribution(
                 state, [robot1, robot2, alice[x], bob[y]]
             )
-            robot_last = _joint_distribution(
+            robot_last = sequential_joint_distribution(
                 state, [alice[x], bob[y], robot1, robot2]
             ).transpose(2, 3, 0, 1)
             worst = max(worst, float(np.max(np.abs(robot_first - robot_last))))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nlbox import cli
+from nlbox import cli, sampler, swap
 from nlbox.cli import main, sig12
 
 
@@ -213,6 +213,43 @@ class TestSample:
         assert err.startswith("error: ")
         assert target.read_text() == "x"
 
+    def test_events_match_the_pinned_contract(self, tmp_path, capsys):
+        # rng contract 2: a change to the draws or the event format fails here
+        out_dir = tmp_path / "run"
+        assert main(["sample", "--shots", "50", "--seed", "0", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        golden = (GOLDEN / "sample-events-50-0.csv").read_bytes()
+        assert (out_dir / "events.csv").read_bytes() == golden
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["rng_contract"] == 2
+
+    def test_summary_counts_match_the_events_file(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert main(["sample", "--shots", "9000", "--seed", "3", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        lines = (out_dir / "events.csv").read_text().splitlines()[1:]
+        recount = {}
+        for line in lines:
+            fields = line.split(",")
+            robot, cell = (fields[7], fields[8]), (int(fields[1]), int(fields[2]))
+            recount.setdefault(robot, []).append(cell)
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert [int(line.split(",")[0]) for line in lines] == list(range(9000))
+        for entry in summary["classes"]:
+            cells = recount.get(tuple(entry["robot_outcome"]), [])
+            assert entry["count"] == len(cells)
+            grid = [[cells.count((i, j)) for j in range(3)] for i in range(3)]
+            assert entry["cell_counts"] == grid
+
+    def test_builds_the_class_map_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = swap.class_map
+        monkeypatch.setattr(swap, "class_map", lambda *a: calls.append(a) or real(*a))
+        sampler.protocol_tables.cache_clear()
+        assert main(["sample", "--shots", "20", "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("bad", ["0", "-3", "abc"])
     def test_rejects_bad_shot_counts(self, bad):
         with pytest.raises(SystemExit) as exc:
@@ -255,3 +292,36 @@ class TestGoldenOutput:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+class TestAtomicWrites:
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        target = tmp_path / "events.csv"
+
+        def chunks():
+            yield "run_id\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            cli._write_atomic(target, chunks())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("old")
+
+        def chunks():
+            yield "new"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            cli._write_atomic(target, chunks())
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "old"
+
+    def test_write_replaces_the_target(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("old")
+        cli._write_atomic(target, ["a", "b\n"])
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "ab\n"

@@ -6,20 +6,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import beta_quantum, event_masked_product
-
-from nlbox import inequalities, states
-from nlbox.sampler import (
+from oracle import (
     EventRecord,
-    InsufficientSamplesError,
-    ProtocolTables,
-    estimate_beta,
-    run_rng,
-    sample_events,
+    behavior_counts,
+    beta_quantum,
+    decode,
+    event_masked_product,
+    protocol_joint_table,
     sort_events,
 )
-from nlbox.states import BELL_ORDER, BellLabel
-from nlbox.swap import ROBOT_OUTCOMES, RobotOutcome
+from scipy.stats import chisquare
+
+from nlbox import inequalities
+from nlbox.sampler import (
+    BLOCK,
+    InsufficientSamplesError,
+    ProtocolTables,
+    class_counts,
+    estimate_beta,
+    sample_events,
+)
+from nlbox.states import BellLabel
+from nlbox.swap import ROBOT_OUTCOMES
 
 TABLES = ProtocolTables()
 
@@ -30,10 +38,10 @@ def sample(shots, seed):
 
 class TestReproducibility:
     def test_identical_seeds_identical_events(self):
-        assert sample(300, 7) == sample(300, 7)
+        assert np.array_equal(sample(300, 7), sample(300, 7))
 
     def test_different_seeds_differ(self):
-        assert sample(300, 7) != sample(300, 8)
+        assert not np.array_equal(sample(300, 7), sample(300, 8))
 
     @settings(max_examples=10)
     @given(st.integers(0, 2**31), st.integers(1, 40))
@@ -41,17 +49,32 @@ class TestReproducibility:
         # extending a sample never rewrites earlier runs
         short = sample(shots, seed)
         long = sample(shots + 17, seed)
-        assert long[: len(short)] == short
+        assert np.array_equal(long[: len(short)], short)
+
+    @pytest.mark.parametrize(
+        "shots", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+    )
+    def test_prefix_stability_across_blocks(self, shots):
+        long = sample(4 * BLOCK, 2718)
+        assert np.array_equal(sample(shots, 2718), long[:shots])
 
     def test_substreams_are_independent_of_shot_count(self):
-        rng_a = run_rng(123, 5)
-        rng_b = run_rng(123, 5)
-        assert rng_a.random() == rng_b.random()
+        # block 1 is drawn from SeedSequence(seed, spawn_key=(1,)) alone:
+        # BLOCK setting cells, then BLOCK uniforms, then the inverse CDF
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(123, spawn_key=(1,)))
+        )
+        cells = rng.integers(0, 9, size=BLOCK)
+        u = rng.random(BLOCK)
+        block = 256 * cells + TABLES.outcomes(cells, u)
+        for shots in (BLOCK + 1, BLOCK + 300, 2 * BLOCK, 2 * BLOCK + 7):
+            tail = sample(shots, 123)[BLOCK : 2 * BLOCK]
+            assert np.array_equal(tail, block[: tail.size])
 
     def test_tables_reuse_matches_fresh_computation(self):
         direct = sample_events(50, 99)
         reused = sample_events(50, 99, tables=TABLES)
-        assert direct == reused
+        assert np.array_equal(direct, reused)
 
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError):
@@ -60,7 +83,9 @@ class TestReproducibility:
 
 class TestEventValidity:
     def test_fields_in_range(self):
-        events = sample(500, 11)
+        codes = sample(500, 11)
+        assert codes.dtype == np.int16
+        events = decode(codes)
         assert [e.run_id for e in events] == list(range(500))
         for e in events:
             assert 0 <= e.alice_setting <= 2
@@ -70,7 +95,7 @@ class TestEventValidity:
             assert e.robot in ROBOT_OUTCOMES
 
     def test_sort_events_partitions(self):
-        events = sample(800, 3)
+        events = decode(sample(800, 3))
         classes = sort_events(events)
         assert set(classes) == set(ROBOT_OUTCOMES)
         assert sum(len(v) for v in classes.values()) == len(events)
@@ -86,18 +111,15 @@ class TestEventValidity:
 class TestStatistics:
     def test_class_frequencies_are_uniform(self):
         shots = 16000
-        events = sample(shots, 2024)
-        classes = sort_events(events)
+        counts = class_counts(sample(shots, 2024)).sum(axis=1)
         expected = shots / 16.0
         sigma = math.sqrt(shots * (1 / 16.0) * (15 / 16.0))
-        for members in classes.values():
-            assert abs(len(members) - expected) < 5 * sigma
+        assert np.all(np.abs(counts - expected) < 5 * sigma)
 
     def test_every_event_saturates_its_class(self):
         # conditioned on the robot's result, each event's signed product
         # equals the sign-table entry of the matched expression
-        events = sample(4000, 31)
-        classes = sort_events(events)
+        classes = sort_events(decode(sample(4000, 31)))
         by_outcome = {e.outcome: e for e in TABLES.entries}
         for outcome, members in classes.items():
             signs = inequalities.sign_table(by_outcome[outcome].matched_inequality)
@@ -106,23 +128,21 @@ class TestStatistics:
                 assert event_masked_product(event) == signs[i, j]
 
     def test_setting_choices_are_uniform(self):
-        events = sample(18000, 5)
-        counts = np.zeros((3, 3))
-        for e in events:
-            counts[e.alice_setting, e.bob_setting] += 1
-        expected = len(events) / 9.0
-        sigma = math.sqrt(len(events) * (1 / 9.0) * (8 / 9.0))
+        shots = 18000
+        counts = np.bincount(sample(shots, 5) // 256, minlength=9)
+        expected = shots / 9.0
+        sigma = math.sqrt(shots * (1 / 9.0) * (8 / 9.0))
         assert np.all(np.abs(counts - expected) < 5 * sigma)
 
 
 class TestEstimation:
     def test_matched_estimates_are_exactly_nine(self):
-        events = sample(20000, 404)
-        classes = sort_events(events)
-        by_outcome = {e.outcome: e for e in TABLES.entries}
-        for outcome, members in classes.items():
-            index = by_outcome[outcome].matched_inequality
-            beta_hat, counts = estimate_beta(members, index)
+        codes = sample(20000, 404)
+        classes = sort_events(decode(codes))
+        for entry, row in zip(TABLES.entries, class_counts(codes)):
+            members = classes[entry.outcome]
+            np.testing.assert_array_equal(row, behavior_counts(members))
+            beta_hat, counts = estimate_beta(row, entry.matched_inequality)
             assert counts.sum() == len(members)
             # per-event saturation makes every cell mean +-1, so the
             # estimate is exact, not merely close
@@ -146,7 +166,7 @@ class TestEstimation:
                 event = EventRecord(0, i, 0, j, b, outcome)
                 assert event_masked_product(event) == want
                 events.append(event)
-        beta_hat, counts = estimate_beta(events, 1)
+        beta_hat, counts = estimate_beta(behavior_counts(events), 1)
         assert beta_hat == 9.0
         np.testing.assert_array_equal(counts, np.ones((3, 3), dtype=np.int64))
 
@@ -159,17 +179,16 @@ class TestEstimation:
             if (i, j) != (2, 2)
         ]
         with pytest.raises(InsufficientSamplesError) as exc:
-            estimate_beta(events, 1)
+            estimate_beta(behavior_counts(events), 1)
         assert exc.value.cells == [(2, 2)]
 
     def test_mismatched_expression_estimates_track_reference(self, reference_doc):
         # events from one class, scored against expressions they do not
         # maximize, must stay within sampling error of the exact values
         ref = np.array(reference_doc["values"], dtype=float)
-        events = sample(60000, 77)
-        classes = sort_events(events)
+        members = class_counts(sample(60000, 77))[0]
         entry = TABLES.entries[0]
-        members = classes[entry.outcome]
+        assert entry.outcome == ROBOT_OUTCOMES[0]
         row = entry.matched_inequality - 1
         for index in (2, 7, 16):
             beta_hat, counts = estimate_beta(members, index)
@@ -198,7 +217,41 @@ class TestEstimatorAgainstBehavior:
             ab = int(rng.choice(16, p=flat[cell] / flat[cell].sum()))
             a, b = divmod(ab, 4)
             events.append(EventRecord(run, i, a, j, b, outcome))
-        beta_hat, counts = estimate_beta(events, 2)
+        beta_hat, counts = estimate_beta(behavior_counts(events), 2)
         want = beta_quantum(state, 2, *pairs)
         se = math.sqrt(float(np.sum(1.0 / counts)))
         assert abs(beta_hat - want) < 5 * se
+
+
+class TestExactTable:
+    def test_rows_are_distributions(self):
+        assert TABLES.joint.shape == (9, 256)
+        np.testing.assert_allclose(TABLES.joint.sum(axis=1), 1.0, atol=1e-12)
+        assert TABLES.joint.min() >= 0.0
+        assert np.all(TABLES.cum[:, -1] == 1.0)
+
+    @pytest.mark.parametrize(
+        "sources",
+        [
+            (BellLabel.PSI_MINUS, BellLabel.PSI_MINUS),
+            (BellLabel.PHI_MINUS, BellLabel.PHI_PLUS),
+        ],
+    )
+    def test_largest_variate_picks_a_possible_outcome(self, sources):
+        tables = TABLES if sources == TABLES.sources else ProtocolTables(sources)
+        cells = np.arange(9)
+        picked = tables.outcomes(cells, np.full(9, np.nextafter(1.0, 0.0)))
+        assert np.all(tables.joint[cells, picked] > 0.0)
+
+    def test_sampled_table_fits_the_dense_collapse(self):
+        # independent route: the full (x, y, r1, r2, a, b) table from
+        # sequential collapse of the eight-qubit state, uniform settings
+        exact = protocol_joint_table(TABLES.sources).ravel() / 9.0
+        positive = exact > 1e-12
+        assert positive.sum() == 1152
+        shots = 115_200  # 100 expected events in each positive cell
+        observed = np.bincount(sample(shots, 20261017), minlength=exact.size)
+        assert observed[~positive].sum() == 0
+        expected = shots * exact[positive] / exact[positive].sum()
+        _, p_value = chisquare(observed[positive], expected)
+        assert p_value > 1e-3
