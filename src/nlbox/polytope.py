@@ -52,14 +52,6 @@ def party_strategies() -> tuple[tuple[int, int, int], ...]:
     return tuple(itertools.product(range(4), repeat=3))
 
 
-def enumerate_strategies():
-    """Iterate all 4096 joint deterministic strategies (Alice-major order)."""
-    singles = party_strategies()
-    for alice in singles:
-        for bob in singles:
-            yield DeterministicStrategy(alice, bob)
-
-
 @lru_cache(maxsize=NUM_EXPRESSIONS)
 def vertex_values(index: int) -> np.ndarray:
     """Exact values of expression ``index`` on all 4096 vertices, in row order."""
@@ -103,18 +95,12 @@ def vertex_matrix() -> np.ndarray:
     (Alice-major).  Column layout: cell (x, y) contributes the 16 entries
     p(a, b | x, y) at offset 16*(3x + y) + 4a + b.
     """
-    singles = party_strategies()
-    onehot = np.zeros((NUM_PARTY_STRATEGIES, 3, 4), dtype=np.int64)
-    for s, strat in enumerate(singles):
-        for setting in range(3):
-            onehot[s, setting, strat[setting]] = 1
-    rows = np.zeros((NUM_JOINT_STRATEGIES, 144), dtype=np.int64)
-    joint = 0
-    for f in range(NUM_PARTY_STRATEGIES):
-        for g in range(NUM_PARTY_STRATEGIES):
-            cells = np.einsum("xa,yb->xyab", onehot[f], onehot[g])
-            rows[joint] = cells.reshape(-1)
-            joint += 1
+    # onehot[s, setting, outcome] is 1 where strategy s answers outcome
+    onehot = (np.array(party_strategies())[:, :, None] == np.arange(4)).astype(np.int64)
+    # rows[f, g, x, y, a, b] = onehot[f, x, a] * onehot[g, y, b]
+    rows = (
+        onehot[:, None, :, None, :, None] * onehot[None, :, None, :, None, :]
+    ).reshape(NUM_JOINT_STRATEGIES, 144)
     rows.flags.writeable = False
     return rows
 

@@ -1,27 +1,21 @@
-"""Dense linear algebra for small registers of labeled qubits.
+"""Validated states of small registers of labeled qubits.
 
-States and operators are plain numpy arrays in the computational basis.
-A register carries integer qubit labels; the first label is the most
-significant bit of the basis index.  Global states are kept with labels
-ascending, and every operation that crosses label order goes through the
-explicit permutation in :func:`embed` or :func:`canonicalize`.
+States are plain numpy arrays in the computational basis.  A register
+carries integer qubit labels; the first label is the most significant bit
+of the basis index.  Products of states are kept with labels ascending,
+and reordering goes through the explicit permutation in
+:func:`canonicalize`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 # Tolerances used by structural assertions throughout the package.
 ATOL_STRUCT = 1e-10
 ATOL_HERM = 1e-12
-
-ID2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -83,13 +77,6 @@ class DensityMatrix:
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def purity(self) -> float:
-        return float(np.trace(self.entries @ self.entries).real)
-
 
 def tensor(a, b):
     """Kronecker product of two states or two operators.
@@ -116,119 +103,3 @@ def canonicalize(state: StateVector) -> StateVector:
     n = state.num_qubits
     amps = state.amplitudes.reshape((2,) * n).transpose(order).reshape(-1)
     return StateVector(amps, tuple(state.labels[i] for i in order))
-
-
-def embed(op: np.ndarray, targets: Sequence[int], context: Sequence[int]) -> np.ndarray:
-    """Extend an operator on ``targets`` to the full register ``context``.
-
-    ``op`` acts on the target qubits in their listed order; the result acts
-    on all context qubits in context order.  The identity is applied to the
-    untouched qubits, so embed(sz (x) sx, [3, 1], ctx) and
-    embed(sx (x) sz, [1, 3], ctx) are the same matrix.
-    """
-    targets = [int(t) for t in targets]
-    context = [int(c) for c in context]
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target labels {targets}")
-    if len(set(context)) != len(context):
-        raise ValueError(f"duplicate context labels {context}")
-    missing = [t for t in targets if t not in context]
-    if missing:
-        raise ValueError(f"target labels {missing} not in context {context}")
-    n, k = len(context), len(targets)
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2**k, 2**k):
-        raise ValueError(f"operator shape {op.shape} does not fit {k} targets")
-    rest = [q for q in context if q not in targets]
-    order = targets + rest
-    full = np.kron(op, np.eye(2 ** (n - k), dtype=complex))
-    perm = [order.index(q) for q in context]
-    t = full.reshape((2,) * (2 * n))
-    t = t.transpose(perm + [n + p for p in perm])
-    return np.ascontiguousarray(t.reshape(2**n, 2**n))
-
-
-def expectation(state: StateVector, op: np.ndarray) -> float:
-    """Real expectation value of a Hermitian operator on a pure state."""
-    op = np.asarray(op, dtype=complex)
-    if np.max(np.abs(op - op.conj().T)) > ATOL_HERM:
-        raise ValueError("expectation requires a Hermitian operator")
-    val = np.vdot(state.amplitudes, op @ state.amplitudes)
-    if abs(val.imag) > ATOL_STRUCT:
-        raise ValueError(f"expectation has residual imaginary part {val.imag}")
-    return float(val.real)
-
-
-def density_expectation(rho: DensityMatrix, op: np.ndarray) -> float:
-    """Real expectation value tr(rho op) of a Hermitian operator."""
-    op = np.asarray(op, dtype=complex)
-    if np.max(np.abs(op - op.conj().T)) > ATOL_HERM:
-        raise ValueError("expectation requires a Hermitian operator")
-    val = np.trace(rho.entries @ op)
-    if abs(val.imag) > ATOL_STRUCT:
-        raise ValueError(f"expectation has residual imaginary part {val.imag}")
-    return float(val.real)
-
-
-def fidelity_with_pure(rho: DensityMatrix, reference: StateVector) -> float:
-    """Fidelity <ref|rho|ref> of a density matrix against a pure reference."""
-    if rho.dim != reference.amplitudes.size:
-        raise ValueError("dimension mismatch between state and reference")
-    v = reference.amplitudes
-    val = np.vdot(v, rho.entries @ v)
-    return float(val.real)
-
-
-def projective_measure(
-    state: StateVector,
-    projectors: Sequence[np.ndarray],
-    rand: float,
-) -> tuple[int, StateVector, float]:
-    """Measure a complete set of orthogonal projectors on a pure state.
-
-    The outcome is chosen by comparing ``rand`` (uniform in [0, 1)) against
-    the cumulative Born probabilities in listed projector order.  Returns
-    the selected index, the normalized post-measurement state, and the
-    probability of the selected outcome.
-    """
-    if not 0.0 <= rand < 1.0:
-        raise ValueError(f"rand {rand} outside [0, 1)")
-    dim = state.amplitudes.size
-    total = np.zeros((dim, dim), dtype=complex)
-    for p in projectors:
-        total += np.asarray(p, dtype=complex)
-    if np.max(np.abs(total - np.eye(dim))) > ATOL_STRUCT:
-        raise ValueError("projectors do not sum to the identity")
-    probs = []
-    for p in projectors:
-        probs.append(max(float(np.vdot(state.amplitudes, p @ state.amplitudes).real), 0.0))
-    if abs(sum(probs) - 1.0) > ATOL_STRUCT:
-        raise ValueError(f"outcome probabilities sum to {sum(probs)}")
-    cum = 0.0
-    for idx, prob in enumerate(probs):
-        cum += prob
-        if rand < cum:
-            post = np.asarray(projectors[idx], dtype=complex) @ state.amplitudes
-            post = post / np.sqrt(prob)
-            return idx, StateVector(post, state.labels), prob
-    # Guard against rand falling into the float slack above the last bin.
-    idx = max(i for i, prob in enumerate(probs) if prob > 0.0)
-    post = np.asarray(projectors[idx], dtype=complex) @ state.amplitudes
-    return idx, StateVector(post / np.sqrt(probs[idx]), state.labels), probs[idx]
-
-
-def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced density matrix on ``keep`` (in listed order), tracing the rest."""
-    keep = [int(q) for q in keep]
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"duplicate labels in keep list {keep}")
-    missing = [q for q in keep if q not in state.labels]
-    if missing:
-        raise ValueError(f"labels {missing} not part of the state")
-    n = state.num_qubits
-    positions = [state.labels.index(q) for q in keep]
-    rest = [i for i in range(n) if i not in positions]
-    k = len(keep)
-    t = state.amplitudes.reshape((2,) * n).transpose(positions + rest)
-    m = t.reshape(2**k, 2 ** (n - k))
-    return DensityMatrix(m @ m.conj().T, tuple(keep))

@@ -6,6 +6,15 @@ A robot measures the Bell basis on qubits (2,5) and (4,7), which leaves
 never interacted.  Each of the 16 robot outcomes occurs with probability
 1/16 and selects one such product, which maximally violates exactly one
 of the sixteen Bell expressions.
+
+Nothing here builds the eight-qubit state.  Every Bell state is a Pauli
+frame (x, z) in GF(2)^2, the state X^x Z^z on the first qubit of Phi+,
+and entanglement swapping adds frames: swapping (1,2) in frame s with
+(5,6) in frame t, with robot result r on (2,5), leaves (1,6) in frame
+s + t + r (Aaronson and Gottesman, PRA 70, 052328 (2004)).  Qubits 2 and
+5 are halves of two Bell pairs, so they are jointly maximally mixed and
+each of the four results has probability 1/4.  The tests check both
+facts against the dense collapse of the eight-qubit state.
 """
 
 from __future__ import annotations
@@ -16,14 +25,7 @@ import numpy as np
 
 from . import states
 from .inequalities import coefficients, state_behavior
-from .qla import (
-    DensityMatrix,
-    StateVector,
-    embed,
-    fidelity_with_pure,
-    partial_trace,
-    projective_measure,
-)
+from .qla import DensityMatrix, StateVector
 from .states import BELL_ORDER, BellLabel
 
 ROBOT_PAIRS = ((2, 5), (4, 7))
@@ -33,7 +35,14 @@ KEPT_QUBITS = (1, 3, 6, 8)
 
 DEFAULT_SOURCES = (BellLabel.PSI_MINUS, BellLabel.PSI_MINUS)
 
-_FIDELITY_TOL = 1e-9
+# Pauli frame (x, z) of each Bell state: X^x Z^z on the first qubit of Phi+.
+FRAMES = {
+    BellLabel.PHI_PLUS: (0, 0),
+    BellLabel.PHI_MINUS: (0, 1),
+    BellLabel.PSI_PLUS: (1, 0),
+    BellLabel.PSI_MINUS: (1, 1),
+}
+_LABEL_OF_FRAME = {frame: label for label, frame in FRAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -61,99 +70,15 @@ class ClassMapEntry:
     probability: float
 
 
-def bell_projectors(pair: tuple[int, int], context: tuple[int, ...]) -> list[np.ndarray]:
-    """The four Bell projectors of a qubit pair, embedded in a register."""
-    projs = []
-    for label in BELL_ORDER:
-        v = states.bell(label, pair).amplitudes
-        projs.append(embed(np.outer(v, v.conj()), pair, context))
-    return projs
+def swapped_pair(left: BellLabel, right: BellLabel, robot: BellLabel) -> BellLabel:
+    """Bell state of the outer qubits after a Bell measurement on the inner ones.
 
-
-def bell_measurement_pair(
-    state: StateVector, rand1: float, rand2: float
-) -> tuple[RobotOutcome, StateVector]:
-    """Sequential Bell measurements on (2,5) and (4,7) of an 8-qubit state."""
-    first_projs = bell_projectors(ROBOT_PAIRS[0], state.labels)
-    idx1, post, _ = projective_measure(state, first_projs, rand1)
-    second_projs = bell_projectors(ROBOT_PAIRS[1], state.labels)
-    idx2, post, _ = projective_measure(post, second_projs, rand2)
-    return RobotOutcome(BELL_ORDER[idx1], BELL_ORDER[idx2]), post
-
-
-def robot_outcome_distribution(
-    state: StateVector, first_pair_first: bool = True
-) -> np.ndarray:
-    """Exact joint distribution over the 16 robot outcomes.
-
-    Computed by sequential collapse; ``first_pair_first`` selects which
-    pair is measured first.  The measurements act on disjoint qubits, so
-    both orders must agree, which the tests check.
+    ``left`` and ``right`` are the two swapped pairs, ``robot`` the result
+    on their inner qubits; the outer pair's frame is the GF(2) sum of the
+    three frames.
     """
-    pairs = ROBOT_PAIRS if first_pair_first else ROBOT_PAIRS[::-1]
-    probs = np.zeros((4, 4))
-    projs_a = bell_projectors(pairs[0], state.labels)
-    projs_b = bell_projectors(pairs[1], state.labels)
-    for i, pa in enumerate(projs_a):
-        va = pa @ state.amplitudes
-        p_i = float(np.vdot(state.amplitudes, va).real)
-        if p_i <= 0.0:
-            continue
-        collapsed = va / np.sqrt(p_i)
-        for k, pb in enumerate(projs_b):
-            vb = pb @ collapsed
-            p_k = float(np.vdot(collapsed, vb).real)
-            if first_pair_first:
-                probs[i, k] = p_i * p_k
-            else:
-                probs[k, i] = p_i * p_k
-    return probs
-
-
-def _post_robot_state(
-    initial: StateVector, outcome: RobotOutcome
-) -> tuple[float, StateVector]:
-    """Probability of a robot outcome and the collapsed 8-qubit state."""
-    p1 = embed(
-        np.outer(
-            states.bell(outcome.first, ROBOT_PAIRS[0]).amplitudes,
-            states.bell(outcome.first, ROBOT_PAIRS[0]).amplitudes.conj(),
-        ),
-        ROBOT_PAIRS[0],
-        initial.labels,
-    )
-    p2 = embed(
-        np.outer(
-            states.bell(outcome.second, ROBOT_PAIRS[1]).amplitudes,
-            states.bell(outcome.second, ROBOT_PAIRS[1]).amplitudes.conj(),
-        ),
-        ROBOT_PAIRS[1],
-        initial.labels,
-    )
-    v = p2 @ (p1 @ initial.amplitudes)
-    prob = float(np.vdot(initial.amplitudes, v).real)
-    if prob <= 0.0:
-        raise RuntimeError(f"robot outcome {outcome} has zero probability")
-    return prob, StateVector(v / np.sqrt(prob), initial.labels)
-
-
-def reduced_pair_product(post: StateVector) -> DensityMatrix:
-    """Reduced state of the kept qubits (1,3,6,8) after the robot measured."""
-    return partial_trace(post, KEPT_QUBITS)
-
-
-def identify_bell_product(rho: DensityMatrix) -> tuple[BellLabel, BellLabel]:
-    """Match a reduced state on (1,3,6,8) to a Bell product on (1,6)x(3,8).
-
-    Identification requires fidelity at least 1 - 1e-9 against one of the
-    sixteen references; anything less raises, since the swap must produce
-    an exact Bell product.
-    """
-    for first, second in states.PRODUCT_LABELS:
-        ref = states.bell_product(first, second, (1, 6), (3, 8))
-        if fidelity_with_pure(rho, ref) >= 1.0 - _FIDELITY_TOL:
-            return first, second
-    raise RuntimeError("reduced state matches no Bell-state product")
+    (lx, lz), (rx, rz), (mx, mz) = FRAMES[left], FRAMES[right], FRAMES[robot]
+    return _LABEL_OF_FRAME[(lx ^ rx ^ mx, lz ^ rz ^ mz)]
 
 
 def class_map(
@@ -161,23 +86,25 @@ def class_map(
 ) -> list[ClassMapEntry]:
     """Robot outcome -> resulting Bell product, for all 16 outcomes.
 
-    Works for any source choice because Bell measurements on halves of two
-    Bell pairs always produce uniformly random outcomes and leave the
-    spectator qubits in a Bell product determined by the outcome.
+    The measurement on (2,5) swaps (1,2) with (5,6), and the one on (4,7)
+    swaps (3,4) with (7,8).  Both sources emit the same labels, so each
+    swap adds a source frame to itself, which cancels: the product left on
+    (1,6) x (3,8) is the robot outcome itself, for every source choice,
+    and every outcome has probability exactly 1/16.
     """
-    initial = states.source_product(*sources)
+    first, second = sources
     entries = []
     for outcome in ROBOT_OUTCOMES:
-        prob, post = _post_robot_state(initial, outcome)
-        rho = reduced_pair_product(post)
-        first, second = identify_bell_product(rho)
-        matched = states.product_index(first, second) + 1
+        resulting = (
+            swapped_pair(first, first, outcome.first),
+            swapped_pair(second, second, outcome.second),
+        )
         entries.append(
             ClassMapEntry(
                 outcome=outcome,
-                resulting_state=(first, second),
-                matched_inequality=matched,
-                probability=prob,
+                resulting_state=resulting,
+                matched_inequality=states.product_index(*resulting) + 1,
+                probability=1 / 16,
             )
         )
     return entries
@@ -198,10 +125,15 @@ def matched_beta(entry: ClassMapEntry) -> float:
 def premeasurement_marginal(
     sources: tuple[BellLabel, BellLabel] = DEFAULT_SOURCES,
 ) -> DensityMatrix:
-    """Reduced state of (1,3,6,8) before the robot measures anything.
+    """Reduced state of (1,3,6,8) before the robot's outcome is known.
 
-    This marginal is maximally mixed: without the robot's outcomes the
-    kept qubits show no correlations at all, so every Bell expression
+    It is the mixture sum_c p_c |psi_c><psi_c| of the sixteen class states,
+    a mixture of nonlocal boxes.  The sixteen Bell products form a basis,
+    so the mixture is maximally mixed: without the robot's outcomes the
+    kept qubits show no correlations at all, and every Bell expression
     averages to zero on it.
     """
-    return partial_trace(states.source_product(*sources), KEPT_QUBITS)
+    entries = class_map(sources)
+    kets = np.array([resulting_state_vector(e).amplitudes for e in entries])
+    probs = np.array([e.probability for e in entries])
+    return DensityMatrix((kets.T * probs) @ kets.conj(), KEPT_QUBITS)

@@ -8,16 +8,22 @@ masked product of one sampled event, and a validated behavior table read
 cell by cell.  Tests compare the package against them.
 
 The sampler's integer event codes are decoded here into one record per
-event, and the swap protocol's exact joint table is rebuilt by sequential
-collapse of the dense eight-qubit state.
+event.  The swap protocol is rebuilt by dense collapse of the eight-qubit
+source state: 256x256 Bell projectors, the robot's outcome distribution,
+the reduced state of the kept qubits and a fidelity search over the
+sixteen Bell products, which the package's Pauli-frame class map and its
+pre-measurement marginal are checked against, and the full joint table
+that the sampled events are fitted against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from nlbox import states
 from nlbox.inequalities import mask_pattern, sign_table
 from nlbox.observables import (
     MASKS,
@@ -26,16 +32,258 @@ from nlbox.observables import (
     bob_observable,
     mask_value,
 )
-from nlbox.qla import ATOL_STRUCT, StateVector, embed, expectation, tensor
-from nlbox.states import BELL_ORDER, source_product
+from nlbox.polytope import DeterministicStrategy, party_strategies
+from nlbox.qla import ATOL_HERM, ATOL_STRUCT, DensityMatrix, StateVector, tensor
+from nlbox.states import BELL_ORDER, BellLabel, source_product
 from nlbox.swap import (
     ALICE_PAIR,
     BOB_PAIR,
+    KEPT_QUBITS,
     ROBOT_OUTCOMES,
     ROBOT_PAIRS,
     RobotOutcome,
-    bell_projectors,
 )
+
+ID2 = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+_FIDELITY_TOL = 1e-9
+
+
+def embed(op: np.ndarray, targets: Sequence[int], context: Sequence[int]) -> np.ndarray:
+    """Extend an operator on ``targets`` to the full register ``context``.
+
+    ``op`` acts on the target qubits in their listed order; the result acts
+    on all context qubits in context order.  The identity is applied to the
+    untouched qubits, so embed(sz (x) sx, [3, 1], ctx) and
+    embed(sx (x) sz, [1, 3], ctx) are the same matrix.
+    """
+    targets = [int(t) for t in targets]
+    context = [int(c) for c in context]
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"duplicate target labels {targets}")
+    if len(set(context)) != len(context):
+        raise ValueError(f"duplicate context labels {context}")
+    missing = [t for t in targets if t not in context]
+    if missing:
+        raise ValueError(f"target labels {missing} not in context {context}")
+    n, k = len(context), len(targets)
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2**k, 2**k):
+        raise ValueError(f"operator shape {op.shape} does not fit {k} targets")
+    rest = [q for q in context if q not in targets]
+    order = targets + rest
+    full = np.kron(op, np.eye(2 ** (n - k), dtype=complex))
+    perm = [order.index(q) for q in context]
+    t = full.reshape((2,) * (2 * n))
+    t = t.transpose(perm + [n + p for p in perm])
+    return np.ascontiguousarray(t.reshape(2**n, 2**n))
+
+
+def expectation(state: StateVector, op: np.ndarray) -> float:
+    """Real expectation value of a Hermitian operator on a pure state."""
+    op = np.asarray(op, dtype=complex)
+    if np.max(np.abs(op - op.conj().T)) > ATOL_HERM:
+        raise ValueError("expectation requires a Hermitian operator")
+    val = np.vdot(state.amplitudes, op @ state.amplitudes)
+    if abs(val.imag) > ATOL_STRUCT:
+        raise ValueError(f"expectation has residual imaginary part {val.imag}")
+    return float(val.real)
+
+
+def density_expectation(rho: DensityMatrix, op: np.ndarray) -> float:
+    """Real expectation value tr(rho op) of a Hermitian operator."""
+    op = np.asarray(op, dtype=complex)
+    if np.max(np.abs(op - op.conj().T)) > ATOL_HERM:
+        raise ValueError("expectation requires a Hermitian operator")
+    val = np.trace(rho.entries @ op)
+    if abs(val.imag) > ATOL_STRUCT:
+        raise ValueError(f"expectation has residual imaginary part {val.imag}")
+    return float(val.real)
+
+
+def fidelity_with_pure(rho: DensityMatrix, reference: StateVector) -> float:
+    """Fidelity <ref|rho|ref> of a density matrix against a pure reference."""
+    if rho.entries.shape[0] != reference.amplitudes.size:
+        raise ValueError("dimension mismatch between state and reference")
+    v = reference.amplitudes
+    val = np.vdot(v, rho.entries @ v)
+    return float(val.real)
+
+
+def projective_measure(
+    state: StateVector,
+    projectors: Sequence[np.ndarray],
+    rand: float,
+) -> tuple[int, StateVector, float]:
+    """Measure a complete set of orthogonal projectors on a pure state.
+
+    The outcome is chosen by comparing ``rand`` (uniform in [0, 1)) against
+    the cumulative Born probabilities in listed projector order.  Returns
+    the selected index, the normalized post-measurement state, and the
+    probability of the selected outcome.
+    """
+    if not 0.0 <= rand < 1.0:
+        raise ValueError(f"rand {rand} outside [0, 1)")
+    dim = state.amplitudes.size
+    total = np.zeros((dim, dim), dtype=complex)
+    for p in projectors:
+        total += np.asarray(p, dtype=complex)
+    if np.max(np.abs(total - np.eye(dim))) > ATOL_STRUCT:
+        raise ValueError("projectors do not sum to the identity")
+    probs = []
+    for p in projectors:
+        probs.append(max(float(np.vdot(state.amplitudes, p @ state.amplitudes).real), 0.0))
+    if abs(sum(probs) - 1.0) > ATOL_STRUCT:
+        raise ValueError(f"outcome probabilities sum to {sum(probs)}")
+    cum = 0.0
+    for idx, prob in enumerate(probs):
+        cum += prob
+        if rand < cum:
+            post = np.asarray(projectors[idx], dtype=complex) @ state.amplitudes
+            post = post / np.sqrt(prob)
+            return idx, StateVector(post, state.labels), prob
+    # Guard against rand falling into the float slack above the last bin.
+    idx = max(i for i, prob in enumerate(probs) if prob > 0.0)
+    post = np.asarray(projectors[idx], dtype=complex) @ state.amplitudes
+    return idx, StateVector(post / np.sqrt(probs[idx]), state.labels), probs[idx]
+
+
+def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
+    """Reduced density matrix on ``keep`` (in listed order), tracing the rest."""
+    keep = [int(q) for q in keep]
+    if len(set(keep)) != len(keep):
+        raise ValueError(f"duplicate labels in keep list {keep}")
+    missing = [q for q in keep if q not in state.labels]
+    if missing:
+        raise ValueError(f"labels {missing} not part of the state")
+    n = state.num_qubits
+    positions = [state.labels.index(q) for q in keep]
+    rest = [i for i in range(n) if i not in positions]
+    k = len(keep)
+    t = state.amplitudes.reshape((2,) * n).transpose(positions + rest)
+    m = t.reshape(2**k, 2 ** (n - k))
+    return DensityMatrix(m @ m.conj().T, tuple(keep))
+
+
+def bell_projectors(pair: tuple[int, int], context: tuple[int, ...]) -> list[np.ndarray]:
+    """The four Bell projectors of a qubit pair, embedded in a register."""
+    projs = []
+    for label in BELL_ORDER:
+        v = states.bell(label, pair).amplitudes
+        projs.append(embed(np.outer(v, v.conj()), pair, context))
+    return projs
+
+
+def bell_measurement_pair(
+    state: StateVector, rand1: float, rand2: float
+) -> tuple[RobotOutcome, StateVector]:
+    """Sequential Bell measurements on (2,5) and (4,7) of an 8-qubit state."""
+    first_projs = bell_projectors(ROBOT_PAIRS[0], state.labels)
+    idx1, post, _ = projective_measure(state, first_projs, rand1)
+    second_projs = bell_projectors(ROBOT_PAIRS[1], state.labels)
+    idx2, post, _ = projective_measure(post, second_projs, rand2)
+    return RobotOutcome(BELL_ORDER[idx1], BELL_ORDER[idx2]), post
+
+
+def robot_outcome_distribution(
+    state: StateVector, first_pair_first: bool = True
+) -> np.ndarray:
+    """Exact joint distribution over the 16 robot outcomes.
+
+    Computed by sequential collapse; ``first_pair_first`` selects which
+    pair is measured first.  The measurements act on disjoint qubits, so
+    both orders must agree, which the tests check.
+    """
+    pairs = ROBOT_PAIRS if first_pair_first else ROBOT_PAIRS[::-1]
+    probs = np.zeros((4, 4))
+    projs_a = bell_projectors(pairs[0], state.labels)
+    projs_b = bell_projectors(pairs[1], state.labels)
+    for i, pa in enumerate(projs_a):
+        va = pa @ state.amplitudes
+        p_i = float(np.vdot(state.amplitudes, va).real)
+        if p_i <= 0.0:
+            continue
+        collapsed = va / np.sqrt(p_i)
+        for k, pb in enumerate(projs_b):
+            vb = pb @ collapsed
+            p_k = float(np.vdot(collapsed, vb).real)
+            if first_pair_first:
+                probs[i, k] = p_i * p_k
+            else:
+                probs[k, i] = p_i * p_k
+    return probs
+
+
+def post_robot_state(
+    initial: StateVector, outcome: RobotOutcome
+) -> tuple[float, StateVector]:
+    """Probability of a robot outcome and the collapsed 8-qubit state."""
+    v = initial.amplitudes
+    for label, pair in zip((outcome.first, outcome.second), ROBOT_PAIRS):
+        ket = states.bell(label, pair).amplitudes
+        v = embed(np.outer(ket, ket.conj()), pair, initial.labels) @ v
+    prob = float(np.vdot(initial.amplitudes, v).real)
+    if prob <= 0.0:
+        raise RuntimeError(f"robot outcome {outcome} has zero probability")
+    return prob, StateVector(v / np.sqrt(prob), initial.labels)
+
+
+def reduced_pair_product(post: StateVector) -> DensityMatrix:
+    """Reduced state of the kept qubits (1,3,6,8) after the robot measured."""
+    return partial_trace(post, KEPT_QUBITS)
+
+
+def identify_bell_product(rho: DensityMatrix) -> tuple[BellLabel, BellLabel]:
+    """Match a reduced state on (1,3,6,8) to a Bell product on (1,6)x(3,8).
+
+    Identification requires fidelity at least 1 - 1e-9 against one of the
+    sixteen references; anything less raises, since the swap must produce
+    an exact Bell product.
+    """
+    for first, second in states.PRODUCT_LABELS:
+        ref = states.bell_product(first, second, (1, 6), (3, 8))
+        if fidelity_with_pure(rho, ref) >= 1.0 - _FIDELITY_TOL:
+            return first, second
+    raise RuntimeError("reduced state matches no Bell-state product")
+
+
+def dense_swap(sources) -> list[tuple[float, DensityMatrix]]:
+    """Probability and reduced state on (1,3,6,8) of each robot outcome, in
+    ROBOT_OUTCOMES order, by collapsing the dense eight-qubit source state."""
+    initial = source_product(*sources)
+    out = []
+    for outcome in ROBOT_OUTCOMES:
+        prob, post = post_robot_state(initial, outcome)
+        out.append((prob, reduced_pair_product(post)))
+    return out
+
+
+def enumerate_strategies():
+    """Iterate all 4096 joint deterministic strategies (Alice-major order)."""
+    singles = party_strategies()
+    for alice in singles:
+        for bob in singles:
+            yield DeterministicStrategy(alice, bob)
+
+
+def vertex_matrix_by_loop() -> np.ndarray:
+    """The 4096x144 vertex matrix, one strategy pair at a time."""
+    singles = party_strategies()
+    onehot = np.zeros((len(singles), 3, 4), dtype=np.int64)
+    for s, strat in enumerate(singles):
+        for setting in range(3):
+            onehot[s, setting, strat[setting]] = 1
+    rows = np.zeros((len(singles) ** 2, 144), dtype=np.int64)
+    joint = 0
+    for f in range(len(singles)):
+        for g in range(len(singles)):
+            cells = np.einsum("xa,yb->xyab", onehot[f], onehot[g])
+            rows[joint] = cells.reshape(-1)
+            joint += 1
+    return rows
 
 
 def masked_operator(obs: FourOutcomeObservable, mask: str) -> np.ndarray:

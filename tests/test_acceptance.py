@@ -9,7 +9,16 @@ import json
 import time
 
 import numpy as np
-from oracle import decode, event_masked_product, sequential_joint_distribution
+from oracle import (
+    bell_projectors,
+    decode,
+    dense_swap,
+    embed,
+    event_masked_product,
+    fidelity_with_pure,
+    partial_trace,
+    sequential_joint_distribution,
+)
 
 from nlbox import cli, inequalities, observables, polytope, sampler, states, swap
 from nlbox.inequalities import (
@@ -19,7 +28,6 @@ from nlbox.inequalities import (
     matched_state,
     state_behavior,
 )
-from nlbox.qla import embed, fidelity_with_pure
 from nlbox.states import PRODUCT_LABELS
 
 
@@ -97,12 +105,12 @@ def test_criterion_05_swap_class_map():
     """The 16 robot outcomes are uniform and map bijectively onto the
     expressions, each reaching 9 on its resulting Bell product."""
     entries = swap.class_map()
-    initial = states.eight_qubit_initial()
-    prob_err = max(abs(e.probability - 1 / 16.0) for e in entries)
+    # probabilities and reduced states from the dense eight-qubit collapse
+    dense = dense_swap(swap.DEFAULT_SOURCES)
+    probs = [e.probability for e in entries] + [prob for prob, _ in dense]
+    prob_err = max(abs(p - 1 / 16.0) for p in probs)
     fid_min = 1.0
-    for entry in entries:
-        _, post = swap._post_robot_state(initial, entry.outcome)
-        rho = swap.reduced_pair_product(post)
+    for entry, (_, rho) in zip(entries, dense):
         fid_min = min(
             fid_min, fidelity_with_pure(rho, swap.resulting_state_vector(entry))
         )
@@ -126,13 +134,16 @@ def test_criterion_05_swap_class_map():
 def test_criterion_06_premeasurement_marginal():
     """Before the robot measures, the kept qubits are maximally mixed."""
     rho = swap.premeasurement_marginal()
+    # second route: partial trace of the dense eight-qubit source state
+    dense = partial_trace(states.eight_qubit_initial(), swap.KEPT_QUBITS)
     err = float(np.max(np.abs(rho.entries - np.eye(16) / 16.0)))
-    ok = err <= 1e-10
+    route_err = float(np.max(np.abs(rho.entries - dense.entries)))
+    ok = err <= 1e-10 and route_err <= 1e-10
     _report(
         6,
         ok,
         f"marginal of qubits (1,3,6,8) equals I/16, max deviation {err:.1e} "
-        f"(<= 1e-10)",
+        f"(<= 1e-10), {route_err:.1e} from the dense partial trace",
     )
 
 
@@ -168,8 +179,8 @@ def test_criterion_08_measurement_order_invariance():
     distribution over (r1, r2, a, b) for every setting pair."""
     state = states.eight_qubit_initial()
     labels = state.labels
-    robot1 = swap.bell_projectors(swap.ROBOT_PAIRS[0], labels)
-    robot2 = swap.bell_projectors(swap.ROBOT_PAIRS[1], labels)
+    robot1 = bell_projectors(swap.ROBOT_PAIRS[0], labels)
+    robot2 = bell_projectors(swap.ROBOT_PAIRS[1], labels)
     alice = [
         [embed(p, swap.ALICE_PAIR, labels) for p in observables.alice_observable(x).projectors]
         for x in range(3)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracle import masked_operator
+from oracle import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, masked_operator
 
 from nlbox import observables, states
 from nlbox.observables import (
@@ -12,7 +12,6 @@ from nlbox.observables import (
     bob_observable,
     mask_value,
 )
-from nlbox.qla import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 SX, SY, SZ, I2 = SIGMA_X, SIGMA_Y, SIGMA_Z, ID2
 

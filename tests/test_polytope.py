@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import Behavior, lhv_value
+from oracle import Behavior, enumerate_strategies, lhv_value, vertex_matrix_by_loop
 
 from nlbox.inequalities import (
     NUM_EXPRESSIONS,
@@ -20,7 +20,6 @@ from nlbox.polytope import (
     NUM_PARTY_STRATEGIES,
     DeterministicStrategy,
     affine_dimension,
-    enumerate_strategies,
     facet_check,
     integer_rank,
     lhv_bound,
@@ -123,6 +122,12 @@ class TestVertices:
         assert verts.shape == (NUM_JOINT_STRATEGIES, 144)
         assert set(np.unique(verts)) == {0, 1}
         np.testing.assert_array_equal(verts.sum(axis=1), np.full(4096, 9))
+
+    def test_matrix_matches_strategy_loop(self):
+        verts = vertex_matrix()
+        loop = vertex_matrix_by_loop()
+        assert verts.dtype == loop.dtype
+        assert np.array_equal(verts, loop)
 
     def test_rows_distinct(self):
         verts = vertex_matrix()

@@ -208,16 +208,15 @@ class TestEstimatorAgainstBehavior:
         behavior = inequalities.state_behavior(state, *pairs)
         rng = np.random.default_rng(900913)
         n = 90000
-        outcome = ROBOT_OUTCOMES[0]
-        events = []
         flat = behavior.reshape(9, 16)
-        for run in range(n):
-            cell = int(rng.integers(9))
-            i, j = divmod(cell, 3)
-            ab = int(rng.choice(16, p=flat[cell] / flat[cell].sum()))
-            a, b = divmod(ab, 4)
-            events.append(EventRecord(run, i, a, j, b, outcome))
-        beta_hat, counts = estimate_beta(behavior_counts(events), 2)
+        # all n cells in one draw, then each cell's outcomes in one draw
+        cells = rng.integers(9, size=n)
+        drawn = np.zeros(144, dtype=np.int64)
+        for cell in range(9):
+            n_cell = int(np.count_nonzero(cells == cell))
+            ab = rng.choice(16, size=n_cell, p=flat[cell] / flat[cell].sum())
+            drawn[16 * cell : 16 * cell + 16] = np.bincount(ab, minlength=16)
+        beta_hat, counts = estimate_beta(drawn, 2)
         want = beta_quantum(state, 2, *pairs)
         se = math.sqrt(float(np.sum(1.0 / counts)))
         assert abs(beta_hat - want) < 5 * se

@@ -4,9 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from oracle import SIGMA_X, SIGMA_Z, expectation, partial_trace
 
 from nlbox import states
-from nlbox.qla import SIGMA_X, SIGMA_Z, StateVector, expectation, partial_trace, tensor
+from nlbox.qla import tensor
 from nlbox.states import BELL_ORDER, PRODUCT_LABELS, BellLabel
 
 SQ2 = np.sqrt(2.0)

@@ -1,12 +1,25 @@
 """The swapping protocol: outcome statistics, class map, and marginals."""
 
+import itertools
+
 import numpy as np
 import pytest
-from oracle import beta_quantum, cell_operator
+from oracle import (
+    bell_measurement_pair,
+    beta_quantum,
+    cell_operator,
+    dense_swap,
+    density_expectation,
+    fidelity_with_pure,
+    identify_bell_product,
+    partial_trace,
+    post_robot_state,
+    reduced_pair_product,
+    robot_outcome_distribution,
+)
 
 from nlbox import inequalities, states, swap
 from nlbox.inequalities import NUM_EXPRESSIONS
-from nlbox.qla import density_expectation, fidelity_with_pure, partial_trace
 from nlbox.states import BELL_ORDER, BellLabel
 from nlbox.swap import (
     ALICE_PAIR,
@@ -14,14 +27,10 @@ from nlbox.swap import (
     KEPT_QUBITS,
     ROBOT_OUTCOMES,
     RobotOutcome,
-    bell_measurement_pair,
     class_map,
-    identify_bell_product,
     matched_beta,
     premeasurement_marginal,
-    reduced_pair_product,
     resulting_state_vector,
-    robot_outcome_distribution,
 )
 
 
@@ -68,7 +77,7 @@ class TestClassMap:
     def test_resulting_state_has_full_fidelity(self, default_class_map):
         initial = states.eight_qubit_initial()
         for entry in default_class_map[:4]:
-            _, post = swap._post_robot_state(initial, entry.outcome)
+            _, post = post_robot_state(initial, entry.outcome)
             rho = reduced_pair_product(post)
             assert fidelity_with_pure(
                 rho, resulting_state_vector(entry)
@@ -81,6 +90,22 @@ class TestClassMap:
         for entry in entries:
             assert entry.probability == pytest.approx(1 / 16.0, abs=1e-10)
             assert matched_beta(entry) == pytest.approx(9.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "sources",
+        list(itertools.product(BELL_ORDER, repeat=2)),
+        ids=lambda s: f"{s[0].code}-{s[1].code}",
+    )
+    def test_frame_rule_matches_dense_collapse(self, sources):
+        # the second route collapses the eight-qubit source state for every
+        # robot outcome and identifies the reduced state by fidelity
+        entries = class_map(sources)
+        assert [e.outcome for e in entries] == list(ROBOT_OUTCOMES)
+        for entry, (prob, rho) in zip(entries, dense_swap(sources)):
+            assert abs(prob - 1 / 16) <= 1e-12
+            assert entry.probability == 1 / 16
+            assert fidelity_with_pure(rho, resulting_state_vector(entry)) >= 1 - 1e-9
+            assert entry.resulting_state == identify_bell_product(rho)
 
     def test_outcome_order(self):
         assert ROBOT_OUTCOMES[0] == RobotOutcome(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
@@ -98,7 +123,8 @@ class TestPremeasurementMarginal:
     def test_maximally_mixed(self):
         rho = premeasurement_marginal()
         np.testing.assert_allclose(rho.entries, np.eye(16) / 16.0, atol=1e-10)
-        assert rho.purity() == pytest.approx(1 / 16.0, abs=1e-10)
+        purity = np.trace(rho.entries @ rho.entries).real
+        assert purity == pytest.approx(1 / 16.0, abs=1e-10)
 
     def test_every_expression_averages_to_zero(self, reference_doc):
         # two routes: operator expectation on the mixed marginal, and the
