@@ -25,7 +25,6 @@ from .states import BELL_ORDER, PRODUCT_LABELS, bell_label_from_code
 
 SCHEMA_VERSION = 1
 EVENT_HEADER = "run_id,x,y,a1,a2,b1,b2,r1,r2"
-BETA_ATOL = 1e-9
 
 
 def sig12(x: float) -> float:
@@ -92,18 +91,15 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 
 def cmd_verify_table3(args) -> int:
-    """Recompute all 256 expression values and compare to the reference."""
+    """Recompute all 256 expression values and compare to the reference.
+
+    The values are computed in sixteenths, as integers, so the comparison
+    with the reference is exact.
+    """
     reference = load_reference_table()
     expected = np.array(reference["values"], dtype=float)
-    behaviors = np.array(
-        [
-            inequalities.state_behavior(
-                inequalities.matched_state(row + 1), *inequalities.MATCHED_PAIRS
-            )
-            for row in range(16)
-        ]
-    )
-    computed = behaviors @ inequalities.C.T
+    sixteenths = inequalities.product_counts() @ inequalities.C.T
+    computed = sixteenths / 16
     mismatches = [
         {
             "state": _state_code(*PRODUCT_LABELS[row]),
@@ -111,7 +107,7 @@ def cmd_verify_table3(args) -> int:
             "computed": sig12(computed[row, col]),
             "expected": expected[row, col],
         }
-        for row, col in zip(*np.nonzero(np.abs(computed - expected) > BETA_ATOL))
+        for row, col in zip(*np.nonzero(sixteenths != 16 * expected))
     ]
     ok = not mismatches
     if args.format == "json":
@@ -143,12 +139,9 @@ def cmd_verify_table3(args) -> int:
 
 def cmd_bounds(args) -> int:
     """Deterministic and no-signaling bounds plus facet certificates."""
-    entries = []
-    for index in range(1, 17):
-        report = polytope.facet_check(index)
-        ns = polytope.ns_bound(index)
-        _, witness = polytope.lhv_bound(index)
-        entries.append((report, ns, witness))
+    entries = [
+        (polytope.facet_check(index), polytope.ns_bound(index)) for index in range(1, 17)
+    ]
     d = polytope.polytope_affine_dim()
     if args.format == "json":
         doc = {
@@ -163,10 +156,10 @@ def cmd_bounds(args) -> int:
                     "saturator_affine_dim": report.saturator_affine_dim,
                     "num_saturators": report.num_saturators,
                     "is_facet": report.is_facet,
-                    "witness_alice": [OUTCOMES[o] for o in witness.alice],
-                    "witness_bob": [OUTCOMES[o] for o in witness.bob],
+                    "witness_alice": [OUTCOMES[o] for o in report.witness.alice],
+                    "witness_bob": [OUTCOMES[o] for o in report.witness.bob],
                 }
-                for report, ns, witness in entries
+                for report, ns in entries
             ],
         }
         _emit(args, _json_text(doc))
@@ -191,13 +184,13 @@ def cmd_bounds(args) -> int:
                 str(report.saturator_affine_dim),
                 str(report.num_saturators),
                 str(report.is_facet).lower(),
-                "|".join(OUTCOMES[o] for o in witness.alice),
-                "|".join(OUTCOMES[o] for o in witness.bob),
+                "|".join(OUTCOMES[o] for o in report.witness.alice),
+                "|".join(OUTCOMES[o] for o in report.witness.bob),
             ]
-            for report, ns, witness in entries
+            for report, ns in entries
         ]
         _emit(args, _csv_text(header, rows))
-    bad = [r.index for r, _, _ in entries if r.lhv_max != 7 or not r.is_facet]
+    bad = [r.index for r, _ in entries if r.lhv_max != 7 or not r.is_facet]
     if bad:
         print(f"bound or facet check failed for expressions {bad}", file=sys.stderr)
         return 1
@@ -206,11 +199,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_swap_map(args) -> int:
     """Robot outcome -> resulting Bell product, with matched expressions."""
-    entries = swap.class_map(args.sources)
-    rows = []
-    for entry in entries:
-        beta = swap.matched_beta(entry)
-        rows.append((entry, beta))
+    rows = [(entry, swap.matched_beta(entry)) for entry in swap.class_map(args.sources)]
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,

@@ -7,18 +7,24 @@ masked by the row mask mu(i), where mu = (10, 01, 11).  Expanding the
 correlators turns every expression into one integer row of the 16x144
 coefficient matrix ``C`` over the behavior p(a, b | x, y), so each value,
 quantum, deterministic or sampled, is a dot product with a behavior.
-Every expression is bounded by 7 for local deterministic models and by 9
-algebraically; each of the sixteen Bell-state products reaches 9 on
-exactly one expression.
+
+The Born behaviors of the sixteen Bell-state products are one exact
+integer table, :func:`product_counts`, holding 16 p(a, b | x, y): every
+entry is 0 or 2, so each product is the nonlocal box of its expression,
+16 p = C[k] + 1.  Every expression is bounded by 7 for local
+deterministic models and by 9 algebraically; each product reaches 9 on
+exactly one expression, and ``product_counts() @ C.T`` is 16 times the
+table of all 256 values, in integers.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from . import observables, states
 from .observables import MASKS, mask_value
-from .qla import StateVector
 
 NUM_EXPRESSIONS = 16
 
@@ -106,38 +112,42 @@ def coefficients(index: int) -> np.ndarray:
     return C[index - 1]
 
 
-# Measurement kets indexed [setting, outcome, two-qubit basis index].
-_ALICE_KETS = np.array([observables.alice_kets(x) for x in range(3)], dtype=complex)
-_BOB_KETS = np.array([observables.bob_kets(y) for y in range(3)], dtype=complex)
+@functools.cache
+def product_kets() -> np.ndarray:
+    """The sixteen Bell products as the rows of a read-only 16x16 array.
 
-
-def state_behavior(
-    state: StateVector, alice_pair: tuple[int, int], bob_pair: tuple[int, int]
-) -> np.ndarray:
-    """The 144-entry behavior p(a, b | x, y) of a four-qubit pure state.
-
-    Alice measures the qubits ``alice_pair`` and Bob the qubits
-    ``bob_pair``, the first qubit of a pair being the more significant
-    bit of the party's kets.  Entry 16*(3x + y) + 4a + b is the Born
-    probability of outcomes (a, b) under settings (x, y).
+    Row k - 1 is Bell product k, ``states.PRODUCT_LABELS[k - 1]`` = (first,
+    second), in the basis order (a1 a2 b1 b2) of Alice's two qubits then
+    Bob's: bell(first) on (a1, b1) and bell(second) on (a2, b2).
     """
-    order = tuple(alice_pair) + tuple(bob_pair)
-    if sorted(order) != sorted(state.labels):
-        raise ValueError(
-            f"pairs {alice_pair} and {bob_pair} do not cover the qubits {state.labels}"
+    bell = np.array([states.bell(label).amplitudes.reshape(2, 2) for label in states.BELL_ORDER])
+    kets = np.einsum("fac,sbd->fsabcd", bell, bell).reshape(16, 16)
+    kets.flags.writeable = False
+    return kets
+
+
+@functools.cache
+def product_counts() -> np.ndarray:
+    """16 p(a, b | x, y) of every Bell product: a read-only 16x144 int64 array.
+
+    Row k - 1 is the Born behavior of ``product_kets()[k - 1]`` times 16,
+    entry 16*(3x + y) + 4a + b.  The Born probabilities are rounded to
+    exact sixteenths once, here: 16 p of a correct ket is an integer up to
+    a float error near 1e-15, so an entry farther than 1e-9 from its
+    integer means the kets are wrong and raises RuntimeError.
+    """
+    # the parties' kets indexed [setting, outcome, two-qubit basis index]
+    alice = np.array([observables.alice_kets(x) for x in range(3)])
+    bob = np.array([observables.bob_kets(y) for y in range(3)])
+    psi = product_kets().reshape(16, 4, 4)
+    amps = np.einsum("xai,ybj,kij->kxyab", alice.conj(), bob.conj(), psi)
+    sixteenths = 16 * (np.abs(amps) ** 2).reshape(16, 144)
+    counts = np.rint(sixteenths)
+    error = float(np.max(np.abs(sixteenths - counts)))
+    if error > 1e-9:
+        raise RuntimeError(
+            f"Bell-product behaviors are {error:.1e} away from exact sixteenths"
         )
-    axes = [state.labels.index(q) for q in order]
-    psi = state.amplitudes.reshape((2,) * 4).transpose(axes).reshape(4, 4)
-    amps = np.einsum("xai,ybj,ij->xyab", _ALICE_KETS.conj(), _BOB_KETS.conj(), psi)
-    return (np.abs(amps) ** 2).reshape(144)
-
-
-# Alice's and Bob's qubits in matched_state: bell(first) sits on (1, 2)
-# and bell(second) on (3, 4).
-MATCHED_PAIRS = ((1, 3), (2, 4))
-
-
-def matched_state(index: int) -> StateVector:
-    """The Bell-state product that reaches 9 on expression ``index``."""
-    first, second = states.PRODUCT_LABELS[index - 1]
-    return states.four_qubit_product(first, second)
+    counts = counts.astype(np.int64)
+    counts.flags.writeable = False
+    return counts

@@ -8,8 +8,6 @@ A mask keeps an outcome's first bit, its second bit, or their product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import states
@@ -35,29 +33,13 @@ def mask_value(outcome: int, mask: str) -> int:
     raise ValueError(f"invalid mask {mask!r}, expected one of {MASKS}")
 
 
-@dataclass(frozen=True)
-class FourOutcomeObservable:
-    """A four-outcome projective measurement on two qubits."""
-
-    party: str
-    setting: int
-    projectors: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.projectors) != 4:
-            raise ValueError("expected one projector per outcome label")
-
-
-def _projectors_from_kets(kets) -> tuple[np.ndarray, ...]:
-    projs = []
-    for ket in kets:
-        v = np.asarray(ket, dtype=complex).reshape(-1)
-        projs.append(np.outer(v, v.conj()))
-    return tuple(projs)
-
-
 def alice_kets(setting: int):
-    """Alice's four measurement kets of a setting, in outcome order."""
+    """Alice's four measurement kets of a setting, in outcome order.
+
+    Setting 0 is the computational product basis, setting 1 the diagonal
+    product basis (with the mixed outcomes +- and -+ attached to |-+> and
+    |+-> respectively), and setting 2 the chi/omega basis.
+    """
     k0, k1 = states.KET_0, states.KET_1
     kp, km = states.KET_PLUS, states.KET_MINUS
     if setting == 0:
@@ -75,7 +57,11 @@ def alice_kets(setting: int):
 
 
 def bob_kets(setting: int):
-    """Bob's four measurement kets of a setting, in outcome order."""
+    """Bob's four measurement kets of a setting, in outcome order.
+
+    Setting 0 pairs a computational first qubit with a diagonal second one,
+    setting 1 the other way round, and setting 2 is the Bell basis.
+    """
     k0, k1 = states.KET_0, states.KET_1
     kp, km = states.KET_PLUS, states.KET_MINUS
     if setting == 0:
@@ -90,27 +76,4 @@ def bob_kets(setting: int):
             states.bell(BellLabel.PSI_MINUS).amplitudes,
         ]
     raise ValueError(f"setting {setting} outside 0..2")
-
-
-def alice_observable(setting: int) -> FourOutcomeObservable:
-    """Alice's measurement for a setting in 0..2.
-
-    Setting 0 is the computational product basis, setting 1 the diagonal
-    product basis (with the mixed outcomes +- and -+ attached to |-+> and
-    |+-> respectively), and setting 2 the chi/omega basis.
-    """
-    return FourOutcomeObservable(
-        "alice", setting, _projectors_from_kets(alice_kets(setting))
-    )
-
-
-def bob_observable(setting: int) -> FourOutcomeObservable:
-    """Bob's measurement for a setting in 0..2.
-
-    Setting 0 pairs a computational first qubit with a diagonal second one,
-    setting 1 the other way round, and setting 2 is the Bell basis.
-    """
-    return FourOutcomeObservable(
-        "bob", setting, _projectors_from_kets(bob_kets(setting))
-    )
 

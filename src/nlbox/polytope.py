@@ -16,14 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .inequalities import (
-    MATCHED_PAIRS,
-    NUM_EXPRESSIONS,
-    coefficients,
-    matched_state,
-    sign_table,
-    state_behavior,
-)
+from .inequalities import NUM_EXPRESSIONS, coefficients, product_counts, sign_table
 
 NUM_PARTY_STRATEGIES = 64
 NUM_JOINT_STRATEGIES = NUM_PARTY_STRATEGIES**2
@@ -41,6 +34,7 @@ class DeterministicStrategy:
 class FacetReport:
     index: int
     lhv_max: int
+    witness: DeterministicStrategy
     polytope_affine_dim: int
     saturator_affine_dim: int
     num_saturators: int
@@ -74,14 +68,14 @@ def ns_bound(index: int) -> int:
     """Algebraic maximum of an expression, checked to be quantum-attainable.
 
     The bound is the sum of the absolute sign entries.  The matched
-    Bell-state product must reach it; a miss signals a construction bug.
+    Bell-state product must reach it exactly, in sixteenths; a miss
+    signals a construction bug.
     """
     bound = int(np.abs(sign_table(index)).sum())
-    behavior = state_behavior(matched_state(index), *MATCHED_PAIRS)
-    attained = float(behavior @ coefficients(index))
-    if abs(attained - bound) > 1e-9:
+    attained = int(product_counts()[index - 1] @ coefficients(index))
+    if attained != 16 * bound:
         raise RuntimeError(
-            f"expression {index}: matched state reaches {attained}, "
+            f"expression {index}: matched state reaches {attained / 16}, "
             f"expected the algebraic bound {bound}"
         )
     return bound
@@ -174,8 +168,8 @@ def polytope_affine_dim() -> int:
 
 def saturating_vertices(index: int) -> np.ndarray:
     """Vertex rows whose expression value equals the deterministic maximum."""
-    bound, _ = lhv_bound(index)
-    return vertex_matrix()[vertex_values(index) == bound]
+    values = vertex_values(index)
+    return vertex_matrix()[values == values.max()]
 
 
 def facet_check(index: int) -> FacetReport:
@@ -184,7 +178,7 @@ def facet_check(index: int) -> FacetReport:
     The expression is a facet iff its saturating vertices span an affine
     subspace of dimension exactly one less than the polytope's.
     """
-    bound, _ = lhv_bound(index)
+    bound, witness = lhv_bound(index)
     sat = saturating_vertices(index)
     if sat.shape[0] == 0:
         raise RuntimeError(f"expression {index} has no saturating vertex")
@@ -193,6 +187,7 @@ def facet_check(index: int) -> FacetReport:
     return FacetReport(
         index=index,
         lhv_max=bound,
+        witness=witness,
         polytope_affine_dim=d,
         saturator_affine_dim=sat_dim,
         num_saturators=int(sat.shape[0]),

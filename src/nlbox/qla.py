@@ -2,9 +2,7 @@
 
 States are plain numpy arrays in the computational basis.  A register
 carries integer qubit labels; the first label is the most significant bit
-of the basis index.  Products of states are kept with labels ascending,
-and reordering goes through the explicit permutation in
-:func:`canonicalize`.
+of the basis index.
 """
 
 from __future__ import annotations
@@ -77,29 +75,3 @@ class DensityMatrix:
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "labels", labels)
 
-
-def tensor(a, b):
-    """Kronecker product of two states or two operators.
-
-    For states the result's labeling is the concatenation of the factors'
-    labelings, which must be disjoint.  Mixing a state with an operator is
-    rejected.
-    """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        common = set(a.labels) & set(b.labels)
-        if common:
-            raise ValueError(f"labels {sorted(common)} appear in both factors")
-        return StateVector(np.kron(a.amplitudes, b.amplitudes), a.labels + b.labels)
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return np.kron(a, b)
-    raise TypeError("tensor expects two StateVectors or two operator arrays")
-
-
-def canonicalize(state: StateVector) -> StateVector:
-    """Reorder a state's qubit axes so its labels are ascending."""
-    order = np.argsort(state.labels, kind="stable")
-    if np.all(order == np.arange(state.num_qubits)):
-        return state
-    n = state.num_qubits
-    amps = state.amplitudes.reshape((2,) * n).transpose(order).reshape(-1)
-    return StateVector(amps, tuple(state.labels[i] for i in order))

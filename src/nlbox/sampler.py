@@ -12,7 +12,8 @@ shots never changes earlier runs.
 
 The robot's measurements commute with the local ones (disjoint qubits),
 so the joint table is the robot's outcome distribution times the Born
-behavior of the Bell product each robot outcome leaves behind.
+behavior of the Bell product each robot outcome leaves behind.  Both are
+exact sixteenths, so every entry is an exact multiple of 1/128.
 
 An event is one integer code ``256 * (3x + y) + 16 * c + 4a + b``, where
 ``c = 4 * r1 + r2`` is the robot's outcome (its class) and ``a``, ``b``
@@ -26,8 +27,8 @@ import functools
 import numpy as np
 
 from . import swap
-from .inequalities import coefficients, state_behavior
-from .states import BellLabel
+from .inequalities import coefficients, product_counts
+from .states import BellLabel, product_index
 
 RNG_CONTRACT = 2
 BLOCK = 4096
@@ -49,14 +50,8 @@ class ProtocolTables:
         self.sources = sources
         self.entries = tuple(swap.class_map(sources))
         robot = np.array([entry.probability for entry in self.entries])
-        behaviors = np.array(
-            [
-                state_behavior(
-                    swap.resulting_state_vector(entry), swap.ALICE_PAIR, swap.BOB_PAIR
-                )
-                for entry in self.entries
-            ]
-        ).reshape(16, 9, 16)
+        rows = [product_index(*entry.resulting_state) for entry in self.entries]
+        behaviors = (product_counts()[rows] / 16).reshape(16, 9, 16)
         # joint[3x + y, 16c + 4a + b]
         self.joint = (robot.reshape(16, 1, 1) * behaviors).transpose(1, 0, 2).reshape(9, 256)
         # From each row's last positive entry on the cumulative sum is exactly
@@ -88,13 +83,11 @@ def sample_events(
     shots: int,
     seed: int,
     sources: tuple[BellLabel, BellLabel] = swap.DEFAULT_SOURCES,
-    tables: ProtocolTables | None = None,
 ) -> np.ndarray:
     """Simulate ``shots`` full runs of the protocol; one int16 code per run."""
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    if tables is None or tables.sources != sources:
-        tables = protocol_tables(sources)
+    tables = protocol_tables(sources)
     blocks = []
     for block in range(-(-shots // BLOCK)):
         rng = np.random.Generator(

@@ -1,9 +1,8 @@
-"""Constructors for the Bell states and the multi-qubit products used here.
+"""Constructors for the Bell states and the labels of their products.
 
 The protocol works with two-qubit Bell states, the chi/omega basis that
-mixes a computational qubit with a diagonal one, four-qubit products of
-two Bell states, and the eight-qubit initial state handed to the
-measurement robot.
+mixes a computational qubit with a diagonal one, and the sixteen products
+of two Bell states, listed in ``PRODUCT_LABELS`` order.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qla import StateVector, canonicalize, tensor
+from .qla import StateVector
 
 _SQ2 = np.sqrt(2.0)
 
@@ -91,40 +90,7 @@ def chi_omega(kind: str, qubits: tuple[int, int] = (1, 2)) -> StateVector:
     return StateVector(table[kind], qubits)
 
 
-def bell_product(
-    first: BellLabel,
-    second: BellLabel,
-    first_pair: tuple[int, int],
-    second_pair: tuple[int, int],
-) -> StateVector:
-    """Product of two Bell states on arbitrary pairs, with ascending labels."""
-    return canonicalize(tensor(bell(first, first_pair), bell(second, second_pair)))
-
-
-def four_qubit_product(first: BellLabel, second: BellLabel) -> StateVector:
-    """bell(first) on qubits (1,2) times bell(second) on qubits (3,4)."""
-    return bell_product(first, second, (1, 2), (3, 4))
-
-
 def product_index(first: BellLabel, second: BellLabel) -> int:
     """Index of a Bell product in the canonical sixteen-row order (0-based)."""
     return PRODUCT_LABELS.index((first, second))
 
-
-def source_product(first: BellLabel, second: BellLabel) -> StateVector:
-    """Eight-qubit state emitted by the two identical sources.
-
-    Each source emits one pair in ``bell(first)`` and one in ``bell(second)``:
-    the first source feeds qubits (1,2) and (3,4), the second feeds (5,6)
-    and (7,8).
-    """
-    state = tensor(
-        tensor(bell(first, (1, 2)), bell(second, (3, 4))),
-        tensor(bell(first, (5, 6)), bell(second, (7, 8))),
-    )
-    return canonicalize(state)
-
-
-def eight_qubit_initial() -> StateVector:
-    """The all-singlet eight-qubit initial state on labels 1..8."""
-    return source_product(BellLabel.PSI_MINUS, BellLabel.PSI_MINUS)

@@ -24,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .inequalities import coefficients, state_behavior
-from .qla import DensityMatrix, StateVector
+from .inequalities import coefficients, product_counts, product_kets
+from .qla import DensityMatrix
 from .states import BELL_ORDER, BellLabel
 
-ROBOT_PAIRS = ((2, 5), (4, 7))
-ALICE_PAIR = (1, 3)
-BOB_PAIR = (6, 8)
+# The kept qubits in the basis order of inequalities.product_kets: Alice
+# holds (1, 3) and Bob (6, 8).
 KEPT_QUBITS = (1, 3, 6, 8)
 
 DEFAULT_SOURCES = (BellLabel.PSI_MINUS, BellLabel.PSI_MINUS)
@@ -110,16 +109,10 @@ def class_map(
     return entries
 
 
-def resulting_state_vector(entry: ClassMapEntry) -> StateVector:
-    """The four-qubit pure state a class leaves on qubits (1,3,6,8)."""
-    first, second = entry.resulting_state
-    return states.bell_product(first, second, (1, 6), (3, 8))
-
-
 def matched_beta(entry: ClassMapEntry) -> float:
-    """Value of the matched expression on the class's resulting state."""
-    behavior = state_behavior(resulting_state_vector(entry), ALICE_PAIR, BOB_PAIR)
-    return float(behavior @ coefficients(entry.matched_inequality))
+    """Value of the matched expression on the class's resulting state, exact."""
+    counts = product_counts()[states.product_index(*entry.resulting_state)]
+    return int(counts @ coefficients(entry.matched_inequality)) / 16
 
 
 def premeasurement_marginal(
@@ -128,12 +121,13 @@ def premeasurement_marginal(
     """Reduced state of (1,3,6,8) before the robot's outcome is known.
 
     It is the mixture sum_c p_c |psi_c><psi_c| of the sixteen class states,
-    a mixture of nonlocal boxes.  The sixteen Bell products form a basis,
-    so the mixture is maximally mixed: without the robot's outcomes the
-    kept qubits show no correlations at all, and every Bell expression
-    averages to zero on it.
+    the rows of ``product_kets()`` that the class map selects: a mixture of
+    nonlocal boxes.  The sixteen Bell products form a basis, so the
+    mixture is maximally mixed: without the robot's outcomes the kept
+    qubits show no correlations at all, and every Bell expression averages
+    to zero on it.
     """
     entries = class_map(sources)
-    kets = np.array([resulting_state_vector(e).amplitudes for e in entries])
+    kets = product_kets()[[states.product_index(*e.resulting_state) for e in entries]]
     probs = np.array([e.probability for e in entries])
     return DensityMatrix((kets.T * probs) @ kets.conj(), KEPT_QUBITS)

@@ -1,11 +1,14 @@
 """Independent second routes to the values the package computes.
 
 The package evaluates every Bell expression as one row of the integer
-coefficient matrix ``inequalities.C`` dotted with a 144-entry behavior.
-The routes here never touch that matrix: dense cell operators built from
-masked observables, scalar sums over one deterministic strategy, the
-masked product of one sampled event, and a validated behavior table read
-cell by cell.  Tests compare the package against them.
+coefficient matrix ``inequalities.C`` dotted with a 144-entry behavior,
+and holds the Born behaviors of the sixteen Bell products as one exact
+table.  The routes here never touch that matrix or that table: labeled
+product states on explicit qubit pairs, dense projectors and cell
+operators built from the parties' four-outcome observables, scalar sums
+over one deterministic strategy, the masked product of one sampled event,
+and a validated behavior table read cell by cell.  Tests compare the
+package against them.
 
 The sampler's integer event codes are decoded here into one record per
 event.  The swap protocol is rebuilt by dense collapse of the eight-qubit
@@ -18,6 +21,7 @@ that the sampled events are fitted against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,24 +29,11 @@ import numpy as np
 
 from nlbox import states
 from nlbox.inequalities import mask_pattern, sign_table
-from nlbox.observables import (
-    MASKS,
-    FourOutcomeObservable,
-    alice_observable,
-    bob_observable,
-    mask_value,
-)
+from nlbox.observables import MASKS, alice_kets, bob_kets, mask_value
 from nlbox.polytope import DeterministicStrategy, party_strategies
-from nlbox.qla import ATOL_HERM, ATOL_STRUCT, DensityMatrix, StateVector, tensor
-from nlbox.states import BELL_ORDER, BellLabel, source_product
-from nlbox.swap import (
-    ALICE_PAIR,
-    BOB_PAIR,
-    KEPT_QUBITS,
-    ROBOT_OUTCOMES,
-    ROBOT_PAIRS,
-    RobotOutcome,
-)
+from nlbox.qla import ATOL_HERM, ATOL_STRUCT, DensityMatrix, StateVector
+from nlbox.states import BELL_ORDER, PRODUCT_LABELS, BellLabel
+from nlbox.swap import KEPT_QUBITS, ROBOT_OUTCOMES, RobotOutcome
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -50,6 +41,114 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _FIDELITY_TOL = 1e-9
+
+# Two labelings of one layout.  In four_qubit_product bell(first) sits on
+# (1, 2) and bell(second) on (3, 4); Alice measures (1, 3), Bob (2, 4).
+MATCHED_PAIRS = ((1, 3), (2, 4))
+# In the swap protocol the robot measures (2, 5) and (4, 7), and the Bell
+# product is left on (1, 6) x (3, 8): Alice measures (1, 3), Bob (6, 8).
+ROBOT_PAIRS = ((2, 5), (4, 7))
+ALICE_PAIR = (1, 3)
+BOB_PAIR = (6, 8)
+
+
+def tensor(a, b):
+    """Kronecker product of two states or two operators.
+
+    For states the result's labeling is the concatenation of the factors'
+    labelings, which must be disjoint.  Mixing a state with an operator is
+    rejected.
+    """
+    if isinstance(a, StateVector) and isinstance(b, StateVector):
+        common = set(a.labels) & set(b.labels)
+        if common:
+            raise ValueError(f"labels {sorted(common)} appear in both factors")
+        return StateVector(np.kron(a.amplitudes, b.amplitudes), a.labels + b.labels)
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return np.kron(a, b)
+    raise TypeError("tensor expects two StateVectors or two operator arrays")
+
+
+def canonicalize(state: StateVector) -> StateVector:
+    """Reorder a state's qubit axes so its labels are ascending."""
+    order = np.argsort(state.labels, kind="stable")
+    if np.all(order == np.arange(state.num_qubits)):
+        return state
+    n = state.num_qubits
+    amps = state.amplitudes.reshape((2,) * n).transpose(order).reshape(-1)
+    return StateVector(amps, tuple(state.labels[i] for i in order))
+
+
+def bell_product(
+    first: BellLabel,
+    second: BellLabel,
+    first_pair: tuple[int, int],
+    second_pair: tuple[int, int],
+) -> StateVector:
+    """Product of two Bell states on arbitrary pairs, with ascending labels."""
+    return canonicalize(
+        tensor(states.bell(first, first_pair), states.bell(second, second_pair))
+    )
+
+
+def four_qubit_product(first: BellLabel, second: BellLabel) -> StateVector:
+    """bell(first) on qubits (1,2) times bell(second) on qubits (3,4)."""
+    return bell_product(first, second, (1, 2), (3, 4))
+
+
+def class_state(entry) -> StateVector:
+    """The Bell product a class map entry leaves on qubits (1,3,6,8)."""
+    return bell_product(*entry.resulting_state, (1, 6), (3, 8))
+
+
+def source_product(first: BellLabel, second: BellLabel) -> StateVector:
+    """Eight-qubit state emitted by the two identical sources.
+
+    Each source emits one pair in ``bell(first)`` and one in ``bell(second)``:
+    the first source feeds qubits (1,2) and (3,4), the second feeds (5,6)
+    and (7,8).
+    """
+    state = tensor(
+        tensor(states.bell(first, (1, 2)), states.bell(second, (3, 4))),
+        tensor(states.bell(first, (5, 6)), states.bell(second, (7, 8))),
+    )
+    return canonicalize(state)
+
+
+def eight_qubit_initial() -> StateVector:
+    """The all-singlet eight-qubit initial state on labels 1..8."""
+    return source_product(BellLabel.PSI_MINUS, BellLabel.PSI_MINUS)
+
+
+@dataclass(frozen=True)
+class FourOutcomeObservable:
+    """A four-outcome projective measurement on two qubits."""
+
+    party: str
+    setting: int
+    projectors: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.projectors) != 4:
+            raise ValueError("expected one projector per outcome label")
+
+
+def _projectors_from_kets(kets) -> tuple[np.ndarray, ...]:
+    return tuple(np.outer(ket, np.conj(ket)) for ket in kets)
+
+
+def alice_observable(setting: int) -> FourOutcomeObservable:
+    """Alice's measurement for a setting in 0..2, from the package's kets."""
+    return FourOutcomeObservable(
+        "alice", setting, _projectors_from_kets(alice_kets(setting))
+    )
+
+
+def bob_observable(setting: int) -> FourOutcomeObservable:
+    """Bob's measurement for a setting in 0..2, from the package's kets."""
+    return FourOutcomeObservable(
+        "bob", setting, _projectors_from_kets(bob_kets(setting))
+    )
 
 
 def embed(op: np.ndarray, targets: Sequence[int], context: Sequence[int]) -> np.ndarray:
@@ -243,8 +342,8 @@ def identify_bell_product(rho: DensityMatrix) -> tuple[BellLabel, BellLabel]:
     sixteen references; anything less raises, since the swap must produce
     an exact Bell product.
     """
-    for first, second in states.PRODUCT_LABELS:
-        ref = states.bell_product(first, second, (1, 6), (3, 8))
+    for first, second in PRODUCT_LABELS:
+        ref = bell_product(first, second, (1, 6), (3, 8))
         if fidelity_with_pure(rho, ref) >= 1.0 - _FIDELITY_TOL:
             return first, second
     raise RuntimeError("reduced state matches no Bell-state product")
@@ -337,6 +436,34 @@ def beta_quantum(
     return total
 
 
+def party_projectors(alice_pair, bob_pair, labels):
+    """Alice's and Bob's projectors [setting][outcome], embedded on their
+    pairs of the register ``labels``."""
+    return [
+        [[embed(p, pair, labels) for p in observable(s).projectors] for s in range(3)]
+        for observable, pair in ((alice_observable, alice_pair), (bob_observable, bob_pair))
+    ]
+
+
+def dense_behavior(
+    state: StateVector, alice_pair: tuple[int, int], bob_pair: tuple[int, int]
+) -> np.ndarray:
+    """The 144 Born probabilities <psi| P_a (x) P_b |psi> at 16*(3x + y) + 4a + b."""
+    alice, bob = party_projectors(alice_pair, bob_pair, state.labels)
+    return np.array(
+        [expectation(state, pa @ pb) for ax in alice for by in bob for pa in ax for pb in by]
+    )
+
+
+@functools.cache
+def dense_value_table() -> np.ndarray:
+    """All 256 values [product, expression] by beta_quantum, computed once."""
+    products = [four_qubit_product(*labels) for labels in PRODUCT_LABELS]
+    table = np.array([[beta_quantum(p, k, *MATCHED_PAIRS) for k in range(1, 17)] for p in products])
+    table.flags.writeable = False
+    return table
+
+
 def lhv_value(index: int, strategy) -> int:
     """Exact expression value of one deterministic strategy."""
     signs = sign_table(index)
@@ -420,16 +547,8 @@ def protocol_joint_table(sources) -> np.ndarray:
     """p(c, a, b | x, y) as [3x + y, 16c + 4a + b], by collapsing the dense
     eight-qubit state: the robot's two Bell measurements, then Alice, then Bob."""
     state = source_product(*sources)
-    labels = state.labels
-    robot = [bell_projectors(pair, labels) for pair in ROBOT_PAIRS]
-    alice = [
-        [embed(p, ALICE_PAIR, labels) for p in alice_observable(x).projectors]
-        for x in range(3)
-    ]
-    bob = [
-        [embed(p, BOB_PAIR, labels) for p in bob_observable(y).projectors]
-        for y in range(3)
-    ]
+    robot = [bell_projectors(pair, state.labels) for pair in ROBOT_PAIRS]
+    alice, bob = party_projectors(ALICE_PAIR, BOB_PAIR, state.labels)
     return np.array(
         [
             sequential_joint_distribution(state, robot + [alice[x], bob[y]]).ravel()

@@ -10,25 +10,23 @@ import time
 
 import numpy as np
 from oracle import (
+    ALICE_PAIR,
+    BOB_PAIR,
+    ROBOT_PAIRS,
     bell_projectors,
+    class_state,
     decode,
     dense_swap,
-    embed,
+    eight_qubit_initial,
     event_masked_product,
     fidelity_with_pure,
     partial_trace,
+    party_projectors,
     sequential_joint_distribution,
 )
 
-from nlbox import cli, inequalities, observables, polytope, sampler, states, swap
-from nlbox.inequalities import (
-    C,
-    MATCHED_PAIRS,
-    NUM_EXPRESSIONS,
-    matched_state,
-    state_behavior,
-)
-from nlbox.states import PRODUCT_LABELS
+from nlbox import cli, inequalities, polytope, sampler, swap
+from nlbox.inequalities import C, NUM_EXPRESSIONS, product_counts
 
 
 def _report(num: int, ok: bool, description: str) -> None:
@@ -38,21 +36,18 @@ def _report(num: int, ok: bool, description: str) -> None:
 
 
 def test_criterion_01_reference_values():
-    """All 256 expression values match the shipped reference within 1e-9."""
+    """All 256 expression values match the shipped reference exactly."""
     reference = np.array(cli.load_reference_table()["values"], dtype=float)
     start = time.perf_counter()
-    behaviors = np.array(
-        [state_behavior(matched_state(row + 1), *MATCHED_PAIRS) for row in range(16)]
-    )
-    computed = behaviors @ C.T
+    sixteenths = product_counts() @ C.T
     elapsed = time.perf_counter() - start
-    err = float(np.max(np.abs(computed - reference)))
-    ok = err <= 1e-9 and elapsed < 10.0
+    mismatches = int(np.count_nonzero(sixteenths != 16 * reference))
+    ok = mismatches == 0 and elapsed < 10.0
     _report(
         1,
         ok,
-        f"256 expression values match the reference, max error {err:.2e} "
-        f"(<= 1e-9), {elapsed:.2f}s (< 10s)",
+        f"256 expression values match the reference exactly, in integer "
+        f"sixteenths ({mismatches} mismatches), {elapsed:.2f}s (< 10s)",
     )
 
 
@@ -112,7 +107,7 @@ def test_criterion_05_swap_class_map():
     fid_min = 1.0
     for entry, (_, rho) in zip(entries, dense):
         fid_min = min(
-            fid_min, fidelity_with_pure(rho, swap.resulting_state_vector(entry))
+            fid_min, fidelity_with_pure(rho, class_state(entry))
         )
     matched = sorted(e.matched_inequality for e in entries)
     beta_err = max(abs(swap.matched_beta(e) - 9.0) for e in entries)
@@ -120,14 +115,14 @@ def test_criterion_05_swap_class_map():
         prob_err <= 1e-10
         and fid_min >= 1.0 - 1e-9
         and matched == list(range(1, 17))
-        and beta_err <= 1e-9
+        and beta_err == 0.0
     )
     _report(
         5,
         ok,
         f"swap map: outcome probabilities 1/16 (err {prob_err:.1e} <= 1e-10), "
         f"state fidelity >= {fid_min:.12f}, bijection onto expressions 1..16, "
-        f"beta error {beta_err:.1e} <= 1e-9",
+        f"beta error {beta_err:.1e} == 0",
     )
 
 
@@ -135,7 +130,7 @@ def test_criterion_06_premeasurement_marginal():
     """Before the robot measures, the kept qubits are maximally mixed."""
     rho = swap.premeasurement_marginal()
     # second route: partial trace of the dense eight-qubit source state
-    dense = partial_trace(states.eight_qubit_initial(), swap.KEPT_QUBITS)
+    dense = partial_trace(eight_qubit_initial(), swap.KEPT_QUBITS)
     err = float(np.max(np.abs(rho.entries - np.eye(16) / 16.0)))
     route_err = float(np.max(np.abs(rho.entries - dense.entries)))
     ok = err <= 1e-10 and route_err <= 1e-10
@@ -177,18 +172,11 @@ def test_criterion_07_sampled_saturation():
 def test_criterion_08_measurement_order_invariance():
     """Measuring the robot before or after the parties gives the same joint
     distribution over (r1, r2, a, b) for every setting pair."""
-    state = states.eight_qubit_initial()
+    state = eight_qubit_initial()
     labels = state.labels
-    robot1 = bell_projectors(swap.ROBOT_PAIRS[0], labels)
-    robot2 = bell_projectors(swap.ROBOT_PAIRS[1], labels)
-    alice = [
-        [embed(p, swap.ALICE_PAIR, labels) for p in observables.alice_observable(x).projectors]
-        for x in range(3)
-    ]
-    bob = [
-        [embed(p, swap.BOB_PAIR, labels) for p in observables.bob_observable(y).projectors]
-        for y in range(3)
-    ]
+    robot1 = bell_projectors(ROBOT_PAIRS[0], labels)
+    robot2 = bell_projectors(ROBOT_PAIRS[1], labels)
+    alice, bob = party_projectors(ALICE_PAIR, BOB_PAIR, labels)
     worst = 0.0
     for x in range(3):
         for y in range(3):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nlbox import cli, qla, sampler, swap
+from nlbox import cli, inequalities, polytope, qla, sampler, swap
 from nlbox.cli import main, sig12
 
 
@@ -96,6 +96,14 @@ class TestBounds:
         assert len(lines) == 17
         assert all(line.split(",")[6] == "true" for line in lines[1:])
 
+
+    def test_evaluates_each_deterministic_maximum_once(self, capsys, monkeypatch):
+        calls = []
+        real = polytope.lhv_bound
+        monkeypatch.setattr(polytope, "lhv_bound", lambda k: calls.append(k) or real(k))
+        assert main(["bounds"]) == 0
+        capsys.readouterr()
+        assert sorted(calls) == list(range(1, 17))
 
     def test_out_below_a_file_is_an_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -262,6 +270,8 @@ class TestSample:
 
         monkeypatch.setattr(qla.StateVector, "__post_init__", record)
         sampler.protocol_tables.cache_clear()
+        inequalities.product_kets.cache_clear()
+        inequalities.product_counts.cache_clear()
         assert main(["swap-map", "--sources", "PM,PP"]) == 0
         assert main(["sample", "--shots", "50", "--out", str(tmp_path / "run")]) == 0
         capsys.readouterr()

@@ -4,25 +4,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import Behavior, beta_quantum, bob_bit_conditionals, correlator_quantum
-
-from nlbox import states
-from nlbox.inequalities import (
+from oracle import (
     MATCHED_PAIRS,
+    Behavior,
+    beta_quantum,
+    bell_product,
+    bob_bit_conditionals,
+    correlator_quantum,
+    dense_behavior,
+    dense_value_table,
+    four_qubit_product,
+)
+
+from nlbox import cli, inequalities
+from nlbox.inequalities import (
     NUM_EXPRESSIONS,
     SIGN_TABLES,
     C,
     coefficients,
     mask_pattern,
-    matched_state,
+    product_counts,
+    product_kets,
     sign_table,
-    state_behavior,
 )
 from nlbox.states import PRODUCT_LABELS, BellLabel
 
 
 def matched_behavior(index):
-    return state_behavior(matched_state(index), *MATCHED_PAIRS)
+    return product_counts()[index - 1] / 16
 
 
 class TestMaskPattern:
@@ -81,6 +90,10 @@ class TestSignTables:
             sign_table(1)[0, 0] = 5
         with pytest.raises(ValueError):
             C[0, 0] = 5
+        with pytest.raises(ValueError):
+            product_kets()[0, 0] = 0
+        with pytest.raises(ValueError):
+            product_counts()[0, 0] = 0
 
 
 class TestCoefficients:
@@ -106,9 +119,44 @@ class TestCoefficients:
             np.testing.assert_array_equal(block[:, :, 0, 0], signs)
 
 
+class TestProductTable:
+    def test_products_are_the_nonlocal_boxes(self):
+        # 16 p(a, b | x, y) = C[k] + 1: product k is uniform over the 8 of
+        # 16 outcome pairs per cell that win expression k
+        assert product_counts().dtype == np.int64
+        assert np.array_equal(product_counts(), C + 1)
+
+    def test_counts_match_the_dense_projectors(self):
+        # <psi| P_a (x) P_b |psi> with embedded dense projectors on the
+        # labeled four-qubit product, all 16 products x 9 cells
+        for row, (first, second) in enumerate(PRODUCT_LABELS):
+            dense = dense_behavior(four_qubit_product(first, second), *MATCHED_PAIRS)
+            np.testing.assert_allclose(16 * dense, product_counts()[row], rtol=0, atol=1e-12)
+
+    def test_a_ket_off_the_grid_is_an_error(self, capsys, monkeypatch):
+        # rotating one amplitude pair moves probabilities off the sixteenths
+        kets = np.array(product_kets())
+        t = 0.01
+        kets[0, [0, 15]] = (
+            np.cos(t) * kets[0, 0] - np.sin(t) * kets[0, 15],
+            np.sin(t) * kets[0, 0] + np.cos(t) * kets[0, 15],
+        )
+        monkeypatch.setattr(inequalities, "product_kets", lambda: kets)
+        product_counts.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="sixteenths"):
+                product_counts()
+            assert cli.main(["verify-table3"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert captured.out == ""
+        finally:
+            product_counts.cache_clear()
+
+
 class TestQuantumRoute:
     def test_reference_correlators_on_double_phi_plus(self):
-        state = matched_state(1)
+        state = four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
         assert correlator_quantum(state, 0, 0, *MATCHED_PAIRS) == pytest.approx(
             1.0, abs=1e-12
         )
@@ -117,49 +165,33 @@ class TestQuantumRoute:
         )
 
     def test_matched_state_mapping(self):
-        assert matched_state(1).labels == (1, 2, 3, 4)
-        got = matched_state(4).amplitudes
-        want = states.four_qubit_product(
-            BellLabel.PHI_PLUS, BellLabel.PSI_MINUS
-        ).amplitudes
-        np.testing.assert_allclose(got, want, atol=1e-15)
+        # row 3 of the table is PP x SM: the labeled product on (1,2) x (3,4)
+        # with its axes moved to Alice's (1, 3) then Bob's (2, 4)
+        labeled = four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PSI_MINUS)
+        assert labeled.labels == (1, 2, 3, 4)
+        alice_major = labeled.amplitudes.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+        np.testing.assert_allclose(product_kets()[3], alice_major.reshape(16), atol=1e-15)
 
     def test_full_value_table_matches_reference(self, reference_doc):
         # dense operator oracle, independent of the coefficient matrix
         ref = np.array(reference_doc["values"], dtype=float)
-        got = np.zeros((16, 16))
-        for row, (first, second) in enumerate(PRODUCT_LABELS):
-            state = states.four_qubit_product(first, second)
-            for k in range(NUM_EXPRESSIONS):
-                got[row, k] = beta_quantum(state, k + 1, *MATCHED_PAIRS)
-        np.testing.assert_allclose(got, ref, atol=1e-9)
+        np.testing.assert_allclose(dense_value_table(), ref, atol=1e-9)
 
     def test_cellwise_saturation_on_matched_states(self):
         # on its matched state every signed correlator equals +1, not just
         # the sum
         for k in range(1, NUM_EXPRESSIONS + 1):
-            state = matched_state(k)
+            state = four_qubit_product(*PRODUCT_LABELS[k - 1])
             signs = sign_table(k)
             for i in range(3):
                 for j in range(3):
                     c = correlator_quantum(state, i, j, *MATCHED_PAIRS)
                     assert signs[i, j] * c == pytest.approx(1.0, abs=1e-9)
 
-    def test_behavior_rejects_pairs_outside_the_state(self):
-        odd = states.bell_product(
-            BellLabel.PHI_PLUS, BellLabel.PHI_PLUS, (2, 4), (5, 7)
-        )
-        with pytest.raises(ValueError, match="pairs"):
-            state_behavior(odd, *MATCHED_PAIRS)
-        with pytest.raises(ValueError, match="pairs"):
-            state_behavior(odd, (2, 2), (5, 7))
-
     def test_explicit_pairs_on_swap_layout(self):
-        state = states.bell_product(
-            BellLabel.PHI_PLUS, BellLabel.PHI_PLUS, (1, 6), (3, 8)
-        )
+        state = bell_product(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS, (1, 6), (3, 8))
         assert beta_quantum(state, 1, (1, 3), (6, 8)) == pytest.approx(9.0, abs=1e-9)
-        swapped = state_behavior(state, (1, 3), (6, 8))
+        swapped = dense_behavior(state, (1, 3), (6, 8))
         np.testing.assert_allclose(swapped, matched_behavior(1), atol=1e-15)
         assert swapped @ coefficients(1) == pytest.approx(9.0, abs=1e-9)
 
@@ -195,21 +227,14 @@ class TestBehaviorRoute:
     def test_routes_agree_on_all_products(self):
         # the coefficient route and the dense operator route must give the
         # same 256 numbers
-        for first, second in PRODUCT_LABELS:
-            state = states.four_qubit_product(first, second)
-            values = state_behavior(state, *MATCHED_PAIRS) @ C.T
-            for k in range(1, NUM_EXPRESSIONS + 1):
-                assert values[k - 1] == pytest.approx(
-                    beta_quantum(state, k, *MATCHED_PAIRS), abs=1e-9
-                )
+        values = product_counts() @ C.T / 16
+        np.testing.assert_allclose(values, dense_value_table(), rtol=0, atol=1e-9)
 
     def test_correlator_routes_agree(self):
         # a cell's block of a coefficient row, unsigned, is the cell's
         # masked correlator
-        state = matched_state(6)
-        blocks = (coefficients(1) * state_behavior(state, *MATCHED_PAIRS)).reshape(
-            3, 3, 16
-        )
+        state = four_qubit_product(*PRODUCT_LABELS[5])
+        blocks = (coefficients(1) * matched_behavior(6)).reshape(3, 3, 16)
         signs = sign_table(1)
         for i in range(3):
             for j in range(3):

@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
-from oracle import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, masked_operator
-
-from nlbox import observables, states
-from nlbox.observables import (
-    MASKS,
-    OUTCOMES,
+from oracle import (
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     alice_observable,
     bob_observable,
-    mask_value,
+    masked_operator,
 )
+
+from nlbox import states
+from nlbox.observables import MASKS, OUTCOMES, mask_value
 
 SX, SY, SZ, I2 = SIGMA_X, SIGMA_Y, SIGMA_Z, ID2
 

@@ -9,15 +9,17 @@ from oracle import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    canonicalize,
     density_expectation,
     embed,
     expectation,
     fidelity_with_pure,
     partial_trace,
     projective_measure,
+    tensor,
 )
 
-from nlbox.qla import DensityMatrix, StateVector, canonicalize, tensor
+from nlbox.qla import DensityMatrix, StateVector
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
+    MATCHED_PAIRS,
     EventRecord,
     behavior_counts,
     beta_quantum,
     decode,
     event_masked_product,
+    four_qubit_product,
     protocol_joint_table,
     sort_events,
 )
@@ -24,16 +26,17 @@ from nlbox.sampler import (
     ProtocolTables,
     class_counts,
     estimate_beta,
+    protocol_tables,
     sample_events,
 )
 from nlbox.states import BellLabel
 from nlbox.swap import ROBOT_OUTCOMES
 
-TABLES = ProtocolTables()
+TABLES = protocol_tables()
 
 
 def sample(shots, seed):
-    return sample_events(shots, seed, tables=TABLES)
+    return sample_events(shots, seed)
 
 
 class TestReproducibility:
@@ -72,9 +75,11 @@ class TestReproducibility:
             assert np.array_equal(tail, block[: tail.size])
 
     def test_tables_reuse_matches_fresh_computation(self):
-        direct = sample_events(50, 99)
-        reused = sample_events(50, 99, tables=TABLES)
-        assert np.array_equal(direct, reused)
+        # the cached tables that sample_events draws from are the ones a
+        # fresh construction gives
+        fresh = ProtocolTables()
+        assert np.array_equal(fresh.joint, protocol_tables().joint)
+        assert np.array_equal(fresh.cum, protocol_tables().cum)
 
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError):
@@ -203,9 +208,7 @@ class TestEstimatorAgainstBehavior:
         # independent oracle: draw settings and outcomes straight from the
         # behavior table of the matched state, then compare the estimator
         # with the exact behavior value of a different expression
-        state = inequalities.matched_state(1)
-        pairs = inequalities.MATCHED_PAIRS
-        behavior = inequalities.state_behavior(state, *pairs)
+        behavior = inequalities.product_counts()[0] / 16
         rng = np.random.default_rng(900913)
         n = 90000
         flat = behavior.reshape(9, 16)
@@ -217,7 +220,8 @@ class TestEstimatorAgainstBehavior:
             ab = rng.choice(16, size=n_cell, p=flat[cell] / flat[cell].sum())
             drawn[16 * cell : 16 * cell + 16] = np.bincount(ab, minlength=16)
         beta_hat, counts = estimate_beta(drawn, 2)
-        want = beta_quantum(state, 2, *pairs)
+        state = four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
+        want = beta_quantum(state, 2, *MATCHED_PAIRS)
         se = math.sqrt(float(np.sum(1.0 / counts)))
         assert abs(beta_hat - want) < 5 * se
 
@@ -225,8 +229,9 @@ class TestEstimatorAgainstBehavior:
 class TestExactTable:
     def test_rows_are_distributions(self):
         assert TABLES.joint.shape == (9, 256)
-        np.testing.assert_allclose(TABLES.joint.sum(axis=1), 1.0, atol=1e-12)
-        assert TABLES.joint.min() >= 0.0
+        # every entry is 0 or 1/128, so the rows sum to 1 exactly
+        assert set(np.unique(TABLES.joint)) == {0.0, 1 / 128}
+        assert np.all(TABLES.joint.sum(axis=1) == 1.0)
         assert np.all(TABLES.cum[:, -1] == 1.0)
 
     @pytest.mark.parametrize(
@@ -237,7 +242,7 @@ class TestExactTable:
         ],
     )
     def test_largest_variate_picks_a_possible_outcome(self, sources):
-        tables = TABLES if sources == TABLES.sources else ProtocolTables(sources)
+        tables = protocol_tables(sources)
         cells = np.arange(9)
         picked = tables.outcomes(cells, np.full(9, np.nextafter(1.0, 0.0)))
         assert np.all(tables.joint[cells, picked] > 0.0)

@@ -1,13 +1,27 @@
-"""Bell states, the chi/omega basis, and the multi-qubit product states."""
+"""Bell states, the chi/omega basis, and the multi-qubit product states.
+
+The labeled products on explicit pairs live in the oracle; the package's
+own products are the rows of ``inequalities.product_kets``.
+"""
 
 import itertools
 
 import numpy as np
 import pytest
-from oracle import SIGMA_X, SIGMA_Z, expectation, partial_trace
+from oracle import (
+    SIGMA_X,
+    SIGMA_Z,
+    bell_product,
+    eight_qubit_initial,
+    expectation,
+    four_qubit_product,
+    partial_trace,
+    source_product,
+    tensor,
+)
 
 from nlbox import states
-from nlbox.qla import tensor
+from nlbox.inequalities import product_kets
 from nlbox.states import BELL_ORDER, PRODUCT_LABELS, BellLabel
 
 SQ2 = np.sqrt(2.0)
@@ -110,24 +124,25 @@ class TestProducts:
             assert states.product_index(first, second) == idx
 
     def test_four_qubit_product_labels_and_norm(self):
-        state = states.four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PSI_MINUS)
+        state = four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PSI_MINUS)
         assert state.labels == (1, 2, 3, 4)
         assert state.norm() == pytest.approx(1.0)
 
     def test_sixteen_products_are_orthonormal(self):
-        vecs = [
-            states.four_qubit_product(f, s).amplitudes for f, s in PRODUCT_LABELS
-        ]
-        gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
-        np.testing.assert_allclose(gram, np.eye(16), atol=1e-12)
+        for vecs in (
+            [four_qubit_product(f, s).amplitudes for f, s in PRODUCT_LABELS],
+            product_kets(),
+        ):
+            gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
+            np.testing.assert_allclose(gram, np.eye(16), atol=1e-12)
 
     def test_alice_pair_is_maximally_mixed(self):
-        state = states.four_qubit_product(BellLabel.PSI_PLUS, BellLabel.PHI_MINUS)
+        state = four_qubit_product(BellLabel.PSI_PLUS, BellLabel.PHI_MINUS)
         rho = partial_trace(state, [1, 3])
         np.testing.assert_allclose(rho.entries, np.eye(4) / 4, atol=1e-12)
 
     def test_bell_product_on_swap_pairs(self):
-        state = states.bell_product(
+        state = bell_product(
             BellLabel.PHI_MINUS, BellLabel.PSI_PLUS, (1, 6), (3, 8)
         )
         assert state.labels == (1, 3, 6, 8)
@@ -136,7 +151,7 @@ class TestProducts:
         np.testing.assert_allclose(rho16.entries, np.outer(ref, ref.conj()), atol=1e-12)
 
     def test_bell_product_matches_explicit_tensor(self):
-        direct = states.bell_product(
+        direct = bell_product(
             BellLabel.PSI_MINUS, BellLabel.PHI_PLUS, (1, 2), (3, 4)
         )
         manual = tensor(
@@ -148,12 +163,12 @@ class TestProducts:
 
 class TestEightQubitInitial:
     def test_labels_and_norm(self):
-        state = states.eight_qubit_initial()
+        state = eight_qubit_initial()
         assert state.labels == tuple(range(1, 9))
         assert state.norm() == pytest.approx(1.0)
 
     def test_singlet_correlations_on_each_pair(self):
-        state = states.eight_qubit_initial()
+        state = eight_qubit_initial()
         for pair in [(1, 2), (3, 4), (5, 6), (7, 8)]:
             rho = partial_trace(state, pair)
             sm = states.bell(BellLabel.PSI_MINUS).amplitudes
@@ -162,7 +177,7 @@ class TestEightQubitInitial:
             )
 
     def test_source_product_places_labels(self):
-        state = states.source_product(BellLabel.PHI_MINUS, BellLabel.PHI_PLUS)
+        state = source_product(BellLabel.PHI_MINUS, BellLabel.PHI_PLUS)
         # first source label sits on (1,2) and (5,6), second on (3,4) and (7,8)
         pm = states.bell(BellLabel.PHI_MINUS).amplitudes
         pp = states.bell(BellLabel.PHI_PLUS).amplitudes

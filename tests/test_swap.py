@@ -5,59 +5,62 @@ import itertools
 import numpy as np
 import pytest
 from oracle import (
+    ALICE_PAIR,
+    BOB_PAIR,
+    ROBOT_PAIRS,
     bell_measurement_pair,
     beta_quantum,
     cell_operator,
+    class_state,
     dense_swap,
     density_expectation,
+    eight_qubit_initial,
     fidelity_with_pure,
     identify_bell_product,
     partial_trace,
     post_robot_state,
     reduced_pair_product,
     robot_outcome_distribution,
+    source_product,
 )
 
-from nlbox import inequalities, states, swap
-from nlbox.inequalities import NUM_EXPRESSIONS
+from nlbox import inequalities, states
+from nlbox.inequalities import NUM_EXPRESSIONS, product_kets
 from nlbox.states import BELL_ORDER, BellLabel
 from nlbox.swap import (
-    ALICE_PAIR,
-    BOB_PAIR,
     KEPT_QUBITS,
     ROBOT_OUTCOMES,
     RobotOutcome,
     class_map,
     matched_beta,
     premeasurement_marginal,
-    resulting_state_vector,
 )
 
 
 class TestOutcomeDistribution:
     def test_uniform_over_sixteen(self):
-        dist = robot_outcome_distribution(states.eight_qubit_initial())
+        dist = robot_outcome_distribution(eight_qubit_initial())
         np.testing.assert_allclose(dist, np.full((4, 4), 1 / 16.0), atol=1e-10)
 
     def test_measurement_order_is_irrelevant(self):
-        state = states.eight_qubit_initial()
+        state = eight_qubit_initial()
         first = robot_outcome_distribution(state, first_pair_first=True)
         second = robot_outcome_distribution(state, first_pair_first=False)
         np.testing.assert_allclose(first, second, atol=1e-10)
 
     def test_uniform_for_other_sources(self):
-        state = states.source_product(BellLabel.PHI_PLUS, BellLabel.PSI_PLUS)
+        state = source_product(BellLabel.PHI_PLUS, BellLabel.PSI_PLUS)
         dist = robot_outcome_distribution(state)
         np.testing.assert_allclose(dist, np.full((4, 4), 1 / 16.0), atol=1e-10)
 
     def test_pinned_rands_select_expected_outcome(self):
-        state = states.eight_qubit_initial()
+        state = eight_qubit_initial()
         # with uniform 1/4 branches, rand in [k/4, (k+1)/4) picks branch k
         outcome, post = bell_measurement_pair(state, 0.10, 0.60)
         assert outcome == RobotOutcome(BELL_ORDER[0], BELL_ORDER[2])
         assert post.norm() == pytest.approx(1.0)
         # the measured pair really is in the reported Bell state afterwards
-        rho = partial_trace(post, swap.ROBOT_PAIRS[0])
+        rho = partial_trace(post, ROBOT_PAIRS[0])
         assert fidelity_with_pure(rho, states.bell(outcome.first)) == pytest.approx(
             1.0, abs=1e-10
         )
@@ -71,16 +74,16 @@ class TestClassMap:
         results = {e.resulting_state for e in default_class_map}
         assert len(results) == 16
         for entry in default_class_map:
-            assert entry.probability == pytest.approx(1 / 16.0, abs=1e-10)
-            assert matched_beta(entry) == pytest.approx(9.0, abs=1e-9)
+            assert entry.probability == 1 / 16
+            assert matched_beta(entry) == 9.0
 
     def test_resulting_state_has_full_fidelity(self, default_class_map):
-        initial = states.eight_qubit_initial()
+        initial = eight_qubit_initial()
         for entry in default_class_map[:4]:
             _, post = post_robot_state(initial, entry.outcome)
             rho = reduced_pair_product(post)
             assert fidelity_with_pure(
-                rho, resulting_state_vector(entry)
+                rho, class_state(entry)
             ) == pytest.approx(1.0, abs=1e-9)
 
     def test_other_sources_still_bijective(self):
@@ -88,8 +91,8 @@ class TestClassMap:
         matched = {e.matched_inequality for e in entries}
         assert matched == set(range(1, NUM_EXPRESSIONS + 1))
         for entry in entries:
-            assert entry.probability == pytest.approx(1 / 16.0, abs=1e-10)
-            assert matched_beta(entry) == pytest.approx(9.0, abs=1e-9)
+            assert entry.probability == 1 / 16
+            assert matched_beta(entry) == 9.0
 
     @pytest.mark.parametrize(
         "sources",
@@ -104,8 +107,11 @@ class TestClassMap:
         for entry, (prob, rho) in zip(entries, dense_swap(sources)):
             assert abs(prob - 1 / 16) <= 1e-12
             assert entry.probability == 1 / 16
-            assert fidelity_with_pure(rho, resulting_state_vector(entry)) >= 1 - 1e-9
+            assert fidelity_with_pure(rho, class_state(entry)) >= 1 - 1e-9
             assert entry.resulting_state == identify_bell_product(rho)
+            # the package's table row of the product is the labeled state
+            ket = product_kets()[states.product_index(*entry.resulting_state)]
+            np.testing.assert_allclose(ket, class_state(entry).amplitudes, rtol=0, atol=1e-15)
 
     def test_outcome_order(self):
         assert ROBOT_OUTCOMES[0] == RobotOutcome(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
@@ -145,7 +151,7 @@ class TestPremeasurementMarginal:
         # conditioning on the robot's outcome turns the zero-mean marginal
         # into a state reaching the algebraic maximum
         entry = default_class_map[3]
-        state = resulting_state_vector(entry)
+        state = class_state(entry)
         assert beta_quantum(
             state, entry.matched_inequality, ALICE_PAIR, BOB_PAIR
         ) == pytest.approx(9.0, abs=1e-9)
