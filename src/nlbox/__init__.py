@@ -9,18 +9,15 @@ checked by exact computation: integer enumeration for the deterministic
 bound, fraction-free integer ranks for facet certificates, and seeded
 sampling for the simulated runs.  Every expression value is one row of a
 16x144 integer coefficient matrix dotted with a behavior p(a, b | x, y):
-the Born behavior of a Bell-state product, held once as an exact table of
-sixteenths, a deterministic vertex, or the event counts of a sampled
-class.
+the Born behavior of a Bell-state product, a deterministic vertex, or the
+event counts of a sampled class.  The Born behaviors are integers by
+construction: the parties measure the rows and columns of the
+Mermin-Peres square, signed Pauli strings whose expectations on a Bell
+product are 0 or +-1, read off the pairs' Pauli frames.  The package
+holds no complex number.
 """
 
-from .inequalities import (
-    C,
-    coefficient_rows,
-    coefficients,
-    product_counts,
-    product_kets,
-)
+from .inequalities import C, coefficient_rows, coefficients, product_counts
 from .polytope import facet_check, lhv_bound, ns_bound
 from .sampler import class_counts, estimate_beta, sample_events
 from .states import BellLabel
@@ -39,7 +36,6 @@ __all__ = [
     "ns_bound",
     "premeasurement_marginal",
     "product_counts",
-    "product_kets",
     "sample_events",
 ]
 

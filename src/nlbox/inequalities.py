@@ -9,9 +9,10 @@ coefficient matrix ``C`` over the behavior p(a, b | x, y), so each value,
 quantum, deterministic or sampled, is a dot product with a behavior.
 
 The Born behaviors of the sixteen Bell-state products are one exact
-integer table, :func:`product_counts`, holding 16 p(a, b | x, y): every
-entry is 0 or 2, so each product is the nonlocal box of its expression,
-16 p = C[k] + 1.  Every expression is bounded by 7 for local
+integer table, :func:`product_counts`, holding 16 p(a, b | x, y), derived
+from the parties' signed Pauli strings and the pairs' Pauli frames with
+no float step.  Every entry is 0 or 2, so each product is the nonlocal
+box of its expression, 16 p = C[k] + 1.  Every expression is bounded by 7 for local
 deterministic models and by 9 algebraically; each product reaches 9 on
 exactly one expression, and ``product_counts() @ C.T`` is 16 times the
 table of all 256 values, in integers.
@@ -113,41 +114,32 @@ def coefficients(index: int) -> np.ndarray:
 
 
 @functools.cache
-def product_kets() -> np.ndarray:
-    """The sixteen Bell products as the rows of a read-only 16x16 array.
-
-    Row k - 1 is Bell product k, ``states.PRODUCT_LABELS[k - 1]`` = (first,
-    second), in the basis order (a1 a2 b1 b2) of Alice's two qubits then
-    Bob's: bell(first) on (a1, b1) and bell(second) on (a2, b2).
-    """
-    bell = np.array([states.bell(label).amplitudes.reshape(2, 2) for label in states.BELL_ORDER])
-    kets = np.einsum("fac,sbd->fsabcd", bell, bell).reshape(16, 16)
-    kets.flags.writeable = False
-    return kets
-
-
-@functools.cache
 def product_counts() -> np.ndarray:
     """16 p(a, b | x, y) of every Bell product: a read-only 16x144 int64 array.
 
-    Row k - 1 is the Born behavior of ``product_kets()[k - 1]`` times 16,
-    entry 16*(3x + y) + 4a + b.  The Born probabilities are rounded to
-    exact sixteenths once, here: 16 p of a correct ket is an integer up to
-    a float error near 1e-15, so an entry farther than 1e-9 from its
-    integer means the kets are wrong and raises RuntimeError.
+    Row k - 1 is Bell product k, ``states.PRODUCT_LABELS[k - 1]`` = (first,
+    second): bell(first) on the parties' first qubits and bell(second) on
+    their second ones.  Entry 16*(3x + y) + 4a + b is
+    sum_{m, n} chi_m(a) chi_n(b) <A_x^m (x) B_y^n>, summed over the masks
+    of both parties' Pauli strings (see ``observables``).  On a Bell
+    product each <A (x) B> is the product of one expectation per pair, and
+    each of those is 0 or +-1, read off the pair's Pauli frame.
     """
-    # the parties' kets indexed [setting, outcome, two-qubit basis index]
-    alice = np.array([observables.alice_kets(x) for x in range(3)])
-    bob = np.array([observables.bob_kets(y) for y in range(3)])
-    psi = product_kets().reshape(16, 4, 4)
-    amps = np.einsum("xai,ybj,kij->kxyab", alice.conj(), bob.conj(), psi)
-    sixteenths = 16 * (np.abs(amps) ** 2).reshape(16, 144)
-    counts = np.rint(sixteenths)
-    error = float(np.max(np.abs(sixteenths - counts)))
-    if error > 1e-9:
-        raise RuntimeError(
-            f"Bell-product behaviors are {error:.1e} away from exact sixteenths"
-        )
-    counts = counts.astype(np.int64)
+    # pair[f, P, Q] = <P (x) Q> on the Bell pair of frame f, in the letter
+    # order IXYZ: 0 unless P == Q; on Phi+ 1 for II, XX, ZZ and -1 for YY;
+    # the frame's z flips the sign of XX and YY, its x that of YY and ZZ.
+    frame_x, frame_z = np.array([states.FRAMES[label] for label in states.BELL_ORDER]).T
+    flips = np.outer(frame_z, [0, 1, 1, 0]) + np.outer(frame_x, [0, 0, 1, 1])
+    pair = (-1) ** flips[:, :, None] * np.diag([1, 1, -1, 1])
+    alice_signs, alice = observables.pauli_table(observables.ALICE_PAULIS)
+    bob_signs, bob = observables.pauli_table(observables.BOB_PAULIS)
+    # per-pair expectations [frame, x, m, y, n] on the first and second pair
+    first = pair[:, alice[:, :, None, None, 0], bob[None, None, :, :, 0]]
+    second = pair[:, alice[:, :, None, None, 1], bob[None, None, :, :, 1]]
+    chi = np.array([[1] * 4] + [[mask_value(a, m) for a in range(4)] for m in MASKS])
+    counts = np.einsum(
+        "xm,yn,fxmyn,gxmyn,ma,nb->fgxyab",
+        alice_signs, bob_signs, first, second, chi, chi,
+    ).reshape(16, 144)
     counts.flags.writeable = False
     return counts

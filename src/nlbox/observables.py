@@ -1,17 +1,20 @@
-"""The two parties' four-outcome two-qubit measurements and their bit masks.
+"""The two parties' four-outcome measurements as signed Pauli strings.
 
-Each setting is a projective measurement onto an orthonormal basis of the
-party's qubit pair.  An outcome carries two sign bits; the label order is
-fixed as ++, +-, -+, -- and every basis below is listed in that order.
-A mask keeps an outcome's first bit, its second bit, or their product.
+Each setting is a projective measurement on the party's two qubits.  An
+outcome carries two sign bits; the label order is fixed as ++, +-, -+,
+--.  A mask keeps an outcome's first bit, its second bit, or their
+product, and the masked observable of every setting and mask is a signed
+two-qubit Pauli string: Alice's settings are the rows of the Mermin-Peres
+square and Bob's its columns.  A party's first qubit belongs to the first
+Bell pair of a product and its second qubit to the second pair; a
+string's first letter acts on the first qubit.  The projector onto
+outcome a is (1/4) sum_m chi_m(a) P^m over the masks m = 00, 10, 01, 11,
+where chi_m(a) is the masked sign and P^00 the identity.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import states
-from .states import BellLabel
 
 # Outcome labels in canonical order and the sign bits they carry.
 OUTCOMES = ("++", "+-", "-+", "--")
@@ -19,6 +22,12 @@ OUTCOME_BITS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 # The three masks: keep the first bit, the second bit, or their product.
 MASKS = ("10", "01", "11")
+
+# Masked observables [setting][mask], masks in MASKS order.  Each setting's
+# third string is the product of its first two.
+ALICE_PAULIS = (("ZI", "IZ", "ZZ"), ("IX", "XI", "XX"), ("ZX", "XZ", "YY"))
+BOB_PAULIS = (("ZI", "IX", "ZX"), ("IZ", "XI", "XZ"), ("ZZ", "XX", "-YY"))
+PAULI_LETTERS = "IXYZ"
 
 
 def mask_value(outcome: int, mask: str) -> int:
@@ -33,47 +42,15 @@ def mask_value(outcome: int, mask: str) -> int:
     raise ValueError(f"invalid mask {mask!r}, expected one of {MASKS}")
 
 
-def alice_kets(setting: int):
-    """Alice's four measurement kets of a setting, in outcome order.
+def pauli_table(strings) -> tuple[np.ndarray, np.ndarray]:
+    """Signs [setting, mask] and letters [setting, mask, qubit] of a party's strings.
 
-    Setting 0 is the computational product basis, setting 1 the diagonal
-    product basis (with the mixed outcomes +- and -+ attached to |-+> and
-    |+-> respectively), and setting 2 the chi/omega basis.
+    The mask axis runs over 00, 10, 01, 11, so the identity comes first;
+    a letter is its index in ``PAULI_LETTERS``.
     """
-    k0, k1 = states.KET_0, states.KET_1
-    kp, km = states.KET_PLUS, states.KET_MINUS
-    if setting == 0:
-        return [np.kron(k0, k0), np.kron(k0, k1), np.kron(k1, k0), np.kron(k1, k1)]
-    if setting == 1:
-        return [np.kron(kp, kp), np.kron(km, kp), np.kron(kp, km), np.kron(km, km)]
-    if setting == 2:
-        return [
-            states.chi_omega("chi+").amplitudes,
-            states.chi_omega("chi-").amplitudes,
-            states.chi_omega("omega+").amplitudes,
-            states.chi_omega("omega-").amplitudes,
-        ]
-    raise ValueError(f"setting {setting} outside 0..2")
-
-
-def bob_kets(setting: int):
-    """Bob's four measurement kets of a setting, in outcome order.
-
-    Setting 0 pairs a computational first qubit with a diagonal second one,
-    setting 1 the other way round, and setting 2 is the Bell basis.
-    """
-    k0, k1 = states.KET_0, states.KET_1
-    kp, km = states.KET_PLUS, states.KET_MINUS
-    if setting == 0:
-        return [np.kron(k0, kp), np.kron(k0, km), np.kron(k1, kp), np.kron(k1, km)]
-    if setting == 1:
-        return [np.kron(kp, k0), np.kron(km, k0), np.kron(kp, k1), np.kron(km, k1)]
-    if setting == 2:
-        return [
-            states.bell(BellLabel.PHI_PLUS).amplitudes,
-            states.bell(BellLabel.PHI_MINUS).amplitudes,
-            states.bell(BellLabel.PSI_PLUS).amplitudes,
-            states.bell(BellLabel.PSI_MINUS).amplitudes,
-        ]
-    raise ValueError(f"setting {setting} outside 0..2")
-
+    rows = [("II", *row) for row in strings]
+    signs = np.array([[-1 if s.startswith("-") else 1 for s in row] for row in rows])
+    letters = np.array(
+        [[[PAULI_LETTERS.index(c) for c in s.lstrip("-")] for s in row] for row in rows]
+    )
+    return signs, letters

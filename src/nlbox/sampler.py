@@ -6,14 +6,14 @@ SeedSequence(seed, spawn_key=(k,)), in a fixed order: ``BLOCK`` setting
 cells ``3x + y`` from ``integers(0, 9)``, then ``BLOCK`` uniforms.  Run
 ``k * BLOCK + i`` takes the i-th cell and the i-th uniform, and its
 outcome is the inverse CDF of that uniform over the cell's row of the
-exact joint table.  Every block is drawn whole and then truncated, so
-identical (shots, seed, sources) reproduce identical events and adding
-shots never changes earlier runs.
+exact joint table, read off a lookup table.  Every block is drawn whole
+and then truncated, so identical (shots, seed, sources) reproduce
+identical events and adding shots never changes earlier runs.
 
 The robot's measurements commute with the local ones (disjoint qubits),
 so the joint table is the robot's outcome distribution times the Born
 behavior of the Bell product each robot outcome leaves behind.  Both are
-exact sixteenths, so every entry is an exact multiple of 1/128.
+exact sixteenths, and every cell row is 1/128 on exactly 128 outcomes.
 
 An event is one integer code ``256 * (3x + y) + 16 * c + 4a + b``, where
 ``c = 4 * r1 + r2`` is the robot's outcome (its class) and ``a``, ``b``
@@ -54,21 +54,22 @@ class ProtocolTables:
         behaviors = (product_counts()[rows] / 16).reshape(16, 9, 16)
         # joint[3x + y, 16c + 4a + b]
         self.joint = (robot.reshape(16, 1, 1) * behaviors).transpose(1, 0, 2).reshape(9, 256)
-        # From each row's last positive entry on the cumulative sum is exactly
-        # 1.0, so no variate in [0, 1) can pick an outcome of probability 0.
-        self.cum = np.cumsum(self.joint, axis=1)
-        last = 255 - np.argmax(self.joint[:, ::-1] > 0.0, axis=1)
-        self.cum[np.arange(256) >= last[:, None]] = 1.0
         self.joint.flags.writeable = False
-        self.cum.flags.writeable = False
+        positive = self.joint > 0.0
+        if not (np.all(positive.sum(axis=1) == 128) and np.all(self.joint[positive] == 1 / 128)):
+            raise RuntimeError("the joint table is not 1/128 on 128 outcomes per cell")
+        # support[3x + y, k] is the column of the k-th positive entry of the row
+        self.support = np.nonzero(positive)[1].reshape(9, 128)
+        self.support.flags.writeable = False
 
     def outcomes(self, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Column 16c + 4a + b that each uniform picks in its cell's row."""
-        picked = np.empty(cells.shape, dtype=np.int64)
-        for cell in range(9):
-            hit = cells == cell
-            picked[hit] = np.searchsorted(self.cum[cell], u[hit], side="right")
-        return picked
+        """Column 16c + 4a + b that each uniform picks in its cell's row.
+
+        The row's cumulative sum is exactly k / 128 after its k-th positive
+        entry, so the inverse CDF of u is support[cell, floor(128 u)]; 128 u
+        is exact and below 128 for every u < 1.
+        """
+        return self.support[cells, (128 * u).astype(np.int64)]
 
 
 @functools.lru_cache(maxsize=16)

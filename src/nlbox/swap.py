@@ -24,23 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .inequalities import coefficients, product_counts, product_kets
-from .qla import DensityMatrix
-from .states import BELL_ORDER, BellLabel
-
-# The kept qubits in the basis order of inequalities.product_kets: Alice
-# holds (1, 3) and Bob (6, 8).
-KEPT_QUBITS = (1, 3, 6, 8)
+from .inequalities import coefficients, product_counts
+from .states import BELL_ORDER, FRAMES, BellLabel
 
 DEFAULT_SOURCES = (BellLabel.PSI_MINUS, BellLabel.PSI_MINUS)
 
-# Pauli frame (x, z) of each Bell state: X^x Z^z on the first qubit of Phi+.
-FRAMES = {
-    BellLabel.PHI_PLUS: (0, 0),
-    BellLabel.PHI_MINUS: (0, 1),
-    BellLabel.PSI_PLUS: (1, 0),
-    BellLabel.PSI_MINUS: (1, 1),
-}
 _LABEL_OF_FRAME = {frame: label for label, frame in FRAMES.items()}
 
 
@@ -117,17 +105,16 @@ def matched_beta(entry: ClassMapEntry) -> float:
 
 def premeasurement_marginal(
     sources: tuple[BellLabel, BellLabel] = DEFAULT_SOURCES,
-) -> DensityMatrix:
-    """Reduced state of (1,3,6,8) before the robot's outcome is known.
+) -> np.ndarray:
+    """Behavior of (1,3) and (6,8) before the robot's outcome is known.
 
-    It is the mixture sum_c p_c |psi_c><psi_c| of the sixteen class states,
-    the rows of ``product_kets()`` that the class map selects: a mixture of
-    nonlocal boxes.  The sixteen Bell products form a basis, so the
-    mixture is maximally mixed: without the robot's outcomes the kept
-    qubits show no correlations at all, and every Bell expression averages
-    to zero on it.
+    It is the mixture of the sixteen class behaviors, each of robot
+    probability exactly 1/16: a mixture of nonlocal boxes.  Returned in
+    integers as the sum of the classes' rows of ``product_counts()``, that
+    is 256 p(a, b | x, y), a 144-entry int64 array.  The class map hits
+    every Bell product once and the rows of C sum to zero, so every entry
+    is 16: without the robot's outcomes the parties see uniformly random
+    outcomes in every cell, and every Bell expression averages to zero.
     """
-    entries = class_map(sources)
-    kets = product_kets()[[states.product_index(*e.resulting_state) for e in entries]]
-    probs = np.array([e.probability for e in entries])
-    return DensityMatrix((kets.T * probs) @ kets.conj(), KEPT_QUBITS)
+    rows = [states.product_index(*entry.resulting_state) for entry in class_map(sources)]
+    return product_counts()[rows].sum(axis=0)

@@ -2,20 +2,21 @@
 
 The package evaluates every Bell expression as one row of the integer
 coefficient matrix ``inequalities.C`` dotted with a 144-entry behavior,
-and holds the Born behaviors of the sixteen Bell products as one exact
-table.  The routes here never touch that matrix or that table: labeled
-product states on explicit qubit pairs, dense projectors and cell
-operators built from the parties' four-outcome observables, scalar sums
-over one deterministic strategy, the masked product of one sampled event,
-and a validated behavior table read cell by cell.  Tests compare the
-package against them.
+and derives the Born behaviors of the sixteen Bell products in integers
+from the parties' signed Pauli strings and the pairs' Pauli frames.  The
+routes here never touch that matrix or that table: complex kets of the
+Bell states and of the parties' measurement bases, labeled product
+states on explicit qubit pairs, dense projectors and cell operators built
+from those kets, scalar sums over one deterministic strategy, the masked
+product of one sampled event, and a validated behavior table read cell
+by cell.  Tests compare the package against them.
 
 The sampler's integer event codes are decoded here into one record per
 event.  The swap protocol is rebuilt by dense collapse of the eight-qubit
 source state: 256x256 Bell projectors, the robot's outcome distribution,
 the reduced state of the kept qubits and a fidelity search over the
 sixteen Bell products, which the package's Pauli-frame class map and its
-pre-measurement marginal are checked against, and the full joint table
+pre-measurement behavior are checked against, and the full joint table
 that the sampled events are fitted against.
 """
 
@@ -27,18 +28,33 @@ from typing import Sequence
 
 import numpy as np
 
-from nlbox import states
 from nlbox.inequalities import mask_pattern, sign_table
-from nlbox.observables import MASKS, alice_kets, bob_kets, mask_value
+from nlbox.observables import MASKS, mask_value
 from nlbox.polytope import DeterministicStrategy, party_strategies
-from nlbox.qla import ATOL_HERM, ATOL_STRUCT, DensityMatrix, StateVector
 from nlbox.states import BELL_ORDER, PRODUCT_LABELS, BellLabel
-from nlbox.swap import KEPT_QUBITS, ROBOT_OUTCOMES, RobotOutcome
+from nlbox.swap import DEFAULT_SOURCES, ROBOT_OUTCOMES, RobotOutcome, class_map
+
+# Tolerances of the structural checks on dense states and operators.
+ATOL_STRUCT = 1e-10
+ATOL_HERM = 1e-12
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+_SQ2 = np.sqrt(2.0)
+KET_0 = np.array([1, 0], dtype=complex)
+KET_1 = np.array([0, 1], dtype=complex)
+KET_PLUS = np.array([1, 1], dtype=complex) / _SQ2
+KET_MINUS = np.array([1, -1], dtype=complex) / _SQ2
+
+_BELL_AMPLITUDES = {
+    BellLabel.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) / _SQ2,
+    BellLabel.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) / _SQ2,
+    BellLabel.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) / _SQ2,
+    BellLabel.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex) / _SQ2,
+}
 
 _FIDELITY_TOL = 1e-9
 
@@ -50,6 +66,121 @@ MATCHED_PAIRS = ((1, 3), (2, 4))
 ROBOT_PAIRS = ((2, 5), (4, 7))
 ALICE_PAIR = (1, 3)
 BOB_PAIR = (6, 8)
+KEPT_QUBITS = ALICE_PAIR + BOB_PAIR
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """Pure state of ``len(labels)`` qubits with an explicit label order.
+
+    The first label is the most significant bit of the basis index.
+    """
+
+    amplitudes: np.ndarray
+    labels: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        labels = tuple(int(q) for q in self.labels)
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate qubit labels {labels}")
+        if amps.size != 2 ** len(labels):
+            raise ValueError(
+                f"{amps.size} amplitudes do not fit {len(labels)} qubits"
+            )
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("non-finite amplitude")
+        amps.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "labels", labels)
+
+    @property
+    def num_qubits(self) -> int:
+        return len(self.labels)
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Mixed state on labeled qubits, validated on construction."""
+
+    entries: np.ndarray
+    labels: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        mat = np.array(self.entries, dtype=complex)
+        labels = tuple(int(q) for q in self.labels)
+        dim = 2 ** len(labels)
+        if mat.shape != (dim, dim):
+            raise ValueError(f"shape {mat.shape} does not fit labels {labels}")
+        if np.max(np.abs(mat - mat.conj().T)) > ATOL_HERM:
+            raise ValueError("density matrix is not Hermitian")
+        if abs(np.trace(mat).real - 1.0) > ATOL_HERM:
+            raise ValueError("density matrix trace differs from 1")
+        if np.linalg.eigvalsh(mat).min() < -ATOL_STRUCT:
+            raise ValueError("density matrix has a negative eigenvalue")
+        mat.flags.writeable = False
+        object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "labels", labels)
+
+
+def bell(label: BellLabel, qubits: tuple[int, int] = (1, 2)) -> StateVector:
+    """Bell state on the given qubit pair (labels in listed order)."""
+    return StateVector(_BELL_AMPLITUDES[label], qubits)
+
+
+def chi_omega(kind: str, qubits: tuple[int, int] = (1, 2)) -> StateVector:
+    """One of the chi/omega states, keyed as 'chi+', 'chi-', 'omega+', 'omega-'.
+
+    chi+- superpose |0+> and |1->; omega+- superpose |1+> and |0->.  They
+    form an orthonormal basis of common eigenvectors of sz (x) sx and
+    sx (x) sz.
+    """
+    zero_plus = np.kron(KET_0, KET_PLUS)
+    zero_minus = np.kron(KET_0, KET_MINUS)
+    one_plus = np.kron(KET_1, KET_PLUS)
+    one_minus = np.kron(KET_1, KET_MINUS)
+    table = {
+        "chi+": (zero_plus + one_minus) / _SQ2,
+        "chi-": (zero_plus - one_minus) / _SQ2,
+        "omega+": (one_plus + zero_minus) / _SQ2,
+        "omega-": (one_plus - zero_minus) / _SQ2,
+    }
+    if kind not in table:
+        raise ValueError(f"unknown chi/omega kind {kind!r}")
+    return StateVector(table[kind], qubits)
+
+
+def alice_kets(setting: int):
+    """Alice's four measurement kets of a setting, in outcome order.
+
+    Setting 0 is the computational product basis, setting 1 the diagonal
+    product basis (with the mixed outcomes +- and -+ attached to |-+> and
+    |+-> respectively), and setting 2 the chi/omega basis.
+    """
+    k0, k1, kp, km = KET_0, KET_1, KET_PLUS, KET_MINUS
+    if setting == 0:
+        return [np.kron(k0, k0), np.kron(k0, k1), np.kron(k1, k0), np.kron(k1, k1)]
+    if setting == 1:
+        return [np.kron(kp, kp), np.kron(km, kp), np.kron(kp, km), np.kron(km, km)]
+    if setting == 2:
+        return [chi_omega(kind).amplitudes for kind in ("chi+", "chi-", "omega+", "omega-")]
+    raise ValueError(f"setting {setting} outside 0..2")
+
+
+def bob_kets(setting: int):
+    """Bob's four measurement kets of a setting, in outcome order.
+
+    Setting 0 pairs a computational first qubit with a diagonal second one,
+    setting 1 the other way round, and setting 2 is the Bell basis.
+    """
+    k0, k1, kp, km = KET_0, KET_1, KET_PLUS, KET_MINUS
+    if setting == 0:
+        return [np.kron(k0, kp), np.kron(k0, km), np.kron(k1, kp), np.kron(k1, km)]
+    if setting == 1:
+        return [np.kron(kp, k0), np.kron(km, k0), np.kron(kp, k1), np.kron(km, k1)]
+    if setting == 2:
+        return [bell(label).amplitudes for label in BELL_ORDER]
+    raise ValueError(f"setting {setting} outside 0..2")
 
 
 def tensor(a, b):
@@ -87,7 +218,7 @@ def bell_product(
 ) -> StateVector:
     """Product of two Bell states on arbitrary pairs, with ascending labels."""
     return canonicalize(
-        tensor(states.bell(first, first_pair), states.bell(second, second_pair))
+        tensor(bell(first, first_pair), bell(second, second_pair))
     )
 
 
@@ -109,8 +240,8 @@ def source_product(first: BellLabel, second: BellLabel) -> StateVector:
     and (7,8).
     """
     state = tensor(
-        tensor(states.bell(first, (1, 2)), states.bell(second, (3, 4))),
-        tensor(states.bell(first, (5, 6)), states.bell(second, (7, 8))),
+        tensor(bell(first, (1, 2)), bell(second, (3, 4))),
+        tensor(bell(first, (5, 6)), bell(second, (7, 8))),
     )
     return canonicalize(state)
 
@@ -138,14 +269,14 @@ def _projectors_from_kets(kets) -> tuple[np.ndarray, ...]:
 
 
 def alice_observable(setting: int) -> FourOutcomeObservable:
-    """Alice's measurement for a setting in 0..2, from the package's kets."""
+    """Alice's measurement for a setting in 0..2."""
     return FourOutcomeObservable(
         "alice", setting, _projectors_from_kets(alice_kets(setting))
     )
 
 
 def bob_observable(setting: int) -> FourOutcomeObservable:
-    """Bob's measurement for a setting in 0..2, from the package's kets."""
+    """Bob's measurement for a setting in 0..2."""
     return FourOutcomeObservable(
         "bob", setting, _projectors_from_kets(bob_kets(setting))
     )
@@ -271,7 +402,7 @@ def bell_projectors(pair: tuple[int, int], context: tuple[int, ...]) -> list[np.
     """The four Bell projectors of a qubit pair, embedded in a register."""
     projs = []
     for label in BELL_ORDER:
-        v = states.bell(label, pair).amplitudes
+        v = bell(label, pair).amplitudes
         projs.append(embed(np.outer(v, v.conj()), pair, context))
     return projs
 
@@ -322,7 +453,7 @@ def post_robot_state(
     """Probability of a robot outcome and the collapsed 8-qubit state."""
     v = initial.amplitudes
     for label, pair in zip((outcome.first, outcome.second), ROBOT_PAIRS):
-        ket = states.bell(label, pair).amplitudes
+        ket = bell(label, pair).amplitudes
         v = embed(np.outer(ket, ket.conj()), pair, initial.labels) @ v
     prob = float(np.vdot(initial.amplitudes, v).real)
     if prob <= 0.0:
@@ -360,6 +491,15 @@ def dense_swap(sources) -> list[tuple[float, DensityMatrix]]:
     return out
 
 
+def premeasurement_state(sources=DEFAULT_SOURCES) -> DensityMatrix:
+    """Reduced state of (1,3,6,8) before the robot's outcome is known: the
+    mixture of the class states that the package's class map selects."""
+    entries = class_map(sources)
+    kets = np.array([class_state(entry).amplitudes for entry in entries])
+    probs = np.array([entry.probability for entry in entries])
+    return DensityMatrix((kets.T * probs) @ kets.conj(), KEPT_QUBITS)
+
+
 def enumerate_strategies():
     """Iterate all 4096 joint deterministic strategies (Alice-major order)."""
     singles = party_strategies()
@@ -395,6 +535,7 @@ def masked_operator(obs: FourOutcomeObservable, mask: str) -> np.ndarray:
     return out
 
 
+@functools.cache
 def cell_operator(
     i: int,
     j: int,
@@ -402,11 +543,16 @@ def cell_operator(
     bob_pair: tuple[int, int],
     context: tuple[int, ...],
 ) -> np.ndarray:
-    """Product of the two masked observables of cell (i, j) on a register."""
+    """Product of the two masked observables of cell (i, j) on a register.
+
+    Built once per cell, pairs and register, and read-only.
+    """
     alice_mask, bob_mask = mask_pattern(i, j)
     ma = masked_operator(alice_observable(i), alice_mask)
     mb = masked_operator(bob_observable(j), bob_mask)
-    return embed(tensor(ma, mb), tuple(alice_pair) + tuple(bob_pair), context)
+    op = embed(tensor(ma, mb), tuple(alice_pair) + tuple(bob_pair), context)
+    op.flags.writeable = False
+    return op
 
 
 def correlator_quantum(
@@ -436,9 +582,10 @@ def beta_quantum(
     return total
 
 
+@functools.cache
 def party_projectors(alice_pair, bob_pair, labels):
     """Alice's and Bob's projectors [setting][outcome], embedded on their
-    pairs of the register ``labels``."""
+    pairs of the register ``labels``, built once per pairs and register."""
     return [
         [[embed(p, pair, labels) for p in observable(s).projectors] for s in range(3)]
         for observable, pair in ((alice_observable, alice_pair), (bob_observable, bob_pair))
@@ -449,10 +596,19 @@ def dense_behavior(
     state: StateVector, alice_pair: tuple[int, int], bob_pair: tuple[int, int]
 ) -> np.ndarray:
     """The 144 Born probabilities <psi| P_a (x) P_b |psi> at 16*(3x + y) + 4a + b."""
-    alice, bob = party_projectors(alice_pair, bob_pair, state.labels)
-    return np.array(
-        [expectation(state, pa @ pb) for ax in alice for by in bob for pa in ax for pb in by]
-    )
+    v = state.amplitudes
+    return density_behavior(DensityMatrix(np.outer(v, v.conj()), state.labels), alice_pair, bob_pair)
+
+
+def density_behavior(
+    rho: DensityMatrix, alice_pair: tuple[int, int], bob_pair: tuple[int, int]
+) -> np.ndarray:
+    """The 144 Born probabilities tr(rho P_a (x) P_b) at 16*(3x + y) + 4a + b."""
+    alice, bob = (np.array(p) for p in party_projectors(alice_pair, bob_pair, rho.labels))
+    probs = np.einsum("ij,xajk,ybki->xyab", rho.entries, alice, bob, optimize=True).reshape(144)
+    if np.max(np.abs(probs.imag)) > ATOL_STRUCT:
+        raise ValueError("Born probabilities have a residual imaginary part")
+    return probs.real
 
 
 @functools.cache

@@ -12,11 +12,13 @@ import numpy as np
 from oracle import (
     ALICE_PAIR,
     BOB_PAIR,
+    KEPT_QUBITS,
     ROBOT_PAIRS,
     bell_projectors,
     class_state,
     decode,
     dense_swap,
+    density_behavior,
     eight_qubit_initial,
     event_masked_product,
     fidelity_with_pure,
@@ -127,18 +129,22 @@ def test_criterion_05_swap_class_map():
 
 
 def test_criterion_06_premeasurement_marginal():
-    """Before the robot measures, the kept qubits are maximally mixed."""
-    rho = swap.premeasurement_marginal()
-    # second route: partial trace of the dense eight-qubit source state
-    dense = partial_trace(eight_qubit_initial(), swap.KEPT_QUBITS)
-    err = float(np.max(np.abs(rho.entries - np.eye(16) / 16.0)))
-    route_err = float(np.max(np.abs(rho.entries - dense.entries)))
-    ok = err <= 1e-10 and route_err <= 1e-10
+    """Before the robot measures, the parties see no correlation at all."""
+    marginal = swap.premeasurement_marginal()
+    # second route: Born behavior of the partial trace of the dense
+    # eight-qubit source state
+    dense = partial_trace(eight_qubit_initial(), KEPT_QUBITS)
+    born = 256 * density_behavior(dense, ALICE_PAIR, BOB_PAIR)
+    uniform = bool(np.all(marginal == 16))
+    err = float(np.max(np.abs(dense.entries - np.eye(16) / 16.0)))
+    route_err = float(np.max(np.abs(born - marginal)))
+    ok = uniform and err <= 1e-10 and route_err <= 1e-10
     _report(
         6,
         ok,
-        f"marginal of qubits (1,3,6,8) equals I/16, max deviation {err:.1e} "
-        f"(<= 1e-10), {route_err:.1e} from the dense partial trace",
+        f"behavior of (1,3),(6,8) is 1/16 in all 144 entries: {uniform}; the "
+        f"dense marginal is I/16 within {err:.1e} (<= 1e-10) and its Born "
+        f"behavior is {route_err:.1e} (<= 1e-10) from the package's",
     )
 
 

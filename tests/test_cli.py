@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nlbox import cli, inequalities, polytope, qla, sampler, swap
+from nlbox import cli, polytope, sampler, swap
 from nlbox.cli import main, sig12
 
 
@@ -257,25 +257,6 @@ class TestSample:
         assert main(["sample", "--shots", "20", "--out", str(tmp_path / "run")]) == 0
         capsys.readouterr()
         assert len(calls) == 1
-
-    def test_no_eight_qubit_register(self, tmp_path, capsys, monkeypatch):
-        # the class map is Pauli-frame arithmetic: no state on the CLI path
-        # is larger than one four-qubit Bell product
-        sizes = []
-        real = qla.StateVector.__post_init__
-
-        def record(state):
-            real(state)
-            sizes.append(state.num_qubits)
-
-        monkeypatch.setattr(qla.StateVector, "__post_init__", record)
-        sampler.protocol_tables.cache_clear()
-        inequalities.product_kets.cache_clear()
-        inequalities.product_counts.cache_clear()
-        assert main(["swap-map", "--sources", "PM,PP"]) == 0
-        assert main(["sample", "--shots", "50", "--out", str(tmp_path / "run")]) == 0
-        capsys.readouterr()
-        assert sizes and max(sizes) <= 4
 
     @pytest.mark.parametrize("bad", ["0", "-3", "abc"])
     def test_rejects_bad_shot_counts(self, bad):

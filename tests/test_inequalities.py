@@ -1,5 +1,7 @@
 """Sign tables, the coefficient matrix, and the sixteen expression values."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 from oracle import (
     MATCHED_PAIRS,
     Behavior,
+    alice_kets,
     beta_quantum,
     bell_product,
+    bob_kets,
     bob_bit_conditionals,
     correlator_quantum,
     dense_behavior,
@@ -16,7 +20,7 @@ from oracle import (
     four_qubit_product,
 )
 
-from nlbox import cli, inequalities
+from nlbox import cli, observables
 from nlbox.inequalities import (
     NUM_EXPRESSIONS,
     SIGN_TABLES,
@@ -24,7 +28,6 @@ from nlbox.inequalities import (
     coefficients,
     mask_pattern,
     product_counts,
-    product_kets,
     sign_table,
 )
 from nlbox.states import PRODUCT_LABELS, BellLabel
@@ -91,8 +94,6 @@ class TestSignTables:
         with pytest.raises(ValueError):
             C[0, 0] = 5
         with pytest.raises(ValueError):
-            product_kets()[0, 0] = 0
-        with pytest.raises(ValueError):
             product_counts()[0, 0] = 0
 
 
@@ -133,23 +134,17 @@ class TestProductTable:
             dense = dense_behavior(four_qubit_product(first, second), *MATCHED_PAIRS)
             np.testing.assert_allclose(16 * dense, product_counts()[row], rtol=0, atol=1e-12)
 
-    def test_a_ket_off_the_grid_is_an_error(self, capsys, monkeypatch):
-        # rotating one amplitude pair moves probabilities off the sixteenths
-        kets = np.array(product_kets())
-        t = 0.01
-        kets[0, [0, 15]] = (
-            np.cos(t) * kets[0, 0] - np.sin(t) * kets[0, 15],
-            np.sin(t) * kets[0, 0] + np.cos(t) * kets[0, 15],
-        )
-        monkeypatch.setattr(inequalities, "product_kets", lambda: kets)
+    def test_a_flipped_pauli_sign_fails_verification(self, capsys, monkeypatch):
+        # Bob's -YY is the table's one negative string; with +YY his third
+        # setting is no longer a measurement and all 256 values change
+        flipped = observables.BOB_PAULIS[:2] + (("ZZ", "XX", "YY"),)
+        monkeypatch.setattr(observables, "BOB_PAULIS", flipped)
         product_counts.cache_clear()
         try:
-            with pytest.raises(RuntimeError, match="sixteenths"):
-                product_counts()
-            assert cli.main(["verify-table3"]) == 1
+            assert cli.main(["verify-table3", "--format", "json"]) == 1
             captured = capsys.readouterr()
-            assert captured.err.startswith("error: ")
-            assert captured.out == ""
+            assert json.loads(captured.out)["matches"] == 0
+            assert "256 of 256 values differ" in captured.err
         finally:
             product_counts.cache_clear()
 
@@ -166,11 +161,16 @@ class TestQuantumRoute:
 
     def test_matched_state_mapping(self):
         # row 3 of the table is PP x SM: the labeled product on (1,2) x (3,4)
-        # with its axes moved to Alice's (1, 3) then Bob's (2, 4)
+        # with its axes moved to Alice's (1, 3) then Bob's (2, 4), measured
+        # in the parties' kets without any embedding
         labeled = four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PSI_MINUS)
         assert labeled.labels == (1, 2, 3, 4)
         alice_major = labeled.amplitudes.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-        np.testing.assert_allclose(product_kets()[3], alice_major.reshape(16), atol=1e-15)
+        alice = np.array([alice_kets(x) for x in range(3)])
+        bob = np.array([bob_kets(y) for y in range(3)])
+        amps = np.einsum("xai,ybj,ij->xyab", alice.conj(), bob.conj(), alice_major.reshape(4, 4))
+        born = 16 * np.abs(amps.reshape(144)) ** 2
+        np.testing.assert_allclose(born, product_counts()[3], rtol=0, atol=1e-12)
 
     def test_full_value_table_matches_reference(self, reference_doc):
         # dense operator oracle, independent of the coefficient matrix

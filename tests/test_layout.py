@@ -1,11 +1,17 @@
-"""Layout rule: no code in the package is kept alive by the tests alone.
+"""Layout rules of the package.
 
-Every top-level function and class of ``src/nlbox`` must be used somewhere
-else in the package, or be public in ``nlbox.__all__``.  Code whose only
-callers are tests belongs in ``tests/oracle.py`` or nowhere.
+No code in the package is kept alive by the tests alone: every top-level
+function and class of ``src/nlbox``, and every method and property of
+its classes, must be used somewhere else in the package, or be public in
+``nlbox.__all__`` (top-level names only).  Code whose only callers are
+tests belongs in ``tests/oracle.py`` or nowhere.
+
+The package is integer-only: it holds no complex number and no ket; the
+dense complex route lives in ``tests/oracle.py``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import nlbox
@@ -13,31 +19,73 @@ import nlbox
 PACKAGE = Path(nlbox.__file__).parent
 
 
-def _used_names(node: ast.AST) -> set[str]:
-    """Names that ``node`` reads, as bare names or as attributes."""
-    used = set()
+def _used_names(node: ast.AST) -> Counter:
+    """How often ``node`` reads each name, bare or as an attribute."""
+    used = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            used.add(sub.id)
+            used[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            used.add(sub.attr)
+            used[sub.attr] += 1
     return used
 
 
-def test_every_definition_has_a_caller_in_the_package():
-    statements = [
-        (path.name, stmt, _used_names(stmt))
+def _modules() -> dict[str, ast.Module]:
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
-    ]
+    }
+
+
+def _definitions(tree: ast.Module):
+    """Each top-level function and class, and each method and property of
+    a top-level class except the dunders, as (name, node)."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                    yield f"{stmt.name}.{sub.name}", sub
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    modules = _modules()
+    everywhere = sum((_used_names(tree) for tree in modules.values()), Counter())
     unused = []
-    for module, stmt, _ in statements:
-        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            continue
-        if stmt.name in nlbox.__all__:
-            continue
-        # a definition that only names itself (recursion, its own methods)
-        # has no caller
-        if not any(stmt.name in used for _, other, used in statements if other is not stmt):
-            unused.append(f"{module}:{stmt.name}")
+    for module, tree in modules.items():
+        for name, node in _definitions(tree):
+            if name in nlbox.__all__:
+                continue
+            short = name.rsplit(".", 1)[-1]
+            # reads inside the definition itself (recursion, a class's own
+            # methods) are no caller
+            if everywhere[short] == _used_names(node)[short]:
+                unused.append(f"{module}:{name}")
     assert unused == [], f"defined in the package but used only outside it: {unused}"
+
+
+def _complex_uses(tree: ast.Module) -> list[str]:
+    """Imaginary literals, ``complex``/``complex128`` names and ``qla`` imports."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, complex):
+            found.append(f"line {node.lineno}: literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id in ("complex", "complex128"):
+            found.append(f"line {node.lineno}: name {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in ("complex", "complex128"):
+            found.append(f"line {node.lineno}: attribute {node.attr}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if any("qla" in m.split(".") for m in modules):
+                found.append(f"line {node.lineno}: qla import")
+    return found
+
+
+def test_package_is_integer_only():
+    sample = "import nlbox.qla\nfrom . import qla\nz = 1j * np.complex128(2) + complex(1)"
+    assert len(_complex_uses(ast.parse(sample))) == 5
+    found = [
+        f"{module} {use}" for module, tree in _modules().items() for use in _complex_uses(tree)
+    ]
+    assert found == [], f"complex numbers in the package: {found}"

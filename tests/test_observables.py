@@ -1,4 +1,9 @@
-"""Four-outcome observables and their masked two-outcome coarse-grainings."""
+"""Four-outcome observables and their masked two-outcome coarse-grainings.
+
+The package holds the masked observables as signed Pauli strings; the
+oracle builds the same measurements from kets.  The frozen Pauli products
+below tie the two together.
+"""
 
 import numpy as np
 import pytest
@@ -8,12 +13,15 @@ from oracle import (
     SIGMA_Y,
     SIGMA_Z,
     alice_observable,
+    bell,
     bob_observable,
+    chi_omega,
     masked_operator,
 )
 
-from nlbox import states
+from nlbox import observables
 from nlbox.observables import MASKS, OUTCOMES, mask_value
+from nlbox.states import BellLabel
 
 SX, SY, SZ, I2 = SIGMA_X, SIGMA_Y, SIGMA_Z, ID2
 
@@ -72,8 +80,8 @@ class TestProjectorStructure:
 
     def test_alice_2_uses_chi_omega(self):
         obs = alice_observable(2)
-        chi_p = states.chi_omega("chi+").amplitudes
-        om_m = states.chi_omega("omega-").amplitudes
+        chi_p = chi_omega("chi+").amplitudes
+        om_m = chi_omega("omega-").amplitudes
         np.testing.assert_allclose(obs.projectors[0], np.outer(chi_p, chi_p), atol=1e-12)
         np.testing.assert_allclose(obs.projectors[3], np.outer(om_m, om_m), atol=1e-12)
 
@@ -90,7 +98,7 @@ class TestProjectorStructure:
 
     def test_bob_2_uses_bell_basis(self):
         obs = bob_observable(2)
-        pm = states.bell(states.BellLabel.PHI_MINUS).amplitudes
+        pm = bell(BellLabel.PHI_MINUS).amplitudes
         np.testing.assert_allclose(obs.projectors[1], np.outer(pm, pm), atol=1e-12)
 
 
@@ -106,15 +114,31 @@ MASKED_IDENTITY = {
 }
 
 
+PAULI = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
+
+
+def render(string: str) -> np.ndarray:
+    """Dense Kronecker product of a signed two-letter Pauli string."""
+    sign = -1 if string.startswith("-") else 1
+    first, second = string.lstrip("-")
+    return sign * np.kron(PAULI[first], PAULI[second])
+
+
 class TestMaskedOperators:
     @pytest.mark.parametrize("party,setting", MASKED_IDENTITY.keys())
     def test_pauli_product_identity(self, party, setting):
+        # the oracle's kets and the package's Pauli strings both give the
+        # frozen products
         obs = alice_observable(setting) if party == "alice" else bob_observable(setting)
-        for mask in MASKS:
-            got = masked_operator(obs, mask)
+        strings = observables.ALICE_PAULIS if party == "alice" else observables.BOB_PAULIS
+        for mask, string in zip(MASKS, strings[setting]):
+            want = MASKED_IDENTITY[(party, setting)][mask]
             np.testing.assert_allclose(
-                got, MASKED_IDENTITY[(party, setting)][mask], atol=1e-12,
+                masked_operator(obs, mask), want, atol=1e-12,
                 err_msg=f"{party} {setting} mask {mask}",
+            )
+            np.testing.assert_array_equal(
+                render(string), want, err_msg=f"{party} {setting} mask {mask}: {string}"
             )
 
     @pytest.mark.parametrize("obs", all_observables(), ids=lambda o: f"{o.party}{o.setting}")

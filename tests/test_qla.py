@@ -1,4 +1,5 @@
-"""Core linear algebra: tensor products, embedding, measurement, tracing."""
+"""The oracle's dense linear algebra: tensor products, embedding,
+measurement, tracing."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from oracle import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    DensityMatrix,
+    StateVector,
     canonicalize,
     density_expectation,
     embed,
@@ -18,8 +21,6 @@ from oracle import (
     projective_measure,
     tensor,
 )
-
-from nlbox.qla import DensityMatrix, StateVector
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -53,12 +54,6 @@ class TestStateVector:
         state = StateVector(KET0, (1,))
         with pytest.raises(ValueError):
             state.amplitudes[0] = 5.0
-
-    def test_normalized(self):
-        state = StateVector(np.array([2.0, 0.0]), (1,))
-        assert state.normalized().norm() == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            StateVector(np.zeros(2), (1,)).normalized()
 
 
 class TestTensor:
@@ -99,7 +94,7 @@ class TestCanonicalize:
         shuffled = StateVector(state.amplitudes, (5, 2, 9))
         again = canonicalize(canonicalize(shuffled))
         assert again.labels == (2, 5, 9)
-        assert again.norm() == pytest.approx(1.0)
+        assert np.linalg.norm(again.amplitudes) == pytest.approx(1.0)
 
 
 class TestEmbed:
@@ -200,7 +195,7 @@ class TestProjectiveMeasure:
         idx, post, prob = projective_measure(state, projs, rand)
         assert 0 <= idx < 3
         assert 0.0 < prob <= 1.0 + 1e-12
-        assert post.norm() == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(post.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestPartialTrace:

@@ -79,7 +79,7 @@ class TestReproducibility:
         # fresh construction gives
         fresh = ProtocolTables()
         assert np.array_equal(fresh.joint, protocol_tables().joint)
-        assert np.array_equal(fresh.cum, protocol_tables().cum)
+        assert np.array_equal(fresh.support, protocol_tables().support)
 
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError):
@@ -232,7 +232,10 @@ class TestExactTable:
         # every entry is 0 or 1/128, so the rows sum to 1 exactly
         assert set(np.unique(TABLES.joint)) == {0.0, 1 / 128}
         assert np.all(TABLES.joint.sum(axis=1) == 1.0)
-        assert np.all(TABLES.cum[:, -1] == 1.0)
+        # the lookup table lists each row's 128 positive columns in order
+        assert TABLES.support.shape == (9, 128)
+        assert np.all(np.diff(TABLES.support, axis=1) > 0)
+        assert np.all(TABLES.joint[np.arange(9)[:, None], TABLES.support] == 1 / 128)
 
     @pytest.mark.parametrize(
         "sources",
@@ -245,7 +248,22 @@ class TestExactTable:
         tables = protocol_tables(sources)
         cells = np.arange(9)
         picked = tables.outcomes(cells, np.full(9, np.nextafter(1.0, 0.0)))
+        # the largest variate below 1 reads the last column of the lookup
+        assert np.array_equal(picked, tables.support[:, 127])
         assert np.all(tables.joint[cells, picked] > 0.0)
+
+    def test_lookup_is_the_inverse_cdf(self):
+        # second route: binary search over each row's cumulative sum
+        u = np.concatenate(
+            [[0.0, 1 / 128, 0.5, np.nextafter(1.0, 0.0)], np.random.default_rng(5).random(20000)]
+        )
+        cells = np.arange(u.size) % 9
+        cum = np.cumsum(TABLES.joint, axis=1)
+        want = np.empty(u.size, dtype=np.int64)
+        for cell in range(9):
+            hit = cells == cell
+            want[hit] = np.searchsorted(cum[cell], u[hit], side="right")
+        assert np.array_equal(TABLES.outcomes(cells, u), want)
 
     def test_sampled_table_fits_the_dense_collapse(self):
         # independent route: the full (x, y, r1, r2, a, b) table from

@@ -1,17 +1,17 @@
 """Bell states, the chi/omega basis, and the multi-qubit product states.
 
-The labeled products on explicit pairs live in the oracle; the package's
-own products are the rows of ``inequalities.product_kets``.
+The kets and the labeled products on explicit pairs live in the oracle;
+the package names the Bell states by label and Pauli frame only.
 """
-
-import itertools
 
 import numpy as np
 import pytest
 from oracle import (
     SIGMA_X,
     SIGMA_Z,
+    bell,
     bell_product,
+    chi_omega,
     eight_qubit_initial,
     expectation,
     four_qubit_product,
@@ -21,7 +21,6 @@ from oracle import (
 )
 
 from nlbox import states
-from nlbox.inequalities import product_kets
 from nlbox.states import BELL_ORDER, PRODUCT_LABELS, BellLabel
 
 SQ2 = np.sqrt(2.0)
@@ -39,7 +38,7 @@ class TestBellStates:
     )
     def test_amplitudes(self, label, amps):
         np.testing.assert_allclose(
-            states.bell(label).amplitudes, np.array(amps) / SQ2, atol=1e-15
+            bell(label).amplitudes, np.array(amps) / SQ2, atol=1e-15
         )
 
     @pytest.mark.parametrize(
@@ -52,18 +51,18 @@ class TestBellStates:
         ],
     )
     def test_parity_eigenvalues(self, label, zz, xx):
-        state = states.bell(label)
+        state = bell(label)
         assert expectation(state, np.kron(SIGMA_Z, SIGMA_Z)) == pytest.approx(zz)
         assert expectation(state, np.kron(SIGMA_X, SIGMA_X)) == pytest.approx(xx)
 
     def test_orthonormal(self):
-        vecs = [states.bell(l).amplitudes for l in BELL_ORDER]
+        vecs = [bell(l).amplitudes for l in BELL_ORDER]
         gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
     def test_each_half_is_maximally_mixed(self):
         for label in BELL_ORDER:
-            rho = partial_trace(states.bell(label), [1])
+            rho = partial_trace(bell(label), [1])
             np.testing.assert_allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
 
     def test_code_roundtrip(self):
@@ -86,7 +85,7 @@ class TestChiOmega:
     )
     def test_amplitudes(self, kind, amps):
         np.testing.assert_allclose(
-            states.chi_omega(kind).amplitudes, np.array(amps) / 2.0, atol=1e-15
+            chi_omega(kind).amplitudes, np.array(amps) / 2.0, atol=1e-15
         )
 
     @pytest.mark.parametrize(
@@ -99,19 +98,19 @@ class TestChiOmega:
         ],
     )
     def test_cross_parity_eigenvalues(self, kind, zx, xz):
-        state = states.chi_omega(kind)
+        state = chi_omega(kind)
         assert expectation(state, np.kron(SIGMA_Z, SIGMA_X)) == pytest.approx(zx)
         assert expectation(state, np.kron(SIGMA_X, SIGMA_Z)) == pytest.approx(xz)
 
     def test_orthonormal_basis(self):
         kinds = ["chi+", "chi-", "omega+", "omega-"]
-        vecs = [states.chi_omega(k).amplitudes for k in kinds]
+        vecs = [chi_omega(k).amplitudes for k in kinds]
         gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="chi/omega"):
-            states.chi_omega("chi")
+            chi_omega("chi")
 
 
 class TestProducts:
@@ -126,15 +125,12 @@ class TestProducts:
     def test_four_qubit_product_labels_and_norm(self):
         state = four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PSI_MINUS)
         assert state.labels == (1, 2, 3, 4)
-        assert state.norm() == pytest.approx(1.0)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0)
 
     def test_sixteen_products_are_orthonormal(self):
-        for vecs in (
-            [four_qubit_product(f, s).amplitudes for f, s in PRODUCT_LABELS],
-            product_kets(),
-        ):
-            gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
-            np.testing.assert_allclose(gram, np.eye(16), atol=1e-12)
+        vecs = [four_qubit_product(f, s).amplitudes for f, s in PRODUCT_LABELS]
+        gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
+        np.testing.assert_allclose(gram, np.eye(16), atol=1e-12)
 
     def test_alice_pair_is_maximally_mixed(self):
         state = four_qubit_product(BellLabel.PSI_PLUS, BellLabel.PHI_MINUS)
@@ -147,7 +143,7 @@ class TestProducts:
         )
         assert state.labels == (1, 3, 6, 8)
         rho16 = partial_trace(state, [1, 6])
-        ref = states.bell(BellLabel.PHI_MINUS).amplitudes
+        ref = bell(BellLabel.PHI_MINUS).amplitudes
         np.testing.assert_allclose(rho16.entries, np.outer(ref, ref.conj()), atol=1e-12)
 
     def test_bell_product_matches_explicit_tensor(self):
@@ -155,8 +151,8 @@ class TestProducts:
             BellLabel.PSI_MINUS, BellLabel.PHI_PLUS, (1, 2), (3, 4)
         )
         manual = tensor(
-            states.bell(BellLabel.PSI_MINUS, (1, 2)),
-            states.bell(BellLabel.PHI_PLUS, (3, 4)),
+            bell(BellLabel.PSI_MINUS, (1, 2)),
+            bell(BellLabel.PHI_PLUS, (3, 4)),
         )
         np.testing.assert_allclose(direct.amplitudes, manual.amplitudes, atol=1e-15)
 
@@ -165,13 +161,13 @@ class TestEightQubitInitial:
     def test_labels_and_norm(self):
         state = eight_qubit_initial()
         assert state.labels == tuple(range(1, 9))
-        assert state.norm() == pytest.approx(1.0)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0)
 
     def test_singlet_correlations_on_each_pair(self):
         state = eight_qubit_initial()
         for pair in [(1, 2), (3, 4), (5, 6), (7, 8)]:
             rho = partial_trace(state, pair)
-            sm = states.bell(BellLabel.PSI_MINUS).amplitudes
+            sm = bell(BellLabel.PSI_MINUS).amplitudes
             np.testing.assert_allclose(
                 rho.entries, np.outer(sm, sm.conj()), atol=1e-12
             )
@@ -179,8 +175,8 @@ class TestEightQubitInitial:
     def test_source_product_places_labels(self):
         state = source_product(BellLabel.PHI_MINUS, BellLabel.PHI_PLUS)
         # first source label sits on (1,2) and (5,6), second on (3,4) and (7,8)
-        pm = states.bell(BellLabel.PHI_MINUS).amplitudes
-        pp = states.bell(BellLabel.PHI_PLUS).amplitudes
+        pm = bell(BellLabel.PHI_MINUS).amplitudes
+        pp = bell(BellLabel.PHI_PLUS).amplitudes
         for pair, ref in [((1, 2), pm), ((5, 6), pm), ((3, 4), pp), ((7, 8), pp)]:
             rho = partial_trace(state, pair)
             np.testing.assert_allclose(rho.entries, np.outer(ref, ref.conj()), atol=1e-12)

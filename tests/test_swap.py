@@ -7,28 +7,31 @@ import pytest
 from oracle import (
     ALICE_PAIR,
     BOB_PAIR,
+    KEPT_QUBITS,
     ROBOT_PAIRS,
+    bell,
     bell_measurement_pair,
     beta_quantum,
     cell_operator,
     class_state,
     dense_swap,
+    density_behavior,
     density_expectation,
     eight_qubit_initial,
     fidelity_with_pure,
     identify_bell_product,
     partial_trace,
     post_robot_state,
+    premeasurement_state,
     reduced_pair_product,
     robot_outcome_distribution,
     source_product,
 )
 
-from nlbox import inequalities, states
-from nlbox.inequalities import NUM_EXPRESSIONS, product_kets
-from nlbox.states import BELL_ORDER, BellLabel
+from nlbox import inequalities
+from nlbox.inequalities import NUM_EXPRESSIONS, C, product_counts
+from nlbox.states import BELL_ORDER, BellLabel, product_index
 from nlbox.swap import (
-    KEPT_QUBITS,
     ROBOT_OUTCOMES,
     RobotOutcome,
     class_map,
@@ -58,10 +61,10 @@ class TestOutcomeDistribution:
         # with uniform 1/4 branches, rand in [k/4, (k+1)/4) picks branch k
         outcome, post = bell_measurement_pair(state, 0.10, 0.60)
         assert outcome == RobotOutcome(BELL_ORDER[0], BELL_ORDER[2])
-        assert post.norm() == pytest.approx(1.0)
+        assert np.linalg.norm(post.amplitudes) == pytest.approx(1.0)
         # the measured pair really is in the reported Bell state afterwards
         rho = partial_trace(post, ROBOT_PAIRS[0])
-        assert fidelity_with_pure(rho, states.bell(outcome.first)) == pytest.approx(
+        assert fidelity_with_pure(rho, bell(outcome.first)) == pytest.approx(
             1.0, abs=1e-10
         )
 
@@ -109,9 +112,11 @@ class TestClassMap:
             assert entry.probability == 1 / 16
             assert fidelity_with_pure(rho, class_state(entry)) >= 1 - 1e-9
             assert entry.resulting_state == identify_bell_product(rho)
-            # the package's table row of the product is the labeled state
-            ket = product_kets()[states.product_index(*entry.resulting_state)]
-            np.testing.assert_allclose(ket, class_state(entry).amplitudes, rtol=0, atol=1e-15)
+            # the package's table row of the product is the Born behavior
+            # of the collapsed state on Alice's (1, 3) and Bob's (6, 8)
+            row = product_counts()[product_index(*entry.resulting_state)]
+            born = 16 * density_behavior(rho, ALICE_PAIR, BOB_PAIR)
+            np.testing.assert_allclose(born, row, rtol=0, atol=1e-12)
 
     def test_outcome_order(self):
         assert ROBOT_OUTCOMES[0] == RobotOutcome(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
@@ -122,20 +127,30 @@ class TestClassMap:
 
     def test_identify_rejects_mixed_state(self):
         with pytest.raises(RuntimeError, match="no Bell-state product"):
-            identify_bell_product(premeasurement_marginal())
+            identify_bell_product(premeasurement_state())
 
 
 class TestPremeasurementMarginal:
     def test_maximally_mixed(self):
-        rho = premeasurement_marginal()
+        # 256 p = 16 in every entry: uniformly random outcomes in every cell;
+        # the oracle's mixture of dense class states is I/16 and has the
+        # same Born behavior
+        marginal = premeasurement_marginal()
+        assert marginal.dtype == np.int64
+        assert np.array_equal(marginal, np.full(144, 16))
+        rho = premeasurement_state()
         np.testing.assert_allclose(rho.entries, np.eye(16) / 16.0, atol=1e-10)
         purity = np.trace(rho.entries @ rho.entries).real
         assert purity == pytest.approx(1 / 16.0, abs=1e-10)
+        born = 256 * density_behavior(rho, ALICE_PAIR, BOB_PAIR)
+        np.testing.assert_allclose(born, marginal, rtol=0, atol=1e-10)
 
     def test_every_expression_averages_to_zero(self, reference_doc):
-        # two routes: operator expectation on the mixed marginal, and the
-        # reference table's column means (each class contributes 1/16)
-        rho = premeasurement_marginal()
+        # three routes: the package's integer values, operator expectation
+        # on the oracle's mixed state, and the reference table's column
+        # means (each class contributes 1/16)
+        assert np.array_equal(C @ premeasurement_marginal(), np.zeros(NUM_EXPRESSIONS))
+        rho = premeasurement_state()
         ref = np.array(reference_doc["values"], dtype=float)
         for k in range(1, NUM_EXPRESSIONS + 1):
             signs = inequalities.sign_table(k)
