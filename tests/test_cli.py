@@ -18,6 +18,13 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def corrupt_reference(monkeypatch):
+    """Make the reference value of PP.SP on expression 6 read 4 instead of -3."""
+    broken = json.loads(json.dumps(cli.load_reference_table()))
+    broken["values"][2][5] = 4.0
+    monkeypatch.setattr(cli, "load_reference_table", lambda: broken)
+
+
 class TestVerifyTable3:
     def test_json_report(self, capsys):
         code, doc = run_json(capsys, ["verify-table3"])
@@ -53,10 +60,7 @@ class TestVerifyTable3:
         assert doc["ok"] is True
 
     def test_detects_a_corrupted_reference(self, capsys, monkeypatch):
-        real = cli.load_reference_table()
-        broken = json.loads(json.dumps(real))
-        broken["values"][2][5] = 4.0
-        monkeypatch.setattr(cli, "load_reference_table", lambda: broken)
+        corrupt_reference(monkeypatch)
         code, doc = run_json(capsys, ["verify-table3"])
         assert code == 1
         assert doc["ok"] is False
@@ -282,7 +286,7 @@ class TestParsing:
 
 
 class TestGoldenOutput:
-    """The exact reports, captured once; sample output is not pinned."""
+    """The exact reports and sample summaries, captured once."""
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -300,6 +304,28 @@ class TestGoldenOutput:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sample_summary_is_byte_identical(self, tmp_path, capsys, fmt):
+        # 400 shots at seed 0: 5 of 16 classes have an empty cell
+        out_dir = tmp_path / "run"
+        argv = ["sample", "--shots", "400", "--seed", "0", "--format", fmt]
+        assert main(argv + ["--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        golden = (GOLDEN / f"sample-summary-400-0.{fmt}").read_bytes()
+        assert (out_dir / f"summary.{fmt}").read_bytes() == golden
+
+    @pytest.mark.parametrize(
+        "fmt, name", [("json", "verify-table3-corrupted.json"), ("csv", "verify-table3.csv")]
+    )
+    def test_failed_verification_is_byte_identical(self, capsys, monkeypatch, fmt, name):
+        # the CSV report holds only the computed values, so it does not change
+        corrupt_reference(monkeypatch)
+        assert main(["verify-table3", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.encode("utf-8") == (GOLDEN / name).read_bytes()
+        stderr = (GOLDEN / "verify-table3-corrupted.stderr").read_bytes()
+        assert captured.err.encode("utf-8") == stderr
 
 
 class TestAtomicWrites:
