@@ -262,11 +262,20 @@ class TestSample:
         capsys.readouterr()
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("bad", ["0", "-3", "abc"])
-    def test_rejects_bad_shot_counts(self, bad):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("0", "must be a positive integer"),
+            ("-3", "must be a positive integer"),
+            ("abc", "'abc' is not an integer"),
+        ],
+        ids=["0", "-3", "abc"],
+    )
+    def test_rejects_bad_shot_counts(self, capsys, bad, message):
         with pytest.raises(SystemExit) as exc:
             main(["sample", "--shots", bad])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --shots: {message}\n")
 
 
 class TestParsing:
@@ -275,14 +284,27 @@ class TestParsing:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_negative_seed_rejected(self):
+    def test_negative_seed_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sample", "--seed", "-1"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --seed: seed must be non-negative\n")
+
+    def test_report_schema_is_not_the_reference_schema(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "REPORT_SCHEMA_VERSION", 2)
+        code, doc = run_json(capsys, ["verify-table3"])
+        assert code == 0
+        assert doc["schema_version"] == 2
+        assert cli.load_reference_table()["schema_version"] == 1
 
     def test_sig12_rounding(self):
         assert sig12(1 / 3) == 0.333333333333
         assert sig12(9.000000000000001) == 9.0
+
+    def test_csv_cell_rules(self):
+        cells = [cli._cell(v) for v in (True, False, None, 1 / 3, 9.0, ["++", "+-"], 7)]
+        assert cells == ["true", "false", "", "0.333333333333", "9", "++|+-", "7"]
 
 
 class TestGoldenOutput:

@@ -8,6 +8,9 @@ tests belongs in ``tests/oracle.py`` or nowhere.
 
 The package is integer-only: it holds no complex number and no ket; the
 dense complex route lives in ``tests/oracle.py``.
+
+The CLI writes its reports in one place: only the renderer serializes JSON
+or joins fields with a separator, and no command reads ``--format``.
 """
 
 import ast
@@ -89,3 +92,41 @@ def test_package_is_integer_only():
         f"{module} {use}" for module, tree in _modules().items() for use in _complex_uses(tree)
     ]
     assert found == [], f"complex numbers in the package: {found}"
+
+
+RENDERER = ("_render", "_cell")
+
+
+def _hand_written_reports(tree: ast.Module) -> list[str]:
+    """``json.dump(s)`` and joins with a non-empty separator outside the
+    renderer, and reads of ``.format`` inside a ``cmd_*`` function."""
+    found = []
+    for stmt in tree.body:
+        name = getattr(stmt, "name", "")
+        if name in RENDERER:
+            continue
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = node.value
+            if node.attr in ("dump", "dumps") and getattr(owner, "id", None) == "json":
+                found.append(f"line {node.lineno}: json.{node.attr}")
+            elif node.attr == "join" and isinstance(owner, ast.Constant) and owner.value:
+                found.append(f"line {node.lineno}: {owner.value!r}.join")
+            elif node.attr == "format" and name.startswith("cmd_"):
+                found.append(f"line {node.lineno}: {name} reads .format")
+    return found
+
+
+def test_cli_reports_are_rendered_in_one_place():
+    sample = (
+        "def cmd_x(args):\n"
+        "    if args.format == 'json':\n"
+        "        return json.dumps({})\n"
+        "    return ','.join(['a']) + ''.join([])\n"
+        "def _render(fmt, report):\n"
+        "    return json.dumps(report) + '|'.join([])\n"
+    )
+    assert len(_hand_written_reports(ast.parse(sample))) == 3
+    found = _hand_written_reports(_modules()["cli.py"])
+    assert found == [], f"report text written outside the renderer: {found}"
