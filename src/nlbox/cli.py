@@ -219,12 +219,11 @@ def cmd_sample(args) -> Report:
     classes = []
     entries = sampler.protocol_tables(args.sources).entries
     for entry, counts in zip(entries, sampler.class_counts(codes)):
-        cells = counts.reshape(3, 3, 16).sum(axis=2)
-        beta_hat, empty = None, []
         try:
-            beta_hat = sig12(sampler.estimate_beta(counts, entry.matched_inequality)[0])
+            beta_hat, cells = sampler.estimate_beta(counts, entry.matched_inequality)
+            beta_hat, empty = sig12(beta_hat), []
         except sampler.InsufficientSamplesError as err:
-            empty = err.cells
+            beta_hat, empty, cells = None, err.cells, err.grid
         classes.append(
             {
                 "robot_outcome": list(entry.outcome.codes),

@@ -4,8 +4,9 @@ The scenario has two parties, three settings each, four outcomes each, so
 a party has 4**3 = 64 deterministic strategies and the local polytope has
 4096 vertices.  Everything here is exact: expression values over
 strategies are the integer products of the vertex matrix with the
-coefficient rows, and ranks are computed by fraction-free integer
-elimination, never floating point.
+coefficient rows, and the two ranks that certify all sixteen facets, of
+the 64x12 party table and of expression 1's saturators, are computed by
+fraction-free integer elimination, never floating point.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ class FacetReport:
 def party_strategies() -> tuple[tuple[int, int, int], ...]:
     """All 64 single-party strategies, in lexicographic order."""
     return tuple(itertools.product(range(4), repeat=3))
+
+
+def party_table() -> np.ndarray:
+    """64x12 one-hot table: entry [s, 4x + a] is 1 where strategy s answers a to x."""
+    return np.eye(4, dtype=np.int64)[list(party_strategies())].reshape(-1, 12)
 
 
 @lru_cache(maxsize=NUM_EXPRESSIONS)
@@ -89,8 +95,7 @@ def vertex_matrix() -> np.ndarray:
     (Alice-major).  Column layout: cell (x, y) contributes the 16 entries
     p(a, b | x, y) at offset 16*(3x + y) + 4a + b.
     """
-    # onehot[s, setting, outcome] is 1 where strategy s answers outcome
-    onehot = (np.array(party_strategies())[:, :, None] == np.arange(4)).astype(np.int64)
+    onehot = party_table().reshape(NUM_PARTY_STRATEGIES, 3, 4)
     # rows[f, g, x, y, a, b] = onehot[f, x, a] * onehot[g, y, b]
     rows = (
         onehot[:, None, :, None, :, None] * onehot[None, :, None, :, None, :]
@@ -162,8 +167,12 @@ def affine_dimension(points: np.ndarray) -> int:
 
 @lru_cache(maxsize=1)
 def polytope_affine_dim() -> int:
-    """Affine dimension of the local polytope, from all 4096 vertices."""
-    return affine_dimension(vertex_matrix())
+    """Affine dimension of the local polytope, r**2 - 1 for r = rank of the party table.
+
+    Up to column order each vertex row is a tensor product of two table rows,
+    so rank r**2, and sums to 9, so the hull misses the origin: one dim less.
+    """
+    return integer_rank(party_table()) ** 2 - 1
 
 
 def saturating_vertices(index: int) -> np.ndarray:
@@ -172,24 +181,36 @@ def saturating_vertices(index: int) -> np.ndarray:
     return vertex_matrix()[values == values.max()]
 
 
+@lru_cache(maxsize=1)
+def _orbit_of_one() -> tuple[np.ndarray, int]:
+    """Expression 1 under the 64 relabelings a -> a ^ f_x of Alice's outcomes,
+    f = ``party_strategies()[s]`` in row s, and its saturators' affine dimension.
+    A relabeling permutes columns and vertices, so each image shares that dimension.
+    """
+    x, y, a, b = np.indices((3, 3, 4, 4))
+    cols = 16 * (3 * x + y) + 4 * (a ^ np.array(party_strategies())[:, x]) + b
+    return coefficients(1)[cols.reshape(-1, 144)], affine_dimension(saturating_vertices(1))
+
+
 def facet_check(index: int) -> FacetReport:
     """Certify whether an expression supports a facet of the local polytope.
 
     The expression is a facet iff its saturating vertices span an affine
-    subspace of dimension exactly one less than the polytope's.
+    subspace of dimension exactly one less than the polytope's.  The row
+    must equal a relabeling of expression 1, whose saturator dimension it
+    then shares, or this raises ``RuntimeError``.
     """
+    images, sat_dim = _orbit_of_one()
+    if not (images == coefficients(index)).all(axis=1).any():
+        raise RuntimeError(f"expression {index} is not a relabeling of expression 1")
     bound, witness = lhv_bound(index)
-    sat = saturating_vertices(index)
-    if sat.shape[0] == 0:
-        raise RuntimeError(f"expression {index} has no saturating vertex")
     d = polytope_affine_dim()
-    sat_dim = affine_dimension(sat)
     return FacetReport(
         index=index,
         lhv_max=bound,
         witness=witness,
         polytope_affine_dim=d,
         saturator_affine_dim=sat_dim,
-        num_saturators=int(sat.shape[0]),
+        num_saturators=int(np.count_nonzero(vertex_values(index) == bound)),
         is_facet=sat_dim == d - 1,
     )

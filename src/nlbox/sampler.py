@@ -38,8 +38,8 @@ NUM_CODES = 9 * 256
 class InsufficientSamplesError(ValueError):
     """An estimate needs at least one event in every cell of the 3x3 grid."""
 
-    def __init__(self, cells: list[tuple[int, int]]):
-        self.cells = cells
+    def __init__(self, cells: list[tuple[int, int]], grid: np.ndarray):
+        self.cells, self.grid = cells, grid  # the empty cells, the 3x3 event counts
         super().__init__(f"no events in cells {cells}")
 
 
@@ -110,12 +110,12 @@ def estimate_beta(counts: np.ndarray, index: int) -> tuple[float, np.ndarray]:
     """Estimate an expression value from one class's 144 event counts.
 
     Returns the estimate and the 3x3 matrix of per-cell event counts.
-    Raises InsufficientSamplesError when any cell has no event at all;
-    an empty cell cannot be silently skipped without biasing the sum.
+    Raises InsufficientSamplesError, carrying that matrix, when a cell has
+    no event at all; an empty cell cannot be skipped without biasing the sum.
     """
     cells = counts.reshape(3, 3, 16).sum(axis=2)
     empty = [(int(i), int(j)) for i, j in np.argwhere(cells == 0)]
     if empty:
-        raise InsufficientSamplesError(empty)
+        raise InsufficientSamplesError(empty, cells)
     signed = (coefficients(index) * counts).reshape(3, 3, 16).sum(axis=2)
     return float(np.sum(signed / cells)), cells

@@ -70,11 +70,22 @@ def test_criterion_02_deterministic_maxima():
 
 
 def test_criterion_03_facet_dimension():
-    """Saturating vertices span affine dimension exactly dim(polytope) - 1."""
-    d = polytope.polytope_affine_dim()
+    """Saturating vertices span affine dimension exactly dim(polytope) - 1.
+
+    Both dimensions are ranked directly: all 4095 vertex differences, and
+    each expression's own saturators; the certificates must agree."""
+    verts = polytope.vertex_matrix()
+    d = polytope.integer_rank(verts[1:] - verts[0])
     reports = [polytope.facet_check(k) for k in range(1, NUM_EXPRESSIONS + 1)]
-    sat_dims = sorted({r.saturator_affine_dim for r in reports})
-    ok = all(r.is_facet and r.saturator_affine_dim == d - 1 for r in reports)
+    direct = [
+        polytope.integer_rank(sat[1:] - sat[0])
+        for sat in (verts[polytope.vertex_values(r.index) == 7] for r in reports)
+    ]
+    sat_dims = sorted(set(direct))
+    ok = d == polytope.polytope_affine_dim() and all(
+        r.is_facet and r.saturator_affine_dim == dim == d - 1
+        for r, dim in zip(reports, direct)
+    )
     _report(
         3,
         ok,

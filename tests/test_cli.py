@@ -109,6 +109,40 @@ class TestBounds:
         capsys.readouterr()
         assert sorted(calls) == list(range(1, 17))
 
+    def test_ranks_twice(self, capsys, monkeypatch):
+        # one rank for the polytope, one for expression 1's saturators
+        calls = []
+        real = polytope.integer_rank
+        monkeypatch.setattr(polytope, "integer_rank", lambda m: calls.append(m.shape) or real(m))
+        polytope.polytope_affine_dim.cache_clear()
+        polytope._orbit_of_one.cache_clear()
+        assert main(["bounds"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 2
+        assert max(rows for rows, _ in calls) <= 144
+
+    def test_an_expression_off_the_orbit_is_an_error(self, capsys, monkeypatch):
+        # expression 5 with the sign of cell (1, 2) flipped is no relabeling
+        # of expression 1
+        real = polytope.coefficients
+
+        def flipped(k):
+            row = real(k).copy()
+            if k == 5:
+                row[16 * 5 : 16 * 6] *= -1
+            return row
+
+        monkeypatch.setattr(polytope, "coefficients", flipped)
+        polytope.vertex_values.cache_clear()
+        try:
+            code = main(["bounds"])
+        finally:
+            polytope.vertex_values.cache_clear()
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: expression 5 is not a relabeling of expression 1\n"
+
     def test_out_below_a_file_is_an_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")

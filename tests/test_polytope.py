@@ -15,6 +15,7 @@ from nlbox.inequalities import (
     coefficients,
     sign_table,
 )
+from nlbox.observables import ALICE_PAULIS
 from nlbox.polytope import (
     NUM_JOINT_STRATEGIES,
     NUM_PARTY_STRATEGIES,
@@ -25,11 +26,13 @@ from nlbox.polytope import (
     lhv_bound,
     ns_bound,
     party_strategies,
+    party_table,
     polytope_affine_dim,
     saturating_vertices,
     vertex_matrix,
     vertex_values,
 )
+from nlbox.states import FRAMES, PRODUCT_LABELS
 
 
 def fraction_rank(mat) -> int:
@@ -134,17 +137,21 @@ class TestVertices:
         assert len({row.tobytes() for row in np.ascontiguousarray(verts)}) == 4096
 
     def test_affine_dim_matches_product_formula(self):
-        # independent route: the interval algebra gives
-        # dim = d_A + d_B + d_A d_B with per-party dims from one-hot tables
+        # the package takes r**2 - 1 from the 64x12 party table; the
+        # independent route ranks all 4095 vertex differences directly
+        direct = integer_rank(vertex_matrix()[1:] - vertex_matrix()[0])
+        assert direct == polytope_affine_dim() == 99
+        # and the per-party dims, from a one-hot table built by loop, give
+        # dim = d_A + d_B + d_A d_B
         singles = party_strategies()
         onehot = np.zeros((NUM_PARTY_STRATEGIES, 12), dtype=np.int64)
         for s, strat in enumerate(singles):
             for setting in range(3):
                 onehot[s, 4 * setting + strat[setting]] = 1
+        assert np.array_equal(onehot, party_table())
         d_party = affine_dimension(onehot)
         assert d_party == 9
-        assert polytope_affine_dim() == d_party + d_party + d_party * d_party
-        assert polytope_affine_dim() == 99
+        assert direct == d_party + d_party + d_party * d_party
 
 
 class TestBounds:
@@ -197,6 +204,41 @@ class TestFacets:
             assert report.polytope_affine_dim == 99
             assert report.saturator_affine_dim == 98
             assert report.is_facet
+
+    def test_saturator_dims_match_direct_ranks(self):
+        # the package ranks expression 1's saturators and reuses the result
+        # for every relabeling; here each saturator set is ranked on its own
+        for k in range(1, NUM_EXPRESSIONS + 1):
+            sat = vertex_matrix()[vertex_values(k) == 7]
+            report = facet_check(k)
+            assert integer_rank(sat[1:] - sat[0]) == report.saturator_affine_dim == 98
+            assert sat.shape[0] == report.num_saturators
+
+    def test_every_expression_is_a_relabeling_of_expression_one(self):
+        # flipping Alice's outcome a -> a ^ f_x, one f per setting, by loop
+        base = coefficients(1).reshape(3, 3, 4, 4)
+        hits = {}
+        for f in party_strategies():
+            image = np.zeros_like(base)
+            for x, y, a, b in itertools.product(range(3), range(3), range(4), range(4)):
+                image[x, y, a, b] = base[x, y, a ^ f[x], b]
+            for k in range(1, NUM_EXPRESSIONS + 1):
+                if np.array_equal(image.reshape(144), coefficients(k)):
+                    hits.setdefault(k, []).append(f)
+        assert sorted(hits) == list(range(1, NUM_EXPRESSIONS + 1))
+        assert all(len(fs) == 1 and fs[0][2] == fs[0][0] ^ fs[0][1] for fs in hits.values())
+
+        # the flip is the matched product's Pauli frame read through Alice's
+        # strings: bit m of f_x is set where her mask-m string at setting x
+        # anticommutes with X^x Z^z of the pairs' frames
+        def flipped(string, frames):
+            pairs = zip(string, frames)
+            return sum((p in "ZY") * fx + (p in "XY") * fz for p, (fx, fz) in pairs) % 2
+
+        for k, (f,) in hits.items():
+            frames = [FRAMES[label] for label in PRODUCT_LABELS[k - 1]]
+            want = [2 * flipped(hi, frames) + flipped(lo, frames) for hi, lo, _ in ALICE_PAULIS]
+            assert list(f) == want
 
     def test_saturators_of_expression_one(self):
         sat = saturating_vertices(1)

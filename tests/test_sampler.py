@@ -186,6 +186,9 @@ class TestEstimation:
         with pytest.raises(InsufficientSamplesError) as exc:
             estimate_beta(behavior_counts(events), 1)
         assert exc.value.cells == [(2, 2)]
+        grid = np.ones((3, 3), dtype=np.int64)
+        grid[2, 2] = 0
+        np.testing.assert_array_equal(exc.value.grid, grid)
 
     def test_mismatched_expression_estimates_track_reference(self, reference_doc):
         # events from one class, scored against expressions they do not
