@@ -14,29 +14,25 @@ vertex, or the event counts of a sampled class.  The Born behaviors are
 integers by construction: the parties measure the rows and columns of the
 Mermin-Peres square, signed Pauli strings whose expectations on a Bell
 product are 0 or +-1, read off the pairs' Pauli frames.  The package
-holds no complex number.
+holds no complex number, and only ``nlbox.sampler`` imports numpy.
 """
 
 from .inequalities import C, coefficient_rows, coefficients, product_counts
 from .polytope import facet_check, lhv_bound, ns_bound
-from .sampler import class_counts, estimate_beta, sample_events
 from .states import BellLabel
 from .swap import class_map, premeasurement_marginal
 
 __all__ = [
     "BellLabel",
     "C",
-    "class_counts",
     "class_map",
     "coefficient_rows",
     "coefficients",
-    "estimate_beta",
     "facet_check",
     "lhv_bound",
     "ns_bound",
     "premeasurement_marginal",
     "product_counts",
-    "sample_events",
 ]
 
 __version__ = "0.1.0"

@@ -19,9 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
-from . import inequalities, polytope, sampler, swap
+from . import inequalities, polytope, swap
 from .observables import OUTCOME_BITS, OUTCOMES
 from .states import BELL_ORDER, PRODUCT_LABELS, bell_label_from_code
 
@@ -104,18 +102,20 @@ def cmd_verify_table3(args) -> Report:
     The values are computed in sixteenths, as integers, so the comparison
     with the reference is exact.
     """
-    expected = np.array(load_reference_table()["values"], dtype=float)
-    sixteenths = inequalities.product_counts() @ inequalities.C.T
-    values = [[sig12(v) for v in row] for row in sixteenths / 16]
+    products, reference = inequalities.product_counts(), load_reference_table()["values"]
+    sixteenths = [[inequalities.dot(p, row) for row in inequalities.C] for p in products]
+    values = [[sig12(v / 16) for v in row] for row in sixteenths]
     states = [f"{first.code}.{second.code}" for first, second in PRODUCT_LABELS]
     mismatches = [
         {
             "state": states[row],
-            "expression": int(col) + 1,
+            "expression": col + 1,
             "computed": values[row][col],
-            "expected": expected[row, col],
+            "expected": float(expected),
         }
-        for row, col in zip(*np.nonzero(sixteenths != 16 * expected))
+        for row, (got, want) in enumerate(zip(sixteenths, reference, strict=True))
+        for col, (v, expected) in enumerate(zip(got, want, strict=True))
+        if v != 16 * expected
     ]
     doc = {
         "command": "verify-table3",
@@ -190,8 +190,8 @@ def cmd_swap_map(args) -> Report:
     return Report(doc, header, rows, None if bijective else failure)
 
 
-def _event_text(codes: np.ndarray):
-    """events.csv in chunks of one sampler block."""
+def _event_text(codes, block: int):
+    """events.csv in chunks of ``block`` events."""
 
     def sign(v: int) -> str:
         return "+1" if v > 0 else "-1"
@@ -204,8 +204,8 @@ def _event_text(codes: np.ndarray):
         )
     ]
     yield "run_id,x,y,a1,a2,b1,b2,r1,r2\n"
-    for start in range(0, codes.size, sampler.BLOCK):
-        chunk = codes[start : start + sampler.BLOCK].tolist()
+    for start in range(0, len(codes), block):
+        chunk = codes[start : start + block].tolist()
         yield "".join(
             f"{run_id}{suffixes[code]}\n" for run_id, code in enumerate(chunk, start)
         )
@@ -213,9 +213,11 @@ def _event_text(codes: np.ndarray):
 
 def cmd_sample(args) -> Report:
     """Write the seeded events; report the per-class summary, which main writes."""
+    from . import sampler  # numpy: the only command that needs it imports it
+
     codes = sampler.sample_events(args.shots, args.seed, args.sources)
     events_path = Path(args.out) / "events.csv"
-    _write_atomic(events_path, _event_text(codes))
+    _write_atomic(events_path, _event_text(codes, sampler.BLOCK))
     classes = []
     entries = sampler.protocol_tables(args.sources).entries
     for entry, counts in zip(entries, sampler.class_counts(codes)):

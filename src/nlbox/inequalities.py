@@ -14,15 +14,17 @@ from the parties' signed Pauli strings and the pairs' Pauli frames with
 no float step.  Every entry is 0 or 2, so each product is the nonlocal
 box of its expression, 16 p = C[k] + 1.  Every expression is bounded by 7 for local
 deterministic models and by 9 algebraically; each product reaches 9 on
-exactly one expression, and ``product_counts() @ C.T`` is 16 times the
-table of all 256 values, in integers.
+exactly one expression, and the dot products of the rows of
+``product_counts()`` with those of ``C`` are 16 times the table of all 256
+values.  Every table here is a tuple of Python int tuples: exact, with no
+overflow, and immutable by type.
 """
 
 from __future__ import annotations
 
 import functools
-
-import numpy as np
+import itertools
+import operator
 
 from . import observables, states
 from .observables import MASKS, mask_value
@@ -44,8 +46,8 @@ _PAIRED_ROWS = (
 )
 
 
-def _expand_sign_tables() -> np.ndarray:
-    tables = np.zeros((NUM_EXPRESSIONS, 3, 3), dtype=np.int64)
+def _expand_sign_tables() -> tuple:
+    tables = [None] * NUM_EXPRESSIONS
     expand = {
         "upper": {"pm": 1, "mp": -1, "+": 1, "-": -1},
         "lower": {"pm": -1, "mp": 1, "+": 1, "-": -1},
@@ -53,16 +55,15 @@ def _expand_sign_tables() -> np.ndarray:
     for (upper_idx, lower_idx), entries in _PAIRED_ROWS:
         for variant, idx in (("upper", upper_idx), ("lower", lower_idx)):
             row = [expand[variant][e] for e in entries]
-            tables[idx - 1] = np.array(row, dtype=np.int64).reshape(3, 3)
-    return tables
+            tables[idx - 1] = (tuple(row[:3]), tuple(row[3:6]), tuple(row[6:]))
+    return tuple(tables)
 
 
 SIGN_TABLES = _expand_sign_tables()
-SIGN_TABLES.flags.writeable = False
 
 
-def sign_table(index: int) -> np.ndarray:
-    """3x3 sign table of expression ``index`` (1-based)."""
+def sign_table(index: int) -> tuple[tuple[int, ...], ...]:
+    """3x3 sign table of expression ``index`` (1-based), a tuple of rows."""
     if not 1 <= index <= NUM_EXPRESSIONS:
         raise ValueError(f"expression index {index} outside 1..{NUM_EXPRESSIONS}")
     return SIGN_TABLES[index - 1]
@@ -79,7 +80,7 @@ def mask_pattern(i: int, j: int) -> tuple[str, str]:
     return MASKS[j], MASKS[i]
 
 
-def coefficient_rows(sign_tables) -> np.ndarray:
+def coefficient_rows(sign_tables) -> tuple[tuple[int, ...], ...]:
     """Integer coefficient rows over the 144-entry behavior space.
 
     ``sign_tables`` has shape (n, 3, 3).  Row k holds, at column
@@ -87,35 +88,39 @@ def coefficient_rows(sign_tables) -> np.ndarray:
     of outcome a times Bob's masked bit of outcome b, so the row dotted
     with a behavior p(a, b | x, y) is the expression's value on it.
     """
-    signs = np.asarray(sign_tables, dtype=np.int64)
-    if signs.ndim != 3 or signs.shape[1:] != (3, 3):
-        raise ValueError(f"sign tables of shape {signs.shape}, expected (n, 3, 3)")
-    bits = np.zeros((3, 3, 4, 4), dtype=np.int64)
-    for x in range(3):
-        for y in range(3):
-            alice_mask, bob_mask = mask_pattern(x, y)
-            bits[x, y] = np.outer(
-                [mask_value(a, alice_mask) for a in range(4)],
-                [mask_value(b, bob_mask) for b in range(4)],
-            )
-    return (signs[:, :, :, None, None] * bits).reshape(len(signs), 144)
+    try:
+        signs = [[operator.index(s) for row in table for s in row] for table in sign_tables]
+        if any(len(table) != 3 or len(row) != 3 for table in sign_tables for row in table):
+            raise TypeError
+    except TypeError:
+        raise ValueError("expected integer sign tables of shape (n, 3, 3)") from None
+    cells = itertools.product(range(3), repeat=2)
+    bits = [
+        [mask_value(a, alice) * mask_value(b, bob) for a in range(4) for b in range(4)]
+        for alice, bob in itertools.starmap(mask_pattern, cells)
+    ]
+    return tuple(tuple(s * v for s, cell in zip(row, bits) for v in cell) for row in signs)
 
 
-# Row k - 1 is expression k; the columns follow polytope.vertex_matrix.
+# Row k - 1 is expression k; the columns follow polytope.saturating_vertices.
 C = coefficient_rows(SIGN_TABLES)
-C.flags.writeable = False
 
 
-def coefficients(index: int) -> np.ndarray:
+def coefficients(index: int) -> tuple[int, ...]:
     """Coefficient row of expression ``index`` (1-based)."""
     if not 1 <= index <= NUM_EXPRESSIONS:
         raise ValueError(f"expression index {index} outside 1..{NUM_EXPRESSIONS}")
     return C[index - 1]
 
 
+def dot(row, behavior) -> int:
+    """An integer row dotted with an integer behavior, exactly."""
+    return sum(map(operator.mul, row, behavior))
+
+
 @functools.cache
-def product_counts() -> np.ndarray:
-    """16 p(a, b | x, y) of every Bell product: a read-only 16x144 int64 array.
+def product_counts() -> tuple[tuple[int, ...], ...]:
+    """16 p(a, b | x, y) of every Bell product: 16 tuples of 144 ints.
 
     Row k - 1 is Bell product k, ``states.PRODUCT_LABELS[k - 1]`` = (first,
     second): bell(first) on the parties' first qubits and bell(second) on
@@ -125,21 +130,27 @@ def product_counts() -> np.ndarray:
     product each <A (x) B> is the product of one expectation per pair, and
     each of those is 0 or +-1, read off the pair's Pauli frame.
     """
-    # pair[f, P, Q] = <P (x) Q> on the Bell pair of frame f, in the letter
-    # order IXYZ: 0 unless P == Q; on Phi+ 1 for II, XX, ZZ and -1 for YY;
-    # the frame's z flips the sign of XX and YY, its x that of YY and ZZ.
-    frame_x, frame_z = np.array([states.FRAMES[label] for label in states.BELL_ORDER]).T
-    flips = np.outer(frame_z, [0, 1, 1, 0]) + np.outer(frame_x, [0, 0, 1, 1])
-    pair = (-1) ** flips[:, :, None] * np.diag([1, 1, -1, 1])
+    # pair[f][P] = <P (x) P> on the Bell pair of frame f, in the letter order
+    # IXYZ (<P (x) Q> is 0 for P != Q): on Phi+ 1 for II, XX, ZZ and -1 for
+    # YY; the frame's z flips the sign of XX and YY, its x that of YY and ZZ.
+    pair = [
+        (1, (-1) ** z, -((-1) ** (x ^ z)), (-1) ** x)
+        for x, z in (states.FRAMES[label] for label in states.BELL_ORDER)
+    ]
     alice_signs, alice = observables.pauli_table(observables.ALICE_PAULIS)
     bob_signs, bob = observables.pauli_table(observables.BOB_PAULIS)
-    # per-pair expectations [frame, x, m, y, n] on the first and second pair
-    first = pair[:, alice[:, :, None, None, 0], bob[None, None, :, :, 0]]
-    second = pair[:, alice[:, :, None, None, 1], bob[None, None, :, :, 1]]
-    chi = np.array([[1] * 4] + [[mask_value(a, m) for a in range(4)] for m in MASKS])
-    counts = np.einsum(
-        "xm,yn,fxmyn,gxmyn,ma,nb->fgxyab",
-        alice_signs, bob_signs, first, second, chi, chi,
-    ).reshape(16, 144)
-    counts.flags.writeable = False
-    return counts
+    chi = [(1,) * 4] + [tuple(mask_value(a, m) for a in range(4)) for m in MASKS]
+    rows = []
+    for first, second in itertools.product(pair, repeat=2):
+        row = []
+        for x, y in itertools.product(range(3), repeat=2):
+            # the nonzero <A_x^m (x) B_y^n>: the strings' letters agree on both pairs
+            terms = [
+                (chi[m], chi[n], alice_signs[x][m] * bob_signs[y][n] * first[p] * second[q])
+                for m, (p, q) in enumerate(alice[x])
+                for n, letters in enumerate(bob[y])
+                if letters == (p, q)
+            ]
+            row += [sum(v * s[a] * t[b] for s, t, v in terms) for a in range(4) for b in range(4)]
+        rows.append(tuple(row))
+    return tuple(rows)

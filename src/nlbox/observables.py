@@ -14,8 +14,6 @@ where chi_m(a) is the masked sign and P^00 the identity.
 
 from __future__ import annotations
 
-import numpy as np
-
 # Outcome labels in canonical order and the sign bits they carry.
 OUTCOMES = ("++", "+-", "-+", "--")
 OUTCOME_BITS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -42,15 +40,15 @@ def mask_value(outcome: int, mask: str) -> int:
     raise ValueError(f"invalid mask {mask!r}, expected one of {MASKS}")
 
 
-def pauli_table(strings) -> tuple[np.ndarray, np.ndarray]:
-    """Signs [setting, mask] and letters [setting, mask, qubit] of a party's strings.
+def pauli_table(strings) -> tuple[tuple, tuple]:
+    """Signs [setting][mask] and letters [setting][mask][qubit] of a party's strings.
 
-    The mask axis runs over 00, 10, 01, 11, so the identity comes first;
-    a letter is its index in ``PAULI_LETTERS``.
+    Both are tuples of int tuples.  The mask axis runs over 00, 10, 01, 11,
+    so the identity comes first; a letter is its index in ``PAULI_LETTERS``.
     """
     rows = [("II", *row) for row in strings]
-    signs = np.array([[-1 if s.startswith("-") else 1 for s in row] for row in rows])
-    letters = np.array(
-        [[[PAULI_LETTERS.index(c) for c in s.lstrip("-")] for s in row] for row in rows]
+    signs = tuple(tuple(-1 if s.startswith("-") else 1 for s in row) for row in rows)
+    letters = tuple(
+        tuple(tuple(PAULI_LETTERS.index(c) for c in s.lstrip("-")) for s in row) for row in rows
     )
     return signs, letters

@@ -2,25 +2,28 @@
 
 The scenario has two parties, three settings each, four outcomes each, so
 a party has 4**3 = 64 deterministic strategies and the local polytope has
-4096 vertices.  Everything here is exact: expression values over
-strategies are the integer products of the vertex matrix with the
-coefficient rows, and the two ranks that certify all sixteen facets, of
-the 64x12 party table and of expression 1's saturators, are computed by
-fraction-free integer elimination, never floating point.
+4096 vertices.  Everything here is exact and in Python integers: an
+expression's values on the vertices come from one 3x4 partial-sum table
+per Alice strategy, with no vertex matrix, and the two ranks that certify
+all sixteen facets, of the 64x12 party table and of expression 1's
+saturators, are computed by fraction-free integer elimination, never
+floating point.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .inequalities import NUM_EXPRESSIONS, coefficients, product_counts, sign_table
+from .inequalities import NUM_EXPRESSIONS, coefficients, dot, product_counts, sign_table
 
 NUM_PARTY_STRATEGIES = 64
 NUM_JOINT_STRATEGIES = NUM_PARTY_STRATEGIES**2
+# (x, y, a, b) of behavior column 16*(3x + y) + 4a + b, in column order
+_COLUMNS = tuple(itertools.product(range(3), range(3), range(4), range(4)))
 
 
 @dataclass(frozen=True)
@@ -47,27 +50,42 @@ def party_strategies() -> tuple[tuple[int, int, int], ...]:
     return tuple(itertools.product(range(4), repeat=3))
 
 
-def party_table() -> np.ndarray:
-    """64x12 one-hot table: entry [s, 4x + a] is 1 where strategy s answers a to x."""
-    return np.eye(4, dtype=np.int64)[list(party_strategies())].reshape(-1, 12)
+def party_table() -> tuple[tuple[int, ...], ...]:
+    """64x12 one-hot table: entry [s][4x + a] is 1 where strategy s answers a to x."""
+    return tuple(
+        tuple(int(a == s[x]) for x in range(3) for a in range(4)) for s in party_strategies()
+    )
 
 
 @lru_cache(maxsize=NUM_EXPRESSIONS)
-def vertex_values(index: int) -> np.ndarray:
-    """Exact values of expression ``index`` on all 4096 vertices, in row order."""
-    values = vertex_matrix() @ coefficients(index)
-    values.flags.writeable = False
-    return values
+def vertex_values(index: int) -> tuple[int, ...]:
+    """Exact values of expression ``index`` on all 4096 vertices, Alice-major.
+
+    Alice's strategy f fixes her outcome in every cell, which leaves the
+    3x4 table t[y][b] = sum_x row[16*(3x + y) + 4 f_x + b]; the value at
+    Bob's strategy g is then t[0][g_0] + t[1][g_1] + t[2][g_2].
+    """
+    row = coefficients(index)
+    # quad[12x + 4y + a]: Bob's four coefficients in cell (x, y) when Alice answers a
+    quad = [row[k : k + 4] for k in range(0, 144, 4)]
+    values = []
+    for f in party_strategies():
+        t0, t1, t2 = (
+            [sum(b) for b in zip(*(quad[12 * x + 4 * y + f[x]] for x in range(3)))]
+            for y in range(3)
+        )
+        pairs = [u + v for u in t0 for v in t1]
+        values += [u + w for u in pairs for w in t2]
+    return tuple(values)
 
 
 def lhv_bound(index: int) -> tuple[int, DeterministicStrategy]:
     """Exact deterministic maximum of an expression and a witness strategy."""
     values = vertex_values(index)
-    flat = int(np.argmax(values))
-    f, g = divmod(flat, NUM_PARTY_STRATEGIES)
+    bound = max(values)
+    f, g = divmod(values.index(bound), NUM_PARTY_STRATEGIES)
     singles = party_strategies()
-    witness = DeterministicStrategy(singles[f], singles[g])
-    return int(values[flat]), witness
+    return bound, DeterministicStrategy(singles[f], singles[g])
 
 
 def ns_bound(index: int) -> int:
@@ -77,8 +95,8 @@ def ns_bound(index: int) -> int:
     Bell-state product must reach it exactly, in sixteenths; a miss
     signals a construction bug.
     """
-    bound = int(np.abs(sign_table(index)).sum())
-    attained = int(product_counts()[index - 1] @ coefficients(index))
+    bound = sum(abs(s) for row in sign_table(index) for s in row)
+    attained = dot(product_counts()[index - 1], coefficients(index))
     if attained != 16 * bound:
         raise RuntimeError(
             f"expression {index}: matched state reaches {attained / 16}, "
@@ -87,82 +105,45 @@ def ns_bound(index: int) -> int:
     return bound
 
 
-@lru_cache(maxsize=1)
-def vertex_matrix() -> np.ndarray:
-    """All 4096 vertex behaviors as rows of a 0/1 matrix.
+def integer_rank(mat) -> int:
+    """Exact rank over the rationals of an integer matrix, given as rows.
 
-    Row order matches the flattening of the 64x64 strategy grid
-    (Alice-major).  Column layout: cell (x, y) contributes the 16 entries
-    p(a, b | x, y) at offset 16*(3x + y) + 4a + b.
+    Fraction-free elimination on Python integers, which cannot overflow:
+    each row, kept sparse, is reduced against the pivot row of its leading
+    column, r -> (p r - c pivot) / gcd(p, c), and divided by the gcd of its
+    entries; it becomes a pivot row if anything is left.  Raises
+    ``ValueError`` unless ``mat`` is a sequence of rows of integers.
     """
-    onehot = party_table().reshape(NUM_PARTY_STRATEGIES, 3, 4)
-    # rows[f, g, x, y, a, b] = onehot[f, x, a] * onehot[g, y, b]
-    rows = (
-        onehot[:, None, :, None, :, None] * onehot[None, :, None, :, None, :]
-    ).reshape(NUM_JOINT_STRATEGIES, 144)
-    rows.flags.writeable = False
-    return rows
+    try:
+        rows = [{j: operator.index(v) for j, v in enumerate(row) if v} for row in mat]
+    except TypeError:
+        raise ValueError("expected a 2-d integer matrix") from None
+    pivots = {}  # leading column -> pivot row
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.setdefault(lead, row)
+            if pivot is row:
+                break
+            g = math.gcd(pivot[lead], row[lead])
+            p, c = pivot[lead] // g, row[lead] // g
+            row = {j: p * v for j, v in row.items()}
+            for j, v in pivot.items():
+                row[j] = row.get(j, 0) - c * v
+                if not row[j]:
+                    del row[j]
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {j: v // g for j, v in row.items()}
+    return len(pivots)
 
 
-def integer_rank(mat: np.ndarray) -> int:
-    """Exact rank over the rationals of an integer matrix.
-
-    Fraction-free Gaussian elimination with gcd normalization; rows are
-    promoted to Python integers if entries would overflow 64-bit products,
-    so the result is never a floating-point estimate.
-    """
-    a = np.array(mat, dtype=np.int64, copy=True)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    nrows, ncols = a.shape
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        prow = a[rank].copy()
-        pval = int(prow[col])
-        below = a[rank + 1 :]
-        coeffs = below[:, col]
-        hit = coeffs != 0
-        if hit.any():
-            # int64 products must stay below 2**62; the guard promotes to
-            # arbitrary precision instead of wrapping around.  The bound is
-            # computed in Python integers so it cannot itself overflow.
-            bound = int(np.abs(below[hit]).max()) * abs(pval) + int(
-                np.abs(coeffs[hit]).max()
-            ) * int(np.abs(prow).max())
-            if a.dtype == np.int64 and bound >= 2**62:
-                a = a.astype(object)
-                prow = a[rank].copy()
-                below = a[rank + 1 :]
-                coeffs = below[:, col]
-            below[hit] = below[hit] * pval - np.outer(coeffs[hit], prow)
-            if a.dtype == np.int64:
-                reduced = np.abs(below[hit])
-                big = reduced.max(axis=1) >= 2**20
-                if big.any():
-                    idx = np.nonzero(hit)[0][big]
-                    g = np.gcd.reduce(np.abs(below[idx]), axis=1)
-                    g[g == 0] = 1
-                    below[idx] //= g[:, None]
-        rank += 1
-    return rank
-
-
-def affine_dimension(points: np.ndarray) -> int:
+def affine_dimension(points) -> int:
     """Affine dimension of a set of integer points (rank of differences)."""
-    points = np.asarray(points)
-    if points.shape[0] == 0:
+    if len(points) == 0:
         raise ValueError("no points given")
-    if points.shape[0] == 1:
-        return 0
-    return integer_rank(points[1:] - points[0])
+    first = points[0]
+    return integer_rank([[p - q for p, q in zip(point, first)] for point in points[1:]])
 
 
 @lru_cache(maxsize=1)
@@ -175,21 +156,33 @@ def polytope_affine_dim() -> int:
     return integer_rank(party_table()) ** 2 - 1
 
 
-def saturating_vertices(index: int) -> np.ndarray:
-    """Vertex rows whose expression value equals the deterministic maximum."""
+def saturating_vertices(index: int) -> tuple[tuple[int, ...], ...]:
+    """Behaviors of the vertices where the expression reaches its deterministic maximum.
+
+    Vertex (f, g) is party_table()[f][4x + a] * party_table()[g][4y + b] at
+    column 16*(3x + y) + 4a + b.
+    """
     values = vertex_values(index)
-    return vertex_matrix()[values == values.max()]
+    table, bound = party_table(), max(values)
+    vertices = [divmod(v, len(table)) for v, value in enumerate(values) if value == bound]
+    return tuple(
+        tuple(table[f][4 * x + a] * table[g][4 * y + b] for x, y, a, b in _COLUMNS)
+        for f, g in vertices
+    )
 
 
 @lru_cache(maxsize=1)
-def _orbit_of_one() -> tuple[np.ndarray, int]:
+def _orbit_of_one() -> tuple[frozenset, int]:
     """Expression 1 under the 64 relabelings a -> a ^ f_x of Alice's outcomes,
-    f = ``party_strategies()[s]`` in row s, and its saturators' affine dimension.
+    f in ``party_strategies()``, and its saturators' affine dimension.
     A relabeling permutes columns and vertices, so each image shares that dimension.
     """
-    x, y, a, b = np.indices((3, 3, 4, 4))
-    cols = 16 * (3 * x + y) + 4 * (a ^ np.array(party_strategies())[:, x]) + b
-    return coefficients(1)[cols.reshape(-1, 144)], affine_dimension(saturating_vertices(1))
+    one = coefficients(1)
+    images = frozenset(
+        tuple(one[16 * (3 * x + y) + 4 * (a ^ f[x]) + b] for x, y, a, b in _COLUMNS)
+        for f in party_strategies()
+    )
+    return images, affine_dimension(saturating_vertices(1))
 
 
 def facet_check(index: int) -> FacetReport:
@@ -201,7 +194,7 @@ def facet_check(index: int) -> FacetReport:
     then shares, or this raises ``RuntimeError``.
     """
     images, sat_dim = _orbit_of_one()
-    if not (images == coefficients(index)).all(axis=1).any():
+    if coefficients(index) not in images:
         raise RuntimeError(f"expression {index} is not a relabeling of expression 1")
     bound, witness = lhv_bound(index)
     d = polytope_affine_dim()
@@ -211,6 +204,6 @@ def facet_check(index: int) -> FacetReport:
         witness=witness,
         polytope_affine_dim=d,
         saturator_affine_dim=sat_dim,
-        num_saturators=int(np.count_nonzero(vertex_values(index) == bound)),
+        num_saturators=vertex_values(index).count(bound),
         is_facet=sat_dim == d - 1,
     )

@@ -51,7 +51,7 @@ class ProtocolTables:
         self.entries = tuple(swap.class_map(sources))
         robot = np.array([entry.probability for entry in self.entries])
         rows = [product_index(*entry.resulting_state) for entry in self.entries]
-        behaviors = (product_counts()[rows] / 16).reshape(16, 9, 16)
+        behaviors = (np.array(product_counts())[rows] / 16).reshape(16, 9, 16)
         # joint[3x + y, 16c + 4a + b]
         self.joint = (robot.reshape(16, 1, 1) * behaviors).transpose(1, 0, 2).reshape(9, 256)
         self.joint.flags.writeable = False
@@ -117,5 +117,5 @@ def estimate_beta(counts: np.ndarray, index: int) -> tuple[float, np.ndarray]:
     empty = [(int(i), int(j)) for i, j in np.argwhere(cells == 0)]
     if empty:
         raise InsufficientSamplesError(empty, cells)
-    signed = (coefficients(index) * counts).reshape(3, 3, 16).sum(axis=2)
+    signed = (np.array(coefficients(index)) * counts).reshape(3, 3, 16).sum(axis=2)
     return float(np.sum(signed / cells)), cells

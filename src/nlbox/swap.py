@@ -21,10 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import states
-from .inequalities import coefficients, product_counts
+from .inequalities import coefficients, dot, product_counts
 from .states import BELL_ORDER, FRAMES, BellLabel
 
 DEFAULT_SOURCES = (BellLabel.PSI_MINUS, BellLabel.PSI_MINUS)
@@ -100,21 +98,21 @@ def class_map(
 def matched_beta(entry: ClassMapEntry) -> float:
     """Value of the matched expression on the class's resulting state, exact."""
     counts = product_counts()[states.product_index(*entry.resulting_state)]
-    return int(counts @ coefficients(entry.matched_inequality)) / 16
+    return dot(counts, coefficients(entry.matched_inequality)) / 16
 
 
 def premeasurement_marginal(
     sources: tuple[BellLabel, BellLabel] = DEFAULT_SOURCES,
-) -> np.ndarray:
+) -> tuple[int, ...]:
     """Behavior of (1,3) and (6,8) before the robot's outcome is known.
 
     It is the mixture of the sixteen class behaviors, each of robot
     probability exactly 1/16: a mixture of nonlocal boxes.  Returned in
     integers as the sum of the classes' rows of ``product_counts()``, that
-    is 256 p(a, b | x, y), a 144-entry int64 array.  The class map hits
+    is 256 p(a, b | x, y), a tuple of 144 ints.  The class map hits
     every Bell product once and the rows of C sum to zero, so every entry
     is 16: without the robot's outcomes the parties see uniformly random
     outcomes in every cell, and every Bell expression averages to zero.
     """
     rows = [states.product_index(*entry.resulting_state) for entry in class_map(sources)]
-    return product_counts()[rows].sum(axis=0)
+    return tuple(map(sum, zip(*(product_counts()[row] for row in rows))))

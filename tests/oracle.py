@@ -11,6 +11,11 @@ from those kets, scalar sums over one deterministic strategy, the masked
 product of one sampled event, and a validated behavior table read cell
 by cell.  Tests compare the package against them.
 
+The package works in Python integers and never builds the local
+polytope's vertex matrix; here the 4096x144 vertex matrix and a numpy
+fraction-free rank, with its int64 overflow guard, rank the vertex and
+saturator differences directly.
+
 The sampler's integer event codes are decoded here into one record per
 event.  The swap protocol is rebuilt by dense collapse of the eight-qubit
 source state: 256x256 Bell projectors, the robot's outcome distribution,
@@ -30,7 +35,13 @@ import numpy as np
 
 from nlbox.inequalities import mask_pattern, sign_table
 from nlbox.observables import MASKS, mask_value
-from nlbox.polytope import DeterministicStrategy, party_strategies
+from nlbox.polytope import (
+    NUM_JOINT_STRATEGIES,
+    NUM_PARTY_STRATEGIES,
+    DeterministicStrategy,
+    party_strategies,
+    party_table,
+)
 from nlbox.states import BELL_ORDER, PRODUCT_LABELS, BellLabel
 from nlbox.swap import DEFAULT_SOURCES, ROBOT_OUTCOMES, RobotOutcome, class_map
 
@@ -525,6 +536,74 @@ def vertex_matrix_by_loop() -> np.ndarray:
     return rows
 
 
+@functools.lru_cache(maxsize=1)
+def vertex_matrix() -> np.ndarray:
+    """All 4096 vertex behaviors as rows of a 0/1 matrix.
+
+    Row order matches the flattening of the 64x64 strategy grid
+    (Alice-major).  Column layout: cell (x, y) contributes the 16 entries
+    p(a, b | x, y) at offset 16*(3x + y) + 4a + b.
+    """
+    onehot = np.array(party_table()).reshape(NUM_PARTY_STRATEGIES, 3, 4)
+    # rows[f, g, x, y, a, b] = onehot[f, x, a] * onehot[g, y, b]
+    rows = (
+        onehot[:, None, :, None, :, None] * onehot[None, :, None, :, None, :]
+    ).reshape(NUM_JOINT_STRATEGIES, 144)
+    rows.flags.writeable = False
+    return rows
+
+
+def integer_rank(mat: np.ndarray) -> int:
+    """Exact rank over the rationals of an integer matrix, with numpy.
+
+    Fraction-free Gaussian elimination with gcd normalization; rows are
+    promoted to Python integers if entries would overflow 64-bit products,
+    so the result is never a floating-point estimate.
+    """
+    a = np.array(mat, dtype=np.int64, copy=True)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    nrows, ncols = a.shape
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        nz = np.nonzero(a[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        prow = a[rank].copy()
+        pval = int(prow[col])
+        below = a[rank + 1 :]
+        coeffs = below[:, col]
+        hit = coeffs != 0
+        if hit.any():
+            # int64 products must stay below 2**62; the guard promotes to
+            # arbitrary precision instead of wrapping around.  The bound is
+            # computed in Python integers so it cannot itself overflow.
+            bound = int(np.abs(below[hit]).max()) * abs(pval) + int(
+                np.abs(coeffs[hit]).max()
+            ) * int(np.abs(prow).max())
+            if a.dtype == np.int64 and bound >= 2**62:
+                a = a.astype(object)
+                prow = a[rank].copy()
+                below = a[rank + 1 :]
+                coeffs = below[:, col]
+            below[hit] = below[hit] * pval - np.outer(coeffs[hit], prow)
+            if a.dtype == np.int64:
+                reduced = np.abs(below[hit])
+                big = reduced.max(axis=1) >= 2**20
+                if big.any():
+                    idx = np.nonzero(hit)[0][big]
+                    g = np.gcd.reduce(np.abs(below[idx]), axis=1)
+                    g[g == 0] = 1
+                    below[idx] //= g[:, None]
+        rank += 1
+    return rank
+
+
 def masked_operator(obs: FourOutcomeObservable, mask: str) -> np.ndarray:
     """The +-1-valued observable obtained by masking the outcome bits."""
     if mask not in MASKS:
@@ -578,7 +657,7 @@ def beta_quantum(
     total = 0.0
     for i in range(3):
         for j in range(3):
-            total += signs[i, j] * correlator_quantum(state, i, j, alice_pair, bob_pair)
+            total += signs[i][j] * correlator_quantum(state, i, j, alice_pair, bob_pair)
     return total
 
 
@@ -627,7 +706,7 @@ def lhv_value(index: int, strategy) -> int:
     for i in range(3):
         for j in range(3):
             alice_mask, bob_mask = mask_pattern(i, j)
-            total += int(signs[i, j]) * mask_value(
+            total += signs[i][j] * mask_value(
                 strategy.alice[i], alice_mask
             ) * mask_value(strategy.bob[j], bob_mask)
     return total

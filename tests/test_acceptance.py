@@ -22,9 +22,11 @@ from oracle import (
     eight_qubit_initial,
     event_masked_product,
     fidelity_with_pure,
+    integer_rank,
     partial_trace,
     party_projectors,
     sequential_joint_distribution,
+    vertex_matrix,
 )
 
 from nlbox import cli, inequalities, polytope, sampler, swap
@@ -41,7 +43,7 @@ def test_criterion_01_reference_values():
     """All 256 expression values match the shipped reference exactly."""
     reference = np.array(cli.load_reference_table()["values"], dtype=float)
     start = time.perf_counter()
-    sixteenths = product_counts() @ C.T
+    sixteenths = np.asarray(product_counts()) @ np.asarray(C).T
     elapsed = time.perf_counter() - start
     mismatches = int(np.count_nonzero(sixteenths != 16 * reference))
     ok = mismatches == 0 and elapsed < 10.0
@@ -55,7 +57,6 @@ def test_criterion_01_reference_values():
 
 def test_criterion_02_deterministic_maxima():
     """Brute force over all 4096 strategies gives exactly 7, per expression."""
-    polytope.vertex_matrix.cache_clear()
     polytope.vertex_values.cache_clear()
     start = time.perf_counter()
     bounds = [polytope.lhv_bound(k)[0] for k in range(1, NUM_EXPRESSIONS + 1)]
@@ -74,12 +75,12 @@ def test_criterion_03_facet_dimension():
 
     Both dimensions are ranked directly: all 4095 vertex differences, and
     each expression's own saturators; the certificates must agree."""
-    verts = polytope.vertex_matrix()
-    d = polytope.integer_rank(verts[1:] - verts[0])
+    verts = vertex_matrix()
+    d = integer_rank(verts[1:] - verts[0])
     reports = [polytope.facet_check(k) for k in range(1, NUM_EXPRESSIONS + 1)]
     direct = [
-        polytope.integer_rank(sat[1:] - sat[0])
-        for sat in (verts[polytope.vertex_values(r.index) == 7] for r in reports)
+        integer_rank(sat[1:] - sat[0])
+        for sat in (verts[np.asarray(polytope.vertex_values(r.index)) == 7] for r in reports)
     ]
     sat_dims = sorted(set(direct))
     ok = d == polytope.polytope_affine_dim() and all(
@@ -141,7 +142,7 @@ def test_criterion_05_swap_class_map():
 
 def test_criterion_06_premeasurement_marginal():
     """Before the robot measures, the parties see no correlation at all."""
-    marginal = swap.premeasurement_marginal()
+    marginal = np.asarray(swap.premeasurement_marginal())
     # second route: Born behavior of the partial trace of the dense
     # eight-qubit source state
     dense = partial_trace(eight_qubit_initial(), KEPT_QUBITS)
@@ -170,7 +171,7 @@ def test_criterion_07_sampled_saturation():
     distinct, multiplicity = np.unique(codes, return_counts=True)
     violations = 0
     for event, n in zip(decode(distinct), multiplicity):
-        signs = inequalities.sign_table(by_outcome[event.robot].matched_inequality)
+        signs = np.asarray(inequalities.sign_table(by_outcome[event.robot].matched_inequality))
         if event_masked_product(event) != signs[event.alice_setting, event.bob_setting]:
             violations += int(n)
     estimates = [

@@ -113,13 +113,13 @@ class TestBounds:
         # one rank for the polytope, one for expression 1's saturators
         calls = []
         real = polytope.integer_rank
-        monkeypatch.setattr(polytope, "integer_rank", lambda m: calls.append(m.shape) or real(m))
+        monkeypatch.setattr(polytope, "integer_rank", lambda m: calls.append(len(m)) or real(m))
         polytope.polytope_affine_dim.cache_clear()
         polytope._orbit_of_one.cache_clear()
         assert main(["bounds"]) == 0
         capsys.readouterr()
         assert len(calls) == 2
-        assert max(rows for rows, _ in calls) <= 144
+        assert max(calls) <= 144
 
     def test_an_expression_off_the_orbit_is_an_error(self, capsys, monkeypatch):
         # expression 5 with the sign of cell (1, 2) flipped is no relabeling
@@ -127,10 +127,10 @@ class TestBounds:
         real = polytope.coefficients
 
         def flipped(k):
-            row = real(k).copy()
+            row = list(real(k))
             if k == 5:
-                row[16 * 5 : 16 * 6] *= -1
-            return row
+                row[16 * 5 : 16 * 6] = [-v for v in row[16 * 5 : 16 * 6]]
+            return tuple(row)
 
         monkeypatch.setattr(polytope, "coefficients", flipped)
         polytope.vertex_values.cache_clear()

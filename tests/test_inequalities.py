@@ -34,7 +34,7 @@ from nlbox.states import PRODUCT_LABELS, BellLabel
 
 
 def matched_behavior(index):
-    return product_counts()[index - 1] / 16
+    return np.asarray(product_counts()[index - 1]) / 16
 
 
 class TestMaskPattern:
@@ -54,11 +54,12 @@ class TestMaskPattern:
 
 class TestSignTables:
     def test_all_distinct_and_weight_nine(self):
-        flat = {tuple(SIGN_TABLES[k].ravel()) for k in range(NUM_EXPRESSIONS)}
+        tables = np.asarray(SIGN_TABLES)
+        flat = {tuple(tables[k].ravel()) for k in range(NUM_EXPRESSIONS)}
         assert len(flat) == NUM_EXPRESSIONS
         for k in range(NUM_EXPRESSIONS):
-            assert np.abs(SIGN_TABLES[k]).sum() == 9
-            assert set(np.unique(SIGN_TABLES[k])) <= {-1, 1}
+            assert np.abs(tables[k]).sum() == 9
+            assert set(np.unique(tables[k])) <= {-1, 1}
 
     def test_mirror_pairs_flip_the_corner_block(self):
         # expressions k and 17-k agree except on the upper-left 2x2 block,
@@ -66,8 +67,8 @@ class TestSignTables:
         block = np.zeros((3, 3), dtype=bool)
         block[:2, :2] = True
         for k in range(1, 9):
-            upper = sign_table(k)
-            lower = sign_table(17 - k)
+            upper = np.asarray(sign_table(k))
+            lower = np.asarray(sign_table(17 - k))
             assert np.array_equal(upper[block], -lower[block])
             assert np.array_equal(upper[~block], lower[~block])
 
@@ -89,18 +90,18 @@ class TestSignTables:
             sign_table(17)
 
     def test_immutable(self):
-        with pytest.raises(ValueError):
-            sign_table(1)[0, 0] = 5
-        with pytest.raises(ValueError):
-            C[0, 0] = 5
-        with pytest.raises(ValueError):
-            product_counts()[0, 0] = 0
+        with pytest.raises(TypeError):
+            sign_table(1)[0][0] = 5
+        with pytest.raises(TypeError):
+            C[0][0] = 5
+        with pytest.raises(TypeError):
+            product_counts()[0][0] = 0
 
 
 class TestCoefficients:
     def test_shape_and_entries(self):
-        assert C.shape == (NUM_EXPRESSIONS, 144)
-        assert C.dtype == np.int64
+        assert np.asarray(C).shape == (NUM_EXPRESSIONS, 144)
+        assert {type(v) for row in C for v in row} == {int}
         assert set(np.unique(C)) == {-1, 1}
 
     def test_row_accessor(self):
@@ -114,7 +115,7 @@ class TestCoefficients:
         # the 16 entries of cell (x, y) are the sign times the two masked
         # bits, which a deterministic strategy picks one of
         for k in (1, 6, 16):
-            block = coefficients(k).reshape(3, 3, 4, 4)
+            block = np.asarray(coefficients(k)).reshape(3, 3, 4, 4)
             signs = sign_table(k)
             np.testing.assert_array_equal(block.sum(axis=(2, 3)), np.zeros((3, 3)))
             np.testing.assert_array_equal(block[:, :, 0, 0], signs)
@@ -124,8 +125,8 @@ class TestProductTable:
     def test_products_are_the_nonlocal_boxes(self):
         # 16 p(a, b | x, y) = C[k] + 1: product k is uniform over the 8 of
         # 16 outcome pairs per cell that win expression k
-        assert product_counts().dtype == np.int64
-        assert np.array_equal(product_counts(), C + 1)
+        assert {type(v) for row in product_counts() for v in row} == {int}
+        assert np.array_equal(product_counts(), np.asarray(C) + 1)
 
     def test_counts_match_the_dense_projectors(self):
         # <psi| P_a (x) P_b |psi> with embedded dense projectors on the
@@ -182,7 +183,7 @@ class TestQuantumRoute:
         # the sum
         for k in range(1, NUM_EXPRESSIONS + 1):
             state = four_qubit_product(*PRODUCT_LABELS[k - 1])
-            signs = sign_table(k)
+            signs = np.asarray(sign_table(k))
             for i in range(3):
                 for j in range(3):
                     c = correlator_quantum(state, i, j, *MATCHED_PAIRS)
@@ -221,21 +222,21 @@ class TestBehaviorRoute:
 
     def test_uniform_behavior_scores_zero(self):
         uniform = Behavior(np.full((3, 3, 4, 4), 1 / 16.0))
-        values = uniform.probs.reshape(144) @ C.T
+        values = uniform.probs.reshape(144) @ np.asarray(C).T
         np.testing.assert_allclose(values, np.zeros(NUM_EXPRESSIONS), atol=1e-12)
 
     def test_routes_agree_on_all_products(self):
         # the coefficient route and the dense operator route must give the
         # same 256 numbers
-        values = product_counts() @ C.T / 16
+        values = np.asarray(product_counts()) @ np.asarray(C).T / 16
         np.testing.assert_allclose(values, dense_value_table(), rtol=0, atol=1e-9)
 
     def test_correlator_routes_agree(self):
         # a cell's block of a coefficient row, unsigned, is the cell's
         # masked correlator
         state = four_qubit_product(*PRODUCT_LABELS[5])
-        blocks = (coefficients(1) * matched_behavior(6)).reshape(3, 3, 16)
-        signs = sign_table(1)
+        blocks = (np.asarray(coefficients(1)) * matched_behavior(6)).reshape(3, 3, 16)
+        signs = np.asarray(sign_table(1))
         for i in range(3):
             for j in range(3):
                 assert signs[i, j] * blocks[i, j].sum() == pytest.approx(

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import Behavior, enumerate_strategies, lhv_value, vertex_matrix_by_loop
+from oracle import (
+    Behavior,
+    enumerate_strategies,
+    lhv_value,
+    vertex_matrix,
+    vertex_matrix_by_loop,
+)
+from oracle import integer_rank as oracle_rank
 
 from nlbox.inequalities import (
     NUM_EXPRESSIONS,
@@ -29,7 +36,6 @@ from nlbox.polytope import (
     party_table,
     polytope_affine_dim,
     saturating_vertices,
-    vertex_matrix,
     vertex_values,
 )
 from nlbox.states import FRAMES, PRODUCT_LABELS
@@ -139,7 +145,7 @@ class TestVertices:
     def test_affine_dim_matches_product_formula(self):
         # the package takes r**2 - 1 from the 64x12 party table; the
         # independent route ranks all 4095 vertex differences directly
-        direct = integer_rank(vertex_matrix()[1:] - vertex_matrix()[0])
+        direct = oracle_rank(vertex_matrix()[1:] - vertex_matrix()[0])
         assert direct == polytope_affine_dim() == 99
         # and the per-party dims, from a one-hot table built by loop, give
         # dim = d_A + d_B + d_A d_B
@@ -169,7 +175,7 @@ class TestBounds:
             assert behavior.probs.reshape(144) @ coefficients(k) == 7
 
     def test_beta_matrix_agrees_with_scalar_route(self):
-        mat = vertex_values(3).reshape(NUM_PARTY_STRATEGIES, NUM_PARTY_STRATEGIES)
+        mat = np.asarray(vertex_values(3)).reshape(NUM_PARTY_STRATEGIES, NUM_PARTY_STRATEGIES)
         singles = party_strategies()
         rng = np.random.default_rng(20240811)
         for _ in range(40):
@@ -184,8 +190,8 @@ class TestBounds:
 
     def test_party_swap_leaves_value_multiset_invariant(self):
         for k in range(1, NUM_EXPRESSIONS + 1):
-            orig = vertex_values(k)
-            swapped = vertex_matrix() @ coefficient_rows(sign_table(k).T[None])[0]
+            orig = np.asarray(vertex_values(k))
+            swapped = vertex_matrix() @ coefficient_rows(np.asarray(sign_table(k)).T[None])[0]
             assert sorted(orig) == sorted(swapped)
             assert orig.max() == swapped.max()
 
@@ -209,14 +215,14 @@ class TestFacets:
         # the package ranks expression 1's saturators and reuses the result
         # for every relabeling; here each saturator set is ranked on its own
         for k in range(1, NUM_EXPRESSIONS + 1):
-            sat = vertex_matrix()[vertex_values(k) == 7]
+            sat = vertex_matrix()[np.asarray(vertex_values(k)) == 7]
             report = facet_check(k)
-            assert integer_rank(sat[1:] - sat[0]) == report.saturator_affine_dim == 98
+            assert oracle_rank(sat[1:] - sat[0]) == report.saturator_affine_dim == 98
             assert sat.shape[0] == report.num_saturators
 
     def test_every_expression_is_a_relabeling_of_expression_one(self):
         # flipping Alice's outcome a -> a ^ f_x, one f per setting, by loop
-        base = coefficients(1).reshape(3, 3, 4, 4)
+        base = np.asarray(coefficients(1)).reshape(3, 3, 4, 4)
         hits = {}
         for f in party_strategies():
             image = np.zeros_like(base)
@@ -241,7 +247,7 @@ class TestFacets:
             assert list(f) == want
 
     def test_saturators_of_expression_one(self):
-        sat = saturating_vertices(1)
+        sat = np.asarray(saturating_vertices(1))
         assert sat.shape[0] == facet_check(1).num_saturators
         # every saturating vertex really evaluates to 7: read its strategy
         # off the one-hot cells and score it through the scalar route

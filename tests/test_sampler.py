@@ -127,7 +127,7 @@ class TestStatistics:
         classes = sort_events(decode(sample(4000, 31)))
         by_outcome = {e.outcome: e for e in TABLES.entries}
         for outcome, members in classes.items():
-            signs = inequalities.sign_table(by_outcome[outcome].matched_inequality)
+            signs = np.asarray(inequalities.sign_table(by_outcome[outcome].matched_inequality))
             for event in members:
                 i, j = event.alice_setting, event.bob_setting
                 assert event_masked_product(event) == signs[i, j]
@@ -155,7 +155,7 @@ class TestEstimation:
 
     def test_synthetic_single_event_per_cell(self):
         # one hand-built event per cell, each saturating expression 1
-        signs = inequalities.sign_table(1)
+        signs = np.asarray(inequalities.sign_table(1))
         outcome = ROBOT_OUTCOMES[0]
         events = []
         for i in range(3):
@@ -211,7 +211,7 @@ class TestEstimatorAgainstBehavior:
         # independent oracle: draw settings and outcomes straight from the
         # behavior table of the matched state, then compare the estimator
         # with the exact behavior value of a different expression
-        behavior = inequalities.product_counts()[0] / 16
+        behavior = np.asarray(inequalities.product_counts()[0]) / 16
         rng = np.random.default_rng(900913)
         n = 90000
         flat = behavior.reshape(9, 16)
