@@ -115,7 +115,7 @@ def integer_rank(mat) -> int:
     ``ValueError`` unless ``mat`` is a sequence of rows of integers.
     """
     try:
-        rows = [{j: operator.index(v) for j, v in enumerate(row) if v} for row in mat]
+        rows = [{j: v for j, v in enumerate(map(operator.index, row)) if v} for row in mat]
     except TypeError:
         raise ValueError("expected a 2-d integer matrix") from None
     pivots = {}  # leading column -> pivot row

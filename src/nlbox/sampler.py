@@ -1,5 +1,7 @@
 """Seeded simulation of the full run: robot swap, then local measurements.
 
+The one module of the package that imports numpy, for its random stream.
+
 Reproducibility contract 2: runs are drawn in fixed blocks of ``BLOCK``.
 Block ``k`` draws from its own substream, derived from the user seed as
 SeedSequence(seed, spawn_key=(k,)), in a fixed order: ``BLOCK`` setting

@@ -11,9 +11,15 @@ dense complex route lives in ``tests/oracle.py``.
 
 The CLI writes its reports in one place: only the renderer serializes JSON
 or joins fields with a separator, and no command reads ``--format``.
+
+Only the sampler imports numpy: the exact commands run on Python integers
+and never load it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -130,3 +136,54 @@ def test_cli_reports_are_rendered_in_one_place():
     assert len(_hand_written_reports(ast.parse(sample))) == 3
     found = _hand_written_reports(_modules()["cli.py"])
     assert found == [], f"report text written outside the renderer: {found}"
+
+
+def _numpy_imports(tree: ast.Module) -> list[str]:
+    """Imports of numpy or of a numpy submodule, at any depth of the tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names if name.split(".")[0] == "numpy"]
+    return found
+
+
+def test_only_the_sampler_imports_numpy():
+    sample = (
+        "import numpy as np\n"
+        "from numpy.random import PCG64\n"
+        "from . import numpy_free\n"
+        "def f():\n"
+        "    import os, numpy.linalg\n"
+    )
+    assert len(_numpy_imports(ast.parse(sample))) == 3
+    found = [
+        f"{module} {hit}"
+        for module, tree in _modules().items()
+        if module != "sampler.py"
+        for hit in _numpy_imports(tree)
+    ]
+    assert found == [], f"numpy imported outside the sampler: {found}"
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    # a fresh interpreter, so no other test has loaded numpy already
+    script = (
+        "import sys\n"
+        "import nlbox.cli as cli\n"
+        "commands = [['verify-table3'], ['bounds'], ['swap-map', '--sources', 'PM,PP']]\n"
+        "for i, argv in enumerate(commands):\n"
+        "    assert cli.main(argv + ['--out', f'{sys.argv[1]}/{i}.json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["0.json", "1.json", "2.json"]
+    assert done.stdout.splitlines()[-1] == "[]", "numpy was loaded"

@@ -97,8 +97,9 @@ class TestIntegerRank:
         assert integer_rank(np.array([[big, big], [big, big]], dtype=np.int64)) == 1
 
     def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            integer_rank(np.zeros(5, dtype=np.int64))
+        for bad in (np.zeros(5, dtype=np.int64), np.zeros((2, 2, 1)), [1, 2], [[[]]]):
+            with pytest.raises(ValueError):
+                integer_rank(bad)
 
     @settings(max_examples=60)
     @given(
@@ -114,6 +115,19 @@ class TestIntegerRank:
         )
         mat = np.array(entries, dtype=np.int64).reshape(nrows, ncols)
         assert integer_rank(mat) == fraction_rank(mat)
+
+    @settings(max_examples=80)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_three_routes_agree(self, nrows, ncols, data):
+        # the package's sparse rank on Python integers, the oracle's numpy
+        # rank with its int64 guard, and Fraction elimination; entries near
+        # 2**62 drive the oracle onto its object-dtype path
+        near = st.sampled_from([2**62, -(2**62), 2**62 - 1, 2**61 + 3])
+        entry = st.integers(-4, 4) | near
+        row = st.lists(entry, min_size=ncols, max_size=ncols)
+        rows = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+        mat = np.array(rows, dtype=np.int64)
+        assert integer_rank(rows) == oracle_rank(mat) == fraction_rank(mat)
 
     def test_affine_dimension_basics(self):
         assert affine_dimension(np.array([[3, 1, 4]])) == 0
@@ -137,6 +151,16 @@ class TestVertices:
         loop = vertex_matrix_by_loop()
         assert verts.dtype == loop.dtype
         assert np.array_equal(verts, loop)
+
+    def test_values_and_saturators_match_the_vertex_matrix(self):
+        # the package sums partial tables per Alice strategy and builds only
+        # the saturating rows; the oracle multiplies the full matrix
+        verts = vertex_matrix()
+        for k in range(1, NUM_EXPRESSIONS + 1):
+            values = verts @ np.asarray(coefficients(k))
+            assert np.array_equal(vertex_values(k), values)
+            if k in (1, 9, 16):
+                assert np.array_equal(saturating_vertices(k), verts[values == values.max()])
 
     def test_rows_distinct(self):
         verts = vertex_matrix()
