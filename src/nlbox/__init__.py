@@ -14,7 +14,7 @@ vertex, or the event counts of a sampled class.  The Born behaviors are
 integers by construction: the parties measure the rows and columns of the
 Mermin-Peres square, signed Pauli strings whose expectations on a Bell
 product are 0 or +-1, read off the pairs' Pauli frames.  The package
-holds no complex number, and only ``nlbox.sampler`` imports numpy.
+holds no complex number and runs on the standard library alone.
 """
 
 from .inequalities import C, coefficient_rows, coefficients, product_counts

@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from . import inequalities, polytope, swap
+from . import inequalities, polytope, sampler, swap
 from .observables import OUTCOME_BITS, OUTCOMES
 from .states import BELL_ORDER, PRODUCT_LABELS, bell_label_from_code
 
@@ -42,7 +42,10 @@ def sig12(x: float) -> float:
 
 
 def load_reference_table() -> dict:
-    """The packaged reference table of the 256 expected expression values."""
+    """The packaged reference table of the 256 expected expression values.
+
+    Raises RuntimeError on another schema or on values not 16 rows of 16 numbers.
+    """
     path = resources.files("nlbox.data") / "beta_reference.json"
     with path.open("r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -51,6 +54,12 @@ def load_reference_table() -> dict:
             f"reference table schema {doc.get('schema_version')} is not "
             f"supported (expected {REFERENCE_SCHEMA_VERSION})"
         )
+    values = doc.get("values")
+    if not isinstance(values, list) or len(values) != 16 or not all(
+        isinstance(row, list) and len(row) == 16 and all(isinstance(v, (int, float)) for v in row)
+        for row in values
+    ):
+        raise RuntimeError("reference table values are not 16 rows of 16 numbers")
     return doc
 
 
@@ -205,21 +214,17 @@ def _event_text(codes, block: int):
     ]
     yield "run_id,x,y,a1,a2,b1,b2,r1,r2\n"
     for start in range(0, len(codes), block):
-        chunk = codes[start : start + block].tolist()
-        yield "".join(
-            f"{run_id}{suffixes[code]}\n" for run_id, code in enumerate(chunk, start)
-        )
+        chunk = enumerate(codes[start : start + block], start)
+        yield "".join(f"{run_id}{suffixes[code]}\n" for run_id, code in chunk)
 
 
 def cmd_sample(args) -> Report:
     """Write the seeded events; report the per-class summary, which main writes."""
-    from . import sampler  # numpy: the only command that needs it imports it
-
-    codes = sampler.sample_events(args.shots, args.seed, args.sources)
+    entries = swap.class_map(args.sources)
+    codes = sampler.sample_events(args.shots, args.seed, entries)
     events_path = Path(args.out) / "events.csv"
     _write_atomic(events_path, _event_text(codes, sampler.BLOCK))
     classes = []
-    entries = sampler.protocol_tables(args.sources).entries
     for entry, counts in zip(entries, sampler.class_counts(codes)):
         try:
             beta_hat, cells = sampler.estimate_beta(counts, entry.matched_inequality)
@@ -229,10 +234,10 @@ def cmd_sample(args) -> Report:
         classes.append(
             {
                 "robot_outcome": list(entry.outcome.codes),
-                "count": int(cells.sum()),
+                "count": sum(counts),
                 "matched_inequality": entry.matched_inequality,
                 "beta_hat": beta_hat,
-                "cell_counts": cells.tolist(),
+                "cell_counts": cells,
                 "insufficient_cells": empty,
             }
         )

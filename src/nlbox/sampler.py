@@ -1,123 +1,110 @@
 """Seeded simulation of the full run: robot swap, then local measurements.
 
-The one module of the package that imports numpy, for its random stream.
-
-Reproducibility contract 2: runs are drawn in fixed blocks of ``BLOCK``.
-Block ``k`` draws from its own substream, derived from the user seed as
-SeedSequence(seed, spawn_key=(k,)), in a fixed order: ``BLOCK`` setting
-cells ``3x + y`` from ``integers(0, 9)``, then ``BLOCK`` uniforms.  Run
-``k * BLOCK + i`` takes the i-th cell and the i-th uniform, and its
-outcome is the inverse CDF of that uniform over the cell's row of the
-exact joint table, read off a lookup table.  Every block is drawn whole
-and then truncated, so identical (shots, seed, sources) reproduce
-identical events and adding shots never changes earlier runs.
-
 The robot's measurements commute with the local ones (disjoint qubits),
-so the joint table is the robot's outcome distribution times the Born
-behavior of the Bell product each robot outcome leaves behind.  Both are
-exact sixteenths, and every cell row is 1/128 on exactly 128 outcomes.
+so the joint table p(c, a, b | x, y) is the robot's outcome distribution
+times the Born behavior of the Bell product each robot outcome leaves
+behind.  Both are exact sixteenths, every setting cell's row is 1/128 on
+exactly 128 outcomes, and the cell is uniform over 9: one run is one of
+1152 equally likely events, listed in ``code_table``.  An event is one
+integer code ``256 * (3x + y) + 16 * c + 4a + b``, where ``c = 4 * r1 + r2``
+is the robot's outcome (its class) and ``a``, ``b`` the parties' outcomes.
 
-An event is one integer code ``256 * (3x + y) + 16 * c + 4a + b``, where
-``c = 4 * r1 + r2`` is the robot's outcome (its class) and ``a``, ``b``
-are the parties' outcomes.
+Reproducibility contract 3: runs are drawn in fixed blocks of ``BLOCK``.
+Block ``k`` draws from its own ``random.Random(f"{seed}:{k}")``, which
+Python seeds through the string's SHA-512 digest, a version-stable rule.
+Run ``k * BLOCK + i`` takes the block's i-th ``random()`` u (the one method
+whose sequence Python promises to keep), and its code is
+``table[int(1152 * u)]``.  Every block is drawn whole and then truncated,
+so identical (shots, seed, sources) reproduce identical events and adding
+shots never changes earlier runs.
+
+``int(1152 * u) <= 1151`` for every u < 1.  The largest u is 1 - 2**-53,
+and 1152 (1 - 2**-53) = 1152 - 9 * 2**-46.  Floats near 1152 are
+2**-42 = 16 * 2**-46 apart, and 9 * 2**-46 is more than half of that, so
+the product rounds down to 1152 - 2**-42; rounding is monotone, so no
+smaller u reaches 1152.  The u are the multiples of 2**-53 in [0, 1), and
+each of the 1152 buckets holds the floor or the ceiling of 2**53 / 1152 of
+them: every event's probability is within 2**-53 of 1/1152.
 """
 
 from __future__ import annotations
 
-import functools
+import random
+from collections import Counter
+from math import lcm
 
-import numpy as np
-
-from . import swap
 from .inequalities import coefficients, product_counts
-from .states import BellLabel, product_index
+from .states import product_index
 
-RNG_CONTRACT = 2
+RNG_CONTRACT = 3
 BLOCK = 4096
-NUM_CODES = 9 * 256
 
 
 class InsufficientSamplesError(ValueError):
     """An estimate needs at least one event in every cell of the 3x3 grid."""
 
-    def __init__(self, cells: list[tuple[int, int]], grid: np.ndarray):
+    def __init__(self, cells: list[tuple[int, int]], grid: list[list[int]]):
         self.cells, self.grid = cells, grid  # the empty cells, the 3x3 event counts
         super().__init__(f"no events in cells {cells}")
 
 
-class ProtocolTables:
-    """The exact joint table p(c, a, b | x, y) of one source choice."""
+def code_table(entries) -> tuple[int, ...]:
+    """The 1152 event codes of positive probability under a class map, in order.
 
-    def __init__(self, sources: tuple[BellLabel, BellLabel] = swap.DEFAULT_SOURCES):
-        self.sources = sources
-        self.entries = tuple(swap.class_map(sources))
-        robot = np.array([entry.probability for entry in self.entries])
-        rows = [product_index(*entry.resulting_state) for entry in self.entries]
-        behaviors = (np.array(product_counts())[rows] / 16).reshape(16, 9, 16)
-        # joint[3x + y, 16c + 4a + b]
-        self.joint = (robot.reshape(16, 1, 1) * behaviors).transpose(1, 0, 2).reshape(9, 256)
-        self.joint.flags.writeable = False
-        positive = self.joint > 0.0
-        if not (np.all(positive.sum(axis=1) == 128) and np.all(self.joint[positive] == 1 / 128)):
+    ``table[i] = 256 * (i >> 7) + support[i >> 7][i & 127]``, where
+    ``support[3x + y]`` lists the columns 16c + 4a + b at which the cell's
+    row of the joint table is positive.  Raises RuntimeError unless every
+    row is 1/128 on exactly 128 columns.
+    """
+    behaviors = [product_counts()[product_index(*e.resulting_state)] for e in entries]
+    table = []
+    for cell in range(9):
+        row = [
+            entry.probability * behavior[16 * cell + ab] / 16
+            for entry, behavior in zip(entries, behaviors)
+            for ab in range(16)
+        ]
+        support = [column for column, p in enumerate(row) if p]
+        if len(support) != 128 or any(row[column] != 1 / 128 for column in support):
             raise RuntimeError("the joint table is not 1/128 on 128 outcomes per cell")
-        # support[3x + y, k] is the column of the k-th positive entry of the row
-        self.support = np.nonzero(positive)[1].reshape(9, 128)
-        self.support.flags.writeable = False
-
-    def outcomes(self, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Column 16c + 4a + b that each uniform picks in its cell's row.
-
-        The row's cumulative sum is exactly k / 128 after its k-th positive
-        entry, so the inverse CDF of u is support[cell, floor(128 u)]; 128 u
-        is exact and below 128 for every u < 1.
-        """
-        return self.support[cells, (128 * u).astype(np.int64)]
+        table += [256 * cell + column for column in support]
+    return tuple(table)
 
 
-@functools.lru_cache(maxsize=16)
-def protocol_tables(
-    sources: tuple[BellLabel, BellLabel] = swap.DEFAULT_SOURCES,
-) -> ProtocolTables:
-    """The read-only tables of one of the 16 source choices, built once."""
-    return ProtocolTables(sources)
-
-
-def sample_events(
-    shots: int,
-    seed: int,
-    sources: tuple[BellLabel, BellLabel] = swap.DEFAULT_SOURCES,
-) -> np.ndarray:
-    """Simulate ``shots`` full runs of the protocol; one int16 code per run."""
+def sample_events(shots: int, seed: int, entries) -> list[int]:
+    """Simulate ``shots`` full runs under the class map ``entries``; one code per run."""
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    tables = protocol_tables(sources)
-    blocks = []
+    table = code_table(entries)
+    codes = []
     for block in range(-(-shots // BLOCK)):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,)))
-        )
-        cells = rng.integers(0, 9, size=BLOCK)
-        u = rng.random(BLOCK)
-        blocks.append((256 * cells + tables.outcomes(cells, u)).astype(np.int16))
-    return np.concatenate(blocks)[:shots]
+        u = random.Random(f"{seed}:{block}").random
+        codes += [table[int(1152 * u())] for _ in range(BLOCK)]
+    return codes[:shots]
 
 
-def class_counts(codes: np.ndarray) -> np.ndarray:
-    """Event counts [c, 16 * (3x + y) + 4a + b]: one behavior row per class."""
-    counts = np.bincount(codes, minlength=NUM_CODES).reshape(9, 16, 16)
-    return counts.transpose(1, 0, 2).reshape(16, 144)
+def class_counts(codes) -> list[list[int]]:
+    """Event counts [c][16 * (3x + y) + 4a + b]: one behavior row per class."""
+    counts = Counter(codes)
+    return [[counts[256 * (i >> 4) + 16 * c + (i & 15)] for i in range(144)] for c in range(16)]
 
 
-def estimate_beta(counts: np.ndarray, index: int) -> tuple[float, np.ndarray]:
+def estimate_beta(counts: list[int], index: int) -> tuple[float, list[list[int]]]:
     """Estimate an expression value from one class's 144 event counts.
 
-    Returns the estimate and the 3x3 matrix of per-cell event counts.
-    Raises InsufficientSamplesError, carrying that matrix, when a cell has
-    no event at all; an empty cell cannot be skipped without biasing the sum.
+    The estimate, the sum over the nine cells of the cell's signed count
+    over its count, is summed exactly and rounded once to a float.  Returns
+    it with the 3x3 per-cell event counts.  Raises InsufficientSamplesError,
+    carrying those counts, when a cell has no event at all; an empty cell
+    cannot be skipped without biasing the sum.
     """
-    cells = counts.reshape(3, 3, 16).sum(axis=2)
-    empty = [(int(i), int(j)) for i, j in np.argwhere(cells == 0)]
+    cells = [sum(counts[16 * cell : 16 * cell + 16]) for cell in range(9)]
+    grid = [cells[3 * x : 3 * x + 3] for x in range(3)]
+    empty = [divmod(cell, 3) for cell, n in enumerate(cells) if n == 0]
     if empty:
-        raise InsufficientSamplesError(empty, cells)
-    signed = (np.array(coefficients(index)) * counts).reshape(3, 3, 16).sum(axis=2)
-    return float(np.sum(signed / cells)), cells
+        raise InsufficientSamplesError(empty, grid)
+    signed = [0] * 9
+    for i, (v, n) in enumerate(zip(coefficients(index), counts)):
+        signed[i >> 4] += v * n
+    denominator = lcm(*cells)
+    return sum(s * (denominator // n) for s, n in zip(signed, cells)) / denominator, grid

@@ -7,6 +7,7 @@ or the matching FAIL line before the assertion fires.
 
 import json
 import time
+from collections import Counter
 
 import numpy as np
 from oracle import (
@@ -164,16 +165,17 @@ def test_criterion_07_sampled_saturation():
     """1e5 seeded shots: every event saturates its class's expression and
     every per-class estimate equals 9.0 exactly."""
     shots = 100_000
-    codes = sampler.sample_events(shots, seed=20240501)
-    by_outcome = {e.outcome: e for e in sampler.protocol_tables().entries}
+    entries = swap.class_map()
+    codes = sampler.sample_events(shots, 20240501, entries)
+    by_outcome = {e.outcome: e for e in entries}
     # an event is fully described by its code, so checking each distinct
     # code once checks every event
-    distinct, multiplicity = np.unique(codes, return_counts=True)
+    multiplicity = Counter(codes)
     violations = 0
-    for event, n in zip(decode(distinct), multiplicity):
+    for event, n in zip(decode(multiplicity), multiplicity.values()):
         signs = np.asarray(inequalities.sign_table(by_outcome[event.robot].matched_inequality))
         if event_masked_product(event) != signs[event.alice_setting, event.bob_setting]:
-            violations += int(n)
+            violations += n
     estimates = [
         sampler.estimate_beta(row, by_outcome[outcome].matched_inequality)[0]
         for outcome, row in zip(swap.ROBOT_OUTCOMES, sampler.class_counts(codes))

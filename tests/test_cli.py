@@ -1,15 +1,38 @@
 """Command line behavior: exit codes, formats, and reproducible files."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from nlbox import cli, polytope, sampler, swap
+from nlbox import cli, polytope, swap
 from nlbox.cli import main, sig12
 
 
 GOLDEN = Path(__file__).parent / "golden"
+PINNED_SHOTS = (4095, 4096, 4097, 12293)
+# sha256 of events.csv under RNG contract 3, by seed, at PINNED_SHOTS
+EVENTS_SHA256 = {
+    0: (
+        "63d03efb7b6937dc79b8e6fb9b1f9f3e34df71d1c96d2adb0192fdd3398416be",
+        "841db1386edd6b15d9c0938f25ac8c005fa90c25f4f6b4097ab25f8030eff571",
+        "81d82825e3d9f6f6a0493f91b37e32468f0be5cde57932ec248c1f0e6c407ca4",
+        "e8032263cd5f5256290890f8d9e21dce611e36d29be011d814ed863366070d89",
+    ),
+    1: (
+        "4194c1426fb862e67561f0e7bab7e90c9d4d7fe5ad619c27a6ec26af02be8ec6",
+        "47153fc9f8bad91a61644f6c8bd9e5d56ea55eadd6b673e011fdd5c5768a71e5",
+        "99f9076acd2388cbf6e533282e46ad6d7f03b1d28f4dcadf05a2880fdd2aa721",
+        "d7079525100f5740dadba74de8ac60c1d90f7ac49136a42687a3b7c900ec9f88",
+    ),
+    2**63: (
+        "158650aa584d4ecc4b6011fe89ff2fe516c44ce9049d5f4c0bf2361d5d2f06f1",
+        "7ca97cb60f43fee567eb152159bad99c71b34358435b4671505d1ee5f9d9dacf",
+        "315775d16c325aff47e670a55feca275dc3e217b541765544715fa946bde5033",
+        "50b2e3c61ebb6d884effbcc1cc904c9dee93217aa895d71af2479aa3b30f2bf7",
+    ),
+}
 
 
 def run_json(capsys, argv):
@@ -67,6 +90,21 @@ class TestVerifyTable3:
         assert doc["matches"] == 255
         assert doc["mismatches"][0]["state"] == "PP.SP"
         assert doc["mismatches"][0]["expression"] == 6
+
+    @pytest.mark.parametrize(
+        "values",
+        [{}, {"values": 5}, {"values": [None] + [[0.0] * 16] * 15}],
+        ids=["missing", "number", "none-row"],
+    )
+    def test_malformed_reference_is_an_error(self, tmp_path, capsys, monkeypatch, values):
+        doc = {"schema_version": cli.REFERENCE_SCHEMA_VERSION, **values}
+        (tmp_path / "beta_reference.json").write_text(json.dumps(doc))
+        monkeypatch.setattr(cli.resources, "files", lambda package: tmp_path)
+        code = main(["verify-table3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: reference table values are not 16 rows of 16 numbers\n"
 
     def test_schema_mismatch_is_an_error(self, capsys, monkeypatch):
         def bad_loader():
@@ -260,14 +298,40 @@ class TestSample:
         assert target.read_text() == "x"
 
     def test_events_match_the_pinned_contract(self, tmp_path, capsys):
-        # rng contract 2: a change to the draws or the event format fails here
+        # rng contract 3: a change to the draws or the event format fails here
         out_dir = tmp_path / "run"
         assert main(["sample", "--shots", "50", "--seed", "0", "--out", str(out_dir)]) == 0
         capsys.readouterr()
         golden = (GOLDEN / "sample-events-50-0.csv").read_bytes()
         assert (out_dir / "events.csv").read_bytes() == golden
         summary = json.loads((out_dir / "summary.json").read_text())
-        assert summary["rng_contract"] == 2
+        assert summary["rng_contract"] == 3
+
+    @pytest.mark.parametrize(
+        "seed, shots, sha256",
+        [
+            (seed, shots, EVENTS_SHA256[seed][i])
+            for seed in EVENTS_SHA256
+            for i, shots in enumerate(PINNED_SHOTS)
+        ],
+    )
+    def test_events_hashes_are_pinned(self, tmp_path, capsys, seed, shots, sha256):
+        # whole blocks, one short of a block, one past it, several blocks
+        out_dir = tmp_path / "run"
+        argv = ["sample", "--shots", str(shots), "--seed", str(seed), "--out", str(out_dir)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert hashlib.sha256((out_dir / "events.csv").read_bytes()).hexdigest() == sha256
+
+    def test_sources_do_not_change_the_events(self, tmp_path, capsys):
+        # both sources emit the same labels, so their frames cancel and the
+        # class map, hence every event, is the same for every source choice
+        for sources in ("SM,SM", "PP,PM", "SP,PP"):
+            argv = ["sample", "--shots", "5000", "--seed", "11", "--sources", sources]
+            assert main(argv + ["--out", str(tmp_path / sources)]) == 0
+        capsys.readouterr()
+        events = {(tmp_path / s / "events.csv").read_bytes() for s in ("SM,SM", "PP,PM", "SP,PP")}
+        assert len(events) == 1
 
     def test_summary_counts_match_the_events_file(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -291,7 +355,6 @@ class TestSample:
         calls = []
         real = swap.class_map
         monkeypatch.setattr(swap, "class_map", lambda *a: calls.append(a) or real(*a))
-        sampler.protocol_tables.cache_clear()
         assert main(["sample", "--shots", "20", "--out", str(tmp_path / "run")]) == 0
         capsys.readouterr()
         assert len(calls) == 1
@@ -363,7 +426,7 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_sample_summary_is_byte_identical(self, tmp_path, capsys, fmt):
-        # 400 shots at seed 0: 5 of 16 classes have an empty cell
+        # 400 shots at seed 0: 7 of 16 classes have an empty cell
         out_dir = tmp_path / "run"
         argv = ["sample", "--shots", "400", "--seed", "0", "--format", fmt]
         assert main(argv + ["--out", str(out_dir)]) == 0

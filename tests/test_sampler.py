@@ -1,6 +1,12 @@
 """Seeded event sampling: reproducibility, statistics, and estimation."""
 
+import bisect
+import itertools
 import math
+import random
+from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,32 +25,54 @@ from oracle import (
 )
 from scipy.stats import chisquare
 
-from nlbox import inequalities
+from nlbox import inequalities, sampler
 from nlbox.sampler import (
     BLOCK,
     InsufficientSamplesError,
-    ProtocolTables,
     class_counts,
+    code_table,
     estimate_beta,
-    protocol_tables,
     sample_events,
 )
 from nlbox.states import BellLabel
-from nlbox.swap import ROBOT_OUTCOMES
+from nlbox.swap import DEFAULT_SOURCES, ROBOT_OUTCOMES, class_map
 
-TABLES = protocol_tables()
+ENTRIES = class_map()
+TABLE = code_table(ENTRIES)
+LARGEST_U = math.nextafter(1.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def joint():
+    """p(c, a, b | x, y) of the default sources by dense collapse, [3x + y, 16c + 4a + b]."""
+    return protocol_joint_table(DEFAULT_SOURCES)
 
 
 def sample(shots, seed):
-    return sample_events(shots, seed)
+    return sample_events(shots, seed, ENTRIES)
+
+
+def replay(monkeypatch, us, entries=ENTRIES):
+    """The codes that sample_events makes of the uniforms ``us``, in order."""
+    values = iter(us)
+
+    class Replay:
+        def __init__(self, seed):
+            pass
+
+        def random(self):
+            return next(values, 0.0)
+
+    monkeypatch.setattr(sampler, "random", SimpleNamespace(Random=Replay))
+    return sample_events(len(us), 0, entries)
 
 
 class TestReproducibility:
     def test_identical_seeds_identical_events(self):
-        assert np.array_equal(sample(300, 7), sample(300, 7))
+        assert sample(300, 7) == sample(300, 7)
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(sample(300, 7), sample(300, 8))
+        assert sample(300, 7) != sample(300, 8)
 
     @settings(max_examples=10)
     @given(st.integers(0, 2**31), st.integers(1, 40))
@@ -52,44 +80,33 @@ class TestReproducibility:
         # extending a sample never rewrites earlier runs
         short = sample(shots, seed)
         long = sample(shots + 17, seed)
-        assert np.array_equal(long[: len(short)], short)
+        assert long[: len(short)] == short
 
     @pytest.mark.parametrize(
         "shots", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
     )
     def test_prefix_stability_across_blocks(self, shots):
         long = sample(4 * BLOCK, 2718)
-        assert np.array_equal(sample(shots, 2718), long[:shots])
+        assert sample(shots, 2718) == long[:shots]
 
     def test_substreams_are_independent_of_shot_count(self):
-        # block 1 is drawn from SeedSequence(seed, spawn_key=(1,)) alone:
-        # BLOCK setting cells, then BLOCK uniforms, then the inverse CDF
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(123, spawn_key=(1,)))
-        )
-        cells = rng.integers(0, 9, size=BLOCK)
-        u = rng.random(BLOCK)
-        block = 256 * cells + TABLES.outcomes(cells, u)
+        # block 1 is drawn from random.Random("123:1") alone: BLOCK
+        # uniforms, each picking one of the 1152 codes
+        rng = random.Random("123:1")
+        block = [TABLE[int(1152 * rng.random())] for _ in range(BLOCK)]
         for shots in (BLOCK + 1, BLOCK + 300, 2 * BLOCK, 2 * BLOCK + 7):
             tail = sample(shots, 123)[BLOCK : 2 * BLOCK]
-            assert np.array_equal(tail, block[: tail.size])
-
-    def test_tables_reuse_matches_fresh_computation(self):
-        # the cached tables that sample_events draws from are the ones a
-        # fresh construction gives
-        fresh = ProtocolTables()
-        assert np.array_equal(fresh.joint, protocol_tables().joint)
-        assert np.array_equal(fresh.support, protocol_tables().support)
+            assert tail == block[: len(tail)]
 
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError):
-            sample_events(0, 1)
+            sample_events(0, 1, ENTRIES)
 
 
 class TestEventValidity:
     def test_fields_in_range(self):
         codes = sample(500, 11)
-        assert codes.dtype == np.int16
+        assert all(type(code) is int and 0 <= code < 2304 for code in codes)
         events = decode(codes)
         assert [e.run_id for e in events] == list(range(500))
         for e in events:
@@ -116,16 +133,16 @@ class TestEventValidity:
 class TestStatistics:
     def test_class_frequencies_are_uniform(self):
         shots = 16000
-        counts = class_counts(sample(shots, 2024)).sum(axis=1)
+        counts = [sum(row) for row in class_counts(sample(shots, 2024))]
         expected = shots / 16.0
         sigma = math.sqrt(shots * (1 / 16.0) * (15 / 16.0))
-        assert np.all(np.abs(counts - expected) < 5 * sigma)
+        assert all(abs(n - expected) < 5 * sigma for n in counts)
 
     def test_every_event_saturates_its_class(self):
         # conditioned on the robot's result, each event's signed product
         # equals the sign-table entry of the matched expression
         classes = sort_events(decode(sample(4000, 31)))
-        by_outcome = {e.outcome: e for e in TABLES.entries}
+        by_outcome = {e.outcome: e for e in ENTRIES}
         for outcome, members in classes.items():
             signs = np.asarray(inequalities.sign_table(by_outcome[outcome].matched_inequality))
             for event in members:
@@ -134,21 +151,21 @@ class TestStatistics:
 
     def test_setting_choices_are_uniform(self):
         shots = 18000
-        counts = np.bincount(sample(shots, 5) // 256, minlength=9)
+        counts = Counter(code // 256 for code in sample(shots, 5))
         expected = shots / 9.0
         sigma = math.sqrt(shots * (1 / 9.0) * (8 / 9.0))
-        assert np.all(np.abs(counts - expected) < 5 * sigma)
+        assert all(abs(counts[cell] - expected) < 5 * sigma for cell in range(9))
 
 
 class TestEstimation:
     def test_matched_estimates_are_exactly_nine(self):
         codes = sample(20000, 404)
         classes = sort_events(decode(codes))
-        for entry, row in zip(TABLES.entries, class_counts(codes)):
+        for entry, row in zip(ENTRIES, class_counts(codes)):
             members = classes[entry.outcome]
-            np.testing.assert_array_equal(row, behavior_counts(members))
+            assert row == behavior_counts(members).tolist()
             beta_hat, counts = estimate_beta(row, entry.matched_inequality)
-            assert counts.sum() == len(members)
+            assert sum(map(sum, counts)) == len(members)
             # per-event saturation makes every cell mean +-1, so the
             # estimate is exact, not merely close
             assert beta_hat == 9.0
@@ -171,9 +188,9 @@ class TestEstimation:
                 event = EventRecord(0, i, 0, j, b, outcome)
                 assert event_masked_product(event) == want
                 events.append(event)
-        beta_hat, counts = estimate_beta(behavior_counts(events), 1)
+        beta_hat, counts = estimate_beta(behavior_counts(events).tolist(), 1)
         assert beta_hat == 9.0
-        np.testing.assert_array_equal(counts, np.ones((3, 3), dtype=np.int64))
+        assert counts == [[1, 1, 1]] * 3
 
     def test_insufficient_cells_are_reported(self):
         outcome = ROBOT_OUTCOMES[0]
@@ -184,25 +201,37 @@ class TestEstimation:
             if (i, j) != (2, 2)
         ]
         with pytest.raises(InsufficientSamplesError) as exc:
-            estimate_beta(behavior_counts(events), 1)
+            estimate_beta(behavior_counts(events).tolist(), 1)
         assert exc.value.cells == [(2, 2)]
-        grid = np.ones((3, 3), dtype=np.int64)
-        grid[2, 2] = 0
-        np.testing.assert_array_equal(exc.value.grid, grid)
+        assert exc.value.grid == [[1, 1, 1], [1, 1, 1], [1, 1, 0]]
+
+    @settings(max_examples=50)
+    @given(st.lists(st.integers(0, 10**6), min_size=144, max_size=144), st.integers(1, 16))
+    def test_estimate_is_the_float_nearest_the_exact_value(self, counts, index):
+        # second route: the same sum in Fractions, rounded once
+        row = inequalities.coefficients(index)
+        cells = [counts[16 * cell : 16 * cell + 16] for cell in range(9)]
+        if not all(map(sum, cells)):
+            return
+        exact = sum(
+            Fraction(sum(c * v for c, v in zip(cell, row[16 * k : 16 * k + 16])), sum(cell))
+            for k, cell in enumerate(cells)
+        )
+        assert estimate_beta(counts, index)[0] == float(exact)
 
     def test_mismatched_expression_estimates_track_reference(self, reference_doc):
         # events from one class, scored against expressions they do not
         # maximize, must stay within sampling error of the exact values
         ref = np.array(reference_doc["values"], dtype=float)
         members = class_counts(sample(60000, 77))[0]
-        entry = TABLES.entries[0]
+        entry = ENTRIES[0]
         assert entry.outcome == ROBOT_OUTCOMES[0]
         row = entry.matched_inequality - 1
         for index in (2, 7, 16):
             beta_hat, counts = estimate_beta(members, index)
             # each cell mean has variance at most 1/n; the signed sum over
             # nine cells then has standard error sqrt(sum 1/n_ij)
-            se = math.sqrt(float(np.sum(1.0 / counts)))
+            se = math.sqrt(sum(1.0 / n for cells in counts for n in cells))
             assert abs(beta_hat - ref[row, index - 1]) < 5 * se
 
 
@@ -222,23 +251,24 @@ class TestEstimatorAgainstBehavior:
             n_cell = int(np.count_nonzero(cells == cell))
             ab = rng.choice(16, size=n_cell, p=flat[cell] / flat[cell].sum())
             drawn[16 * cell : 16 * cell + 16] = np.bincount(ab, minlength=16)
-        beta_hat, counts = estimate_beta(drawn, 2)
+        beta_hat, counts = estimate_beta(drawn.tolist(), 2)
         state = four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
         want = beta_quantum(state, 2, *MATCHED_PAIRS)
-        se = math.sqrt(float(np.sum(1.0 / counts)))
+        se = math.sqrt(sum(1.0 / n for cells in counts for n in cells))
         assert abs(beta_hat - want) < 5 * se
 
 
 class TestExactTable:
-    def test_rows_are_distributions(self):
-        assert TABLES.joint.shape == (9, 256)
-        # every entry is 0 or 1/128, so the rows sum to 1 exactly
-        assert set(np.unique(TABLES.joint)) == {0.0, 1 / 128}
-        assert np.all(TABLES.joint.sum(axis=1) == 1.0)
-        # the lookup table lists each row's 128 positive columns in order
-        assert TABLES.support.shape == (9, 128)
-        assert np.all(np.diff(TABLES.support, axis=1) > 0)
-        assert np.all(TABLES.joint[np.arange(9)[:, None], TABLES.support] == 1 / 128)
+    def test_rows_are_distributions(self, joint):
+        # the dense collapse's rows: every entry is 0 or 1/128, 128 of them
+        # positive, and the code table lists each row's positive columns
+        assert joint.shape == (9, 256)
+        assert set(np.unique(np.rint(128 * joint))) == {0.0, 1.0}
+        assert np.allclose(joint, np.rint(128 * joint) / 128, atol=1e-12)
+        assert np.all(np.rint(128 * joint).sum(axis=1) == 128)
+        support = [256 * cell + col for cell, col in zip(*np.nonzero(joint > 1e-12))]
+        assert list(TABLE) == support
+        assert len(TABLE) == 1152
 
     @pytest.mark.parametrize(
         "sources",
@@ -247,35 +277,39 @@ class TestExactTable:
             (BellLabel.PHI_MINUS, BellLabel.PHI_PLUS),
         ],
     )
-    def test_largest_variate_picks_a_possible_outcome(self, sources):
-        tables = protocol_tables(sources)
-        cells = np.arange(9)
-        picked = tables.outcomes(cells, np.full(9, np.nextafter(1.0, 0.0)))
-        # the largest variate below 1 reads the last column of the lookup
-        assert np.array_equal(picked, tables.support[:, 127])
-        assert np.all(tables.joint[cells, picked] > 0.0)
+    def test_largest_variate_picks_a_possible_outcome(self, monkeypatch, sources):
+        entries = class_map(sources)
+        table = code_table(entries)
+        # the largest variate below 1 reads the last entry of the table,
+        # an outcome of cell (2, 2) that the class's behavior allows
+        assert replay(monkeypatch, [LARGEST_U, 0.0], entries) == [table[1151], table[0]]
+        cell, rest = divmod(table[1151], 256)
+        c, ab = divmod(rest, 16)
+        behavior = inequalities.product_counts()[entries[c].matched_inequality - 1]
+        assert cell == 8 and behavior[16 * cell + ab] > 0
 
-    def test_lookup_is_the_inverse_cdf(self):
-        # second route: binary search over each row's cumulative sum
-        u = np.concatenate(
-            [[0.0, 1 / 128, 0.5, np.nextafter(1.0, 0.0)], np.random.default_rng(5).random(20000)]
-        )
-        cells = np.arange(u.size) % 9
-        cum = np.cumsum(TABLES.joint, axis=1)
-        want = np.empty(u.size, dtype=np.int64)
-        for cell in range(9):
-            hit = cells == cell
-            want[hit] = np.searchsorted(cum[cell], u[hit], side="right")
-        assert np.array_equal(TABLES.outcomes(cells, u), want)
+    def test_lookup_is_the_inverse_cdf(self, monkeypatch, joint):
+        # second route: the flattened joint table of the dense collapse, in
+        # exact counts of 1/1152, searched at the exact rational 1152 u; the
+        # bucket edge 1/128 is a float, so 1152 u is exact there
+        counts = np.rint(1152 * joint.ravel() / 9)
+        cum = list(itertools.accumulate(int(n) for n in counts))
+        assert cum[-1] == 1152
+        rng = random.Random(5)
+        u = [0.0, 1 / 128, 0.5, LARGEST_U]
+        u += [(i + 0.5) / 1152 for i in range(1152)] + [rng.random() for _ in range(20000)]
+        want = [bisect.bisect_right(cum, 1152 * Fraction(v)) for v in u]
+        assert replay(monkeypatch, u) == want
 
-    def test_sampled_table_fits_the_dense_collapse(self):
+    def test_sampled_table_fits_the_dense_collapse(self, joint):
         # independent route: the full (x, y, r1, r2, a, b) table from
         # sequential collapse of the eight-qubit state, uniform settings
-        exact = protocol_joint_table(TABLES.sources).ravel() / 9.0
+        exact = joint.ravel() / 9.0
         positive = exact > 1e-12
         assert positive.sum() == 1152
         shots = 115_200  # 100 expected events in each positive cell
-        observed = np.bincount(sample(shots, 20261017), minlength=exact.size)
+        counts = Counter(sample(shots, 20261017))
+        observed = np.array([counts[code] for code in range(exact.size)])
         assert observed[~positive].sum() == 0
         expected = shots * exact[positive] / exact[positive].sum()
         _, p_value = chisquare(observed[positive], expected)
