@@ -49,9 +49,10 @@ def load_reference_table() -> dict:
     path = resources.files("nlbox.data") / "beta_reference.json"
     with path.open("r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("schema_version") != REFERENCE_SCHEMA_VERSION:
+    schema = doc.get("schema_version") if isinstance(doc, dict) else None
+    if schema != REFERENCE_SCHEMA_VERSION:
         raise RuntimeError(
-            f"reference table schema {doc.get('schema_version')} is not "
+            f"reference table schema {schema} is not "
             f"supported (expected {REFERENCE_SCHEMA_VERSION})"
         )
     values = doc.get("values")

@@ -92,19 +92,26 @@ class TestVerifyTable3:
         assert doc["mismatches"][0]["expression"] == 6
 
     @pytest.mark.parametrize(
-        "values",
-        [{}, {"values": 5}, {"values": [None] + [[0.0] * 16] * 15}],
-        ids=["missing", "number", "none-row"],
+        "doc, message",
+        [
+            ({"schema_version": 1}, "values are not 16 rows of 16 numbers"),
+            ({"schema_version": 1, "values": 5}, "values are not 16 rows of 16 numbers"),
+            (
+                {"schema_version": 1, "values": [None] + [[0.0] * 16] * 15},
+                "values are not 16 rows of 16 numbers",
+            ),
+            ([1], "schema None is not supported (expected 1)"),
+        ],
+        ids=["missing", "number", "none-row", "list"],
     )
-    def test_malformed_reference_is_an_error(self, tmp_path, capsys, monkeypatch, values):
-        doc = {"schema_version": cli.REFERENCE_SCHEMA_VERSION, **values}
+    def test_malformed_reference_is_an_error(self, tmp_path, capsys, monkeypatch, doc, message):
         (tmp_path / "beta_reference.json").write_text(json.dumps(doc))
         monkeypatch.setattr(cli.resources, "files", lambda package: tmp_path)
         code = main(["verify-table3"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == "error: reference table values are not 16 rows of 16 numbers\n"
+        assert captured.err == f"error: reference table {message}\n"
 
     def test_schema_mismatch_is_an_error(self, capsys, monkeypatch):
         def bad_loader():
