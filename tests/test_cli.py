@@ -92,25 +92,29 @@ class TestVerifyTable3:
         assert doc["mismatches"][0]["expression"] == 6
 
     @pytest.mark.parametrize(
-        "doc, message",
+        "doc",
         [
-            ({"schema_version": 1}, "values are not 16 rows of 16 numbers"),
-            ({"schema_version": 1, "values": 5}, "values are not 16 rows of 16 numbers"),
-            (
-                {"schema_version": 1, "values": [None] + [[0.0] * 16] * 15},
-                "values are not 16 rows of 16 numbers",
-            ),
-            ([1], "schema None is not supported (expected 1)"),
+            {"schema_version": 1},
+            {"schema_version": 1, "values": 5},
+            {"schema_version": 1, "values": [None] + [[0.0] * 16] * 15},
+            {"schema_version": 1, "values": [[0.0] * 15] + [[0.0] * 16] * 15},
+            {"schema_version": 1, "values": [["9"] * 16] * 16},
+            {"schema_version": 1, "values": [[0.0] * 16] * 15},
+            [1],
         ],
-        ids=["missing", "number", "none-row", "list"],
+        ids=["missing", "number", "none-row", "short-row", "text", "fifteen-rows", "list"],
     )
-    def test_malformed_reference_is_an_error(self, tmp_path, capsys, monkeypatch, doc, message):
+    def test_malformed_reference_is_an_error(self, tmp_path, capsys, monkeypatch, doc):
         (tmp_path / "beta_reference.json").write_text(json.dumps(doc))
         monkeypatch.setattr(cli.resources, "files", lambda package: tmp_path)
         code = main(["verify-table3"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
+        if isinstance(doc, dict):
+            message = "values are not 16 rows of 16 numbers"
+        else:
+            message = "schema None is not supported (expected 1)"
         assert captured.err == f"error: reference table {message}\n"
 
     def test_schema_mismatch_is_an_error(self, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Seeded event sampling: reproducibility, statistics, and estimation."""
 
 import bisect
+import dataclasses
 import itertools
 import math
 import random
@@ -198,12 +199,12 @@ class TestEstimation:
             EventRecord(0, i, 0, j, 0, outcome)
             for i in range(3)
             for j in range(3)
-            if (i, j) != (2, 2)
+            if (i, j) not in ((0, 1), (2, 2))
         ]
         with pytest.raises(InsufficientSamplesError) as exc:
             estimate_beta(behavior_counts(events).tolist(), 1)
-        assert exc.value.cells == [(2, 2)]
-        assert exc.value.grid == [[1, 1, 1], [1, 1, 1], [1, 1, 0]]
+        assert exc.value.cells == [(0, 1), (2, 2)]
+        assert exc.value.grid == [[1, 0, 1], [1, 1, 1], [1, 1, 0]]
 
     @settings(max_examples=50)
     @given(st.lists(st.integers(0, 10**6), min_size=144, max_size=144), st.integers(1, 16))
@@ -287,6 +288,20 @@ class TestExactTable:
         c, ab = divmod(rest, 16)
         behavior = inequalities.product_counts()[entries[c].matched_inequality - 1]
         assert cell == 8 and behavior[16 * cell + ab] > 0
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # robot probability 1/8 on the first class: its outcomes are 1/64
+            [dataclasses.replace(ENTRIES[0], probability=1 / 8), *ENTRIES[1:]],
+            # a class listed twice: 136 outcomes of 1/128 per cell
+            [*ENTRIES, ENTRIES[0]],
+        ],
+        ids=["probability", "duplicate"],
+    )
+    def test_a_table_off_the_premise_is_an_error(self, entries):
+        with pytest.raises(RuntimeError, match="not 1/128 on 128 outcomes"):
+            code_table(entries)
 
     def test_lookup_is_the_inverse_cdf(self, monkeypatch, joint):
         # second route: the flattened joint table of the dense collapse, in
