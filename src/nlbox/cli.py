@@ -15,9 +15,8 @@ import itertools
 import json
 import os
 import sys
-from importlib import resources
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from . import inequalities, polytope, sampler, swap
 from .observables import OUTCOME_BITS, OUTCOMES
@@ -25,15 +24,12 @@ from .states import BELL_ORDER, PRODUCT_LABELS, bell_label_from_code
 
 REPORT_SCHEMA_VERSION = 1
 REFERENCE_SCHEMA_VERSION = 1
+REFERENCE_PATH = Path(__file__).parent / "data" / "beta_reference.json"
 
-
-class Report(NamedTuple):
-    """What a command prints, and why it fails (``None`` when it does not)."""
-
-    doc: dict  # the JSON document; the renderer puts schema_version first
-    header: list[str]
-    rows: list[list]
-    failure: str | None
+# What a command prints, and why it fails: the JSON document (the renderer
+# puts schema_version first), the CSV header and rows, and the failure
+# message, None when the command succeeds.
+Report = namedtuple("Report", "doc header rows failure")
 
 
 def sig12(x: float) -> float:
@@ -44,10 +40,11 @@ def sig12(x: float) -> float:
 def load_reference_table() -> dict:
     """The packaged reference table of the 256 expected expression values.
 
-    Raises RuntimeError on another schema or on values not 16 rows of 16 numbers.
+    Raises RuntimeError on another schema or on values not 16 rows of 16
+    numbers; a number is an int or a float within the float range, never a
+    bool, NaN or an infinity.
     """
-    path = resources.files("nlbox.data") / "beta_reference.json"
-    with path.open("r", encoding="utf-8") as fh:
+    with open(REFERENCE_PATH, encoding="utf-8") as fh:
         doc = json.load(fh)
     schema = doc.get("schema_version") if isinstance(doc, dict) else None
     if schema != REFERENCE_SCHEMA_VERSION:
@@ -57,7 +54,9 @@ def load_reference_table() -> dict:
         )
     values = doc.get("values")
     if not isinstance(values, list) or len(values) != 16 or not all(
-        isinstance(row, list) and len(row) == 16 and all(isinstance(v, (int, float)) for v in row)
+        isinstance(row, list)
+        and len(row) == 16
+        and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in row)
         for row in values
     ):
         raise RuntimeError("reference table values are not 16 rows of 16 numbers")

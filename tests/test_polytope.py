@@ -236,13 +236,16 @@ class TestFacets:
             assert report.is_facet
 
     def test_saturator_dims_match_direct_ranks(self):
-        # the package ranks expression 1's saturators and reuses the result
-        # for every relabeling; here each saturator set is ranked on its own
+        # the package ranks expression 1's saturators and reads every
+        # relabeling's maximum, count and witness off expression 1's values;
+        # here each expression is evaluated and ranked on its own
         for k in range(1, NUM_EXPRESSIONS + 1):
-            sat = vertex_matrix()[np.asarray(vertex_values(k)) == 7]
+            values = vertex_values(k)
+            sat = vertex_matrix()[np.asarray(values) == 7]
             report = facet_check(k)
             assert oracle_rank(sat[1:] - sat[0]) == report.saturator_affine_dim == 98
-            assert sat.shape[0] == report.num_saturators
+            assert sat.shape[0] == report.num_saturators == values.count(7)
+            assert (report.lhv_max, report.witness) == lhv_bound(k)
 
     def test_every_expression_is_a_relabeling_of_expression_one(self):
         # flipping Alice's outcome a -> a ^ f_x, one f per setting, by loop

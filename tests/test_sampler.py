@@ -1,7 +1,6 @@
 """Seeded event sampling: reproducibility, statistics, and estimation."""
 
 import bisect
-import dataclasses
 import itertools
 import math
 import random
@@ -98,6 +97,20 @@ class TestReproducibility:
         for shots in (BLOCK + 1, BLOCK + 300, 2 * BLOCK, 2 * BLOCK + 7):
             tail = sample(shots, 123)[BLOCK : 2 * BLOCK]
             assert tail == block[: len(tail)]
+
+    def test_draws_one_uniform_per_run(self, monkeypatch):
+        # a sample shorter than a block draws no uniform it does not use
+        calls = []
+
+        class Counting(random.Random):
+            def random(self):
+                calls.append(None)
+                return super().random()
+
+        expected = sample(500, 11)
+        monkeypatch.setattr(sampler, "random", SimpleNamespace(Random=Counting))
+        assert sample(500, 11) == expected
+        assert len(calls) == 500
 
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError):
@@ -293,7 +306,7 @@ class TestExactTable:
         "entries",
         [
             # robot probability 1/8 on the first class: its outcomes are 1/64
-            [dataclasses.replace(ENTRIES[0], probability=1 / 8), *ENTRIES[1:]],
+            [ENTRIES[0]._replace(probability=1 / 8), *ENTRIES[1:]],
             # a class listed twice: 136 outcomes of 1/128 per cell
             [*ENTRIES, ENTRIES[0]],
         ],
