@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -47,7 +46,7 @@ def load_reference_table() -> dict:
     with open(REFERENCE_PATH, encoding="utf-8") as fh:
         doc = json.load(fh)
     schema = doc.get("schema_version") if isinstance(doc, dict) else None
-    if schema != REFERENCE_SCHEMA_VERSION:
+    if type(schema) is not int or schema != REFERENCE_SCHEMA_VERSION:
         raise RuntimeError(
             f"reference table schema {schema} is not "
             f"supported (expected {REFERENCE_SCHEMA_VERSION})"
@@ -201,21 +200,17 @@ def cmd_swap_map(args) -> Report:
 
 def _event_text(codes, block: int):
     """events.csv in chunks of ``block`` events."""
-
-    def sign(v: int) -> str:
-        return "+1" if v > 0 else "-1"
-
     # the text after run_id of every event line, indexed by event code
-    suffixes = [
-        f",{x},{y},{sign(a1)},{sign(a2)},{sign(b1)},{sign(b2)},{r1.code},{r2.code}"
-        for x, y, r1, r2, (a1, a2), (b1, b2) in itertools.product(
-            range(3), range(3), BELL_ORDER, BELL_ORDER, OUTCOME_BITS, OUTCOME_BITS
-        )
-    ]
+    # 256 * (3x + y) + 16 * (4 r1 + r2) + 4a + b: ",x,y," + "a1,a2,b1,b2" + ",r1,r2\n"
+    settings = [f",{x},{y}," for x in range(3) for y in range(3)]
+    halves = [f"{first:+d},{second:+d}" for first, second in OUTCOME_BITS]
+    signs = [f"{a},{b}" for a in halves for b in halves]
+    robots = [f",{r1.code},{r2.code}\n" for r1 in BELL_ORDER for r2 in BELL_ORDER]
+    suffixes = [xy + ab + r for xy in settings for r in robots for ab in signs]
     yield "run_id,x,y,a1,a2,b1,b2,r1,r2\n"
     for start in range(0, len(codes), block):
         chunk = enumerate(codes[start : start + block], start)
-        yield "".join(f"{run_id}{suffixes[code]}\n" for run_id, code in chunk)
+        yield "".join([f"{run_id}{suffixes[code]}" for run_id, code in chunk])
 
 
 def cmd_sample(args) -> Report:

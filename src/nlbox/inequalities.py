@@ -102,7 +102,7 @@ def coefficient_rows(sign_tables) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(s * v for s, cell in zip(row, bits) for v in cell) for row in signs)
 
 
-# Row k - 1 is expression k; the columns follow polytope.saturating_vertices.
+# Row k - 1 is expression k; column 16 * (3x + y) + 4a + b is p(a, b | x, y).
 C = coefficient_rows(SIGN_TABLES)
 
 

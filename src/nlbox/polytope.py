@@ -128,14 +128,6 @@ def integer_rank(mat) -> int:
     return len(pivots)
 
 
-def affine_dimension(points) -> int:
-    """Affine dimension of a set of integer points (rank of differences)."""
-    if len(points) == 0:
-        raise ValueError("no points given")
-    first = points[0]
-    return integer_rank([[p - q for p, q in zip(point, first)] for point in points[1:]])
-
-
 @lru_cache(maxsize=1)
 def polytope_affine_dim() -> int:
     """Affine dimension of the local polytope, r**2 - 1 for r = rank of the party table.
@@ -146,37 +138,29 @@ def polytope_affine_dim() -> int:
     return integer_rank(party_table()) ** 2 - 1
 
 
-def saturating_vertices(index: int) -> tuple[tuple[int, ...], ...]:
-    """Behaviors of the vertices where the expression reaches its deterministic maximum.
-
-    Vertex (f, g) is party_table()[f][4x + a] * party_table()[g][4y + b] at
-    column 16*(3x + y) + 4a + b.
-    """
-    values = vertex_values(index)
-    table, bound = party_table(), max(values)
-    vertices = [divmod(v, len(table)) for v, value in enumerate(values) if value == bound]
-    return tuple(
-        tuple(table[f][4 * x + a] * table[g][4 * y + b] for x, y, a, b in _COLUMNS)
-        for f, g in vertices
-    )
-
-
 @lru_cache(maxsize=1)
 def _orbit_of_one() -> tuple[dict, int, tuple[int, ...], int]:
     """Expression 1 under the 64 relabelings a -> a ^ h_x of Alice's outcomes.
 
     Returns each image mapped to h's index in ``party_strategies()``;
     expression 1's maximum; the indices v = 64f + g of the vertices that
-    reach it; and their affine dimension.
+    reach it; and their affine dimension.  Vertex (f, g) is 1 at column
+    (x, y, a, b) iff f_x = a and g_y = b.  On a vertex, column (x, a = 0)
+    is column (0, a = 0..3) minus (x, a = 1..3), and likewise for Bob, so
+    the 100 other columns have the same rank; every vertex sums to 9, so
+    the affine hull misses the origin and its dimension is that rank - 1.
     """
-    one, values = coefficients(1), vertex_values(1)
+    one, values, singles = coefficients(1), vertex_values(1), party_strategies()
     images = {
         tuple(one[16 * (3 * x + y) + 4 * (a ^ h[x]) + b] for x, y, a, b in _COLUMNS): i
-        for i, h in enumerate(party_strategies())
+        for i, h in enumerate(singles)
     }
     bound = max(values)
     saturators = tuple(v for v, value in enumerate(values) if value == bound)
-    return images, bound, saturators, affine_dimension(saturating_vertices(1))
+    pairs = [(singles[v >> 6], singles[v & 63]) for v in saturators]
+    kept = [(x, y, a, b) for x, y, a, b in _COLUMNS if (a or not x) and (b or not y)]
+    rank = integer_rank([[int(f[x] == a and g[y] == b) for f, g in pairs] for x, y, a, b in kept])
+    return images, bound, saturators, rank - 1
 
 
 def facet_check(index: int) -> FacetReport:

@@ -14,9 +14,11 @@ Block ``k`` draws from its own ``random.Random(f"{seed}:{k}")``, which
 Python seeds through the string's SHA-512 digest, a version-stable rule.
 Run ``k * BLOCK + i`` takes the block's i-th ``random()`` u (the one method
 whose sequence Python promises to keep), and its code is
-``table[int(1152 * u)]``.  The last block draws only the runs it needs,
-so identical (shots, seed, sources) reproduce identical events and adding
-shots never changes earlier runs.
+``table[int(1152 * u)]``, computed as ``floor(u * 1152.0)``: the same float
+product (1152 is exact as a float), and floor truncates for u >= 0.  The
+last block draws only the runs it needs, so identical (shots, seed,
+sources) reproduce identical events and adding shots never changes
+earlier runs.
 
 ``int(1152 * u) <= 1151`` for every u < 1.  The largest u is 1 - 2**-53,
 and 1152 (1 - 2**-53) = 1152 - 9 * 2**-46.  Floats near 1152 are
@@ -31,7 +33,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from math import lcm
+from itertools import repeat
+from math import floor, lcm
 
 from .inequalities import coefficients, product_counts
 from .states import product_index
@@ -79,7 +82,7 @@ def sample_events(shots: int, seed: int, entries) -> list[int]:
     codes = []
     for start in range(0, shots, BLOCK):
         u = random.Random(f"{seed}:{start // BLOCK}").random
-        codes += [table[int(1152 * u())] for _ in range(min(BLOCK, shots - start))]
+        codes += [table[floor(u() * 1152.0)] for _ in repeat(None, min(BLOCK, shots - start))]
     return codes
 
 

@@ -14,7 +14,8 @@ by cell.  Tests compare the package against them.
 The package works in Python integers and never builds the local
 polytope's vertex matrix; here the 4096x144 vertex matrix and a numpy
 fraction-free rank, with its int64 overflow guard, rank the vertex and
-saturator differences directly.
+saturator differences directly, and a maximum's saturating vertex rows
+are built from the party table.
 
 The sampler's integer event codes are decoded here into one record per
 event.  The swap protocol is rebuilt by dense collapse of the eight-qubit
@@ -28,6 +29,7 @@ that the sampled events are fitted against.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,6 +43,7 @@ from nlbox.polytope import (
     DeterministicStrategy,
     party_strategies,
     party_table,
+    vertex_values,
 )
 from nlbox.states import BELL_ORDER, PRODUCT_LABELS, BellLabel
 from nlbox.swap import DEFAULT_SOURCES, ROBOT_OUTCOMES, RobotOutcome, class_map
@@ -602,6 +605,30 @@ def integer_rank(mat: np.ndarray) -> int:
                     below[idx] //= g[:, None]
         rank += 1
     return rank
+
+
+def affine_dimension(points) -> int:
+    """Affine dimension of a set of integer points (rank of differences)."""
+    if len(points) == 0:
+        raise ValueError("no points given")
+    points = np.asarray(points, dtype=np.int64)
+    return integer_rank(points[1:] - points[0])
+
+
+def saturating_vertices(index: int) -> tuple[tuple[int, ...], ...]:
+    """Behaviors of the vertices where the expression reaches its deterministic maximum.
+
+    Vertex (f, g) is party_table()[f][4x + a] * party_table()[g][4y + b] at
+    column 16*(3x + y) + 4a + b.
+    """
+    values = vertex_values(index)
+    table, bound = party_table(), max(values)
+    vertices = [divmod(v, len(table)) for v, value in enumerate(values) if value == bound]
+    columns = list(itertools.product(range(3), range(3), range(4), range(4)))
+    return tuple(
+        tuple(table[f][4 * x + a] * table[g][4 * y + b] for x, y, a, b in columns)
+        for f, g in vertices
+    )
 
 
 def masked_operator(obs: FourOutcomeObservable, mask: str) -> np.ndarray:

@@ -135,15 +135,20 @@ class TestVerifyTable3:
             message = "schema None is not supported (expected 1)"
         assert captured.err == f"error: reference table {message}\n"
 
-    def test_schema_mismatch_is_an_error(self, capsys, monkeypatch):
-        def bad_loader():
-            raise RuntimeError("reference table schema 0 is not supported")
-
-        monkeypatch.setattr(cli, "load_reference_table", bad_loader)
-        code = main(["verify-table3"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "error: reference table schema" in err
+    def test_schema_mismatch_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # the shipped values under another schema; true and 1.0 compare
+        # equal to 1 but are not the integer 1
+        doc = json.loads(cli.REFERENCE_PATH.read_text(encoding="utf-8"))
+        path = tmp_path / "beta_reference.json"
+        monkeypatch.setattr(cli, "REFERENCE_PATH", path)
+        for schema in (0, 2, True, 1.0, "1", None):
+            path.write_text(json.dumps({**doc, "schema_version": schema}))
+            code = main(["verify-table3"])
+            captured = capsys.readouterr()
+            assert code == 1, schema
+            assert captured.out == ""
+            want = f"error: reference table schema {schema} is not supported (expected 1)\n"
+            assert captured.err == want
 
 
 class TestBounds:
@@ -189,6 +194,8 @@ class TestBounds:
         capsys.readouterr()
         assert len(calls) == 2
         assert max(calls) <= 144
+        # the 64x12 party table and the 100 kept columns of the saturators
+        assert sorted(calls) == [64, 100]
 
     def test_an_expression_off_the_orbit_is_an_error(self, capsys, monkeypatch):
         # expression 5 with the sign of cell (1, 2) flipped is no relabeling
@@ -359,6 +366,20 @@ class TestSample:
         capsys.readouterr()
         events = {(tmp_path / s / "events.csv").read_bytes() for s in ("SM,SM", "PP,PM", "SP,PP")}
         assert len(events) == 1
+
+    def test_every_code_has_its_event_line(self):
+        # only 1152 of the 2304 codes occur in events.csv, so the pinned
+        # hashes miss the rest: render all of them, 1000 to a chunk, and
+        # decode each code field by field
+        signs, robots = ("+1", "-1"), ("PP", "PM", "SP", "SM")
+        lines = "".join(cli._event_text(list(range(2304)), 1000)).split("\n")
+        assert lines[0] == "run_id,x,y,a1,a2,b1,b2,r1,r2"
+        assert lines[-1] == "" and len(lines) == 2306
+        for code, line in enumerate(lines[1:-1]):
+            cell, c, a, b = code >> 8, (code >> 4) & 15, (code >> 2) & 3, code & 3
+            fields = [str(code), str(cell // 3), str(cell % 3)]
+            fields += [signs[a >> 1], signs[a & 1], signs[b >> 1], signs[b & 1]]
+            assert line.split(",") == fields + [robots[c >> 2], robots[c & 3]]
 
     def test_summary_counts_match_the_events_file(self, tmp_path, capsys):
         out_dir = tmp_path / "run"

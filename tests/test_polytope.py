@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
     Behavior,
+    affine_dimension,
     enumerate_strategies,
     lhv_value,
+    saturating_vertices,
     vertex_matrix,
     vertex_matrix_by_loop,
 )
 from oracle import integer_rank as oracle_rank
 
+from nlbox import polytope
 from nlbox.inequalities import (
     NUM_EXPRESSIONS,
     coefficient_rows,
@@ -27,7 +30,6 @@ from nlbox.polytope import (
     NUM_JOINT_STRATEGIES,
     NUM_PARTY_STRATEGIES,
     DeterministicStrategy,
-    affine_dimension,
     facet_check,
     integer_rank,
     lhv_bound,
@@ -35,7 +37,6 @@ from nlbox.polytope import (
     party_strategies,
     party_table,
     polytope_affine_dim,
-    saturating_vertices,
     vertex_values,
 )
 from nlbox.states import FRAMES, PRODUCT_LABELS
@@ -153,8 +154,9 @@ class TestVertices:
         assert np.array_equal(verts, loop)
 
     def test_values_and_saturators_match_the_vertex_matrix(self):
-        # the package sums partial tables per Alice strategy and builds only
-        # the saturating rows; the oracle multiplies the full matrix
+        # the package sums partial tables per Alice strategy, the oracle's
+        # saturating rows are products of party-table rows, and the vertex
+        # matrix is multiplied in full
         verts = vertex_matrix()
         for k in range(1, NUM_EXPRESSIONS + 1):
             values = verts @ np.asarray(coefficients(k))
@@ -246,6 +248,28 @@ class TestFacets:
             assert oracle_rank(sat[1:] - sat[0]) == report.saturator_affine_dim == 98
             assert sat.shape[0] == report.num_saturators == values.count(7)
             assert (report.lhv_max, report.witness) == lhv_bound(k)
+
+    @pytest.mark.parametrize("other", [2, 9, 16, 0])
+    def test_saturator_rank_holds_off_expression_one(self, monkeypatch, other):
+        # the 100-column rank of the saturators, minus 1, is their affine
+        # dimension for any set of vertices: rank the 128 common saturators
+        # of expressions 1 and ``other``, or the 64 left when expression 1
+        # loses Alice's setting 0, against the direct rank of the set
+        row = np.asarray(coefficients(1))
+        if other:
+            row = row + np.asarray(coefficients(other))
+        else:
+            row[:48] = 0
+        values = vertex_matrix() @ row
+        sat = vertex_matrix()[values == values.max()]
+        monkeypatch.setattr(polytope, "coefficients", lambda k: tuple(int(v) for v in row))
+        polytope._orbit_of_one.cache_clear()
+        try:
+            _, bound, saturators, dim = polytope._orbit_of_one()
+        finally:
+            polytope._orbit_of_one.cache_clear()
+        assert (bound, len(saturators)) == (values.max(), sat.shape[0])
+        assert dim == oracle_rank(sat[1:] - sat[0]) == (55 if other else 45)
 
     def test_every_expression_is_a_relabeling_of_expression_one(self):
         # flipping Alice's outcome a -> a ^ f_x, one f per setting, by loop

@@ -302,6 +302,18 @@ class TestExactTable:
         behavior = inequalities.product_counts()[entries[c].matched_inequality - 1]
         assert cell == 8 and behavior[16 * cell + ab] > 0
 
+    def test_floor_draw_is_the_contract_truncation(self, monkeypatch):
+        # contract 3 reads entry int(1152 u) and the sampler computes
+        # floor(u * 1152.0): they must agree at 0, at LARGEST_U, at every
+        # bucket edge k/1152 and at both float neighbours of each edge
+        edges = [k / 1152 for k in range(1153)]
+        u = [0.0, LARGEST_U, *edges[:-1]]
+        u += [math.nextafter(e, 0.0) for e in edges[1:]]
+        u += [math.nextafter(e, 1.0) for e in edges[:-1]]
+        assert all(0.0 <= v < 1.0 for v in u) and len(set(u)) == 3 * 1152
+        assert [math.floor(v * 1152.0) for v in u] == [int(1152 * v) for v in u]
+        assert replay(monkeypatch, u) == [TABLE[int(1152 * v)] for v in u]
+
     @pytest.mark.parametrize(
         "entries",
         [
