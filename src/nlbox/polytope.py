@@ -23,7 +23,6 @@ from functools import lru_cache
 from .inequalities import coefficients, dot, product_counts, sign_table
 
 NUM_PARTY_STRATEGIES = 64
-NUM_JOINT_STRATEGIES = NUM_PARTY_STRATEGIES**2
 # (x, y, a, b) of behavior column 16*(3x + y) + 4a + b, in column order
 _COLUMNS = tuple(itertools.product(range(3), range(3), range(4), range(4)))
 

@@ -36,7 +36,7 @@ from collections import Counter
 from itertools import repeat
 from math import floor, lcm
 
-from .inequalities import coefficients, product_counts
+from .inequalities import coefficients, dot, product_counts
 from .states import product_index
 
 RNG_CONTRACT = 3
@@ -96,18 +96,18 @@ def estimate_beta(counts: list[int], index: int) -> tuple[float, list[list[int]]
     """Estimate an expression value from one class's 144 event counts.
 
     The estimate, the sum over the nine cells of the cell's signed count
-    over its count, is summed exactly and rounded once to a float.  Returns
-    it with the 3x3 per-cell event counts.  Raises InsufficientSamplesError,
-    carrying those counts, when a cell has no event at all; an empty cell
-    cannot be skipped without biasing the sum.
+    over its count, is the expression's row dotted with the counts scaled
+    to their common denominator L = lcm(cell counts), over L: one exact
+    integer, rounded once to a float.  Returns it with the 3x3 per-cell
+    event counts.  Raises InsufficientSamplesError, carrying those counts,
+    when a cell has no event at all; an empty cell cannot be skipped
+    without biasing the sum.
     """
     cells = [sum(counts[16 * cell : 16 * cell + 16]) for cell in range(9)]
     grid = [cells[3 * x : 3 * x + 3] for x in range(3)]
     empty = [divmod(cell, 3) for cell, n in enumerate(cells) if n == 0]
     if empty:
         raise InsufficientSamplesError(empty, grid)
-    signed = [0] * 9
-    for i, (v, n) in enumerate(zip(coefficients(index), counts)):
-        signed[i >> 4] += v * n
-    denominator = lcm(*cells)
-    return sum(s * (denominator // n) for s, n in zip(signed, cells)) / denominator, grid
+    L = lcm(*cells)
+    scaled = [n * (L // cells[i >> 4]) for i, n in enumerate(counts)]
+    return dot(coefficients(index), scaled) / L, grid

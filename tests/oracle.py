@@ -1,35 +1,36 @@
-"""Independent second routes to the values the package computes.
+"""Independent second routes to the values the package computes, one per claim.
 
 The package evaluates every Bell expression as one row of the integer
 coefficient matrix ``inequalities.C`` dotted with a 144-entry behavior,
 and derives the Born behaviors of the sixteen Bell products in integers
 from the parties' signed Pauli strings and the pairs' Pauli frames.  The
-routes here never touch that matrix or that table: complex kets of the
-Bell states and of the parties' measurement bases, labeled product
-states on explicit qubit pairs, dense projectors and cell operators built
-from those kets, scalar sums over one deterministic strategy, the masked
-product of one sampled event, and a validated behavior table read cell
-by cell.  Tests compare the package against them.
+routes here read neither that matrix nor that table:
 
-The package works in Python integers and never builds the local
-polytope's vertex matrix; here the 4096x144 vertex matrix and a numpy
-fraction-free rank, with its int64 overflow guard, rank the vertex and
-saturator differences directly, and a maximum's saturating vertex rows
-are built from the party table.
-
-The sampler's integer event codes are decoded here into one record per
-event.  The swap protocol is rebuilt by dense collapse of the eight-qubit
-source state: 256x256 Bell projectors, the robot's outcome distribution,
-the reduced state of the kept qubits and a fidelity search over the
-sixteen Bell products, which the package's Pauli-frame class map and its
-pre-measurement behavior are checked against, and the full joint table
-that the sampled events are fitted against.
+- Born behaviors: complex kets of the Bell states and of the parties'
+  measurement bases, labeled product states on explicit qubit pairs, and
+  all 144 probabilities of a state from dense projectors in one einsum.
+- Expression values: ``behavior_value``, the signed sum over cells of the
+  masked correlators of a behavior, built from the sign table and the
+  masks.  It scores Born behaviors, deterministic vertices and sampled
+  event counts alike.
+- The local polytope: the 4096x144 vertex matrix, built from base-4
+  digits rather than the package's party table, and a numpy
+  fraction-free rank with its int64 overflow guard.
+- Sampled runs: one decode of the sampler's integer event codes, and the
+  event counts per robot outcome.
+- The swap: dense collapse of the eight-qubit source state, with 256x256
+  Bell projectors, the robot's outcome distribution, the reduced state of
+  the kept qubits and a fidelity search over the sixteen Bell products,
+  which the package's Pauli-frame class map and its pre-measurement
+  behavior are checked against, and the full joint table that the sampled
+  events are fitted against.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,16 +38,10 @@ import numpy as np
 
 from nlbox.inequalities import mask_pattern, sign_table
 from nlbox.observables import MASKS, mask_value
-from nlbox.polytope import (
-    NUM_JOINT_STRATEGIES,
-    NUM_PARTY_STRATEGIES,
-    DeterministicStrategy,
-    party_strategies,
-    party_table,
-    vertex_values,
-)
 from nlbox.states import BELL_ORDER, PRODUCT_LABELS, BellLabel
 from nlbox.swap import DEFAULT_SOURCES, ROBOT_OUTCOMES, RobotOutcome, class_map
+
+NUM_JOINT_STRATEGIES = 4**3 * 4**3
 
 # Tolerances of the structural checks on dense states and operators.
 ATOL_STRUCT = 1e-10
@@ -514,40 +509,17 @@ def premeasurement_state(sources=DEFAULT_SOURCES) -> DensityMatrix:
     return DensityMatrix((kets.T * probs) @ kets.conj(), KEPT_QUBITS)
 
 
-def enumerate_strategies():
-    """Iterate all 4096 joint deterministic strategies (Alice-major order)."""
-    singles = party_strategies()
-    for alice in singles:
-        for bob in singles:
-            yield DeterministicStrategy(alice, bob)
-
-
-def vertex_matrix_by_loop() -> np.ndarray:
-    """The 4096x144 vertex matrix, one strategy pair at a time."""
-    singles = party_strategies()
-    onehot = np.zeros((len(singles), 3, 4), dtype=np.int64)
-    for s, strat in enumerate(singles):
-        for setting in range(3):
-            onehot[s, setting, strat[setting]] = 1
-    rows = np.zeros((len(singles) ** 2, 144), dtype=np.int64)
-    joint = 0
-    for f in range(len(singles)):
-        for g in range(len(singles)):
-            cells = np.einsum("xa,yb->xyab", onehot[f], onehot[g])
-            rows[joint] = cells.reshape(-1)
-            joint += 1
-    return rows
-
-
-@functools.lru_cache(maxsize=1)
+@functools.cache
 def vertex_matrix() -> np.ndarray:
-    """All 4096 vertex behaviors as rows of a 0/1 matrix.
+    """All 4096 vertex behaviors as rows of a 0/1 matrix, read-only.
 
-    Row order matches the flattening of the 64x64 strategy grid
-    (Alice-major).  Column layout: cell (x, y) contributes the 16 entries
-    p(a, b | x, y) at offset 16*(3x + y) + 4a + b.
+    Strategy s answers digit x of s in base 4, most significant first, to
+    setting x, and row 64f + g is Alice's strategy f with Bob's g.  Column
+    layout: cell (x, y) contributes the 16 entries p(a, b | x, y) at offset
+    16*(3x + y) + 4a + b.
     """
-    onehot = np.array(party_table()).reshape(NUM_PARTY_STRATEGIES, 3, 4)
+    digits = np.arange(64)[:, None] // 4 ** np.arange(2, -1, -1) % 4
+    onehot = (digits[:, :, None] == np.arange(4)).astype(np.int64)
     # rows[f, g, x, y, a, b] = onehot[f, x, a] * onehot[g, y, b]
     rows = (
         onehot[:, None, :, None, :, None] * onehot[None, :, None, :, None, :]
@@ -615,22 +587,6 @@ def affine_dimension(points) -> int:
     return integer_rank(points[1:] - points[0])
 
 
-def saturating_vertices(index: int) -> tuple[tuple[int, ...], ...]:
-    """Behaviors of the vertices where the expression reaches its deterministic maximum.
-
-    Vertex (f, g) is party_table()[f][4x + a] * party_table()[g][4y + b] at
-    column 16*(3x + y) + 4a + b.
-    """
-    values = vertex_values(index)
-    table, bound = party_table(), max(values)
-    vertices = [divmod(v, len(table)) for v, value in enumerate(values) if value == bound]
-    columns = list(itertools.product(range(3), range(3), range(4), range(4)))
-    return tuple(
-        tuple(table[f][4 * x + a] * table[g][4 * y + b] for x, y, a, b in columns)
-        for f, g in vertices
-    )
-
-
 def masked_operator(obs: FourOutcomeObservable, mask: str) -> np.ndarray:
     """The +-1-valued observable obtained by masking the outcome bits."""
     if mask not in MASKS:
@@ -639,53 +595,6 @@ def masked_operator(obs: FourOutcomeObservable, mask: str) -> np.ndarray:
     for outcome in range(4):
         out = out + mask_value(outcome, mask) * obs.projectors[outcome]
     return out
-
-
-@functools.cache
-def cell_operator(
-    i: int,
-    j: int,
-    alice_pair: tuple[int, int],
-    bob_pair: tuple[int, int],
-    context: tuple[int, ...],
-) -> np.ndarray:
-    """Product of the two masked observables of cell (i, j) on a register.
-
-    Built once per cell, pairs and register, and read-only.
-    """
-    alice_mask, bob_mask = mask_pattern(i, j)
-    ma = masked_operator(alice_observable(i), alice_mask)
-    mb = masked_operator(bob_observable(j), bob_mask)
-    op = embed(tensor(ma, mb), tuple(alice_pair) + tuple(bob_pair), context)
-    op.flags.writeable = False
-    return op
-
-
-def correlator_quantum(
-    state: StateVector,
-    i: int,
-    j: int,
-    alice_pair: tuple[int, int],
-    bob_pair: tuple[int, int],
-) -> float:
-    """Masked correlator of cell (i, j) on a four-qubit pure state."""
-    op = cell_operator(i, j, alice_pair, bob_pair, state.labels)
-    return expectation(state, op)
-
-
-def beta_quantum(
-    state: StateVector,
-    index: int,
-    alice_pair: tuple[int, int],
-    bob_pair: tuple[int, int],
-) -> float:
-    """Value of expression ``index`` on a four-qubit pure state."""
-    signs = sign_table(index)
-    total = 0.0
-    for i in range(3):
-        for j in range(3):
-            total += signs[i][j] * correlator_quantum(state, i, j, alice_pair, bob_pair)
-    return total
 
 
 @functools.cache
@@ -717,70 +626,38 @@ def density_behavior(
     return probs.real
 
 
-@functools.cache
-def dense_value_table() -> np.ndarray:
-    """All 256 values [product, expression] by beta_quantum, computed once."""
-    products = [four_qubit_product(*labels) for labels in PRODUCT_LABELS]
-    table = np.array([[beta_quantum(p, k, *MATCHED_PAIRS) for k in range(1, 17)] for p in products])
-    table.flags.writeable = False
-    return table
+def behavior_value(index: int, behavior) -> np.ndarray:
+    """Value of expression ``index`` on behaviors along the last axis, 144 long.
 
-
-def lhv_value(index: int, strategy) -> int:
-    """Exact expression value of one deterministic strategy."""
+    The sum over cells (x, y) of the sign times sum_ab chi(a) chi(b)
+    p(a, b | x, y), chi being the two masked signs of the cell: read off the
+    sign table and the masks, never the coefficient matrix.  Integer
+    behaviors give exact integers.
+    """
+    p = np.asarray(behavior)
+    cells = p.reshape(p.shape[:-1] + (3, 3, 4, 4))
     signs = sign_table(index)
     total = 0
-    for i in range(3):
-        for j in range(3):
-            alice_mask, bob_mask = mask_pattern(i, j)
-            total += signs[i][j] * mask_value(
-                strategy.alice[i], alice_mask
-            ) * mask_value(strategy.bob[j], bob_mask)
+    for x, y in itertools.product(range(3), repeat=2):
+        alice, bob = ([mask_value(o, mask) for o in range(4)] for mask in mask_pattern(x, y))
+        cell = cells[..., x, y, :, :]
+        total = total + signs[x][y] * np.einsum("...ab,a,b->...", cell, alice, bob)
     return total
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One full run: settings, local outcomes, and the robot's Bell results."""
-
-    run_id: int
-    alice_setting: int
-    alice_outcome: int
-    bob_setting: int
-    bob_outcome: int
-    robot: RobotOutcome
+def decode(code: int) -> tuple[int, int, int, int, int, int]:
+    """Fields (x, y, a, b, r1, r2) of event code 256*(3x + y) + 16*(4*r1 + r2) + 4a + b."""
+    cell, rest = divmod(code, 256)
+    robot, ab = divmod(rest, 16)
+    return (*divmod(cell, 3), *divmod(ab, 4), *divmod(robot, 4))
 
 
-def decode(codes) -> list[EventRecord]:
-    """One record per event code 256*(3x + y) + 16*(4*r1 + r2) + 4a + b."""
-    events = []
-    for run_id, code in enumerate(int(c) for c in codes):
-        cell, rest = divmod(code, 256)
-        r, ab = divmod(rest, 16)
-        x, y = divmod(cell, 3)
-        a, b = divmod(ab, 4)
-        r1, r2 = divmod(r, 4)
-        robot = RobotOutcome(BELL_ORDER[r1], BELL_ORDER[r2])
-        events.append(EventRecord(run_id, x, a, y, b, robot))
-    return events
-
-
-def sort_events(events: list[EventRecord]) -> dict[RobotOutcome, list[EventRecord]]:
-    """Partition events by robot outcome; all 16 classes are always present."""
-    classes: dict[RobotOutcome, list[EventRecord]] = {
-        outcome: [] for outcome in ROBOT_OUTCOMES
-    }
-    for event in events:
-        classes[event.robot].append(event)
-    return classes
-
-
-def behavior_counts(events: list[EventRecord]) -> np.ndarray:
-    """Event counts at the behavior columns 16*(3x + y) + 4a + b."""
-    counts = np.zeros(144, dtype=np.int64)
-    for e in events:
-        cell = 3 * e.alice_setting + e.bob_setting
-        counts[16 * cell + 4 * e.alice_outcome + e.bob_outcome] += 1
+def event_counts(codes) -> np.ndarray:
+    """Event counts [4*r1 + r2, 16*(3x + y) + 4a + b], each distinct code decoded once."""
+    counts = np.zeros((16, 144), dtype=np.int64)
+    for code, n in Counter(codes).items():
+        x, y, a, b, r1, r2 = decode(code)
+        counts[4 * r1 + r2, 16 * (3 * x + y) + 4 * a + b] += n
     return counts
 
 
@@ -805,27 +682,23 @@ def sequential_joint_distribution(state: StateVector, projector_sets) -> np.ndar
     return out
 
 
+@functools.cache
 def protocol_joint_table(sources) -> np.ndarray:
     """p(c, a, b | x, y) as [3x + y, 16c + 4a + b], by collapsing the dense
-    eight-qubit state: the robot's two Bell measurements, then Alice, then Bob."""
+    eight-qubit state: the robot's two Bell measurements, then Alice, then Bob.
+    Built once per sources, and read-only."""
     state = source_product(*sources)
     robot = [bell_projectors(pair, state.labels) for pair in ROBOT_PAIRS]
     alice, bob = party_projectors(ALICE_PAIR, BOB_PAIR, state.labels)
-    return np.array(
+    table = np.array(
         [
             sequential_joint_distribution(state, robot + [alice[x], bob[y]]).ravel()
             for x in range(3)
             for y in range(3)
         ]
     )
-
-
-def event_masked_product(event) -> int:
-    """The +-1 product of the masked bits of one event's cell."""
-    alice_mask, bob_mask = mask_pattern(event.alice_setting, event.bob_setting)
-    return mask_value(event.alice_outcome, alice_mask) * mask_value(
-        event.bob_outcome, bob_mask
-    )
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)

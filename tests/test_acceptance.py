@@ -7,7 +7,6 @@ or the matching FAIL line before the assertion fires.
 
 import json
 import time
-from collections import Counter
 
 import numpy as np
 from oracle import (
@@ -15,22 +14,24 @@ from oracle import (
     BOB_PAIR,
     KEPT_QUBITS,
     ROBOT_PAIRS,
+    behavior_value,
     bell_projectors,
     class_state,
-    decode,
     dense_swap,
     density_behavior,
     eight_qubit_initial,
-    event_masked_product,
+    event_counts,
     fidelity_with_pure,
     integer_rank,
     partial_trace,
     party_projectors,
+    protocol_joint_table,
     sequential_joint_distribution,
+    source_product,
     vertex_matrix,
 )
 
-from nlbox import cli, inequalities, polytope, sampler, swap
+from nlbox import cli, polytope, sampler, swap
 from nlbox.inequalities import C, NUM_EXPRESSIONS, product_counts
 
 
@@ -80,7 +81,7 @@ def test_criterion_03_facet_dimension():
     reports = [polytope.facet_check(k) for k in range(1, NUM_EXPRESSIONS + 1)]
     direct = [
         integer_rank(sat[1:] - sat[0])
-        for sat in (verts[np.asarray(polytope.vertex_values(r.index)) == 7] for r in reports)
+        for sat in (verts[verts @ np.asarray(C[r.index - 1]) == 7] for r in reports)
     ]
     sat_dims = sorted(set(direct))
     ok = d == polytope.polytope_affine_dim() and all(
@@ -167,14 +168,12 @@ def test_criterion_07_sampled_saturation():
     entries = swap.class_map()
     codes = sampler.sample_events(shots, 20240501, entries)
     by_outcome = {e.outcome: e for e in entries}
-    # an event is fully described by its code, so checking each distinct
-    # code once checks every event
-    multiplicity = Counter(codes)
-    violations = 0
-    for event, n in zip(decode(multiplicity), multiplicity.values()):
-        signs = np.asarray(inequalities.sign_table(by_outcome[event.robot].matched_inequality))
-        if event_masked_product(event) != signs[event.alice_setting, event.bob_setting]:
-            violations += n
+    # each event scores +1 on its class's expression if it saturates it and
+    # -1 if not, so a class of n events scoring v holds (n - v) / 2 misses
+    violations = sum(
+        int(row.sum() - behavior_value(by_outcome[outcome].matched_inequality, row)) // 2
+        for outcome, row in zip(swap.ROBOT_OUTCOMES, event_counts(codes))
+    )
     estimates = [
         sampler.estimate_beta(row, by_outcome[outcome].matched_inequality)[0]
         for outcome, row in zip(swap.ROBOT_OUTCOMES, sampler.class_counts(codes))
@@ -191,17 +190,17 @@ def test_criterion_07_sampled_saturation():
 def test_criterion_08_measurement_order_invariance():
     """Measuring the robot before or after the parties gives the same joint
     distribution over (r1, r2, a, b) for every setting pair."""
-    state = eight_qubit_initial()
+    state = source_product(*swap.DEFAULT_SOURCES)
     labels = state.labels
     robot1 = bell_projectors(ROBOT_PAIRS[0], labels)
     robot2 = bell_projectors(ROBOT_PAIRS[1], labels)
     alice, bob = party_projectors(ALICE_PAIR, BOB_PAIR, labels)
+    # the same state collapsed robot first, [3x + y, r1, r2, a, b]
+    robot_first_table = protocol_joint_table(swap.DEFAULT_SOURCES).reshape(9, 4, 4, 4, 4)
     worst = 0.0
     for x in range(3):
         for y in range(3):
-            robot_first = sequential_joint_distribution(
-                state, [robot1, robot2, alice[x], bob[y]]
-            )
+            robot_first = robot_first_table[3 * x + y]
             robot_last = sequential_joint_distribution(
                 state, [alice[x], bob[y], robot1, robot2]
             ).transpose(2, 3, 0, 1)

@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 
 import pytest
+from oracle import decode
 
 from nlbox import cli, polytope, swap
 from nlbox.cli import main, sig12
@@ -370,16 +371,16 @@ class TestSample:
     def test_every_code_has_its_event_line(self):
         # only 1152 of the 2304 codes occur in events.csv, so the pinned
         # hashes miss the rest: render all of them, 1000 to a chunk, and
-        # decode each code field by field
+        # compare each line with the oracle's decode of its code
         signs, robots = ("+1", "-1"), ("PP", "PM", "SP", "SM")
         lines = "".join(cli._event_text(list(range(2304)), 1000)).split("\n")
         assert lines[0] == "run_id,x,y,a1,a2,b1,b2,r1,r2"
         assert lines[-1] == "" and len(lines) == 2306
         for code, line in enumerate(lines[1:-1]):
-            cell, c, a, b = code >> 8, (code >> 4) & 15, (code >> 2) & 3, code & 3
-            fields = [str(code), str(cell // 3), str(cell % 3)]
+            x, y, a, b, r1, r2 = decode(code)
+            fields = [str(code), str(x), str(y)]
             fields += [signs[a >> 1], signs[a & 1], signs[b >> 1], signs[b & 1]]
-            assert line.split(",") == fields + [robots[c >> 2], robots[c & 3]]
+            assert line.split(",") == fields + [robots[r1], robots[r2]]
 
     def test_summary_counts_match_the_events_file(self, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -10,13 +10,11 @@ from oracle import (
     MATCHED_PAIRS,
     Behavior,
     alice_kets,
-    beta_quantum,
+    behavior_value,
     bell_product,
     bob_kets,
     bob_bit_conditionals,
-    correlator_quantum,
     dense_behavior,
-    dense_value_table,
     four_qubit_product,
 )
 
@@ -35,6 +33,20 @@ from nlbox.states import PRODUCT_LABELS, BellLabel
 
 def matched_behavior(index):
     return np.asarray(product_counts()[index - 1]) / 16
+
+
+def one_cell(behavior, cell):
+    """The behavior with every cell but ``cell`` = 3x + y set to zero."""
+    return np.where(np.arange(144) // 16 == cell, behavior, 0)
+
+
+@pytest.fixture(scope="module")
+def dense_values():
+    """All 256 values [product, expression] of the dense Born behaviors."""
+    behaviors = np.array(
+        [dense_behavior(four_qubit_product(*labels), *MATCHED_PAIRS) for labels in PRODUCT_LABELS]
+    )
+    return np.array([behavior_value(k, behaviors) for k in range(1, NUM_EXPRESSIONS + 1)]).T
 
 
 class TestMaskPattern:
@@ -152,11 +164,13 @@ class TestProductTable:
 
 class TestQuantumRoute:
     def test_reference_correlators_on_double_phi_plus(self):
+        # a cell's value under expression 1, unsigned, is its correlator
         state = four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
-        assert correlator_quantum(state, 0, 0, *MATCHED_PAIRS) == pytest.approx(
+        born, signs = dense_behavior(state, *MATCHED_PAIRS), sign_table(1)
+        assert signs[0][0] * behavior_value(1, one_cell(born, 0)) == pytest.approx(
             1.0, abs=1e-12
         )
-        assert correlator_quantum(state, 2, 2, *MATCHED_PAIRS) == pytest.approx(
+        assert signs[2][2] * behavior_value(1, one_cell(born, 8)) == pytest.approx(
             -1.0, abs=1e-12
         )
 
@@ -173,26 +187,24 @@ class TestQuantumRoute:
         born = 16 * np.abs(amps.reshape(144)) ** 2
         np.testing.assert_allclose(born, product_counts()[3], rtol=0, atol=1e-12)
 
-    def test_full_value_table_matches_reference(self, reference_doc):
-        # dense operator oracle, independent of the coefficient matrix
+    def test_full_value_table_matches_reference(self, reference_doc, dense_values):
+        # dense Born behaviors scored by sign tables and masks, independent
+        # of the coefficient matrix
         ref = np.array(reference_doc["values"], dtype=float)
-        np.testing.assert_allclose(dense_value_table(), ref, atol=1e-9)
+        np.testing.assert_allclose(dense_values, ref, atol=1e-9)
 
     def test_cellwise_saturation_on_matched_states(self):
         # on its matched state every signed correlator equals +1, not just
         # the sum
         for k in range(1, NUM_EXPRESSIONS + 1):
-            state = four_qubit_product(*PRODUCT_LABELS[k - 1])
-            signs = np.asarray(sign_table(k))
-            for i in range(3):
-                for j in range(3):
-                    c = correlator_quantum(state, i, j, *MATCHED_PAIRS)
-                    assert signs[i, j] * c == pytest.approx(1.0, abs=1e-9)
+            born = dense_behavior(four_qubit_product(*PRODUCT_LABELS[k - 1]), *MATCHED_PAIRS)
+            for cell in range(9):
+                assert behavior_value(k, one_cell(born, cell)) == pytest.approx(1.0, abs=1e-9)
 
     def test_explicit_pairs_on_swap_layout(self):
         state = bell_product(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS, (1, 6), (3, 8))
-        assert beta_quantum(state, 1, (1, 3), (6, 8)) == pytest.approx(9.0, abs=1e-9)
         swapped = dense_behavior(state, (1, 3), (6, 8))
+        assert behavior_value(1, swapped) == pytest.approx(9.0, abs=1e-9)
         np.testing.assert_allclose(swapped, matched_behavior(1), atol=1e-15)
         assert swapped @ coefficients(1) == pytest.approx(9.0, abs=1e-9)
 
@@ -225,23 +237,21 @@ class TestBehaviorRoute:
         values = uniform.probs.reshape(144) @ np.asarray(C).T
         np.testing.assert_allclose(values, np.zeros(NUM_EXPRESSIONS), atol=1e-12)
 
-    def test_routes_agree_on_all_products(self):
-        # the coefficient route and the dense operator route must give the
+    def test_routes_agree_on_all_products(self, dense_values):
+        # the coefficient route and the dense Born route must give the
         # same 256 numbers
         values = np.asarray(product_counts()) @ np.asarray(C).T / 16
-        np.testing.assert_allclose(values, dense_value_table(), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(values, dense_values, rtol=0, atol=1e-9)
 
     def test_correlator_routes_agree(self):
-        # a cell's block of a coefficient row, unsigned, is the cell's
-        # masked correlator
-        state = four_qubit_product(*PRODUCT_LABELS[5])
-        blocks = (np.asarray(coefficients(1)) * matched_behavior(6)).reshape(3, 3, 16)
-        signs = np.asarray(sign_table(1))
-        for i in range(3):
-            for j in range(3):
-                assert signs[i, j] * blocks[i, j].sum() == pytest.approx(
-                    correlator_quantum(state, i, j, *MATCHED_PAIRS), abs=1e-10
-                )
+        # a cell's block of a coefficient row is the cell's signed masked
+        # correlator
+        born = dense_behavior(four_qubit_product(*PRODUCT_LABELS[5]), *MATCHED_PAIRS)
+        blocks = (np.asarray(coefficients(1)) * matched_behavior(6)).reshape(9, 16)
+        for cell in range(9):
+            assert blocks[cell].sum() == pytest.approx(
+                behavior_value(1, one_cell(born, cell)), abs=1e-10
+            )
 
     def test_outcome_certainty_on_products(self):
         # either party's full outcome pins the other's masked bit: every

@@ -4,7 +4,9 @@ No code in the package is kept alive by the tests alone: every top-level
 function and class of ``src/nlbox``, and every method and property of
 its classes, must be used somewhere else in the package, or be public in
 ``nlbox.__all__`` (top-level names only).  Code whose only callers are
-tests belongs in ``tests/oracle.py`` or nowhere.
+tests belongs in ``tests/oracle.py`` or nowhere.  The oracle keeps no
+dead code either: each of its definitions is read by a test module or by
+another oracle definition.
 
 The package is integer-only: it holds no complex number and no ket; the
 dense complex route lives in ``tests/oracle.py``.
@@ -27,9 +29,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import nlbox
 
 PACKAGE = Path(nlbox.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _used_names(node: ast.AST) -> Counter:
@@ -43,11 +48,12 @@ def _used_names(node: ast.AST) -> Counter:
     return used
 
 
+def _parse(paths) -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
 def _modules() -> dict[str, ast.Module]:
-    return {
-        path.name: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(PACKAGE.glob("*.py"))
-    }
+    return _parse(sorted(PACKAGE.glob("*.py")))
 
 
 def _definitions(tree: ast.Module):
@@ -62,20 +68,30 @@ def _definitions(tree: ast.Module):
                     yield f"{stmt.name}.{sub.name}", sub
 
 
-def test_every_definition_has_a_caller_in_the_package():
-    modules = _modules()
-    everywhere = sum((_used_names(tree) for tree in modules.values()), Counter())
+@pytest.mark.parametrize(
+    "defining, reading, exempt",
+    [
+        (sorted(PACKAGE.glob("*.py")), [], nlbox.__all__),
+        ([TESTS / "oracle.py"], sorted(TESTS.glob("test_*.py")), ()),
+    ],
+    ids=["package", "oracle"],
+)
+def test_every_definition_has_a_caller_in_the_package(defining, reading, exempt):
+    # the defining modules may call each other; the reading ones only call
+    modules = _parse(defining)
+    readers = [*modules.values(), *_parse(reading).values()]
+    everywhere = sum((_used_names(tree) for tree in readers), Counter())
     unused = []
     for module, tree in modules.items():
         for name, node in _definitions(tree):
-            if name in nlbox.__all__:
+            if name in exempt:
                 continue
             short = name.rsplit(".", 1)[-1]
             # reads inside the definition itself (recursion, a class's own
             # methods) are no caller
             if everywhere[short] == _used_names(node)[short]:
                 unused.append(f"{module}:{name}")
-    assert unused == [], f"defined in the package but used only outside it: {unused}"
+    assert unused == [], f"defined but never read outside their own definition: {unused}"
 
 
 def _complex_uses(tree: ast.Module) -> list[str]:

@@ -1,20 +1,17 @@
 """Deterministic strategies, exact integer ranks, and facet certificates."""
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
+    NUM_JOINT_STRATEGIES,
     Behavior,
     affine_dimension,
-    enumerate_strategies,
-    lhv_value,
-    saturating_vertices,
+    behavior_value,
     vertex_matrix,
-    vertex_matrix_by_loop,
 )
 from oracle import integer_rank as oracle_rank
 
@@ -27,7 +24,6 @@ from nlbox.inequalities import (
 )
 from nlbox.observables import ALICE_PAULIS
 from nlbox.polytope import (
-    NUM_JOINT_STRATEGIES,
     NUM_PARTY_STRATEGIES,
     DeterministicStrategy,
     facet_check,
@@ -40,26 +36,6 @@ from nlbox.polytope import (
     vertex_values,
 )
 from nlbox.states import FRAMES, PRODUCT_LABELS
-
-
-def fraction_rank(mat) -> int:
-    """Reference rank over the rationals, row reduction with Fractions."""
-    rows = [[Fraction(int(v)) for v in row] for row in np.asarray(mat)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * p for v, p in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 def strategy_behavior(strategy: DeterministicStrategy) -> Behavior:
@@ -78,9 +54,7 @@ class TestStrategies:
         assert all(len(s) == 3 and set(s) <= {0, 1, 2, 3} for s in singles)
 
     def test_joint_count(self):
-        seen = set()
-        for strat in enumerate_strategies():
-            seen.add((strat.alice, strat.bob))
+        seen = set(itertools.product(party_strategies(), repeat=2))
         assert len(seen) == NUM_JOINT_STRATEGIES
 
 
@@ -102,33 +76,18 @@ class TestIntegerRank:
             with pytest.raises(ValueError):
                 integer_rank(bad)
 
-    @settings(max_examples=60)
-    @given(
-        st.integers(1, 5),
-        st.integers(1, 5),
-        st.data(),
-    )
-    def test_matches_fraction_elimination(self, nrows, ncols, data):
-        entries = data.draw(
-            st.lists(
-                st.integers(-5, 5), min_size=nrows * ncols, max_size=nrows * ncols
-            )
-        )
-        mat = np.array(entries, dtype=np.int64).reshape(nrows, ncols)
-        assert integer_rank(mat) == fraction_rank(mat)
-
     @settings(max_examples=80)
     @given(st.integers(1, 5), st.integers(1, 5), st.data())
     def test_three_routes_agree(self, nrows, ncols, data):
-        # the package's sparse rank on Python integers, the oracle's numpy
-        # rank with its int64 guard, and Fraction elimination; entries near
-        # 2**62 drive the oracle onto its object-dtype path
+        # the package's sparse rank on Python integers, of the matrix and of
+        # its transpose, and the oracle's numpy rank with its int64 guard;
+        # entries near 2**62 drive the oracle onto its object-dtype path
         near = st.sampled_from([2**62, -(2**62), 2**62 - 1, 2**61 + 3])
         entry = st.integers(-4, 4) | near
         row = st.lists(entry, min_size=ncols, max_size=ncols)
         rows = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
         mat = np.array(rows, dtype=np.int64)
-        assert integer_rank(rows) == oracle_rank(mat) == fraction_rank(mat)
+        assert integer_rank(rows) == integer_rank(list(zip(*rows))) == oracle_rank(mat)
 
     def test_affine_dimension_basics(self):
         assert affine_dimension(np.array([[3, 1, 4]])) == 0
@@ -147,22 +106,19 @@ class TestVertices:
         assert set(np.unique(verts)) == {0, 1}
         np.testing.assert_array_equal(verts.sum(axis=1), np.full(4096, 9))
 
-    def test_matrix_matches_strategy_loop(self):
-        verts = vertex_matrix()
-        loop = vertex_matrix_by_loop()
-        assert verts.dtype == loop.dtype
-        assert np.array_equal(verts, loop)
-
     def test_values_and_saturators_match_the_vertex_matrix(self):
-        # the package sums partial tables per Alice strategy, the oracle's
-        # saturating rows are products of party-table rows, and the vertex
-        # matrix is multiplied in full
+        # the package sums partial tables per Alice strategy and maps
+        # expression 1's saturators v to v ^ (h << 6); the vertex matrix is
+        # multiplied in full
         verts = vertex_matrix()
+        images, _, saturators, _ = polytope._orbit_of_one()
         for k in range(1, NUM_EXPRESSIONS + 1):
             values = verts @ np.asarray(coefficients(k))
             assert np.array_equal(vertex_values(k), values)
             if k in (1, 9, 16):
-                assert np.array_equal(saturating_vertices(k), verts[values == values.max()])
+                h = images[coefficients(k)]
+                mapped = sorted(v ^ (h << 6) for v in saturators)
+                assert mapped == np.flatnonzero(values == values.max()).tolist()
 
     def test_rows_distinct(self):
         verts = vertex_matrix()
@@ -192,7 +148,7 @@ class TestBounds:
             bound, witness = lhv_bound(k)
             assert bound == 7
             # recompute the witness value through the scalar route
-            assert lhv_value(k, witness) == 7
+            assert behavior_value(k, strategy_behavior(witness).probs.reshape(144)) == 7
 
     def test_witness_realizes_seven_as_a_behavior(self):
         for k in (1, 8, 16):
@@ -208,7 +164,7 @@ class TestBounds:
             f = int(rng.integers(NUM_PARTY_STRATEGIES))
             g = int(rng.integers(NUM_PARTY_STRATEGIES))
             strat = DeterministicStrategy(singles[f], singles[g])
-            assert mat[f, g] == lhv_value(3, strat)
+            assert mat[f, g] == behavior_value(3, strategy_behavior(strat).probs.reshape(144))
 
     def test_ns_bound_is_nine_and_attained(self):
         for k in range(1, NUM_EXPRESSIONS + 1):
@@ -241,12 +197,12 @@ class TestFacets:
         # the package ranks expression 1's saturators and reads every
         # relabeling's maximum, count and witness off expression 1's values;
         # here each expression is evaluated and ranked on its own
+        verts = vertex_matrix()
         for k in range(1, NUM_EXPRESSIONS + 1):
-            values = vertex_values(k)
-            sat = vertex_matrix()[np.asarray(values) == 7]
+            sat = verts[verts @ np.asarray(coefficients(k)) == 7]
             report = facet_check(k)
             assert oracle_rank(sat[1:] - sat[0]) == report.saturator_affine_dim == 98
-            assert sat.shape[0] == report.num_saturators == values.count(7)
+            assert sat.shape[0] == report.num_saturators == vertex_values(k).count(7)
             assert (report.lhv_max, report.witness) == lhv_bound(k)
 
     @pytest.mark.parametrize("other", [2, 9, 16, 0])
@@ -298,7 +254,8 @@ class TestFacets:
             assert list(f) == want
 
     def test_saturators_of_expression_one(self):
-        sat = np.asarray(saturating_vertices(1))
+        verts = vertex_matrix()
+        sat = verts[verts @ np.asarray(coefficients(1)) == 7]
         assert sat.shape[0] == facet_check(1).num_saturators
         # every saturating vertex really evaluates to 7: read its strategy
         # off the one-hot cells and score it through the scalar route
@@ -306,4 +263,5 @@ class TestFacets:
             cells = Behavior(row.reshape(3, 3, 4, 4).astype(float)).probs
             alice = tuple(int(np.argmax(cells[x, 0].sum(axis=1))) for x in range(3))
             bob = tuple(int(np.argmax(cells[0, y].sum(axis=0))) for y in range(3))
-            assert lhv_value(1, DeterministicStrategy(alice, bob)) == 7
+            behavior = strategy_behavior(DeterministicStrategy(alice, bob))
+            assert behavior_value(1, behavior.probs.reshape(144)) == 7

@@ -14,14 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
     MATCHED_PAIRS,
-    EventRecord,
-    behavior_counts,
-    beta_quantum,
+    behavior_value,
     decode,
-    event_masked_product,
+    dense_behavior,
+    event_counts,
     four_qubit_product,
     protocol_joint_table,
-    sort_events,
 )
 from scipy.stats import chisquare
 
@@ -120,28 +118,14 @@ class TestReproducibility:
 class TestEventValidity:
     def test_fields_in_range(self):
         codes = sample(500, 11)
+        assert len(codes) == 500
         assert all(type(code) is int and 0 <= code < 2304 for code in codes)
-        events = decode(codes)
-        assert [e.run_id for e in events] == list(range(500))
-        for e in events:
-            assert 0 <= e.alice_setting <= 2
-            assert 0 <= e.bob_setting <= 2
-            assert 0 <= e.alice_outcome <= 3
-            assert 0 <= e.bob_outcome <= 3
-            assert e.robot in ROBOT_OUTCOMES
-
-    def test_sort_events_partitions(self):
-        events = decode(sample(800, 3))
-        classes = sort_events(events)
-        assert set(classes) == set(ROBOT_OUTCOMES)
-        assert sum(len(v) for v in classes.values()) == len(events)
-        for outcome, members in classes.items():
-            assert all(e.robot == outcome for e in members)
-
-    def test_sort_events_empty_input(self):
-        classes = sort_events([])
-        assert set(classes) == set(ROBOT_OUTCOMES)
-        assert all(v == [] for v in classes.values())
+        for x, y, a, b, r1, r2 in map(decode, codes):
+            assert 0 <= x <= 2
+            assert 0 <= y <= 2
+            assert 0 <= a <= 3
+            assert 0 <= b <= 3
+            assert 0 <= r1 <= 3 and 0 <= r2 <= 3
 
 
 class TestStatistics:
@@ -154,14 +138,12 @@ class TestStatistics:
 
     def test_every_event_saturates_its_class(self):
         # conditioned on the robot's result, each event's signed product
-        # equals the sign-table entry of the matched expression
-        classes = sort_events(decode(sample(4000, 31)))
+        # equals the sign-table entry of the matched expression: each event
+        # scores +-1, so a class scores its size only if every event is +1
+        counts = event_counts(sample(4000, 31))
         by_outcome = {e.outcome: e for e in ENTRIES}
-        for outcome, members in classes.items():
-            signs = np.asarray(inequalities.sign_table(by_outcome[outcome].matched_inequality))
-            for event in members:
-                i, j = event.alice_setting, event.bob_setting
-                assert event_masked_product(event) == signs[i, j]
+        for outcome, row in zip(ROBOT_OUTCOMES, counts):
+            assert behavior_value(by_outcome[outcome].matched_inequality, row) == row.sum()
 
     def test_setting_choices_are_uniform(self):
         shots = 18000
@@ -174,12 +156,12 @@ class TestStatistics:
 class TestEstimation:
     def test_matched_estimates_are_exactly_nine(self):
         codes = sample(20000, 404)
-        classes = sort_events(decode(codes))
+        decoded = event_counts(codes)
         for entry, row in zip(ENTRIES, class_counts(codes)):
-            members = classes[entry.outcome]
-            assert row == behavior_counts(members).tolist()
+            members = decoded[ROBOT_OUTCOMES.index(entry.outcome)]
+            assert row == members.tolist()
             beta_hat, counts = estimate_beta(row, entry.matched_inequality)
-            assert sum(map(sum, counts)) == len(members)
+            assert sum(map(sum, counts)) == members.sum()
             # per-event saturation makes every cell mean +-1, so the
             # estimate is exact, not merely close
             assert beta_hat == 9.0
@@ -187,35 +169,28 @@ class TestEstimation:
     def test_synthetic_single_event_per_cell(self):
         # one hand-built event per cell, each saturating expression 1
         signs = np.asarray(inequalities.sign_table(1))
-        outcome = ROBOT_OUTCOMES[0]
-        events = []
+        events = [0] * 144
         for i in range(3):
             for j in range(3):
                 # alice outcome ++ has all masked bits +1, so bob's outcome
                 # alone sets the product sign: ++ gives +1, -- gives +1 on
                 # mask 11 but -1 on 10/01; pick per cell to hit signs[i, j]
-                want = signs[i, j]
                 b = 0
-                if want == -1:
+                if signs[i, j] == -1:
                     _, bob_mask = inequalities.mask_pattern(i, j)
                     b = 3 if bob_mask != "11" else 1
-                event = EventRecord(0, i, 0, j, b, outcome)
-                assert event_masked_product(event) == want
-                events.append(event)
-        beta_hat, counts = estimate_beta(behavior_counts(events).tolist(), 1)
+                events[16 * (3 * i + j) + b] = 1
+        # nine events of +-1 each score 9 only if every one saturates
+        assert behavior_value(1, events) == 9
+        beta_hat, counts = estimate_beta(events, 1)
         assert beta_hat == 9.0
         assert counts == [[1, 1, 1]] * 3
 
     def test_insufficient_cells_are_reported(self):
-        outcome = ROBOT_OUTCOMES[0]
-        events = [
-            EventRecord(0, i, 0, j, 0, outcome)
-            for i in range(3)
-            for j in range(3)
-            if (i, j) not in ((0, 1), (2, 2))
-        ]
+        empty = (1, 8)  # cells (0, 1) and (2, 2)
+        events = [int(i % 16 == 0 and i // 16 not in empty) for i in range(144)]
         with pytest.raises(InsufficientSamplesError) as exc:
-            estimate_beta(behavior_counts(events).tolist(), 1)
+            estimate_beta(events, 1)
         assert exc.value.cells == [(0, 1), (2, 2)]
         assert exc.value.grid == [[1, 0, 1], [1, 1, 1], [1, 1, 0]]
 
@@ -267,7 +242,7 @@ class TestEstimatorAgainstBehavior:
             drawn[16 * cell : 16 * cell + 16] = np.bincount(ab, minlength=16)
         beta_hat, counts = estimate_beta(drawn.tolist(), 2)
         state = four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
-        want = beta_quantum(state, 2, *MATCHED_PAIRS)
+        want = behavior_value(2, dense_behavior(state, *MATCHED_PAIRS))
         se = math.sqrt(sum(1.0 / n for cells in counts for n in cells))
         assert abs(beta_hat - want) < 5 * se
 

@@ -7,16 +7,14 @@ import pytest
 from oracle import (
     ALICE_PAIR,
     BOB_PAIR,
-    KEPT_QUBITS,
     ROBOT_PAIRS,
+    behavior_value,
     bell,
     bell_measurement_pair,
-    beta_quantum,
-    cell_operator,
     class_state,
+    dense_behavior,
     dense_swap,
     density_behavior,
-    density_expectation,
     eight_qubit_initial,
     fidelity_with_pure,
     identify_bell_product,
@@ -28,7 +26,6 @@ from oracle import (
     source_product,
 )
 
-from nlbox import inequalities
 from nlbox.inequalities import NUM_EXPRESSIONS, C, product_counts
 from nlbox.states import BELL_ORDER, BellLabel, product_index
 from nlbox.swap import (
@@ -146,27 +143,19 @@ class TestPremeasurementMarginal:
         np.testing.assert_allclose(born, marginal, rtol=0, atol=1e-10)
 
     def test_every_expression_averages_to_zero(self, reference_doc):
-        # three routes: the package's integer values, operator expectation
-        # on the oracle's mixed state, and the reference table's column
-        # means (each class contributes 1/16)
+        # three routes: the package's integer values, the oracle's value of
+        # the Born behavior of its mixed state, and the reference table's
+        # column means (each class contributes 1/16)
         assert np.array_equal(np.asarray(C) @ premeasurement_marginal(), np.zeros(NUM_EXPRESSIONS))
-        rho = premeasurement_state()
+        born = density_behavior(premeasurement_state(), ALICE_PAIR, BOB_PAIR)
         ref = np.array(reference_doc["values"], dtype=float)
         for k in range(1, NUM_EXPRESSIONS + 1):
-            signs = np.asarray(inequalities.sign_table(k))
-            total = 0.0
-            for i in range(3):
-                for j in range(3):
-                    op = cell_operator(i, j, ALICE_PAIR, BOB_PAIR, KEPT_QUBITS)
-                    total += signs[i, j] * density_expectation(rho, op)
-            assert total == pytest.approx(0.0, abs=1e-9)
+            assert behavior_value(k, born) == pytest.approx(0.0, abs=1e-9)
             assert ref[:, k - 1].mean() == pytest.approx(0.0, abs=1e-12)
 
     def test_conditional_states_recover_violation(self, default_class_map):
         # conditioning on the robot's outcome turns the zero-mean marginal
         # into a state reaching the algebraic maximum
         entry = default_class_map[3]
-        state = class_state(entry)
-        assert beta_quantum(
-            state, entry.matched_inequality, ALICE_PAIR, BOB_PAIR
-        ) == pytest.approx(9.0, abs=1e-9)
+        born = dense_behavior(class_state(entry), ALICE_PAIR, BOB_PAIR)
+        assert behavior_value(entry.matched_inequality, born) == pytest.approx(9.0, abs=1e-9)
