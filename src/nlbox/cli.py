@@ -199,18 +199,31 @@ def cmd_swap_map(args) -> Report:
 
 
 def _event_text(codes, block: int):
-    """events.csv in chunks of ``block`` events."""
+    """events.csv in chunks of ``block`` events, rounded up to whole tens."""
     # the text after run_id of every event line, indexed by event code
     # 256 * (3x + y) + 16 * (4 r1 + r2) + 4a + b: ",x,y," + "a1,a2,b1,b2" + ",r1,r2\n"
     settings = [f",{x},{y}," for x in range(3) for y in range(3)]
     halves = [f"{first:+d},{second:+d}" for first, second in OUTCOME_BITS]
     signs = [f"{a},{b}" for a in halves for b in halves]
     robots = [f",{r1.code},{r2.code}\n" for r1 in BELL_ORDER for r2 in BELL_ORDER]
-    suffixes = [xy + ab + r for xy in settings for r in robots for ab in signs]
+    s = [xy + ab + r for xy in settings for r in robots for ab in signs]
     yield "run_id,x,y,a1,a2,b1,b2,r1,r2\n"
-    for start in range(0, len(codes), block):
-        chunk = enumerate(codes[start : start + block], start)
-        yield "".join([f"{run_id}{suffixes[code]}" for run_id, code in chunk])
+    # runs 10k .. 10k + 9 have the run_ids str(k) + "0" .. str(k) + "9" ("" for
+    # k = 0), so one f-string writes ten lines and formats one integer for them
+    decades, step = len(codes) // 10, -(-block // 10)
+    for first in range(0, decades, step):
+        ks = range(first, min(first + step, decades))
+        prefixes = [str(k) if k else "" for k in ks]
+        runs = zip(*[iter(codes[10 * ks.start : 10 * ks.stop])] * 10)
+        yield "".join(
+            [
+                f"{k}0{s[a]}{k}1{s[b]}{k}2{s[c]}{k}3{s[d]}{k}4{s[e]}"
+                f"{k}5{s[f]}{k}6{s[g]}{k}7{s[h]}{k}8{s[i]}{k}9{s[j]}"
+                for k, (a, b, c, d, e, f, g, h, i, j) in zip(prefixes, runs)
+            ]
+        )
+    tail = enumerate(codes[10 * decades :], 10 * decades)
+    yield "".join([f"{run_id}{s[code]}" for run_id, code in tail])
 
 
 def cmd_sample(args) -> Report:

@@ -140,17 +140,23 @@ def product_counts() -> tuple[tuple[int, ...], ...]:
     alice_signs, alice = observables.pauli_table(observables.ALICE_PAULIS)
     bob_signs, bob = observables.pauli_table(observables.BOB_PAULIS)
     chi = [(1,) * 4] + [tuple(mask_value(a, m) for a in range(4)) for m in MASKS]
+    # each cell's nonzero <A_x^m (x) B_y^n>, where the strings' letters agree
+    # on both pairs, matched once for all products: the letters (p, q) and
+    # the strings' signs times chi_m(a) chi_n(b) over (a, b)
+    cells = [
+        [
+            (p, q, [alice_signs[x][m] * bob_signs[y][n] * s * t for s in chi[m] for t in chi[n]])
+            for m, (p, q) in enumerate(alice[x])
+            for n, letters in enumerate(bob[y])
+            if letters == (p, q)
+        ]
+        for x, y in itertools.product(range(3), repeat=2)
+    ]
     rows = []
     for first, second in itertools.product(pair, repeat=2):
         row = []
-        for x, y in itertools.product(range(3), repeat=2):
-            # the nonzero <A_x^m (x) B_y^n>: the strings' letters agree on both pairs
-            terms = [
-                (chi[m], chi[n], alice_signs[x][m] * bob_signs[y][n] * first[p] * second[q])
-                for m, (p, q) in enumerate(alice[x])
-                for n, letters in enumerate(bob[y])
-                if letters == (p, q)
-            ]
-            row += [sum(v * s[a] * t[b] for s, t, v in terms) for a in range(4) for b in range(4)]
+        for terms in cells:
+            scaled = ([first[p] * second[q] * v for v in vector] for p, q, vector in terms)
+            row += map(sum, zip(*scaled))
         rows.append(tuple(row))
     return tuple(rows)

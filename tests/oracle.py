@@ -19,7 +19,7 @@ routes here read neither that matrix nor that table:
 - Sampled runs: one decode of the sampler's integer event codes, and the
   event counts per robot outcome.
 - The swap: dense collapse of the eight-qubit source state, with 256x256
-  Bell projectors, the robot's outcome distribution, the reduced state of
+  Bell projectors, each robot outcome's probability, the reduced state of
   the kept qubits and a fidelity search over the sixteen Bell products,
   which the package's Pauli-frame class map and its pre-measurement
   behavior are checked against, and the full joint table that the sampled
@@ -414,46 +414,6 @@ def bell_projectors(pair: tuple[int, int], context: tuple[int, ...]) -> list[np.
         v = bell(label, pair).amplitudes
         projs.append(embed(np.outer(v, v.conj()), pair, context))
     return projs
-
-
-def bell_measurement_pair(
-    state: StateVector, rand1: float, rand2: float
-) -> tuple[RobotOutcome, StateVector]:
-    """Sequential Bell measurements on (2,5) and (4,7) of an 8-qubit state."""
-    first_projs = bell_projectors(ROBOT_PAIRS[0], state.labels)
-    idx1, post, _ = projective_measure(state, first_projs, rand1)
-    second_projs = bell_projectors(ROBOT_PAIRS[1], state.labels)
-    idx2, post, _ = projective_measure(post, second_projs, rand2)
-    return RobotOutcome(BELL_ORDER[idx1], BELL_ORDER[idx2]), post
-
-
-def robot_outcome_distribution(
-    state: StateVector, first_pair_first: bool = True
-) -> np.ndarray:
-    """Exact joint distribution over the 16 robot outcomes.
-
-    Computed by sequential collapse; ``first_pair_first`` selects which
-    pair is measured first.  The measurements act on disjoint qubits, so
-    both orders must agree, which the tests check.
-    """
-    pairs = ROBOT_PAIRS if first_pair_first else ROBOT_PAIRS[::-1]
-    probs = np.zeros((4, 4))
-    projs_a = bell_projectors(pairs[0], state.labels)
-    projs_b = bell_projectors(pairs[1], state.labels)
-    for i, pa in enumerate(projs_a):
-        va = pa @ state.amplitudes
-        p_i = float(np.vdot(state.amplitudes, va).real)
-        if p_i <= 0.0:
-            continue
-        collapsed = va / np.sqrt(p_i)
-        for k, pb in enumerate(projs_b):
-            vb = pb @ collapsed
-            p_k = float(np.vdot(collapsed, vb).real)
-            if first_pair_first:
-                probs[i, k] = p_i * p_k
-            else:
-                probs[k, i] = p_i * p_k
-    return probs
 
 
 def post_robot_state(

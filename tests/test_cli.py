@@ -1,8 +1,10 @@
 """Command line behavior: exit codes, formats, and reproducible files."""
 
+import functools
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from nlbox.cli import main, sig12
 
 
 GOLDEN = Path(__file__).parent / "golden"
-PINNED_SHOTS = (4095, 4096, 4097, 12293)
+PINNED_SHOTS = (4095, 4096, 4097, 12293, 100003)
 # sha256 of events.csv under RNG contract 3, by seed, at PINNED_SHOTS
 EVENTS_SHA256 = {
     0: (
@@ -21,20 +23,42 @@ EVENTS_SHA256 = {
         "841db1386edd6b15d9c0938f25ac8c005fa90c25f4f6b4097ab25f8030eff571",
         "81d82825e3d9f6f6a0493f91b37e32468f0be5cde57932ec248c1f0e6c407ca4",
         "e8032263cd5f5256290890f8d9e21dce611e36d29be011d814ed863366070d89",
+        "bcf267a97b80f9f4bbd06b2b9392c575d5120622c594186e99e2673628189924",
     ),
     1: (
         "4194c1426fb862e67561f0e7bab7e90c9d4d7fe5ad619c27a6ec26af02be8ec6",
         "47153fc9f8bad91a61644f6c8bd9e5d56ea55eadd6b673e011fdd5c5768a71e5",
         "99f9076acd2388cbf6e533282e46ad6d7f03b1d28f4dcadf05a2880fdd2aa721",
         "d7079525100f5740dadba74de8ac60c1d90f7ac49136a42687a3b7c900ec9f88",
+        "e2777b74b85d0d5c545a4262c6adefdfb71ed8426ef4f0a28f5baea8deabfca3",
     ),
     2**63: (
         "158650aa584d4ecc4b6011fe89ff2fe516c44ce9049d5f4c0bf2361d5d2f06f1",
         "7ca97cb60f43fee567eb152159bad99c71b34358435b4671505d1ee5f9d9dacf",
         "315775d16c325aff47e670a55feca275dc3e217b541765544715fa946bde5033",
         "50b2e3c61ebb6d884effbcc1cc904c9dee93217aa895d71af2479aa3b30f2bf7",
+        "47bb66a64fcf863b528e81cd8ffc5266895e7b9520e295e5cb24a74037ca9d17",
     ),
 }
+
+
+@functools.cache
+def _event_suffixes() -> tuple[str, ...]:
+    """The text after run_id of each code's events.csv line, from the oracle's decode."""
+    signs, robots = ("+1", "-1"), ("PP", "PM", "SP", "SM")
+    suffixes = []
+    for code in range(2304):
+        x, y, a, b, r1, r2 = decode(code)
+        fields = [x, y, signs[a >> 1], signs[a & 1], signs[b >> 1], signs[b & 1]]
+        suffixes.append("".join(f",{v}" for v in fields + [robots[r1], robots[r2]]) + "\n")
+    return tuple(suffixes)
+
+
+def one_line_per_run(codes) -> str:
+    """events.csv for ``codes``, one f-string per run."""
+    suffixes = _event_suffixes()
+    lines = [f"{run_id}{suffixes[code]}" for run_id, code in enumerate(codes)]
+    return "run_id,x,y,a1,a2,b1,b2,r1,r2\n" + "".join(lines)
 
 
 def run_json(capsys, argv):
@@ -351,7 +375,8 @@ class TestSample:
         ],
     )
     def test_events_hashes_are_pinned(self, tmp_path, capsys, seed, shots, sha256):
-        # whole blocks, one short of a block, one past it, several blocks
+        # whole blocks, one short of a block, one past it, several blocks, and
+        # six-digit run_ids ending in a partial ten
         out_dir = tmp_path / "run"
         argv = ["sample", "--shots", str(shots), "--seed", str(seed), "--out", str(out_dir)]
         assert main(argv) == 0
@@ -381,6 +406,21 @@ class TestSample:
             fields = [str(code), str(x), str(y)]
             fields += [signs[a >> 1], signs[a & 1], signs[b >> 1], signs[b & 1]]
             assert line.split(",") == fields + [robots[r1], robots[r2]]
+
+    @pytest.mark.parametrize("block", [1, 7, 10, 1000, 4096])
+    @pytest.mark.parametrize(
+        "length", [0, 1, 9, 10, 11, 99, 100, 101, 1009, 4090, 4096, 10_001, 100_003]
+    )
+    def test_event_text_matches_one_line_per_run(self, length, block):
+        # events.csv writes ten runs per f-string; the reference writes one
+        # line per run from the oracle's decode, over codes of every kind
+        codes = random.Random(length).choices(range(2304), k=length)
+        got = "".join(cli._event_text(codes, block)).split("\n")
+        want = one_line_per_run(codes).split("\n")
+        # name the first line that differs instead of diffing megabytes
+        bad = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+        assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
+        assert len(got) == len(want)
 
     def test_summary_counts_match_the_events_file(self, tmp_path, capsys):
         out_dir = tmp_path / "run"

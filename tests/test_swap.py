@@ -7,23 +7,14 @@ import pytest
 from oracle import (
     ALICE_PAIR,
     BOB_PAIR,
-    ROBOT_PAIRS,
     behavior_value,
-    bell,
-    bell_measurement_pair,
     class_state,
     dense_behavior,
     dense_swap,
     density_behavior,
-    eight_qubit_initial,
     fidelity_with_pure,
     identify_bell_product,
-    partial_trace,
-    post_robot_state,
     premeasurement_state,
-    reduced_pair_product,
-    robot_outcome_distribution,
-    source_product,
 )
 
 from nlbox.inequalities import NUM_EXPRESSIONS, C, product_counts
@@ -37,35 +28,6 @@ from nlbox.swap import (
 )
 
 
-class TestOutcomeDistribution:
-    def test_uniform_over_sixteen(self):
-        dist = robot_outcome_distribution(eight_qubit_initial())
-        np.testing.assert_allclose(dist, np.full((4, 4), 1 / 16.0), atol=1e-10)
-
-    def test_measurement_order_is_irrelevant(self):
-        state = eight_qubit_initial()
-        first = robot_outcome_distribution(state, first_pair_first=True)
-        second = robot_outcome_distribution(state, first_pair_first=False)
-        np.testing.assert_allclose(first, second, atol=1e-10)
-
-    def test_uniform_for_other_sources(self):
-        state = source_product(BellLabel.PHI_PLUS, BellLabel.PSI_PLUS)
-        dist = robot_outcome_distribution(state)
-        np.testing.assert_allclose(dist, np.full((4, 4), 1 / 16.0), atol=1e-10)
-
-    def test_pinned_rands_select_expected_outcome(self):
-        state = eight_qubit_initial()
-        # with uniform 1/4 branches, rand in [k/4, (k+1)/4) picks branch k
-        outcome, post = bell_measurement_pair(state, 0.10, 0.60)
-        assert outcome == RobotOutcome(BELL_ORDER[0], BELL_ORDER[2])
-        assert np.linalg.norm(post.amplitudes) == pytest.approx(1.0)
-        # the measured pair really is in the reported Bell state afterwards
-        rho = partial_trace(post, ROBOT_PAIRS[0])
-        assert fidelity_with_pure(rho, bell(outcome.first)) == pytest.approx(
-            1.0, abs=1e-10
-        )
-
-
 class TestClassMap:
     def test_default_sources(self, default_class_map):
         assert len(default_class_map) == 16
@@ -76,15 +38,6 @@ class TestClassMap:
         for entry in default_class_map:
             assert entry.probability == 1 / 16
             assert matched_beta(entry) == 9.0
-
-    def test_resulting_state_has_full_fidelity(self, default_class_map):
-        initial = eight_qubit_initial()
-        for entry in default_class_map[:4]:
-            _, post = post_robot_state(initial, entry.outcome)
-            rho = reduced_pair_product(post)
-            assert fidelity_with_pure(
-                rho, class_state(entry)
-            ) == pytest.approx(1.0, abs=1e-9)
 
     def test_other_sources_still_bijective(self):
         entries = class_map((BellLabel.PHI_MINUS, BellLabel.PHI_PLUS))
