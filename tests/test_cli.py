@@ -50,7 +50,8 @@ def _event_suffixes() -> tuple[str, ...]:
     for code in range(2304):
         x, y, a, b, r1, r2 = decode(code)
         fields = [x, y, signs[a >> 1], signs[a & 1], signs[b >> 1], signs[b & 1]]
-        suffixes.append("".join(f",{v}" for v in fields + [robots[r1], robots[r2]]) + "\n")
+        fields += [robots[r1], robots[r2]]
+        suffixes.append("".join(f",{v}" for v in fields) + "\n")
     return tuple(suffixes)
 
 
@@ -397,15 +398,8 @@ class TestSample:
         # only 1152 of the 2304 codes occur in events.csv, so the pinned
         # hashes miss the rest: render all of them, 1000 to a chunk, and
         # compare each line with the oracle's decode of its code
-        signs, robots = ("+1", "-1"), ("PP", "PM", "SP", "SM")
-        lines = "".join(cli._event_text(list(range(2304)), 1000)).split("\n")
-        assert lines[0] == "run_id,x,y,a1,a2,b1,b2,r1,r2"
-        assert lines[-1] == "" and len(lines) == 2306
-        for code, line in enumerate(lines[1:-1]):
-            x, y, a, b, r1, r2 = decode(code)
-            fields = [str(code), str(x), str(y)]
-            fields += [signs[a >> 1], signs[a & 1], signs[b >> 1], signs[b & 1]]
-            assert line.split(",") == fields + [robots[r1], robots[r2]]
+        codes = list(range(2304))
+        assert "".join(cli._event_text(codes, 1000)) == one_line_per_run(codes)
 
     @pytest.mark.parametrize("block", [1, 7, 10, 1000, 4096])
     @pytest.mark.parametrize(
