@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 when a verification fails, a computation
 reports an inconsistency or an output file cannot be written, 2 on usage
-errors.  All numeric output is printed at 12 significant digits, and
-identical invocations with the same seed produce byte-identical files and
-stdout.
+errors.  Values are integer numerators until ``sig12`` makes the one float
+of each, printed at 12 significant digits; identical invocations with the
+same seed produce byte-identical files and stdout.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ REFERENCE_PATH = Path(__file__).parent / "data" / "beta_reference.json"
 Report = namedtuple("Report", "doc header rows failure")
 
 
-def sig12(x: float) -> float:
-    """Round a float to 12 significant digits for stable reports."""
-    return float(f"{x:.12g}")
+def sig12(numerator: int, denominator: int) -> float:
+    """numerator / denominator, correctly rounded, then cut to 12 significant digits."""
+    return float(f"{numerator / denominator:.12g}")
 
 
 def load_reference_table() -> dict:
@@ -112,7 +112,7 @@ def cmd_verify_table3(args) -> Report:
     """
     products, reference = inequalities.product_counts(), load_reference_table()["values"]
     sixteenths = [[inequalities.dot(p, row) for row in inequalities.C] for p in products]
-    values = [[sig12(v / 16) for v in row] for row in sixteenths]
+    values = [[sig12(v, 16) for v in row] for row in sixteenths]
     states = [f"{first.code}.{second.code}" for first, second in PRODUCT_LABELS]
     mismatches = [
         {
@@ -172,8 +172,8 @@ def cmd_swap_map(args) -> Report:
             "robot_outcome": list(entry.outcome.codes),
             "resulting_state": [label.code for label in entry.resulting_state],
             "matched_inequality": entry.matched_inequality,
-            "probability": sig12(entry.probability),
-            "beta": sig12(swap.matched_beta(entry)),
+            "probability": sig12(entry.weight, 16),
+            "beta": sig12(swap.matched_beta(entry), 16),
         }
         for entry in swap.class_map(args.sources)
     ]
@@ -235,8 +235,8 @@ def cmd_sample(args) -> Report:
     classes = []
     for entry, counts in zip(entries, sampler.class_counts(codes)):
         try:
-            beta_hat, cells = sampler.estimate_beta(counts, entry.matched_inequality)
-            beta_hat, empty = sig12(beta_hat), []
+            numerator, L, cells = sampler.estimate_beta(counts, entry.matched_inequality)
+            beta_hat, empty = sig12(numerator, L), []
         except sampler.InsufficientSamplesError as err:
             beta_hat, empty, cells = None, err.cells, err.grid
         classes.append(

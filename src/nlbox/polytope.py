@@ -88,7 +88,7 @@ def ns_bound(index: int) -> int:
     attained = dot(product_counts()[index - 1], coefficients(index))
     if attained != 16 * bound:
         raise RuntimeError(
-            f"expression {index}: matched state reaches {attained / 16}, "
+            f"expression {index}: matched state reaches {attained}/16, "
             f"expected the algebraic bound {bound}"
         )
     return bound

@@ -3,7 +3,7 @@
 The robot's measurements commute with the local ones (disjoint qubits),
 so the joint table p(c, a, b | x, y) is the robot's outcome distribution
 times the Born behavior of the Bell product each robot outcome leaves
-behind.  Both are exact sixteenths, every setting cell's row is 1/128 on
+behind.  Both are integer sixteenths, every setting cell's row is 1/128 on
 exactly 128 outcomes, and the cell is uniform over 9: one run is one of
 1152 equally likely events, listed in ``code_table``.  An event is one
 integer code ``256 * (3x + y) + 16 * c + 4a + b``, where ``c = 4 * r1 + r2``
@@ -56,19 +56,19 @@ def code_table(entries) -> tuple[int, ...]:
 
     ``table[i] = 256 * (i >> 7) + support[i >> 7][i & 127]``, where
     ``support[3x + y]`` lists the columns 16c + 4a + b at which the cell's
-    row of the joint table is positive.  Raises RuntimeError unless every
-    row is 1/128 on exactly 128 columns.
+    row of the joint table, in 256ths (weight times Born count), is positive.
+    Raises RuntimeError unless every row is 2/256 on exactly 128 columns.
     """
     behaviors = [product_counts()[product_index(*e.resulting_state)] for e in entries]
     table = []
     for cell in range(9):
         row = [
-            entry.probability * behavior[16 * cell + ab] / 16
+            entry.weight * behavior[16 * cell + ab]
             for entry, behavior in zip(entries, behaviors)
             for ab in range(16)
         ]
         support = [column for column, p in enumerate(row) if p]
-        if len(support) != 128 or any(row[column] != 1 / 128 for column in support):
+        if len(support) != 128 or any(row[column] != 2 for column in support):
             raise RuntimeError("the joint table is not 1/128 on 128 outcomes per cell")
         table += [256 * cell + column for column in support]
     return tuple(table)
@@ -92,16 +92,15 @@ def class_counts(codes) -> list[list[int]]:
     return [[counts[256 * (i >> 4) + 16 * c + (i & 15)] for i in range(144)] for c in range(16)]
 
 
-def estimate_beta(counts: list[int], index: int) -> tuple[float, list[list[int]]]:
+def estimate_beta(counts: list[int], index: int) -> tuple[int, int, list[list[int]]]:
     """Estimate an expression value from one class's 144 event counts.
 
     The estimate, the sum over the nine cells of the cell's signed count
     over its count, is the expression's row dotted with the counts scaled
-    to their common denominator L = lcm(cell counts), over L: one exact
-    integer, rounded once to a float.  Returns it with the 3x3 per-cell
-    event counts.  Raises InsufficientSamplesError, carrying those counts,
-    when a cell has no event at all; an empty cell cannot be skipped
-    without biasing the sum.
+    to their common denominator L = lcm(cell counts), over L.  Returns the
+    exact integer numerator and L, with the 3x3 per-cell event counts.
+    Raises InsufficientSamplesError, carrying those counts, when a cell has
+    no event at all; an empty cell cannot be skipped without biasing the sum.
     """
     cells = [sum(counts[16 * cell : 16 * cell + 16]) for cell in range(9)]
     grid = [cells[3 * x : 3 * x + 3] for x in range(3)]
@@ -110,4 +109,4 @@ def estimate_beta(counts: list[int], index: int) -> tuple[float, list[list[int]]
         raise InsufficientSamplesError(empty, grid)
     L = lcm(*cells)
     scaled = [n * (L // cells[i >> 4]) for i, n in enumerate(counts)]
-    return dot(coefficients(index), scaled) / L, grid
+    return dot(coefficients(index), scaled), L, grid

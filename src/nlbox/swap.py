@@ -17,7 +17,8 @@ each of the four results has probability 1/4.  The tests check both
 facts against the dense collapse of the eight-qubit state.
 
 ``RobotOutcome`` and ``ClassMapEntry`` are named tuples: they compare,
-hash and unpack as plain tuples of their fields.
+hash and unpack as plain tuples of their fields.  Weights and values are
+integer sixteenths; only the CLI's ``sig12`` makes floats of them.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ ROBOT_OUTCOMES = tuple(
 
 
 # One class of the map: the robot's outcome, the Bell product it leaves on
-# (1,6) x (3,8), the expression that product saturates, and its probability.
-ClassMapEntry = namedtuple(
-    "ClassMapEntry", "outcome resulting_state matched_inequality probability"
-)
+# (1,6) x (3,8), the expression that product saturates, and its weight: the
+# outcome's probability in integer sixteenths.
+ClassMapEntry = namedtuple("ClassMapEntry", "outcome resulting_state matched_inequality weight")
 
 
 def swapped_pair(left: BellLabel, right: BellLabel, robot: BellLabel) -> BellLabel:
@@ -89,16 +89,16 @@ def class_map(
                 outcome=outcome,
                 resulting_state=resulting,
                 matched_inequality=states.product_index(*resulting) + 1,
-                probability=1 / 16,
+                weight=1,
             )
         )
     return entries
 
 
-def matched_beta(entry: ClassMapEntry) -> float:
-    """Value of the matched expression on the class's resulting state, exact."""
+def matched_beta(entry: ClassMapEntry) -> int:
+    """Value of the matched expression on the class's resulting state, in sixteenths."""
     counts = product_counts()[states.product_index(*entry.resulting_state)]
-    return dot(counts, coefficients(entry.matched_inequality)) / 16
+    return dot(counts, coefficients(entry.matched_inequality))
 
 
 def premeasurement_marginal(

@@ -332,17 +332,6 @@ def expectation(state: StateVector, op: np.ndarray) -> float:
     return float(val.real)
 
 
-def density_expectation(rho: DensityMatrix, op: np.ndarray) -> float:
-    """Real expectation value tr(rho op) of a Hermitian operator."""
-    op = np.asarray(op, dtype=complex)
-    if np.max(np.abs(op - op.conj().T)) > ATOL_HERM:
-        raise ValueError("expectation requires a Hermitian operator")
-    val = np.trace(rho.entries @ op)
-    if abs(val.imag) > ATOL_STRUCT:
-        raise ValueError(f"expectation has residual imaginary part {val.imag}")
-    return float(val.real)
-
-
 def fidelity_with_pure(rho: DensityMatrix, reference: StateVector) -> float:
     """Fidelity <ref|rho|ref> of a density matrix against a pure reference."""
     if rho.entries.shape[0] != reference.amplitudes.size:
@@ -350,44 +339,6 @@ def fidelity_with_pure(rho: DensityMatrix, reference: StateVector) -> float:
     v = reference.amplitudes
     val = np.vdot(v, rho.entries @ v)
     return float(val.real)
-
-
-def projective_measure(
-    state: StateVector,
-    projectors: Sequence[np.ndarray],
-    rand: float,
-) -> tuple[int, StateVector, float]:
-    """Measure a complete set of orthogonal projectors on a pure state.
-
-    The outcome is chosen by comparing ``rand`` (uniform in [0, 1)) against
-    the cumulative Born probabilities in listed projector order.  Returns
-    the selected index, the normalized post-measurement state, and the
-    probability of the selected outcome.
-    """
-    if not 0.0 <= rand < 1.0:
-        raise ValueError(f"rand {rand} outside [0, 1)")
-    dim = state.amplitudes.size
-    total = np.zeros((dim, dim), dtype=complex)
-    for p in projectors:
-        total += np.asarray(p, dtype=complex)
-    if np.max(np.abs(total - np.eye(dim))) > ATOL_STRUCT:
-        raise ValueError("projectors do not sum to the identity")
-    probs = []
-    for p in projectors:
-        probs.append(max(float(np.vdot(state.amplitudes, p @ state.amplitudes).real), 0.0))
-    if abs(sum(probs) - 1.0) > ATOL_STRUCT:
-        raise ValueError(f"outcome probabilities sum to {sum(probs)}")
-    cum = 0.0
-    for idx, prob in enumerate(probs):
-        cum += prob
-        if rand < cum:
-            post = np.asarray(projectors[idx], dtype=complex) @ state.amplitudes
-            post = post / np.sqrt(prob)
-            return idx, StateVector(post, state.labels), prob
-    # Guard against rand falling into the float slack above the last bin.
-    idx = max(i for i, prob in enumerate(probs) if prob > 0.0)
-    post = np.asarray(projectors[idx], dtype=complex) @ state.amplitudes
-    return idx, StateVector(post / np.sqrt(probs[idx]), state.labels), probs[idx]
 
 
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
@@ -465,7 +416,7 @@ def premeasurement_state(sources=DEFAULT_SOURCES) -> DensityMatrix:
     mixture of the class states that the package's class map selects."""
     entries = class_map(sources)
     kets = np.array([class_state(entry).amplitudes for entry in entries])
-    probs = np.array([entry.probability for entry in entries])
+    probs = np.array([entry.weight / 16 for entry in entries])
     return DensityMatrix((kets.T * probs) @ kets.conj(), KEPT_QUBITS)
 
 

@@ -1,13 +1,18 @@
 """Command line behavior: exit codes, formats, and reproducible files."""
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle import decode
 
 from nlbox import cli, polytope, swap
@@ -479,12 +484,89 @@ class TestParsing:
         assert cli.load_reference_table()["schema_version"] == 1
 
     def test_sig12_rounding(self):
-        assert sig12(1 / 3) == 0.333333333333
-        assert sig12(9.000000000000001) == 9.0
+        assert sig12(1, 3) == 0.333333333333
+        assert sig12(9 * 10**15 + 1, 10**15) == 9.0
 
     def test_csv_cell_rules(self):
         cells = [cli._cell(v) for v in (True, False, None, 1 / 3, 9.0, ["++", "+-"], 7)]
         assert cells == ["true", "false", "", "0.333333333333", "9", "++|+-", "7"]
+
+
+# --shots and --seed texts: edge and bad integers; no valid shot count exceeds 5000
+INTEGER_TEXTS = st.one_of(
+    st.integers(-3, 5000).map(str),
+    st.integers(1, 5000).map(str),
+    st.sampled_from(["", " 7", "1_000", "0x10", "1e3", "2.5", "abc", "-0", "\u0663", "9" * 5000]),
+)
+OPTION_VALUES = {
+    "--shots": INTEGER_TEXTS,
+    "--seed": st.one_of(INTEGER_TEXTS, st.sampled_from([str(2**64), str(-(2**70))])),
+    "--sources": st.one_of(
+        st.sampled_from(["PM,PP", "SP,SM", "sm, pp", "SM", "SM,SM,SM", ",", "XX,SM"]),
+        st.text(max_size=6),
+    ),
+    "--format": st.sampled_from(["json", "csv", "json", "csv", "xml", "", "JSON"]),
+    # --out: a fresh directory, a path below a file, a directory holding an
+    # events.csv file, a directory holding an events.csv directory, an
+    # existing file, a path with a NUL byte
+    "--out": st.sampled_from(["fresh", "below-file", "events-file", "events-dir", "file", "nul"]),
+}
+# the options each command takes; the others take only --format and --out
+COMMAND_OPTIONS = {"sample": list(OPTION_VALUES), "swap-map": ["--sources", "--format", "--out"]}
+# the report failure lines of the four commands
+FAILURE_LINE = re.compile(r"verification failed|bound or facet check failed|swap map is not")
+
+
+def _out_paths(root: Path) -> dict[str, str]:
+    """Each kind of --out below ``root``, with the files and directories it needs."""
+    (root / "file").write_text("x")
+    for name in ("events-file", "events-dir"):
+        (root / name).mkdir()
+    (root / "events-file" / "events.csv").write_text("old\n")
+    (root / "events-dir" / "events.csv").mkdir()
+    return {
+        "fresh": str(root / "fresh" / "report"),
+        "below-file": str(root / "file" / "report"),
+        "events-file": str(root / "events-file"),
+        "events-dir": str(root / "events-dir"),
+        "file": str(root / "file"),
+        "nul": str(root / "a\0b"),
+    }
+
+
+class TestFuzz:
+    @settings(max_examples=150)
+    @given(
+        command=st.sampled_from(["verify-table3", "bounds", "swap-map", "sample", "nope"]),
+        data=st.data(),
+        # nothing, an option of another command, help, an unknown option
+        extra=st.sampled_from([(), (), (), ("--seed", "5"), ("-h",), ("--bogus",)]),
+    )
+    def test_every_input_exits_cleanly(self, tmp_path_factory, command, data, extra):
+        root = tmp_path_factory.mktemp("fuzz")
+        outs = _out_paths(root)
+        names = COMMAND_OPTIONS.get(command, ["--format", "--out"])
+        optional = {name: OPTION_VALUES[name] for name in names}
+        options = data.draw(st.fixed_dictionaries({}, optional=optional))
+        if "--out" in options:
+            options["--out"] = outs[options["--out"]]
+        elif command == "sample":
+            options["--out"] = str(root / "default")
+        argv = [command, *(text for pair in options.items() for text in pair), *extra]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = stop.code
+        stderr = err.getvalue()
+        assert code in (0, 1, 2), (argv, code, stderr)
+        assert "Traceback" not in stderr, (argv, stderr)
+        last = stderr.splitlines()[-1] if stderr else ""
+        if code == 1:
+            assert last.startswith("error: ") or FAILURE_LINE.match(last), (argv, stderr)
+        elif code == 2:
+            assert stderr.startswith("usage: nlbox") and ": error: " in last, (argv, stderr)
 
 
 class TestGoldenOutput:

@@ -2,14 +2,19 @@
 
 No code in the package is kept alive by the tests alone: every top-level
 function and class of ``src/nlbox``, and every method and property of
-its classes, must be used somewhere else in the package, or be public in
-``nlbox.__all__`` (top-level names only).  Code whose only callers are
-tests belongs in ``tests/oracle.py`` or nowhere.  The oracle keeps no
-dead code either: each of its definitions is read by a test module or by
-another oracle definition.
+its classes, must be reached, through a chain of reads, from the public
+names of ``nlbox.__all__`` or from module-level code such as
+``__main__``.  Code whose only callers are tests belongs in
+``tests/oracle.py`` or nowhere.  The oracle keeps no dead code either:
+each of its definitions is reached from a test module other than
+``test_qla.py`` (the unit tests of its linear algebra), directly or
+through other oracle definitions.
 
 The package is integer-only: it holds no complex number and no ket; the
-dense complex route lives in ``tests/oracle.py``.
+dense complex route lives in ``tests/oracle.py``.  It is exact until the
+renderer: no float literal and no true division outside ``cli.sig12``,
+but for the contract's draw ``u() * 1152.0`` and the ``Path`` joins, and
+no command loads ``fractions`` or ``decimal``.
 
 The CLI writes its reports in one place: only the renderer serializes JSON
 or joins fields with a separator, and no command reads ``--format``.
@@ -68,30 +73,69 @@ def _definitions(tree: ast.Module):
                     yield f"{stmt.name}.{sub.name}", sub
 
 
+def _unreached(modules: dict[str, ast.Module], roots: Counter) -> list[str]:
+    """Definitions of ``modules`` that no chain of reads reaches from ``roots``.
+
+    A definition is reached when a root, a module's top-level statements
+    outside the definitions or a reached definition read its name.  A
+    definition's reads of its own name (recursion) are no caller, and a
+    class's reads leave out its methods', which are definitions of their own.
+    """
+    known, reads, short = Counter(roots), {}, {}
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                known += _used_names(stmt)
+        for name, node in _definitions(tree):
+            key = f"{module}:{name}"
+            short[key] = name.rsplit(".", 1)[-1]
+            reads[key] = _used_names(node)
+            reads[key][short[key]] = 0
+            if "." in name:  # a method's reads are its own, not its class's
+                reads[f"{module}:{name.split('.')[0]}"] -= _used_names(node)
+    done = {key for key in reads if known[short[key]]}
+    frontier = list(done)
+    while frontier:
+        read = reads[frontier.pop()]
+        new = {key for key in reads if read[short[key]]} - done
+        done |= new
+        frontier += new
+    return [key for key in reads if key not in done]
+
+
+def test_reachability_follows_chains_of_reads():
+    sample = (
+        "LIMIT = limit()\n"
+        "def limit(): return 3\n"
+        "def root(): return helper()\n"
+        "def helper(): return Box().used()\n"
+        "class Box:\n"
+        "    def used(self): return 1\n"
+        "    def only_self(self): return self.only_self()\n"
+        "def ping(): return pong()\n"
+        "def pong(): return ping()\n"
+    )
+    unreached = _unreached({"m.py": ast.parse(sample)}, Counter(["root"]))
+    assert unreached == ["m.py:Box.only_self", "m.py:ping", "m.py:pong"]
+
+
 @pytest.mark.parametrize(
     "defining, reading, exempt",
     [
         (sorted(PACKAGE.glob("*.py")), [], nlbox.__all__),
-        ([TESTS / "oracle.py"], sorted(TESTS.glob("test_*.py")), ()),
+        # the oracle's own unit tests keep no oracle definition alive
+        (
+            [TESTS / "oracle.py"],
+            sorted(set(TESTS.glob("test_*.py")) - {TESTS / "test_qla.py"}),
+            (),
+        ),
     ],
     ids=["package", "oracle"],
 )
 def test_every_definition_has_a_caller_in_the_package(defining, reading, exempt):
-    # the defining modules may call each other; the reading ones only call
-    modules = _parse(defining)
-    readers = [*modules.values(), *_parse(reading).values()]
-    everywhere = sum((_used_names(tree) for tree in readers), Counter())
-    unused = []
-    for module, tree in modules.items():
-        for name, node in _definitions(tree):
-            if name in exempt:
-                continue
-            short = name.rsplit(".", 1)[-1]
-            # reads inside the definition itself (recursion, a class's own
-            # methods) are no caller
-            if everywhere[short] == _used_names(node)[short]:
-                unused.append(f"{module}:{name}")
-    assert unused == [], f"defined but never read outside their own definition: {unused}"
+    roots = sum((_used_names(tree) for tree in _parse(reading).values()), Counter(exempt))
+    unused = _unreached(_parse(defining), roots)
+    assert unused == [], f"defined but reached from no caller: {unused}"
 
 
 def _complex_uses(tree: ast.Module) -> list[str]:
@@ -118,6 +162,46 @@ def test_package_is_integer_only():
         f"{module} {use}" for module, tree in _modules().items() for use in _complex_uses(tree)
     ]
     assert found == [], f"complex numbers in the package: {found}"
+
+
+def _early_floats(source: str, exempt=()) -> list[str]:
+    """Float literals and true divisions outside the top-level functions
+    ``exempt``, except the draw ``u() * 1152.0`` and joins of a ``Path(``."""
+    lines = source.splitlines()
+    found = []
+    for stmt in ast.parse(source).body:
+        if getattr(stmt, "name", "") in exempt:
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                if "u() * 1152.0" not in lines[node.lineno - 1]:
+                    found.append(f"line {node.lineno}: literal {node.value!r}")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                if "Path(" not in lines[node.lineno - 1]:
+                    found.append(f"line {node.lineno}: division")
+    return found
+
+
+def test_package_is_exact_until_the_renderer():
+    sample = (
+        "def sig12(n, d):\n"
+        "    return float(f'{n / d:.12g}')\n"
+        "x = 1 / 16 + 0.5\n"
+        "y /= 2\n"
+        "code = table[floor(u() * 1152.0)]\n"
+        "path = Path(out) / 'events.csv'\n"
+        "z = 1152.0 // 7\n"
+    )
+    assert len(_early_floats(sample, exempt=("sig12",))) == 4
+    assert len(_early_floats(sample)) == 5
+    found = [
+        f"{path.name} {hit}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for hit in _early_floats(
+            path.read_text(encoding="utf-8"), ("sig12",) if path.name == "cli.py" else ()
+        )
+    ]
+    assert found == [], f"floats made outside cli.sig12: {found}"
 
 
 RENDERER = ("_render", "_cell")
@@ -198,6 +282,7 @@ def test_commands_run_without_numpy(tmp_path):
         "for i, argv in enumerate(commands):\n"
         "    assert cli.main(argv + ['--out', f'{out}/{i}.json']) == 0\n"
         "assert cli.main(['sample', '--shots', '5000', '--out', f'{out}/sample']) == 0\n"
+        "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run(

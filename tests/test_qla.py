@@ -1,5 +1,5 @@
 """The oracle's dense linear algebra: tensor products, embedding,
-measurement, tracing."""
+expectations, tracing."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,10 @@ from oracle import (
     DensityMatrix,
     StateVector,
     canonicalize,
-    density_expectation,
     embed,
     expectation,
     fidelity_with_pure,
     partial_trace,
-    projective_measure,
     tensor,
 )
 
@@ -159,45 +157,6 @@ class TestExpectation:
             expectation(StateVector(KET0, (1,)), np.array([[0, 1], [0, 0]]))
 
 
-class TestProjectiveMeasure:
-    Z_PROJS = [np.outer(KET0, KET0), np.outer(KET1, KET1)]
-
-    def test_plus_state_splits_half_half(self):
-        state = StateVector(PLUS, (1,))
-        idx, post, prob = projective_measure(state, self.Z_PROJS, rand=0.25)
-        assert idx == 0
-        assert prob == pytest.approx(0.5)
-        np.testing.assert_allclose(post.amplitudes, KET0, atol=1e-12)
-        idx, post, prob = projective_measure(state, self.Z_PROJS, rand=0.75)
-        assert idx == 1
-        np.testing.assert_allclose(post.amplitudes, KET1, atol=1e-12)
-
-    def test_deterministic_outcome(self):
-        state = StateVector(KET1, (1,))
-        idx, post, prob = projective_measure(state, self.Z_PROJS, rand=0.999)
-        assert idx == 1 and prob == pytest.approx(1.0)
-
-    def test_rejects_incomplete_projectors(self):
-        state = StateVector(KET0, (1,))
-        with pytest.raises(ValueError, match="identity"):
-            projective_measure(state, [self.Z_PROJS[0]], rand=0.5)
-
-    def test_rejects_bad_rand(self):
-        state = StateVector(KET0, (1,))
-        with pytest.raises(ValueError, match="rand"):
-            projective_measure(state, self.Z_PROJS, rand=1.0)
-
-    @given(seed=st.integers(0, 10_000), rand=st.floats(0, 1, exclude_max=True))
-    @settings(max_examples=40)
-    def test_posterior_is_normalized(self, seed, rand):
-        state = random_state(2, seed)
-        projs = [np.diag([1, 0, 0, 0]), np.diag([0, 1, 1, 0]), np.diag([0, 0, 0, 1])]
-        idx, post, prob = projective_measure(state, projs, rand)
-        assert 0 <= idx < 3
-        assert 0.0 < prob <= 1.0 + 1e-12
-        assert np.linalg.norm(post.amplitudes) == pytest.approx(1.0, abs=1e-10)
-
-
 class TestPartialTrace:
     def test_bell_pair_reduces_to_mixed(self):
         state = StateVector(PHI_PLUS, (1, 2))
@@ -241,11 +200,6 @@ class TestDensityMatrix:
             DensityMatrix(np.eye(2), (1,))
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]), (1,))
-
-    def test_density_expectation(self):
-        rho = DensityMatrix(np.eye(2) / 2, (1,))
-        assert density_expectation(rho, SIGMA_Z) == pytest.approx(0.0)
-        assert density_expectation(rho, np.eye(2)) == pytest.approx(1.0)
 
     def test_fidelity_with_pure(self):
         rho = DensityMatrix(np.outer(PHI_PLUS, PHI_PLUS.conj()), (1, 2))

@@ -21,7 +21,6 @@ from oracle import (
     four_qubit_product,
     protocol_joint_table,
 )
-from scipy.stats import chisquare
 
 from nlbox import inequalities, sampler
 from nlbox.sampler import (
@@ -48,6 +47,37 @@ def joint():
 
 def sample(shots, seed):
     return sample_events(shots, seed, ENTRIES)
+
+
+def chi2_sf(stat: float, df: int) -> float:
+    """P(chi-squared with ``df`` degrees of freedom > ``stat``).
+
+    The regularized upper incomplete gamma Q(a, x) at a = df / 2 and
+    x = stat / 2: one minus the lower series below a + 1, and the modified
+    Lentz continued fraction above it (Numerical Recipes, 6.2).
+    """
+    a, x = df / 2, stat / 2
+    if x <= 0:
+        return 1.0
+    scale = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1:
+        term = total = 1 / a
+        for n in itertools.count(1):
+            term *= x / (a + n)
+            total += term
+            if term < total * 1e-16:
+                return 1 - scale * total
+    tiny = 1e-300
+    b = x + 1 - a
+    c, d = 1 / tiny, 1 / b
+    h = d
+    for i in itertools.count(1):
+        an, b = -i * (i - a), b + 2
+        d = 1 / (an * d + b or tiny)
+        c = b + an / c or tiny
+        h *= d * c
+        if abs(d * c - 1) < 1e-15:
+            return scale * h
 
 
 def replay(monkeypatch, us, entries=ENTRIES):
@@ -160,11 +190,11 @@ class TestEstimation:
         for entry, row in zip(ENTRIES, class_counts(codes)):
             members = decoded[ROBOT_OUTCOMES.index(entry.outcome)]
             assert row == members.tolist()
-            beta_hat, counts = estimate_beta(row, entry.matched_inequality)
+            num, L, counts = estimate_beta(row, entry.matched_inequality)
             assert sum(map(sum, counts)) == members.sum()
             # per-event saturation makes every cell mean +-1, so the
             # estimate is exact, not merely close
-            assert beta_hat == 9.0
+            assert num == 9 * L
 
     def test_synthetic_single_event_per_cell(self):
         # one hand-built event per cell, each saturating expression 1
@@ -182,8 +212,8 @@ class TestEstimation:
                 events[16 * (3 * i + j) + b] = 1
         # nine events of +-1 each score 9 only if every one saturates
         assert behavior_value(1, events) == 9
-        beta_hat, counts = estimate_beta(events, 1)
-        assert beta_hat == 9.0
+        num, L, counts = estimate_beta(events, 1)
+        assert num == 9 * L
         assert counts == [[1, 1, 1]] * 3
 
     def test_insufficient_cells_are_reported(self):
@@ -206,7 +236,9 @@ class TestEstimation:
             Fraction(sum(c * v for c, v in zip(cell, row[16 * k : 16 * k + 16])), sum(cell))
             for k, cell in enumerate(cells)
         )
-        assert estimate_beta(counts, index)[0] == float(exact)
+        num, L, _ = estimate_beta(counts, index)
+        assert Fraction(num, L) == exact
+        assert num / L == float(exact)
 
     def test_mismatched_expression_estimates_track_reference(self, reference_doc):
         # events from one class, scored against expressions they do not
@@ -217,11 +249,11 @@ class TestEstimation:
         assert entry.outcome == ROBOT_OUTCOMES[0]
         row = entry.matched_inequality - 1
         for index in (2, 7, 16):
-            beta_hat, counts = estimate_beta(members, index)
+            num, L, counts = estimate_beta(members, index)
             # each cell mean has variance at most 1/n; the signed sum over
             # nine cells then has standard error sqrt(sum 1/n_ij)
             se = math.sqrt(sum(1.0 / n for cells in counts for n in cells))
-            assert abs(beta_hat - ref[row, index - 1]) < 5 * se
+            assert abs(num / L - ref[row, index - 1]) < 5 * se
 
 
 class TestEstimatorAgainstBehavior:
@@ -240,11 +272,11 @@ class TestEstimatorAgainstBehavior:
             n_cell = int(np.count_nonzero(cells == cell))
             ab = rng.choice(16, size=n_cell, p=flat[cell] / flat[cell].sum())
             drawn[16 * cell : 16 * cell + 16] = np.bincount(ab, minlength=16)
-        beta_hat, counts = estimate_beta(drawn.tolist(), 2)
+        num, L, counts = estimate_beta(drawn.tolist(), 2)
         state = four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
         want = behavior_value(2, dense_behavior(state, *MATCHED_PAIRS))
         se = math.sqrt(sum(1.0 / n for cells in counts for n in cells))
-        assert abs(beta_hat - want) < 5 * se
+        assert abs(num / L - want) < 5 * se
 
 
 class TestExactTable:
@@ -292,8 +324,8 @@ class TestExactTable:
     @pytest.mark.parametrize(
         "entries",
         [
-            # robot probability 1/8 on the first class: its outcomes are 1/64
-            [ENTRIES[0]._replace(probability=1 / 8), *ENTRIES[1:]],
+            # robot weight 2/16 on the first class: its outcomes are 1/64
+            [ENTRIES[0]._replace(weight=2), *ENTRIES[1:]],
             # a class listed twice: 136 outcomes of 1/128 per cell
             [*ENTRIES, ENTRIES[0]],
         ],
@@ -327,5 +359,6 @@ class TestExactTable:
         observed = np.array([counts[code] for code in range(exact.size)])
         assert observed[~positive].sum() == 0
         expected = shots * exact[positive] / exact[positive].sum()
-        _, p_value = chisquare(observed[positive], expected)
+        statistic = float(((observed[positive] - expected) ** 2 / expected).sum())
+        p_value = chi2_sf(statistic, int(positive.sum()) - 1)
         assert p_value > 1e-3

@@ -36,16 +36,16 @@ class TestClassMap:
         results = {e.resulting_state for e in default_class_map}
         assert len(results) == 16
         for entry in default_class_map:
-            assert entry.probability == 1 / 16
-            assert matched_beta(entry) == 9.0
+            assert entry.weight == 1
+            assert matched_beta(entry) == 144
 
     def test_other_sources_still_bijective(self):
         entries = class_map((BellLabel.PHI_MINUS, BellLabel.PHI_PLUS))
         matched = {e.matched_inequality for e in entries}
         assert matched == set(range(1, NUM_EXPRESSIONS + 1))
         for entry in entries:
-            assert entry.probability == 1 / 16
-            assert matched_beta(entry) == 9.0
+            assert entry.weight == 1
+            assert matched_beta(entry) == 144
 
     @pytest.mark.parametrize(
         "sources",
@@ -59,7 +59,7 @@ class TestClassMap:
         assert [e.outcome for e in entries] == list(ROBOT_OUTCOMES)
         for entry, (prob, rho) in zip(entries, dense_swap(sources)):
             assert abs(prob - 1 / 16) <= 1e-12
-            assert entry.probability == 1 / 16
+            assert entry.weight == 1
             assert fidelity_with_pure(rho, class_state(entry)) >= 1 - 1e-9
             assert entry.resulting_state == identify_bell_product(rho)
             # the package's table row of the product is the Born behavior
