@@ -612,6 +612,39 @@ class TestGoldenOutput:
         assert captured.err.encode("utf-8") == stderr
 
 
+# the command lines whose help, usage and error text argparse writes; COLUMNS
+# fixes the width argparse wraps its help to
+USAGE_ARGV = {
+    "no-command": [],
+    "help": ["-h"],
+    "sample-help": ["sample", "-h"],
+    "swap-map-help": ["swap-map", "-h"],
+    "unknown-command": ["frobnicate"],
+    "zero-shots": ["sample", "--shots", "0"],
+    "bad-format": ["bounds", "--format", "xml"],
+    "abbreviation": ["sample", "--sh", "5"],
+    "equals-form": ["bounds", "--format=xml"],
+}
+
+
+class TestUsageOutput:
+    """The stdout, stderr and exit code of help, usage errors and argparse-only forms."""
+
+    @pytest.mark.parametrize("name", list(USAGE_ARGV))
+    def test_usage_is_byte_identical(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(USAGE_ARGV[name])
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        golden = GOLDEN / "usage"
+        assert code == json.loads((golden / "exit_codes.json").read_text())[name]
+        assert captured.out.encode("utf-8") == (golden / f"{name}.stdout").read_bytes()
+        assert captured.err.encode("utf-8") == (golden / f"{name}.stderr").read_bytes()
+
+
 class TestAtomicWrites:
     def test_failed_write_leaves_no_partial_file(self, tmp_path):
         target = tmp_path / "events.csv"
