@@ -9,13 +9,12 @@ same seed produce byte-identical files and stdout.
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import os
 import sys
 from collections import namedtuple
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import inequalities, polytope, sampler, swap
 from .observables import OUTCOME_BITS, OUTCOMES
@@ -26,9 +25,9 @@ REFERENCE_SCHEMA_VERSION = 1
 REFERENCE_PATH = Path(__file__).parent / "data" / "beta_reference.json"
 
 # What a command prints, and why it fails: the JSON document (the renderer
-# puts schema_version first), the CSV header and rows, and the failure
-# message, None when the command succeeds.
-Report = namedtuple("Report", "doc header rows failure")
+# puts schema_version first), the CSV header and rows, the failure message or
+# None, and sample's events file as {path: text chunks}, written with the summary.
+Report = namedtuple("Report", "doc header rows failure files", defaults=(None,))
 
 
 def sig12(numerator: int, denominator: int) -> float:
@@ -43,6 +42,8 @@ def load_reference_table() -> dict:
     numbers; a number is an int or a float within the float range, never a
     bool, NaN or an infinity.
     """
+    import json
+
     with open(REFERENCE_PATH, encoding="utf-8") as fh:
         doc = json.load(fh)
     schema = doc.get("schema_version") if isinstance(doc, dict) else None
@@ -62,24 +63,29 @@ def load_reference_table() -> dict:
     return doc
 
 
-def _write_atomic(path: Path, chunks) -> None:
-    """Write text chunks to a temporary file beside ``path``, then rename it.
-
-    Creates the parent directory and prints the path once written.  A write
-    that fails partway leaves neither a partial ``path`` nor the temporary
-    file behind.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _write_atomic(files: dict) -> None:
+    """Write each path's text chunks to a temporary file beside it, creating
+    parent directories; rename them all once all are written, then print each
+    path.  A directory at a path, or a failed write, changes no path and leaves
+    no temporary file behind."""
+    tmps = {}
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
+        for path, chunks in files.items():
+            if path.is_dir():
+                raise IsADirectoryError(f"{path} is a directory")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(tmp, "x", encoding="utf-8") as fh:
+                tmps[tmp] = path
+                fh.writelines(chunks)
+        for tmp, path in tmps.items():
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
-    print(f"wrote {path}")
+    for path in files:
+        print(f"wrote {path}")
 
 
 def _cell(value) -> str:
@@ -98,6 +104,8 @@ def _cell(value) -> str:
 def _render(fmt: str, report: Report) -> str:
     """A report as JSON or as CSV text."""
     if fmt == "json":
+        import json
+
         doc = {"schema_version": REPORT_SCHEMA_VERSION, **report.doc}
         return json.dumps(doc, indent=2) + "\n"
     lines = [report.header, *report.rows]
@@ -227,11 +235,10 @@ def _event_text(codes, block: int):
 
 
 def cmd_sample(args) -> Report:
-    """Write the seeded events; report the per-class summary, which main writes."""
+    """Report the per-class summary of seeded events, with the events file to write."""
     entries = swap.class_map(args.sources)
     codes = sampler.sample_events(args.shots, args.seed, entries)
     events_path = Path(args.out) / "events.csv"
-    _write_atomic(events_path, _event_text(codes, sampler.BLOCK))
     classes = []
     for entry, counts in zip(entries, sampler.class_counts(codes)):
         try:
@@ -271,7 +278,14 @@ def cmd_sample(args) -> Report:
         + [[f"{i}{j}" for i, j in c["insufficient_cells"]]]
         for c in classes
     ]
-    return Report(doc, header, rows, None)
+    return Report(doc, header, rows, None, {events_path: _event_text(codes, sampler.BLOCK)})
+
+
+def _type_error(message: str) -> Exception:
+    """argparse's own ArgumentTypeError, imported only for a bad value."""
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
 
 
 def _int_at_least(low: int, message: str, text: str) -> int:
@@ -279,76 +293,92 @@ def _int_at_least(low: int, message: str, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        raise _type_error(f"{text!r} is not an integer")
     if value < low:
-        raise argparse.ArgumentTypeError(message)
+        raise _type_error(message)
     return value
 
 
 def _sources(text: str):
     parts = text.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            "expected two comma-separated Bell codes, e.g. SM,SM"
-        )
+        raise _type_error("expected two comma-separated Bell codes, e.g. SM,SM")
     try:
         return tuple(bell_label_from_code(p.strip()) for p in parts)
     except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err))
+        raise _type_error(str(err))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _commands() -> dict:
+    """Each command's function, help and options in help order, as argparse's
+    add_argument keywords.  Built at each parse, not at import, so that
+    wrappers installed on the module after its import are the ones that run."""
+    out = ("--out", dict(help="write the report here instead of stdout"))
+    fmt = ("--format", dict(choices=("json", "csv"), default="json"))
+    pair = "source Bell codes as FIRST,SECOND (default SM,SM)"
+    sources = ("--sources", dict(type=_sources, default=swap.DEFAULT_SOURCES, help=pair))
+    shots = functools.partial(_int_at_least, 1, "must be a positive integer")
+    seed = functools.partial(_int_at_least, 0, "seed must be non-negative")
+    run_dir = "directory for events.csv and the summary (default nlbox_sample)"
+    sample = [("--shots", dict(type=shots, default=1000)), ("--seed", dict(type=seed, default=0))]
+    sample += [sources, ("--out", dict(default="nlbox_sample", help=run_dir)), fmt]
+    std = [out, fmt]  # the options of verify-table3 and bounds
+    return {
+        "verify-table3": (cmd_verify_table3, "recompute the 256 reference expression values", std),
+        "bounds": (cmd_bounds, "deterministic maxima, no-signaling values, facet checks", std),
+        "swap-map": (cmd_swap_map, "robot outcome to resulting Bell product map", [*std, sources]),
+        "sample": (cmd_sample, "run seeded shots of the protocol", sample),
+    }
+
+
+def _read_argv(argv):
+    """What argparse parses from a documented command line, else None: the
+    command, then ``--option value`` pairs of its full option names, each at
+    most once, every value accepted by its converter and none starting with "-"."""
+    commands = _commands()
+    if not argv or argv[0] not in commands or len(argv) % 2 == 0:
+        return None
+    func, _, options = commands[argv[0]]
+    options = dict(options)
+    fields = {flag[2:]: spec.get("default") for flag, spec in options.items()}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        spec = options.pop(flag, None)
+        if spec is None or text.startswith("-") or text not in spec.get("choices", [text]):
+            return None
+        try:
+            fields[flag[2:]] = spec.get("type", str)(text)
+        except Exception:  # argparse converts the value again and reports the failure
+            return None
+    return SimpleNamespace(command=argv[0], func=func, **fields)
+
+
+def build_parser():
+    """argparse's parser of the commands: help, usage errors and every other form."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nlbox",
         description="Verify the sixteen Bell expressions and the swap protocol.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sources = dict(
-        type=_sources,
-        default=swap.DEFAULT_SOURCES,
-        help="source Bell codes as FIRST,SECOND (default SM,SM)",
-    )
-    # the cmd_* functions are looked up now, not at import, so that wrappers
-    # installed on the module after its import are the ones that run
-    for name, func, text in [
-        (
-            "verify-table3",
-            cmd_verify_table3,
-            "recompute the 256 reference expression values",
-        ),
-        ("bounds", cmd_bounds, "deterministic maxima, no-signaling values, facet checks"),
-        ("swap-map", cmd_swap_map, "robot outcome to resulting Bell product map"),
-        ("sample", cmd_sample, "run seeded shots of the protocol"),
-    ]:
+    for name, (func, text, options) in _commands().items():
         command = sub.add_parser(name, help=text)
         command.set_defaults(func=func)
-        out = dict(default=None, help="write the report here instead of stdout")
-        if name == "sample":
-            positive = functools.partial(_int_at_least, 1, "must be a positive integer")
-            command.add_argument("--shots", type=positive, default=1000)
-            seed = functools.partial(_int_at_least, 0, "seed must be non-negative")
-            command.add_argument("--seed", type=seed, default=0)
-            command.add_argument("--sources", **sources)
-            out = dict(
-                default="nlbox_sample",
-                help="directory for events.csv and the summary (default nlbox_sample)",
-            )
-        command.add_argument("--out", **out)
-        command.add_argument("--format", choices=("json", "csv"), default="json")
-        if name == "swap-map":
-            command.add_argument("--sources", **sources)
+        for flag, spec in options:
+            command.add_argument(flag, **spec)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         report = args.func(args)
         text = _render(args.format, report)
         if args.command == "sample":
-            _write_atomic(Path(args.out) / f"summary.{args.format}", [text])
+            _write_atomic({**report.files, Path(args.out) / f"summary.{args.format}": [text]})
         elif args.out is not None:
-            _write_atomic(Path(args.out), [text])
+            _write_atomic({Path(args.out): [text]})
         else:
             sys.stdout.write(text)
     except (OSError, RuntimeError, ValueError) as err:

@@ -569,6 +569,116 @@ class TestFuzz:
             assert stderr.startswith("usage: nlbox") and ": error: " in last, (argv, stderr)
 
 
+# forms of one option that only argparse reads, from its full name and a value
+FALLBACK_FORMS = {
+    "equals": lambda flag, value: [f"{flag}={value}"],
+    "abbreviation": lambda flag, value: [flag[:4], value],
+    "repeated": lambda flag, value: [flag, value, flag, value],
+    "dash value": lambda flag, value: [flag, "-5"],
+    "help as value": lambda flag, value: [flag, "-h"],
+    "empty value": lambda flag, value: [flag, ""],
+}
+
+
+# valid values of each option, drawn as often as TestFuzz's edge and bad ones
+VALID_VALUES = {
+    "--shots": st.integers(1, 10**6).map(str),
+    "--seed": st.integers(0, 2**64).map(str),
+    "--sources": st.sampled_from(["SM,SM", "PM,PP", "sp, sm"]),
+    "--format": st.sampled_from(["json", "csv"]),
+    "--out": st.sampled_from(["run", "a/b.json", "x y", "-"]),
+}
+
+
+def _parsed_by_argparse(argv):
+    """argparse's fields for ``argv``, func by name, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            fields = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+    return {**fields, "func": fields["func"].__name__}
+
+
+class TestDirectReader:
+    @settings(max_examples=300)
+    @given(
+        command=st.sampled_from(["verify-table3", "bounds", "swap-map", "sample", "nope"]),
+        data=st.data(),
+        form=st.sampled_from([None] * 8 + list(FALLBACK_FORMS)),
+        extra=st.sampled_from([()] * 8 + [("--seed", "5"), ("--bogus",)]),
+    )
+    def test_reads_what_argparse_reads_or_nothing(self, command, data, form, extra):
+        names = COMMAND_OPTIONS.get(command, ["--format", "--out"])
+        optional = {name: st.one_of(VALID_VALUES[name], OPTION_VALUES[name]) for name in names}
+        pairs = [list(p) for p in data.draw(st.fixed_dictionaries({}, optional=optional)).items()]
+        if pairs and form is not None:
+            i = data.draw(st.integers(0, len(pairs) - 1))
+            pairs[i] = FALLBACK_FORMS[form](*pairs[i])
+        argv = [command, *(text for pair in pairs for text in pair), *extra]
+        if data.draw(st.integers(0, 3)) == 0:  # -h at any position, in a quarter of the draws
+            argv.insert(data.draw(st.integers(0, len(argv))), "-h")
+        fields = cli._read_argv(argv)
+        if fields is not None:
+            assert {**vars(fields), "func": fields.func.__name__} == _parsed_by_argparse(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-table3"],
+            ["bounds", "--out", "b.csv", "--format", "csv"],
+            ["swap-map", "--format", "csv", "--sources", "PM,PP", "--out", "s.csv"],
+            ["sample"],
+            ["sample", "--format", "csv", "--sources", "SP,SM", "--shots", "500", "--seed", "7"]
+            + ["--out", "run"],
+        ],
+    )
+    def test_reads_the_documented_forms(self, argv):
+        fields = cli._read_argv(argv)
+        assert {**vars(fields), "func": fields.func.__name__} == _parsed_by_argparse(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--out", "-h"],
+            ["bounds", "--out", "--format", "csv"],
+            ["sample", "--seed", "-0"],
+            ["sample", "--shots", "5", "--shots", "6"],
+            ["sample", "--sh", "5"],
+            ["bounds", "--format=csv"],
+            ["bounds", "--out"],
+            ["bounds", "--seed", "5"],
+            ["-h", "bounds"],
+            ["swap-map", "-h"],
+        ],
+    )
+    def test_leaves_every_other_form_to_argparse(self, argv):
+        assert cli._read_argv(argv) is None
+
+    def test_defaults(self):
+        assert vars(cli._read_argv(["sample"])) == {
+            "command": "sample",
+            "func": cli.cmd_sample,
+            "shots": 1000,
+            "seed": 0,
+            "sources": swap.DEFAULT_SOURCES,
+            "out": "nlbox_sample",
+            "format": "json",
+        }
+        for command in ("verify-table3", "bounds", "swap-map"):
+            fields = vars(cli._read_argv([command]))
+            assert (fields["out"], fields["format"]) == (None, "json")
+
+    def test_commands_run_the_functions_bound_at_parse_time(self, capsys, monkeypatch):
+        calls = []
+        real = cli.cmd_swap_map
+        monkeypatch.setattr(cli, "cmd_swap_map", lambda args: calls.append(args) or real(args))
+        assert main(["swap-map"]) == 0
+        assert main(["swap-map", "--sources=PM,PP"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 2
+
+
 class TestGoldenOutput:
     """The exact reports and sample summaries, captured once."""
 
@@ -654,7 +764,7 @@ class TestAtomicWrites:
             raise OSError("disk full")
 
         with pytest.raises(OSError):
-            cli._write_atomic(target, chunks())
+            cli._write_atomic({target: chunks()})
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_the_old_file(self, tmp_path):
@@ -666,13 +776,34 @@ class TestAtomicWrites:
             raise OSError("disk full")
 
         with pytest.raises(OSError):
-            cli._write_atomic(target, chunks())
+            cli._write_atomic({target: chunks()})
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_text() == "old"
+
+    @pytest.mark.parametrize("failure", ["summary is a directory", "events write fails"])
+    def test_failed_sample_changes_no_file(self, tmp_path, capsys, monkeypatch, failure):
+        out = tmp_path / "run"
+        assert main(["sample", "--shots", "50", "--format", "csv", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}/events.csv\nwrote {out}/summary.csv\n"
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        if failure == "summary is a directory":
+            (out / "summary.json").mkdir()
+        else:
+
+            def full_disk(codes, block):
+                yield "run_id\n"
+                raise OSError("disk full")
+
+            monkeypatch.setattr(cli, "_event_text", full_disk)
+        assert main(["sample", "--shots", "60", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        after = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+        assert after == before
 
     def test_write_replaces_the_target(self, tmp_path):
         target = tmp_path / "report.json"
         target.write_text("old")
-        cli._write_atomic(target, ["a", "b\n"])
+        cli._write_atomic({target: ["a", "b\n"]})
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_text() == "ab\n"

@@ -283,6 +283,7 @@ def test_commands_run_without_numpy(tmp_path):
         "    assert cli.main(argv + ['--out', f'{out}/{i}.json']) == 0\n"
         "assert cli.main(['sample', '--shots', '5000', '--out', f'{out}/sample']) == 0\n"
         "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
+        "assert 'argparse' not in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run(
@@ -297,7 +298,32 @@ def test_commands_run_without_numpy(tmp_path):
     ]
 
 
-IMPORT_BUDGET_EXCLUDES = ("dataclasses", "inspect", "typing", "importlib.resources")
+def test_csv_sample_loads_no_json(tmp_path):
+    script = (
+        "import sys\n"
+        "import nlbox.cli as cli\n"
+        "argv = ['sample', '--shots', '500', '--format', 'csv', '--out', sys.argv[1]]\n"
+        "assert cli.main(argv) == 0\n"
+        "assert 'json' not in sys.modules and 'argparse' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    argv = [sys.executable, "-S", "-c", script, str(tmp_path)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["events.csv", "summary.csv"]
+
+
+# modules that import nlbox.cli must not load; argparse (with gettext) and json
+# load only for help or a usage error, and for the reference table or a JSON report
+IMPORT_BUDGET_EXCLUDES = (
+    "dataclasses",
+    "inspect",
+    "typing",
+    "importlib.resources",
+    "argparse",
+    "gettext",
+    "json",
+)
 
 
 def _excluded_after_cli_import(prelude: str = "") -> list[str]:
