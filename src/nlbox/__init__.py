@@ -15,24 +15,8 @@ integers by construction: the parties measure the rows and columns of the
 Mermin-Peres square, signed Pauli strings whose expectations on a Bell
 product are 0 or +-1, read off the pairs' Pauli frames.  The package
 holds no complex number and runs on the standard library alone.
+``import nlbox`` loads no submodule: import each name from its module,
+such as ``nlbox.cli`` for the commands.
 """
-
-from .inequalities import C, coefficient_rows, coefficients, product_counts
-from .polytope import facet_check, lhv_bound, ns_bound
-from .states import BellLabel
-from .swap import class_map, premeasurement_marginal
-
-__all__ = [
-    "BellLabel",
-    "C",
-    "class_map",
-    "coefficient_rows",
-    "coefficients",
-    "facet_check",
-    "lhv_bound",
-    "ns_bound",
-    "premeasurement_marginal",
-    "product_counts",
-]
 
 __version__ = "0.1.0"

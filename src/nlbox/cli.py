@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 from . import inequalities, polytope, sampler, swap
 from .observables import OUTCOME_BITS, OUTCOMES
-from .states import BELL_ORDER, PRODUCT_LABELS, bell_label_from_code
+from .states import PRODUCT_LABELS, bell_label_from_code
 
 REPORT_SCHEMA_VERSION = 1
 REFERENCE_SCHEMA_VERSION = 1
@@ -67,7 +67,9 @@ def _write_atomic(files: dict) -> None:
     """Write each path's text chunks to a temporary file beside it, creating
     parent directories; rename them all once all are written, then print each
     path.  A directory at a path, or a failed write, changes no path and leaves
-    no temporary file behind."""
+    no temporary file behind.  A failed print comes after the renames, so it
+    fails the run with every path already replaced, but no line names a file
+    that was not renamed."""
     tmps = {}
     try:
         for path, chunks in files.items():
@@ -177,7 +179,7 @@ def cmd_swap_map(args) -> Report:
     """Robot outcome -> resulting Bell product, with matched expressions."""
     entries = [
         {
-            "robot_outcome": list(entry.outcome.codes),
+            "robot_outcome": [label.code for label in entry.outcome],
             "resulting_state": [label.code for label in entry.resulting_state],
             "matched_inequality": entry.matched_inequality,
             "probability": sig12(entry.weight, 16),
@@ -213,7 +215,7 @@ def _event_text(codes, block: int):
     settings = [f",{x},{y}," for x in range(3) for y in range(3)]
     halves = [f"{first:+d},{second:+d}" for first, second in OUTCOME_BITS]
     signs = [f"{a},{b}" for a in halves for b in halves]
-    robots = [f",{r1.code},{r2.code}\n" for r1 in BELL_ORDER for r2 in BELL_ORDER]
+    robots = [f",{r1.code},{r2.code}\n" for r1, r2 in swap.ROBOT_OUTCOMES]
     s = [xy + ab + r for xy in settings for r in robots for ab in signs]
     yield "run_id,x,y,a1,a2,b1,b2,r1,r2\n"
     # runs 10k .. 10k + 9 have the run_ids str(k) + "0" .. str(k) + "9" ("" for
@@ -248,7 +250,7 @@ def cmd_sample(args) -> Report:
             beta_hat, empty, cells = None, err.cells, err.grid
         classes.append(
             {
-                "robot_outcome": list(entry.outcome.codes),
+                "robot_outcome": [label.code for label in entry.outcome],
                 "count": sum(counts),
                 "matched_inequality": entry.matched_inequality,
                 "beta_hat": beta_hat,
@@ -379,6 +381,8 @@ def main(argv=None) -> int:
             _write_atomic({**report.files, Path(args.out) / f"summary.{args.format}": [text]})
         elif args.out is not None:
             _write_atomic({Path(args.out): [text]})
+        elif sys.stdout is None:
+            raise OSError("stdout is closed")
         else:
             sys.stdout.write(text)
     except (OSError, RuntimeError, ValueError) as err:

@@ -68,15 +68,6 @@ def vertex_values(index: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def lhv_bound(index: int) -> tuple[int, DeterministicStrategy]:
-    """Exact deterministic maximum of an expression and a witness strategy."""
-    values = vertex_values(index)
-    bound = max(values)
-    f, g = divmod(values.index(bound), NUM_PARTY_STRATEGIES)
-    singles = party_strategies()
-    return bound, DeterministicStrategy(singles[f], singles[g])
-
-
 def ns_bound(index: int) -> int:
     """Algebraic maximum of an expression, checked to be quantum-attainable.
 

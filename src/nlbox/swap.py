@@ -34,19 +34,9 @@ DEFAULT_SOURCES = (BellLabel.PSI_MINUS, BellLabel.PSI_MINUS)
 _LABEL_OF_FRAME = {frame: label for label, frame in FRAMES.items()}
 
 
-class RobotOutcome(namedtuple("RobotOutcome", "first second")):
-    """Bell results of the robot's two measurements, on (2,5) then (4,7)."""
-
-    __slots__ = ()
-
-    @property
-    def codes(self) -> tuple[str, str]:
-        return self.first.code, self.second.code
-
-
-ROBOT_OUTCOMES = tuple(
-    RobotOutcome(first, second) for first in BELL_ORDER for second in BELL_ORDER
-)
+# Bell results of the robot's two measurements, on (2,5) then (4,7), in class order.
+RobotOutcome = namedtuple("RobotOutcome", "first second")
+ROBOT_OUTCOMES = tuple(RobotOutcome(r1, r2) for r1 in BELL_ORDER for r2 in BELL_ORDER)
 
 
 # One class of the map: the robot's outcome, the Bell product it leaves on
@@ -100,19 +90,3 @@ def matched_beta(entry: ClassMapEntry) -> int:
     counts = product_counts()[states.product_index(*entry.resulting_state)]
     return dot(counts, coefficients(entry.matched_inequality))
 
-
-def premeasurement_marginal(
-    sources: tuple[BellLabel, BellLabel] = DEFAULT_SOURCES,
-) -> tuple[int, ...]:
-    """Behavior of (1,3) and (6,8) before the robot's outcome is known.
-
-    It is the mixture of the sixteen class behaviors, each of robot
-    probability exactly 1/16: a mixture of nonlocal boxes.  Returned in
-    integers as the sum of the classes' rows of ``product_counts()``, that
-    is 256 p(a, b | x, y), a tuple of 144 ints.  The class map hits
-    every Bell product once and the rows of C sum to zero, so every entry
-    is 16: without the robot's outcomes the parties see uniformly random
-    outcomes in every cell, and every Bell expression averages to zero.
-    """
-    rows = [states.product_index(*entry.resulting_state) for entry in class_map(sources)]
-    return tuple(map(sum, zip(*(product_counts()[row] for row in rows))))

@@ -60,7 +60,7 @@ def test_criterion_01_reference_values():
 def test_criterion_02_deterministic_maxima():
     """Brute force over all 4096 strategies gives exactly 7, per expression."""
     start = time.perf_counter()
-    bounds = [polytope.lhv_bound(k)[0] for k in range(1, NUM_EXPRESSIONS + 1)]
+    bounds = [max(polytope.vertex_values(k)) for k in range(1, NUM_EXPRESSIONS + 1)]
     elapsed = time.perf_counter() - start
     ok = bounds == [7] * NUM_EXPRESSIONS and elapsed < 5.0
     _report(
@@ -141,9 +141,9 @@ def test_criterion_05_swap_class_map():
     )
 
 
-def test_criterion_06_premeasurement_marginal():
+def test_criterion_06_premeasurement_marginal(premeasurement_marginal):
     """Before the robot measures, the parties see no correlation at all."""
-    marginal = np.asarray(swap.premeasurement_marginal())
+    marginal = np.asarray(premeasurement_marginal)
     # second route: Born behavior of the partial trace of the dense
     # eight-qubit source state
     dense = partial_trace(eight_qubit_initial(), KEPT_QUBITS)

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -801,9 +802,34 @@ class TestAtomicWrites:
         after = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
         assert after == before
 
+    def test_failed_print_comes_after_the_renames(self, tmp_path, capsys, monkeypatch):
+        # the wrote lines are printed once both files are renamed, so a full
+        # stdout fails the run with the new pair in place
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        out = tmp_path / "run"
+        assert main(["sample", "--shots", "50", "--out", str(out)]) == 0
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(["sample", "--shots", "60", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert sorted(path.name for path in out.iterdir()) == ["events.csv", "summary.json"]
+        assert json.loads((out / "summary.json").read_text())["shots"] == 60
+        assert len((out / "events.csv").read_text().splitlines()) == 61
+
     def test_write_replaces_the_target(self, tmp_path):
         target = tmp_path / "report.json"
         target.write_text("old")
         cli._write_atomic({target: ["a", "b\n"]})
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_text() == "ab\n"
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["verify-table3", "bounds", "swap-map"])
+    def test_closed_stdout_is_an_error(self, capsys, monkeypatch, command):
+        # python >&- starts with sys.stdout None
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main([command]) == 1
+        assert capsys.readouterr().err == "error: stdout is closed\n"

@@ -2,13 +2,12 @@
 
 No code in the package is kept alive by the tests alone: every top-level
 function and class of ``src/nlbox``, and every method and property of
-its classes, must be reached, through a chain of reads, from the public
-names of ``nlbox.__all__`` or from module-level code such as
-``__main__``.  Code whose only callers are tests belongs in
-``tests/oracle.py`` or nowhere.  The oracle keeps no dead code either:
-each of its definitions is reached from a test module other than
-``test_qla.py`` (the unit tests of its linear algebra), directly or
-through other oracle definitions.
+its classes, must be reached, through a chain of reads, from module-level
+code such as ``__main__``.  Code whose only callers are tests belongs in
+the tests (``tests/oracle.py`` or a fixture) or nowhere.  The oracle
+keeps no dead code either: each of its definitions is reached from a test
+module other than ``test_qla.py`` (the unit tests of its linear algebra),
+directly or through other oracle definitions.
 
 The package is integer-only: it holds no complex number and no ket; the
 dense complex route lives in ``tests/oracle.py``.  It is exact until the
@@ -25,6 +24,8 @@ and every command runs in an interpreter that cannot import numpy.
 Importing the CLI loads neither ``dataclasses`` (nor ``inspect``, which
 it pulls in), ``typing`` nor ``importlib.resources``: the package's
 records are named tuples and the reference table is read by path.
+Importing the package alone loads none of its modules: it re-exports no
+name.
 """
 
 import ast
@@ -120,20 +121,16 @@ def test_reachability_follows_chains_of_reads():
 
 
 @pytest.mark.parametrize(
-    "defining, reading, exempt",
+    "defining, reading",
     [
-        (sorted(PACKAGE.glob("*.py")), [], nlbox.__all__),
+        (sorted(PACKAGE.glob("*.py")), []),
         # the oracle's own unit tests keep no oracle definition alive
-        (
-            [TESTS / "oracle.py"],
-            sorted(set(TESTS.glob("test_*.py")) - {TESTS / "test_qla.py"}),
-            (),
-        ),
+        ([TESTS / "oracle.py"], sorted(set(TESTS.glob("test_*.py")) - {TESTS / "test_qla.py"})),
     ],
     ids=["package", "oracle"],
 )
-def test_every_definition_has_a_caller_in_the_package(defining, reading, exempt):
-    roots = sum((_used_names(tree) for tree in _parse(reading).values()), Counter(exempt))
+def test_every_definition_has_a_caller_in_the_package(defining, reading):
+    roots = sum((_used_names(tree) for tree in _parse(reading).values()), Counter())
     unused = _unreached(_parse(defining), roots)
     assert unused == [], f"defined but reached from no caller: {unused}"
 
@@ -326,20 +323,40 @@ IMPORT_BUDGET_EXCLUDES = (
 )
 
 
-def _excluded_after_cli_import(prelude: str = "") -> list[str]:
-    """Which of ``IMPORT_BUDGET_EXCLUDES`` a fresh ``python -S`` holds after
-    running ``prelude`` and importing ``nlbox.cli``."""
-    script = (
-        f"{prelude}import sys\n"
-        "import nlbox.cli\n"
-        f"print(*(m for m in {IMPORT_BUDGET_EXCLUDES!r} if m in sys.modules))\n"
-    )
+def _printed_by_fresh_python(script: str) -> list[str]:
+    """The words a fresh ``python -S`` prints running ``script``."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
+
+
+def _excluded_after_cli_import(prelude: str = "") -> list[str]:
+    """Which of ``IMPORT_BUDGET_EXCLUDES`` a fresh ``python -S`` holds after
+    running ``prelude`` and importing ``nlbox.cli``."""
+    return _printed_by_fresh_python(
+        f"{prelude}import sys\n"
+        "import nlbox.cli\n"
+        f"print(*(m for m in {IMPORT_BUDGET_EXCLUDES!r} if m in sys.modules))\n"
+    )
+
+
+def _submodules_after(statement: str) -> list[str]:
+    """The ``nlbox.*`` modules a fresh ``python -S`` holds after ``statement``."""
+    return _printed_by_fresh_python(
+        f"import sys\n{statement}\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('nlbox.')))\n"
+    )
+
+
+def test_package_import_loads_no_submodule():
+    assert _submodules_after("import nlbox") == []
+    assert _submodules_after("import nlbox.cli") == [
+        f"nlbox.{name}"
+        for name in ("cli", "inequalities", "observables", "polytope", "sampler", "states", "swap")
+    ]
 
 
 def test_cli_import_loads_no_dataclasses_typing_or_resources():

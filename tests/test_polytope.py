@@ -28,7 +28,6 @@ from nlbox.polytope import (
     DeterministicStrategy,
     facet_check,
     integer_rank,
-    lhv_bound,
     ns_bound,
     party_strategies,
     party_table,
@@ -145,15 +144,14 @@ class TestVertices:
 class TestBounds:
     def test_lhv_maximum_is_seven_everywhere(self):
         for k in range(1, NUM_EXPRESSIONS + 1):
-            bound, witness = lhv_bound(k)
-            assert bound == 7
+            report = facet_check(k)
+            assert report.lhv_max == 7
             # recompute the witness value through the scalar route
-            assert behavior_value(k, strategy_behavior(witness).probs.reshape(144)) == 7
+            assert behavior_value(k, strategy_behavior(report.witness).probs.reshape(144)) == 7
 
     def test_witness_realizes_seven_as_a_behavior(self):
         for k in (1, 8, 16):
-            _, witness = lhv_bound(k)
-            behavior = strategy_behavior(witness)
+            behavior = strategy_behavior(facet_check(k).witness)
             assert behavior.probs.reshape(144) @ coefficients(k) == 7
 
     def test_beta_matrix_agrees_with_scalar_route(self):
@@ -196,14 +194,18 @@ class TestFacets:
     def test_saturator_dims_match_direct_ranks(self):
         # the package ranks expression 1's saturators and reads every
         # relabeling's maximum, count and witness off expression 1's values;
-        # here each expression is evaluated and ranked on its own
-        verts = vertex_matrix()
+        # here each expression is evaluated and ranked on its own, and the
+        # witness is the first maximum of the vertex matrix, row 64f + g
+        verts, singles = vertex_matrix(), party_strategies()
         for k in range(1, NUM_EXPRESSIONS + 1):
-            sat = verts[verts @ np.asarray(coefficients(k)) == 7]
+            values = verts @ np.asarray(coefficients(k))
+            sat = verts[values == 7]
             report = facet_check(k)
             assert oracle_rank(sat[1:] - sat[0]) == report.saturator_affine_dim == 98
             assert sat.shape[0] == report.num_saturators == vertex_values(k).count(7)
-            assert (report.lhv_max, report.witness) == lhv_bound(k)
+            f, g = divmod(int(np.argmax(values)), NUM_PARTY_STRATEGIES)
+            witness = DeterministicStrategy(singles[f], singles[g])
+            assert (report.lhv_max, report.witness) == (values.max(), witness)
 
     @pytest.mark.parametrize("other", [2, 9, 16, 0])
     def test_saturator_rank_holds_off_expression_one(self, monkeypatch, other):

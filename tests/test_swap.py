@@ -19,13 +19,7 @@ from oracle import (
 
 from nlbox.inequalities import NUM_EXPRESSIONS, C, product_counts
 from nlbox.states import BELL_ORDER, BellLabel, product_index
-from nlbox.swap import (
-    ROBOT_OUTCOMES,
-    RobotOutcome,
-    class_map,
-    matched_beta,
-    premeasurement_marginal,
-)
+from nlbox.swap import ROBOT_OUTCOMES, RobotOutcome, class_map, matched_beta
 
 
 class TestClassMap:
@@ -81,12 +75,12 @@ class TestClassMap:
 
 
 class TestPremeasurementMarginal:
-    def test_maximally_mixed(self):
+    def test_maximally_mixed(self, premeasurement_marginal):
         # 256 p = 16 in every entry: uniformly random outcomes in every cell;
         # the oracle's mixture of dense class states is I/16 and has the
         # same Born behavior
-        marginal = np.asarray(premeasurement_marginal())
-        assert {type(v) for v in premeasurement_marginal()} == {int}
+        marginal = np.asarray(premeasurement_marginal)
+        assert {type(v) for v in premeasurement_marginal} == {int}
         assert np.array_equal(marginal, np.full(144, 16))
         rho = premeasurement_state()
         np.testing.assert_allclose(rho.entries, np.eye(16) / 16.0, atol=1e-10)
@@ -95,11 +89,11 @@ class TestPremeasurementMarginal:
         born = 256 * density_behavior(rho, ALICE_PAIR, BOB_PAIR)
         np.testing.assert_allclose(born, marginal, rtol=0, atol=1e-10)
 
-    def test_every_expression_averages_to_zero(self, reference_doc):
+    def test_every_expression_averages_to_zero(self, reference_doc, premeasurement_marginal):
         # three routes: the package's integer values, the oracle's value of
         # the Born behavior of its mixed state, and the reference table's
         # column means (each class contributes 1/16)
-        assert np.array_equal(np.asarray(C) @ premeasurement_marginal(), np.zeros(NUM_EXPRESSIONS))
+        assert np.array_equal(np.asarray(C) @ premeasurement_marginal, np.zeros(NUM_EXPRESSIONS))
         born = density_behavior(premeasurement_state(), ALICE_PAIR, BOB_PAIR)
         ref = np.array(reference_doc["values"], dtype=float)
         for k in range(1, NUM_EXPRESSIONS + 1):
