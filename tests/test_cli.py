@@ -735,6 +735,9 @@ USAGE_ARGV = {
     "bad-format": ["bounds", "--format", "xml"],
     "abbreviation": ["sample", "--sh", "5"],
     "equals-form": ["bounds", "--format=xml"],
+    "bad-source": ["swap-map", "--sources", "XX,SM"],
+    "one-source": ["sample", "--sources", "SM"],
+    "lower-case-source": ["swap-map", "--sources", "sm,pp"],
 }
 
 
