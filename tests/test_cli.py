@@ -738,16 +738,30 @@ USAGE_ARGV = {
     "bad-source": ["swap-map", "--sources", "XX,SM"],
     "one-source": ["sample", "--sources", "SM"],
     "lower-case-source": ["swap-map", "--sources", "sm,pp"],
+    # how --out is printed: "." parts and repeated slashes dropped, ".." kept
+    "out-dot-slash": ["sample", "--shots", "10", "--out", "./d"],
+    "out-trailing-slash": ["sample", "--shots", "10", "--out", "d/"],
+    "out-double-slash": ["sample", "--shots", "10", "--out", "d//x"],
+    "out-dot": ["sample", "--shots", "10", "--out", "."],
+    "out-empty": ["sample", "--shots", "10", "--out", ""],
+    "out-parent": ["sample", "--shots", "10", "--out", "a/../b"],
+    "bounds-out-double-slash": ["bounds", "--out", "./r//b.json"],
+    "out-is-directory": ["bounds", "--out", "d"],
 }
+# the directories made in the fresh working directory before a USAGE_ARGV run
+USAGE_DIRS = {"out-is-directory": ["d"]}
 
 
 class TestUsageOutput:
-    """The stdout, stderr and exit code of help, usage errors and argparse-only forms."""
+    """The stdout, stderr and exit code of help, usage errors, argparse-only
+    forms and the printed --out paths."""
 
     @pytest.mark.parametrize("name", list(USAGE_ARGV))
     def test_usage_is_byte_identical(self, tmp_path, capsys, monkeypatch, name):
         monkeypatch.setenv("COLUMNS", "80")
         monkeypatch.chdir(tmp_path)
+        for directory in USAGE_DIRS.get(name, []):
+            (tmp_path / directory).mkdir()
         try:
             code = main(USAGE_ARGV[name])
         except SystemExit as stop:
