@@ -1,0 +1,166 @@
+"""Compare the command line's bytes in the working tree with those of a commit.
+
+Usage: python tools/bytecheck.py PARENT [--expect NAME]...
+
+Exports the ``src/`` tree of commit PARENT with ``git archive`` and copies
+the working tree's ``src/``.  Each entry of ``TABLE`` then runs once per
+tree as ``python -m nlbox ARGV`` in a fresh directory of its own, with
+``COLUMNS=80`` so that argparse wraps help the same way.  An entry's
+outcome is its stdout, stderr, exit code, and the name and SHA-256 of every
+file in its directory afterwards.  A difference is allowed only on an entry
+declared with ``--expect NAME``; the check reports it and exits 1 on any
+other.  ``tests/test_bytecheck.py`` checks that every entry's options
+still parse; running the two trees stays out of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import itertools
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# One command line: its name, argv after ``nlbox``, whether argparse accepts
+# argv, the directories and files made before it runs, and where its stdout
+# goes: a pipe, nowhere (fd 1 closed), or /dev/full.
+Entry = namedtuple("Entry", "name argv parses dirs files stdout", defaults=((), {}, "pipe"))
+
+CODES = ("PP", "PM", "SP", "SM")
+TABLE = (
+    # the golden reports and sample runs of tests/test_cli.py, and the defaults
+    *(
+        Entry(f"{command}-{fmt}", [command, "--format", fmt], True)
+        for command in ("verify-table3", "bounds", "swap-map")
+        for fmt in ("json", "csv")
+    ),
+    *(Entry(c, [c], True) for c in ("verify-table3", "bounds", "swap-map", "sample")),
+    Entry("sample-50-0", ["sample", "--shots", "50", "--seed", "0"], True),
+    Entry("sample-400-0-json", ["sample", "--shots", "400", "--seed", "0", "--format", "json"], True),
+    Entry("sample-400-0-csv", ["sample", "--shots", "400", "--seed", "0", "--format", "csv"], True),
+    Entry("sample-100003-1", ["sample", "--shots", "100003", "--seed", "1"], True),
+    # the usage goldens (tests/test_cli.py USAGE_ARGV), under the same names
+    Entry("no-command", [], False),
+    Entry("help", ["-h"], False),
+    Entry("sample-help", ["sample", "-h"], False),
+    Entry("swap-map-help", ["swap-map", "-h"], False),
+    Entry("unknown-command", ["frobnicate"], False),
+    Entry("zero-shots", ["sample", "--shots", "0"], False),
+    Entry("bad-format", ["bounds", "--format", "xml"], False),
+    Entry("abbreviation", ["sample", "--sh", "5"], True),
+    Entry("equals-form", ["bounds", "--format=xml"], False),
+    Entry("bad-source", ["swap-map", "--sources", "XX,SM"], False),
+    Entry("one-source", ["sample", "--sources", "SM"], False),
+    Entry("lower-case-source", ["swap-map", "--sources", "sm,pp"], False),
+    Entry("out-dot-slash", ["sample", "--shots", "10", "--out", "./d"], True),
+    Entry("out-trailing-slash", ["sample", "--shots", "10", "--out", "d/"], True),
+    Entry("out-double-slash", ["sample", "--shots", "10", "--out", "d//x"], True),
+    Entry("out-dot", ["sample", "--shots", "10", "--out", "."], True),
+    Entry("out-empty", ["sample", "--shots", "10", "--out", ""], True),
+    Entry("out-parent", ["sample", "--shots", "10", "--out", "a/../b"], True),
+    Entry("bounds-out-double-slash", ["bounds", "--out", "./r//b.json"], True),
+    Entry("out-is-directory", ["bounds", "--out", "d"], True, dirs=("d",)),
+    # every --sources pair, for the map and one sample, and the bad forms
+    *(
+        Entry(f"swap-map-{a}-{b}", ["swap-map", "--sources", f"{a},{b}"], True)
+        for a, b in itertools.product(CODES, repeat=2)
+    ),
+    *(
+        Entry(f"sample-{a}-{b}", ["sample", "--shots", "300", "--format", "csv", "--sources", f"{a},{b}"], True)
+        for a, b in itertools.product(CODES, repeat=2)
+    ),
+    Entry("sources-spaced", ["swap-map", "--sources", " SP , PM "], True),
+    Entry("sources-comma", ["swap-map", "--sources", ","], False),
+    Entry("sources-three", ["swap-map", "--sources", "SM,SM,SM"], False),
+    Entry("sources-half", ["swap-map", "--sources", "PP,"], False),
+    Entry("sources-empty", ["sample", "--sources", ""], False),
+    # --out on a file, below a file, and on a directory in a sample run
+    Entry("out-on-file", ["bounds", "--out", "f"], True, files={"f": "old\n"}),
+    Entry("out-below-file", ["bounds", "--out", "f/x.json"], True, files={"f": "old\n"}),
+    Entry("sample-events-dir", ["sample", "--shots", "10", "--out", "r"], True, dirs=("r", "r/events.csv")),
+    # stdout closed, and stdout on a full device
+    *(Entry(f"closed-{c}", [c], True, stdout="closed") for c in ("verify-table3", "bounds", "swap-map")),
+    Entry("closed-sample", ["sample", "--shots", "10"], True, stdout="closed"),
+    Entry("full-verify-table3", ["verify-table3"], True, stdout="full"),
+    Entry("full-swap-map-csv", ["swap-map", "--format", "csv"], True, stdout="full"),
+    Entry("full-sample", ["sample", "--shots", "10"], True, stdout="full"),
+    Entry("full-bounds-out", ["bounds", "--out", "b.json"], True, stdout="full"),
+)
+
+Outcome = namedtuple("Outcome", "stdout stderr code files")
+
+
+def export_trees(parent: str, into: Path) -> dict[str, Path]:
+    """``src/`` of commit ``parent`` and of the working tree, below ``into``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", parent, "src"], cwd=ROOT, capture_output=True, check=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into / "parent")
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    shutil.copytree(ROOT / "src", into / "change" / "src", ignore=ignore)
+    return {"parent": into / "parent", "change": into / "change"}
+
+
+def run(entry: Entry, tree: Path, where: Path) -> Outcome:
+    """Run one entry with the package of ``tree``, from the fresh directory ``where``."""
+    where.mkdir(parents=True)
+    for name in entry.dirs:
+        (where / name).mkdir()
+    for name, text in entry.files.items():
+        (where / name).write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "COLUMNS": "80"}
+    argv = [sys.executable, "-m", "nlbox", *entry.argv]
+    with open(os.devnull if entry.stdout != "full" else "/dev/full", "w") as sink:
+        proc = subprocess.run(
+            argv,
+            cwd=where,
+            env=env,
+            stdout=subprocess.PIPE if entry.stdout == "pipe" else sink,
+            stderr=subprocess.PIPE,
+            preexec_fn=(lambda: os.close(1)) if entry.stdout == "closed" else None,
+        )
+    files = {
+        str(path.relative_to(where)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(where.rglob("*"))
+        if path.is_file()
+    }
+    return Outcome(proc.stdout, proc.stderr, proc.returncode, files)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("parent", help="the commit to compare with, such as HEAD~1")
+    parser.add_argument("--expect", action="append", default=[], metavar="NAME", help="an entry allowed to differ")
+    args = parser.parse_args(argv)
+    unknown = set(args.expect) - {entry.name for entry in TABLE}
+    if unknown:
+        parser.error(f"no entries named {sorted(unknown)}")
+    start = time.perf_counter()
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = export_trees(args.parent, Path(tmp))
+        for entry in TABLE:
+            parent, change = (run(entry, tree, Path(tmp) / side / "runs" / entry.name) for side, tree in trees.items())
+            parts = [field for field, a, b in zip(Outcome._fields, parent, change) if a != b]
+            if parts:
+                declared = entry.name in args.expect
+                failed += not declared
+                print(f"{'declared' if declared else 'DIFFERS'}  {entry.name}: {', '.join(parts)}")
+    seconds = time.perf_counter() - start
+    print(f"{len(TABLE)} entries, {failed} undeclared differences, {seconds:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
