@@ -18,7 +18,6 @@ from types import SimpleNamespace
 
 from . import inequalities, polytope, sampler, swap
 from .observables import OUTCOME_BITS, OUTCOMES
-from .states import PRODUCT_LABELS, bell_label_from_code
 
 REPORT_SCHEMA_VERSION = 1
 REFERENCE_SCHEMA_VERSION = 1
@@ -114,6 +113,11 @@ def _render(fmt: str, report: Report) -> str:
     return "".join(",".join(map(_cell, line)) + "\n" for line in lines)
 
 
+def _codes(states) -> list[str]:
+    """The command line's codes of some Bell states."""
+    return [swap.BELL_CODES[state] for state in states]
+
+
 def cmd_verify_table3(args) -> Report:
     """Recompute all 256 expression values and compare to the reference.
 
@@ -123,7 +127,7 @@ def cmd_verify_table3(args) -> Report:
     products, reference = inequalities.product_counts(), load_reference_table()["values"]
     sixteenths = [[inequalities.dot(p, row) for row in inequalities.C] for p in products]
     values = [[sig12(v, 16) for v in row] for row in sixteenths]
-    states = [f"{first.code}.{second.code}" for first, second in PRODUCT_LABELS]
+    states = [f"{first}.{second}" for first in swap.BELL_CODES for second in swap.BELL_CODES]
     mismatches = [
         {
             "state": states[row],
@@ -179,16 +183,15 @@ def cmd_swap_map(args) -> Report:
     """Robot outcome -> resulting Bell product, with matched expressions."""
     entries = [
         {
-            "robot_outcome": [label.code for label in entry.outcome],
-            "resulting_state": [label.code for label in entry.resulting_state],
+            "robot_outcome": _codes(entry.outcome),
+            "resulting_state": _codes(entry.resulting_state),
             "matched_inequality": entry.matched_inequality,
             "probability": sig12(entry.weight, 16),
             "beta": sig12(swap.matched_beta(entry), 16),
         }
         for entry in swap.class_map(args.sources)
     ]
-    sources = [label.code for label in args.sources]
-    doc = {"command": "swap-map", "sources": sources, "entries": entries}
+    doc = {"command": "swap-map", "sources": _codes(args.sources), "entries": entries}
     header = [
         "robot_first",
         "robot_second",
@@ -215,7 +218,7 @@ def _event_text(codes, block: int):
     settings = [f",{x},{y}," for x in range(3) for y in range(3)]
     halves = [f"{first:+d},{second:+d}" for first, second in OUTCOME_BITS]
     signs = [f"{a},{b}" for a in halves for b in halves]
-    robots = [f",{r1.code},{r2.code}\n" for r1, r2 in swap.ROBOT_OUTCOMES]
+    robots = [f",{r1},{r2}\n" for r1, r2 in map(_codes, swap.ROBOT_OUTCOMES)]
     s = [xy + ab + r for xy in settings for r in robots for ab in signs]
     yield "run_id,x,y,a1,a2,b1,b2,r1,r2\n"
     # runs 10k .. 10k + 9 have the run_ids str(k) + "0" .. str(k) + "9" ("" for
@@ -250,7 +253,7 @@ def cmd_sample(args) -> Report:
             beta_hat, empty, cells = None, err.cells, err.grid
         classes.append(
             {
-                "robot_outcome": [label.code for label in entry.outcome],
+                "robot_outcome": _codes(entry.outcome),
                 "count": sum(counts),
                 "matched_inequality": entry.matched_inequality,
                 "beta_hat": beta_hat,
@@ -263,7 +266,7 @@ def cmd_sample(args) -> Report:
         "shots": args.shots,
         "seed": args.seed,
         "rng_contract": sampler.RNG_CONTRACT,
-        "sources": [label.code for label in args.sources],
+        "sources": _codes(args.sources),
         "events_file": events_path.name,
         "classes": classes,
     }
@@ -306,7 +309,7 @@ def _sources(text: str):
     if len(parts) != 2:
         raise _type_error("expected two comma-separated Bell codes, e.g. SM,SM")
     try:
-        return tuple(bell_label_from_code(p.strip()) for p in parts)
+        return tuple(swap.bell_state(p.strip()) for p in parts)
     except ValueError as err:
         raise _type_error(str(err))
 

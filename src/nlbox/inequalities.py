@@ -26,7 +26,7 @@ import functools
 import itertools
 import operator
 
-from . import observables, states
+from . import observables
 from .observables import MASKS, mask_value
 
 NUM_EXPRESSIONS = 16
@@ -122,9 +122,9 @@ def dot(row, behavior) -> int:
 def product_counts() -> tuple[tuple[int, ...], ...]:
     """16 p(a, b | x, y) of every Bell product: 16 tuples of 144 ints.
 
-    Row k - 1 is Bell product k, ``states.PRODUCT_LABELS[k - 1]`` = (first,
-    second): bell(first) on the parties' first qubits and bell(second) on
-    their second ones.  Entry 16*(3x + y) + 4a + b is
+    Row 4 * first + second is the Bell product (first, second), Bell states
+    numbered 2x + z by their Pauli frames (x, z) as in ``swap``: bell(first)
+    on the parties' first qubits and bell(second) on their second ones.  Entry 16*(3x + y) + 4a + b is
     sum_{m, n} chi_m(a) chi_n(b) <A_x^m (x) B_y^n>, summed over the masks
     of both parties' Pauli strings (see ``observables``).  On a Bell
     product each <A (x) B> is the product of one expectation per pair, and
@@ -135,7 +135,7 @@ def product_counts() -> tuple[tuple[int, ...], ...]:
     # YY; the frame's z flips the sign of XX and YY, its x that of YY and ZZ.
     pair = [
         (1, (-1) ** z, -((-1) ** (x ^ z)), (-1) ** x)
-        for x, z in (states.FRAMES[label] for label in states.BELL_ORDER)
+        for x, z in (divmod(i, 2) for i in range(4))
     ]
     alice_signs, alice = observables.pauli_table(observables.ALICE_PAULIS)
     bob_signs, bob = observables.pauli_table(observables.BOB_PAULIS)

@@ -37,7 +37,6 @@ from itertools import repeat
 from math import floor, lcm
 
 from .inequalities import coefficients, dot, product_counts
-from .states import product_index
 
 RNG_CONTRACT = 3
 BLOCK = 4096
@@ -59,7 +58,7 @@ def code_table(entries) -> tuple[int, ...]:
     row of the joint table, in 256ths (weight times Born count), is positive.
     Raises RuntimeError unless every row is 2/256 on exactly 128 columns.
     """
-    behaviors = [product_counts()[product_index(*e.resulting_state)] for e in entries]
+    behaviors = [product_counts()[e.matched_inequality - 1] for e in entries]
     table = []
     for cell in range(9):
         row = [

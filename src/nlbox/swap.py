@@ -7,14 +7,19 @@ never interacted.  Each of the 16 robot outcomes occurs with probability
 1/16 and selects one such product, which maximally violates exactly one
 of the sixteen Bell expressions.
 
-Nothing here builds the eight-qubit state.  Every Bell state is a Pauli
-frame (x, z) in GF(2)^2, the state X^x Z^z on the first qubit of Phi+,
-and entanglement swapping adds frames: swapping (1,2) in frame s with
-(5,6) in frame t, with robot result r on (2,5), leaves (1,6) in frame
-s + t + r (Aaronson and Gottesman, PRA 70, 052328 (2004)).  Qubits 2 and
-5 are halves of two Bell pairs, so they are jointly maximally mixed and
-each of the four results has probability 1/4.  The tests check both
-facts against the dense collapse of the eight-qubit state.
+Nothing here builds the eight-qubit state.  A Bell state is named by its
+Pauli frame (x, z) in GF(2)^2, the state X^x Z^z on the first qubit of
+Phi+, and held as the int i = 2x + z: 0, 1, 2 and 3 are Phi+, Phi-, Psi+
+and Psi-, written PP, PM, SP and SM on the command line.  A product of
+two Bell states (first, second) is row 4 * first + second of the
+sixteen, in the order of the reference table, and it is the nonlocal box
+of expression 4 * first + second + 1.  Entanglement swapping adds frames:
+swapping (1,2) in frame s with (5,6) in frame t, with robot result r on
+(2,5), leaves (1,6) in frame s + t + r (Aaronson and Gottesman, PRA 70,
+052328 (2004)), the XOR of the three ints.  Qubits 2 and 5 are halves of
+two Bell pairs, so they are jointly maximally mixed and each of the four
+results has probability 1/4.  The tests check both facts against the
+dense collapse of the eight-qubit state.
 
 ``RobotOutcome`` and ``ClassMapEntry`` are named tuples: they compare,
 hash and unpack as plain tuples of their fields.  Weights and values are
@@ -25,18 +30,24 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from . import states
 from .inequalities import coefficients, dot, product_counts
-from .states import BELL_ORDER, FRAMES, BellLabel
 
-DEFAULT_SOURCES = (BellLabel.PSI_MINUS, BellLabel.PSI_MINUS)
+# The command line's code of each Bell state, indexed by the state.
+BELL_CODES = ("PP", "PM", "SP", "SM")
+DEFAULT_SOURCES = (3, 3)  # SM,SM: both sources emit singlets
 
-_LABEL_OF_FRAME = {frame: label for label, frame in FRAMES.items()}
+
+def bell_state(code: str) -> int:
+    """The Bell state of a two-letter code."""
+    if code not in BELL_CODES:
+        valid = ", ".join(BELL_CODES)
+        raise ValueError(f"unknown Bell code {code!r}, expected one of {valid}")
+    return BELL_CODES.index(code)
 
 
 # Bell results of the robot's two measurements, on (2,5) then (4,7), in class order.
 RobotOutcome = namedtuple("RobotOutcome", "first second")
-ROBOT_OUTCOMES = tuple(RobotOutcome(r1, r2) for r1 in BELL_ORDER for r2 in BELL_ORDER)
+ROBOT_OUTCOMES = tuple(RobotOutcome(r1, r2) for r1 in range(4) for r2 in range(4))
 
 
 # One class of the map: the robot's outcome, the Bell product it leaves on
@@ -45,20 +56,17 @@ ROBOT_OUTCOMES = tuple(RobotOutcome(r1, r2) for r1 in BELL_ORDER for r2 in BELL_
 ClassMapEntry = namedtuple("ClassMapEntry", "outcome resulting_state matched_inequality weight")
 
 
-def swapped_pair(left: BellLabel, right: BellLabel, robot: BellLabel) -> BellLabel:
+def swapped_pair(left: int, right: int, robot: int) -> int:
     """Bell state of the outer qubits after a Bell measurement on the inner ones.
 
     ``left`` and ``right`` are the two swapped pairs, ``robot`` the result
     on their inner qubits; the outer pair's frame is the GF(2) sum of the
     three frames.
     """
-    (lx, lz), (rx, rz), (mx, mz) = FRAMES[left], FRAMES[right], FRAMES[robot]
-    return _LABEL_OF_FRAME[(lx ^ rx ^ mx, lz ^ rz ^ mz)]
+    return left ^ right ^ robot
 
 
-def class_map(
-    sources: tuple[BellLabel, BellLabel] = DEFAULT_SOURCES,
-) -> list[ClassMapEntry]:
+def class_map(sources: tuple[int, int] = DEFAULT_SOURCES) -> list[ClassMapEntry]:
     """Robot outcome -> resulting Bell product, for all 16 outcomes.
 
     The measurement on (2,5) swaps (1,2) with (5,6), and the one on (4,7)
@@ -67,18 +75,16 @@ def class_map(
     (1,6) x (3,8) is the robot outcome itself, for every source choice,
     and every outcome has probability exactly 1/16.
     """
-    first, second = sources
+    s1, s2 = sources
     entries = []
     for outcome in ROBOT_OUTCOMES:
-        resulting = (
-            swapped_pair(first, first, outcome.first),
-            swapped_pair(second, second, outcome.second),
-        )
+        first = swapped_pair(s1, s1, outcome.first)
+        second = swapped_pair(s2, s2, outcome.second)
         entries.append(
             ClassMapEntry(
                 outcome=outcome,
-                resulting_state=resulting,
-                matched_inequality=states.product_index(*resulting) + 1,
+                resulting_state=(first, second),
+                matched_inequality=4 * first + second + 1,
                 weight=1,
             )
         )
@@ -87,6 +93,6 @@ def class_map(
 
 def matched_beta(entry: ClassMapEntry) -> int:
     """Value of the matched expression on the class's resulting state, in sixteenths."""
-    counts = product_counts()[states.product_index(*entry.resulting_state)]
+    counts = product_counts()[entry.matched_inequality - 1]
     return dot(counts, coefficients(entry.matched_inequality))
 

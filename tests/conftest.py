@@ -33,8 +33,9 @@ def premeasurement_marginal(default_class_map):
     should be 16: without the robot's outcomes the parties see uniformly
     random outcomes in every cell, and every Bell expression averages to zero.
     """
-    from nlbox.inequalities import product_counts
-    from nlbox.states import product_index
+    from oracle import PRODUCT_LABELS
 
-    rows = [product_counts()[product_index(*e.resulting_state)] for e in default_class_map]
+    from nlbox.inequalities import product_counts
+
+    rows = [product_counts()[PRODUCT_LABELS.index(e.resulting_state)] for e in default_class_map]
     return tuple(map(sum, zip(*rows)))

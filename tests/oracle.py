@@ -38,7 +38,6 @@ import numpy as np
 
 from nlbox.inequalities import mask_pattern, sign_table
 from nlbox.observables import MASKS, mask_value
-from nlbox.states import BELL_ORDER, PRODUCT_LABELS, BellLabel
 from nlbox.swap import DEFAULT_SOURCES, ROBOT_OUTCOMES, RobotOutcome, class_map
 
 NUM_JOINT_STRATEGIES = 4**3 * 4**3
@@ -58,12 +57,18 @@ KET_1 = np.array([0, 1], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / _SQ2
 KET_MINUS = np.array([1, -1], dtype=complex) / _SQ2
 
-_BELL_AMPLITUDES = {
-    BellLabel.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) / _SQ2,
-    BellLabel.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) / _SQ2,
-    BellLabel.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) / _SQ2,
-    BellLabel.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex) / _SQ2,
-}
+# The four Bell states, named as the package holds them: the ints 0..3 in
+# the order PP, PM, SP, SM, with kets of the oracle's own.  The sixteen
+# products are in the row order of the reference table, the second state
+# varying fastest.
+PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS = BELL_ORDER = (0, 1, 2, 3)
+PRODUCT_LABELS = tuple(itertools.product(BELL_ORDER, repeat=2))
+_BELL_AMPLITUDES = (
+    np.array([1, 0, 0, 1], dtype=complex) / _SQ2,
+    np.array([1, 0, 0, -1], dtype=complex) / _SQ2,
+    np.array([0, 1, 1, 0], dtype=complex) / _SQ2,
+    np.array([0, 1, -1, 0], dtype=complex) / _SQ2,
+)
 
 _FIDELITY_TOL = 1e-9
 
@@ -132,9 +137,20 @@ class DensityMatrix:
         object.__setattr__(self, "labels", labels)
 
 
-def bell(label: BellLabel, qubits: tuple[int, int] = (1, 2)) -> StateVector:
+def bell(label: int, qubits: tuple[int, int] = (1, 2)) -> StateVector:
     """Bell state on the given qubit pair (labels in listed order)."""
     return StateVector(_BELL_AMPLITUDES[label], qubits)
+
+
+def pauli_frame(label: int) -> tuple[int, int]:
+    """The frame (x, z) with bell(label) = X^x Z^z on the first qubit of
+    Phi+, up to a phase, found by trying all four."""
+    for x, z in itertools.product(range(2), repeat=2):
+        flip = np.linalg.matrix_power(SIGMA_X, x) @ np.linalg.matrix_power(SIGMA_Z, z)
+        image = np.kron(flip, ID2) @ _BELL_AMPLITUDES[PHI_PLUS]
+        if abs(np.vdot(_BELL_AMPLITUDES[label], image)) >= 1.0 - _FIDELITY_TOL:
+            return x, z
+    raise RuntimeError(f"Bell state {label} is in no Pauli frame of Phi+")
 
 
 def chi_omega(kind: str, qubits: tuple[int, int] = (1, 2)) -> StateVector:
@@ -220,8 +236,8 @@ def canonicalize(state: StateVector) -> StateVector:
 
 
 def bell_product(
-    first: BellLabel,
-    second: BellLabel,
+    first: int,
+    second: int,
     first_pair: tuple[int, int],
     second_pair: tuple[int, int],
 ) -> StateVector:
@@ -231,7 +247,7 @@ def bell_product(
     )
 
 
-def four_qubit_product(first: BellLabel, second: BellLabel) -> StateVector:
+def four_qubit_product(first: int, second: int) -> StateVector:
     """bell(first) on qubits (1,2) times bell(second) on qubits (3,4)."""
     return bell_product(first, second, (1, 2), (3, 4))
 
@@ -241,7 +257,7 @@ def class_state(entry) -> StateVector:
     return bell_product(*entry.resulting_state, (1, 6), (3, 8))
 
 
-def source_product(first: BellLabel, second: BellLabel) -> StateVector:
+def source_product(first: int, second: int) -> StateVector:
     """Eight-qubit state emitted by the two identical sources.
 
     Each source emits one pair in ``bell(first)`` and one in ``bell(second)``:
@@ -257,7 +273,7 @@ def source_product(first: BellLabel, second: BellLabel) -> StateVector:
 
 def eight_qubit_initial() -> StateVector:
     """The all-singlet eight-qubit initial state on labels 1..8."""
-    return source_product(BellLabel.PSI_MINUS, BellLabel.PSI_MINUS)
+    return source_product(PSI_MINUS, PSI_MINUS)
 
 
 @dataclass(frozen=True)
@@ -386,7 +402,7 @@ def reduced_pair_product(post: StateVector) -> DensityMatrix:
     return partial_trace(post, KEPT_QUBITS)
 
 
-def identify_bell_product(rho: DensityMatrix) -> tuple[BellLabel, BellLabel]:
+def identify_bell_product(rho: DensityMatrix) -> tuple[int, int]:
     """Match a reduced state on (1,3,6,8) to a Bell product on (1,6)x(3,8).
 
     Identification requires fidelity at least 1 - 1e-9 against one of the

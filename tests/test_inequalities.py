@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
     MATCHED_PAIRS,
+    PHI_PLUS,
+    PRODUCT_LABELS,
+    PSI_MINUS,
     Behavior,
     alice_kets,
     behavior_value,
@@ -28,7 +31,6 @@ from nlbox.inequalities import (
     product_counts,
     sign_table,
 )
-from nlbox.states import PRODUCT_LABELS, BellLabel
 
 
 def matched_behavior(index):
@@ -165,7 +167,7 @@ class TestProductTable:
 class TestQuantumRoute:
     def test_reference_correlators_on_double_phi_plus(self):
         # a cell's value under expression 1, unsigned, is its correlator
-        state = four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
+        state = four_qubit_product(PHI_PLUS, PHI_PLUS)
         born, signs = dense_behavior(state, *MATCHED_PAIRS), sign_table(1)
         assert signs[0][0] * behavior_value(1, one_cell(born, 0)) == pytest.approx(
             1.0, abs=1e-12
@@ -178,7 +180,7 @@ class TestQuantumRoute:
         # row 3 of the table is PP x SM: the labeled product on (1,2) x (3,4)
         # with its axes moved to Alice's (1, 3) then Bob's (2, 4), measured
         # in the parties' kets without any embedding
-        labeled = four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PSI_MINUS)
+        labeled = four_qubit_product(PHI_PLUS, PSI_MINUS)
         assert labeled.labels == (1, 2, 3, 4)
         alice_major = labeled.amplitudes.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
         alice = np.array([alice_kets(x) for x in range(3)])
@@ -202,7 +204,7 @@ class TestQuantumRoute:
                 assert behavior_value(k, one_cell(born, cell)) == pytest.approx(1.0, abs=1e-9)
 
     def test_explicit_pairs_on_swap_layout(self):
-        state = bell_product(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS, (1, 6), (3, 8))
+        state = bell_product(PHI_PLUS, PHI_PLUS, (1, 6), (3, 8))
         swapped = dense_behavior(state, (1, 3), (6, 8))
         assert behavior_value(1, swapped) == pytest.approx(9.0, abs=1e-9)
         np.testing.assert_allclose(swapped, matched_behavior(1), atol=1e-15)

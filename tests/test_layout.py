@@ -355,7 +355,7 @@ def test_package_import_loads_no_submodule():
     assert _submodules_after("import nlbox") == []
     assert _submodules_after("import nlbox.cli") == [
         f"nlbox.{name}"
-        for name in ("cli", "inequalities", "observables", "polytope", "sampler", "states", "swap")
+        for name in ("cli", "inequalities", "observables", "polytope", "sampler", "swap")
     ]
 
 

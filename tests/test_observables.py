@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from oracle import (
     ID2,
+    PHI_MINUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -21,7 +22,6 @@ from oracle import (
 
 from nlbox import observables
 from nlbox.observables import MASKS, OUTCOMES, mask_value
-from nlbox.states import BellLabel
 
 SX, SY, SZ, I2 = SIGMA_X, SIGMA_Y, SIGMA_Z, ID2
 
@@ -98,7 +98,7 @@ class TestProjectorStructure:
 
     def test_bob_2_uses_bell_basis(self):
         obs = bob_observable(2)
-        pm = bell(BellLabel.PHI_MINUS).amplitudes
+        pm = bell(PHI_MINUS).amplitudes
         np.testing.assert_allclose(obs.projectors[1], np.outer(pm, pm), atol=1e-12)
 
 

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
     NUM_JOINT_STRATEGIES,
+    PRODUCT_LABELS,
     Behavior,
     affine_dimension,
     behavior_value,
+    pauli_frame,
     vertex_matrix,
 )
 from oracle import integer_rank as oracle_rank
@@ -34,7 +36,6 @@ from nlbox.polytope import (
     polytope_affine_dim,
     vertex_values,
 )
-from nlbox.states import FRAMES, PRODUCT_LABELS
 
 
 def strategy_behavior(strategy: DeterministicStrategy) -> Behavior:
@@ -251,7 +252,7 @@ class TestFacets:
             return sum((p in "ZY") * fx + (p in "XY") * fz for p, (fx, fz) in pairs) % 2
 
         for k, (f,) in hits.items():
-            frames = [FRAMES[label] for label in PRODUCT_LABELS[k - 1]]
+            frames = [pauli_frame(label) for label in PRODUCT_LABELS[k - 1]]
             want = [2 * flipped(hi, frames) + flipped(lo, frames) for hi, lo, _ in ALICE_PAULIS]
             assert list(f) == want
 

@@ -14,6 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
     MATCHED_PAIRS,
+    PHI_MINUS,
+    PHI_PLUS,
+    PSI_MINUS,
     behavior_value,
     decode,
     dense_behavior,
@@ -31,7 +34,6 @@ from nlbox.sampler import (
     estimate_beta,
     sample_events,
 )
-from nlbox.states import BellLabel
 from nlbox.swap import DEFAULT_SOURCES, ROBOT_OUTCOMES, class_map
 
 ENTRIES = class_map()
@@ -273,7 +275,7 @@ class TestEstimatorAgainstBehavior:
             ab = rng.choice(16, size=n_cell, p=flat[cell] / flat[cell].sum())
             drawn[16 * cell : 16 * cell + 16] = np.bincount(ab, minlength=16)
         num, L, counts = estimate_beta(drawn.tolist(), 2)
-        state = four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
+        state = four_qubit_product(PHI_PLUS, PHI_PLUS)
         want = behavior_value(2, dense_behavior(state, *MATCHED_PAIRS))
         se = math.sqrt(sum(1.0 / n for cells in counts for n in cells))
         assert abs(num / L - want) < 5 * se
@@ -294,8 +296,8 @@ class TestExactTable:
     @pytest.mark.parametrize(
         "sources",
         [
-            (BellLabel.PSI_MINUS, BellLabel.PSI_MINUS),
-            (BellLabel.PHI_MINUS, BellLabel.PHI_PLUS),
+            (PSI_MINUS, PSI_MINUS),
+            (PHI_MINUS, PHI_PLUS),
         ],
     )
     def test_largest_variate_picks_a_possible_outcome(self, monkeypatch, sources):

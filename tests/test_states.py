@@ -1,12 +1,21 @@
 """Bell states, the chi/omega basis, and the multi-qubit product states.
 
 The kets and the labeled products on explicit pairs live in the oracle;
-the package names the Bell states by label and Pauli frame only.
+the package holds a Bell state as its Pauli frame's index 2x + z, and
+names it by a two-letter code only on the command line.
 """
+
+import re
 
 import numpy as np
 import pytest
 from oracle import (
+    BELL_ORDER,
+    PHI_MINUS,
+    PHI_PLUS,
+    PRODUCT_LABELS,
+    PSI_MINUS,
+    PSI_PLUS,
     SIGMA_X,
     SIGMA_Z,
     bell,
@@ -16,12 +25,12 @@ from oracle import (
     expectation,
     four_qubit_product,
     partial_trace,
+    pauli_frame,
     source_product,
     tensor,
 )
 
-from nlbox import states
-from nlbox.states import BELL_ORDER, PRODUCT_LABELS, BellLabel
+from nlbox import swap
 
 SQ2 = np.sqrt(2.0)
 
@@ -30,10 +39,17 @@ class TestBellStates:
     @pytest.mark.parametrize(
         "label,amps",
         [
-            (BellLabel.PHI_PLUS, [1, 0, 0, 1]),
-            (BellLabel.PHI_MINUS, [1, 0, 0, -1]),
-            (BellLabel.PSI_PLUS, [0, 1, 1, 0]),
-            (BellLabel.PSI_MINUS, [0, 1, -1, 0]),
+            (PHI_PLUS, [1, 0, 0, 1]),
+            (PHI_MINUS, [1, 0, 0, -1]),
+            (PSI_PLUS, [0, 1, 1, 0]),
+            (PSI_MINUS, [0, 1, -1, 0]),
+        ],
+        # the names these cases have had since the Bell states were an Enum
+        ids=[
+            "BellLabel.PHI_PLUS-amps0",
+            "BellLabel.PHI_MINUS-amps1",
+            "BellLabel.PSI_PLUS-amps2",
+            "BellLabel.PSI_MINUS-amps3",
         ],
     )
     def test_amplitudes(self, label, amps):
@@ -44,10 +60,16 @@ class TestBellStates:
     @pytest.mark.parametrize(
         "label,zz,xx",
         [
-            (BellLabel.PHI_PLUS, 1, 1),
-            (BellLabel.PHI_MINUS, 1, -1),
-            (BellLabel.PSI_PLUS, -1, 1),
-            (BellLabel.PSI_MINUS, -1, -1),
+            (PHI_PLUS, 1, 1),
+            (PHI_MINUS, 1, -1),
+            (PSI_PLUS, -1, 1),
+            (PSI_MINUS, -1, -1),
+        ],
+        ids=[
+            "BellLabel.PHI_PLUS-1-1",
+            "BellLabel.PHI_MINUS-1--1",
+            "BellLabel.PSI_PLUS--1-1",
+            "BellLabel.PSI_MINUS--1--1",
         ],
     )
     def test_parity_eigenvalues(self, label, zz, xx):
@@ -65,11 +87,18 @@ class TestBellStates:
             rho = partial_trace(bell(label), [1])
             np.testing.assert_allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
 
+    def test_index_is_the_pauli_frame(self):
+        # the package's state i is the frame (x, z) = divmod(i, 2)
+        assert [pauli_frame(label) for label in BELL_ORDER] == [divmod(i, 2) for i in range(4)]
+
     def test_code_roundtrip(self):
-        for label in BELL_ORDER:
-            assert states.bell_label_from_code(label.code) is label
-        with pytest.raises(ValueError, match="unknown Bell code"):
-            states.bell_label_from_code("XX")
+        for label, code in zip(BELL_ORDER, ("PP", "PM", "SP", "SM")):
+            assert swap.BELL_CODES[label] == code
+            assert swap.bell_state(code) == label
+        for code in ("XX", "sm", ""):
+            message = f"unknown Bell code {code!r}, expected one of PP, PM, SP, SM"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                swap.bell_state(code)
 
 
 class TestChiOmega:
@@ -115,15 +144,19 @@ class TestChiOmega:
 
 class TestProducts:
     def test_product_label_order(self):
-        assert PRODUCT_LABELS[0] == (BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
-        assert PRODUCT_LABELS[3] == (BellLabel.PHI_PLUS, BellLabel.PSI_MINUS)
-        assert PRODUCT_LABELS[12] == (BellLabel.PSI_MINUS, BellLabel.PHI_PLUS)
+        assert PRODUCT_LABELS[0] == (PHI_PLUS, PHI_PLUS)
+        assert PRODUCT_LABELS[3] == (PHI_PLUS, PSI_MINUS)
+        assert PRODUCT_LABELS[12] == (PSI_MINUS, PHI_PLUS)
         assert len(PRODUCT_LABELS) == 16
-        for idx, (first, second) in enumerate(PRODUCT_LABELS):
-            assert states.product_index(first, second) == idx
+        # the package's row of a class's product is its matched expression's
+        # row, and the default sources leave every product once
+        entries = swap.class_map()
+        assert sorted(e.resulting_state for e in entries) == list(PRODUCT_LABELS)
+        for entry in entries:
+            assert PRODUCT_LABELS.index(entry.resulting_state) == entry.matched_inequality - 1
 
     def test_four_qubit_product_labels_and_norm(self):
-        state = four_qubit_product(BellLabel.PHI_PLUS, BellLabel.PSI_MINUS)
+        state = four_qubit_product(PHI_PLUS, PSI_MINUS)
         assert state.labels == (1, 2, 3, 4)
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0)
 
@@ -133,26 +166,26 @@ class TestProducts:
         np.testing.assert_allclose(gram, np.eye(16), atol=1e-12)
 
     def test_alice_pair_is_maximally_mixed(self):
-        state = four_qubit_product(BellLabel.PSI_PLUS, BellLabel.PHI_MINUS)
+        state = four_qubit_product(PSI_PLUS, PHI_MINUS)
         rho = partial_trace(state, [1, 3])
         np.testing.assert_allclose(rho.entries, np.eye(4) / 4, atol=1e-12)
 
     def test_bell_product_on_swap_pairs(self):
         state = bell_product(
-            BellLabel.PHI_MINUS, BellLabel.PSI_PLUS, (1, 6), (3, 8)
+            PHI_MINUS, PSI_PLUS, (1, 6), (3, 8)
         )
         assert state.labels == (1, 3, 6, 8)
         rho16 = partial_trace(state, [1, 6])
-        ref = bell(BellLabel.PHI_MINUS).amplitudes
+        ref = bell(PHI_MINUS).amplitudes
         np.testing.assert_allclose(rho16.entries, np.outer(ref, ref.conj()), atol=1e-12)
 
     def test_bell_product_matches_explicit_tensor(self):
         direct = bell_product(
-            BellLabel.PSI_MINUS, BellLabel.PHI_PLUS, (1, 2), (3, 4)
+            PSI_MINUS, PHI_PLUS, (1, 2), (3, 4)
         )
         manual = tensor(
-            bell(BellLabel.PSI_MINUS, (1, 2)),
-            bell(BellLabel.PHI_PLUS, (3, 4)),
+            bell(PSI_MINUS, (1, 2)),
+            bell(PHI_PLUS, (3, 4)),
         )
         np.testing.assert_allclose(direct.amplitudes, manual.amplitudes, atol=1e-15)
 
@@ -167,16 +200,16 @@ class TestEightQubitInitial:
         state = eight_qubit_initial()
         for pair in [(1, 2), (3, 4), (5, 6), (7, 8)]:
             rho = partial_trace(state, pair)
-            sm = bell(BellLabel.PSI_MINUS).amplitudes
+            sm = bell(PSI_MINUS).amplitudes
             np.testing.assert_allclose(
                 rho.entries, np.outer(sm, sm.conj()), atol=1e-12
             )
 
     def test_source_product_places_labels(self):
-        state = source_product(BellLabel.PHI_MINUS, BellLabel.PHI_PLUS)
+        state = source_product(PHI_MINUS, PHI_PLUS)
         # first source label sits on (1,2) and (5,6), second on (3,4) and (7,8)
-        pm = bell(BellLabel.PHI_MINUS).amplitudes
-        pp = bell(BellLabel.PHI_PLUS).amplitudes
+        pm = bell(PHI_MINUS).amplitudes
+        pp = bell(PHI_PLUS).amplitudes
         for pair, ref in [((1, 2), pm), ((5, 6), pm), ((3, 4), pp), ((7, 8), pp)]:
             rho = partial_trace(state, pair)
             np.testing.assert_allclose(rho.entries, np.outer(ref, ref.conj()), atol=1e-12)

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from oracle import (
     ALICE_PAIR,
+    BELL_ORDER,
     BOB_PAIR,
+    PHI_MINUS,
+    PHI_PLUS,
+    PRODUCT_LABELS,
     behavior_value,
     class_state,
     dense_behavior,
@@ -18,8 +22,7 @@ from oracle import (
 )
 
 from nlbox.inequalities import NUM_EXPRESSIONS, C, product_counts
-from nlbox.states import BELL_ORDER, BellLabel, product_index
-from nlbox.swap import ROBOT_OUTCOMES, RobotOutcome, class_map, matched_beta
+from nlbox.swap import BELL_CODES, ROBOT_OUTCOMES, RobotOutcome, class_map, matched_beta
 
 
 class TestClassMap:
@@ -34,7 +37,7 @@ class TestClassMap:
             assert matched_beta(entry) == 144
 
     def test_other_sources_still_bijective(self):
-        entries = class_map((BellLabel.PHI_MINUS, BellLabel.PHI_PLUS))
+        entries = class_map((PHI_MINUS, PHI_PLUS))
         matched = {e.matched_inequality for e in entries}
         assert matched == set(range(1, NUM_EXPRESSIONS + 1))
         for entry in entries:
@@ -44,7 +47,7 @@ class TestClassMap:
     @pytest.mark.parametrize(
         "sources",
         list(itertools.product(BELL_ORDER, repeat=2)),
-        ids=lambda s: f"{s[0].code}-{s[1].code}",
+        ids=lambda s: f"{BELL_CODES[s[0]]}-{BELL_CODES[s[1]]}",
     )
     def test_frame_rule_matches_dense_collapse(self, sources):
         # the second route collapses the eight-qubit source state for every
@@ -58,14 +61,14 @@ class TestClassMap:
             assert entry.resulting_state == identify_bell_product(rho)
             # the package's table row of the product is the Born behavior
             # of the collapsed state on Alice's (1, 3) and Bob's (6, 8)
-            row = product_counts()[product_index(*entry.resulting_state)]
+            row = product_counts()[PRODUCT_LABELS.index(entry.resulting_state)]
             born = 16 * density_behavior(rho, ALICE_PAIR, BOB_PAIR)
             np.testing.assert_allclose(born, row, rtol=0, atol=1e-12)
 
     def test_outcome_order(self):
-        assert ROBOT_OUTCOMES[0] == RobotOutcome(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
+        assert ROBOT_OUTCOMES[0] == RobotOutcome(PHI_PLUS, PHI_PLUS)
         assert ROBOT_OUTCOMES[5] == RobotOutcome(
-            BellLabel.PHI_MINUS, BellLabel.PHI_MINUS
+            PHI_MINUS, PHI_MINUS
         )
         assert len(ROBOT_OUTCOMES) == 16
 
