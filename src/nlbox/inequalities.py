@@ -124,7 +124,8 @@ def product_counts() -> tuple[tuple[int, ...], ...]:
 
     Row 4 * first + second is the Bell product (first, second), Bell states
     numbered 2x + z by their Pauli frames (x, z) as in ``swap``: bell(first)
-    on the parties' first qubits and bell(second) on their second ones.  Entry 16*(3x + y) + 4a + b is
+    on the parties' first qubits and bell(second) on their second ones.
+    Entry 16*(3x + y) + 4a + b is
     sum_{m, n} chi_m(a) chi_n(b) <A_x^m (x) B_y^n>, summed over the masks
     of both parties' Pauli strings (see ``observables``).  On a Bell
     product each <A (x) B> is the product of one expectation per pair, and
