@@ -732,6 +732,7 @@ USAGE_ARGV = {
     "swap-map-help": ["swap-map", "-h"],
     "unknown-command": ["frobnicate"],
     "zero-shots": ["sample", "--shots", "0"],
+    "shots-not-integer": ["sample", "--shots", "abc"],
     "bad-format": ["bounds", "--format", "xml"],
     "abbreviation": ["sample", "--sh", "5"],
     "equals-form": ["bounds", "--format=xml"],
@@ -746,6 +747,7 @@ USAGE_ARGV = {
     "out-empty": ["sample", "--shots", "10", "--out", ""],
     "out-parent": ["sample", "--shots", "10", "--out", "a/../b"],
     "bounds-out-double-slash": ["bounds", "--out", "./r//b.json"],
+    "bounds-out-empty": ["bounds", "--out", ""],
     "out-is-directory": ["bounds", "--out", "d"],
 }
 # the directories made in the fresh working directory before a USAGE_ARGV run

@@ -56,6 +56,7 @@ TABLE = (
     Entry("swap-map-help", ["swap-map", "-h"], False),
     Entry("unknown-command", ["frobnicate"], False),
     Entry("zero-shots", ["sample", "--shots", "0"], False),
+    Entry("shots-not-integer", ["sample", "--shots", "abc"], False),
     Entry("bad-format", ["bounds", "--format", "xml"], False),
     Entry("abbreviation", ["sample", "--sh", "5"], True),
     Entry("equals-form", ["bounds", "--format=xml"], False),
@@ -69,6 +70,7 @@ TABLE = (
     Entry("out-empty", ["sample", "--shots", "10", "--out", ""], True),
     Entry("out-parent", ["sample", "--shots", "10", "--out", "a/../b"], True),
     Entry("bounds-out-double-slash", ["bounds", "--out", "./r//b.json"], True),
+    Entry("bounds-out-empty", ["bounds", "--out", ""], True),
     Entry("out-is-directory", ["bounds", "--out", "d"], True, dirs=("d",)),
     # every --sources pair, for the map and one sample, and the bad forms
     *(
