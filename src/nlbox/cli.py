@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when a verification fails, a computation
 reports an inconsistency or an output file cannot be written, 2 on usage
-errors.  Values are integer numerators until ``sig12`` makes the one float
-of each, printed at 12 significant digits; identical invocations with the
+errors.  An expression is printed as its paper number, its row + 1.
+Values are integer numerators until ``sig12`` makes the one float of
+each, printed at 12 significant digits; identical invocations with the
 same seed produce byte-identical files and stdout.
 """
 
@@ -17,7 +18,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import inequalities, polytope, sampler, swap
-from .observables import OUTCOME_BITS, OUTCOMES
+from .observables import OUTCOMES
 
 REPORT_SCHEMA_VERSION = 1
 REFERENCE_SCHEMA_VERSION = 1
@@ -157,16 +158,16 @@ def cmd_bounds(args) -> Report:
     """Deterministic and no-signaling bounds plus facet certificates."""
     expressions = [
         {
-            "index": report.index,
+            "index": report.row + 1,
             "lhv_max": report.lhv_max,
-            "ns_value": polytope.ns_bound(report.index),
+            "ns_value": polytope.ns_bound(report.row),
             "saturator_affine_dim": report.saturator_affine_dim,
             "num_saturators": report.num_saturators,
             "is_facet": report.is_facet,
             "witness_alice": [OUTCOMES[o] for o in report.witness.alice],
             "witness_bob": [OUTCOMES[o] for o in report.witness.bob],
         }
-        for report in map(polytope.facet_check, range(1, 17))
+        for report in map(polytope.facet_check, range(16))
     ]
     d = polytope.polytope_affine_dim()
     doc = {"command": "bounds", "polytope_affine_dim": d, "expressions": expressions}
@@ -185,7 +186,7 @@ def cmd_swap_map(args) -> Report:
         {
             "robot_outcome": _codes(entry.outcome),
             "resulting_state": _codes(entry.resulting_state),
-            "matched_inequality": entry.matched_inequality,
+            "matched_inequality": entry.row + 1,
             "probability": sig12(entry.weight, 16),
             "beta": sig12(swap.matched_beta(entry), 16),
         }
@@ -216,7 +217,7 @@ def _event_text(codes, block: int):
     # the text after run_id of every event line, indexed by event code
     # 256 * (3x + y) + 16 * (4 r1 + r2) + 4a + b: ",x,y," + "a1,a2,b1,b2" + ",r1,r2\n"
     settings = [f",{x},{y}," for x in range(3) for y in range(3)]
-    halves = [f"{first:+d},{second:+d}" for first, second in OUTCOME_BITS]
+    halves = [f"{first}1,{second}1" for first, second in OUTCOMES]
     signs = [f"{a},{b}" for a in halves for b in halves]
     robots = [f",{r1},{r2}\n" for r1, r2 in map(_codes, swap.ROBOT_OUTCOMES)]
     s = [xy + ab + r for xy in settings for r in robots for ab in signs]
@@ -247,7 +248,7 @@ def cmd_sample(args) -> Report:
     classes = []
     for entry, counts in zip(entries, sampler.class_counts(codes)):
         try:
-            numerator, L, cells = sampler.estimate_beta(counts, entry.matched_inequality)
+            numerator, L, cells = sampler.estimate_beta(counts, entry.row)
             beta_hat, empty = sig12(numerator, L), []
         except sampler.InsufficientSamplesError as err:
             beta_hat, empty, cells = None, err.cells, err.grid
@@ -255,7 +256,7 @@ def cmd_sample(args) -> Report:
             {
                 "robot_outcome": _codes(entry.outcome),
                 "count": sum(counts),
-                "matched_inequality": entry.matched_inequality,
+                "matched_inequality": entry.row + 1,
                 "beta_hat": beta_hat,
                 "cell_counts": cells,
                 "insufficient_cells": empty,

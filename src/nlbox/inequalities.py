@@ -1,22 +1,24 @@
 """The sixteen Bell expressions as integer rows over the behavior space.
 
-Each expression is a signed sum over a 3x3 grid of setting pairs.  In cell
-(i, j) Alice measures her setting i and Bob his setting j; the correlator
-multiplies Alice's bits masked by the column mask mu(j) with Bob's bits
-masked by the row mask mu(i), where mu = (10, 01, 11).  Expanding the
-correlators turns every expression into one integer row of the 16x144
-coefficient matrix ``C`` over the behavior p(a, b | x, y), so each value,
-quantum, deterministic or sampled, is a dot product with a behavior.
+Row k of every table here is expression k + 1 of the paper, and it is
+also Bell product k: the product that saturates it.  Each expression is a
+signed sum over a 3x3 grid of setting pairs.  In cell (i, j) Alice
+measures her setting i and Bob his setting j; the correlator multiplies
+Alice's signs masked by the column mask ``MASKS[j]`` with Bob's signs
+masked by the row mask ``MASKS[i]``.  Expanding the correlators turns
+every expression into one integer row of the 16x144 coefficient matrix
+``C`` over the behavior p(a, b | x, y), so each value, quantum,
+deterministic or sampled, is a dot product with a behavior.
 
 The Born behaviors of the sixteen Bell-state products are one exact
 integer table, :func:`product_counts`, holding 16 p(a, b | x, y), derived
 from the parties' signed Pauli strings and the pairs' Pauli frames with
 no float step.  Every entry is 0 or 2, so each product is the nonlocal
-box of its expression, 16 p = C[k] + 1.  Every expression is bounded by 7 for local
-deterministic models and by 9 algebraically; each product reaches 9 on
-exactly one expression, and the dot products of the rows of
-``product_counts()`` with those of ``C`` are 16 times the table of all 256
-values.  Every table here is a tuple of Python int tuples: exact, with no
+box of its expression, 16 p = C[k] + 1 on row k.  Every expression is
+bounded by 7 for local deterministic models and by 9 algebraically; each
+product reaches 9 on exactly one expression, and the dot products of the
+rows of ``product_counts()`` with those of ``C`` are 16 times the table of
+all 256 values.  Every table here is a tuple of Python int tuples: exact, with no
 overflow, and immutable by type.
 """
 
@@ -31,9 +33,10 @@ from .observables import MASKS, mask_value
 
 NUM_EXPRESSIONS = 16
 
-# Sign tables come in mirror pairs: expanding the upper signs of a row
-# yields the lower-numbered expression, the lower signs the higher one.
-# Entries are row-major over cells (0,0) .. (2,2).
+# Sign tables come in mirror pairs, numbered from 1 as in the paper:
+# expanding the upper signs of a row yields the lower-numbered expression,
+# the lower signs the higher one.  Entries are row-major over cells
+# (0,0) .. (2,2).
 _PAIRED_ROWS = (
     ((1, 16), ("pm", "pm", "+", "pm", "pm", "+", "+", "+", "-")),
     ((2, 15), ("pm", "pm", "+", "mp", "pm", "-", "-", "+", "+")),
@@ -59,34 +62,18 @@ def _expand_sign_tables() -> tuple:
     return tuple(tables)
 
 
+# Row k is the 3x3 sign table of expression k + 1, a tuple of rows.
 SIGN_TABLES = _expand_sign_tables()
-
-
-def sign_table(index: int) -> tuple[tuple[int, ...], ...]:
-    """3x3 sign table of expression ``index`` (1-based), a tuple of rows."""
-    if not 1 <= index <= NUM_EXPRESSIONS:
-        raise ValueError(f"expression index {index} outside 1..{NUM_EXPRESSIONS}")
-    return SIGN_TABLES[index - 1]
-
-
-def mask_pattern(i: int, j: int) -> tuple[str, str]:
-    """(alice_mask, bob_mask) for cell (i, j) of every expression.
-
-    Alice's mask follows Bob's setting j and vice versa: cell (i, j) uses
-    (mu(j), mu(i)) with mu = (10, 01, 11).
-    """
-    if not (0 <= i <= 2 and 0 <= j <= 2):
-        raise ValueError(f"cell ({i}, {j}) outside the 3x3 grid")
-    return MASKS[j], MASKS[i]
 
 
 def coefficient_rows(sign_tables) -> tuple[tuple[int, ...], ...]:
     """Integer coefficient rows over the 144-entry behavior space.
 
     ``sign_tables`` has shape (n, 3, 3).  Row k holds, at column
-    16*(3x + y) + 4a + b, the sign of cell (x, y) times Alice's masked bit
-    of outcome a times Bob's masked bit of outcome b, so the row dotted
-    with a behavior p(a, b | x, y) is the expression's value on it.
+    16*(3x + y) + 4a + b, the sign of cell (x, y) times Alice's masked sign
+    of outcome a times Bob's masked sign of outcome b, so the row dotted
+    with a behavior p(a, b | x, y) is the expression's value on it.  Cell
+    (x, y) masks Alice's outcome with ``MASKS[y]`` and Bob's with ``MASKS[x]``.
     """
     try:
         signs = [[operator.index(s) for row in table for s in row] for table in sign_tables]
@@ -94,23 +81,15 @@ def coefficient_rows(sign_tables) -> tuple[tuple[int, ...], ...]:
             raise TypeError
     except TypeError:
         raise ValueError("expected integer sign tables of shape (n, 3, 3)") from None
-    cells = itertools.product(range(3), repeat=2)
     bits = [
-        [mask_value(a, alice) * mask_value(b, bob) for a in range(4) for b in range(4)]
-        for alice, bob in itertools.starmap(mask_pattern, cells)
+        [mask_value(a, MASKS[y]) * mask_value(b, MASKS[x]) for a in range(4) for b in range(4)]
+        for x, y in itertools.product(range(3), repeat=2)
     ]
     return tuple(tuple(s * v for s, cell in zip(row, bits) for v in cell) for row in signs)
 
 
-# Row k - 1 is expression k; column 16 * (3x + y) + 4a + b is p(a, b | x, y).
+# Row k is expression k + 1; column 16 * (3x + y) + 4a + b is p(a, b | x, y).
 C = coefficient_rows(SIGN_TABLES)
-
-
-def coefficients(index: int) -> tuple[int, ...]:
-    """Coefficient row of expression ``index`` (1-based)."""
-    if not 1 <= index <= NUM_EXPRESSIONS:
-        raise ValueError(f"expression index {index} outside 1..{NUM_EXPRESSIONS}")
-    return C[index - 1]
 
 
 def dot(row, behavior) -> int:
@@ -140,7 +119,7 @@ def product_counts() -> tuple[tuple[int, ...], ...]:
     ]
     alice_signs, alice = observables.pauli_table(observables.ALICE_PAULIS)
     bob_signs, bob = observables.pauli_table(observables.BOB_PAULIS)
-    chi = [(1,) * 4] + [tuple(mask_value(a, m) for a in range(4)) for m in MASKS]
+    chi = [tuple(mask_value(a, m) for a in range(4)) for m in (0, *MASKS)]
     # each cell's nonzero <A_x^m (x) B_y^n>, where the strings' letters agree
     # on both pairs, matched once for all products: the letters (p, q) and
     # the strings' signs times chi_m(a) chi_n(b) over (a, b)

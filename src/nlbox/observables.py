@@ -1,25 +1,25 @@
 """The two parties' four-outcome measurements as signed Pauli strings.
 
 Each setting is a projective measurement on the party's two qubits.  An
-outcome carries two sign bits; the label order is fixed as ++, +-, -+,
---.  A mask keeps an outcome's first bit, its second bit, or their
-product, and the masked observable of every setting and mask is a signed
-two-qubit Pauli string: Alice's settings are the rows of the Mermin-Peres
-square and Bob's its columns.  A party's first qubit belongs to the first
-Bell pair of a product and its second qubit to the second pair; a
-string's first letter acts on the first qubit.  The projector onto
-outcome a is (1/4) sum_m chi_m(a) P^m over the masks m = 00, 10, 01, 11,
-where chi_m(a) is the masked sign and P^00 the identity.
+outcome a in 0..3 is two sign bits, the first sign in bit 1, a set bit
+for a minus: the labels ++, +-, -+, --.  A mask m keeps the first sign
+(0b10), the second (0b01) or their product (0b11), so the masked sign is
+the GF(2) character chi_m(a) = (-1)^popcount(a & m).  The masked
+observable of every setting and mask is a signed two-qubit Pauli string:
+Alice's settings are the rows of the Mermin-Peres square and Bob's its
+columns.  A party's first qubit belongs to the first Bell pair of a
+product and its second qubit to the second pair; a string's first letter
+acts on the first qubit.  The projector onto outcome a is (1/4) sum_m
+chi_m(a) P^m over m = 0 and the masks, P^0 being the identity.
 """
 
 from __future__ import annotations
 
-# Outcome labels in canonical order and the sign bits they carry.
+# Outcome labels, indexed by outcome.
 OUTCOMES = ("++", "+-", "-+", "--")
-OUTCOME_BITS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-# The three masks: keep the first bit, the second bit, or their product.
-MASKS = ("10", "01", "11")
+# The three masks: keep the first sign, the second sign, or their product.
+MASKS = (0b10, 0b01, 0b11)
 
 # Masked observables [setting][mask], masks in MASKS order.  Each setting's
 # third string is the product of its first two.
@@ -28,22 +28,15 @@ BOB_PAULIS = (("ZI", "IX", "ZX"), ("IZ", "XI", "XZ"), ("ZZ", "XX", "-YY"))
 PAULI_LETTERS = "IXYZ"
 
 
-def mask_value(outcome: int, mask: str) -> int:
-    """Sign assigned to an outcome index under a mask."""
-    first, second = OUTCOME_BITS[outcome]
-    if mask == "10":
-        return first
-    if mask == "01":
-        return second
-    if mask == "11":
-        return first * second
-    raise ValueError(f"invalid mask {mask!r}, expected one of {MASKS}")
+def mask_value(outcome: int, mask: int) -> int:
+    """Sign of an outcome under a mask: (-1)^popcount(outcome & mask)."""
+    return (-1) ** (outcome & mask).bit_count()
 
 
 def pauli_table(strings) -> tuple[tuple, tuple]:
     """Signs [setting][mask] and letters [setting][mask][qubit] of a party's strings.
 
-    Both are tuples of int tuples.  The mask axis runs over 00, 10, 01, 11,
+    Both are tuples of int tuples.  The mask axis runs over 0 and ``MASKS``,
     so the identity comes first; a letter is its index in ``PAULI_LETTERS``.
     """
     rows = [("II", *row) for row in strings]

@@ -7,9 +7,10 @@ expression's values on the vertices come from one 3x4 partial-sum table
 per Alice strategy, with no vertex matrix, and the two ranks that certify
 all sixteen facets, of the 64x12 party table and of expression 1's
 saturators, are computed by fraction-free integer elimination, never
-floating point.  Every expression is expression 1 with Alice's outcomes
-relabeled, so each one's maximum, saturator count and witness are read
-off expression 1's values alone.
+floating point.  An expression is named by its row in ``inequalities.C``,
+row k being expression k + 1.  Every expression is row 0 with Alice's
+outcomes relabeled, a -> a ^ h_x, so each one's maximum, saturator count
+and witness are read off row 0's values alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import operator
 from collections import namedtuple
 from functools import lru_cache
 
-from .inequalities import coefficients, dot, product_counts, sign_table
+from .inequalities import SIGN_TABLES, C, dot, product_counts
 
 NUM_PARTY_STRATEGIES = 64
 # (x, y, a, b) of behavior column 16*(3x + y) + 4a + b, in column order
@@ -31,7 +32,7 @@ _COLUMNS = tuple(itertools.product(range(3), range(3), range(4), range(4)))
 DeterministicStrategy = namedtuple("DeterministicStrategy", "alice bob")
 FacetReport = namedtuple(
     "FacetReport",
-    "index lhv_max witness polytope_affine_dim saturator_affine_dim num_saturators is_facet",
+    "row lhv_max witness polytope_affine_dim saturator_affine_dim num_saturators is_facet",
 )
 
 
@@ -47,16 +48,15 @@ def party_table() -> tuple[tuple[int, ...], ...]:
     )
 
 
-def vertex_values(index: int) -> tuple[int, ...]:
-    """Exact values of expression ``index`` on all 4096 vertices, Alice-major.
+def vertex_values(row: int) -> tuple[int, ...]:
+    """Exact values of the expression of row ``row`` on all 4096 vertices, Alice-major.
 
     Alice's strategy f fixes her outcome in every cell, which leaves the
     3x4 table t[y][b] = sum_x row[16*(3x + y) + 4 f_x + b]; the value at
     Bob's strategy g is then t[0][g_0] + t[1][g_1] + t[2][g_2].
     """
-    row = coefficients(index)
     # quad[12x + 4y + a]: Bob's four coefficients in cell (x, y) when Alice answers a
-    quad = [row[k : k + 4] for k in range(0, 144, 4)]
+    quad = [C[row][k : k + 4] for k in range(0, 144, 4)]
     values = []
     for f in party_strategies():
         t0, t1, t2 = (
@@ -68,18 +68,18 @@ def vertex_values(index: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def ns_bound(index: int) -> int:
-    """Algebraic maximum of an expression, checked to be quantum-attainable.
+def ns_bound(row: int) -> int:
+    """Algebraic maximum of the expression of row ``row``, checked to be quantum-attainable.
 
-    The bound is the sum of the absolute sign entries.  The matched
-    Bell-state product must reach it exactly, in sixteenths; a miss
+    The bound is the sum of the absolute sign entries.  The Bell-state
+    product of the same row must reach it exactly, in sixteenths; a miss
     signals a construction bug.
     """
-    bound = sum(abs(s) for row in sign_table(index) for s in row)
-    attained = dot(product_counts()[index - 1], coefficients(index))
+    bound = sum(abs(s) for signs in SIGN_TABLES[row] for s in signs)
+    attained = dot(product_counts()[row], C[row])
     if attained != 16 * bound:
         raise RuntimeError(
-            f"expression {index}: matched state reaches {attained}/16, "
+            f"expression {row + 1}: matched state reaches {attained}/16, "
             f"expected the algebraic bound {bound}"
         )
     return bound
@@ -130,17 +130,17 @@ def polytope_affine_dim() -> int:
 
 @lru_cache(maxsize=1)
 def _orbit_of_one() -> tuple[dict, int, tuple[int, ...], int]:
-    """Expression 1 under the 64 relabelings a -> a ^ h_x of Alice's outcomes.
+    """Row 0 under the 64 relabelings a -> a ^ h_x of Alice's outcomes.
 
     Returns each image mapped to h's index in ``party_strategies()``;
-    expression 1's maximum; the indices v = 64f + g of the vertices that
+    row 0's maximum; the indices v = 64f + g of the vertices that
     reach it; and their affine dimension.  Vertex (f, g) is 1 at column
     (x, y, a, b) iff f_x = a and g_y = b.  On a vertex, column (x, a = 0)
     is column (0, a = 0..3) minus (x, a = 1..3), and likewise for Bob, so
     the 100 other columns have the same rank; every vertex sums to 9, so
     the affine hull misses the origin and its dimension is that rank - 1.
     """
-    one, values, singles = coefficients(1), vertex_values(1), party_strategies()
+    one, values, singles = C[0], vertex_values(0), party_strategies()
     images = {
         tuple(one[16 * (3 * x + y) + 4 * (a ^ h[x]) + b] for x, y, a, b in _COLUMNS): i
         for i, h in enumerate(singles)
@@ -153,26 +153,26 @@ def _orbit_of_one() -> tuple[dict, int, tuple[int, ...], int]:
     return images, bound, saturators, rank - 1
 
 
-def facet_check(index: int) -> FacetReport:
-    """Certify whether an expression supports a facet of the local polytope.
+def facet_check(row: int) -> FacetReport:
+    """Certify whether the expression of row ``row`` supports a facet of the local polytope.
 
     The expression is a facet iff its saturating vertices span an affine
     subspace of dimension exactly one less than the polytope's.  The row
-    must equal expression 1 relabeled by a flip h, or this raises
+    must equal row 0 relabeled by a flip h, or this raises
     ``RuntimeError``.  Strategy indices are 16 f_0 + 4 f_1 + f_2, so the
     relabeling maps vertex v to v ^ (h << 6): the expression shares
-    expression 1's maximum, saturator count and dimension, and its witness,
-    the first maximum in Alice-major order, is the least mapped saturator.
+    row 0's maximum, saturator count and dimension, and its witness, the
+    first maximum in Alice-major order, is the least mapped saturator.
     """
     images, bound, saturators, sat_dim = _orbit_of_one()
-    h = images.get(coefficients(index))
+    h = images.get(C[row])
     if h is None:
-        raise RuntimeError(f"expression {index} is not a relabeling of expression 1")
+        raise RuntimeError(f"expression {row + 1} is not a relabeling of expression 1")
     singles = party_strategies()
     f, g = divmod(min(v ^ (h << 6) for v in saturators), NUM_PARTY_STRATEGIES)
     d = polytope_affine_dim()
     return FacetReport(
-        index=index,
+        row=row,
         lhv_max=bound,
         witness=DeterministicStrategy(singles[f], singles[g]),
         polytope_affine_dim=d,

@@ -36,7 +36,7 @@ from collections import Counter
 from itertools import repeat
 from math import floor, lcm
 
-from .inequalities import coefficients, dot, product_counts
+from .inequalities import C, dot, product_counts
 
 RNG_CONTRACT = 3
 BLOCK = 4096
@@ -53,12 +53,13 @@ class InsufficientSamplesError(ValueError):
 def code_table(entries) -> tuple[int, ...]:
     """The 1152 event codes of positive probability under a class map, in order.
 
+    A class's Born counts are row ``entry.row`` of ``product_counts()``.
     ``table[i] = 256 * (i >> 7) + support[i >> 7][i & 127]``, where
     ``support[3x + y]`` lists the columns 16c + 4a + b at which the cell's
     row of the joint table, in 256ths (weight times Born count), is positive.
     Raises RuntimeError unless every row is 2/256 on exactly 128 columns.
     """
-    behaviors = [product_counts()[e.matched_inequality - 1] for e in entries]
+    behaviors = [product_counts()[e.row] for e in entries]
     table = []
     for cell in range(9):
         row = [
@@ -91,8 +92,8 @@ def class_counts(codes) -> list[list[int]]:
     return [[counts[256 * (i >> 4) + 16 * c + (i & 15)] for i in range(144)] for c in range(16)]
 
 
-def estimate_beta(counts: list[int], index: int) -> tuple[int, int, list[list[int]]]:
-    """Estimate an expression value from one class's 144 event counts.
+def estimate_beta(counts: list[int], row: int) -> tuple[int, int, list[list[int]]]:
+    """Estimate the value of the expression of row ``row`` from one class's 144 event counts.
 
     The estimate, the sum over the nine cells of the cell's signed count
     over its count, is the expression's row dotted with the counts scaled
@@ -108,4 +109,4 @@ def estimate_beta(counts: list[int], index: int) -> tuple[int, int, list[list[in
         raise InsufficientSamplesError(empty, grid)
     L = lcm(*cells)
     scaled = [n * (L // cells[i >> 4]) for i, n in enumerate(counts)]
-    return dot(coefficients(index), scaled), L, grid
+    return dot(C[row], scaled), L, grid

@@ -13,10 +13,10 @@ Phi+, and held as the int i = 2x + z: 0, 1, 2 and 3 are Phi+, Phi-, Psi+
 and Psi-, written PP, PM, SP and SM on the command line.  A product of
 two Bell states (first, second) is row 4 * first + second of the
 sixteen, in the order of the reference table, and it is the nonlocal box
-of expression 4 * first + second + 1.  Entanglement swapping adds frames:
-swapping (1,2) in frame s with (5,6) in frame t, with robot result r on
-(2,5), leaves (1,6) in frame s + t + r (Aaronson and Gottesman, PRA 70,
-052328 (2004)), the XOR of the three ints.  Qubits 2 and 5 are halves of
+of the expression of the same row of ``inequalities.C``.  Entanglement
+swapping adds frames: swapping (1,2) in frame s with (5,6) in frame t,
+with robot result r on (2,5), leaves (1,6) in frame s + t + r (Aaronson
+and Gottesman, PRA 70, 052328 (2004)), the XOR of the three ints.  Qubits 2 and 5 are halves of
 two Bell pairs, so they are jointly maximally mixed and each of the four
 results has probability 1/4.  The tests check both facts against the
 dense collapse of the eight-qubit state.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .inequalities import coefficients, dot, product_counts
+from .inequalities import C, dot, product_counts
 
 # The command line's code of each Bell state, indexed by the state.
 BELL_CODES = ("PP", "PM", "SP", "SM")
@@ -51,9 +51,9 @@ ROBOT_OUTCOMES = tuple(RobotOutcome(r1, r2) for r1 in range(4) for r2 in range(4
 
 
 # One class of the map: the robot's outcome, the Bell product it leaves on
-# (1,6) x (3,8), the expression that product saturates, and its weight: the
-# outcome's probability in integer sixteenths.
-ClassMapEntry = namedtuple("ClassMapEntry", "outcome resulting_state matched_inequality weight")
+# (1,6) x (3,8), that product's row, which is also the row of the expression
+# it saturates, and its weight: the outcome's probability in integer sixteenths.
+ClassMapEntry = namedtuple("ClassMapEntry", "outcome resulting_state row weight")
 
 
 def swapped_pair(left: int, right: int, robot: int) -> int:
@@ -84,7 +84,7 @@ def class_map(sources: tuple[int, int] = DEFAULT_SOURCES) -> list[ClassMapEntry]
             ClassMapEntry(
                 outcome=outcome,
                 resulting_state=(first, second),
-                matched_inequality=4 * first + second + 1,
+                row=4 * first + second,
                 weight=1,
             )
         )
@@ -93,6 +93,5 @@ def class_map(sources: tuple[int, int] = DEFAULT_SOURCES) -> list[ClassMapEntry]
 
 def matched_beta(entry: ClassMapEntry) -> int:
     """Value of the matched expression on the class's resulting state, in sixteenths."""
-    counts = product_counts()[entry.matched_inequality - 1]
-    return dot(counts, coefficients(entry.matched_inequality))
+    return dot(product_counts()[entry.row], C[entry.row])
 

@@ -10,9 +10,11 @@ routes here read neither that matrix nor that table:
   measurement bases, labeled product states on explicit qubit pairs, and
   all 144 probabilities of a state from dense projectors in one einsum.
 - Expression values: ``behavior_value``, the signed sum over cells of the
-  masked correlators of a behavior, built from the sign table and the
-  masks.  It scores Born behaviors, deterministic vertices and sampled
-  event counts alike.
+  masked correlators of a behavior, built from the package's sign tables
+  (the expressions' definition) and the oracle's own masks, which read
+  the signs off the outcome labels rather than the package's bit rule.
+  It scores Born behaviors, deterministic vertices and sampled event
+  counts alike.
 - The local polytope: the 4096x144 vertex matrix, built from base-4
   digits rather than the package's party table, and a numpy
   fraction-free rank with its int64 overflow guard.
@@ -36,8 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from nlbox.inequalities import mask_pattern, sign_table
-from nlbox.observables import MASKS, mask_value
+from nlbox.inequalities import SIGN_TABLES
 from nlbox.swap import DEFAULT_SOURCES, ROBOT_OUTCOMES, RobotOutcome, class_map
 
 NUM_JOINT_STRATEGIES = 4**3 * 4**3
@@ -71,6 +72,19 @@ _BELL_AMPLITUDES = (
 )
 
 _FIDELITY_TOL = 1e-9
+
+# Outcome a carries the two signs of OUTCOME_LABELS[a] ("+-": first sign +,
+# second -).  A mask keeps the first sign ("10"), the second ("01") or their
+# product ("11"); in cell (x, y) Alice's mask follows Bob's setting y and
+# Bob's follows Alice's setting x.
+OUTCOME_LABELS = ("++", "+-", "-+", "--")
+MASKS = ("10", "01", "11")
+
+
+def masked_sign(outcome: int, mask: str) -> int:
+    """The product of the outcome's signs where the mask has a 1."""
+    signs = [1 if c == "+" else -1 for c in OUTCOME_LABELS[outcome]]
+    return int(np.prod([s for s, keep in zip(signs, mask) if keep == "1"]))
 
 # Two labelings of one layout.  In four_qubit_product bell(first) sits on
 # (1, 2) and bell(second) on (3, 4); Alice measures (1, 3), Bob (2, 4).
@@ -520,7 +534,7 @@ def masked_operator(obs: FourOutcomeObservable, mask: str) -> np.ndarray:
         raise ValueError(f"invalid mask {mask!r}, expected one of {MASKS}")
     out = np.zeros_like(obs.projectors[0])
     for outcome in range(4):
-        out = out + mask_value(outcome, mask) * obs.projectors[outcome]
+        out = out + masked_sign(outcome, mask) * obs.projectors[outcome]
     return out
 
 
@@ -553,8 +567,9 @@ def density_behavior(
     return probs.real
 
 
-def behavior_value(index: int, behavior) -> np.ndarray:
-    """Value of expression ``index`` on behaviors along the last axis, 144 long.
+def behavior_value(row: int, behavior) -> np.ndarray:
+    """Value of the expression of row ``row`` (expression ``row + 1``) on
+    behaviors along the last axis, 144 long.
 
     The sum over cells (x, y) of the sign times sum_ab chi(a) chi(b)
     p(a, b | x, y), chi being the two masked signs of the cell: read off the
@@ -563,10 +578,10 @@ def behavior_value(index: int, behavior) -> np.ndarray:
     """
     p = np.asarray(behavior)
     cells = p.reshape(p.shape[:-1] + (3, 3, 4, 4))
-    signs = sign_table(index)
+    signs = SIGN_TABLES[row]
     total = 0
     for x, y in itertools.product(range(3), repeat=2):
-        alice, bob = ([mask_value(o, mask) for o in range(4)] for mask in mask_pattern(x, y))
+        alice, bob = ([masked_sign(o, mask) for o in range(4)] for mask in (MASKS[y], MASKS[x]))
         cell = cells[..., x, y, :, :]
         total = total + signs[x][y] * np.einsum("...ab,a,b->...", cell, alice, bob)
     return total
@@ -662,7 +677,7 @@ def bob_bit_conditionals(behavior: Behavior, i: int, j: int) -> np.ndarray:
     On a product of Bell states these conditionals are all 0 or 1: either
     party's full outcome fixes the other's masked bit with certainty.
     """
-    _, bob_mask = mask_pattern(i, j)
+    bob_mask = MASKS[i]
     cond = np.full(4, np.nan)
     for a in range(4):
         p_a = float(behavior.probs[i, j, a, :].sum())
@@ -671,7 +686,7 @@ def bob_bit_conditionals(behavior: Behavior, i: int, j: int) -> np.ndarray:
         p_plus = sum(
             behavior.probs[i, j, a, b]
             for b in range(4)
-            if mask_value(b, bob_mask) == 1
+            if masked_sign(b, bob_mask) == 1
         )
         cond[a] = p_plus / p_a
     return cond

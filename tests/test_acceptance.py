@@ -60,7 +60,7 @@ def test_criterion_01_reference_values():
 def test_criterion_02_deterministic_maxima():
     """Brute force over all 4096 strategies gives exactly 7, per expression."""
     start = time.perf_counter()
-    bounds = [max(polytope.vertex_values(k)) for k in range(1, NUM_EXPRESSIONS + 1)]
+    bounds = [max(polytope.vertex_values(k)) for k in range(NUM_EXPRESSIONS)]
     elapsed = time.perf_counter() - start
     ok = bounds == [7] * NUM_EXPRESSIONS and elapsed < 5.0
     _report(
@@ -78,10 +78,10 @@ def test_criterion_03_facet_dimension():
     each expression's own saturators; the certificates must agree."""
     verts = vertex_matrix()
     d = integer_rank(verts[1:] - verts[0])
-    reports = [polytope.facet_check(k) for k in range(1, NUM_EXPRESSIONS + 1)]
+    reports = [polytope.facet_check(k) for k in range(NUM_EXPRESSIONS)]
     direct = [
         integer_rank(sat[1:] - sat[0])
-        for sat in (verts[verts @ np.asarray(C[r.index - 1]) == 7] for r in reports)
+        for sat in (verts[verts @ np.asarray(C[r.row]) == 7] for r in reports)
     ]
     sat_dims = sorted(set(direct))
     ok = d == polytope.polytope_affine_dim() and all(
@@ -99,7 +99,7 @@ def test_criterion_03_facet_dimension():
 def test_criterion_04_algebraic_maximum_attained():
     """Each expression has algebraic value 9, reached by its matched state."""
     values = []
-    for k in range(1, NUM_EXPRESSIONS + 1):
+    for k in range(NUM_EXPRESSIONS):
         ns = polytope.ns_bound(k)  # raises if the matched state misses it
         values.append(ns)
     ok = values == [9] * NUM_EXPRESSIONS
@@ -124,12 +124,12 @@ def test_criterion_05_swap_class_map():
         fid_min = min(
             fid_min, fidelity_with_pure(rho, class_state(entry))
         )
-    matched = sorted(e.matched_inequality for e in entries)
+    matched = sorted(e.row for e in entries)
     betas = sorted({swap.matched_beta(e) for e in entries})
     ok = (
         prob_err <= 1e-10
         and fid_min >= 1.0 - 1e-9
-        and matched == list(range(1, 17))
+        and matched == list(range(16))
         and betas == [144]
     )
     _report(
@@ -171,11 +171,11 @@ def test_criterion_07_sampled_saturation():
     # each event scores +1 on its class's expression if it saturates it and
     # -1 if not, so a class of n events scoring v holds (n - v) / 2 misses
     violations = sum(
-        int(row.sum() - behavior_value(by_outcome[outcome].matched_inequality, row)) // 2
+        int(row.sum() - behavior_value(by_outcome[outcome].row, row)) // 2
         for outcome, row in zip(swap.ROBOT_OUTCOMES, event_counts(codes))
     )
     estimates = [
-        sampler.estimate_beta(row, by_outcome[outcome].matched_inequality)[:2]
+        sampler.estimate_beta(row, by_outcome[outcome].row)[:2]
         for outcome, row in zip(swap.ROBOT_OUTCOMES, sampler.class_counts(codes))
     ]
     ok = violations == 0 and all(num == 9 * L for num, L in estimates)

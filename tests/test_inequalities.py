@@ -19,6 +19,7 @@ from oracle import (
     bob_bit_conditionals,
     dense_behavior,
     four_qubit_product,
+    masked_sign,
 )
 
 from nlbox import cli, observables
@@ -26,15 +27,13 @@ from nlbox.inequalities import (
     NUM_EXPRESSIONS,
     SIGN_TABLES,
     C,
-    coefficients,
-    mask_pattern,
+    coefficient_rows,
     product_counts,
-    sign_table,
 )
 
 
-def matched_behavior(index):
-    return np.asarray(product_counts()[index - 1]) / 16
+def matched_behavior(row):
+    return np.asarray(product_counts()[row]) / 16
 
 
 def one_cell(behavior, cell):
@@ -48,22 +47,19 @@ def dense_values():
     behaviors = np.array(
         [dense_behavior(four_qubit_product(*labels), *MATCHED_PAIRS) for labels in PRODUCT_LABELS]
     )
-    return np.array([behavior_value(k, behaviors) for k in range(1, NUM_EXPRESSIONS + 1)]).T
+    return np.array([behavior_value(k, behaviors) for k in range(NUM_EXPRESSIONS)]).T
 
 
 class TestMaskPattern:
     def test_values(self):
-        assert mask_pattern(0, 0) == ("10", "10")
-        assert mask_pattern(1, 0) == ("10", "01")
-        assert mask_pattern(0, 1) == ("01", "10")
-        assert mask_pattern(2, 2) == ("11", "11")
-        assert mask_pattern(1, 2) == ("11", "01")
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            mask_pattern(3, 0)
-        with pytest.raises(ValueError):
-            mask_pattern(0, -1)
+        # cell (i, j) masks Alice's outcome with mu(j) and Bob's with mu(i),
+        # mu = (10, 01, 11), read through the oracle's masks on the labels
+        block = np.asarray(coefficient_rows([((1, 1, 1),) * 3])[0]).reshape(3, 3, 4, 4)
+        cells = {(0, 0): ("10", "10"), (1, 0): ("10", "01"), (0, 1): ("01", "10")}
+        cells |= {(2, 2): ("11", "11"), (1, 2): ("11", "01")}
+        for (i, j), (alice, bob) in cells.items():
+            signs = [[masked_sign(o, mask) for o in range(4)] for mask in (alice, bob)]
+            np.testing.assert_array_equal(block[i, j], np.outer(*signs), err_msg=f"cell {i}{j}")
 
 
 class TestSignTables:
@@ -76,36 +72,35 @@ class TestSignTables:
             assert set(np.unique(tables[k])) <= {-1, 1}
 
     def test_mirror_pairs_flip_the_corner_block(self):
-        # expressions k and 17-k agree except on the upper-left 2x2 block,
-        # which is negated
+        # rows k and 15-k (expressions k+1 and 16-k) agree except on the
+        # upper-left 2x2 block, which is negated
         block = np.zeros((3, 3), dtype=bool)
         block[:2, :2] = True
-        for k in range(1, 9):
-            upper = np.asarray(sign_table(k))
-            lower = np.asarray(sign_table(17 - k))
+        for k in range(8):
+            upper = np.asarray(SIGN_TABLES[k])
+            lower = np.asarray(SIGN_TABLES[15 - k])
             assert np.array_equal(upper[block], -lower[block])
             assert np.array_equal(upper[~block], lower[~block])
 
     def test_frozen_examples(self):
+        # row k is expression k + 1 of the paper
         np.testing.assert_array_equal(
-            sign_table(1), [[1, 1, 1], [1, 1, 1], [1, 1, -1]]
+            SIGN_TABLES[0], [[1, 1, 1], [1, 1, 1], [1, 1, -1]]
         )
         np.testing.assert_array_equal(
-            sign_table(16), [[-1, -1, 1], [-1, -1, 1], [1, 1, -1]]
+            SIGN_TABLES[15], [[-1, -1, 1], [-1, -1, 1], [1, 1, -1]]
         )
         np.testing.assert_array_equal(
-            sign_table(4), [[1, -1, -1], [-1, 1, -1], [-1, -1, -1]]
+            SIGN_TABLES[3], [[1, -1, -1], [-1, 1, -1], [-1, -1, -1]]
         )
 
     def test_index_bounds(self):
-        with pytest.raises(ValueError):
-            sign_table(0)
-        with pytest.raises(ValueError):
-            sign_table(17)
+        # rows 0..15 are the sixteen expressions, and there is no other row
+        assert len(SIGN_TABLES) == len(C) == len(product_counts()) == NUM_EXPRESSIONS
 
     def test_immutable(self):
         with pytest.raises(TypeError):
-            sign_table(1)[0][0] = 5
+            SIGN_TABLES[0][0][0] = 5
         with pytest.raises(TypeError):
             C[0][0] = 5
         with pytest.raises(TypeError):
@@ -119,18 +114,16 @@ class TestCoefficients:
         assert set(np.unique(C)) == {-1, 1}
 
     def test_row_accessor(self):
-        np.testing.assert_array_equal(coefficients(5), C[4])
-        with pytest.raises(ValueError):
-            coefficients(0)
-        with pytest.raises(ValueError):
-            coefficients(17)
+        # row k of C is the coefficient row of sign table k
+        for k in range(NUM_EXPRESSIONS):
+            assert C[k] == coefficient_rows([SIGN_TABLES[k]])[0]
 
     def test_cell_blocks_are_signed_mask_products(self):
         # the 16 entries of cell (x, y) are the sign times the two masked
         # bits, which a deterministic strategy picks one of
-        for k in (1, 6, 16):
-            block = np.asarray(coefficients(k)).reshape(3, 3, 4, 4)
-            signs = sign_table(k)
+        for k in (0, 5, 15):
+            block = np.asarray(C[k]).reshape(3, 3, 4, 4)
+            signs = SIGN_TABLES[k]
             np.testing.assert_array_equal(block.sum(axis=(2, 3)), np.zeros((3, 3)))
             np.testing.assert_array_equal(block[:, :, 0, 0], signs)
 
@@ -168,11 +161,11 @@ class TestQuantumRoute:
     def test_reference_correlators_on_double_phi_plus(self):
         # a cell's value under expression 1, unsigned, is its correlator
         state = four_qubit_product(PHI_PLUS, PHI_PLUS)
-        born, signs = dense_behavior(state, *MATCHED_PAIRS), sign_table(1)
-        assert signs[0][0] * behavior_value(1, one_cell(born, 0)) == pytest.approx(
+        born, signs = dense_behavior(state, *MATCHED_PAIRS), SIGN_TABLES[0]
+        assert signs[0][0] * behavior_value(0, one_cell(born, 0)) == pytest.approx(
             1.0, abs=1e-12
         )
-        assert signs[2][2] * behavior_value(1, one_cell(born, 8)) == pytest.approx(
+        assert signs[2][2] * behavior_value(0, one_cell(born, 8)) == pytest.approx(
             -1.0, abs=1e-12
         )
 
@@ -198,17 +191,17 @@ class TestQuantumRoute:
     def test_cellwise_saturation_on_matched_states(self):
         # on its matched state every signed correlator equals +1, not just
         # the sum
-        for k in range(1, NUM_EXPRESSIONS + 1):
-            born = dense_behavior(four_qubit_product(*PRODUCT_LABELS[k - 1]), *MATCHED_PAIRS)
+        for k in range(NUM_EXPRESSIONS):
+            born = dense_behavior(four_qubit_product(*PRODUCT_LABELS[k]), *MATCHED_PAIRS)
             for cell in range(9):
                 assert behavior_value(k, one_cell(born, cell)) == pytest.approx(1.0, abs=1e-9)
 
     def test_explicit_pairs_on_swap_layout(self):
         state = bell_product(PHI_PLUS, PHI_PLUS, (1, 6), (3, 8))
         swapped = dense_behavior(state, (1, 3), (6, 8))
-        assert behavior_value(1, swapped) == pytest.approx(9.0, abs=1e-9)
-        np.testing.assert_allclose(swapped, matched_behavior(1), atol=1e-15)
-        assert swapped @ coefficients(1) == pytest.approx(9.0, abs=1e-9)
+        assert behavior_value(0, swapped) == pytest.approx(9.0, abs=1e-9)
+        np.testing.assert_allclose(swapped, matched_behavior(0), atol=1e-15)
+        assert swapped @ C[0] == pytest.approx(9.0, abs=1e-9)
 
 
 class TestBehaviorRoute:
@@ -230,8 +223,8 @@ class TestBehaviorRoute:
             Behavior(bad)
 
     def test_quantum_behaviors_are_nonsignaling(self):
-        for index in (1, 7, 16):
-            b = Behavior(matched_behavior(index).reshape(3, 3, 4, 4))
+        for row in (0, 6, 15):
+            b = Behavior(matched_behavior(row).reshape(3, 3, 4, 4))
             assert b.no_signaling_defect() < 1e-10
 
     def test_uniform_behavior_scores_zero(self):
@@ -249,16 +242,16 @@ class TestBehaviorRoute:
         # a cell's block of a coefficient row is the cell's signed masked
         # correlator
         born = dense_behavior(four_qubit_product(*PRODUCT_LABELS[5]), *MATCHED_PAIRS)
-        blocks = (np.asarray(coefficients(1)) * matched_behavior(6)).reshape(9, 16)
+        blocks = (np.asarray(C[0]) * matched_behavior(5)).reshape(9, 16)
         for cell in range(9):
             assert blocks[cell].sum() == pytest.approx(
-                behavior_value(1, one_cell(born, cell)), abs=1e-10
+                behavior_value(0, one_cell(born, cell)), abs=1e-10
             )
 
     def test_outcome_certainty_on_products(self):
         # either party's full outcome pins the other's masked bit: every
         # defined conditional is exactly 0 or 1
-        for k in range(1, NUM_EXPRESSIONS + 1):
+        for k in range(NUM_EXPRESSIONS):
             behavior = Behavior(matched_behavior(k).reshape(3, 3, 4, 4))
             for i in range(3):
                 for j in range(3):
@@ -271,13 +264,13 @@ class TestBehaviorRoute:
 
     @settings(max_examples=25)
     @given(
-        st.integers(1, NUM_EXPRESSIONS),
+        st.integers(0, NUM_EXPRESSIONS - 1),
         st.lists(
             st.floats(0.01, 1.0, allow_nan=False), min_size=144, max_size=144
         ),
     )
-    def test_algebraic_bound_on_random_behaviors(self, index, raw):
+    def test_algebraic_bound_on_random_behaviors(self, row, raw):
         table = np.array(raw).reshape(3, 3, 4, 4)
         table /= table.sum(axis=(2, 3), keepdims=True)
         behavior = Behavior(table)
-        assert abs(behavior.probs.reshape(144) @ coefficients(index)) <= 9.0 + 1e-9
+        assert abs(behavior.probs.reshape(144) @ C[row]) <= 9.0 + 1e-9

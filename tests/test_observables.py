@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from oracle import (
     ID2,
+    MASKS,
+    OUTCOME_LABELS,
     PHI_MINUS,
     SIGMA_X,
     SIGMA_Y,
@@ -18,10 +20,11 @@ from oracle import (
     bob_observable,
     chi_omega,
     masked_operator,
+    masked_sign,
 )
 
 from nlbox import observables
-from nlbox.observables import MASKS, OUTCOMES, mask_value
+from nlbox.observables import OUTCOMES, mask_value
 
 SX, SY, SZ, I2 = SIGMA_X, SIGMA_Y, SIGMA_Z, ID2
 
@@ -34,17 +37,12 @@ def all_observables():
 
 class TestMaskValue:
     def test_table(self):
-        # mask "10" keeps the first bit, "01" the second, "11" their product
-        pm = OUTCOMES.index("+-")
-        assert mask_value(pm, "10") == 1
-        assert mask_value(pm, "01") == -1
-        assert mask_value(pm, "11") == -1
-        assert mask_value(OUTCOMES.index("--"), "11") == 1
-        assert mask_value(OUTCOMES.index("-+"), "10") == -1
-
-    def test_bad_mask(self):
-        with pytest.raises(ValueError):
-            mask_value(1, "00")
+        # the package's bit masks, in order, give the signs that the oracle
+        # reads off the labels: "10" the first sign, "01" the second, "11"
+        # their product
+        assert OUTCOMES == OUTCOME_LABELS
+        table = [[mask_value(o, m) for o in range(4)] for m in observables.MASKS]
+        assert table == [[masked_sign(o, m) for o in range(4)] for m in MASKS]
 
 
 class TestProjectorStructure:
@@ -103,7 +101,7 @@ class TestProjectorStructure:
 
 
 # Every masked observable reduces to a Pauli product.  Derived once by
-# expanding sum_r mask_value(r, m) |r><r| in each eigenbasis, then frozen.
+# expanding sum_r masked_sign(r, m) |r><r| in each eigenbasis, then frozen.
 MASKED_IDENTITY = {
     ("alice", 0): {"10": np.kron(SZ, I2), "01": np.kron(I2, SZ), "11": np.kron(SZ, SZ)},
     ("alice", 1): {"10": np.kron(I2, SX), "01": np.kron(SX, I2), "11": np.kron(SX, SX)},

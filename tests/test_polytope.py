@@ -18,12 +18,7 @@ from oracle import (
 from oracle import integer_rank as oracle_rank
 
 from nlbox import polytope
-from nlbox.inequalities import (
-    NUM_EXPRESSIONS,
-    coefficient_rows,
-    coefficients,
-    sign_table,
-)
+from nlbox.inequalities import NUM_EXPRESSIONS, SIGN_TABLES, C, coefficient_rows
 from nlbox.observables import ALICE_PAULIS
 from nlbox.polytope import (
     NUM_PARTY_STRATEGIES,
@@ -112,11 +107,11 @@ class TestVertices:
         # multiplied in full
         verts = vertex_matrix()
         images, _, saturators, _ = polytope._orbit_of_one()
-        for k in range(1, NUM_EXPRESSIONS + 1):
-            values = verts @ np.asarray(coefficients(k))
+        for k in range(NUM_EXPRESSIONS):
+            values = verts @ np.asarray(C[k])
             assert np.array_equal(vertex_values(k), values)
-            if k in (1, 9, 16):
-                h = images[coefficients(k)]
+            if k in (0, 8, 15):
+                h = images[C[k]]
                 mapped = sorted(v ^ (h << 6) for v in saturators)
                 assert mapped == np.flatnonzero(values == values.max()).tolist()
 
@@ -144,35 +139,36 @@ class TestVertices:
 
 class TestBounds:
     def test_lhv_maximum_is_seven_everywhere(self):
-        for k in range(1, NUM_EXPRESSIONS + 1):
+        for k in range(NUM_EXPRESSIONS):
             report = facet_check(k)
+            assert report.row == k
             assert report.lhv_max == 7
             # recompute the witness value through the scalar route
             assert behavior_value(k, strategy_behavior(report.witness).probs.reshape(144)) == 7
 
     def test_witness_realizes_seven_as_a_behavior(self):
-        for k in (1, 8, 16):
+        for k in (0, 7, 15):
             behavior = strategy_behavior(facet_check(k).witness)
-            assert behavior.probs.reshape(144) @ coefficients(k) == 7
+            assert behavior.probs.reshape(144) @ C[k] == 7
 
     def test_beta_matrix_agrees_with_scalar_route(self):
-        mat = np.asarray(vertex_values(3)).reshape(NUM_PARTY_STRATEGIES, NUM_PARTY_STRATEGIES)
+        mat = np.asarray(vertex_values(2)).reshape(NUM_PARTY_STRATEGIES, NUM_PARTY_STRATEGIES)
         singles = party_strategies()
         rng = np.random.default_rng(20240811)
         for _ in range(40):
             f = int(rng.integers(NUM_PARTY_STRATEGIES))
             g = int(rng.integers(NUM_PARTY_STRATEGIES))
             strat = DeterministicStrategy(singles[f], singles[g])
-            assert mat[f, g] == behavior_value(3, strategy_behavior(strat).probs.reshape(144))
+            assert mat[f, g] == behavior_value(2, strategy_behavior(strat).probs.reshape(144))
 
     def test_ns_bound_is_nine_and_attained(self):
-        for k in range(1, NUM_EXPRESSIONS + 1):
+        for k in range(NUM_EXPRESSIONS):
             assert ns_bound(k) == 9
 
     def test_party_swap_leaves_value_multiset_invariant(self):
-        for k in range(1, NUM_EXPRESSIONS + 1):
+        for k in range(NUM_EXPRESSIONS):
             orig = np.asarray(vertex_values(k))
-            swapped = vertex_matrix() @ coefficient_rows(np.asarray(sign_table(k)).T[None])[0]
+            swapped = vertex_matrix() @ coefficient_rows(np.asarray(SIGN_TABLES[k]).T[None])[0]
             assert sorted(orig) == sorted(swapped)
             assert orig.max() == swapped.max()
 
@@ -185,7 +181,7 @@ class TestBounds:
 
 class TestFacets:
     def test_every_expression_is_a_facet(self):
-        for k in range(1, NUM_EXPRESSIONS + 1):
+        for k in range(NUM_EXPRESSIONS):
             report = facet_check(k)
             assert report.lhv_max == 7
             assert report.polytope_affine_dim == 99
@@ -198,8 +194,8 @@ class TestFacets:
         # here each expression is evaluated and ranked on its own, and the
         # witness is the first maximum of the vertex matrix, row 64f + g
         verts, singles = vertex_matrix(), party_strategies()
-        for k in range(1, NUM_EXPRESSIONS + 1):
-            values = verts @ np.asarray(coefficients(k))
+        for k in range(NUM_EXPRESSIONS):
+            values = verts @ np.asarray(C[k])
             sat = verts[values == 7]
             report = facet_check(k)
             assert oracle_rank(sat[1:] - sat[0]) == report.saturator_affine_dim == 98
@@ -212,16 +208,16 @@ class TestFacets:
     def test_saturator_rank_holds_off_expression_one(self, monkeypatch, other):
         # the 100-column rank of the saturators, minus 1, is their affine
         # dimension for any set of vertices: rank the 128 common saturators
-        # of expressions 1 and ``other``, or the 64 left when expression 1
-        # loses Alice's setting 0, against the direct rank of the set
-        row = np.asarray(coefficients(1))
+        # of expressions 1 and ``other`` (row other - 1), or the 64 left when
+        # expression 1 loses Alice's setting 0, against the direct rank of the set
+        row = np.asarray(C[0])
         if other:
-            row = row + np.asarray(coefficients(other))
+            row = row + np.asarray(C[other - 1])
         else:
             row[:48] = 0
         values = vertex_matrix() @ row
         sat = vertex_matrix()[values == values.max()]
-        monkeypatch.setattr(polytope, "coefficients", lambda k: tuple(int(v) for v in row))
+        monkeypatch.setattr(polytope, "C", (tuple(int(v) for v in row), *C[1:]))
         polytope._orbit_of_one.cache_clear()
         try:
             _, bound, saturators, dim = polytope._orbit_of_one()
@@ -232,16 +228,16 @@ class TestFacets:
 
     def test_every_expression_is_a_relabeling_of_expression_one(self):
         # flipping Alice's outcome a -> a ^ f_x, one f per setting, by loop
-        base = np.asarray(coefficients(1)).reshape(3, 3, 4, 4)
+        base = np.asarray(C[0]).reshape(3, 3, 4, 4)
         hits = {}
         for f in party_strategies():
             image = np.zeros_like(base)
             for x, y, a, b in itertools.product(range(3), range(3), range(4), range(4)):
                 image[x, y, a, b] = base[x, y, a ^ f[x], b]
-            for k in range(1, NUM_EXPRESSIONS + 1):
-                if np.array_equal(image.reshape(144), coefficients(k)):
+            for k in range(NUM_EXPRESSIONS):
+                if np.array_equal(image.reshape(144), C[k]):
                     hits.setdefault(k, []).append(f)
-        assert sorted(hits) == list(range(1, NUM_EXPRESSIONS + 1))
+        assert sorted(hits) == list(range(NUM_EXPRESSIONS))
         assert all(len(fs) == 1 and fs[0][2] == fs[0][0] ^ fs[0][1] for fs in hits.values())
 
         # the flip is the matched product's Pauli frame read through Alice's
@@ -252,14 +248,14 @@ class TestFacets:
             return sum((p in "ZY") * fx + (p in "XY") * fz for p, (fx, fz) in pairs) % 2
 
         for k, (f,) in hits.items():
-            frames = [pauli_frame(label) for label in PRODUCT_LABELS[k - 1]]
+            frames = [pauli_frame(label) for label in PRODUCT_LABELS[k]]
             want = [2 * flipped(hi, frames) + flipped(lo, frames) for hi, lo, _ in ALICE_PAULIS]
             assert list(f) == want
 
     def test_saturators_of_expression_one(self):
         verts = vertex_matrix()
-        sat = verts[verts @ np.asarray(coefficients(1)) == 7]
-        assert sat.shape[0] == facet_check(1).num_saturators
+        sat = verts[verts @ np.asarray(C[0]) == 7]
+        assert sat.shape[0] == facet_check(0).num_saturators
         # every saturating vertex really evaluates to 7: read its strategy
         # off the one-hot cells and score it through the scalar route
         for row in sat[:20]:
@@ -267,4 +263,4 @@ class TestFacets:
             alice = tuple(int(np.argmax(cells[x, 0].sum(axis=1))) for x in range(3))
             bob = tuple(int(np.argmax(cells[0, y].sum(axis=0))) for y in range(3))
             behavior = strategy_behavior(DeterministicStrategy(alice, bob))
-            assert behavior_value(1, behavior.probs.reshape(144)) == 7
+            assert behavior_value(0, behavior.probs.reshape(144)) == 7

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
+    MASKS,
     MATCHED_PAIRS,
     PHI_MINUS,
     PHI_PLUS,
@@ -175,7 +176,7 @@ class TestStatistics:
         counts = event_counts(sample(4000, 31))
         by_outcome = {e.outcome: e for e in ENTRIES}
         for outcome, row in zip(ROBOT_OUTCOMES, counts):
-            assert behavior_value(by_outcome[outcome].matched_inequality, row) == row.sum()
+            assert behavior_value(by_outcome[outcome].row, row) == row.sum()
 
     def test_setting_choices_are_uniform(self):
         shots = 18000
@@ -192,7 +193,7 @@ class TestEstimation:
         for entry, row in zip(ENTRIES, class_counts(codes)):
             members = decoded[ROBOT_OUTCOMES.index(entry.outcome)]
             assert row == members.tolist()
-            num, L, counts = estimate_beta(row, entry.matched_inequality)
+            num, L, counts = estimate_beta(row, entry.row)
             assert sum(map(sum, counts)) == members.sum()
             # per-event saturation makes every cell mean +-1, so the
             # estimate is exact, not merely close
@@ -200,7 +201,7 @@ class TestEstimation:
 
     def test_synthetic_single_event_per_cell(self):
         # one hand-built event per cell, each saturating expression 1
-        signs = np.asarray(inequalities.sign_table(1))
+        signs = np.asarray(inequalities.SIGN_TABLES[0])
         events = [0] * 144
         for i in range(3):
             for j in range(3):
@@ -209,12 +210,11 @@ class TestEstimation:
                 # mask 11 but -1 on 10/01; pick per cell to hit signs[i, j]
                 b = 0
                 if signs[i, j] == -1:
-                    _, bob_mask = inequalities.mask_pattern(i, j)
-                    b = 3 if bob_mask != "11" else 1
+                    b = 3 if MASKS[i] != "11" else 1
                 events[16 * (3 * i + j) + b] = 1
         # nine events of +-1 each score 9 only if every one saturates
-        assert behavior_value(1, events) == 9
-        num, L, counts = estimate_beta(events, 1)
+        assert behavior_value(0, events) == 9
+        num, L, counts = estimate_beta(events, 0)
         assert num == 9 * L
         assert counts == [[1, 1, 1]] * 3
 
@@ -222,15 +222,15 @@ class TestEstimation:
         empty = (1, 8)  # cells (0, 1) and (2, 2)
         events = [int(i % 16 == 0 and i // 16 not in empty) for i in range(144)]
         with pytest.raises(InsufficientSamplesError) as exc:
-            estimate_beta(events, 1)
+            estimate_beta(events, 0)
         assert exc.value.cells == [(0, 1), (2, 2)]
         assert exc.value.grid == [[1, 0, 1], [1, 1, 1], [1, 1, 0]]
 
     @settings(max_examples=50)
-    @given(st.lists(st.integers(0, 10**6), min_size=144, max_size=144), st.integers(1, 16))
-    def test_estimate_is_the_float_nearest_the_exact_value(self, counts, index):
+    @given(st.lists(st.integers(0, 10**6), min_size=144, max_size=144), st.integers(0, 15))
+    def test_estimate_is_the_float_nearest_the_exact_value(self, counts, k):
         # second route: the same sum in Fractions, rounded once
-        row = inequalities.coefficients(index)
+        row = inequalities.C[k]
         cells = [counts[16 * cell : 16 * cell + 16] for cell in range(9)]
         if not all(map(sum, cells)):
             return
@@ -238,7 +238,7 @@ class TestEstimation:
             Fraction(sum(c * v for c, v in zip(cell, row[16 * k : 16 * k + 16])), sum(cell))
             for k, cell in enumerate(cells)
         )
-        num, L, _ = estimate_beta(counts, index)
+        num, L, _ = estimate_beta(counts, k)
         assert Fraction(num, L) == exact
         assert num / L == float(exact)
 
@@ -249,13 +249,13 @@ class TestEstimation:
         members = class_counts(sample(60000, 77))[0]
         entry = ENTRIES[0]
         assert entry.outcome == ROBOT_OUTCOMES[0]
-        row = entry.matched_inequality - 1
-        for index in (2, 7, 16):
-            num, L, counts = estimate_beta(members, index)
+        row = entry.row
+        for k in (1, 6, 15):
+            num, L, counts = estimate_beta(members, k)
             # each cell mean has variance at most 1/n; the signed sum over
             # nine cells then has standard error sqrt(sum 1/n_ij)
             se = math.sqrt(sum(1.0 / n for cells in counts for n in cells))
-            assert abs(num / L - ref[row, index - 1]) < 5 * se
+            assert abs(num / L - ref[row, k]) < 5 * se
 
 
 class TestEstimatorAgainstBehavior:
@@ -274,9 +274,9 @@ class TestEstimatorAgainstBehavior:
             n_cell = int(np.count_nonzero(cells == cell))
             ab = rng.choice(16, size=n_cell, p=flat[cell] / flat[cell].sum())
             drawn[16 * cell : 16 * cell + 16] = np.bincount(ab, minlength=16)
-        num, L, counts = estimate_beta(drawn.tolist(), 2)
+        num, L, counts = estimate_beta(drawn.tolist(), 1)
         state = four_qubit_product(PHI_PLUS, PHI_PLUS)
-        want = behavior_value(2, dense_behavior(state, *MATCHED_PAIRS))
+        want = behavior_value(1, dense_behavior(state, *MATCHED_PAIRS))
         se = math.sqrt(sum(1.0 / n for cells in counts for n in cells))
         assert abs(num / L - want) < 5 * se
 
@@ -308,7 +308,7 @@ class TestExactTable:
         assert replay(monkeypatch, [LARGEST_U, 0.0], entries) == [table[1151], table[0]]
         cell, rest = divmod(table[1151], 256)
         c, ab = divmod(rest, 16)
-        behavior = inequalities.product_counts()[entries[c].matched_inequality - 1]
+        behavior = inequalities.product_counts()[entries[c].row]
         assert cell == 8 and behavior[16 * cell + ab] > 0
 
     def test_floor_draw_is_the_contract_truncation(self, monkeypatch):

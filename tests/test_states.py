@@ -153,7 +153,7 @@ class TestProducts:
         entries = swap.class_map()
         assert sorted(e.resulting_state for e in entries) == list(PRODUCT_LABELS)
         for entry in entries:
-            assert PRODUCT_LABELS.index(entry.resulting_state) == entry.matched_inequality - 1
+            assert PRODUCT_LABELS.index(entry.resulting_state) == entry.row
 
     def test_four_qubit_product_labels_and_norm(self):
         state = four_qubit_product(PHI_PLUS, PSI_MINUS)

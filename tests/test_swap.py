@@ -28,8 +28,8 @@ from nlbox.swap import BELL_CODES, ROBOT_OUTCOMES, RobotOutcome, class_map, matc
 class TestClassMap:
     def test_default_sources(self, default_class_map):
         assert len(default_class_map) == 16
-        matched = {e.matched_inequality for e in default_class_map}
-        assert matched == set(range(1, NUM_EXPRESSIONS + 1))
+        matched = {e.row for e in default_class_map}
+        assert matched == set(range(NUM_EXPRESSIONS))
         results = {e.resulting_state for e in default_class_map}
         assert len(results) == 16
         for entry in default_class_map:
@@ -38,8 +38,8 @@ class TestClassMap:
 
     def test_other_sources_still_bijective(self):
         entries = class_map((PHI_MINUS, PHI_PLUS))
-        matched = {e.matched_inequality for e in entries}
-        assert matched == set(range(1, NUM_EXPRESSIONS + 1))
+        matched = {e.row for e in entries}
+        assert matched == set(range(NUM_EXPRESSIONS))
         for entry in entries:
             assert entry.weight == 1
             assert matched_beta(entry) == 144
@@ -99,13 +99,13 @@ class TestPremeasurementMarginal:
         assert np.array_equal(np.asarray(C) @ premeasurement_marginal, np.zeros(NUM_EXPRESSIONS))
         born = density_behavior(premeasurement_state(), ALICE_PAIR, BOB_PAIR)
         ref = np.array(reference_doc["values"], dtype=float)
-        for k in range(1, NUM_EXPRESSIONS + 1):
+        for k in range(NUM_EXPRESSIONS):
             assert behavior_value(k, born) == pytest.approx(0.0, abs=1e-9)
-            assert ref[:, k - 1].mean() == pytest.approx(0.0, abs=1e-12)
+            assert ref[:, k].mean() == pytest.approx(0.0, abs=1e-12)
 
     def test_conditional_states_recover_violation(self, default_class_map):
         # conditioning on the robot's outcome turns the zero-mean marginal
         # into a state reaching the algebraic maximum
         entry = default_class_map[3]
         born = dense_behavior(class_state(entry), ALICE_PAIR, BOB_PAIR)
-        assert behavior_value(entry.matched_inequality, born) == pytest.approx(9.0, abs=1e-9)
+        assert behavior_value(entry.row, born) == pytest.approx(9.0, abs=1e-9)
