@@ -66,8 +66,8 @@ def load_reference_table() -> dict:
 def _write_atomic(files: dict) -> None:
     """Write each path's text chunks to a temporary file beside it, creating
     parent directories; rename them all once all are written, then print each
-    path.  A directory at a path, or a failed write, changes no path and leaves
-    no temporary file behind.  A failed print comes after the renames, so it
+    path.  A directory at a path, a file where a parent directory should be,
+    or a failed write, changes no path and leaves no temporary file behind.  A failed print comes after the renames, so it
     fails the run with every path already replaced, but no line names a file
     that was not renamed."""
     tmps = {}
@@ -75,7 +75,10 @@ def _write_atomic(files: dict) -> None:
         for path, chunks in files.items():
             if path.is_dir():
                 raise IsADirectoryError(f"{path} is a directory")
-            path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            except (FileExistsError, NotADirectoryError):  # a file on the way
+                raise NotADirectoryError(f"{path.parent} is not a directory") from None
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             with open(tmp, "x", encoding="utf-8") as fh:
                 tmps[tmp] = path

@@ -242,13 +242,20 @@ class TestBounds:
         assert captured.err == "error: expression 5 is not a relabeling of expression 1\n"
 
     def test_out_below_a_file_is_an_error(self, tmp_path, capsys):
+        # the message names the parent directory that could not be made
         blocker = tmp_path / "file"
         blocker.write_text("x")
-        code = main(["bounds", "--out", str(blocker / "x.json")])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("error: ")
-        assert captured.out == ""
+        for argv, parent in (
+            (["bounds", "--out", str(blocker / "x.json")], blocker),
+            (["bounds", "--out", str(blocker / "sub" / "x.json")], blocker / "sub"),
+            (["sample", "--shots", "10", "--out", str(blocker)], blocker),
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert captured.err == f"error: {parent} is not a directory\n"
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "x"
 
 
 class TestSwapMap:

@@ -89,6 +89,8 @@ TABLE = (
     # --out on a file, below a file, and on a directory in a sample run
     Entry("out-on-file", ["bounds", "--out", "f"], True, files={"f": "old\n"}),
     Entry("out-below-file", ["bounds", "--out", "f/x.json"], True, files={"f": "old\n"}),
+    Entry("out-two-below-file", ["bounds", "--out", "f/sub/x.json"], True, files={"f": "old\n"}),
+    Entry("sample-out-on-file", ["sample", "--shots", "10", "--out", "f"], True, files={"f": "old\n"}),
     Entry("sample-events-dir", ["sample", "--shots", "10", "--out", "r"], True, dirs=("r", "r/events.csv")),
     # stdout closed, and stdout on a full device
     *(Entry(f"closed-{c}", [c], True, stdout="closed") for c in ("verify-table3", "bounds", "swap-map")),
