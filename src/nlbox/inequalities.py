@@ -18,8 +18,8 @@ box of its expression, 16 p = C[k] + 1 on row k.  Every expression is
 bounded by 7 for local deterministic models and by 9 algebraically; each
 product reaches 9 on exactly one expression, and the dot products of the
 rows of ``product_counts()`` with those of ``C`` are 16 times the table of
-all 256 values.  Every table here is a tuple of Python int tuples: exact, with no
-overflow, and immutable by type.
+all 256 values.  Every table here is a tuple of Python int tuples: exact,
+with no overflow, and immutable by type.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ def vertex_values(row: int) -> tuple[int, ...]:
     """Exact values of the expression of row ``row`` on all 4096 vertices, Alice-major.
 
     Alice's strategy f fixes her outcome in every cell, which leaves the
-    3x4 table t[y][b] = sum_x row[16*(3x + y) + 4 f_x + b]; the value at
+    3x4 table t[y][b] = sum_x C[row][16*(3x + y) + 4 f_x + b]; the value at
     Bob's strategy g is then t[0][g_0] + t[1][g_1] + t[2][g_2].
     """
     # quad[12x + 4y + a]: Bob's four coefficients in cell (x, y) when Alice answers a
