@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -84,7 +85,8 @@ MASKS = ("10", "01", "11")
 def masked_sign(outcome: int, mask: str) -> int:
     """The product of the outcome's signs where the mask has a 1."""
     signs = [1 if c == "+" else -1 for c in OUTCOME_LABELS[outcome]]
-    return int(np.prod([s for s, keep in zip(signs, mask) if keep == "1"]))
+    return math.prod(s for s, keep in zip(signs, mask) if keep == "1")
+
 
 # Two labelings of one layout.  In four_qubit_product bell(first) sits on
 # (1, 2) and bell(second) on (3, 4); Alice measures (1, 3), Bob (2, 4).
@@ -581,7 +583,8 @@ def behavior_value(row: int, behavior) -> np.ndarray:
     signs = SIGN_TABLES[row]
     total = 0
     for x, y in itertools.product(range(3), repeat=2):
-        alice, bob = ([masked_sign(o, mask) for o in range(4)] for mask in (MASKS[y], MASKS[x]))
+        masks = MASKS[y], MASKS[x]
+        alice, bob = ([masked_sign(o, mask) for o in range(4)] for mask in masks)
         cell = cells[..., x, y, :, :]
         total = total + signs[x][y] * np.einsum("...ab,a,b->...", cell, alice, bob)
     return total

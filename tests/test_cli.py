@@ -232,9 +232,9 @@ class TestBounds:
     def test_an_expression_off_the_orbit_is_an_error(self, capsys, monkeypatch):
         # expression 5 (row 4) with the sign of cell (1, 2) flipped is no
         # relabeling of expression 1
-        rows = list(polytope.C)
-        rows[4] = rows[4][: 16 * 5] + tuple(-v for v in rows[4][16 * 5 : 16 * 6]) + rows[4][16 * 6 :]
-        monkeypatch.setattr(polytope, "C", tuple(rows))
+        row = list(polytope.C[4])
+        row[16 * 5 : 16 * 6] = [-v for v in row[16 * 5 : 16 * 6]]
+        monkeypatch.setattr(polytope, "C", (*polytope.C[:4], tuple(row), *polytope.C[5:]))
         code = main(["bounds"])
         captured = capsys.readouterr()
         assert code == 1

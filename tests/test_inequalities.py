@@ -55,8 +55,10 @@ class TestMaskPattern:
         # cell (i, j) masks Alice's outcome with mu(j) and Bob's with mu(i),
         # mu = (10, 01, 11), read through the oracle's masks on the labels
         block = np.asarray(coefficient_rows([((1, 1, 1),) * 3])[0]).reshape(3, 3, 4, 4)
-        cells = {(0, 0): ("10", "10"), (1, 0): ("10", "01"), (0, 1): ("01", "10")}
-        cells |= {(2, 2): ("11", "11"), (1, 2): ("11", "01")}
+        cells = {
+            (0, 0): ("10", "10"), (1, 0): ("10", "01"), (0, 1): ("01", "10"),
+            (2, 2): ("11", "11"), (1, 2): ("11", "01"),
+        }
         for (i, j), (alice, bob) in cells.items():
             signs = [[masked_sign(o, mask) for o in range(4)] for mask in (alice, bob)]
             np.testing.assert_array_equal(block[i, j], np.outer(*signs), err_msg=f"cell {i}{j}")
