@@ -67,9 +67,9 @@ def _write_atomic(files: dict) -> None:
     """Write each path's text chunks to a temporary file beside it, creating
     parent directories; rename them all once all are written, then print each
     path.  A directory at a path, a file where a parent directory should be,
-    or a failed write, changes no path and leaves no temporary file behind.  A failed print comes after the renames, so it
-    fails the run with every path already replaced, but no line names a file
-    that was not renamed."""
+    or a failed write, changes no path and leaves no temporary file behind.
+    A failed print comes after the renames, so it fails the run with every
+    path already replaced, but no line names a file that was not renamed."""
     tmps = {}
     try:
         for path, chunks in files.items():
@@ -187,13 +187,13 @@ def cmd_swap_map(args) -> Report:
     """Robot outcome -> resulting Bell product, with matched expressions."""
     entries = [
         {
-            "robot_outcome": _codes(entry.outcome),
-            "resulting_state": _codes(entry.resulting_state),
-            "matched_inequality": entry.row + 1,
-            "probability": sig12(entry.weight, 16),
-            "beta": sig12(swap.matched_beta(entry), 16),
+            "robot_outcome": _codes(divmod(c, 4)),
+            "resulting_state": _codes(divmod(row, 4)),
+            "matched_inequality": row + 1,
+            "probability": sig12(swap.WEIGHT, 16),
+            "beta": sig12(swap.matched_beta(row), 16),
         }
-        for entry in swap.class_map(args.sources)
+        for c, row in enumerate(swap.class_map(args.sources))
     ]
     doc = {"command": "swap-map", "sources": _codes(args.sources), "entries": entries}
     header = [
@@ -222,7 +222,7 @@ def _event_text(codes, block: int):
     settings = [f",{x},{y}," for x in range(3) for y in range(3)]
     halves = [f"{first}1,{second}1" for first, second in OUTCOMES]
     signs = [f"{a},{b}" for a in halves for b in halves]
-    robots = [f",{r1},{r2}\n" for r1, r2 in map(_codes, swap.ROBOT_OUTCOMES)]
+    robots = [f",{r1},{r2}\n" for r1 in swap.BELL_CODES for r2 in swap.BELL_CODES]
     s = [xy + ab + r for xy in settings for r in robots for ab in signs]
     yield "run_id,x,y,a1,a2,b1,b2,r1,r2\n"
     # runs 10k .. 10k + 9 have the run_ids str(k) + "0" .. str(k) + "9" ("" for
@@ -245,22 +245,18 @@ def _event_text(codes, block: int):
 
 def cmd_sample(args) -> Report:
     """Report the per-class summary of seeded events, with the events file to write."""
-    entries = swap.class_map(args.sources)
-    codes = sampler.sample_events(args.shots, args.seed, entries)
+    rows = swap.class_map(args.sources)
+    codes = sampler.sample_events(args.shots, args.seed, rows)
     events_path = Path(args.out) / "events.csv"
     classes = []
-    for entry, counts in zip(entries, sampler.class_counts(codes)):
-        try:
-            numerator, L, cells = sampler.estimate_beta(counts, entry.row)
-            beta_hat, empty = sig12(numerator, L), []
-        except sampler.InsufficientSamplesError as err:
-            beta_hat, empty, cells = None, err.cells, err.grid
+    for c, (row, counts) in enumerate(zip(rows, sampler.class_counts(codes))):
+        numerator, L, cells, empty = sampler.estimate_beta(counts, row)
         classes.append(
             {
-                "robot_outcome": _codes(entry.outcome),
+                "robot_outcome": _codes(divmod(c, 4)),
                 "count": sum(counts),
-                "matched_inequality": entry.row + 1,
-                "beta_hat": beta_hat,
+                "matched_inequality": row + 1,
+                "beta_hat": None if empty else sig12(numerator, L),
                 "cell_counts": cells,
                 "insufficient_cells": empty,
             }

@@ -3,11 +3,13 @@
 The robot's measurements commute with the local ones (disjoint qubits),
 so the joint table p(c, a, b | x, y) is the robot's outcome distribution
 times the Born behavior of the Bell product each robot outcome leaves
-behind.  Both are integer sixteenths, every setting cell's row is 1/128 on
-exactly 128 outcomes, and the cell is uniform over 9: one run is one of
-1152 equally likely events, listed in ``code_table``.  An event is one
-integer code ``256 * (3x + y) + 16 * c + 4a + b``, where ``c = 4 * r1 + r2``
-is the robot's outcome (its class) and ``a``, ``b`` the parties' outcomes.
+behind: under a class map ``rows`` (``swap.class_map``), class c leaves
+the product of row ``rows[c]``.  Both are integer sixteenths, every
+setting cell's row is 1/128 on exactly 128 outcomes, and the cell is
+uniform over 9: one run is one of 1152 equally likely events, listed in
+``code_table``.  An event is one integer code
+``256 * (3x + y) + 16 * c + 4a + b``, where ``c = 4 * r1 + r2`` is the
+robot's outcome (its class) and ``a``, ``b`` the parties' outcomes.
 
 Reproducibility contract 3: runs are drawn in fixed blocks of ``BLOCK``.
 Block ``k`` draws from its own ``random.Random(f"{seed}:{k}")``, which
@@ -36,37 +38,27 @@ from collections import Counter
 from itertools import repeat
 from math import floor, lcm
 
+from . import swap
 from .inequalities import C, dot, product_counts
 
 RNG_CONTRACT = 3
 BLOCK = 4096
 
 
-class InsufficientSamplesError(ValueError):
-    """An estimate needs at least one event in every cell of the 3x3 grid."""
+def code_table(rows) -> tuple[int, ...]:
+    """The 1152 event codes of positive probability under the class map ``rows``, in order.
 
-    def __init__(self, cells: list[tuple[int, int]], grid: list[list[int]]):
-        self.cells, self.grid = cells, grid  # the empty cells, the 3x3 event counts
-        super().__init__(f"no events in cells {cells}")
-
-
-def code_table(entries) -> tuple[int, ...]:
-    """The 1152 event codes of positive probability under a class map, in order.
-
-    A class's Born counts are row ``entry.row`` of ``product_counts()``.
+    Class c's Born counts are row ``rows[c]`` of ``product_counts()``.
     ``table[i] = 256 * (i >> 7) + support[i >> 7][i & 127]``, where
     ``support[3x + y]`` lists the columns 16c + 4a + b at which the cell's
-    row of the joint table, in 256ths (weight times Born count), is positive.
-    Raises RuntimeError unless every row is 2/256 on exactly 128 columns.
+    row of the joint table, in 256ths (``swap.WEIGHT`` times Born count), is
+    positive.  Raises RuntimeError unless every row is 2/256 on exactly 128
+    columns.
     """
-    behaviors = [product_counts()[e.row] for e in entries]
+    behaviors = [product_counts()[row] for row in rows]
     table = []
     for cell in range(9):
-        row = [
-            entry.weight * behavior[16 * cell + ab]
-            for entry, behavior in zip(entries, behaviors)
-            for ab in range(16)
-        ]
+        row = [swap.WEIGHT * behavior[16 * cell + ab] for behavior in behaviors for ab in range(16)]
         support = [column for column, p in enumerate(row) if p]
         if len(support) != 128 or any(row[column] != 2 for column in support):
             raise RuntimeError("the joint table is not 1/128 on 128 outcomes per cell")
@@ -74,11 +66,11 @@ def code_table(entries) -> tuple[int, ...]:
     return tuple(table)
 
 
-def sample_events(shots: int, seed: int, entries) -> list[int]:
-    """Simulate ``shots`` full runs under the class map ``entries``; one code per run."""
+def sample_events(shots: int, seed: int, rows) -> list[int]:
+    """Simulate ``shots`` full runs under the class map ``rows``; one code per run."""
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    table = code_table(entries)
+    table = code_table(rows)
     codes = []
     for start in range(0, shots, BLOCK):
         u = random.Random(f"{seed}:{start // BLOCK}").random
@@ -92,21 +84,22 @@ def class_counts(codes) -> list[list[int]]:
     return [[counts[256 * (i >> 4) + 16 * c + (i & 15)] for i in range(144)] for c in range(16)]
 
 
-def estimate_beta(counts: list[int], row: int) -> tuple[int, int, list[list[int]]]:
+def estimate_beta(counts: list[int], row: int) -> tuple:
     """Estimate the value of the expression of row ``row`` from one class's 144 event counts.
 
     The estimate, the sum over the nine cells of the cell's signed count
     over its count, is the expression's row dotted with the counts scaled
     to their common denominator L = lcm(cell counts), over L.  Returns the
-    exact integer numerator and L, with the 3x3 per-cell event counts.
-    Raises InsufficientSamplesError, carrying those counts, when a cell has
-    no event at all; an empty cell cannot be skipped without biasing the sum.
+    exact integer numerator and L, the 3x3 per-cell event counts and the
+    (x, y) of the cells with no event at all.  The numerator is None when
+    there is such a cell: an empty cell cannot be skipped without biasing
+    the sum.
     """
     cells = [sum(counts[16 * cell : 16 * cell + 16]) for cell in range(9)]
     grid = [cells[3 * x : 3 * x + 3] for x in range(3)]
     empty = [divmod(cell, 3) for cell, n in enumerate(cells) if n == 0]
     if empty:
-        raise InsufficientSamplesError(empty, grid)
+        return None, None, grid, empty
     L = lcm(*cells)
     scaled = [n * (L // cells[i >> 4]) for i, n in enumerate(counts)]
-    return dot(C[row], scaled), L, grid
+    return dot(C[row], scaled), L, grid, empty

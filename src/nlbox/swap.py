@@ -21,20 +21,20 @@ two Bell pairs, so they are jointly maximally mixed and each of the four
 results has probability 1/4.  The tests check both facts against the
 dense collapse of the eight-qubit state.
 
-``RobotOutcome`` and ``ClassMapEntry`` are named tuples: they compare,
-hash and unpack as plain tuples of their fields.  Weights and values are
-integer sixteenths; only the CLI's ``sig12`` makes floats of them.
+A robot outcome (r1, r2) is its class c = 4 * r1 + r2, and the class map
+is the tuple of the sixteen rows that the classes leave.  Every class has
+the weight ``WEIGHT``; weights and values are integer sixteenths, and
+only the CLI's ``sig12`` makes floats of them.
 """
 
 from __future__ import annotations
-
-from collections import namedtuple
 
 from .inequalities import C, dot, product_counts
 
 # The command line's code of each Bell state, indexed by the state.
 BELL_CODES = ("PP", "PM", "SP", "SM")
 DEFAULT_SOURCES = (3, 3)  # SM,SM: both sources emit singlets
+WEIGHT = 1  # every robot outcome's probability, in sixteenths
 
 
 def bell_state(code: str) -> int:
@@ -43,17 +43,6 @@ def bell_state(code: str) -> int:
         valid = ", ".join(BELL_CODES)
         raise ValueError(f"unknown Bell code {code!r}, expected one of {valid}")
     return BELL_CODES.index(code)
-
-
-# Bell results of the robot's two measurements, on (2,5) then (4,7), in class order.
-RobotOutcome = namedtuple("RobotOutcome", "first second")
-ROBOT_OUTCOMES = tuple(RobotOutcome(r1, r2) for r1 in range(4) for r2 in range(4))
-
-
-# One class of the map: the robot's outcome, the Bell product it leaves on
-# (1,6) x (3,8), that product's row, which is also the row of the expression
-# it saturates, and its weight: the outcome's probability in integer sixteenths.
-ClassMapEntry = namedtuple("ClassMapEntry", "outcome resulting_state row weight")
 
 
 def swapped_pair(left: int, right: int, robot: int) -> int:
@@ -66,32 +55,24 @@ def swapped_pair(left: int, right: int, robot: int) -> int:
     return left ^ right ^ robot
 
 
-def class_map(sources: tuple[int, int] = DEFAULT_SOURCES) -> list[ClassMapEntry]:
-    """Robot outcome -> resulting Bell product, for all 16 outcomes.
+def class_map(sources: tuple[int, int] = DEFAULT_SOURCES) -> tuple[int, ...]:
+    """The row of the Bell product each of the 16 robot outcomes leaves.
 
-    The measurement on (2,5) swaps (1,2) with (5,6), and the one on (4,7)
-    swaps (3,4) with (7,8).  Both sources emit the same labels, so each
-    swap adds a source frame to itself, which cancels: the product left on
-    (1,6) x (3,8) is the robot outcome itself, for every source choice,
-    and every outcome has probability exactly 1/16.
+    Entry c = 4 * r1 + r2 is the class of the robot results r1 on (2,5)
+    and r2 on (4,7).  The measurement on (2,5) swaps (1,2) with (5,6), and
+    the one on (4,7) swaps (3,4) with (7,8).  Both sources emit the same
+    labels, so each swap adds a source frame to itself, which cancels: the
+    product left on (1,6) x (3,8) is the robot outcome itself, for every
+    source choice, and every outcome has probability exactly 1/16.
     """
     s1, s2 = sources
-    entries = []
-    for outcome in ROBOT_OUTCOMES:
-        first = swapped_pair(s1, s1, outcome.first)
-        second = swapped_pair(s2, s2, outcome.second)
-        entries.append(
-            ClassMapEntry(
-                outcome=outcome,
-                resulting_state=(first, second),
-                row=4 * first + second,
-                weight=1,
-            )
-        )
-    return entries
+    return tuple(
+        4 * swapped_pair(s1, s1, r1) + swapped_pair(s2, s2, r2)
+        for r1 in range(4)
+        for r2 in range(4)
+    )
 
 
-def matched_beta(entry: ClassMapEntry) -> int:
-    """Value of the matched expression on the class's resulting state, in sixteenths."""
-    return dot(product_counts()[entry.row], C[entry.row])
-
+def matched_beta(row: int) -> int:
+    """Value of the expression of row ``row`` on the product of that row, in sixteenths."""
+    return dot(product_counts()[row], C[row])

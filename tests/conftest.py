@@ -33,9 +33,7 @@ def premeasurement_marginal(default_class_map):
     should be 16: without the robot's outcomes the parties see uniformly
     random outcomes in every cell, and every Bell expression averages to zero.
     """
-    from oracle import PRODUCT_LABELS
-
     from nlbox.inequalities import product_counts
 
-    rows = [product_counts()[PRODUCT_LABELS.index(e.resulting_state)] for e in default_class_map]
+    rows = [product_counts()[row] for row in default_class_map]
     return tuple(map(sum, zip(*rows)))

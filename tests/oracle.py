@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from nlbox.inequalities import SIGN_TABLES
-from nlbox.swap import DEFAULT_SOURCES, ROBOT_OUTCOMES, RobotOutcome, class_map
+from nlbox.swap import DEFAULT_SOURCES, WEIGHT, class_map
 
 NUM_JOINT_STRATEGIES = 4**3 * 4**3
 
@@ -94,6 +94,8 @@ MATCHED_PAIRS = ((1, 3), (2, 4))
 # In the swap protocol the robot measures (2, 5) and (4, 7), and the Bell
 # product is left on (1, 6) x (3, 8): Alice measures (1, 3), Bob (6, 8).
 ROBOT_PAIRS = ((2, 5), (4, 7))
+# The robot's Bell results (r1, r2) on ROBOT_PAIRS, in the order of dense_swap.
+ROBOT_OUTCOMES = tuple(itertools.product(BELL_ORDER, repeat=2))
 ALICE_PAIR = (1, 3)
 BOB_PAIR = (6, 8)
 KEPT_QUBITS = ALICE_PAIR + BOB_PAIR
@@ -268,9 +270,9 @@ def four_qubit_product(first: int, second: int) -> StateVector:
     return bell_product(first, second, (1, 2), (3, 4))
 
 
-def class_state(entry) -> StateVector:
-    """The Bell product a class map entry leaves on qubits (1,3,6,8)."""
-    return bell_product(*entry.resulting_state, (1, 6), (3, 8))
+def class_state(row: int) -> StateVector:
+    """The Bell product of a class map row on qubits (1,3,6,8)."""
+    return bell_product(*PRODUCT_LABELS[row], (1, 6), (3, 8))
 
 
 def source_product(first: int, second: int) -> StateVector:
@@ -400,11 +402,11 @@ def bell_projectors(pair: tuple[int, int], context: tuple[int, ...]) -> list[np.
 
 
 def post_robot_state(
-    initial: StateVector, outcome: RobotOutcome
+    initial: StateVector, outcome: tuple[int, int]
 ) -> tuple[float, StateVector]:
-    """Probability of a robot outcome and the collapsed 8-qubit state."""
+    """Probability of a robot outcome (r1, r2) and the collapsed 8-qubit state."""
     v = initial.amplitudes
-    for label, pair in zip((outcome.first, outcome.second), ROBOT_PAIRS):
+    for label, pair in zip(outcome, ROBOT_PAIRS):
         ket = bell(label, pair).amplitudes
         v = embed(np.outer(ket, ket.conj()), pair, initial.labels) @ v
     prob = float(np.vdot(initial.amplitudes, v).real)
@@ -446,10 +448,8 @@ def dense_swap(sources) -> list[tuple[float, DensityMatrix]]:
 def premeasurement_state(sources=DEFAULT_SOURCES) -> DensityMatrix:
     """Reduced state of (1,3,6,8) before the robot's outcome is known: the
     mixture of the class states that the package's class map selects."""
-    entries = class_map(sources)
-    kets = np.array([class_state(entry).amplitudes for entry in entries])
-    probs = np.array([entry.weight / 16 for entry in entries])
-    return DensityMatrix((kets.T * probs) @ kets.conj(), KEPT_QUBITS)
+    kets = np.array([class_state(row).amplitudes for row in class_map(sources)])
+    return DensityMatrix(WEIGHT / 16 * kets.T @ kets.conj(), KEPT_QUBITS)
 
 
 @functools.cache

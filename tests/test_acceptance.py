@@ -114,18 +114,16 @@ def test_criterion_04_algebraic_maximum_attained():
 def test_criterion_05_swap_class_map():
     """The 16 robot outcomes are uniform and map bijectively onto the
     expressions, each reaching 9 on its resulting Bell product."""
-    entries = swap.class_map()
+    rows = swap.class_map()
     # probabilities and reduced states from the dense eight-qubit collapse
     dense = dense_swap(swap.DEFAULT_SOURCES)
-    probs = [e.weight / 16 for e in entries] + [prob for prob, _ in dense]
+    probs = [swap.WEIGHT / 16] + [prob for prob, _ in dense]
     prob_err = max(abs(p - 1 / 16.0) for p in probs)
     fid_min = 1.0
-    for entry, (_, rho) in zip(entries, dense):
-        fid_min = min(
-            fid_min, fidelity_with_pure(rho, class_state(entry))
-        )
-    matched = sorted(e.row for e in entries)
-    betas = sorted({swap.matched_beta(e) for e in entries})
+    for row, (_, rho) in zip(rows, dense):
+        fid_min = min(fid_min, fidelity_with_pure(rho, class_state(row)))
+    matched = sorted(rows)
+    betas = sorted({swap.matched_beta(row) for row in rows})
     ok = (
         prob_err <= 1e-10
         and fid_min >= 1.0 - 1e-9
@@ -165,18 +163,17 @@ def test_criterion_07_sampled_saturation():
     """1e5 seeded shots: every event saturates its class's expression and
     every per-class estimate equals 9.0 exactly."""
     shots = 100_000
-    entries = swap.class_map()
-    codes = sampler.sample_events(shots, 20240501, entries)
-    by_outcome = {e.outcome: e for e in entries}
+    rows = swap.class_map()
+    codes = sampler.sample_events(shots, 20240501, rows)
     # each event scores +1 on its class's expression if it saturates it and
     # -1 if not, so a class of n events scoring v holds (n - v) / 2 misses
     violations = sum(
-        int(row.sum() - behavior_value(by_outcome[outcome].row, row)) // 2
-        for outcome, row in zip(swap.ROBOT_OUTCOMES, event_counts(codes))
+        int(counts.sum() - behavior_value(row, counts)) // 2
+        for row, counts in zip(rows, event_counts(codes))
     )
     estimates = [
-        sampler.estimate_beta(row, by_outcome[outcome].row)[:2]
-        for outcome, row in zip(swap.ROBOT_OUTCOMES, sampler.class_counts(codes))
+        sampler.estimate_beta(counts, row)[:2]
+        for row, counts in zip(rows, sampler.class_counts(codes))
     ]
     ok = violations == 0 and all(num == 9 * L for num, L in estimates)
     _report(

@@ -26,19 +26,12 @@ from oracle import (
     protocol_joint_table,
 )
 
-from nlbox import inequalities, sampler
-from nlbox.sampler import (
-    BLOCK,
-    InsufficientSamplesError,
-    class_counts,
-    code_table,
-    estimate_beta,
-    sample_events,
-)
-from nlbox.swap import DEFAULT_SOURCES, ROBOT_OUTCOMES, class_map
+from nlbox import inequalities, sampler, swap
+from nlbox.sampler import BLOCK, class_counts, code_table, estimate_beta, sample_events
+from nlbox.swap import DEFAULT_SOURCES, class_map
 
-ENTRIES = class_map()
-TABLE = code_table(ENTRIES)
+ROWS = class_map()
+TABLE = code_table(ROWS)
 LARGEST_U = math.nextafter(1.0, 0.0)
 
 
@@ -49,7 +42,7 @@ def joint():
 
 
 def sample(shots, seed):
-    return sample_events(shots, seed, ENTRIES)
+    return sample_events(shots, seed, ROWS)
 
 
 def chi2_sf(stat: float, df: int) -> float:
@@ -83,7 +76,7 @@ def chi2_sf(stat: float, df: int) -> float:
             return scale * h
 
 
-def replay(monkeypatch, us, entries=ENTRIES):
+def replay(monkeypatch, us, rows=ROWS):
     """The codes that sample_events makes of the uniforms ``us``, in order."""
     values = iter(us)
 
@@ -95,7 +88,7 @@ def replay(monkeypatch, us, entries=ENTRIES):
             return next(values, 0.0)
 
     monkeypatch.setattr(sampler, "random", SimpleNamespace(Random=Replay))
-    return sample_events(len(us), 0, entries)
+    return sample_events(len(us), 0, rows)
 
 
 class TestReproducibility:
@@ -145,7 +138,7 @@ class TestReproducibility:
 
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError):
-            sample_events(0, 1, ENTRIES)
+            sample_events(0, 1, ROWS)
 
 
 class TestEventValidity:
@@ -174,9 +167,8 @@ class TestStatistics:
         # equals the sign-table entry of the matched expression: each event
         # scores +-1, so a class scores its size only if every event is +1
         counts = event_counts(sample(4000, 31))
-        by_outcome = {e.outcome: e for e in ENTRIES}
-        for outcome, row in zip(ROBOT_OUTCOMES, counts):
-            assert behavior_value(by_outcome[outcome].row, row) == row.sum()
+        for row, members in zip(ROWS, counts):
+            assert behavior_value(row, members) == members.sum()
 
     def test_setting_choices_are_uniform(self):
         shots = 18000
@@ -189,12 +181,10 @@ class TestStatistics:
 class TestEstimation:
     def test_matched_estimates_are_exactly_nine(self):
         codes = sample(20000, 404)
-        decoded = event_counts(codes)
-        for entry, row in zip(ENTRIES, class_counts(codes)):
-            members = decoded[ROBOT_OUTCOMES.index(entry.outcome)]
-            assert row == members.tolist()
-            num, L, counts = estimate_beta(row, entry.row)
-            assert sum(map(sum, counts)) == members.sum()
+        for row, counts, members in zip(ROWS, class_counts(codes), event_counts(codes)):
+            assert counts == members.tolist()
+            num, L, grid, empty = estimate_beta(counts, row)
+            assert sum(map(sum, grid)) == members.sum() and empty == []
             # per-event saturation makes every cell mean +-1, so the
             # estimate is exact, not merely close
             assert num == 9 * L
@@ -214,17 +204,16 @@ class TestEstimation:
                 events[16 * (3 * i + j) + b] = 1
         # nine events of +-1 each score 9 only if every one saturates
         assert behavior_value(0, events) == 9
-        num, L, counts = estimate_beta(events, 0)
-        assert num == 9 * L
-        assert counts == [[1, 1, 1]] * 3
+        # one event per cell: L = 1, and the numerator is the score 9
+        assert estimate_beta(events, 0) == (9, 1, [[1, 1, 1]] * 3, [])
 
     def test_insufficient_cells_are_reported(self):
         empty = (1, 8)  # cells (0, 1) and (2, 2)
         events = [int(i % 16 == 0 and i // 16 not in empty) for i in range(144)]
-        with pytest.raises(InsufficientSamplesError) as exc:
-            estimate_beta(events, 0)
-        assert exc.value.cells == [(0, 1), (2, 2)]
-        assert exc.value.grid == [[1, 0, 1], [1, 1, 1], [1, 1, 0]]
+        num, L, grid, empty = estimate_beta(events, 0)
+        assert num is None
+        assert empty == [(0, 1), (2, 2)]
+        assert grid == [[1, 0, 1], [1, 1, 1], [1, 1, 0]]
 
     @settings(max_examples=50)
     @given(st.lists(st.integers(0, 10**6), min_size=144, max_size=144), st.integers(0, 15))
@@ -238,7 +227,7 @@ class TestEstimation:
             Fraction(sum(c * v for c, v in zip(cell, row[16 * k : 16 * k + 16])), sum(cell))
             for k, cell in enumerate(cells)
         )
-        num, L, _ = estimate_beta(counts, k)
+        num, L, _, _ = estimate_beta(counts, k)
         assert Fraction(num, L) == exact
         assert num / L == float(exact)
 
@@ -247,14 +236,12 @@ class TestEstimation:
         # maximize, must stay within sampling error of the exact values
         ref = np.array(reference_doc["values"], dtype=float)
         members = class_counts(sample(60000, 77))[0]
-        entry = ENTRIES[0]
-        assert entry.outcome == ROBOT_OUTCOMES[0]
-        row = entry.row
+        row = ROWS[0]
         for k in (1, 6, 15):
-            num, L, counts = estimate_beta(members, k)
+            num, L, grid, _ = estimate_beta(members, k)
             # each cell mean has variance at most 1/n; the signed sum over
             # nine cells then has standard error sqrt(sum 1/n_ij)
-            se = math.sqrt(sum(1.0 / n for cells in counts for n in cells))
+            se = math.sqrt(sum(1.0 / n for cells in grid for n in cells))
             assert abs(num / L - ref[row, k]) < 5 * se
 
 
@@ -274,10 +261,10 @@ class TestEstimatorAgainstBehavior:
             n_cell = int(np.count_nonzero(cells == cell))
             ab = rng.choice(16, size=n_cell, p=flat[cell] / flat[cell].sum())
             drawn[16 * cell : 16 * cell + 16] = np.bincount(ab, minlength=16)
-        num, L, counts = estimate_beta(drawn.tolist(), 1)
+        num, L, grid, _ = estimate_beta(drawn.tolist(), 1)
         state = four_qubit_product(PHI_PLUS, PHI_PLUS)
         want = behavior_value(1, dense_behavior(state, *MATCHED_PAIRS))
-        se = math.sqrt(sum(1.0 / n for cells in counts for n in cells))
+        se = math.sqrt(sum(1.0 / n for cells in grid for n in cells))
         assert abs(num / L - want) < 5 * se
 
 
@@ -301,14 +288,14 @@ class TestExactTable:
         ],
     )
     def test_largest_variate_picks_a_possible_outcome(self, monkeypatch, sources):
-        entries = class_map(sources)
-        table = code_table(entries)
+        rows = class_map(sources)
+        table = code_table(rows)
         # the largest variate below 1 reads the last entry of the table,
         # an outcome of cell (2, 2) that the class's behavior allows
-        assert replay(monkeypatch, [LARGEST_U, 0.0], entries) == [table[1151], table[0]]
+        assert replay(monkeypatch, [LARGEST_U, 0.0], rows) == [table[1151], table[0]]
         cell, rest = divmod(table[1151], 256)
         c, ab = divmod(rest, 16)
-        behavior = inequalities.product_counts()[entries[c].row]
+        behavior = inequalities.product_counts()[rows[c]]
         assert cell == 8 and behavior[16 * cell + ab] > 0
 
     def test_floor_draw_is_the_contract_truncation(self, monkeypatch):
@@ -324,18 +311,19 @@ class TestExactTable:
         assert replay(monkeypatch, u) == [TABLE[int(1152 * v)] for v in u]
 
     @pytest.mark.parametrize(
-        "entries",
+        "weight, rows",
         [
-            # robot weight 2/16 on the first class: its outcomes are 1/64
-            [ENTRIES[0]._replace(weight=2), *ENTRIES[1:]],
+            # robot weight 2/16 on every class: its outcomes are 1/64
+            (2, ROWS),
             # a class listed twice: 136 outcomes of 1/128 per cell
-            [*ENTRIES, ENTRIES[0]],
+            (1, (*ROWS, ROWS[0])),
         ],
         ids=["probability", "duplicate"],
     )
-    def test_a_table_off_the_premise_is_an_error(self, entries):
+    def test_a_table_off_the_premise_is_an_error(self, monkeypatch, weight, rows):
+        monkeypatch.setattr(swap, "WEIGHT", weight)
         with pytest.raises(RuntimeError, match="not 1/128 on 128 outcomes"):
-            code_table(entries)
+            code_table(rows)
 
     def test_lookup_is_the_inverse_cdf(self, monkeypatch, joint):
         # second route: the flattened joint table of the dense collapse, in

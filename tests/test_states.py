@@ -150,10 +150,9 @@ class TestProducts:
         assert len(PRODUCT_LABELS) == 16
         # the package's row of a class's product is its matched expression's
         # row, and the default sources leave every product once
-        entries = swap.class_map()
-        assert sorted(e.resulting_state for e in entries) == list(PRODUCT_LABELS)
-        for entry in entries:
-            assert PRODUCT_LABELS.index(entry.resulting_state) == entry.row
+        rows = swap.class_map()
+        assert sorted(rows) == list(range(16))
+        assert [PRODUCT_LABELS[row] for row in rows] == [divmod(row, 4) for row in rows]
 
     def test_four_qubit_product_labels_and_norm(self):
         state = four_qubit_product(PHI_PLUS, PSI_MINUS)

@@ -11,6 +11,7 @@ from oracle import (
     PHI_MINUS,
     PHI_PLUS,
     PRODUCT_LABELS,
+    ROBOT_OUTCOMES,
     behavior_value,
     class_state,
     dense_behavior,
@@ -22,27 +23,22 @@ from oracle import (
 )
 
 from nlbox.inequalities import NUM_EXPRESSIONS, C, product_counts
-from nlbox.swap import BELL_CODES, ROBOT_OUTCOMES, RobotOutcome, class_map, matched_beta
+from nlbox.swap import BELL_CODES, WEIGHT, class_map, matched_beta
 
 
 class TestClassMap:
     def test_default_sources(self, default_class_map):
         assert len(default_class_map) == 16
-        matched = {e.row for e in default_class_map}
-        assert matched == set(range(NUM_EXPRESSIONS))
-        results = {e.resulting_state for e in default_class_map}
-        assert len(results) == 16
-        for entry in default_class_map:
-            assert entry.weight == 1
-            assert matched_beta(entry) == 144
+        assert sorted(default_class_map) == list(range(NUM_EXPRESSIONS))
+        assert WEIGHT == 1
+        for row in default_class_map:
+            assert matched_beta(row) == 144
 
     def test_other_sources_still_bijective(self):
-        entries = class_map((PHI_MINUS, PHI_PLUS))
-        matched = {e.row for e in entries}
-        assert matched == set(range(NUM_EXPRESSIONS))
-        for entry in entries:
-            assert entry.weight == 1
-            assert matched_beta(entry) == 144
+        rows = class_map((PHI_MINUS, PHI_PLUS))
+        assert sorted(rows) == list(range(NUM_EXPRESSIONS))
+        for row in rows:
+            assert matched_beta(row) == 144
 
     @pytest.mark.parametrize(
         "sources",
@@ -51,26 +47,24 @@ class TestClassMap:
     )
     def test_frame_rule_matches_dense_collapse(self, sources):
         # the second route collapses the eight-qubit source state for every
-        # robot outcome and identifies the reduced state by fidelity
-        entries = class_map(sources)
-        assert [e.outcome for e in entries] == list(ROBOT_OUTCOMES)
-        for entry, (prob, rho) in zip(entries, dense_swap(sources)):
-            assert abs(prob - 1 / 16) <= 1e-12
-            assert entry.weight == 1
-            assert fidelity_with_pure(rho, class_state(entry)) >= 1 - 1e-9
-            assert entry.resulting_state == identify_bell_product(rho)
+        # robot outcome, in the oracle's own order of (r1, r2), and
+        # identifies the reduced state by fidelity
+        rows = class_map(sources)
+        assert len(rows) == len(ROBOT_OUTCOMES) == 16
+        for row, (prob, rho) in zip(rows, dense_swap(sources)):
+            assert abs(prob - WEIGHT / 16) <= 1e-12
+            assert fidelity_with_pure(rho, class_state(row)) >= 1 - 1e-9
+            assert PRODUCT_LABELS[row] == identify_bell_product(rho)
             # the package's table row of the product is the Born behavior
             # of the collapsed state on Alice's (1, 3) and Bob's (6, 8)
-            row = product_counts()[PRODUCT_LABELS.index(entry.resulting_state)]
             born = 16 * density_behavior(rho, ALICE_PAIR, BOB_PAIR)
-            np.testing.assert_allclose(born, row, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(born, product_counts()[row], rtol=0, atol=1e-12)
 
     def test_outcome_order(self):
-        assert ROBOT_OUTCOMES[0] == RobotOutcome(PHI_PLUS, PHI_PLUS)
-        assert ROBOT_OUTCOMES[5] == RobotOutcome(
-            PHI_MINUS, PHI_MINUS
-        )
-        assert len(ROBOT_OUTCOMES) == 16
+        # class c = 4 r1 + r2 holds the robot's results (r1, r2); each swap
+        # adds a source's frame to itself, so every class leaves its own row
+        for sources in itertools.product(BELL_ORDER, repeat=2):
+            assert class_map(sources) == tuple(range(16))
 
     def test_identify_rejects_mixed_state(self):
         with pytest.raises(RuntimeError, match="no Bell-state product"):
@@ -106,6 +100,6 @@ class TestPremeasurementMarginal:
     def test_conditional_states_recover_violation(self, default_class_map):
         # conditioning on the robot's outcome turns the zero-mean marginal
         # into a state reaching the algebraic maximum
-        entry = default_class_map[3]
-        born = dense_behavior(class_state(entry), ALICE_PAIR, BOB_PAIR)
-        assert behavior_value(entry.row, born) == pytest.approx(9.0, abs=1e-9)
+        row = default_class_map[3]
+        born = dense_behavior(class_state(row), ALICE_PAIR, BOB_PAIR)
+        assert behavior_value(row, born) == pytest.approx(9.0, abs=1e-9)
