@@ -21,6 +21,8 @@ or joins fields with a separator, and no command reads ``--format``.
 No module imports numpy: the package runs on the standard library alone,
 and every command runs in an interpreter that cannot import numpy.
 
+No line of the package is longer than 100 characters.
+
 Importing the CLI loads neither ``dataclasses`` (nor ``inspect``, which
 it pulls in), ``typing`` nor ``importlib.resources``: the package's
 records are named tuples and the reference table is read by path.
@@ -133,6 +135,19 @@ def test_every_definition_has_a_caller_in_the_package(defining, reading):
     roots = sum((_used_names(tree) for tree in _parse(reading).values()), Counter())
     unused = _unreached(_parse(defining), roots)
     assert unused == [], f"defined but reached from no caller: {unused}"
+
+
+MAX_LINE = 100
+
+
+def test_no_line_is_longer_than_the_limit():
+    long = [
+        f"{path.name}:{number}: {len(line)} characters"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > MAX_LINE
+    ]
+    assert long == [], f"lines over {MAX_LINE} characters: {long}"
 
 
 def _complex_uses(tree: ast.Module) -> list[str]:
