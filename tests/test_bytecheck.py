@@ -1,9 +1,12 @@
-"""The byte check's table (tools/bytecheck.py) still fits the command line."""
+"""The byte check (tools/bytecheck.py): its table still fits the command
+line, and its verdict on fixed outcomes, with no tree built or run."""
 
 import contextlib
 import importlib.util
 import io
 from pathlib import Path
+
+import pytest
 
 from test_cli import USAGE_ARGV, USAGE_DIRS
 
@@ -35,3 +38,40 @@ def test_table_holds_every_usage_golden():
     assert len(table) == len(bytecheck.TABLE)
     for name, argv in USAGE_ARGV.items():
         assert (table[name].argv, list(table[name].dirs)) == (argv, USAGE_DIRS.get(name, []))
+
+
+@pytest.fixture
+def fake_trees(monkeypatch):
+    """Runs of no tree: every entry's outcome is the same on both sides, but
+    for the names in the returned set, whose stdout differs."""
+    differ = set()
+    monkeypatch.setattr(bytecheck, "export_trees", lambda parent, into: {"parent": "p", "change": "c"})
+
+    def run(entry, tree, where):
+        stdout = tree.encode() if entry.name in differ else b""
+        return bytecheck.Outcome(stdout, b"", 0, {})
+
+    monkeypatch.setattr(bytecheck, "run", run)
+    return differ
+
+
+@pytest.mark.parametrize(
+    "differ, expect, lines, counts, code",
+    [
+        ([], [], [], (0, 0), 0),
+        (["bounds"], ["bounds"], ["declared  bounds: stdout"], (0, 0), 0),
+        (["bounds"], [], ["DIFFERS  bounds: stdout"], (1, 0), 1),
+        ([], ["bounds", "help"], ["UNCHANGED  bounds", "UNCHANGED  help"], (0, 2), 1),
+    ],
+    ids=["same", "declared", "undeclared", "stale-expect"],
+)
+def test_exit_code_and_report(fake_trees, capsys, differ, expect, lines, counts, code):
+    fake_trees.update(differ)
+    argv = ["HEAD", *(arg for name in expect for arg in ("--expect", name))]
+    assert bytecheck.main(argv) == code
+    *reported, summary = capsys.readouterr().out.splitlines()
+    assert reported == lines
+    assert summary.startswith(
+        f"{len(bytecheck.TABLE)} entries, {counts[0]} undeclared differences, "
+        f"{counts[1]} declared but unchanged, "
+    )

@@ -9,8 +9,10 @@ tree as ``python -m nlbox ARGV`` in a fresh directory of its own, with
 outcome is its stdout, stderr, exit code, and the name and SHA-256 of every
 file in its directory afterwards.  A difference is allowed only on an entry
 declared with ``--expect NAME``; the check reports it and exits 1 on any
-other.  ``tests/test_bytecheck.py`` checks that every entry's options
-still parse; running the two trees stays out of the test suite.
+other, and on a declared entry whose outcome did not change
+(``UNCHANGED  NAME``).  ``tests/test_bytecheck.py`` checks that every
+entry's options still parse, and the verdict on fixed outcomes; running
+the two trees stays out of the test suite.
 """
 
 from __future__ import annotations
@@ -151,19 +153,22 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"no entries named {sorted(unknown)}")
     start = time.perf_counter()
-    failed = 0
+    failed = unchanged = 0
     with tempfile.TemporaryDirectory() as tmp:
         trees = export_trees(args.parent, Path(tmp))
         for entry in TABLE:
             parent, change = (run(entry, tree, Path(tmp) / side / "runs" / entry.name) for side, tree in trees.items())
             parts = [field for field, a, b in zip(Outcome._fields, parent, change) if a != b]
+            declared = entry.name in args.expect
             if parts:
-                declared = entry.name in args.expect
                 failed += not declared
                 print(f"{'declared' if declared else 'DIFFERS'}  {entry.name}: {', '.join(parts)}")
+            elif declared:
+                unchanged += 1
+                print(f"UNCHANGED  {entry.name}")
     seconds = time.perf_counter() - start
-    print(f"{len(TABLE)} entries, {failed} undeclared differences, {seconds:.1f} s")
-    return 1 if failed else 0
+    print(f"{len(TABLE)} entries, {failed} undeclared differences, {unchanged} declared but unchanged, {seconds:.1f} s")
+    return 1 if failed or unchanged else 0
 
 
 if __name__ == "__main__":
