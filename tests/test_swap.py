@@ -11,7 +11,6 @@ from oracle import (
     PHI_MINUS,
     PHI_PLUS,
     PRODUCT_LABELS,
-    ROBOT_OUTCOMES,
     behavior_value,
     class_state,
     dense_behavior,
@@ -49,9 +48,7 @@ class TestClassMap:
         # the second route collapses the eight-qubit source state for every
         # robot outcome, in the oracle's own order of (r1, r2), and
         # identifies the reduced state by fidelity
-        rows = class_map(sources)
-        assert len(rows) == len(ROBOT_OUTCOMES) == 16
-        for row, (prob, rho) in zip(rows, dense_swap(sources)):
+        for row, (prob, rho) in zip(class_map(sources), dense_swap(sources), strict=True):
             assert abs(prob - WEIGHT / 16) <= 1e-12
             assert fidelity_with_pure(rho, class_state(row)) >= 1 - 1e-9
             assert PRODUCT_LABELS[row] == identify_bell_product(rho)
