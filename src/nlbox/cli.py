@@ -159,20 +159,20 @@ def cmd_verify_table3(args) -> Report:
 
 def cmd_bounds(args) -> Report:
     """Deterministic and no-signaling bounds plus facet certificates."""
+    d, lhv_max, num_saturators, sat_dim, witnesses = polytope.facets()
     expressions = [
         {
-            "index": report.row + 1,
-            "lhv_max": report.lhv_max,
-            "ns_value": polytope.ns_bound(report.row),
-            "saturator_affine_dim": report.saturator_affine_dim,
-            "num_saturators": report.num_saturators,
-            "is_facet": report.is_facet,
-            "witness_alice": [OUTCOMES[o] for o in report.witness.alice],
-            "witness_bob": [OUTCOMES[o] for o in report.witness.bob],
+            "index": row + 1,
+            "lhv_max": lhv_max,
+            "ns_value": polytope.ns_bound(row),
+            "saturator_affine_dim": sat_dim,
+            "num_saturators": num_saturators,
+            "is_facet": sat_dim == d - 1,
+            "witness_alice": [OUTCOMES[o] for o in alice],
+            "witness_bob": [OUTCOMES[o] for o in bob],
         }
-        for report in map(polytope.facet_check, range(16))
+        for row, (alice, bob) in enumerate(witnesses)
     ]
-    d = polytope.polytope_affine_dim()
     doc = {"command": "bounds", "polytope_affine_dim": d, "expressions": expressions}
     # a CSV row is an expression's record with the polytope's dimension after ns_value
     keys = list(expressions[0])
@@ -191,7 +191,7 @@ def cmd_swap_map(args) -> Report:
             "resulting_state": _codes(divmod(row, 4)),
             "matched_inequality": row + 1,
             "probability": sig12(swap.WEIGHT, 16),
-            "beta": sig12(swap.matched_beta(row), 16),
+            "beta": sig12(inequalities.matched_beta(row), 16),
         }
         for c, row in enumerate(swap.class_map(args.sources))
     ]

@@ -97,6 +97,11 @@ def dot(row, behavior) -> int:
     return sum(map(operator.mul, row, behavior))
 
 
+def matched_beta(row: int) -> int:
+    """Value of the expression of row ``row`` on the product of that row, in sixteenths."""
+    return dot(product_counts()[row], C[row])
+
+
 @functools.cache
 def product_counts() -> tuple[tuple[int, ...], ...]:
     """16 p(a, b | x, y) of every Bell product: 16 tuples of 144 ints.

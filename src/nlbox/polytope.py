@@ -9,8 +9,8 @@ all sixteen facets, of the 64x12 party table and of expression 1's
 saturators, are computed by fraction-free integer elimination, never
 floating point.  An expression is named by its row in ``inequalities.C``,
 row k being expression k + 1.  Every expression is row 0 with Alice's
-outcomes relabeled, a -> a ^ h_x, so each one's maximum, saturator count
-and witness are read off row 0's values alone.
+outcomes relabeled, a -> a ^ h_x, so ``facets`` evaluates and ranks row 0
+alone, once, and reads every row's witness off row 0's saturators.
 """
 
 from __future__ import annotations
@@ -18,22 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import namedtuple
-from functools import lru_cache
 
-from .inequalities import SIGN_TABLES, C, dot, product_counts
+from .inequalities import SIGN_TABLES, C, matched_beta
 
 NUM_PARTY_STRATEGIES = 64
 # (x, y, a, b) of behavior column 16*(3x + y) + 4a + b, in column order
 _COLUMNS = tuple(itertools.product(range(3), range(3), range(4), range(4)))
-
-
-# One deterministic outcome assignment per party, setting -> outcome.
-DeterministicStrategy = namedtuple("DeterministicStrategy", "alice bob")
-FacetReport = namedtuple(
-    "FacetReport",
-    "row lhv_max witness polytope_affine_dim saturator_affine_dim num_saturators is_facet",
-)
 
 
 def party_strategies() -> tuple[tuple[int, int, int], ...]:
@@ -76,7 +66,7 @@ def ns_bound(row: int) -> int:
     signals a construction bug.
     """
     bound = sum(abs(s) for signs in SIGN_TABLES[row] for s in signs)
-    attained = dot(product_counts()[row], C[row])
+    attained = matched_beta(row)
     if attained != 16 * bound:
         raise RuntimeError(
             f"expression {row + 1}: matched state reaches {attained}/16, "
@@ -118,7 +108,6 @@ def integer_rank(mat) -> int:
     return len(pivots)
 
 
-@lru_cache(maxsize=1)
 def polytope_affine_dim() -> int:
     """Affine dimension of the local polytope, r**2 - 1 for r = rank of the party table.
 
@@ -128,7 +117,6 @@ def polytope_affine_dim() -> int:
     return integer_rank(party_table()) ** 2 - 1
 
 
-@lru_cache(maxsize=1)
 def _orbit_of_one() -> tuple[dict, int, tuple[int, ...], int]:
     """Row 0 under the 64 relabelings a -> a ^ h_x of Alice's outcomes.
 
@@ -153,30 +141,24 @@ def _orbit_of_one() -> tuple[dict, int, tuple[int, ...], int]:
     return images, bound, saturators, rank - 1
 
 
-def facet_check(row: int) -> FacetReport:
-    """Certify whether the expression of row ``row`` supports a facet of the local polytope.
+def facets() -> tuple:
+    """Certify every expression of ``C`` as a facet of the local polytope.
 
-    The expression is a facet iff its saturating vertices span an affine
-    subspace of dimension exactly one less than the polytope's.  The row
-    must equal row 0 relabeled by a flip h, or this raises
-    ``RuntimeError``.  Strategy indices are 16 f_0 + 4 f_1 + f_2, so the
-    relabeling maps vertex v to v ^ (h << 6): the expression shares
-    row 0's maximum, saturator count and dimension, and its witness, the
-    first maximum in Alice-major order, is the least mapped saturator.
+    Returns the polytope's affine dimension; the maximum, saturator count
+    and saturators' affine dimension that every expression shares with
+    row 0; and each row's witness, an (alice, bob) pair of strategies.  An
+    expression is a facet iff its saturators' dimension is one less than
+    the polytope's.  Each row must equal row 0 relabeled by a flip h, or
+    this raises ``RuntimeError``.  Strategy indices are 16 f_0 + 4 f_1 + f_2,
+    so the relabeling maps vertex v to v ^ (h << 6), and a row's witness,
+    its first maximum in Alice-major order, is the least mapped saturator.
     """
     images, bound, saturators, sat_dim = _orbit_of_one()
-    h = images.get(C[row])
-    if h is None:
-        raise RuntimeError(f"expression {row + 1} is not a relabeling of expression 1")
-    singles = party_strategies()
-    f, g = divmod(min(v ^ (h << 6) for v in saturators), NUM_PARTY_STRATEGIES)
-    d = polytope_affine_dim()
-    return FacetReport(
-        row=row,
-        lhv_max=bound,
-        witness=DeterministicStrategy(singles[f], singles[g]),
-        polytope_affine_dim=d,
-        saturator_affine_dim=sat_dim,
-        num_saturators=len(saturators),
-        is_facet=sat_dim == d - 1,
-    )
+    singles, witnesses = party_strategies(), []
+    for row in range(len(C)):
+        h = images.get(C[row])
+        if h is None:
+            raise RuntimeError(f"expression {row + 1} is not a relabeling of expression 1")
+        f, g = divmod(min(v ^ (h << 6) for v in saturators), NUM_PARTY_STRATEGIES)
+        witnesses.append((singles[f], singles[g]))
+    return polytope_affine_dim(), bound, len(saturators), sat_dim, tuple(witnesses)

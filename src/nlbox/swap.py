@@ -23,13 +23,11 @@ dense collapse of the eight-qubit state.
 
 A robot outcome (r1, r2) is its class c = 4 * r1 + r2, and the class map
 is the tuple of the sixteen rows that the classes leave.  Every class has
-the weight ``WEIGHT``; weights and values are integer sixteenths, and
-only the CLI's ``sig12`` makes floats of them.
+the weight ``WEIGHT``, an integer number of sixteenths, and only the
+CLI's ``sig12`` makes a float of it.
 """
 
 from __future__ import annotations
-
-from .inequalities import C, dot, product_counts
 
 # The command line's code of each Bell state, indexed by the state.
 BELL_CODES = ("PP", "PM", "SP", "SM")
@@ -72,7 +70,3 @@ def class_map(sources: tuple[int, int] = DEFAULT_SOURCES) -> tuple[int, ...]:
         for r2 in range(4)
     )
 
-
-def matched_beta(row: int) -> int:
-    """Value of the expression of row ``row`` on the product of that row, in sixteenths."""
-    return dot(product_counts()[row], C[row])

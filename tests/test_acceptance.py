@@ -32,7 +32,7 @@ from oracle import (
 )
 
 from nlbox import cli, polytope, sampler, swap
-from nlbox.inequalities import C, NUM_EXPRESSIONS, product_counts
+from nlbox.inequalities import C, NUM_EXPRESSIONS, matched_beta, product_counts
 
 
 def _report(num: int, ok: bool, description: str) -> None:
@@ -78,15 +78,16 @@ def test_criterion_03_facet_dimension():
     each expression's own saturators; the certificates must agree."""
     verts = vertex_matrix()
     d = integer_rank(verts[1:] - verts[0])
-    reports = [polytope.facet_check(k) for k in range(NUM_EXPRESSIONS)]
+    polytope_dim, _, _, sat_dim, witnesses = polytope.facets()
     direct = [
         integer_rank(sat[1:] - sat[0])
-        for sat in (verts[verts @ np.asarray(C[r.row]) == 7] for r in reports)
+        for sat in (verts[verts @ np.asarray(C[k]) == 7] for k in range(NUM_EXPRESSIONS))
     ]
     sat_dims = sorted(set(direct))
-    ok = d == polytope.polytope_affine_dim() and all(
-        r.is_facet and r.saturator_affine_dim == dim == d - 1
-        for r, dim in zip(reports, direct)
+    ok = (
+        d == polytope_dim
+        and len(witnesses) == NUM_EXPRESSIONS
+        and all(sat_dim == dim == d - 1 for dim in direct)
     )
     _report(
         3,
@@ -123,7 +124,7 @@ def test_criterion_05_swap_class_map():
     for row, (_, rho) in zip(rows, dense):
         fid_min = min(fid_min, fidelity_with_pure(rho, class_state(row)))
     matched = sorted(rows)
-    betas = sorted({swap.matched_beta(row) for row in rows})
+    betas = sorted({matched_beta(row) for row in rows})
     ok = (
         prob_err <= 1e-10
         and fid_min >= 1.0 - 1e-9

@@ -22,8 +22,7 @@ from nlbox.inequalities import NUM_EXPRESSIONS, SIGN_TABLES, C, coefficient_rows
 from nlbox.observables import ALICE_PAULIS
 from nlbox.polytope import (
     NUM_PARTY_STRATEGIES,
-    DeterministicStrategy,
-    facet_check,
+    facets,
     integer_rank,
     ns_bound,
     party_strategies,
@@ -33,11 +32,13 @@ from nlbox.polytope import (
 )
 
 
-def strategy_behavior(strategy: DeterministicStrategy) -> Behavior:
+def strategy_behavior(strategy) -> Behavior:
+    """The behavior of an (alice, bob) pair of deterministic strategies."""
+    alice, bob = strategy
     probs = np.zeros((3, 3, 4, 4))
     for x in range(3):
         for y in range(3):
-            probs[x, y, strategy.alice[x], strategy.bob[y]] = 1.0
+            probs[x, y, alice[x], bob[y]] = 1.0
     return Behavior(probs)
 
 
@@ -60,7 +61,7 @@ class TestIntegerRank:
         assert integer_rank(np.array([[2, 4], [1, 2]])) == 1
         assert integer_rank(np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
 
-    def test_large_entries_promote_cleanly(self):
+    def test_large_entries_rank_exactly(self):
         big = 2**40
         mat = np.array([[big, 1], [1, big]], dtype=np.int64)
         assert integer_rank(mat) == 2
@@ -139,16 +140,17 @@ class TestVertices:
 
 class TestBounds:
     def test_lhv_maximum_is_seven_everywhere(self):
-        for k in range(NUM_EXPRESSIONS):
-            report = facet_check(k)
-            assert report.row == k
-            assert report.lhv_max == 7
+        _, lhv_max, _, _, witnesses = facets()
+        assert lhv_max == 7
+        assert len(witnesses) == NUM_EXPRESSIONS
+        for k, witness in enumerate(witnesses):
             # recompute the witness value through the scalar route
-            assert behavior_value(k, strategy_behavior(report.witness).probs.reshape(144)) == 7
+            assert behavior_value(k, strategy_behavior(witness).probs.reshape(144)) == 7
 
     def test_witness_realizes_seven_as_a_behavior(self):
+        witnesses = facets()[4]
         for k in (0, 7, 15):
-            behavior = strategy_behavior(facet_check(k).witness)
+            behavior = strategy_behavior(witnesses[k])
             assert behavior.probs.reshape(144) @ C[k] == 7
 
     def test_beta_matrix_agrees_with_scalar_route(self):
@@ -158,7 +160,7 @@ class TestBounds:
         for _ in range(40):
             f = int(rng.integers(NUM_PARTY_STRATEGIES))
             g = int(rng.integers(NUM_PARTY_STRATEGIES))
-            strat = DeterministicStrategy(singles[f], singles[g])
+            strat = (singles[f], singles[g])
             assert mat[f, g] == behavior_value(2, strategy_behavior(strat).probs.reshape(144))
 
     def test_ns_bound_is_nine_and_attained(self):
@@ -181,12 +183,10 @@ class TestBounds:
 
 class TestFacets:
     def test_every_expression_is_a_facet(self):
-        for k in range(NUM_EXPRESSIONS):
-            report = facet_check(k)
-            assert report.lhv_max == 7
-            assert report.polytope_affine_dim == 99
-            assert report.saturator_affine_dim == 98
-            assert report.is_facet
+        d, lhv_max, num_saturators, sat_dim, witnesses = facets()
+        assert (d, lhv_max, num_saturators, sat_dim) == (99, 7, 144, 98)
+        assert sat_dim == d - 1
+        assert len(witnesses) == NUM_EXPRESSIONS
 
     def test_saturator_dims_match_direct_ranks(self):
         # the package ranks expression 1's saturators and reads every
@@ -194,15 +194,14 @@ class TestFacets:
         # here each expression is evaluated and ranked on its own, and the
         # witness is the first maximum of the vertex matrix, row 64f + g
         verts, singles = vertex_matrix(), party_strategies()
+        _, lhv_max, num_saturators, sat_dim, witnesses = facets()
         for k in range(NUM_EXPRESSIONS):
             values = verts @ np.asarray(C[k])
             sat = verts[values == 7]
-            report = facet_check(k)
-            assert oracle_rank(sat[1:] - sat[0]) == report.saturator_affine_dim == 98
-            assert sat.shape[0] == report.num_saturators == vertex_values(k).count(7)
+            assert oracle_rank(sat[1:] - sat[0]) == sat_dim == 98
+            assert sat.shape[0] == num_saturators == vertex_values(k).count(7)
             f, g = divmod(int(np.argmax(values)), NUM_PARTY_STRATEGIES)
-            witness = DeterministicStrategy(singles[f], singles[g])
-            assert (report.lhv_max, report.witness) == (values.max(), witness)
+            assert (lhv_max, witnesses[k]) == (values.max(), (singles[f], singles[g]))
 
     @pytest.mark.parametrize("other", [2, 9, 16, 0])
     def test_saturator_rank_holds_off_expression_one(self, monkeypatch, other):
@@ -218,11 +217,7 @@ class TestFacets:
         values = vertex_matrix() @ row
         sat = vertex_matrix()[values == values.max()]
         monkeypatch.setattr(polytope, "C", (tuple(int(v) for v in row), *C[1:]))
-        polytope._orbit_of_one.cache_clear()
-        try:
-            _, bound, saturators, dim = polytope._orbit_of_one()
-        finally:
-            polytope._orbit_of_one.cache_clear()
+        _, bound, saturators, dim = polytope._orbit_of_one()
         assert (bound, len(saturators)) == (values.max(), sat.shape[0])
         assert dim == oracle_rank(sat[1:] - sat[0]) == (55 if other else 45)
 
@@ -255,12 +250,12 @@ class TestFacets:
     def test_saturators_of_expression_one(self):
         verts = vertex_matrix()
         sat = verts[verts @ np.asarray(C[0]) == 7]
-        assert sat.shape[0] == facet_check(0).num_saturators
+        assert sat.shape[0] == facets()[2]
         # every saturating vertex really evaluates to 7: read its strategy
         # off the one-hot cells and score it through the scalar route
         for row in sat[:20]:
             cells = Behavior(row.reshape(3, 3, 4, 4).astype(float)).probs
             alice = tuple(int(np.argmax(cells[x, 0].sum(axis=1))) for x in range(3))
             bob = tuple(int(np.argmax(cells[0, y].sum(axis=0))) for y in range(3))
-            behavior = strategy_behavior(DeterministicStrategy(alice, bob))
+            behavior = strategy_behavior((alice, bob))
             assert behavior_value(0, behavior.probs.reshape(144)) == 7

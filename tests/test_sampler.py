@@ -31,8 +31,14 @@ from nlbox.sampler import BLOCK, class_counts, code_table, estimate_beta, sample
 from nlbox.swap import DEFAULT_SOURCES, class_map
 
 ROWS = class_map()
-TABLE = code_table(ROWS)
 LARGEST_U = math.nextafter(1.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def table():
+    """The default sources' code table, built by the first test that asks,
+    so that a ``code_table`` that raises fails those tests, not collection."""
+    return code_table(ROWS)
 
 
 @pytest.fixture(scope="module")
@@ -113,11 +119,11 @@ class TestReproducibility:
         long = sample(4 * BLOCK, 2718)
         assert sample(shots, 2718) == long[:shots]
 
-    def test_substreams_are_independent_of_shot_count(self):
+    def test_substreams_are_independent_of_shot_count(self, table):
         # block 1 is drawn from random.Random("123:1") alone: BLOCK
         # uniforms, each picking one of the 1152 codes
         rng = random.Random("123:1")
-        block = [TABLE[int(1152 * rng.random())] for _ in range(BLOCK)]
+        block = [table[int(1152 * rng.random())] for _ in range(BLOCK)]
         for shots in (BLOCK + 1, BLOCK + 300, 2 * BLOCK, 2 * BLOCK + 7):
             tail = sample(shots, 123)[BLOCK : 2 * BLOCK]
             assert tail == block[: len(tail)]
@@ -269,7 +275,7 @@ class TestEstimatorAgainstBehavior:
 
 
 class TestExactTable:
-    def test_rows_are_distributions(self, joint):
+    def test_rows_are_distributions(self, joint, table):
         # the dense collapse's rows: every entry is 0 or 1/128, 128 of them
         # positive, and the code table lists each row's positive columns
         assert joint.shape == (9, 256)
@@ -277,8 +283,8 @@ class TestExactTable:
         assert np.allclose(joint, np.rint(128 * joint) / 128, atol=1e-12)
         assert np.all(np.rint(128 * joint).sum(axis=1) == 128)
         support = [256 * cell + col for cell, col in zip(*np.nonzero(joint > 1e-12))]
-        assert list(TABLE) == support
-        assert len(TABLE) == 1152
+        assert list(table) == support
+        assert len(table) == 1152
 
     @pytest.mark.parametrize(
         "sources",
@@ -298,7 +304,7 @@ class TestExactTable:
         behavior = inequalities.product_counts()[rows[c]]
         assert cell == 8 and behavior[16 * cell + ab] > 0
 
-    def test_floor_draw_is_the_contract_truncation(self, monkeypatch):
+    def test_floor_draw_is_the_contract_truncation(self, monkeypatch, table):
         # contract 3 reads entry int(1152 u) and the sampler computes
         # floor(u * 1152.0): they must agree at 0, at LARGEST_U, at every
         # bucket edge k/1152 and at both float neighbours of each edge
@@ -308,7 +314,7 @@ class TestExactTable:
         u += [math.nextafter(e, 1.0) for e in edges[:-1]]
         assert all(0.0 <= v < 1.0 for v in u) and len(set(u)) == 3 * 1152
         assert [math.floor(v * 1152.0) for v in u] == [int(1152 * v) for v in u]
-        assert replay(monkeypatch, u) == [TABLE[int(1152 * v)] for v in u]
+        assert replay(monkeypatch, u) == [table[int(1152 * v)] for v in u]
 
     @pytest.mark.parametrize(
         "weight, rows",

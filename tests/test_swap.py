@@ -21,8 +21,8 @@ from oracle import (
     premeasurement_state,
 )
 
-from nlbox.inequalities import NUM_EXPRESSIONS, C, product_counts
-from nlbox.swap import BELL_CODES, WEIGHT, class_map, matched_beta
+from nlbox.inequalities import NUM_EXPRESSIONS, C, matched_beta, product_counts
+from nlbox.swap import BELL_CODES, WEIGHT, class_map
 
 
 class TestClassMap:

@@ -48,8 +48,10 @@ TABLE = (
     ),
     *(Entry(c, [c], True) for c in ("verify-table3", "bounds", "swap-map", "sample")),
     Entry("sample-50-0", ["sample", "--shots", "50", "--seed", "0"], True),
-    Entry("sample-400-0-json", ["sample", "--shots", "400", "--seed", "0", "--format", "json"], True),
-    Entry("sample-400-0-csv", ["sample", "--shots", "400", "--seed", "0", "--format", "csv"], True),
+    *(
+        Entry(f"sample-400-0-{f}", ["sample", "--shots", "400", "--seed", "0", "--format", f], True)
+        for f in ("json", "csv")
+    ),
     Entry("sample-100003-1", ["sample", "--shots", "100003", "--seed", "1"], True),
     # the usage goldens (tests/test_cli.py USAGE_ARGV), under the same names
     Entry("no-command", [], False),
@@ -80,7 +82,11 @@ TABLE = (
         for a, b in itertools.product(CODES, repeat=2)
     ),
     *(
-        Entry(f"sample-{a}-{b}", ["sample", "--shots", "300", "--format", "csv", "--sources", f"{a},{b}"], True)
+        Entry(
+            f"sample-{a}-{b}",
+            ["sample", "--shots", "300", "--format", "csv", "--sources", f"{a},{b}"],
+            True,
+        )
         for a, b in itertools.product(CODES, repeat=2)
     ),
     Entry("sources-spaced", ["swap-map", "--sources", " SP , PM "], True),
@@ -89,13 +95,26 @@ TABLE = (
     Entry("sources-half", ["swap-map", "--sources", "PP,"], False),
     Entry("sources-empty", ["sample", "--sources", ""], False),
     # --out on a file, below a file, and on a directory in a sample run
-    Entry("out-on-file", ["bounds", "--out", "f"], True, files={"f": "old\n"}),
-    Entry("out-below-file", ["bounds", "--out", "f/x.json"], True, files={"f": "old\n"}),
-    Entry("out-two-below-file", ["bounds", "--out", "f/sub/x.json"], True, files={"f": "old\n"}),
-    Entry("sample-out-on-file", ["sample", "--shots", "10", "--out", "f"], True, files={"f": "old\n"}),
-    Entry("sample-events-dir", ["sample", "--shots", "10", "--out", "r"], True, dirs=("r", "r/events.csv")),
+    *(
+        Entry(name, argv, True, files={"f": "old\n"})
+        for name, argv in (
+            ("out-on-file", ["bounds", "--out", "f"]),
+            ("out-below-file", ["bounds", "--out", "f/x.json"]),
+            ("out-two-below-file", ["bounds", "--out", "f/sub/x.json"]),
+            ("sample-out-on-file", ["sample", "--shots", "10", "--out", "f"]),
+        )
+    ),
+    Entry(
+        "sample-events-dir",
+        ["sample", "--shots", "10", "--out", "r"],
+        True,
+        dirs=("r", "r/events.csv"),
+    ),
     # stdout closed, and stdout on a full device
-    *(Entry(f"closed-{c}", [c], True, stdout="closed") for c in ("verify-table3", "bounds", "swap-map")),
+    *(
+        Entry(f"closed-{c}", [c], True, stdout="closed")
+        for c in ("verify-table3", "bounds", "swap-map")
+    ),
     Entry("closed-sample", ["sample", "--shots", "10"], True, stdout="closed"),
     Entry("full-verify-table3", ["verify-table3"], True, stdout="full"),
     Entry("full-swap-map-csv", ["swap-map", "--format", "csv"], True, stdout="full"),
@@ -147,7 +166,9 @@ def run(entry: Entry, tree: Path, where: Path) -> Outcome:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("parent", help="the commit to compare with, such as HEAD~1")
-    parser.add_argument("--expect", action="append", default=[], metavar="NAME", help="an entry allowed to differ")
+    parser.add_argument(
+        "--expect", action="append", default=[], metavar="NAME", help="an entry allowed to differ"
+    )
     args = parser.parse_args(argv)
     unknown = set(args.expect) - {entry.name for entry in TABLE}
     if unknown:
@@ -157,7 +178,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = export_trees(args.parent, Path(tmp))
         for entry in TABLE:
-            parent, change = (run(entry, tree, Path(tmp) / side / "runs" / entry.name) for side, tree in trees.items())
+            parent, change = (
+                run(entry, tree, Path(tmp) / side / "runs" / entry.name)
+                for side, tree in trees.items()
+            )
             parts = [field for field, a, b in zip(Outcome._fields, parent, change) if a != b]
             declared = entry.name in args.expect
             if parts:
@@ -167,7 +191,10 @@ def main(argv=None) -> int:
                 unchanged += 1
                 print(f"UNCHANGED  {entry.name}")
     seconds = time.perf_counter() - start
-    print(f"{len(TABLE)} entries, {failed} undeclared differences, {unchanged} declared but unchanged, {seconds:.1f} s")
+    print(
+        f"{len(TABLE)} entries, {failed} undeclared differences, "
+        f"{unchanged} declared but unchanged, {seconds:.1f} s"
+    )
     return 1 if failed or unchanged else 0
 
 
