@@ -12,14 +12,15 @@ deterministic or sampled, is a dot product with a behavior.
 
 The Born behaviors of the sixteen Bell-state products are one exact
 integer table, :func:`product_counts`, holding 16 p(a, b | x, y), derived
-from the parties' signed Pauli strings and the pairs' Pauli frames with
-no float step.  Every entry is 0 or 2, so each product is the nonlocal
-box of its expression, 16 p = C[k] + 1 on row k.  Every expression is
-bounded by 7 for local deterministic models and by 9 algebraically; each
-product reaches 9 on exactly one expression, and the dot products of the
-rows of ``product_counts()`` with those of ``C`` are 16 times the table of
-all 256 values.  Every table here is a tuple of Python int tuples: exact,
-with no overflow, and immutable by type.
+from the parties' signed Pauli strings with no float step.  Row k of it
+and of ``C`` is row 0 with Alice's outcomes relabeled by the Pauli frames
+of product k, ``relabel(row, flip(k))``.  Every entry is 0 or 2, so each
+product is the nonlocal box of its expression, 16 p = C[k] + 1 on row k.
+Every expression is bounded by 7 for local deterministic models and by 9
+algebraically; each product reaches 9 on exactly one expression, and the
+dot products of the rows of ``product_counts()`` with those of ``C`` are
+16 times the table of all 256 values.  Every table here is a tuple of
+Python int tuples: exact, with no overflow, and immutable by type.
 """
 
 from __future__ import annotations
@@ -102,6 +103,35 @@ def matched_beta(row: int) -> int:
     return dot(product_counts()[row], C[row])
 
 
+# (x, y, a, b) of behavior column 16*(3x + y) + 4a + b, in column order
+_COLUMNS = tuple(itertools.product(range(3), range(3), range(4), range(4)))
+
+
+def relabel(row, h: int) -> tuple[int, ...]:
+    """``row`` with Alice's outcome a at setting x read as a ^ h_x, h = 16 h_0 + 4 h_1 + h_2."""
+    return tuple(
+        row[16 * (3 * x + y) + 4 * (a ^ (h >> 4 - 2 * x) & 3) + b] for x, y, a, b in _COLUMNS
+    )
+
+
+def flip(k: int) -> int:
+    """Alice's relabeling h that takes row 0 to row k, as 16 h_0 + 4 h_1 + h_2.
+
+    Product k is Phi+ (x) Phi+ with X^x1 Z^z1 (x) X^x2 Z^z2 on Alice's
+    qubits, (x1, z1) and (x2, z2) being the frames of its two pairs.  Bit 1
+    of h_x is set iff that Pauli anticommutes with ``ALICE_PAULIS[x][0]``,
+    bit 0 iff it anticommutes with ``ALICE_PAULIS[x][1]``.
+    """
+    frames = (divmod(k >> 2, 2), divmod(k & 3, 2))
+    # a letter anticommutes with X^x Z^z when it is X and z = 1, Y and x ^ z = 1, or Z and x = 1
+    bits = [
+        sum({"X": z, "Y": x ^ z, "Z": x}.get(p, 0) for p, (x, z) in zip(string, frames)) & 1
+        for first, second, _ in observables.ALICE_PAULIS
+        for string in (first, second)
+    ]
+    return sum(bit << 5 - i for i, bit in enumerate(bits))
+
+
 @functools.cache
 def product_counts() -> tuple[tuple[int, ...], ...]:
     """16 p(a, b | x, y) of every Bell product: 16 tuples of 144 ints.
@@ -109,39 +139,22 @@ def product_counts() -> tuple[tuple[int, ...], ...]:
     Row 4 * first + second is the Bell product (first, second), Bell states
     numbered 2x + z by their Pauli frames (x, z) as in ``swap``: bell(first)
     on the parties' first qubits and bell(second) on their second ones.
-    Entry 16*(3x + y) + 4a + b is
-    sum_{m, n} chi_m(a) chi_n(b) <A_x^m (x) B_y^n>, summed over the masks
-    of both parties' Pauli strings (see ``observables``).  On a Bell
-    product each <A (x) B> is the product of one expectation per pair, and
-    each of those is 0 or +-1, read off the pair's Pauli frame.
+    Entry 16*(3x + y) + 4a + b is sum_{m, n} chi_m(a) chi_n(b) <A_x^m (x) B_y^n>
+    over the masks of both parties' Pauli strings (see ``observables``),
+    computed on Phi+ (x) Phi+.  A Pauli on Alice's qubits flips the sign of
+    each of her strings it anticommutes with, so product k is product 0
+    with her outcomes relabeled by ``flip(k)``.
     """
-    # pair[f][P] = <P (x) P> on the Bell pair of frame f, in the letter order
-    # IXYZ (<P (x) Q> is 0 for P != Q): on Phi+ 1 for II, XX, ZZ and -1 for
-    # YY; the frame's z flips the sign of XX and YY, its x that of YY and ZZ.
-    pair = [
-        (1, (-1) ** z, -((-1) ** (x ^ z)), (-1) ** x)
-        for x, z in (divmod(i, 2) for i in range(4))
-    ]
-    alice_signs, alice = observables.pauli_table(observables.ALICE_PAULIS)
-    bob_signs, bob = observables.pauli_table(observables.BOB_PAULIS)
+    # <P (x) P> on Phi+ is -1 for P = Y and 1 otherwise, and <P (x) Q> is 0 for
+    # P != Q: a term survives where the strings' letters agree on both pairs
     chi = [tuple(mask_value(a, m) for a in range(4)) for m in (0, *MASKS)]
-    # each cell's nonzero <A_x^m (x) B_y^n>, where the strings' letters agree
-    # on both pairs, matched once for all products: the letters (p, q) and
-    # the strings' signs times chi_m(a) chi_n(b) over (a, b)
-    cells = [
-        [
-            (p, q, [alice_signs[x][m] * bob_signs[y][n] * s * t for s in chi[m] for t in chi[n]])
-            for m, (p, q) in enumerate(alice[x])
-            for n, letters in enumerate(bob[y])
-            if letters == (p, q)
+    row = []
+    for x, y in itertools.product(range(3), repeat=2):
+        terms = [
+            ((-1) ** (alice.count("-") + bob.count("-") + alice.count("Y")), chi[m], chi[n])
+            for m, alice in enumerate(("II", *observables.ALICE_PAULIS[x]))
+            for n, bob in enumerate(("II", *observables.BOB_PAULIS[y]))
+            if alice.lstrip("-") == bob.lstrip("-")
         ]
-        for x, y in itertools.product(range(3), repeat=2)
-    ]
-    rows = []
-    for first, second in itertools.product(pair, repeat=2):
-        row = []
-        for terms in cells:
-            scaled = ([first[p] * second[q] * v for v in vector] for p, q, vector in terms)
-            row += map(sum, zip(*scaled))
-        rows.append(tuple(row))
-    return tuple(rows)
+        row += (sum(e * u[a] * v[b] for e, u, v in terms) for a in range(4) for b in range(4))
+    return tuple(relabel(row, flip(k)) for k in range(NUM_EXPRESSIONS))

@@ -25,23 +25,8 @@ MASKS = (0b10, 0b01, 0b11)
 # third string is the product of its first two.
 ALICE_PAULIS = (("ZI", "IZ", "ZZ"), ("IX", "XI", "XX"), ("ZX", "XZ", "YY"))
 BOB_PAULIS = (("ZI", "IX", "ZX"), ("IZ", "XI", "XZ"), ("ZZ", "XX", "-YY"))
-PAULI_LETTERS = "IXYZ"
 
 
 def mask_value(outcome: int, mask: int) -> int:
     """Sign of an outcome under a mask: (-1)^popcount(outcome & mask)."""
     return (-1) ** (outcome & mask).bit_count()
-
-
-def pauli_table(strings) -> tuple[tuple, tuple]:
-    """Signs [setting][mask] and letters [setting][mask][qubit] of a party's strings.
-
-    Both are tuples of int tuples.  The mask axis runs over 0 and ``MASKS``,
-    so the identity comes first; a letter is its index in ``PAULI_LETTERS``.
-    """
-    rows = [("II", *row) for row in strings]
-    signs = tuple(tuple(-1 if s.startswith("-") else 1 for s in row) for row in rows)
-    letters = tuple(
-        tuple(tuple(PAULI_LETTERS.index(c) for c in s.lstrip("-")) for s in row) for row in rows
-    )
-    return signs, letters

@@ -8,9 +8,10 @@ per Alice strategy, with no vertex matrix, and the two ranks that certify
 all sixteen facets, of the 64x12 party table and of expression 1's
 saturators, are computed by fraction-free integer elimination, never
 floating point.  An expression is named by its row in ``inequalities.C``,
-row k being expression k + 1.  Every expression is row 0 with Alice's
-outcomes relabeled, a -> a ^ h_x, so ``facets`` evaluates and ranks row 0
-alone, once, and reads every row's witness off row 0's saturators.
+row k being expression k + 1.  Row k is row 0 with Alice's outcomes
+relabeled by ``inequalities.flip(k)``, a -> a ^ h_x, so ``facets``
+evaluates and ranks row 0 alone, once, and reads every row's witness off
+row 0's saturators.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ import itertools
 import math
 import operator
 
-from .inequalities import SIGN_TABLES, C, matched_beta
+from .inequalities import _COLUMNS, SIGN_TABLES, C, flip, matched_beta, relabel
 
 NUM_PARTY_STRATEGIES = 64
-# (x, y, a, b) of behavior column 16*(3x + y) + 4a + b, in column order
-_COLUMNS = tuple(itertools.product(range(3), range(3), range(4), range(4)))
 
 
 def party_strategies() -> tuple[tuple[int, int, int], ...]:
@@ -117,28 +116,22 @@ def polytope_affine_dim() -> int:
     return integer_rank(party_table()) ** 2 - 1
 
 
-def _orbit_of_one() -> tuple[dict, int, tuple[int, ...], int]:
-    """Row 0 under the 64 relabelings a -> a ^ h_x of Alice's outcomes.
+def _orbit_of_one() -> tuple[int, tuple[int, ...], int]:
+    """Row 0's maximum, the vertices v = 64f + g that reach it, and their affine dimension.
 
-    Returns each image mapped to h's index in ``party_strategies()``;
-    row 0's maximum; the indices v = 64f + g of the vertices that
-    reach it; and their affine dimension.  Vertex (f, g) is 1 at column
-    (x, y, a, b) iff f_x = a and g_y = b.  On a vertex, column (x, a = 0)
-    is column (0, a = 0..3) minus (x, a = 1..3), and likewise for Bob, so
-    the 100 other columns have the same rank; every vertex sums to 9, so
-    the affine hull misses the origin and its dimension is that rank - 1.
+    Vertex (f, g) is 1 at column (x, y, a, b) iff f_x = a and g_y = b.  On
+    a vertex, column (x, a = 0) is column (0, a = 0..3) minus (x, a = 1..3),
+    and likewise for Bob, so the 100 other columns have the same rank; every
+    vertex sums to 9, so the affine hull misses the origin and its dimension
+    is that rank - 1.
     """
-    one, values, singles = C[0], vertex_values(0), party_strategies()
-    images = {
-        tuple(one[16 * (3 * x + y) + 4 * (a ^ h[x]) + b] for x, y, a, b in _COLUMNS): i
-        for i, h in enumerate(singles)
-    }
+    values, singles = vertex_values(0), party_strategies()
     bound = max(values)
     saturators = tuple(v for v, value in enumerate(values) if value == bound)
     pairs = [(singles[v >> 6], singles[v & 63]) for v in saturators]
     kept = [(x, y, a, b) for x, y, a, b in _COLUMNS if (a or not x) and (b or not y)]
     rank = integer_rank([[int(f[x] == a and g[y] == b) for f, g in pairs] for x, y, a, b in kept])
-    return images, bound, saturators, rank - 1
+    return bound, saturators, rank - 1
 
 
 def facets() -> tuple:
@@ -148,16 +141,16 @@ def facets() -> tuple:
     and saturators' affine dimension that every expression shares with
     row 0; and each row's witness, an (alice, bob) pair of strategies.  An
     expression is a facet iff its saturators' dimension is one less than
-    the polytope's.  Each row must equal row 0 relabeled by a flip h, or
-    this raises ``RuntimeError``.  Strategy indices are 16 f_0 + 4 f_1 + f_2,
+    the polytope's.  Row k must equal row 0 relabeled by h = ``flip(k)``,
+    or this raises ``RuntimeError``.  Strategy indices are 16 f_0 + 4 f_1 + f_2,
     so the relabeling maps vertex v to v ^ (h << 6), and a row's witness,
     its first maximum in Alice-major order, is the least mapped saturator.
     """
-    images, bound, saturators, sat_dim = _orbit_of_one()
+    bound, saturators, sat_dim = _orbit_of_one()
     singles, witnesses = party_strategies(), []
     for row in range(len(C)):
-        h = images.get(C[row])
-        if h is None:
+        h = flip(row)
+        if C[row] != relabel(C[0], h):
             raise RuntimeError(f"expression {row + 1} is not a relabeling of expression 1")
         f, g = divmod(min(v ^ (h << 6) for v in saturators), NUM_PARTY_STRATEGIES)
         witnesses.append((singles[f], singles[g]))

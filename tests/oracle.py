@@ -555,7 +555,8 @@ def dense_behavior(
 ) -> np.ndarray:
     """The 144 Born probabilities <psi| P_a (x) P_b |psi> at 16*(3x + y) + 4a + b."""
     v = state.amplitudes
-    return density_behavior(DensityMatrix(np.outer(v, v.conj()), state.labels), alice_pair, bob_pair)
+    rho = DensityMatrix(np.outer(v, v.conj()), state.labels)
+    return density_behavior(rho, alice_pair, bob_pair)
 
 
 def density_behavior(

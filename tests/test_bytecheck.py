@@ -45,7 +45,8 @@ def fake_trees(monkeypatch):
     """Runs of no tree: every entry's outcome is the same on both sides, but
     for the names in the returned set, whose stdout differs."""
     differ = set()
-    monkeypatch.setattr(bytecheck, "export_trees", lambda parent, into: {"parent": "p", "change": "c"})
+    trees = {"parent": "p", "change": "c"}
+    monkeypatch.setattr(bytecheck, "export_trees", lambda parent, into: trees)
 
     def run(entry, tree, where):
         stdout = tree.encode() if entry.name in differ else b""

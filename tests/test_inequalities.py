@@ -190,6 +190,17 @@ class TestQuantumRoute:
         ref = np.array(reference_doc["values"], dtype=float)
         np.testing.assert_allclose(dense_values, ref, atol=1e-9)
 
+    def test_reference_table_is_a_cayley_table(self, reference_doc):
+        # product k scores expression j + 1 as product 0 scores expression
+        # (k ^ j) + 1: the products and the expressions are one group of
+        # sixteen relabelings, so every row is a permutation of the first
+        values = reference_doc["values"]
+        assert len(values) == NUM_EXPRESSIONS
+        for k, row in enumerate(values):
+            assert row == [values[0][k ^ j] for j in range(NUM_EXPRESSIONS)]
+            assert sorted(row) == [-3] * 6 + [1] * 9 + [9]
+            assert row[k] == 9
+
     def test_cellwise_saturation_on_matched_states(self):
         # on its matched state every signed correlator equals +1, not just
         # the sum

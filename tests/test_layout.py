@@ -144,7 +144,8 @@ MAX_LINE = 100
 def test_no_line_is_longer_than_the_limit():
     long = [
         f"{path.name}:{number}: {len(line)} characters"
-        for path in [*sorted(PACKAGE.glob("*.py")), *sorted(TOOLS.glob("*.py"))]
+        for folder in (PACKAGE, TOOLS, TESTS)
+        for path in sorted(folder.glob("*.py"))
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if len(line) > MAX_LINE
     ]

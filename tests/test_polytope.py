@@ -17,8 +17,8 @@ from oracle import (
 )
 from oracle import integer_rank as oracle_rank
 
-from nlbox import polytope
-from nlbox.inequalities import NUM_EXPRESSIONS, SIGN_TABLES, C, coefficient_rows
+from nlbox import observables, polytope
+from nlbox.inequalities import NUM_EXPRESSIONS, SIGN_TABLES, C, coefficient_rows, flip
 from nlbox.observables import ALICE_PAULIS
 from nlbox.polytope import (
     NUM_PARTY_STRATEGIES,
@@ -30,6 +30,29 @@ from nlbox.polytope import (
     polytope_affine_dim,
     vertex_values,
 )
+
+
+@pytest.fixture(scope="module")
+def loop_flips():
+    """Row k -> every f with C[k] equal to C[0] with Alice's outcome a read as
+    a ^ f_x, flipping one f per setting by loop over all 64."""
+    base = np.asarray(C[0]).reshape(3, 3, 4, 4)
+    hits = {}
+    for f in party_strategies():
+        image = np.zeros_like(base)
+        for x, y, a, b in itertools.product(range(3), range(3), range(4), range(4)):
+            image[x, y, a, b] = base[x, y, a ^ f[x], b]
+        for k in range(NUM_EXPRESSIONS):
+            if np.array_equal(image.reshape(144), C[k]):
+                hits.setdefault(k, []).append(f)
+    return hits
+
+
+def flipped(string, frames) -> int:
+    """1 where the two-qubit Pauli ``string`` anticommutes with X^fx Z^fz on
+    each qubit, (fx, fz) the qubit's entry of ``frames``, else 0."""
+    pairs = zip(string, frames)
+    return sum((p in "ZY") * fx + (p in "XY") * fz for p, (fx, fz) in pairs) % 2
 
 
 def strategy_behavior(strategy) -> Behavior:
@@ -107,12 +130,12 @@ class TestVertices:
         # expression 1's saturators v to v ^ (h << 6); the vertex matrix is
         # multiplied in full
         verts = vertex_matrix()
-        images, _, saturators, _ = polytope._orbit_of_one()
+        _, saturators, _ = polytope._orbit_of_one()
         for k in range(NUM_EXPRESSIONS):
             values = verts @ np.asarray(C[k])
             assert np.array_equal(vertex_values(k), values)
             if k in (0, 8, 15):
-                h = images[C[k]]
+                h = flip(k)
                 mapped = sorted(v ^ (h << 6) for v in saturators)
                 assert mapped == np.flatnonzero(values == values.max()).tolist()
 
@@ -217,35 +240,37 @@ class TestFacets:
         values = vertex_matrix() @ row
         sat = vertex_matrix()[values == values.max()]
         monkeypatch.setattr(polytope, "C", (tuple(int(v) for v in row), *C[1:]))
-        _, bound, saturators, dim = polytope._orbit_of_one()
+        bound, saturators, dim = polytope._orbit_of_one()
         assert (bound, len(saturators)) == (values.max(), sat.shape[0])
         assert dim == oracle_rank(sat[1:] - sat[0]) == (55 if other else 45)
 
-    def test_every_expression_is_a_relabeling_of_expression_one(self):
+    def test_every_expression_is_a_relabeling_of_expression_one(self, loop_flips):
         # flipping Alice's outcome a -> a ^ f_x, one f per setting, by loop
-        base = np.asarray(C[0]).reshape(3, 3, 4, 4)
-        hits = {}
-        for f in party_strategies():
-            image = np.zeros_like(base)
-            for x, y, a, b in itertools.product(range(3), range(3), range(4), range(4)):
-                image[x, y, a, b] = base[x, y, a ^ f[x], b]
-            for k in range(NUM_EXPRESSIONS):
-                if np.array_equal(image.reshape(144), C[k]):
-                    hits.setdefault(k, []).append(f)
+        hits = loop_flips
         assert sorted(hits) == list(range(NUM_EXPRESSIONS))
         assert all(len(fs) == 1 and fs[0][2] == fs[0][0] ^ fs[0][1] for fs in hits.values())
+        # the package derives the same flip from the frames, as 16 f_0 + 4 f_1 + f_2
+        for k, ((f0, f1, f2),) in hits.items():
+            assert flip(k) == 16 * f0 + 4 * f1 + f2
 
         # the flip is the matched product's Pauli frame read through Alice's
         # strings: bit m of f_x is set where her mask-m string at setting x
         # anticommutes with X^x Z^z of the pairs' frames
-        def flipped(string, frames):
-            pairs = zip(string, frames)
-            return sum((p in "ZY") * fx + (p in "XY") * fz for p, (fx, fz) in pairs) % 2
-
         for k, (f,) in hits.items():
             frames = [pauli_frame(label) for label in PRODUCT_LABELS[k]]
             want = [2 * flipped(hi, frames) + flipped(lo, frames) for hi, lo, _ in ALICE_PAULIS]
             assert list(f) == want
+
+    def test_flip_reads_the_frames_through_strings_with_y(self, monkeypatch):
+        # Alice's shipped first two strings of each setting hold no Y, so
+        # the package's rule for Y is checked on strings that do: each bit
+        # against the oracle's frames, found by trying the Bell kets
+        strings = (("YI", "IY", "YY"), ("IX", "XI", "XX"), ("YX", "XY", "ZZ"))
+        monkeypatch.setattr(observables, "ALICE_PAULIS", strings)
+        for k, labels in enumerate(PRODUCT_LABELS):
+            frames = [pauli_frame(label) for label in labels]
+            want = [2 * flipped(hi, frames) + flipped(lo, frames) for hi, lo, _ in strings]
+            assert flip(k) == 16 * want[0] + 4 * want[1] + want[2]
 
     def test_saturators_of_expression_one(self):
         verts = vertex_matrix()
@@ -259,3 +284,22 @@ class TestFacets:
             bob = tuple(int(np.argmax(cells[0, y].sum(axis=0))) for y in range(3))
             behavior = strategy_behavior((alice, bob))
             assert behavior_value(0, behavior.probs.reshape(144)) == 7
+
+    def test_flips_are_linear_in_the_product(self, loop_flips):
+        # product k ^ j carries the frames of k and j composed, so its flip is
+        # the XOR of theirs, setting by setting: the sixteen form a group
+        flips = {k: fs[0] for k, fs in loop_flips.items()}
+        for k, j in itertools.product(range(NUM_EXPRESSIONS), repeat=2):
+            assert flips[k ^ j] == tuple(u ^ v for u, v in zip(flips[k], flips[j]))
+        assert len(set(flips.values())) == NUM_EXPRESSIONS
+
+    def test_third_setting_flip_is_the_mermin_peres_product(self, loop_flips):
+        # Alice's third setting's strings are products of her first two
+        # settings' strings, so their sign flips multiply: f_2 = f_0 ^ f_1
+        (f,) = loop_flips[0]
+        assert f == (0, 0, 0)
+        for k, ((f0, f1, f2),) in loop_flips.items():
+            assert f2 == f0 ^ f1
+        assert {fs[0][:2] for fs in loop_flips.values()} == set(
+            itertools.product(range(4), repeat=2)
+        )
