@@ -4,9 +4,17 @@ The package evaluates every Bell expression as one row of the integer
 coefficient matrix ``inequalities.C`` dotted with a 144-entry behavior,
 and derives the Born behaviors of the sixteen Bell products in integers
 from the parties' signed Pauli strings and the pairs' Pauli frames.  The
-routes here read neither that matrix nor that table:
+routes here read neither that matrix nor that table, and they are exact
+as well: every ket of the protocol is real with entries in {0, +-1} / 2^(e/2),
+so each is held as an int64 vector, 2^(e/2) times the state, whose squared
+norm ``norm`` is 2^e.  The Bell states have norm 2, Alice's three bases 1,
+4 and 4, Bob's 2 and the eight-qubit source state 16.  sigma_y is i J, with
+J = [[0, -1], [1, 0]], and enters only as YY = -(J (x) J).  A projector P
+is held as the integer matrix ``SCALE`` P, a density matrix as an integer
+matrix over its trace, and every probability as ``count / norm``, two
+integers: nothing is normalized and no route divides.
 
-- Born behaviors: complex kets of the Bell states and of the parties'
+- Born behaviors: integer kets of the Bell states and of the parties'
   measurement bases, labeled product states on explicit qubit pairs, and
   all 144 probabilities of a state from dense projectors in one einsum.
 - Expression values: ``behavior_value``, the signed sum over cells of the
@@ -22,10 +30,10 @@ routes here read neither that matrix nor that table:
   event counts per robot outcome.
 - The swap: dense collapse of the eight-qubit source state, with 256x256
   Bell projectors, each robot outcome's probability, the reduced state of
-  the kept qubits and a fidelity search over the sixteen Bell products,
-  which the package's Pauli-frame class map and its pre-measurement
-  behavior are checked against, and the full joint table that the sampled
-  events are fitted against.
+  the kept qubits and its exact identification among the sixteen Bell
+  products, which the package's Pauli-frame class map and its
+  pre-measurement behavior are checked against, and the full joint table
+  that the sampled events are fitted against.
 """
 
 from __future__ import annotations
@@ -35,29 +43,30 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from nlbox.inequalities import SIGN_TABLES
-from nlbox.swap import DEFAULT_SOURCES, WEIGHT, class_map
+from nlbox.swap import DEFAULT_SOURCES, class_map
 
 NUM_JOINT_STRATEGIES = 4**3 * 4**3
 
-# Tolerances of the structural checks on dense states and operators.
-ATOL_STRUCT = 1e-10
-ATOL_HERM = 1e-12
+ID2 = np.eye(2, dtype=np.int64)
+SIGMA_X = np.array([[0, 1], [1, 0]])
+SIGMA_Z = np.array([[1, 0], [0, -1]])
+# sigma_y = i J, so sigma_y (x) sigma_y = -(J (x) J)
+J = np.array([[0, -1], [1, 0]])
 
-ID2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+KET_0 = np.array([1, 0])
+KET_1 = np.array([0, 1])
+KET_PLUS = np.array([1, 1])
+KET_MINUS = np.array([1, -1])
 
-_SQ2 = np.sqrt(2.0)
-KET_0 = np.array([1, 0], dtype=complex)
-KET_1 = np.array([0, 1], dtype=complex)
-KET_PLUS = np.array([1, 1], dtype=complex) / _SQ2
-KET_MINUS = np.array([1, -1], dtype=complex) / _SQ2
+# Every projector P is held as SCALE * P, an integer matrix: each ket of the
+# parties' bases has a squared norm of 1, 2 or 4.
+SCALE = 4
 
 # The four Bell states, named as the package holds them: the ints 0..3 in
 # the order PP, PM, SP, SM, with kets of the oracle's own.  The sixteen
@@ -66,13 +75,11 @@ KET_MINUS = np.array([1, -1], dtype=complex) / _SQ2
 PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS = BELL_ORDER = (0, 1, 2, 3)
 PRODUCT_LABELS = tuple(itertools.product(BELL_ORDER, repeat=2))
 _BELL_AMPLITUDES = (
-    np.array([1, 0, 0, 1], dtype=complex) / _SQ2,
-    np.array([1, 0, 0, -1], dtype=complex) / _SQ2,
-    np.array([0, 1, 1, 0], dtype=complex) / _SQ2,
-    np.array([0, 1, -1, 0], dtype=complex) / _SQ2,
+    np.array([1, 0, 0, 1]),
+    np.array([1, 0, 0, -1]),
+    np.array([0, 1, 1, 0]),
+    np.array([0, 1, -1, 0]),
 )
-
-_FIDELITY_TOL = 1e-9
 
 # Outcome a carries the two signs of OUTCOME_LABELS[a] ("+-": first sign +,
 # second -).  A mask keeps the first sign ("10"), the second ("01") or their
@@ -94,16 +101,19 @@ MATCHED_PAIRS = ((1, 3), (2, 4))
 # In the swap protocol the robot measures (2, 5) and (4, 7), and the Bell
 # product is left on (1, 6) x (3, 8): Alice measures (1, 3), Bob (6, 8).
 ROBOT_PAIRS = ((2, 5), (4, 7))
+SWAP_PAIRS = ((1, 6), (3, 8))
 # The robot's Bell results (r1, r2) on ROBOT_PAIRS, in the order of dense_swap.
 ROBOT_OUTCOMES = tuple(itertools.product(BELL_ORDER, repeat=2))
 ALICE_PAIR = (1, 3)
 BOB_PAIR = (6, 8)
-KEPT_QUBITS = ALICE_PAIR + BOB_PAIR
+# The kept qubits in the order of the swapped pairs, as class_state labels them.
+KEPT_QUBITS = SWAP_PAIRS[0] + SWAP_PAIRS[1]
 
 
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state of ``len(labels)`` qubits with an explicit label order.
+    """Pure state of ``len(labels)`` qubits with an explicit label order, as
+    an integer ket: the state times a positive factor.
 
     The first label is the most significant bit of the basis index.
     """
@@ -112,7 +122,7 @@ class StateVector:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(self.amplitudes).reshape(-1)
         labels = tuple(int(q) for q in self.labels)
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate qubit labels {labels}")
@@ -120,53 +130,75 @@ class StateVector:
             raise ValueError(
                 f"{amps.size} amplitudes do not fit {len(labels)} qubits"
             )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("non-finite amplitude")
+        if amps.dtype.kind != "i":
+            raise ValueError(f"amplitudes of dtype {amps.dtype} are not integers")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "labels", labels)
 
     @property
-    def num_qubits(self) -> int:
-        return len(self.labels)
+    def norm(self) -> int:
+        """The squared norm <psi|psi>, over which every Born count is read."""
+        return int(self.amplitudes @ self.amplitudes)
+
+
+def _semidefinite(mat: np.ndarray) -> bool:
+    """Whether a symmetric integer matrix is positive semidefinite, exactly:
+    Gaussian elimination in Python integers, each Schur complement scaled by
+    its positive pivot, and a zero pivot allowed only on a zero row."""
+    mat = mat.astype(object)
+    while mat.size:
+        pivot, row = mat[0, 0], mat[0, 1:]
+        if pivot < 0 or (pivot == 0 and row.any()):
+            return False
+        mat = mat[1:, 1:] if pivot == 0 else pivot * mat[1:, 1:] - np.outer(row, row)
+    return True
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Mixed state on labeled qubits, validated on construction."""
+    """Mixed state on labeled qubits, entries / trace(entries) with integer
+    entries, validated on construction."""
 
     entries: np.ndarray
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mat = np.array(self.entries, dtype=complex)
+        mat = np.array(self.entries)
         labels = tuple(int(q) for q in self.labels)
         dim = 2 ** len(labels)
         if mat.shape != (dim, dim):
             raise ValueError(f"shape {mat.shape} does not fit labels {labels}")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL_HERM:
+        if mat.dtype.kind != "i":
+            raise ValueError(f"entries of dtype {mat.dtype} are not integers")
+        if not np.array_equal(mat, mat.T):
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > ATOL_HERM:
-            raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(mat).min() < -ATOL_STRUCT:
+        if np.trace(mat) <= 0:
+            raise ValueError("density matrix trace is not positive")
+        if not _semidefinite(mat):
             raise ValueError("density matrix has a negative eigenvalue")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "labels", labels)
 
+    @property
+    def norm(self) -> int:
+        """The trace, over which the entries are read."""
+        return int(np.trace(self.entries))
+
 
 def bell(label: int, qubits: tuple[int, int] = (1, 2)) -> StateVector:
-    """Bell state on the given qubit pair (labels in listed order)."""
+    """Bell state on the given qubit pair (labels in listed order), norm 2."""
     return StateVector(_BELL_AMPLITUDES[label], qubits)
 
 
 def pauli_frame(label: int) -> tuple[int, int]:
     """The frame (x, z) with bell(label) = X^x Z^z on the first qubit of
-    Phi+, up to a phase, found by trying all four."""
+    Phi+, up to a sign, found by trying all four."""
     for x, z in itertools.product(range(2), repeat=2):
         flip = np.linalg.matrix_power(SIGMA_X, x) @ np.linalg.matrix_power(SIGMA_Z, z)
         image = np.kron(flip, ID2) @ _BELL_AMPLITUDES[PHI_PLUS]
-        if abs(np.vdot(_BELL_AMPLITUDES[label], image)) >= 1.0 - _FIDELITY_TOL:
+        if abs(image @ _BELL_AMPLITUDES[label]) == image @ image:
             return x, z
     raise RuntimeError(f"Bell state {label} is in no Pauli frame of Phi+")
 
@@ -175,18 +207,18 @@ def chi_omega(kind: str, qubits: tuple[int, int] = (1, 2)) -> StateVector:
     """One of the chi/omega states, keyed as 'chi+', 'chi-', 'omega+', 'omega-'.
 
     chi+- superpose |0+> and |1->; omega+- superpose |1+> and |0->.  They
-    form an orthonormal basis of common eigenvectors of sz (x) sx and
-    sx (x) sz.
+    form an orthogonal basis, each of norm 4, of common eigenvectors of
+    sz (x) sx and sx (x) sz.
     """
     zero_plus = np.kron(KET_0, KET_PLUS)
     zero_minus = np.kron(KET_0, KET_MINUS)
     one_plus = np.kron(KET_1, KET_PLUS)
     one_minus = np.kron(KET_1, KET_MINUS)
     table = {
-        "chi+": (zero_plus + one_minus) / _SQ2,
-        "chi-": (zero_plus - one_minus) / _SQ2,
-        "omega+": (one_plus + zero_minus) / _SQ2,
-        "omega-": (one_plus - zero_minus) / _SQ2,
+        "chi+": zero_plus + one_minus,
+        "chi-": zero_plus - one_minus,
+        "omega+": one_plus + zero_minus,
+        "omega-": one_plus - zero_minus,
     }
     if kind not in table:
         raise ValueError(f"unknown chi/omega kind {kind!r}")
@@ -243,26 +275,14 @@ def tensor(a, b):
     raise TypeError("tensor expects two StateVectors or two operator arrays")
 
 
-def canonicalize(state: StateVector) -> StateVector:
-    """Reorder a state's qubit axes so its labels are ascending."""
-    order = np.argsort(state.labels, kind="stable")
-    if np.all(order == np.arange(state.num_qubits)):
-        return state
-    n = state.num_qubits
-    amps = state.amplitudes.reshape((2,) * n).transpose(order).reshape(-1)
-    return StateVector(amps, tuple(state.labels[i] for i in order))
-
-
 def bell_product(
     first: int,
     second: int,
     first_pair: tuple[int, int],
     second_pair: tuple[int, int],
 ) -> StateVector:
-    """Product of two Bell states on arbitrary pairs, with ascending labels."""
-    return canonicalize(
-        tensor(bell(first, first_pair), bell(second, second_pair))
-    )
+    """Product of two Bell states on arbitrary pairs, labeled in pair order."""
+    return tensor(bell(first, first_pair), bell(second, second_pair))
 
 
 def four_qubit_product(first: int, second: int) -> StateVector:
@@ -271,22 +291,21 @@ def four_qubit_product(first: int, second: int) -> StateVector:
 
 
 def class_state(row: int) -> StateVector:
-    """The Bell product of a class map row on qubits (1,3,6,8)."""
-    return bell_product(*PRODUCT_LABELS[row], (1, 6), (3, 8))
+    """The Bell product of a class map row on (1,6) x (3,8), on KEPT_QUBITS."""
+    return bell_product(*PRODUCT_LABELS[row], *SWAP_PAIRS)
 
 
 def source_product(first: int, second: int) -> StateVector:
-    """Eight-qubit state emitted by the two identical sources.
+    """Eight-qubit state emitted by the two identical sources, on labels 1..8.
 
     Each source emits one pair in ``bell(first)`` and one in ``bell(second)``:
     the first source feeds qubits (1,2) and (3,4), the second feeds (5,6)
     and (7,8).
     """
-    state = tensor(
+    return tensor(
         tensor(bell(first, (1, 2)), bell(second, (3, 4))),
         tensor(bell(first, (5, 6)), bell(second, (7, 8))),
     )
-    return canonicalize(state)
 
 
 def eight_qubit_initial() -> StateVector:
@@ -296,7 +315,8 @@ def eight_qubit_initial() -> StateVector:
 
 @dataclass(frozen=True)
 class FourOutcomeObservable:
-    """A four-outcome projective measurement on two qubits."""
+    """A four-outcome projective measurement on two qubits, each projector
+    held as SCALE P."""
 
     party: str
     setting: int
@@ -308,7 +328,7 @@ class FourOutcomeObservable:
 
 
 def _projectors_from_kets(kets) -> tuple[np.ndarray, ...]:
-    return tuple(np.outer(ket, np.conj(ket)) for ket in kets)
+    return tuple(SCALE // (ket @ ket) * np.outer(ket, ket) for ket in kets)
 
 
 def alice_observable(setting: int) -> FourOutcomeObservable:
@@ -343,36 +363,34 @@ def embed(op: np.ndarray, targets: Sequence[int], context: Sequence[int]) -> np.
     if missing:
         raise ValueError(f"target labels {missing} not in context {context}")
     n, k = len(context), len(targets)
-    op = np.asarray(op, dtype=complex)
+    op = np.asarray(op)
     if op.shape != (2**k, 2**k):
         raise ValueError(f"operator shape {op.shape} does not fit {k} targets")
     rest = [q for q in context if q not in targets]
     order = targets + rest
-    full = np.kron(op, np.eye(2 ** (n - k), dtype=complex))
+    full = np.kron(op, np.eye(2 ** (n - k), dtype=op.dtype))
     perm = [order.index(q) for q in context]
     t = full.reshape((2,) * (2 * n))
     t = t.transpose(perm + [n + p for p in perm])
     return np.ascontiguousarray(t.reshape(2**n, 2**n))
 
 
-def expectation(state: StateVector, op: np.ndarray) -> float:
-    """Real expectation value of a Hermitian operator on a pure state."""
-    op = np.asarray(op, dtype=complex)
-    if np.max(np.abs(op - op.conj().T)) > ATOL_HERM:
+def expectation(state: StateVector, op: np.ndarray) -> Fraction:
+    """Expectation value of a Hermitian integer operator on a pure state."""
+    op = np.asarray(op)
+    if not np.array_equal(op, op.T):
         raise ValueError("expectation requires a Hermitian operator")
-    val = np.vdot(state.amplitudes, op @ state.amplitudes)
-    if abs(val.imag) > ATOL_STRUCT:
-        raise ValueError(f"expectation has residual imaginary part {val.imag}")
-    return float(val.real)
+    v = state.amplitudes
+    return Fraction(int(v @ op @ v), state.norm)
 
 
-def fidelity_with_pure(rho: DensityMatrix, reference: StateVector) -> float:
-    """Fidelity <ref|rho|ref> of a density matrix against a pure reference."""
-    if rho.entries.shape[0] != reference.amplitudes.size:
-        raise ValueError("dimension mismatch between state and reference")
-    v = reference.amplitudes
-    val = np.vdot(v, rho.entries @ v)
-    return float(val.real)
+def is_pure(rho: DensityMatrix, state: StateVector) -> bool:
+    """Whether rho is the pure state ``state`` on the same labels, exactly:
+    <psi|psi> rho == tr(rho) |psi><psi|."""
+    v = state.amplitudes
+    return rho.labels == state.labels and np.array_equal(
+        state.norm * rho.entries, rho.norm * np.outer(v, v)
+    )
 
 
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
@@ -383,73 +401,53 @@ def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     missing = [q for q in keep if q not in state.labels]
     if missing:
         raise ValueError(f"labels {missing} not part of the state")
-    n = state.num_qubits
+    n = len(state.labels)
     positions = [state.labels.index(q) for q in keep]
     rest = [i for i in range(n) if i not in positions]
     k = len(keep)
     t = state.amplitudes.reshape((2,) * n).transpose(positions + rest)
     m = t.reshape(2**k, 2 ** (n - k))
-    return DensityMatrix(m @ m.conj().T, tuple(keep))
+    return DensityMatrix(m @ m.T, tuple(keep))
 
 
 def bell_projectors(pair: tuple[int, int], context: tuple[int, ...]) -> list[np.ndarray]:
-    """The four Bell projectors of a qubit pair, embedded in a register."""
-    projs = []
-    for label in BELL_ORDER:
-        v = bell(label, pair).amplitudes
-        projs.append(embed(np.outer(v, v.conj()), pair, context))
-    return projs
-
-
-def post_robot_state(
-    initial: StateVector, outcome: tuple[int, int]
-) -> tuple[float, StateVector]:
-    """Probability of a robot outcome (r1, r2) and the collapsed 8-qubit state."""
-    v = initial.amplitudes
-    for label, pair in zip(outcome, ROBOT_PAIRS):
-        ket = bell(label, pair).amplitudes
-        v = embed(np.outer(ket, ket.conj()), pair, initial.labels) @ v
-    prob = float(np.vdot(initial.amplitudes, v).real)
-    if prob <= 0.0:
-        raise RuntimeError(f"robot outcome {outcome} has zero probability")
-    return prob, StateVector(v / np.sqrt(prob), initial.labels)
-
-
-def reduced_pair_product(post: StateVector) -> DensityMatrix:
-    """Reduced state of the kept qubits (1,3,6,8) after the robot measured."""
-    return partial_trace(post, KEPT_QUBITS)
+    """The four Bell projectors of a qubit pair, each SCALE P, embedded in a register."""
+    kets = [bell(label).amplitudes for label in BELL_ORDER]
+    return [embed(p, pair, context) for p in _projectors_from_kets(kets)]
 
 
 def identify_bell_product(rho: DensityMatrix) -> tuple[int, int]:
-    """Match a reduced state on (1,3,6,8) to a Bell product on (1,6)x(3,8).
+    """Match a reduced state on KEPT_QUBITS to a Bell product on (1,6)x(3,8).
 
-    Identification requires fidelity at least 1 - 1e-9 against one of the
-    sixteen references; anything less raises, since the swap must produce
-    an exact Bell product.
+    Identification is exact equality with one of the sixteen class states;
+    anything else raises, since the swap must produce an exact Bell product.
     """
-    for first, second in PRODUCT_LABELS:
-        ref = bell_product(first, second, (1, 6), (3, 8))
-        if fidelity_with_pure(rho, ref) >= 1.0 - _FIDELITY_TOL:
-            return first, second
+    for row, labels in enumerate(PRODUCT_LABELS):
+        if is_pure(rho, class_state(row)):
+            return labels
     raise RuntimeError("reduced state matches no Bell-state product")
 
 
-def dense_swap(sources) -> list[tuple[float, DensityMatrix]]:
-    """Probability and reduced state on (1,3,6,8) of each robot outcome, in
-    ROBOT_OUTCOMES order, by collapsing the dense eight-qubit source state."""
+def dense_swap(sources) -> list[tuple[int, int, DensityMatrix]]:
+    """Each robot outcome's probability count / norm and reduced state on
+    KEPT_QUBITS, as (count, norm, rho) in ROBOT_OUTCOMES order, by collapsing
+    the dense eight-qubit source state."""
     initial = source_product(*sources)
+    robot = [bell_projectors(pair, initial.labels) for pair in ROBOT_PAIRS]
+    # two projectors, each SCALE P, leave SCALE^2 P1 P2 |psi>
+    norm = SCALE**4 * initial.norm
     out = []
-    for outcome in ROBOT_OUTCOMES:
-        prob, post = post_robot_state(initial, outcome)
-        out.append((prob, reduced_pair_product(post)))
+    for r1, r2 in ROBOT_OUTCOMES:
+        post = StateVector(robot[0][r1] @ (robot[1][r2] @ initial.amplitudes), initial.labels)
+        out.append((post.norm, norm, partial_trace(post, KEPT_QUBITS)))
     return out
 
 
 def premeasurement_state(sources=DEFAULT_SOURCES) -> DensityMatrix:
-    """Reduced state of (1,3,6,8) before the robot's outcome is known: the
-    mixture of the class states that the package's class map selects."""
+    """Reduced state of KEPT_QUBITS before the robot's outcome is known: the
+    equal mixture of the class states that the package's class map selects."""
     kets = np.array([class_state(row).amplitudes for row in class_map(sources)])
-    return DensityMatrix(WEIGHT / 16 * kets.T @ kets.conj(), KEPT_QUBITS)
+    return DensityMatrix(kets.T @ kets, KEPT_QUBITS)
 
 
 @functools.cache
@@ -531,19 +529,22 @@ def affine_dimension(points) -> int:
 
 
 def masked_operator(obs: FourOutcomeObservable, mask: str) -> np.ndarray:
-    """The +-1-valued observable obtained by masking the outcome bits."""
+    """The +-1-valued observable sum_a chi(a) P_a obtained by masking the
+    outcome bits, an integer matrix: the signed sum of the SCALE P_a, which
+    SCALE must divide exactly."""
     if mask not in MASKS:
         raise ValueError(f"invalid mask {mask!r}, expected one of {MASKS}")
-    out = np.zeros_like(obs.projectors[0])
-    for outcome in range(4):
-        out = out + masked_sign(outcome, mask) * obs.projectors[outcome]
-    return out
+    scaled = sum(masked_sign(o, mask) * p for o, p in enumerate(obs.projectors))
+    op, rest = np.divmod(scaled, SCALE)
+    if rest.any():
+        raise ValueError(f"mask {mask} gives no integer observable")
+    return op
 
 
 @functools.cache
 def party_projectors(alice_pair, bob_pair, labels):
-    """Alice's and Bob's projectors [setting][outcome], embedded on their
-    pairs of the register ``labels``, built once per pairs and register."""
+    """Alice's and Bob's projectors [setting][outcome], each SCALE P, embedded
+    on their pairs of the register ``labels``, built once per pairs and register."""
     return [
         [[embed(p, pair, labels) for p in observable(s).projectors] for s in range(3)]
         for observable, pair in ((alice_observable, alice_pair), (bob_observable, bob_pair))
@@ -552,22 +553,20 @@ def party_projectors(alice_pair, bob_pair, labels):
 
 def dense_behavior(
     state: StateVector, alice_pair: tuple[int, int], bob_pair: tuple[int, int]
-) -> np.ndarray:
-    """The 144 Born probabilities <psi| P_a (x) P_b |psi> at 16*(3x + y) + 4a + b."""
-    v = state.amplitudes
-    rho = DensityMatrix(np.outer(v, v.conj()), state.labels)
-    return density_behavior(rho, alice_pair, bob_pair)
+) -> tuple[np.ndarray, int]:
+    """The 144 Born probabilities <psi| P_a (x) P_b |psi> at 16*(3x + y) + 4a + b,
+    as (counts, norm)."""
+    return density_behavior(partial_trace(state, state.labels), alice_pair, bob_pair)
 
 
 def density_behavior(
     rho: DensityMatrix, alice_pair: tuple[int, int], bob_pair: tuple[int, int]
-) -> np.ndarray:
-    """The 144 Born probabilities tr(rho P_a (x) P_b) at 16*(3x + y) + 4a + b."""
+) -> tuple[np.ndarray, int]:
+    """The 144 Born probabilities tr(rho P_a (x) P_b) at 16*(3x + y) + 4a + b,
+    as (counts, norm): p = counts / norm, integers both."""
     alice, bob = (np.array(p) for p in party_projectors(alice_pair, bob_pair, rho.labels))
-    probs = np.einsum("ij,xajk,ybki->xyab", rho.entries, alice, bob, optimize=True).reshape(144)
-    if np.max(np.abs(probs.imag)) > ATOL_STRUCT:
-        raise ValueError("Born probabilities have a residual imaginary part")
-    return probs.real
+    counts = np.einsum("ij,xajk,ybki->xyab", rho.entries, alice, bob, optimize=True)
+    return counts.reshape(144), SCALE**2 * rho.norm
 
 
 def behavior_value(row: int, behavior) -> np.ndarray:
@@ -607,90 +606,84 @@ def event_counts(codes) -> np.ndarray:
     return counts
 
 
-def sequential_joint_distribution(state: StateVector, projector_sets) -> np.ndarray:
-    """Exact joint distribution of sequential projective measurements."""
-    shape = (4,) * len(projector_sets)
-    out = np.zeros(shape)
+def sequential_joint_distribution(state: StateVector, projector_sets) -> tuple[np.ndarray, int]:
+    """Joint distribution of sequential projective measurements, each
+    projector SCALE P, as (counts, norm): an outcome sequence's count is the
+    squared norm of the ket its projectors leave, so nothing is normalized."""
+    counts = np.zeros((4,) * len(projector_sets), dtype=np.int64)
 
-    def recurse(vec, prob, prefix):
+    def recurse(vec, prefix):
         depth = len(prefix)
         if depth == len(projector_sets):
-            out[prefix] = prob
+            counts[prefix] = vec @ vec
             return
+        # every projector is symmetric, so proj @ vec is vec @ proj, which
+        # reads only the rows on the ket's support
+        support = np.flatnonzero(vec)
         for idx, proj in enumerate(projector_sets[depth]):
-            v = proj @ vec
-            q = float(np.vdot(vec, v).real)
-            if prob * q <= 0.0:
-                continue  # the whole subtree stays at probability zero
-            recurse(v / np.sqrt(q), prob * q, prefix + (idx,))
+            v = vec[support] @ proj[support]
+            if v.any():  # a zero ket leaves its whole subtree at zero
+                recurse(v, prefix + (idx,))
 
-    recurse(state.amplitudes, 1.0, ())
-    return out
+    recurse(state.amplitudes, ())
+    return counts, SCALE ** (2 * len(projector_sets)) * state.norm
 
 
 @functools.cache
-def protocol_joint_table(sources) -> np.ndarray:
-    """p(c, a, b | x, y) as [3x + y, 16c + 4a + b], by collapsing the dense
-    eight-qubit state: the robot's two Bell measurements, then Alice, then Bob.
-    Built once per sources, and read-only."""
+def protocol_joint_table(sources) -> tuple[np.ndarray, int]:
+    """p(c, a, b | x, y) as (counts, norm), counts [3x + y, 16c + 4a + b], by
+    collapsing the dense eight-qubit state: the robot's two Bell measurements,
+    then Alice, then Bob.  Built once per sources, and read-only."""
     state = source_product(*sources)
     robot = [bell_projectors(pair, state.labels) for pair in ROBOT_PAIRS]
     alice, bob = party_projectors(ALICE_PAIR, BOB_PAIR, state.labels)
-    table = np.array(
-        [
-            sequential_joint_distribution(state, robot + [alice[x], bob[y]]).ravel()
-            for x in range(3)
-            for y in range(3)
-        ]
-    )
+    joint = [
+        sequential_joint_distribution(state, robot + [alice[x], bob[y]])
+        for x in range(3)
+        for y in range(3)
+    ]
+    table = np.array([counts.ravel() for counts, _ in joint])
     table.flags.writeable = False
-    return table
+    return table, joint[0][1]
 
 
 @dataclass(frozen=True)
 class Behavior:
-    """Conditional outcome table p(a, b | x, y), indexed [x, y, a, b]."""
+    """Conditional outcome table p(a, b | x, y) as integer counts [x, y, a, b]
+    over one total that every cell (x, y) sums to."""
 
-    probs: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.probs, dtype=float)
+        arr = np.array(self.counts)
         if arr.shape != (3, 3, 4, 4):
             raise ValueError(f"behavior shape {arr.shape}, expected (3, 3, 4, 4)")
-        if arr.min() < -ATOL_STRUCT:
+        if arr.dtype.kind != "i":
+            raise ValueError(f"behavior counts of dtype {arr.dtype} are not integers")
+        if arr.min() < 0:
             raise ValueError("behavior has a negative probability")
-        sums = arr.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise ValueError("behavior columns are not normalized")
+        totals = arr.sum(axis=(2, 3))
+        if totals.min() != totals.max() or totals.min() == 0:
+            raise ValueError("behavior cells are not normalized to one total")
         arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "counts", arr)
 
-    def no_signaling_defect(self) -> float:
-        """Largest change of either party's marginal across the other's settings."""
-        alice = self.probs.sum(axis=3)  # [x, y, a]
-        bob = self.probs.sum(axis=2)  # [x, y, b]
+    def no_signaling_defect(self) -> int:
+        """Largest change, in counts, of either party's marginal across the
+        other's settings."""
+        alice = self.counts.sum(axis=3)  # [x, y, a]
+        bob = self.counts.sum(axis=2)  # [x, y, b]
         d_alice = np.max(np.abs(alice - alice[:, :1, :]))
         d_bob = np.max(np.abs(bob - bob[:1, :, :]))
-        return float(max(d_alice, d_bob))
+        return int(max(d_alice, d_bob))
 
 
-def bob_bit_conditionals(behavior: Behavior, i: int, j: int) -> np.ndarray:
-    """P(Bob's masked bit = +1 | Alice's outcome) for cell (i, j).
+def bob_bit_conditionals(behavior: Behavior, i: int, j: int) -> list[tuple[int, int]]:
+    """P(Bob's masked bit = +1 | Alice's outcome) for cell (i, j), as the
+    pair (count of +1, count) of each Alice outcome that occurs.
 
-    Entries for Alice outcomes of zero probability are returned as nan.
     On a product of Bell states these conditionals are all 0 or 1: either
     party's full outcome fixes the other's masked bit with certainty.
     """
-    bob_mask = MASKS[i]
-    cond = np.full(4, np.nan)
-    for a in range(4):
-        p_a = float(behavior.probs[i, j, a, :].sum())
-        if p_a <= ATOL_STRUCT:
-            continue
-        p_plus = sum(
-            behavior.probs[i, j, a, b]
-            for b in range(4)
-            if masked_sign(b, bob_mask) == 1
-        )
-        cond[a] = p_plus / p_a
-    return cond
+    plus = np.array([masked_sign(b, MASKS[i]) == 1 for b in range(4)])
+    return [(int(row[plus].sum()), int(row.sum())) for row in behavior.counts[i, j] if row.any()]

@@ -21,8 +21,8 @@ from oracle import (
     density_behavior,
     eight_qubit_initial,
     event_counts,
-    fidelity_with_pure,
     integer_rank,
+    is_pure,
     partial_trace,
     party_projectors,
     protocol_joint_table,
@@ -116,27 +116,20 @@ def test_criterion_05_swap_class_map():
     """The 16 robot outcomes are uniform and map bijectively onto the
     expressions, each reaching 9 on its resulting Bell product."""
     rows = swap.class_map()
-    # probabilities and reduced states from the dense eight-qubit collapse
+    # probabilities and reduced states from the dense eight-qubit collapse,
+    # each probability count / norm
     dense = dense_swap(swap.DEFAULT_SOURCES)
-    probs = [swap.WEIGHT / 16] + [prob for prob, _ in dense]
-    prob_err = max(abs(p - 1 / 16.0) for p in probs)
-    fid_min = 1.0
-    for row, (_, rho) in zip(rows, dense):
-        fid_min = min(fid_min, fidelity_with_pure(rho, class_state(row)))
+    uniform = swap.WEIGHT == 1 and all(16 * count == norm for count, norm, _ in dense)
+    pure = sum(is_pure(rho, class_state(row)) for row, (_, _, rho) in zip(rows, dense))
     matched = sorted(rows)
     betas = sorted({matched_beta(row) for row in rows})
-    ok = (
-        prob_err <= 1e-10
-        and fid_min >= 1.0 - 1e-9
-        and matched == list(range(16))
-        and betas == [144]
-    )
+    ok = uniform and pure == 16 and matched == list(range(16)) and betas == [144]
     _report(
         5,
         ok,
-        f"swap map: outcome probabilities 1/16 (err {prob_err:.1e} <= 1e-10), "
-        f"state fidelity >= {fid_min:.12f}, bijection onto expressions 1..16, "
-        f"betas in sixteenths {betas} == [144]",
+        f"swap map: outcome probabilities exactly 1/16: {uniform}, {pure} of 16 "
+        f"reduced states exactly their class's Bell product, bijection onto "
+        f"expressions 1..16, betas in sixteenths {betas} == [144]",
     )
 
 
@@ -146,17 +139,17 @@ def test_criterion_06_premeasurement_marginal(premeasurement_marginal):
     # second route: Born behavior of the partial trace of the dense
     # eight-qubit source state
     dense = partial_trace(eight_qubit_initial(), KEPT_QUBITS)
-    born = 256 * density_behavior(dense, ALICE_PAIR, BOB_PAIR)
+    born, norm = density_behavior(dense, ALICE_PAIR, BOB_PAIR)
     uniform = bool(np.all(marginal == 16))
-    err = float(np.max(np.abs(dense.entries - np.eye(16) / 16.0)))
-    route_err = float(np.max(np.abs(born - marginal)))
-    ok = uniform and err <= 1e-10 and route_err <= 1e-10
+    mixed = np.array_equal(16 * dense.entries, dense.norm * np.eye(16, dtype=int))
+    route = np.array_equal(256 * born, norm * marginal)
+    ok = uniform and mixed and route
     _report(
         6,
         ok,
         f"behavior of (1,3),(6,8) is 1/16 in all 144 entries: {uniform}; the "
-        f"dense marginal is I/16 within {err:.1e} (<= 1e-10) and its Born "
-        f"behavior is {route_err:.1e} (<= 1e-10) from the package's",
+        f"dense marginal is exactly I/16: {mixed}; its Born behavior is "
+        f"exactly the package's: {route}",
     )
 
 
@@ -193,22 +186,25 @@ def test_criterion_08_measurement_order_invariance():
     robot1 = bell_projectors(ROBOT_PAIRS[0], labels)
     robot2 = bell_projectors(ROBOT_PAIRS[1], labels)
     alice, bob = party_projectors(ALICE_PAIR, BOB_PAIR, labels)
-    # the same state collapsed robot first, [3x + y, r1, r2, a, b]
-    robot_first_table = protocol_joint_table(swap.DEFAULT_SOURCES).reshape(9, 4, 4, 4, 4)
-    worst = 0.0
+    # the same state collapsed robot first, [3x + y, r1, r2, a, b], in
+    # integer counts over one norm
+    robot_first_table, norm = protocol_joint_table(swap.DEFAULT_SOURCES)
+    robot_first_table = robot_first_table.reshape(9, 4, 4, 4, 4)
+    agree = 0
     for x in range(3):
         for y in range(3):
-            robot_first = robot_first_table[3 * x + y]
-            robot_last = sequential_joint_distribution(
+            robot_last, last_norm = sequential_joint_distribution(
                 state, [alice[x], bob[y], robot1, robot2]
-            ).transpose(2, 3, 0, 1)
-            worst = max(worst, float(np.max(np.abs(robot_first - robot_last))))
-    ok = worst <= 1e-10
+            )
+            agree += last_norm == norm and np.array_equal(
+                robot_first_table[3 * x + y], robot_last.transpose(2, 3, 0, 1)
+            )
+    ok = agree == 9
     _report(
         8,
         ok,
-        f"robot-first and robot-last joint distributions agree for all 9 "
-        f"setting pairs, max deviation {worst:.1e} (<= 1e-10)",
+        f"robot-first and robot-last joint distributions agree exactly for "
+        f"{agree} of 9 setting pairs",
     )
 
 

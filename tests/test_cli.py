@@ -263,8 +263,8 @@ class TestSwapMap:
         matched = sorted(e["matched_inequality"] for e in doc["entries"])
         assert matched == list(range(1, 17))
         for entry in doc["entries"]:
-            assert entry["probability"] == pytest.approx(0.0625, abs=1e-10)
-            assert entry["beta"] == pytest.approx(9.0, abs=1e-9)
+            assert entry["probability"] == 0.0625
+            assert entry["beta"] == 9.0
 
     def test_explicit_sources(self, capsys):
         code, doc = run_json(capsys, ["swap-map", "--sources", "PM,PP"])

@@ -32,8 +32,9 @@ from nlbox.inequalities import (
 )
 
 
-def matched_behavior(row):
-    return np.asarray(product_counts()[row]) / 16
+def matched_counts(row):
+    """The package's behavior of product ``row`` in sixteenths."""
+    return np.asarray(product_counts()[row])
 
 
 def one_cell(behavior, cell):
@@ -43,11 +44,12 @@ def one_cell(behavior, cell):
 
 @pytest.fixture(scope="module")
 def dense_values():
-    """All 256 values [product, expression] of the dense Born behaviors."""
-    behaviors = np.array(
-        [dense_behavior(four_qubit_product(*labels), *MATCHED_PAIRS) for labels in PRODUCT_LABELS]
-    )
-    return np.array([behavior_value(k, behaviors) for k in range(NUM_EXPRESSIONS)]).T
+    """All 256 values [product, expression] of the dense Born behaviors, as
+    (values, norm): integers over the behaviors' one norm."""
+    born = [dense_behavior(four_qubit_product(*pair), *MATCHED_PAIRS) for pair in PRODUCT_LABELS]
+    (norm,) = {norm for _, norm in born}
+    counts = np.array([counts for counts, _ in born])
+    return np.array([behavior_value(k, counts) for k in range(NUM_EXPRESSIONS)]).T, norm
 
 
 class TestMaskPattern:
@@ -141,8 +143,8 @@ class TestProductTable:
         # <psi| P_a (x) P_b |psi> with embedded dense projectors on the
         # labeled four-qubit product, all 16 products x 9 cells
         for row, (first, second) in enumerate(PRODUCT_LABELS):
-            dense = dense_behavior(four_qubit_product(first, second), *MATCHED_PAIRS)
-            np.testing.assert_allclose(16 * dense, product_counts()[row], rtol=0, atol=1e-12)
+            counts, norm = dense_behavior(four_qubit_product(first, second), *MATCHED_PAIRS)
+            np.testing.assert_array_equal(16 * counts, norm * matched_counts(row))
 
     def test_a_flipped_pauli_sign_fails_verification(self, capsys, monkeypatch):
         # Bob's -YY is the table's one negative string; with +YY his third
@@ -163,32 +165,33 @@ class TestQuantumRoute:
     def test_reference_correlators_on_double_phi_plus(self):
         # a cell's value under expression 1, unsigned, is its correlator
         state = four_qubit_product(PHI_PLUS, PHI_PLUS)
-        born, signs = dense_behavior(state, *MATCHED_PAIRS), SIGN_TABLES[0]
-        assert signs[0][0] * behavior_value(0, one_cell(born, 0)) == pytest.approx(
-            1.0, abs=1e-12
-        )
-        assert signs[2][2] * behavior_value(0, one_cell(born, 8)) == pytest.approx(
-            -1.0, abs=1e-12
-        )
+        (born, norm), signs = dense_behavior(state, *MATCHED_PAIRS), SIGN_TABLES[0]
+        assert signs[0][0] * behavior_value(0, one_cell(born, 0)) == norm
+        assert signs[2][2] * behavior_value(0, one_cell(born, 8)) == -norm
 
     def test_matched_state_mapping(self):
         # row 3 of the table is PP x SM: the labeled product on (1,2) x (3,4)
         # with its axes moved to Alice's (1, 3) then Bob's (2, 4), measured
-        # in the parties' kets without any embedding
+        # in the parties' kets without any embedding: p = <k_a k_b|psi>^2
+        # over the three kets' squared norms
         labeled = four_qubit_product(PHI_PLUS, PSI_MINUS)
         assert labeled.labels == (1, 2, 3, 4)
         alice_major = labeled.amplitudes.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
         alice = np.array([alice_kets(x) for x in range(3)])
         bob = np.array([bob_kets(y) for y in range(3)])
-        amps = np.einsum("xai,ybj,ij->xyab", alice.conj(), bob.conj(), alice_major.reshape(4, 4))
-        born = 16 * np.abs(amps.reshape(144)) ** 2
-        np.testing.assert_allclose(born, product_counts()[3], rtol=0, atol=1e-12)
+        amps = np.einsum("xai,ybj,ij->xyab", alice, bob, alice_major.reshape(4, 4))
+        alice_norms = np.einsum("xai,xai->xa", alice, alice)[:, None, :, None]
+        bob_norms = np.einsum("ybj,ybj->yb", bob, bob)[None, :, None, :]
+        norms = alice_norms * bob_norms * labeled.norm
+        np.testing.assert_array_equal(
+            16 * amps**2, norms * matched_counts(3).reshape(3, 3, 4, 4)
+        )
 
     def test_full_value_table_matches_reference(self, reference_doc, dense_values):
         # dense Born behaviors scored by sign tables and masks, independent
         # of the coefficient matrix
-        ref = np.array(reference_doc["values"], dtype=float)
-        np.testing.assert_allclose(dense_values, ref, atol=1e-9)
+        values, norm = dense_values
+        np.testing.assert_array_equal(values, norm * np.array(reference_doc["values"]))
 
     def test_reference_table_is_a_cayley_table(self, reference_doc):
         # product k scores expression j + 1 as product 0 scores expression
@@ -205,85 +208,82 @@ class TestQuantumRoute:
         # on its matched state every signed correlator equals +1, not just
         # the sum
         for k in range(NUM_EXPRESSIONS):
-            born = dense_behavior(four_qubit_product(*PRODUCT_LABELS[k]), *MATCHED_PAIRS)
+            born, norm = dense_behavior(four_qubit_product(*PRODUCT_LABELS[k]), *MATCHED_PAIRS)
             for cell in range(9):
-                assert behavior_value(k, one_cell(born, cell)) == pytest.approx(1.0, abs=1e-9)
+                assert behavior_value(k, one_cell(born, cell)) == norm
 
     def test_explicit_pairs_on_swap_layout(self):
         state = bell_product(PHI_PLUS, PHI_PLUS, (1, 6), (3, 8))
-        swapped = dense_behavior(state, (1, 3), (6, 8))
-        assert behavior_value(0, swapped) == pytest.approx(9.0, abs=1e-9)
-        np.testing.assert_allclose(swapped, matched_behavior(0), atol=1e-15)
-        assert swapped @ C[0] == pytest.approx(9.0, abs=1e-9)
+        swapped, norm = dense_behavior(state, (1, 3), (6, 8))
+        assert behavior_value(0, swapped) == 9 * norm
+        np.testing.assert_array_equal(16 * swapped, norm * matched_counts(0))
+        assert swapped @ C[0] == 9 * norm
 
 
 class TestBehaviorRoute:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
-            Behavior(np.zeros((3, 3, 4, 3)))
+            Behavior(np.zeros((3, 3, 4, 3), dtype=int))
 
     def test_normalization_validation(self):
-        bad = np.full((3, 3, 4, 4), 1 / 16.0)
-        bad[0, 0, 0, 0] += 0.1
+        bad = np.ones((3, 3, 4, 4), dtype=int)
+        bad[0, 0, 0, 0] += 1
         with pytest.raises(ValueError, match="normalized"):
             Behavior(bad)
 
     def test_negativity_validation(self):
-        bad = np.full((3, 3, 4, 4), 1 / 16.0)
-        bad[1, 1, 2, 2] -= 0.2
-        bad[1, 1, 2, 3] += 0.2
+        bad = np.ones((3, 3, 4, 4), dtype=int)
+        bad[1, 1, 2, 2] -= 2
+        bad[1, 1, 2, 3] += 2
         with pytest.raises(ValueError, match="negative"):
             Behavior(bad)
 
     def test_quantum_behaviors_are_nonsignaling(self):
         for row in (0, 6, 15):
-            b = Behavior(matched_behavior(row).reshape(3, 3, 4, 4))
-            assert b.no_signaling_defect() < 1e-10
+            b = Behavior(matched_counts(row).reshape(3, 3, 4, 4))
+            assert b.no_signaling_defect() == 0
 
     def test_uniform_behavior_scores_zero(self):
-        uniform = Behavior(np.full((3, 3, 4, 4), 1 / 16.0))
-        values = uniform.probs.reshape(144) @ np.asarray(C).T
-        np.testing.assert_allclose(values, np.zeros(NUM_EXPRESSIONS), atol=1e-12)
+        uniform = Behavior(np.ones((3, 3, 4, 4), dtype=int))
+        values = uniform.counts.reshape(144) @ np.asarray(C).T
+        np.testing.assert_array_equal(values, np.zeros(NUM_EXPRESSIONS, dtype=int))
 
     def test_routes_agree_on_all_products(self, dense_values):
-        # the coefficient route and the dense Born route must give the
-        # same 256 numbers
-        values = np.asarray(product_counts()) @ np.asarray(C).T / 16
-        np.testing.assert_allclose(values, dense_values, rtol=0, atol=1e-9)
+        # the coefficient route, in sixteenths, and the dense Born route
+        # must give the same 256 numbers
+        sixteenths = np.asarray(product_counts()) @ np.asarray(C).T
+        values, norm = dense_values
+        np.testing.assert_array_equal(16 * values, norm * sixteenths)
 
     def test_correlator_routes_agree(self):
         # a cell's block of a coefficient row is the cell's signed masked
         # correlator
-        born = dense_behavior(four_qubit_product(*PRODUCT_LABELS[5]), *MATCHED_PAIRS)
-        blocks = (np.asarray(C[0]) * matched_behavior(5)).reshape(9, 16)
+        born, norm = dense_behavior(four_qubit_product(*PRODUCT_LABELS[5]), *MATCHED_PAIRS)
+        blocks = (np.asarray(C[0]) * matched_counts(5)).reshape(9, 16)
         for cell in range(9):
-            assert blocks[cell].sum() == pytest.approx(
-                behavior_value(0, one_cell(born, cell)), abs=1e-10
-            )
+            assert norm * blocks[cell].sum() == 16 * behavior_value(0, one_cell(born, cell))
 
     def test_outcome_certainty_on_products(self):
         # either party's full outcome pins the other's masked bit: every
         # defined conditional is exactly 0 or 1
         for k in range(NUM_EXPRESSIONS):
-            behavior = Behavior(matched_behavior(k).reshape(3, 3, 4, 4))
+            behavior = Behavior(matched_counts(k).reshape(3, 3, 4, 4))
             for i in range(3):
                 for j in range(3):
                     cond = bob_bit_conditionals(behavior, i, j)
-                    defined = cond[~np.isnan(cond)]
-                    assert defined.size > 0
-                    assert np.all(
-                        (np.abs(defined) < 1e-10) | (np.abs(defined - 1) < 1e-10)
-                    )
+                    assert len(cond) > 0
+                    assert all(plus in (0, total) for plus, total in cond)
 
     @settings(max_examples=25)
     @given(
         st.integers(0, NUM_EXPRESSIONS - 1),
         st.lists(
-            st.floats(0.01, 1.0, allow_nan=False), min_size=144, max_size=144
+            st.lists(st.integers(0, 100), min_size=15, max_size=15), min_size=9, max_size=9
         ),
     )
-    def test_algebraic_bound_on_random_behaviors(self, row, raw):
-        table = np.array(raw).reshape(3, 3, 4, 4)
-        table /= table.sum(axis=(2, 3), keepdims=True)
-        behavior = Behavior(table)
-        assert abs(behavior.probs.reshape(144) @ C[row]) <= 9.0 + 1e-9
+    def test_algebraic_bound_on_random_behaviors(self, row, cuts):
+        # each cell's 16 counts are the gaps between 15 cuts of 0..100, so
+        # every cell holds the same total 100
+        edges = np.concatenate([np.zeros((9, 1), int), np.sort(cuts), np.full((9, 1), 100)], 1)
+        behavior = Behavior(np.diff(edges).reshape(3, 3, 4, 4))
+        assert abs(behavior.counts.reshape(144) @ C[row]) <= 9 * 100

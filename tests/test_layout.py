@@ -10,8 +10,12 @@ module other than ``test_qla.py`` (the unit tests of its linear algebra),
 directly or through other oracle definitions.
 
 The package is integer-only: it holds no complex number and no ket; the
-dense complex route lives in ``tests/oracle.py``.  It is exact until the
-renderer: no float literal and no true division outside ``cli.sig12``,
+dense ket route lives in ``tests/oracle.py``, and it is exact too: the
+oracle holds no complex number and names no square root, and no test
+module but this one holds a float tolerance (``approx``, ``atol``,
+``rtol``, ``isclose``, ``allclose`` or a ``1e-`` literal), except the
+statistical checks listed in ``STATISTICAL``.  The package is exact until
+the renderer: no float literal and no true division outside ``cli.sig12``,
 but for the contract's draw ``u() * 1152.0`` and the ``Path`` joins, and
 no command loads ``fractions`` or ``decimal``.
 
@@ -32,6 +36,7 @@ name.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -176,6 +181,52 @@ def test_package_is_integer_only():
         f"{module} {use}" for module, tree in _modules().items() for use in _complex_uses(tree)
     ]
     assert found == [], f"complex numbers in the package: {found}"
+
+
+TOLERANCES = re.compile(r"approx|atol|rtol|isclose|allclose|1e-")
+FLOAT_ROUTES = re.compile(r"sqrt|complex|1j")
+# The statistical checks keep their float thresholds: test_sampler.py's
+# stdlib chi-squared survival function and its p-value threshold.  Its
+# 5-sigma and 5-standard-error checks hold no token.
+STATISTICAL = {"test_sampler.py": ("chi2_sf", "assert p_value > 1e-3")}
+
+
+def _matching_lines(source: str, pattern: re.Pattern, allowed=()) -> list[str]:
+    """Lines that ``pattern`` matches, except the lines of a top-level
+    function named in ``allowed`` and lines that, stripped, are in it."""
+    exempt = {
+        number
+        for stmt in ast.parse(source).body
+        if getattr(stmt, "name", None) in allowed
+        for number in range(stmt.lineno, stmt.end_lineno + 1)
+    }
+    return [
+        f"line {number}: {line.strip()}"
+        for number, line in enumerate(source.splitlines(), 1)
+        if pattern.search(line) and number not in exempt and line.strip() not in allowed
+    ]
+
+
+def test_no_float_tolerance_in_the_oracle_or_the_tests():
+    sample = (
+        "def chi2_sf(x):\n"
+        "    return x < 1e-15\n"
+        "assert p_value > 1e-3\n"
+        "assert p == pytest.approx(0.5)\n"
+        "np.testing.assert_allclose(a, b, atol=1e-12)\n"
+    )
+    assert len(_matching_lines(sample, TOLERANCES)) == 4
+    assert len(_matching_lines(sample, TOLERANCES, STATISTICAL["test_sampler.py"])) == 2
+    assert len(_matching_lines("v = np.array([1, 1j]) / np.sqrt(2)\n", FLOAT_ROUTES)) == 1
+    oracle = (TESTS / "oracle.py").read_text(encoding="utf-8")
+    found = [f"oracle.py {hit}" for hit in _matching_lines(oracle, FLOAT_ROUTES)]
+    found += [f"oracle.py {use}" for use in _complex_uses(ast.parse(oracle))]
+    for path in sorted(TESTS.glob("*.py")):
+        if path.name != "test_layout.py":
+            allowed = STATISTICAL.get(path.name, ())
+            hits = _matching_lines(path.read_text(encoding="utf-8"), TOLERANCES, allowed)
+            found += [f"{path.name} {hit}" for hit in hits]
+    assert found == [], f"float routes or tolerances in the tests: {found}"
 
 
 def _early_floats(source: str, exempt=()) -> list[str]:

@@ -1,8 +1,8 @@
 """Four-outcome observables and their masked two-outcome coarse-grainings.
 
 The package holds the masked observables as signed Pauli strings; the
-oracle builds the same measurements from kets.  The frozen Pauli products
-below tie the two together.
+oracle builds the same measurements from integer kets, each projector P
+held as SCALE P.  The frozen Pauli products below tie the two together.
 """
 
 import numpy as np
@@ -12,9 +12,10 @@ from oracle import (
     MASKS,
     OUTCOME_LABELS,
     PHI_MINUS,
+    SCALE,
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
+    J,
     alice_observable,
     bell,
     bob_observable,
@@ -26,7 +27,9 @@ from oracle import (
 from nlbox import observables
 from nlbox.observables import OUTCOMES, mask_value
 
-SX, SY, SZ, I2 = SIGMA_X, SIGMA_Y, SIGMA_Z, ID2
+SX, SZ, I2 = SIGMA_X, SIGMA_Z, ID2
+# sigma_y = i J, so sigma_y (x) sigma_y = -(J (x) J)
+YY = -np.kron(J, J)
 
 
 def all_observables():
@@ -48,56 +51,57 @@ class TestMaskValue:
 class TestProjectorStructure:
     @pytest.mark.parametrize("obs", all_observables(), ids=lambda o: f"{o.party}{o.setting}")
     def test_complete_orthogonal_rank_one(self, obs):
-        total = np.zeros((4, 4), dtype=complex)
+        # each projector is held as SCALE P
+        total = np.zeros((4, 4), dtype=int)
         for proj in obs.projectors:
-            np.testing.assert_allclose(proj, proj.conj().T, atol=1e-12)
-            np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
-            assert np.trace(proj).real == pytest.approx(1.0)
+            np.testing.assert_array_equal(proj, proj.T)
+            np.testing.assert_array_equal(proj @ proj, SCALE * proj)
+            assert np.trace(proj) == SCALE
             total += proj
-        np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
+        np.testing.assert_array_equal(total, SCALE * np.eye(4, dtype=int))
         for i in range(4):
             for j in range(i + 1, 4):
                 prod = obs.projectors[i] @ obs.projectors[j]
-                np.testing.assert_allclose(prod, np.zeros((4, 4)), atol=1e-12)
+                np.testing.assert_array_equal(prod, np.zeros((4, 4), dtype=int))
 
     def test_alice_0_outcome_assignment(self):
         obs = alice_observable(0)
-        ket01 = np.zeros(4)
-        ket01[1] = 1.0  # |01>
-        np.testing.assert_allclose(obs.projectors[1], np.outer(ket01, ket01), atol=1e-15)
+        ket01 = np.zeros(4, dtype=int)
+        ket01[1] = 1  # |01>
+        np.testing.assert_array_equal(obs.projectors[1], SCALE * np.outer(ket01, ket01))
 
     def test_alice_1_crosses_outcomes(self):
         # the middle outcomes attach to the opposite sign pattern
         obs = alice_observable(1)
-        plus = np.array([1, 1]) / np.sqrt(2)
-        minus = np.array([1, -1]) / np.sqrt(2)
-        mp = np.kron(minus, plus)
+        plus = np.array([1, 1])
+        minus = np.array([1, -1])
+        mp = np.kron(minus, plus)  # |-+>, squared norm 4
         pm = np.kron(plus, minus)
-        np.testing.assert_allclose(obs.projectors[1], np.outer(mp, mp), atol=1e-12)
-        np.testing.assert_allclose(obs.projectors[2], np.outer(pm, pm), atol=1e-12)
+        np.testing.assert_array_equal(obs.projectors[1], np.outer(mp, mp))
+        np.testing.assert_array_equal(obs.projectors[2], np.outer(pm, pm))
 
     def test_alice_2_uses_chi_omega(self):
         obs = alice_observable(2)
-        chi_p = chi_omega("chi+").amplitudes
+        chi_p = chi_omega("chi+").amplitudes  # squared norm 4
         om_m = chi_omega("omega-").amplitudes
-        np.testing.assert_allclose(obs.projectors[0], np.outer(chi_p, chi_p), atol=1e-12)
-        np.testing.assert_allclose(obs.projectors[3], np.outer(om_m, om_m), atol=1e-12)
+        np.testing.assert_array_equal(obs.projectors[0], np.outer(chi_p, chi_p))
+        np.testing.assert_array_equal(obs.projectors[3], np.outer(om_m, om_m))
 
     def test_bob_0_and_1_assignments(self):
         zero = np.array([1, 0])
         one = np.array([0, 1])
-        minus = np.array([1, -1]) / np.sqrt(2)
+        minus = np.array([1, -1])
         b0 = bob_observable(0)
-        v = np.kron(one, minus)  # |1->
-        np.testing.assert_allclose(b0.projectors[3], np.outer(v, v), atol=1e-12)
+        v = np.kron(one, minus)  # |1->, squared norm 2
+        np.testing.assert_array_equal(b0.projectors[3], 2 * np.outer(v, v))
         b1 = bob_observable(1)
         w = np.kron(minus, zero)  # |-0>
-        np.testing.assert_allclose(b1.projectors[1], np.outer(w, w), atol=1e-12)
+        np.testing.assert_array_equal(b1.projectors[1], 2 * np.outer(w, w))
 
     def test_bob_2_uses_bell_basis(self):
         obs = bob_observable(2)
-        pm = bell(PHI_MINUS).amplitudes
-        np.testing.assert_allclose(obs.projectors[1], np.outer(pm, pm), atol=1e-12)
+        pm = bell(PHI_MINUS).amplitudes  # squared norm 2
+        np.testing.assert_array_equal(obs.projectors[1], 2 * np.outer(pm, pm))
 
 
 # Every masked observable reduces to a Pauli product.  Derived once by
@@ -105,20 +109,22 @@ class TestProjectorStructure:
 MASKED_IDENTITY = {
     ("alice", 0): {"10": np.kron(SZ, I2), "01": np.kron(I2, SZ), "11": np.kron(SZ, SZ)},
     ("alice", 1): {"10": np.kron(I2, SX), "01": np.kron(SX, I2), "11": np.kron(SX, SX)},
-    ("alice", 2): {"10": np.kron(SZ, SX), "01": np.kron(SX, SZ), "11": np.kron(SY, SY)},
+    ("alice", 2): {"10": np.kron(SZ, SX), "01": np.kron(SX, SZ), "11": YY},
     ("bob", 0): {"10": np.kron(SZ, I2), "01": np.kron(I2, SX), "11": np.kron(SZ, SX)},
     ("bob", 1): {"10": np.kron(I2, SZ), "01": np.kron(SX, I2), "11": np.kron(SX, SZ)},
-    ("bob", 2): {"10": np.kron(SZ, SZ), "01": np.kron(SX, SX), "11": -np.kron(SY, SY)},
+    ("bob", 2): {"10": np.kron(SZ, SZ), "01": np.kron(SX, SX), "11": -YY},
 }
 
 
-PAULI = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
+PAULI = {"I": I2, "X": SX, "Y": J, "Z": SZ}
 
 
 def render(string: str) -> np.ndarray:
-    """Dense Kronecker product of a signed two-letter Pauli string."""
-    sign = -1 if string.startswith("-") else 1
+    """Dense Kronecker product of a signed two-letter Pauli string whose Ys
+    come in a pair: sigma_y (x) sigma_y is -(J (x) J)."""
     first, second = string.lstrip("-")
+    assert string.count("Y") in (0, 2), string
+    sign = (-1) ** (string.startswith("-") + string.count("Y") // 2)
     return sign * np.kron(PAULI[first], PAULI[second])
 
 
@@ -131,9 +137,8 @@ class TestMaskedOperators:
         strings = observables.ALICE_PAULIS if party == "alice" else observables.BOB_PAULIS
         for mask, string in zip(MASKS, strings[setting]):
             want = MASKED_IDENTITY[(party, setting)][mask]
-            np.testing.assert_allclose(
-                masked_operator(obs, mask), want, atol=1e-12,
-                err_msg=f"{party} {setting} mask {mask}",
+            np.testing.assert_array_equal(
+                masked_operator(obs, mask), want, err_msg=f"{party} {setting} mask {mask}"
             )
             np.testing.assert_array_equal(
                 render(string), want, err_msg=f"{party} {setting} mask {mask}: {string}"
@@ -143,10 +148,10 @@ class TestMaskedOperators:
     def test_involution_and_product_rule(self, obs):
         ops = {m: masked_operator(obs, m) for m in MASKS}
         for m, op in ops.items():
-            np.testing.assert_allclose(op @ op, np.eye(4), atol=1e-12)
-            np.testing.assert_allclose(op, op.conj().T, atol=1e-12)
+            np.testing.assert_array_equal(op @ op, np.eye(4, dtype=int))
+            np.testing.assert_array_equal(op, op.T)
         # the joint mask is the product of the two marginal masks
-        np.testing.assert_allclose(ops["11"], ops["10"] @ ops["01"], atol=1e-12)
+        np.testing.assert_array_equal(ops["11"], ops["10"] @ ops["01"])
 
     def test_rejects_unknown_mask(self):
         with pytest.raises(ValueError, match="mask"):

@@ -58,11 +58,11 @@ def flipped(string, frames) -> int:
 def strategy_behavior(strategy) -> Behavior:
     """The behavior of an (alice, bob) pair of deterministic strategies."""
     alice, bob = strategy
-    probs = np.zeros((3, 3, 4, 4))
+    counts = np.zeros((3, 3, 4, 4), dtype=int)
     for x in range(3):
         for y in range(3):
-            probs[x, y, alice[x], bob[y]] = 1.0
-    return Behavior(probs)
+            counts[x, y, alice[x], bob[y]] = 1
+    return Behavior(counts)
 
 
 class TestStrategies:
@@ -168,13 +168,13 @@ class TestBounds:
         assert len(witnesses) == NUM_EXPRESSIONS
         for k, witness in enumerate(witnesses):
             # recompute the witness value through the scalar route
-            assert behavior_value(k, strategy_behavior(witness).probs.reshape(144)) == 7
+            assert behavior_value(k, strategy_behavior(witness).counts.reshape(144)) == 7
 
     def test_witness_realizes_seven_as_a_behavior(self):
         witnesses = facets()[4]
         for k in (0, 7, 15):
             behavior = strategy_behavior(witnesses[k])
-            assert behavior.probs.reshape(144) @ C[k] == 7
+            assert behavior.counts.reshape(144) @ C[k] == 7
 
     def test_beta_matrix_agrees_with_scalar_route(self):
         mat = np.asarray(vertex_values(2)).reshape(NUM_PARTY_STRATEGIES, NUM_PARTY_STRATEGIES)
@@ -184,7 +184,7 @@ class TestBounds:
             f = int(rng.integers(NUM_PARTY_STRATEGIES))
             g = int(rng.integers(NUM_PARTY_STRATEGIES))
             strat = (singles[f], singles[g])
-            assert mat[f, g] == behavior_value(2, strategy_behavior(strat).probs.reshape(144))
+            assert mat[f, g] == behavior_value(2, strategy_behavior(strat).counts.reshape(144))
 
     def test_ns_bound_is_nine_and_attained(self):
         for k in range(NUM_EXPRESSIONS):
@@ -279,11 +279,11 @@ class TestFacets:
         # every saturating vertex really evaluates to 7: read its strategy
         # off the one-hot cells and score it through the scalar route
         for row in sat[:20]:
-            cells = Behavior(row.reshape(3, 3, 4, 4).astype(float)).probs
+            cells = Behavior(row.reshape(3, 3, 4, 4)).counts
             alice = tuple(int(np.argmax(cells[x, 0].sum(axis=1))) for x in range(3))
             bob = tuple(int(np.argmax(cells[0, y].sum(axis=0))) for y in range(3))
             behavior = strategy_behavior((alice, bob))
-            assert behavior_value(0, behavior.probs.reshape(144)) == 7
+            assert behavior_value(0, behavior.counts.reshape(144)) == 7
 
     def test_flips_are_linear_in_the_product(self, loop_flips):
         # product k ^ j carries the frames of k and j composed, so its flip is

@@ -43,7 +43,8 @@ def table():
 
 @pytest.fixture(scope="module")
 def joint():
-    """p(c, a, b | x, y) of the default sources by dense collapse, [3x + y, 16c + 4a + b]."""
+    """p(c, a, b | x, y) of the default sources by dense collapse, as integer
+    counts [3x + y, 16c + 4a + b] over one norm: (counts, norm)."""
     return protocol_joint_table(DEFAULT_SOURCES)
 
 
@@ -268,21 +269,21 @@ class TestEstimatorAgainstBehavior:
             ab = rng.choice(16, size=n_cell, p=flat[cell] / flat[cell].sum())
             drawn[16 * cell : 16 * cell + 16] = np.bincount(ab, minlength=16)
         num, L, grid, _ = estimate_beta(drawn.tolist(), 1)
-        state = four_qubit_product(PHI_PLUS, PHI_PLUS)
-        want = behavior_value(1, dense_behavior(state, *MATCHED_PAIRS))
+        born, norm = dense_behavior(four_qubit_product(PHI_PLUS, PHI_PLUS), *MATCHED_PAIRS)
+        want = behavior_value(1, born) / norm
         se = math.sqrt(sum(1.0 / n for cells in grid for n in cells))
         assert abs(num / L - want) < 5 * se
 
 
 class TestExactTable:
     def test_rows_are_distributions(self, joint, table):
-        # the dense collapse's rows: every entry is 0 or 1/128, 128 of them
-        # positive, and the code table lists each row's positive columns
-        assert joint.shape == (9, 256)
-        assert set(np.unique(np.rint(128 * joint))) == {0.0, 1.0}
-        assert np.allclose(joint, np.rint(128 * joint) / 128, atol=1e-12)
-        assert np.all(np.rint(128 * joint).sum(axis=1) == 128)
-        support = [256 * cell + col for cell, col in zip(*np.nonzero(joint > 1e-12))]
+        # the dense collapse's rows: every entry is exactly 0 or 1/128, 128
+        # of them positive, and the code table lists each row's positive columns
+        counts, norm = joint
+        assert counts.shape == (9, 256)
+        assert set(np.unique(128 * counts)) == {0, norm}
+        assert np.all(np.count_nonzero(counts, axis=1) == 128)
+        support = [256 * cell + col for cell, col in zip(*np.nonzero(counts))]
         assert list(table) == support
         assert len(table) == 1152
 
@@ -335,8 +336,10 @@ class TestExactTable:
         # second route: the flattened joint table of the dense collapse, in
         # exact counts of 1/1152, searched at the exact rational 1152 u; the
         # bucket edge 1/128 is a float, so 1152 u is exact there
-        counts = np.rint(1152 * joint.ravel() / 9)
-        cum = list(itertools.accumulate(int(n) for n in counts))
+        counts, norm = joint
+        units, rest = np.divmod(128 * counts.ravel(), norm)
+        assert not rest.any()
+        cum = list(itertools.accumulate(int(n) for n in units))
         assert cum[-1] == 1152
         rng = random.Random(5)
         u = [0.0, 1 / 128, 0.5, LARGEST_U]
@@ -347,8 +350,9 @@ class TestExactTable:
     def test_sampled_table_fits_the_dense_collapse(self, joint):
         # independent route: the full (x, y, r1, r2, a, b) table from
         # sequential collapse of the eight-qubit state, uniform settings
-        exact = joint.ravel() / 9.0
-        positive = exact > 1e-12
+        collapse, norm = joint
+        exact = collapse.ravel() / (9 * norm)
+        positive = collapse.ravel() > 0
         assert positive.sum() == 1152
         shots = 115_200  # 100 expected events in each positive cell
         counts = Counter(sample(shots, 20261017))

@@ -24,6 +24,7 @@ from oracle import (
     eight_qubit_initial,
     expectation,
     four_qubit_product,
+    is_pure,
     partial_trace,
     pauli_frame,
     source_product,
@@ -31,8 +32,6 @@ from oracle import (
 )
 
 from nlbox import swap
-
-SQ2 = np.sqrt(2.0)
 
 
 class TestBellStates:
@@ -53,9 +52,8 @@ class TestBellStates:
         ],
     )
     def test_amplitudes(self, label, amps):
-        np.testing.assert_allclose(
-            bell(label).amplitudes, np.array(amps) / SQ2, atol=1e-15
-        )
+        # each Bell ket is held as sqrt(2) times the state
+        np.testing.assert_array_equal(bell(label).amplitudes, amps)
 
     @pytest.mark.parametrize(
         "label,zz,xx",
@@ -74,18 +72,17 @@ class TestBellStates:
     )
     def test_parity_eigenvalues(self, label, zz, xx):
         state = bell(label)
-        assert expectation(state, np.kron(SIGMA_Z, SIGMA_Z)) == pytest.approx(zz)
-        assert expectation(state, np.kron(SIGMA_X, SIGMA_X)) == pytest.approx(xx)
+        assert expectation(state, np.kron(SIGMA_Z, SIGMA_Z)) == zz
+        assert expectation(state, np.kron(SIGMA_X, SIGMA_X)) == xx
 
     def test_orthonormal(self):
-        vecs = [bell(l).amplitudes for l in BELL_ORDER]
-        gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
-        np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
+        vecs = np.array([bell(l).amplitudes for l in BELL_ORDER])
+        np.testing.assert_array_equal(vecs @ vecs.T, 2 * np.eye(4, dtype=int))
 
     def test_each_half_is_maximally_mixed(self):
         for label in BELL_ORDER:
             rho = partial_trace(bell(label), [1])
-            np.testing.assert_allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
+            np.testing.assert_array_equal(2 * rho.entries, rho.norm * np.eye(2, dtype=int))
 
     def test_index_is_the_pauli_frame(self):
         # the package's state i is the frame (x, z) = divmod(i, 2)
@@ -113,9 +110,8 @@ class TestChiOmega:
         ],
     )
     def test_amplitudes(self, kind, amps):
-        np.testing.assert_allclose(
-            chi_omega(kind).amplitudes, np.array(amps) / 2.0, atol=1e-15
-        )
+        # each ket is held as 2 times the state
+        np.testing.assert_array_equal(chi_omega(kind).amplitudes, amps)
 
     @pytest.mark.parametrize(
         "kind,zx,xz",
@@ -128,14 +124,13 @@ class TestChiOmega:
     )
     def test_cross_parity_eigenvalues(self, kind, zx, xz):
         state = chi_omega(kind)
-        assert expectation(state, np.kron(SIGMA_Z, SIGMA_X)) == pytest.approx(zx)
-        assert expectation(state, np.kron(SIGMA_X, SIGMA_Z)) == pytest.approx(xz)
+        assert expectation(state, np.kron(SIGMA_Z, SIGMA_X)) == zx
+        assert expectation(state, np.kron(SIGMA_X, SIGMA_Z)) == xz
 
     def test_orthonormal_basis(self):
         kinds = ["chi+", "chi-", "omega+", "omega-"]
-        vecs = [chi_omega(k).amplitudes for k in kinds]
-        gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
-        np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
+        vecs = np.array([chi_omega(k).amplitudes for k in kinds])
+        np.testing.assert_array_equal(vecs @ vecs.T, 4 * np.eye(4, dtype=int))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="chi/omega"):
@@ -157,26 +152,23 @@ class TestProducts:
     def test_four_qubit_product_labels_and_norm(self):
         state = four_qubit_product(PHI_PLUS, PSI_MINUS)
         assert state.labels == (1, 2, 3, 4)
-        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0)
+        assert state.norm == 4
 
     def test_sixteen_products_are_orthonormal(self):
-        vecs = [four_qubit_product(f, s).amplitudes for f, s in PRODUCT_LABELS]
-        gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
-        np.testing.assert_allclose(gram, np.eye(16), atol=1e-12)
+        vecs = np.array([four_qubit_product(f, s).amplitudes for f, s in PRODUCT_LABELS])
+        np.testing.assert_array_equal(vecs @ vecs.T, 4 * np.eye(16, dtype=int))
 
     def test_alice_pair_is_maximally_mixed(self):
         state = four_qubit_product(PSI_PLUS, PHI_MINUS)
         rho = partial_trace(state, [1, 3])
-        np.testing.assert_allclose(rho.entries, np.eye(4) / 4, atol=1e-12)
+        np.testing.assert_array_equal(4 * rho.entries, rho.norm * np.eye(4, dtype=int))
 
     def test_bell_product_on_swap_pairs(self):
         state = bell_product(
             PHI_MINUS, PSI_PLUS, (1, 6), (3, 8)
         )
-        assert state.labels == (1, 3, 6, 8)
-        rho16 = partial_trace(state, [1, 6])
-        ref = bell(PHI_MINUS).amplitudes
-        np.testing.assert_allclose(rho16.entries, np.outer(ref, ref.conj()), atol=1e-12)
+        assert state.labels == (1, 6, 3, 8)
+        assert is_pure(partial_trace(state, [1, 6]), bell(PHI_MINUS, (1, 6)))
 
     def test_bell_product_matches_explicit_tensor(self):
         direct = bell_product(
@@ -186,29 +178,23 @@ class TestProducts:
             bell(PSI_MINUS, (1, 2)),
             bell(PHI_PLUS, (3, 4)),
         )
-        np.testing.assert_allclose(direct.amplitudes, manual.amplitudes, atol=1e-15)
+        np.testing.assert_array_equal(direct.amplitudes, manual.amplitudes)
 
 
 class TestEightQubitInitial:
     def test_labels_and_norm(self):
         state = eight_qubit_initial()
         assert state.labels == tuple(range(1, 9))
-        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0)
+        assert state.norm == 16
 
     def test_singlet_correlations_on_each_pair(self):
         state = eight_qubit_initial()
         for pair in [(1, 2), (3, 4), (5, 6), (7, 8)]:
-            rho = partial_trace(state, pair)
-            sm = bell(PSI_MINUS).amplitudes
-            np.testing.assert_allclose(
-                rho.entries, np.outer(sm, sm.conj()), atol=1e-12
-            )
+            assert is_pure(partial_trace(state, pair), bell(PSI_MINUS, pair))
 
     def test_source_product_places_labels(self):
         state = source_product(PHI_MINUS, PHI_PLUS)
         # first source label sits on (1,2) and (5,6), second on (3,4) and (7,8)
-        pm = bell(PHI_MINUS).amplitudes
-        pp = bell(PHI_PLUS).amplitudes
-        for pair, ref in [((1, 2), pm), ((5, 6), pm), ((3, 4), pp), ((7, 8), pp)]:
-            rho = partial_trace(state, pair)
-            np.testing.assert_allclose(rho.entries, np.outer(ref, ref.conj()), atol=1e-12)
+        placed = {(1, 2): PHI_MINUS, (5, 6): PHI_MINUS, (3, 4): PHI_PLUS, (7, 8): PHI_PLUS}
+        for pair, label in placed.items():
+            assert is_pure(partial_trace(state, pair), bell(label, pair))

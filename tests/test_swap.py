@@ -16,8 +16,8 @@ from oracle import (
     dense_behavior,
     dense_swap,
     density_behavior,
-    fidelity_with_pure,
     identify_bell_product,
+    is_pure,
     premeasurement_state,
 )
 
@@ -47,15 +47,15 @@ class TestClassMap:
     def test_frame_rule_matches_dense_collapse(self, sources):
         # the second route collapses the eight-qubit source state for every
         # robot outcome, in the oracle's own order of (r1, r2), and
-        # identifies the reduced state by fidelity
-        for row, (prob, rho) in zip(class_map(sources), dense_swap(sources), strict=True):
-            assert abs(prob - WEIGHT / 16) <= 1e-12
-            assert fidelity_with_pure(rho, class_state(row)) >= 1 - 1e-9
+        # identifies the reduced state exactly
+        for row, (count, norm, rho) in zip(class_map(sources), dense_swap(sources), strict=True):
+            assert 16 * count == WEIGHT * norm
+            assert is_pure(rho, class_state(row))
             assert PRODUCT_LABELS[row] == identify_bell_product(rho)
             # the package's table row of the product is the Born behavior
             # of the collapsed state on Alice's (1, 3) and Bob's (6, 8)
-            born = 16 * density_behavior(rho, ALICE_PAIR, BOB_PAIR)
-            np.testing.assert_allclose(born, product_counts()[row], rtol=0, atol=1e-12)
+            born, born_norm = density_behavior(rho, ALICE_PAIR, BOB_PAIR)
+            np.testing.assert_array_equal(16 * born, born_norm * np.asarray(product_counts()[row]))
 
     def test_outcome_order(self):
         # class c = 4 r1 + r2 holds the robot's results (r1, r2); each swap
@@ -77,26 +77,25 @@ class TestPremeasurementMarginal:
         assert {type(v) for v in premeasurement_marginal} == {int}
         assert np.array_equal(marginal, np.full(144, 16))
         rho = premeasurement_state()
-        np.testing.assert_allclose(rho.entries, np.eye(16) / 16.0, atol=1e-10)
-        purity = np.trace(rho.entries @ rho.entries).real
-        assert purity == pytest.approx(1 / 16.0, abs=1e-10)
-        born = 256 * density_behavior(rho, ALICE_PAIR, BOB_PAIR)
-        np.testing.assert_allclose(born, marginal, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(16 * rho.entries, rho.norm * np.eye(16, dtype=int))
+        assert 16 * np.trace(rho.entries @ rho.entries) == rho.norm**2
+        born, norm = density_behavior(rho, ALICE_PAIR, BOB_PAIR)
+        np.testing.assert_array_equal(256 * born, norm * marginal)
 
     def test_every_expression_averages_to_zero(self, reference_doc, premeasurement_marginal):
         # three routes: the package's integer values, the oracle's value of
         # the Born behavior of its mixed state, and the reference table's
         # column means (each class contributes 1/16)
         assert np.array_equal(np.asarray(C) @ premeasurement_marginal, np.zeros(NUM_EXPRESSIONS))
-        born = density_behavior(premeasurement_state(), ALICE_PAIR, BOB_PAIR)
-        ref = np.array(reference_doc["values"], dtype=float)
+        born, _ = density_behavior(premeasurement_state(), ALICE_PAIR, BOB_PAIR)
+        ref = np.array(reference_doc["values"])
         for k in range(NUM_EXPRESSIONS):
-            assert behavior_value(k, born) == pytest.approx(0.0, abs=1e-9)
-            assert ref[:, k].mean() == pytest.approx(0.0, abs=1e-12)
+            assert behavior_value(k, born) == 0
+            assert ref[:, k].sum() == 0
 
     def test_conditional_states_recover_violation(self, default_class_map):
         # conditioning on the robot's outcome turns the zero-mean marginal
         # into a state reaching the algebraic maximum
         row = default_class_map[3]
-        born = dense_behavior(class_state(row), ALICE_PAIR, BOB_PAIR)
-        assert behavior_value(row, born) == pytest.approx(9.0, abs=1e-9)
+        born, norm = dense_behavior(class_state(row), ALICE_PAIR, BOB_PAIR)
+        assert behavior_value(row, born) == 9 * norm
