@@ -278,6 +278,31 @@ class TestSwapMap:
             main(["swap-map", "--sources", "XX,SM"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (" SP , PM ", None),
+            (",", "unknown Bell code '', expected one of PP, PM, SP, SM"),
+            ("PP,", "unknown Bell code '', expected one of PP, PM, SP, SM"),
+            ("SM,SM,SM", "expected two comma-separated Bell codes, e.g. SM,SM"),
+            ("", "expected two comma-separated Bell codes, e.g. SM,SM"),
+            ("sm,pp", "unknown Bell code 'sm', expected one of PP, PM, SP, SM"),
+        ],
+        ids=["spaced", "comma", "half", "three", "empty", "lower-case"],
+    )
+    def test_sources_forms(self, capsys, text, error):
+        # spaces around a code are dropped; every other form is a usage error
+        argv = ["swap-map", "--sources", text]
+        if error is None:
+            assert cli._read_argv(argv).sources == (2, 1)
+            assert cli.build_parser().parse_args(argv).sources == (2, 1)
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"nlbox swap-map: error: argument --sources: {error}"
+
     def test_csv_has_sixteen_rows(self, capsys):
         code = main(["swap-map", "--format", "csv"])
         out = capsys.readouterr().out
