@@ -6,7 +6,7 @@ its classes, must be reached, through a chain of reads, from module-level
 code such as ``__main__``.  Code whose only callers are tests belongs in
 the tests (``tests/oracle.py`` or a fixture) or nowhere.  The oracle
 keeps no dead code either: each of its definitions is reached from a test
-module other than ``test_qla.py`` (the unit tests of its linear algebra),
+module other than ``test_oracle.py`` (the unit tests of its linear algebra),
 directly or through other oracle definitions.
 
 The package is integer-only: it holds no complex number and no ket; the
@@ -133,7 +133,7 @@ def test_reachability_follows_chains_of_reads():
     [
         (sorted(PACKAGE.glob("*.py")), []),
         # the oracle's own unit tests keep no oracle definition alive
-        ([TESTS / "oracle.py"], sorted(set(TESTS.glob("test_*.py")) - {TESTS / "test_qla.py"})),
+        ([TESTS / "oracle.py"], sorted(set(TESTS.glob("test_*.py")) - {TESTS / "test_oracle.py"})),
     ],
     ids=["package", "oracle"],
 )
