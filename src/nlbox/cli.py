@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success, 1 when a verification fails, a computation
 reports an inconsistency or an output file cannot be written, 2 on usage
-errors.  An expression is printed as its paper number, its row + 1.
-Values are integer numerators until ``sig12`` makes the one float of
-each, printed at 12 significant digits; identical invocations with the
-same seed produce byte-identical files and stdout.
+errors.  Only this module holds text: an expression is printed as its
+row + 1, an outcome and a Bell state by their ``OUTCOMES`` and
+``BELL_CODES`` entries.  Values are integer numerators until ``sig12``
+makes the one float of each, printed at 12 significant digits; identical
+invocations with the same seed produce byte-identical files and stdout.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import inequalities, polytope, sampler, swap
-from .observables import OUTCOMES
 
+OUTCOMES = ("++", "+-", "-+", "--")
+BELL_CODES = ("PP", "PM", "SP", "SM")
 REPORT_SCHEMA_VERSION = 1
 REFERENCE_SCHEMA_VERSION = 1
 REFERENCE_PATH = Path(__file__).parent / "data" / "beta_reference.json"
@@ -119,7 +121,7 @@ def _render(fmt: str, report: Report) -> str:
 
 def _codes(states) -> list[str]:
     """The command line's codes of some Bell states."""
-    return [swap.BELL_CODES[state] for state in states]
+    return [BELL_CODES[state] for state in states]
 
 
 def cmd_verify_table3(args) -> Report:
@@ -131,7 +133,7 @@ def cmd_verify_table3(args) -> Report:
     products, reference = inequalities.product_counts(), load_reference_table()["values"]
     sixteenths = [[inequalities.dot(p, row) for row in inequalities.C] for p in products]
     values = [[sig12(v, 16) for v in row] for row in sixteenths]
-    states = [f"{first}.{second}" for first in swap.BELL_CODES for second in swap.BELL_CODES]
+    states = [f"{first}.{second}" for first in BELL_CODES for second in BELL_CODES]
     mismatches = [
         {
             "state": states[row],
@@ -196,15 +198,8 @@ def cmd_swap_map(args) -> Report:
         for c, row in enumerate(swap.class_map(args.sources))
     ]
     doc = {"command": "swap-map", "sources": _codes(args.sources), "entries": entries}
-    header = [
-        "robot_first",
-        "robot_second",
-        "result_first",
-        "result_second",
-        "matched_inequality",
-        "probability",
-        "beta",
-    ]
+    header = ["robot_first", "robot_second", "result_first", "result_second"]
+    header += ["matched_inequality", "probability", "beta"]
     rows = [
         [*e["robot_outcome"], *e["resulting_state"]]
         + [e["matched_inequality"], e["probability"], e["beta"]]
@@ -222,7 +217,7 @@ def _event_text(codes, block: int):
     settings = [f",{x},{y}," for x in range(3) for y in range(3)]
     halves = [f"{first}1,{second}1" for first, second in OUTCOMES]
     signs = [f"{a},{b}" for a in halves for b in halves]
-    robots = [f",{r1},{r2}\n" for r1 in swap.BELL_CODES for r2 in swap.BELL_CODES]
+    robots = [f",{r1},{r2}\n" for r1 in BELL_CODES for r2 in BELL_CODES]
     s = [xy + ab + r for xy in settings for r in robots for ab in signs]
     yield "run_id,x,y,a1,a2,b1,b2,r1,r2\n"
     # runs 10k .. 10k + 9 have the run_ids str(k) + "0" .. str(k) + "9" ("" for
@@ -305,13 +300,13 @@ def _int_at_least(low: int, message: str, text: str) -> int:
 
 
 def _sources(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
+    codes = [code.strip() for code in text.split(",")]
+    if len(codes) != 2:
         raise _type_error("expected two comma-separated Bell codes, e.g. SM,SM")
-    try:
-        return tuple(swap.bell_state(p.strip()) for p in parts)
-    except ValueError as err:
-        raise _type_error(str(err))
+    for code in codes:
+        if code not in BELL_CODES:
+            raise _type_error(f"unknown Bell code {code!r}, expected one of PP, PM, SP, SM")
+    return tuple(map(BELL_CODES.index, codes))
 
 
 def _commands() -> dict:

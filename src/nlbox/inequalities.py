@@ -1,4 +1,14 @@
-"""The sixteen Bell expressions as integer rows over the behavior space.
+"""The scenario's settings and the sixteen Bell expressions, as integers.
+
+Each party measures one of three settings on its two qubits.  An outcome
+a in 0..3 is two sign bits, the first sign in bit 1, a set bit for a
+minus.  A mask m keeps the first sign (0b10), the second (0b01) or their
+product (0b11), so the masked sign is the GF(2) character chi_m(a) =
+(-1)^popcount(a & m).  The masked observable of every setting and mask is
+a signed two-qubit Pauli string, its first letter acting on the party's
+qubit of the first Bell pair: Alice's settings are the rows of the
+Mermin-Peres square and Bob's its columns.  The projector onto outcome a
+is (1/4) sum_m chi_m(a) P^m over m = 0 and the masks, P^0 the identity.
 
 Row k of every table here is expression k + 1 of the paper, and it is
 also Bell product k: the product that saturates it.  Each expression is a
@@ -29,10 +39,18 @@ import functools
 import itertools
 import operator
 
-from . import observables
-from .observables import MASKS, mask_value
-
 NUM_EXPRESSIONS = 16
+MASKS = (0b10, 0b01, 0b11)
+# Masked observables [setting][mask], masks in MASKS order.  Each setting's
+# third string is the product of its first two.
+ALICE_PAULIS = (("ZI", "IZ", "ZZ"), ("IX", "XI", "XX"), ("ZX", "XZ", "YY"))
+BOB_PAULIS = (("ZI", "IX", "ZX"), ("IZ", "XI", "XZ"), ("ZZ", "XX", "-YY"))
+
+
+def mask_value(outcome: int, mask: int) -> int:
+    """Sign of an outcome under a mask: (-1)^popcount(outcome & mask)."""
+    return (-1) ** (outcome & mask).bit_count()
+
 
 # Sign tables come in mirror pairs, numbered from 1 as in the paper:
 # expanding the upper signs of a row yields the lower-numbered expression,
@@ -104,13 +122,13 @@ def matched_beta(row: int) -> int:
 
 
 # (x, y, a, b) of behavior column 16*(3x + y) + 4a + b, in column order
-_COLUMNS = tuple(itertools.product(range(3), range(3), range(4), range(4)))
+COLUMNS = tuple(itertools.product(range(3), range(3), range(4), range(4)))
 
 
 def relabel(row, h: int) -> tuple[int, ...]:
     """``row`` with Alice's outcome a at setting x read as a ^ h_x, h = 16 h_0 + 4 h_1 + h_2."""
     return tuple(
-        row[16 * (3 * x + y) + 4 * (a ^ (h >> 4 - 2 * x) & 3) + b] for x, y, a, b in _COLUMNS
+        row[16 * (3 * x + y) + 4 * (a ^ (h >> 4 - 2 * x) & 3) + b] for x, y, a, b in COLUMNS
     )
 
 
@@ -126,7 +144,7 @@ def flip(k: int) -> int:
     # a letter anticommutes with X^x Z^z when it is X and z = 1, Y and x ^ z = 1, or Z and x = 1
     bits = [
         sum({"X": z, "Y": x ^ z, "Z": x}.get(p, 0) for p, (x, z) in zip(string, frames)) & 1
-        for first, second, _ in observables.ALICE_PAULIS
+        for first, second, _ in ALICE_PAULIS
         for string in (first, second)
     ]
     return sum(bit << 5 - i for i, bit in enumerate(bits))
@@ -140,10 +158,10 @@ def product_counts() -> tuple[tuple[int, ...], ...]:
     numbered 2x + z by their Pauli frames (x, z) as in ``swap``: bell(first)
     on the parties' first qubits and bell(second) on their second ones.
     Entry 16*(3x + y) + 4a + b is sum_{m, n} chi_m(a) chi_n(b) <A_x^m (x) B_y^n>
-    over the masks of both parties' Pauli strings (see ``observables``),
-    computed on Phi+ (x) Phi+.  A Pauli on Alice's qubits flips the sign of
-    each of her strings it anticommutes with, so product k is product 0
-    with her outcomes relabeled by ``flip(k)``.
+    over the masks of both parties' Pauli strings, computed on Phi+ (x) Phi+.
+    A Pauli on Alice's qubits flips the sign of each of her strings it
+    anticommutes with, so product k is product 0 with her outcomes
+    relabeled by ``flip(k)``.
     """
     # <P (x) P> on Phi+ is -1 for P = Y and 1 otherwise, and <P (x) Q> is 0 for
     # P != Q: a term survives where the strings' letters agree on both pairs
@@ -152,8 +170,8 @@ def product_counts() -> tuple[tuple[int, ...], ...]:
     for x, y in itertools.product(range(3), repeat=2):
         terms = [
             ((-1) ** (alice.count("-") + bob.count("-") + alice.count("Y")), chi[m], chi[n])
-            for m, alice in enumerate(("II", *observables.ALICE_PAULIS[x]))
-            for n, bob in enumerate(("II", *observables.BOB_PAULIS[y]))
+            for m, alice in enumerate(("II", *ALICE_PAULIS[x]))
+            for n, bob in enumerate(("II", *BOB_PAULIS[y]))
             if alice.lstrip("-") == bob.lstrip("-")
         ]
         row += (sum(e * u[a] * v[b] for e, u, v in terms) for a in range(4) for b in range(4))

@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 
-from .inequalities import _COLUMNS, SIGN_TABLES, C, flip, matched_beta, relabel
+from .inequalities import COLUMNS, SIGN_TABLES, C, flip, matched_beta, relabel
 
 NUM_PARTY_STRATEGIES = 64
 
@@ -129,7 +129,7 @@ def _orbit_of_one() -> tuple[int, tuple[int, ...], int]:
     bound = max(values)
     saturators = tuple(v for v, value in enumerate(values) if value == bound)
     pairs = [(singles[v >> 6], singles[v & 63]) for v in saturators]
-    kept = [(x, y, a, b) for x, y, a, b in _COLUMNS if (a or not x) and (b or not y)]
+    kept = [(x, y, a, b) for x, y, a, b in COLUMNS if (a or not x) and (b or not y)]
     rank = integer_rank([[int(f[x] == a and g[y] == b) for f, g in pairs] for x, y, a, b in kept])
     return bound, saturators, rank - 1
 

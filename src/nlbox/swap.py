@@ -10,7 +10,7 @@ of the sixteen Bell expressions.
 Nothing here builds the eight-qubit state.  A Bell state is named by its
 Pauli frame (x, z) in GF(2)^2, the state X^x Z^z on the first qubit of
 Phi+, and held as the int i = 2x + z: 0, 1, 2 and 3 are Phi+, Phi-, Psi+
-and Psi-, written PP, PM, SP and SM on the command line.  A product of
+and Psi-.  Only the CLI names them, by two-letter codes.  A product of
 two Bell states (first, second) is row 4 * first + second of the
 sixteen, in the order of the reference table, and it is the nonlocal box
 of the expression of the same row of ``inequalities.C``.  Entanglement
@@ -29,18 +29,8 @@ CLI's ``sig12`` makes a float of it.
 
 from __future__ import annotations
 
-# The command line's code of each Bell state, indexed by the state.
-BELL_CODES = ("PP", "PM", "SP", "SM")
 DEFAULT_SOURCES = (3, 3)  # SM,SM: both sources emit singlets
 WEIGHT = 1  # every robot outcome's probability, in sixteenths
-
-
-def bell_state(code: str) -> int:
-    """The Bell state of a two-letter code."""
-    if code not in BELL_CODES:
-        valid = ", ".join(BELL_CODES)
-        raise ValueError(f"unknown Bell code {code!r}, expected one of {valid}")
-    return BELL_CODES.index(code)
 
 
 def swapped_pair(left: int, right: int, robot: int) -> int:

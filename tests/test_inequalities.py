@@ -22,7 +22,7 @@ from oracle import (
     masked_sign,
 )
 
-from nlbox import cli, observables
+from nlbox import cli, inequalities
 from nlbox.inequalities import (
     NUM_EXPRESSIONS,
     SIGN_TABLES,
@@ -149,8 +149,8 @@ class TestProductTable:
     def test_a_flipped_pauli_sign_fails_verification(self, capsys, monkeypatch):
         # Bob's -YY is the table's one negative string; with +YY his third
         # setting is no longer a measurement and all 256 values change
-        flipped = observables.BOB_PAULIS[:2] + (("ZZ", "XX", "YY"),)
-        monkeypatch.setattr(observables, "BOB_PAULIS", flipped)
+        flipped = inequalities.BOB_PAULIS[:2] + (("ZZ", "XX", "YY"),)
+        monkeypatch.setattr(inequalities, "BOB_PAULIS", flipped)
         product_counts.cache_clear()
         try:
             assert cli.main(["verify-table3", "--format", "json"]) == 1

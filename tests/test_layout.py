@@ -20,7 +20,9 @@ but for the contract's draw ``u() * 1152.0`` and the ``Path`` joins, and
 no command loads ``fractions`` or ``decimal``.
 
 The CLI writes its reports in one place: only the renderer serializes JSON
-or joins fields with a separator, and no command reads ``--format``.
+or joins fields with a separator, and no command reads ``--format``.  Only
+``cli.py`` holds text: no other module has a string constant equal to an
+outcome label or a Bell code.  No module imports another's private name.
 
 No module imports numpy: the package runs on the standard library alone,
 and every command runs in an interpreter that cannot import numpy.
@@ -307,6 +309,65 @@ def test_cli_reports_are_rendered_in_one_place():
     assert found == [], f"report text written outside the renderer: {found}"
 
 
+# the command line's outcome labels and Bell codes
+LABELS = ("++", "+-", "-+", "--", "PP", "PM", "SP", "SM")
+
+
+def _labels(tree: ast.Module) -> list[str]:
+    """String constants equal to a label; a docstring that names one is longer."""
+    return [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in LABELS
+    ]
+
+
+def test_only_the_cli_holds_text():
+    sample = 'OUTCOMES = ("++", "+-")\n"""Codes PP and SM."""\nx = "SM,SM" or "--"\n'
+    assert len(_labels(ast.parse(sample))) == 3
+    found = [
+        f"{module} {hit}"
+        for module, tree in _modules().items()
+        if module != "cli.py"
+        for hit in _labels(tree)
+    ]
+    assert found == [], f"labels outside cli.py: {found}"
+    assert len(_labels(_modules()["cli.py"])) == len(LABELS)
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Private names read from another package module: imported from it, or
+    read as an attribute of a module imported with ``from . import``."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level or (node.module or "").split(".")[0] == "nlbox":
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            found += [f"line {node.lineno}: import {name}" for name in private]
+            if node.module in (None, "nlbox"):  # the names are modules
+                modules.update(a.asname or a.name for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            if node.attr.startswith("_") and not node.attr.startswith("__"):
+                found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    sample = (
+        "from .inequalities import _COLUMNS, C\n"
+        "from . import swap, _util\n"
+        "from nlbox.swap import _frame\n"
+        "x = swap._frame + swap.WEIGHT + swap.__name__\n"
+    )
+    assert len(_private_imports(ast.parse(sample))) == 4
+    found = [
+        f"{module} {hit}" for module, tree in _modules().items() for hit in _private_imports(tree)
+    ]
+    assert found == [], f"private names imported across modules: {found}"
+
+
 def _numpy_imports(tree: ast.Module) -> list[str]:
     """Imports of numpy or of a numpy submodule, at any depth of the tree."""
     found = []
@@ -423,7 +484,7 @@ def test_package_import_loads_no_submodule():
     assert _submodules_after("import nlbox") == []
     assert _submodules_after("import nlbox.cli") == [
         f"nlbox.{name}"
-        for name in ("cli", "inequalities", "observables", "polytope", "sampler", "swap")
+        for name in ("cli", "inequalities", "polytope", "sampler", "swap")
     ]
 
 

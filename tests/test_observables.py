@@ -24,8 +24,9 @@ from oracle import (
     masked_sign,
 )
 
-from nlbox import observables
-from nlbox.observables import OUTCOMES, mask_value
+from nlbox import inequalities
+from nlbox.cli import OUTCOMES
+from nlbox.inequalities import mask_value
 
 SX, SZ, I2 = SIGMA_X, SIGMA_Z, ID2
 # sigma_y = i J, so sigma_y (x) sigma_y = -(J (x) J)
@@ -44,7 +45,7 @@ class TestMaskValue:
         # reads off the labels: "10" the first sign, "01" the second, "11"
         # their product
         assert OUTCOMES == OUTCOME_LABELS
-        table = [[mask_value(o, m) for o in range(4)] for m in observables.MASKS]
+        table = [[mask_value(o, m) for o in range(4)] for m in inequalities.MASKS]
         assert table == [[masked_sign(o, m) for o in range(4)] for m in MASKS]
 
 
@@ -134,7 +135,7 @@ class TestMaskedOperators:
         # the oracle's kets and the package's Pauli strings both give the
         # frozen products
         obs = alice_observable(setting) if party == "alice" else bob_observable(setting)
-        strings = observables.ALICE_PAULIS if party == "alice" else observables.BOB_PAULIS
+        strings = inequalities.ALICE_PAULIS if party == "alice" else inequalities.BOB_PAULIS
         for mask, string in zip(MASKS, strings[setting]):
             want = MASKED_IDENTITY[(party, setting)][mask]
             np.testing.assert_array_equal(

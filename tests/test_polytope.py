@@ -17,9 +17,8 @@ from oracle import (
 )
 from oracle import integer_rank as oracle_rank
 
-from nlbox import observables, polytope
-from nlbox.inequalities import NUM_EXPRESSIONS, SIGN_TABLES, C, coefficient_rows, flip
-from nlbox.observables import ALICE_PAULIS
+from nlbox import inequalities, polytope
+from nlbox.inequalities import ALICE_PAULIS, NUM_EXPRESSIONS, SIGN_TABLES, C, coefficient_rows, flip
 from nlbox.polytope import (
     NUM_PARTY_STRATEGIES,
     facets,
@@ -266,7 +265,7 @@ class TestFacets:
         # the package's rule for Y is checked on strings that do: each bit
         # against the oracle's frames, found by trying the Bell kets
         strings = (("YI", "IY", "YY"), ("IX", "XI", "XX"), ("YX", "XY", "ZZ"))
-        monkeypatch.setattr(observables, "ALICE_PAULIS", strings)
+        monkeypatch.setattr(inequalities, "ALICE_PAULIS", strings)
         for k, labels in enumerate(PRODUCT_LABELS):
             frames = [pauli_frame(label) for label in labels]
             want = [2 * flipped(hi, frames) + flipped(lo, frames) for hi, lo, _ in strings]

@@ -6,6 +6,7 @@ names it by a two-letter code only on the command line.
 """
 
 import re
+from argparse import ArgumentTypeError
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from oracle import (
     tensor,
 )
 
-from nlbox import swap
+from nlbox import cli, swap
 
 
 class TestBellStates:
@@ -90,12 +91,12 @@ class TestBellStates:
 
     def test_code_roundtrip(self):
         for label, code in zip(BELL_ORDER, ("PP", "PM", "SP", "SM")):
-            assert swap.BELL_CODES[label] == code
-            assert swap.bell_state(code) == label
+            assert cli.BELL_CODES[label] == code
+            assert cli._sources(f"{code},{code}") == (label, label)
         for code in ("XX", "sm", ""):
             message = f"unknown Bell code {code!r}, expected one of PP, PM, SP, SM"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                swap.bell_state(code)
+            with pytest.raises(ArgumentTypeError, match=f"^{re.escape(message)}$"):
+                cli._sources(f"{code},PP")
 
 
 class TestChiOmega:

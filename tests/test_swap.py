@@ -22,7 +22,8 @@ from oracle import (
 )
 
 from nlbox.inequalities import NUM_EXPRESSIONS, C, matched_beta, product_counts
-from nlbox.swap import BELL_CODES, WEIGHT, class_map
+from nlbox.cli import BELL_CODES
+from nlbox.swap import WEIGHT, class_map
 
 
 class TestClassMap:
