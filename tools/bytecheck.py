@@ -2,22 +2,24 @@
 
 Usage: python tools/bytecheck.py PARENT [--expect NAME]...
 
-Exports the ``src/`` tree of commit PARENT with ``git archive`` and copies
-the working tree's ``src/``.  Each entry of ``TABLE`` then runs once per
-tree as ``python -m nlbox ARGV`` in a fresh directory of its own, with
-``COLUMNS=80`` so that argparse wraps help the same way.  An entry's
-outcome is its stdout, stderr, exit code, and the name and SHA-256 of every
-file in its directory afterwards.  A difference is allowed only on an entry
-declared with ``--expect NAME``; the check reports it and exits 1 on any
-other, and on a declared entry whose outcome did not change
-(``UNCHANGED  NAME``).  ``tests/test_bytecheck.py`` checks that every
-entry's options still parse, and the verdict on fixed outcomes; running
-the two trees stays out of the test suite.
+Exports the ``src/`` tree of commit PARENT with ``git archive``, copies
+the working tree's ``src/``, and compiles both trees' bytecode once, so
+that no run compiles the package again.  Each entry of ``TABLE`` then
+runs once per tree as ``python -m nlbox ARGV`` in a fresh directory of
+its own, with ``COLUMNS=80`` so that argparse wraps help the same way.
+An entry's outcome is its stdout, stderr, exit code, and the name and
+SHA-256 of every file in its directory afterwards.  A difference is
+allowed only on an entry declared with ``--expect NAME``; the check
+reports it and exits 1 on any other, and on a declared entry whose
+outcome did not change (``UNCHANGED  NAME``).  ``tests/test_bytecheck.py``
+checks that every entry's options still parse, and the verdict on fixed
+outcomes; running the two trees stays out of the test suite.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import io
 import itertools
@@ -126,7 +128,7 @@ Outcome = namedtuple("Outcome", "stdout stderr code files")
 
 
 def export_trees(parent: str, into: Path) -> dict[str, Path]:
-    """``src/`` of commit ``parent`` and of the working tree, below ``into``."""
+    """``src/`` of commit ``parent`` and of the working tree, below ``into``, compiled."""
     archive = subprocess.run(
         ["git", "archive", "--format=tar", parent, "src"], cwd=ROOT, capture_output=True, check=True
     ).stdout
@@ -134,7 +136,10 @@ def export_trees(parent: str, into: Path) -> dict[str, Path]:
         tar.extractall(into / "parent")
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
     shutil.copytree(ROOT / "src", into / "change" / "src", ignore=ignore)
-    return {"parent": into / "parent", "change": into / "change"}
+    trees = {"parent": into / "parent", "change": into / "change"}
+    for tree in trees.values():
+        compileall.compile_dir(tree / "src", quiet=1)
+    return trees
 
 
 def run(entry: Entry, tree: Path, where: Path) -> Outcome:
