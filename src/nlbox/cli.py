@@ -2,9 +2,8 @@
 
 Exit codes: 0 on success, 1 when a verification fails, a computation
 reports an inconsistency or an output file cannot be written, 2 on usage
-errors.  Only this module holds text: an expression is printed as its
-row + 1, an outcome and a Bell state by their ``OUTCOMES`` and
-``BELL_CODES`` entries.  Values are integer numerators until ``sig12``
+errors.  Only this module holds text.  An expression is printed as its
+paper number, its row + 1.  Values are integer numerators until ``sig12``
 makes the one float of each, printed at 12 significant digits; identical
 invocations with the same seed produce byte-identical files and stdout.
 """
@@ -20,8 +19,8 @@ from types import SimpleNamespace
 
 from . import inequalities, polytope, sampler, swap
 
-OUTCOMES = ("++", "+-", "-+", "--")
-BELL_CODES = ("PP", "PM", "SP", "SM")
+OUTCOMES = ("++", "+-", "-+", "--")  # indexed by outcome
+BELL_CODES = ("PP", "PM", "SP", "SM")  # indexed by Bell state
 REPORT_SCHEMA_VERSION = 1
 REFERENCE_SCHEMA_VERSION = 1
 REFERENCE_PATH = Path(__file__).parent / "data" / "beta_reference.json"
@@ -198,8 +197,15 @@ def cmd_swap_map(args) -> Report:
         for c, row in enumerate(swap.class_map(args.sources))
     ]
     doc = {"command": "swap-map", "sources": _codes(args.sources), "entries": entries}
-    header = ["robot_first", "robot_second", "result_first", "result_second"]
-    header += ["matched_inequality", "probability", "beta"]
+    header = [
+        "robot_first",
+        "robot_second",
+        "result_first",
+        "result_second",
+        "matched_inequality",
+        "probability",
+        "beta",
+    ]
     rows = [
         [*e["robot_outcome"], *e["resulting_state"]]
         + [e["matched_inequality"], e["probability"], e["beta"]]

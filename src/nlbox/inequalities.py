@@ -1,14 +1,13 @@
 """The scenario's settings and the sixteen Bell expressions, as integers.
 
-Each party measures one of three settings on its two qubits.  An outcome
-a in 0..3 is two sign bits, the first sign in bit 1, a set bit for a
-minus.  A mask m keeps the first sign (0b10), the second (0b01) or their
-product (0b11), so the masked sign is the GF(2) character chi_m(a) =
-(-1)^popcount(a & m).  The masked observable of every setting and mask is
-a signed two-qubit Pauli string, its first letter acting on the party's
-qubit of the first Bell pair: Alice's settings are the rows of the
-Mermin-Peres square and Bob's its columns.  The projector onto outcome a
-is (1/4) sum_m chi_m(a) P^m over m = 0 and the masks, P^0 the identity.
+Each party has three settings on its two qubits, with outcomes a in 0..3:
+two sign bits, the first in bit 1, a set bit for a minus.  A mask m keeps
+the first sign (0b10), the second (0b01) or their product (0b11), so the
+masked sign is the GF(2) character chi_m(a) = (-1)^popcount(a & m).  Each
+masked observable is a signed two-qubit Pauli string whose first letter
+acts on the party's qubit of the first Bell pair: Alice's settings are the
+rows of the Mermin-Peres square, Bob's its columns.  The projector onto
+outcome a is (1/4) sum_m chi_m(a) P^m over m = 0 and the masks, P^0 = I.
 
 Row k of every table here is expression k + 1 of the paper, and it is
 also Bell product k: the product that saturates it.  Each expression is a
