@@ -336,16 +336,13 @@ def test_only_the_cli_holds_text():
 
 
 def _private_imports(tree: ast.Module) -> list[str]:
-    """Private names read from another package module: imported from it, or
-    read as an attribute of a module imported with ``from . import``."""
+    """Private names taken from another package module: ``from .x import _y``,
+    or ``x._y`` where ``from . import x`` bound the module ``x``."""
     found, modules = [], set()
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        if node.level or (node.module or "").split(".")[0] == "nlbox":
-            private = [a.name for a in node.names if a.name.startswith("_")]
-            found += [f"line {node.lineno}: import {name}" for name in private]
-            if node.module in (None, "nlbox"):  # the names are modules
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name[0] == "_"]
+            if node.module is None:
                 modules.update(a.asname or a.name for a in node.names)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
@@ -358,10 +355,9 @@ def test_no_module_imports_another_modules_private_name():
     sample = (
         "from .inequalities import _COLUMNS, C\n"
         "from . import swap, _util\n"
-        "from nlbox.swap import _frame\n"
         "x = swap._frame + swap.WEIGHT + swap.__name__\n"
     )
-    assert len(_private_imports(ast.parse(sample))) == 4
+    assert len(_private_imports(ast.parse(sample))) == 3
     found = [
         f"{module} {hit}" for module, tree in _modules().items() for hit in _private_imports(tree)
     ]
