@@ -6,6 +6,9 @@ errors.  Only this module holds text.  An expression is printed as its
 paper number, its row + 1.  Values are integer numerators until ``sig12``
 makes the one float of each, printed at 12 significant digits; identical
 invocations with the same seed produce byte-identical files and stdout.
+``main`` runs one command line in process; ``entry_point`` runs it as a
+whole process, flushes stdout, and freezes the heap before the exit, so
+that no process pays for collecting it at shutdown.
 """
 
 from __future__ import annotations
@@ -399,4 +402,27 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    """Run ``main`` as a whole process, for ``python -m nlbox`` and ``nlbox``.
+
+    It flushes stdout itself.  A stdout that fails only at that flush
+    (``> /dev/full``) gets one ``error:`` line and exit 1, and fd 1 then
+    points at the null device, so that shutdown's own flush cannot fail
+    again.  Then it freezes the heap: every tracked object moves to the
+    permanent generation, which the collections at shutdown skip.  ``main``
+    does neither, so in-process callers keep their stdout and their heap.
+    """
+    import gc
+
+    try:
+        status = main()
+    except SystemExit as stop:  # argparse's help and usage errors
+        status = stop.code
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    gc.freeze()
+    sys.exit(status)
