@@ -6,8 +6,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -874,3 +876,76 @@ class TestClosedStdout:
         monkeypatch.setattr(sys, "stdout", None)
         assert main([command]) == 1
         assert capsys.readouterr().err == "error: stdout is closed\n"
+
+
+def _run_module(argv, cwd, stdout=subprocess.PIPE, code=None):
+    """``python -m nlbox ARGV`` (or ``python -c CODE``) as a fresh process
+    from ``cwd``, with stdout buffered as it is without PYTHONUNBUFFERED."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    head = ["-m", "nlbox"] if code is None else ["-c", code]
+    return subprocess.run(
+        [sys.executable, *head, *argv], cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE
+    )
+
+
+class TestEntryPoint:
+    """``python -m nlbox`` as a whole process: its bytes, its flush and its freeze."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["verify-table3", "--format", "json"], "verify-table3.json"),
+            (["bounds", "--format", "csv"], "bounds.csv"),
+            (["swap-map", "--sources", "PM,PP"], "swap-map-PM-PP.json"),
+            (["sample", "--shots", "400", "--seed", "0", "--out", "run"], "json"),
+            (["sample", "--shots", "400", "--seed", "0", "--format", "csv", "--out", "run"], "csv"),
+        ],
+    )
+    def test_goldens_end_to_end(self, tmp_path, argv, name):
+        done = _run_module(argv, tmp_path)
+        assert (done.returncode, done.stderr) == (0, b"")
+        if argv[0] != "sample":
+            assert done.stdout == (GOLDEN / name).read_bytes()
+            return
+        assert done.stdout == f"wrote run/events.csv\nwrote run/summary.{name}\n".encode()
+        golden = (GOLDEN / f"sample-summary-400-0.{name}").read_bytes()
+        assert (tmp_path / "run" / f"summary.{name}").read_bytes() == golden
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["swap-map", "--format", "csv"],
+            ["sample", "--shots", "10", "--out", "d"],
+            ["verify-table3"],
+            ["-h"],
+        ],
+        ids=["swap-map-csv", "sample", "verify-table3", "help"],
+    )
+    def test_full_stdout_at_the_final_flush(self, tmp_path, argv):
+        # the text fits stdout's buffer, so only the flush at the end fails
+        with open("/dev/full", "w") as full:
+            done = _run_module(argv, tmp_path, stdout=full)
+        assert done.returncode == 1
+        assert done.stderr == b"error: [Errno 28] No space left on device\n"
+        if argv[0] == "sample":
+            names = sorted(path.name for path in (tmp_path / "d").iterdir())
+            assert names == ["events.csv", "summary.json"]
+
+    def test_freezes_after_main_and_exits_with_its_status(self, tmp_path):
+        # a patched main sees no frozen object, and an atexit hook, which runs
+        # after entry_point has raised SystemExit, sees the frozen heap
+        code = (
+            "import atexit, gc\n"
+            "from nlbox import cli\n"
+            "def main():\n"
+            "    print('main', gc.get_freeze_count())\n"
+            "    return 3\n"
+            "cli.main = main\n"
+            "atexit.register(lambda: print('exit', gc.get_freeze_count() > 0))\n"
+            "cli.entry_point()\n"
+        )
+        done = _run_module([], tmp_path, code=code)
+        assert (done.returncode, done.stderr) == (3, b"")
+        assert done.stdout == b"main 0\nexit True\n"

@@ -23,6 +23,8 @@ The CLI writes its reports in one place: only the renderer serializes JSON
 or joins fields with a separator, and no command reads ``--format``.  Only
 ``cli.py`` holds text: no other module has a string constant equal to an
 outcome label or a Bell code.  No module imports another's private name.
+Only ``cli.entry_point`` names ``gc``, so the heap is frozen once the
+command is done, and never at import or in an in-process ``main``.
 
 No module imports numpy: the package runs on the standard library alone,
 and every command runs in an interpreter that cannot import numpy.
@@ -333,6 +335,47 @@ def test_only_the_cli_holds_text():
     ]
     assert found == [], f"labels outside cli.py: {found}"
     assert len(_labels(_modules()["cli.py"])) == len(LABELS)
+
+
+def _gc_uses(tree: ast.Module, allowed: bool) -> list[str]:
+    """Imports and reads of ``gc``, outside a top-level ``entry_point`` if ``allowed``."""
+    inside = {
+        id(node)
+        for stmt in tree.body
+        if allowed and isinstance(stmt, ast.FunctionDef) and stmt.name == "entry_point"
+        for node in ast.walk(stmt)
+    }
+    found = []
+    for node in ast.walk(tree):
+        names = [a.name for a in getattr(node, "names", ())] + [getattr(node, "module", None)]
+        is_gc = isinstance(node, ast.Name) and node.id == "gc"
+        if id(node) not in inside and (is_gc or isinstance(node, ast.stmt) and "gc" in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_only_the_entry_point_touches_the_collector():
+    # a freeze at import or inside main would freeze before the command's
+    # work, and in every in-process caller
+    sample = (
+        "import gc\n"
+        "from gc import freeze\n"
+        "def main():\n"
+        "    gc.freeze()\n"
+        "def entry_point():\n"
+        "    import gc\n"
+        "    gc.freeze()\n"
+    )
+    assert _gc_uses(ast.parse(sample), allowed=True) == ["line 1", "line 2", "line 4"]
+    assert len(_gc_uses(ast.parse(sample), allowed=False)) == 5
+    modules = _modules()
+    found = [
+        f"{module} {hit}"
+        for module, tree in modules.items()
+        for hit in _gc_uses(tree, allowed=module == "cli.py")
+    ]
+    assert found == [], f"gc used outside cli.entry_point: {found}"
+    assert _gc_uses(modules["cli.py"], allowed=False) != []
 
 
 def _private_imports(tree: ast.Module) -> list[str]:
