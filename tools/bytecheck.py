@@ -6,7 +6,9 @@ Exports the ``src/`` tree of commit PARENT with ``git archive``, copies
 the working tree's ``src/``, and compiles both trees' bytecode once, so
 that no run compiles the package again.  Each entry of ``TABLE`` then
 runs once per tree as ``python -m nlbox ARGV`` in a fresh directory of
-its own, with ``COLUMNS=80`` so that argparse wraps help the same way.
+its own, with ``COLUMNS=80`` so that argparse wraps help the same way, and
+without ``PYTHONUNBUFFERED``, so that stdout is buffered as it is by
+default and a full device fails only at the final flush.
 An entry's outcome is its stdout, stderr, exit code, and the name and
 SHA-256 of every file in its directory afterwards.  A difference is
 allowed only on an entry declared with ``--expect NAME``; the check
@@ -149,7 +151,8 @@ def run(entry: Entry, tree: Path, where: Path) -> Outcome:
         (where / name).mkdir()
     for name, text in entry.files.items():
         (where / name).write_text(text)
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "COLUMNS": "80"}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(tree / "src"), COLUMNS="80")
     argv = [sys.executable, "-m", "nlbox", *entry.argv]
     with open(os.devnull if entry.stdout != "full" else "/dev/full", "w") as sink:
         proc = subprocess.run(
