@@ -345,13 +345,16 @@ def _gc_uses(tree: ast.Module, allowed: bool) -> list[str]:
         if allowed and isinstance(stmt, ast.FunctionDef) and stmt.name == "entry_point"
         for node in ast.walk(stmt)
     }
-    found = []
-    for node in ast.walk(tree):
-        names = [a.name for a in getattr(node, "names", ())] + [getattr(node, "module", None)]
-        is_gc = isinstance(node, ast.Name) and node.id == "gc"
-        if id(node) not in inside and (is_gc or isinstance(node, ast.stmt) and "gc" in names):
-            found.append(f"line {node.lineno}")
-    return found
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            isinstance(node, ast.Name) and node.id == "gc"
+            or isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "gc"
+        )
+    ]
 
 
 def test_only_the_entry_point_touches_the_collector():
