@@ -43,7 +43,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -373,15 +372,6 @@ def embed(op: np.ndarray, targets: Sequence[int], context: Sequence[int]) -> np.
     t = full.reshape((2,) * (2 * n))
     t = t.transpose(perm + [n + p for p in perm])
     return np.ascontiguousarray(t.reshape(2**n, 2**n))
-
-
-def expectation(state: StateVector, op: np.ndarray) -> Fraction:
-    """Expectation value of a Hermitian integer operator on a pure state."""
-    op = np.asarray(op)
-    if not np.array_equal(op, op.T):
-        raise ValueError("expectation requires a Hermitian operator")
-    v = state.amplitudes
-    return Fraction(int(v @ op @ v), state.norm)
 
 
 def is_pure(rho: DensityMatrix, state: StateVector) -> bool:

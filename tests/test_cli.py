@@ -11,12 +11,13 @@ import random
 import re
 import subprocess
 import sys
+from argparse import ArgumentTypeError
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import decode
+from oracle import BELL_ORDER, decode
 
 from nlbox import cli, polytope, swap
 from nlbox.cli import main, sig12
@@ -949,3 +950,14 @@ class TestEntryPoint:
         done = _run_module([], tmp_path, code=code)
         assert (done.returncode, done.stderr) == (3, b"")
         assert done.stdout == b"main 0\nexit True\n"
+
+
+class TestBellStates:
+    def test_code_roundtrip(self):
+        for label, code in zip(BELL_ORDER, ("PP", "PM", "SP", "SM")):
+            assert cli.BELL_CODES[label] == code
+            assert cli._sources(f"{code},{code}") == (label, label)
+        for code in ("XX", "sm", ""):
+            message = f"unknown Bell code {code!r}, expected one of PP, PM, SP, SM"
+            with pytest.raises(ArgumentTypeError, match=f"^{re.escape(message)}$"):
+                cli._sources(f"{code},PP")

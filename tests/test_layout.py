@@ -6,7 +6,7 @@ its classes, must be reached, through a chain of reads, from module-level
 code such as ``__main__``.  Code whose only callers are tests belongs in
 the tests (``tests/oracle.py`` or a fixture) or nowhere.  The oracle
 keeps no dead code either: each of its definitions is reached from a test
-module other than ``test_oracle.py`` (the unit tests of its linear algebra),
+module other than ``test_oracle.py`` (its own unit tests),
 directly or through other oracle definitions.
 
 The package is integer-only: it holds no complex number and no ket; the

@@ -1,28 +1,66 @@
-"""The oracle's dense linear algebra, in integers: tensor products,
-embedding, expectations, tracing."""
+"""The oracle itself, in integers: its dense linear algebra (tensor
+products, embedding, expectations, tracing), its Bell states, the chi/omega
+basis and the multi-qubit products, and its four-outcome observables with
+their masked two-outcome coarse-grainings.
+
+The kets and the labeled products on explicit pairs live in the oracle;
+the package holds a Bell state as its Pauli frame's index 2x + z, and
+names it by a two-letter code only on the command line.
+"""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
+    BELL_ORDER,
     ID2,
+    MASKS,
+    PHI_MINUS,
+    PHI_PLUS,
+    PRODUCT_LABELS,
+    PSI_MINUS,
+    PSI_PLUS,
+    SCALE,
     SIGMA_X,
     SIGMA_Z,
     DensityMatrix,
     J,
     StateVector,
+    alice_observable,
+    bell,
+    bell_product,
+    bob_observable,
+    chi_omega,
+    eight_qubit_initial,
     embed,
-    expectation,
+    four_qubit_product,
     is_pure,
+    masked_operator,
     partial_trace,
+    source_product,
     tensor,
 )
+
+from nlbox import swap
 
 KET0 = np.array([1, 0])
 KET1 = np.array([0, 1])
 PLUS = np.array([1, 1])
-PHI_PLUS = np.array([1, 0, 0, 1])
+PHI_PLUS_KET = np.array([1, 0, 0, 1])
+
+
+# Only the oracle's own checks below read a pure state's expectation, so it
+# lives here rather than in the oracle.
+def expectation(state: StateVector, op: np.ndarray) -> Fraction:
+    """Expectation value of a Hermitian integer operator on a pure state."""
+    op = np.asarray(op)
+    if not np.array_equal(op, op.T):
+        raise ValueError("expectation requires a Hermitian operator")
+    v = state.amplitudes
+    return Fraction(int(v @ op @ v), state.norm)
 
 
 def random_state(num_qubits: int, seed: int) -> StateVector:
@@ -129,7 +167,7 @@ class TestExpectation:
     def test_basic_values(self):
         assert expectation(StateVector(KET0, (1,)), SIGMA_Z) == 1
         assert expectation(StateVector(PLUS, (1,)), SIGMA_Z) == 0
-        state = StateVector(PHI_PLUS, (1, 2))
+        state = StateVector(PHI_PLUS_KET, (1, 2))
         assert expectation(state, np.kron(SIGMA_Z, SIGMA_Z)) == 1
         assert expectation(state, np.kron(SIGMA_X, SIGMA_X)) == 1
         # sigma_y (x) sigma_y = -(J (x) J)
@@ -142,7 +180,7 @@ class TestExpectation:
 
 class TestPartialTrace:
     def test_bell_pair_reduces_to_mixed(self):
-        state = StateVector(PHI_PLUS, (1, 2))
+        state = StateVector(PHI_PLUS_KET, (1, 2))
         rho = partial_trace(state, [1])
         np.testing.assert_array_equal(2 * rho.entries, rho.norm * np.eye(2, dtype=int))
         assert 2 * np.trace(rho.entries @ rho.entries) == rho.norm**2
@@ -168,7 +206,7 @@ class TestPartialTrace:
         )
 
     def test_errors(self):
-        state = StateVector(PHI_PLUS, (1, 2))
+        state = StateVector(PHI_PLUS_KET, (1, 2))
         with pytest.raises(ValueError, match="not part"):
             partial_trace(state, [7])
         with pytest.raises(ValueError, match="duplicate"):
@@ -189,8 +227,244 @@ class TestDensityMatrix:
                 DensityMatrix(np.array(entries), (1,))
 
     def test_is_pure(self):
-        rho = DensityMatrix(np.outer(PHI_PLUS, PHI_PLUS), (1, 2))
-        assert is_pure(rho, StateVector(3 * PHI_PLUS, (1, 2)))
+        rho = DensityMatrix(np.outer(PHI_PLUS_KET, PHI_PLUS_KET), (1, 2))
+        assert is_pure(rho, StateVector(3 * PHI_PLUS_KET, (1, 2)))
         orth = np.array([1, 0, 0, -1])
         assert not is_pure(rho, StateVector(orth, (1, 2)))
-        assert not is_pure(rho, StateVector(PHI_PLUS, (2, 3)))
+        assert not is_pure(rho, StateVector(PHI_PLUS_KET, (2, 3)))
+
+
+class TestBellStates:
+    @pytest.mark.parametrize(
+        "label,amps",
+        [
+            (PHI_PLUS, [1, 0, 0, 1]),
+            (PHI_MINUS, [1, 0, 0, -1]),
+            (PSI_PLUS, [0, 1, 1, 0]),
+            (PSI_MINUS, [0, 1, -1, 0]),
+        ],
+        # the names these cases have had since the Bell states were an Enum
+        ids=[
+            "BellLabel.PHI_PLUS-amps0",
+            "BellLabel.PHI_MINUS-amps1",
+            "BellLabel.PSI_PLUS-amps2",
+            "BellLabel.PSI_MINUS-amps3",
+        ],
+    )
+    def test_amplitudes(self, label, amps):
+        # each Bell ket is held as sqrt(2) times the state
+        np.testing.assert_array_equal(bell(label).amplitudes, amps)
+
+    @pytest.mark.parametrize(
+        "label,zz,xx",
+        [
+            (PHI_PLUS, 1, 1),
+            (PHI_MINUS, 1, -1),
+            (PSI_PLUS, -1, 1),
+            (PSI_MINUS, -1, -1),
+        ],
+        ids=[
+            "BellLabel.PHI_PLUS-1-1",
+            "BellLabel.PHI_MINUS-1--1",
+            "BellLabel.PSI_PLUS--1-1",
+            "BellLabel.PSI_MINUS--1--1",
+        ],
+    )
+    def test_parity_eigenvalues(self, label, zz, xx):
+        state = bell(label)
+        assert expectation(state, np.kron(SIGMA_Z, SIGMA_Z)) == zz
+        assert expectation(state, np.kron(SIGMA_X, SIGMA_X)) == xx
+
+    def test_orthonormal(self):
+        vecs = np.array([bell(l).amplitudes for l in BELL_ORDER])
+        np.testing.assert_array_equal(vecs @ vecs.T, 2 * np.eye(4, dtype=int))
+
+    def test_each_half_is_maximally_mixed(self):
+        for label in BELL_ORDER:
+            rho = partial_trace(bell(label), [1])
+            np.testing.assert_array_equal(2 * rho.entries, rho.norm * np.eye(2, dtype=int))
+
+
+class TestChiOmega:
+    # Hand expansion of the defining superpositions of |0+>, |0->, |1+>, |1->.
+    @pytest.mark.parametrize(
+        "kind,amps",
+        [
+            ("chi+", [1, 1, 1, -1]),
+            ("chi-", [1, 1, -1, 1]),
+            ("omega+", [1, -1, 1, 1]),
+            ("omega-", [-1, 1, 1, 1]),
+        ],
+    )
+    def test_amplitudes(self, kind, amps):
+        # each ket is held as 2 times the state
+        np.testing.assert_array_equal(chi_omega(kind).amplitudes, amps)
+
+    @pytest.mark.parametrize(
+        "kind,zx,xz",
+        [
+            ("chi+", 1, 1),
+            ("chi-", 1, -1),
+            ("omega+", -1, 1),
+            ("omega-", -1, -1),
+        ],
+    )
+    def test_cross_parity_eigenvalues(self, kind, zx, xz):
+        state = chi_omega(kind)
+        assert expectation(state, np.kron(SIGMA_Z, SIGMA_X)) == zx
+        assert expectation(state, np.kron(SIGMA_X, SIGMA_Z)) == xz
+
+    def test_orthonormal_basis(self):
+        kinds = ["chi+", "chi-", "omega+", "omega-"]
+        vecs = np.array([chi_omega(k).amplitudes for k in kinds])
+        np.testing.assert_array_equal(vecs @ vecs.T, 4 * np.eye(4, dtype=int))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="chi/omega"):
+            chi_omega("chi")
+
+
+class TestProducts:
+    def test_product_label_order(self):
+        assert PRODUCT_LABELS[0] == (PHI_PLUS, PHI_PLUS)
+        assert PRODUCT_LABELS[3] == (PHI_PLUS, PSI_MINUS)
+        assert PRODUCT_LABELS[12] == (PSI_MINUS, PHI_PLUS)
+        assert len(PRODUCT_LABELS) == 16
+        # the package's row of a class's product is its matched expression's
+        # row, and the default sources leave every product once
+        rows = swap.class_map()
+        assert sorted(rows) == list(range(16))
+        assert [PRODUCT_LABELS[row] for row in rows] == [divmod(row, 4) for row in rows]
+
+    def test_four_qubit_product_labels_and_norm(self):
+        state = four_qubit_product(PHI_PLUS, PSI_MINUS)
+        assert state.labels == (1, 2, 3, 4)
+        assert state.norm == 4
+
+    def test_sixteen_products_are_orthonormal(self):
+        vecs = np.array([four_qubit_product(f, s).amplitudes for f, s in PRODUCT_LABELS])
+        np.testing.assert_array_equal(vecs @ vecs.T, 4 * np.eye(16, dtype=int))
+
+    def test_alice_pair_is_maximally_mixed(self):
+        state = four_qubit_product(PSI_PLUS, PHI_MINUS)
+        rho = partial_trace(state, [1, 3])
+        np.testing.assert_array_equal(4 * rho.entries, rho.norm * np.eye(4, dtype=int))
+
+    def test_bell_product_on_swap_pairs(self):
+        state = bell_product(
+            PHI_MINUS, PSI_PLUS, (1, 6), (3, 8)
+        )
+        assert state.labels == (1, 6, 3, 8)
+        assert is_pure(partial_trace(state, [1, 6]), bell(PHI_MINUS, (1, 6)))
+
+    def test_bell_product_matches_explicit_tensor(self):
+        direct = bell_product(
+            PSI_MINUS, PHI_PLUS, (1, 2), (3, 4)
+        )
+        manual = tensor(
+            bell(PSI_MINUS, (1, 2)),
+            bell(PHI_PLUS, (3, 4)),
+        )
+        np.testing.assert_array_equal(direct.amplitudes, manual.amplitudes)
+
+
+class TestEightQubitInitial:
+    def test_labels_and_norm(self):
+        state = eight_qubit_initial()
+        assert state.labels == tuple(range(1, 9))
+        assert state.norm == 16
+
+    def test_singlet_correlations_on_each_pair(self):
+        state = eight_qubit_initial()
+        for pair in [(1, 2), (3, 4), (5, 6), (7, 8)]:
+            assert is_pure(partial_trace(state, pair), bell(PSI_MINUS, pair))
+
+    def test_source_product_places_labels(self):
+        state = source_product(PHI_MINUS, PHI_PLUS)
+        # first source label sits on (1,2) and (5,6), second on (3,4) and (7,8)
+        placed = {(1, 2): PHI_MINUS, (5, 6): PHI_MINUS, (3, 4): PHI_PLUS, (7, 8): PHI_PLUS}
+        for pair, label in placed.items():
+            assert is_pure(partial_trace(state, pair), bell(label, pair))
+
+
+def all_observables():
+    return [alice_observable(k) for k in range(3)] + [
+        bob_observable(k) for k in range(3)
+    ]
+
+
+class TestProjectorStructure:
+    @pytest.mark.parametrize("obs", all_observables(), ids=lambda o: f"{o.party}{o.setting}")
+    def test_complete_orthogonal_rank_one(self, obs):
+        # each projector is held as SCALE P
+        total = np.zeros((4, 4), dtype=int)
+        for proj in obs.projectors:
+            np.testing.assert_array_equal(proj, proj.T)
+            np.testing.assert_array_equal(proj @ proj, SCALE * proj)
+            assert np.trace(proj) == SCALE
+            total += proj
+        np.testing.assert_array_equal(total, SCALE * np.eye(4, dtype=int))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                prod = obs.projectors[i] @ obs.projectors[j]
+                np.testing.assert_array_equal(prod, np.zeros((4, 4), dtype=int))
+
+    def test_alice_0_outcome_assignment(self):
+        obs = alice_observable(0)
+        ket01 = np.zeros(4, dtype=int)
+        ket01[1] = 1  # |01>
+        np.testing.assert_array_equal(obs.projectors[1], SCALE * np.outer(ket01, ket01))
+
+    def test_alice_1_crosses_outcomes(self):
+        # the middle outcomes attach to the opposite sign pattern
+        obs = alice_observable(1)
+        plus = np.array([1, 1])
+        minus = np.array([1, -1])
+        mp = np.kron(minus, plus)  # |-+>, squared norm 4
+        pm = np.kron(plus, minus)
+        np.testing.assert_array_equal(obs.projectors[1], np.outer(mp, mp))
+        np.testing.assert_array_equal(obs.projectors[2], np.outer(pm, pm))
+
+    def test_alice_2_uses_chi_omega(self):
+        obs = alice_observable(2)
+        chi_p = chi_omega("chi+").amplitudes  # squared norm 4
+        om_m = chi_omega("omega-").amplitudes
+        np.testing.assert_array_equal(obs.projectors[0], np.outer(chi_p, chi_p))
+        np.testing.assert_array_equal(obs.projectors[3], np.outer(om_m, om_m))
+
+    def test_bob_0_and_1_assignments(self):
+        zero = np.array([1, 0])
+        one = np.array([0, 1])
+        minus = np.array([1, -1])
+        b0 = bob_observable(0)
+        v = np.kron(one, minus)  # |1->, squared norm 2
+        np.testing.assert_array_equal(b0.projectors[3], 2 * np.outer(v, v))
+        b1 = bob_observable(1)
+        w = np.kron(minus, zero)  # |-0>
+        np.testing.assert_array_equal(b1.projectors[1], 2 * np.outer(w, w))
+
+    def test_bob_2_uses_bell_basis(self):
+        obs = bob_observable(2)
+        pm = bell(PHI_MINUS).amplitudes  # squared norm 2
+        np.testing.assert_array_equal(obs.projectors[1], 2 * np.outer(pm, pm))
+
+
+class TestMaskedOperators:
+    @pytest.mark.parametrize("obs", all_observables(), ids=lambda o: f"{o.party}{o.setting}")
+    def test_involution_and_product_rule(self, obs):
+        ops = {m: masked_operator(obs, m) for m in MASKS}
+        for m, op in ops.items():
+            np.testing.assert_array_equal(op @ op, np.eye(4, dtype=int))
+            np.testing.assert_array_equal(op, op.T)
+        # the joint mask is the product of the two marginal masks
+        np.testing.assert_array_equal(ops["11"], ops["10"] @ ops["01"])
+
+    def test_rejects_unknown_mask(self):
+        with pytest.raises(ValueError, match="mask"):
+            masked_operator(alice_observable(0), "00")
+
+    def test_observable_factories_reject_bad_setting(self):
+        with pytest.raises(ValueError):
+            alice_observable(3)
+        with pytest.raises(ValueError):
+            bob_observable(-1)

@@ -18,6 +18,7 @@ from oracle import (
     density_behavior,
     identify_bell_product,
     is_pure,
+    pauli_frame,
     premeasurement_state,
 )
 
@@ -100,3 +101,9 @@ class TestPremeasurementMarginal:
         row = default_class_map[3]
         born, norm = dense_behavior(class_state(row), ALICE_PAIR, BOB_PAIR)
         assert behavior_value(row, born) == 9 * norm
+
+
+class TestBellStates:
+    def test_index_is_the_pauli_frame(self):
+        # the package's state i is the frame (x, z) = divmod(i, 2)
+        assert [pauli_frame(label) for label in BELL_ORDER] == [divmod(i, 2) for i in range(4)]
