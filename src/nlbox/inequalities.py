@@ -87,22 +87,18 @@ SIGN_TABLES = _expand_sign_tables()
 def coefficient_rows(sign_tables) -> tuple[tuple[int, ...], ...]:
     """Integer coefficient rows over the 144-entry behavior space.
 
-    ``sign_tables`` has shape (n, 3, 3).  Row k holds, at column
-    16*(3x + y) + 4a + b, the sign of cell (x, y) times Alice's masked sign
-    of outcome a times Bob's masked sign of outcome b, so the row dotted
-    with a behavior p(a, b | x, y) is the expression's value on it.  Cell
-    (x, y) masks Alice's outcome with ``MASKS[y]`` and Bob's with ``MASKS[x]``.
+    ``sign_tables`` must hold n 3x3 tables of integers; nothing checks it.
+    Row k holds, at column 16*(3x + y) + 4a + b, the sign of cell (x, y)
+    times Alice's masked sign of outcome a times Bob's masked sign of
+    outcome b, so the row dotted with a behavior p(a, b | x, y) is the
+    expression's value on it.  Cell (x, y) masks Alice's outcome with
+    ``MASKS[y]`` and Bob's with ``MASKS[x]``.
     """
-    try:
-        signs = [[operator.index(s) for row in table for s in row] for table in sign_tables]
-        if any(len(table) != 3 or len(row) != 3 for table in sign_tables for row in table):
-            raise TypeError
-    except TypeError:
-        raise ValueError("expected integer sign tables of shape (n, 3, 3)") from None
     bits = [
         [mask_value(a, MASKS[y]) * mask_value(b, MASKS[x]) for a in range(4) for b in range(4)]
         for x, y in itertools.product(range(3), repeat=2)
     ]
+    signs = map(itertools.chain.from_iterable, sign_tables)
     return tuple(tuple(s * v for s, cell in zip(row, bits) for v in cell) for row in signs)
 
 

@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 
-from .inequalities import COLUMNS, SIGN_TABLES, C, flip, matched_beta, relabel
+from .inequalities import COLUMNS, C, flip, matched_beta, relabel
 
 NUM_PARTY_STRATEGIES = 64
 
@@ -60,11 +60,11 @@ def vertex_values(row: int) -> tuple[int, ...]:
 def ns_bound(row: int) -> int:
     """Algebraic maximum of the expression of row ``row``, checked to be quantum-attainable.
 
-    The bound is the sum of the absolute sign entries.  The Bell-state
-    product of the same row must reach it exactly, in sixteenths; a miss
-    signals a construction bug.
+    The bound, the most any behavior gives, is the sum over the nine cells of
+    the cell's largest coefficient.  The Bell-state product of the same row
+    must reach it exactly, in sixteenths; a miss signals a construction bug.
     """
-    bound = sum(abs(s) for signs in SIGN_TABLES[row] for s in signs)
+    bound = sum(max(C[row][k : k + 16]) for k in range(0, 144, 16))
     attained = matched_beta(row)
     if attained != 16 * bound:
         raise RuntimeError(
@@ -80,13 +80,10 @@ def integer_rank(mat) -> int:
     Fraction-free elimination on Python integers, which cannot overflow:
     each row, kept sparse, is reduced against the pivot row of its leading
     column, r -> (p r - c pivot) / gcd(p, c), and divided by the gcd of its
-    entries; it becomes a pivot row if anything is left.  Raises
-    ``ValueError`` unless ``mat`` is a sequence of rows of integers.
+    entries; it becomes a pivot row if anything is left.  ``mat`` must be
+    rows of integers (numpy's are converted); nothing checks it.
     """
-    try:
-        rows = [{j: v for j, v in enumerate(map(operator.index, row)) if v} for row in mat]
-    except TypeError:
-        raise ValueError("expected a 2-d integer matrix") from None
+    rows = [{j: v for j, v in enumerate(map(operator.index, row)) if v} for row in mat]
     pivots = {}  # leading column -> pivot row
     for row in rows:
         while row:

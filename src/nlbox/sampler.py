@@ -67,9 +67,10 @@ def code_table(rows) -> tuple[int, ...]:
 
 
 def sample_events(shots: int, seed: int, rows) -> list[int]:
-    """Simulate ``shots`` full runs under the class map ``rows``; one code per run."""
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+    """Simulate ``shots`` full runs under the class map ``rows``; one code per run.
+
+    ``shots`` must be positive; the command line refuses any other count.
+    """
     table = code_table(rows)
     codes = []
     for start in range(0, shots, BLOCK):

@@ -31,6 +31,14 @@ and every command runs in an interpreter that cannot import numpy.
 
 No line of the package or of ``tools/`` is longer than 100 characters.
 
+The test files mirror the modules: each is named ``test_<m>.py`` after a
+module ``m`` of the package, or tests the oracle, the layout, the
+acceptance criteria or the byte check.  Every line of the package that no
+command line of the byte check reaches is named, with the test that
+reaches it, in ``tools/reach.py``'s allow-list; each of its texts stands
+once in the package, and each test it names exists.  Running the command
+lines under ``trace`` stays out of the test suite.
+
 Importing the CLI loads neither ``dataclasses`` (nor ``inspect``, which
 it pulls in), ``typing`` nor ``importlib.resources``: the package's
 records are named tuples and the reference table is read by path.
@@ -39,6 +47,7 @@ name.
 """
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -534,3 +543,48 @@ def test_cli_import_loads_no_dataclasses_typing_or_resources():
     # the probe sees a module that something else loaded first
     assert _excluded_after_cli_import("import typing\n") == ["typing"]
     assert _excluded_after_cli_import() == []
+
+
+# the test files that test no single module of the package
+NOT_A_MODULE = ("test_oracle.py", "test_layout.py", "test_acceptance.py", "test_bytecheck.py")
+
+
+def test_each_test_file_is_named_after_a_module():
+    names = {f"test_{path.stem}.py" for path in PACKAGE.glob("*.py")} | set(NOT_A_MODULE)
+    stray = sorted(path.name for path in TESTS.glob("test_*.py") if path.name not in names)
+    assert stray == [], f"test files named after no module: {stray}"
+
+
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _defines(tree: ast.Module, names) -> bool:
+    """Whether ``tree`` defines ``names[0]`` at top level, ``names[1]`` in it, and so on."""
+    body = tree.body
+    for name in names:
+        node = next((node for node in body if getattr(node, "name", None) == name), None)
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
+def test_reach_allow_list_names_single_lines_and_existing_tests(monkeypatch):
+    monkeypatch.setitem(sys.modules, "bytecheck", _tool("bytecheck"))
+    reach = _tool("reach")
+    assert _defines(ast.parse("class A:\n    def f(self): pass\n"), ["A", "f"])
+    assert not _defines(ast.parse("def f(): pass\n"), ["A", "f"])
+    assert len(reach.occurrences(("try:",))) > 1
+    found = []
+    for key, test in reach.ALLOWED.items():
+        if len(reach.occurrences(key)) != 1:
+            found.append(f"{key} stands {len(reach.occurrences(key))} times in the package")
+        path, *names = test.split("::")
+        tree = ast.parse((TESTS.parent / path).read_text(encoding="utf-8"))
+        if not _defines(tree, names):
+            found.append(f"{key} names a missing test {test}")
+    assert found == []

@@ -143,10 +143,6 @@ class TestReproducibility:
         assert sample(500, 11) == expected
         assert len(calls) == 500
 
-    def test_rejects_nonpositive_shots(self):
-        with pytest.raises(ValueError):
-            sample_events(0, 1, ROWS)
-
 
 class TestEventValidity:
     def test_fields_in_range(self):

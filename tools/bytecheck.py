@@ -144,13 +144,18 @@ def export_trees(parent: str, into: Path) -> dict[str, Path]:
     return trees
 
 
-def run(entry: Entry, tree: Path, where: Path) -> Outcome:
-    """Run one entry with the package of ``tree``, from the fresh directory ``where``."""
+def prepare(entry: Entry, where: Path) -> None:
+    """Make the fresh directory ``where`` with the directories and files of ``entry``."""
     where.mkdir(parents=True)
     for name in entry.dirs:
         (where / name).mkdir()
     for name, text in entry.files.items():
         (where / name).write_text(text)
+
+
+def run(entry: Entry, tree: Path, where: Path) -> Outcome:
+    """Run one entry with the package of ``tree``, from the fresh directory ``where``."""
+    prepare(entry, where)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=str(tree / "src"), COLUMNS="80")
     argv = [sys.executable, "-m", "nlbox", *entry.argv]
