@@ -581,8 +581,9 @@ def test_reach_allow_list_names_single_lines_and_existing_tests(monkeypatch):
     assert len(reach.occurrences(("try:",))) > 1
     found = []
     for key, test in reach.ALLOWED.items():
-        if len(reach.occurrences(key)) != 1:
-            found.append(f"{key} stands {len(reach.occurrences(key))} times in the package")
+        count = len(reach.occurrences(key))
+        if count != 1:
+            found.append(f"{key} stands {count} times in the package")
         path, *names = test.split("::")
         tree = ast.parse((TESTS.parent / path).read_text(encoding="utf-8"))
         if not _defines(tree, names):
