@@ -1,5 +1,4 @@
-"""Sign tables, masks and Pauli strings, the coefficient matrix, and the sixteen
-expression values."""
+"""Sign tables, the coefficient matrix, and the sixteen expression values."""
 
 import json
 
@@ -8,38 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
-    ID2,
-    MASKS,
     MATCHED_PAIRS,
-    OUTCOME_LABELS,
     PHI_PLUS,
     PRODUCT_LABELS,
     PSI_MINUS,
-    SIGMA_X,
-    SIGMA_Z,
     Behavior,
-    J,
     alice_kets,
-    alice_observable,
     behavior_value,
     bell_product,
     bob_kets,
     bob_bit_conditionals,
-    bob_observable,
     dense_behavior,
     four_qubit_product,
-    masked_operator,
     masked_sign,
 )
 
 from nlbox import cli, inequalities
-from nlbox.cli import OUTCOMES
 from nlbox.inequalities import (
     NUM_EXPRESSIONS,
     SIGN_TABLES,
     C,
     coefficient_rows,
-    mask_value,
     product_counts,
 )
 
@@ -299,59 +287,3 @@ class TestBehaviorRoute:
         edges = np.concatenate([np.zeros((9, 1), int), np.sort(cuts), np.full((9, 1), 100)], 1)
         behavior = Behavior(np.diff(edges).reshape(3, 3, 4, 4))
         assert abs(behavior.counts.reshape(144) @ C[row]) <= 9 * 100
-
-
-class TestMaskValue:
-    def test_table(self):
-        # the package's bit masks, in order, give the signs that the oracle
-        # reads off the labels: "10" the first sign, "01" the second, "11"
-        # their product
-        assert OUTCOMES == OUTCOME_LABELS
-        table = [[mask_value(o, m) for o in range(4)] for m in inequalities.MASKS]
-        assert table == [[masked_sign(o, m) for o in range(4)] for m in MASKS]
-
-
-SX, SZ, I2 = SIGMA_X, SIGMA_Z, ID2
-# sigma_y = i J, so sigma_y (x) sigma_y = -(J (x) J)
-YY = -np.kron(J, J)
-
-
-# Every masked observable reduces to a Pauli product.  Derived once by
-# expanding sum_r masked_sign(r, m) |r><r| in each eigenbasis, then frozen.
-MASKED_IDENTITY = {
-    ("alice", 0): {"10": np.kron(SZ, I2), "01": np.kron(I2, SZ), "11": np.kron(SZ, SZ)},
-    ("alice", 1): {"10": np.kron(I2, SX), "01": np.kron(SX, I2), "11": np.kron(SX, SX)},
-    ("alice", 2): {"10": np.kron(SZ, SX), "01": np.kron(SX, SZ), "11": YY},
-    ("bob", 0): {"10": np.kron(SZ, I2), "01": np.kron(I2, SX), "11": np.kron(SZ, SX)},
-    ("bob", 1): {"10": np.kron(I2, SZ), "01": np.kron(SX, I2), "11": np.kron(SX, SZ)},
-    ("bob", 2): {"10": np.kron(SZ, SZ), "01": np.kron(SX, SX), "11": -YY},
-}
-
-
-PAULI = {"I": I2, "X": SX, "Y": J, "Z": SZ}
-
-
-def render(string: str) -> np.ndarray:
-    """Dense Kronecker product of a signed two-letter Pauli string whose Ys
-    come in a pair: sigma_y (x) sigma_y is -(J (x) J)."""
-    first, second = string.lstrip("-")
-    assert string.count("Y") in (0, 2), string
-    sign = (-1) ** (string.startswith("-") + string.count("Y") // 2)
-    return sign * np.kron(PAULI[first], PAULI[second])
-
-
-class TestMaskedOperators:
-    @pytest.mark.parametrize("party,setting", MASKED_IDENTITY.keys())
-    def test_pauli_product_identity(self, party, setting):
-        # the oracle's kets and the package's Pauli strings both give the
-        # frozen products
-        obs = alice_observable(setting) if party == "alice" else bob_observable(setting)
-        strings = inequalities.ALICE_PAULIS if party == "alice" else inequalities.BOB_PAULIS
-        for mask, string in zip(MASKS, strings[setting]):
-            want = MASKED_IDENTITY[(party, setting)][mask]
-            np.testing.assert_array_equal(
-                masked_operator(obs, mask), want, err_msg=f"{party} {setting} mask {mask}"
-            )
-            np.testing.assert_array_equal(
-                render(string), want, err_msg=f"{party} {setting} mask {mask}: {string}"
-            )

@@ -32,8 +32,8 @@ and every command runs in an interpreter that cannot import numpy.
 No line of the package or of ``tools/`` is longer than 100 characters.
 
 The test files mirror the modules: each is named ``test_<m>.py`` after a
-module ``m`` of the package, or tests the oracle, the layout, the
-acceptance criteria or the byte check.  Every line of the package that no
+module ``m`` of the package, or tests the oracle, the oracle's observables,
+the layout, the acceptance criteria or the byte check.  Every line of the package that no
 command line of the byte check reaches is named, with the test that
 reaches it, in ``tools/reach.py``'s allow-list; each of its texts stands
 once in the package, and each test it names exists.  Running the command
@@ -545,8 +545,15 @@ def test_cli_import_loads_no_dataclasses_typing_or_resources():
     assert _excluded_after_cli_import() == []
 
 
-# the test files that test no single module of the package
-NOT_A_MODULE = ("test_oracle.py", "test_layout.py", "test_acceptance.py", "test_bytecheck.py")
+# the test files that test no single module of the package; test_observables.py
+# checks the oracle's four-outcome observables against the package's masks
+NOT_A_MODULE = (
+    "test_oracle.py",
+    "test_observables.py",
+    "test_layout.py",
+    "test_acceptance.py",
+    "test_bytecheck.py",
+)
 
 
 def test_each_test_file_is_named_after_a_module():

@@ -1,7 +1,7 @@
 """The oracle itself, in integers: its dense linear algebra (tensor
 products, embedding, expectations, tracing), its Bell states, the chi/omega
-basis and the multi-qubit products, and its four-outcome observables with
-their masked two-outcome coarse-grainings.
+basis and the multi-qubit products.  Its four-outcome observables are
+checked in ``test_observables.py``.
 
 The kets and the labeled products on explicit pairs live in the oracle;
 the package holds a Bell state as its Pauli frame's index 2x + z, and
@@ -17,28 +17,23 @@ from hypothesis import strategies as st
 from oracle import (
     BELL_ORDER,
     ID2,
-    MASKS,
     PHI_MINUS,
     PHI_PLUS,
     PRODUCT_LABELS,
     PSI_MINUS,
     PSI_PLUS,
-    SCALE,
     SIGMA_X,
     SIGMA_Z,
     DensityMatrix,
     J,
     StateVector,
-    alice_observable,
     bell,
     bell_product,
-    bob_observable,
     chi_omega,
     eight_qubit_initial,
     embed,
     four_qubit_product,
     is_pure,
-    masked_operator,
     partial_trace,
     source_product,
     tensor,
@@ -386,85 +381,3 @@ class TestEightQubitInitial:
         for pair, label in placed.items():
             assert is_pure(partial_trace(state, pair), bell(label, pair))
 
-
-def all_observables():
-    return [alice_observable(k) for k in range(3)] + [
-        bob_observable(k) for k in range(3)
-    ]
-
-
-class TestProjectorStructure:
-    @pytest.mark.parametrize("obs", all_observables(), ids=lambda o: f"{o.party}{o.setting}")
-    def test_complete_orthogonal_rank_one(self, obs):
-        # each projector is held as SCALE P
-        total = np.zeros((4, 4), dtype=int)
-        for proj in obs.projectors:
-            np.testing.assert_array_equal(proj, proj.T)
-            np.testing.assert_array_equal(proj @ proj, SCALE * proj)
-            assert np.trace(proj) == SCALE
-            total += proj
-        np.testing.assert_array_equal(total, SCALE * np.eye(4, dtype=int))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                prod = obs.projectors[i] @ obs.projectors[j]
-                np.testing.assert_array_equal(prod, np.zeros((4, 4), dtype=int))
-
-    def test_alice_0_outcome_assignment(self):
-        obs = alice_observable(0)
-        ket01 = np.zeros(4, dtype=int)
-        ket01[1] = 1  # |01>
-        np.testing.assert_array_equal(obs.projectors[1], SCALE * np.outer(ket01, ket01))
-
-    def test_alice_1_crosses_outcomes(self):
-        # the middle outcomes attach to the opposite sign pattern
-        obs = alice_observable(1)
-        plus = np.array([1, 1])
-        minus = np.array([1, -1])
-        mp = np.kron(minus, plus)  # |-+>, squared norm 4
-        pm = np.kron(plus, minus)
-        np.testing.assert_array_equal(obs.projectors[1], np.outer(mp, mp))
-        np.testing.assert_array_equal(obs.projectors[2], np.outer(pm, pm))
-
-    def test_alice_2_uses_chi_omega(self):
-        obs = alice_observable(2)
-        chi_p = chi_omega("chi+").amplitudes  # squared norm 4
-        om_m = chi_omega("omega-").amplitudes
-        np.testing.assert_array_equal(obs.projectors[0], np.outer(chi_p, chi_p))
-        np.testing.assert_array_equal(obs.projectors[3], np.outer(om_m, om_m))
-
-    def test_bob_0_and_1_assignments(self):
-        zero = np.array([1, 0])
-        one = np.array([0, 1])
-        minus = np.array([1, -1])
-        b0 = bob_observable(0)
-        v = np.kron(one, minus)  # |1->, squared norm 2
-        np.testing.assert_array_equal(b0.projectors[3], 2 * np.outer(v, v))
-        b1 = bob_observable(1)
-        w = np.kron(minus, zero)  # |-0>
-        np.testing.assert_array_equal(b1.projectors[1], 2 * np.outer(w, w))
-
-    def test_bob_2_uses_bell_basis(self):
-        obs = bob_observable(2)
-        pm = bell(PHI_MINUS).amplitudes  # squared norm 2
-        np.testing.assert_array_equal(obs.projectors[1], 2 * np.outer(pm, pm))
-
-
-class TestMaskedOperators:
-    @pytest.mark.parametrize("obs", all_observables(), ids=lambda o: f"{o.party}{o.setting}")
-    def test_involution_and_product_rule(self, obs):
-        ops = {m: masked_operator(obs, m) for m in MASKS}
-        for m, op in ops.items():
-            np.testing.assert_array_equal(op @ op, np.eye(4, dtype=int))
-            np.testing.assert_array_equal(op, op.T)
-        # the joint mask is the product of the two marginal masks
-        np.testing.assert_array_equal(ops["11"], ops["10"] @ ops["01"])
-
-    def test_rejects_unknown_mask(self):
-        with pytest.raises(ValueError, match="mask"):
-            masked_operator(alice_observable(0), "00")
-
-    def test_observable_factories_reject_bad_setting(self):
-        with pytest.raises(ValueError):
-            alice_observable(3)
-        with pytest.raises(ValueError):
-            bob_observable(-1)
