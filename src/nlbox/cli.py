@@ -7,11 +7,9 @@ paper number, its row + 1.  Values are integer numerators until ``sig12``
 makes the one float of each, printed at 12 significant digits; identical
 invocations with the same seed produce byte-identical files and stdout.
 ``main`` runs one command line in process; ``entry_point`` runs it as a
-whole process, flushes stdout, and freezes the heap before the exit, so
-that no process pays for collecting it at shutdown.
+whole process, flushes stdout and stderr, and freezes the heap before the
+exit, so that no process pays for collecting it at shutdown.
 """
-
-from __future__ import annotations
 
 import functools
 import os
@@ -383,6 +381,7 @@ def main(argv=None) -> int:
     args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         report = args.func(args)
+        failure = report.failure
         text = _render(args.format, report)
         if args.command == "sample":
             _write_atomic({**report.files, Path(args.out) / f"summary.{args.format}": [text]})
@@ -393,36 +392,45 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
     except (OSError, RuntimeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    if report.failure is not None:
-        print(report.failure, file=sys.stderr)
-        return 1
-    return 0
+        failure = f"error: {err}"
+    if failure is None:
+        return 0
+    print(failure, file=sys.stderr)
+    return 1
 
 
 def entry_point() -> None:
     """Run ``main`` as a whole process, for ``python -m nlbox`` and ``nlbox``.
 
-    It flushes stdout itself.  A stdout that fails only at that flush
-    (``> /dev/full``) gets one ``error:`` line and exit 1, and fd 1 then
-    points at the null device, so that shutdown's own flush cannot fail
-    again.  Then it freezes the heap: every tracked object moves to the
-    permanent generation, which the collections at shutdown skip.  ``main``
-    does neither, so in-process callers keep their stdout and their heap.
+    It flushes stdout and stderr itself.  A stdout that fails only at that
+    flush (``> /dev/full``) gets one ``error:`` line and exit 1; a closed or
+    failing stderr keeps the exit status, with nowhere left to report.  A
+    failed stream's fd then points at the null device, so that shutdown's
+    own flush cannot fail again.  Then it freezes the heap: every tracked
+    object moves to the permanent generation, which the collections at
+    shutdown skip.  ``main`` does none of this, so in-process callers keep
+    their streams and their heap.
     """
     import gc
 
+    if sys.stderr is None:  # fd 2 closed: print would fall back to stdout
+        sys.stderr = open(os.devnull, "w")
     try:
         status = main()
     except SystemExit as stop:  # argparse's help and usage errors
         status = stop.code
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError:  # stderr failed while main printed its failure line
         status = 1
+    try:
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError as err:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            status = 1
+            print(f"error: {err}", file=sys.stderr)
+        sys.stderr.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
     gc.freeze()
     sys.exit(status)

@@ -10,29 +10,32 @@ rows of the Mermin-Peres square, Bob's its columns.  The projector onto
 outcome a is (1/4) sum_m chi_m(a) P^m over m = 0 and the masks, P^0 = I.
 
 Row k of every table here is expression k + 1 of the paper, and it is
-also Bell product k: the product that saturates it.  Each expression is a
-signed sum over a 3x3 grid of setting pairs.  In cell (i, j) Alice
-measures her setting i and Bob his setting j; the correlator multiplies
-Alice's signs masked by the column mask ``MASKS[j]`` with Bob's signs
-masked by the row mask ``MASKS[i]``.  Expanding the correlators turns
-every expression into one integer row of the 16x144 coefficient matrix
-``C`` over the behavior p(a, b | x, y), so each value, quantum,
+also Bell product k: the product that saturates it.  The sixteen rows are
+one expression.  Expression 1 is a signed sum over a 3x3 grid of setting
+pairs, ``SIGNS``.  In cell (i, j) Alice measures her setting i and Bob
+his setting j; the correlator multiplies Alice's signs masked by the
+column mask ``MASKS[j]`` with Bob's signs masked by the row mask
+``MASKS[i]``.  Expression k + 1 is expression 1 with Alice's outcome a at
+setting i read as a ^ h_i, h = ``flip(k)``, the Pauli frames of product
+k.  As chi_m(a ^ h_i) = chi_m(a) chi_m(h_i), that multiplies the sign of
+cell (i, j) by chi_m(h_i), m = ``MASKS[j]``.  Expanding the correlators
+turns every expression into one integer row of the 16x144 coefficient
+matrix ``C`` over the behavior p(a, b | x, y), so each value, quantum,
 deterministic or sampled, is a dot product with a behavior.
 
 The Born behaviors of the sixteen Bell-state products are one exact
 integer table, :func:`product_counts`, holding 16 p(a, b | x, y), derived
 from the parties' signed Pauli strings with no float step.  Row k of it
-and of ``C`` is row 0 with Alice's outcomes relabeled by the Pauli frames
-of product k, ``relabel(row, flip(k))``.  Every entry is 0 or 2, so each
-product is the nonlocal box of its expression, 16 p = C[k] + 1 on row k.
-Every expression is bounded by 7 for local deterministic models and by 9
-algebraically; each product reaches 9 on exactly one expression, and the
-dot products of the rows of ``product_counts()`` with those of ``C`` are
-16 times the table of all 256 values.  Every table here is a tuple of
-Python int tuples: exact, with no overflow, and immutable by type.
+is row 0 with Alice's outcomes permuted, ``relabel(row, flip(k))``, and
+``polytope.facets`` checks that the same permutation takes row 0 of
+``C`` to its row k, built from the flipped signs.  Every entry is 0 or 2,
+so each product is the nonlocal box of its expression, 16 p = C[k] + 1 on
+row k.  Every expression is bounded by 7 for local deterministic models
+and by 9 algebraically; each product reaches 9 on exactly one expression,
+and the dot products of the rows of ``product_counts()`` with those of
+``C`` are 16 times the table of all 256 values.  Every table here is a
+tuple of Python int tuples: exact, with no overflow, and immutable by type.
 """
-
-from __future__ import annotations
 
 import functools
 import itertools
@@ -51,37 +54,8 @@ def mask_value(outcome: int, mask: int) -> int:
     return (-1) ** (outcome & mask).bit_count()
 
 
-# Sign tables come in mirror pairs, numbered from 1 as in the paper:
-# expanding the upper signs of a row yields the lower-numbered expression,
-# the lower signs the higher one.  Entries are row-major over cells
-# (0,0) .. (2,2).
-_PAIRED_ROWS = (
-    ((1, 16), ("pm", "pm", "+", "pm", "pm", "+", "+", "+", "-")),
-    ((2, 15), ("pm", "pm", "+", "mp", "pm", "-", "-", "+", "+")),
-    ((3, 14), ("pm", "mp", "-", "pm", "pm", "+", "+", "-", "+")),
-    ((4, 13), ("pm", "mp", "-", "mp", "pm", "-", "-", "-", "-")),
-    ((5, 12), ("pm", "pm", "+", "pm", "mp", "-", "+", "-", "+")),
-    ((6, 11), ("pm", "pm", "+", "mp", "mp", "+", "-", "-", "-")),
-    ((7, 10), ("pm", "mp", "-", "pm", "mp", "-", "+", "+", "-")),
-    ((8, 9), ("pm", "mp", "-", "mp", "mp", "+", "-", "+", "+")),
-)
-
-
-def _expand_sign_tables() -> tuple:
-    tables = [None] * NUM_EXPRESSIONS
-    expand = {
-        "upper": {"pm": 1, "mp": -1, "+": 1, "-": -1},
-        "lower": {"pm": -1, "mp": 1, "+": 1, "-": -1},
-    }
-    for (upper_idx, lower_idx), entries in _PAIRED_ROWS:
-        for variant, idx in (("upper", upper_idx), ("lower", lower_idx)):
-            row = [expand[variant][e] for e in entries]
-            tables[idx - 1] = (tuple(row[:3]), tuple(row[3:6]), tuple(row[6:]))
-    return tuple(tables)
-
-
-# Row k is the 3x3 sign table of expression k + 1, a tuple of rows.
-SIGN_TABLES = _expand_sign_tables()
+# Expression 1's sign of cell (x, y), as 3 rows of 3.
+SIGNS = ((1, 1, 1), (1, 1, 1), (1, 1, -1))
 
 
 def coefficient_rows(sign_tables) -> tuple[tuple[int, ...], ...]:
@@ -100,10 +74,6 @@ def coefficient_rows(sign_tables) -> tuple[tuple[int, ...], ...]:
     ]
     signs = map(itertools.chain.from_iterable, sign_tables)
     return tuple(tuple(s * v for s, cell in zip(row, bits) for v in cell) for row in signs)
-
-
-# Row k is expression k + 1; column 16 * (3x + y) + 4a + b is p(a, b | x, y).
-C = coefficient_rows(SIGN_TABLES)
 
 
 def dot(row, behavior) -> int:
@@ -143,6 +113,13 @@ def flip(k: int) -> int:
         for string in (first, second)
     ]
     return sum(bit << 5 - i for i, bit in enumerate(bits))
+
+
+# Row k is expression k + 1; column 16 * (3x + y) + 4a + b is p(a, b | x, y).
+C = coefficient_rows(
+    [[SIGNS[x][y] * mask_value(h >> 4 - 2 * x & 3, MASKS[y]) for y in range(3)] for x in range(3)]
+    for h in map(flip, range(NUM_EXPRESSIONS))
+)
 
 
 @functools.cache

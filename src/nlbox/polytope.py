@@ -14,8 +14,6 @@ evaluates and ranks row 0 alone, once, and reads every row's witness off
 row 0's saturators.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

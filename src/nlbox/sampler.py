@@ -31,8 +31,6 @@ each of the 1152 buckets holds the floor or the ceiling of 2**53 / 1152 of
 them: every event's probability is within 2**-53 of 1/1152.
 """
 
-from __future__ import annotations
-
 import random
 from collections import Counter
 from itertools import repeat

@@ -27,8 +27,6 @@ the weight ``WEIGHT``, an integer number of sixteenths, and only the
 CLI's ``sig12`` makes a float of it.
 """
 
-from __future__ import annotations
-
 DEFAULT_SOURCES = (3, 3)  # SM,SM: both sources emit singlets
 WEIGHT = 1  # every robot outcome's probability, in sixteenths
 

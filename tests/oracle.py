@@ -18,9 +18,10 @@ integers: nothing is normalized and no route divides.
   measurement bases, labeled product states on explicit qubit pairs, and
   all 144 probabilities of a state from dense projectors in one einsum.
 - Expression values: ``behavior_value``, the signed sum over cells of the
-  masked correlators of a behavior, built from the package's sign tables
-  (the expressions' definition) and the oracle's own masks, which read
-  the signs off the outcome labels rather than the package's bit rule.
+  masked correlators of a behavior, built from the paper's sixteen sign
+  tables, written out here as ``SIGN_TABLES`` (the package derives fifteen
+  of them from expression 1), and the oracle's own masks, which read the
+  signs off the outcome labels rather than the package's bit rule.
   It scores Born behaviors, deterministic vertices and sampled event
   counts alike.
 - The local polytope: the 4096x144 vertex matrix, built from base-4
@@ -47,7 +48,6 @@ from typing import Sequence
 
 import numpy as np
 
-from nlbox.inequalities import SIGN_TABLES
 from nlbox.swap import DEFAULT_SOURCES, class_map
 
 NUM_JOINT_STRATEGIES = 4**3 * 4**3
@@ -86,6 +86,27 @@ _BELL_AMPLITUDES = (
 # Bob's follows Alice's setting x.
 OUTCOME_LABELS = ("++", "+-", "-+", "--")
 MASKS = ("10", "01", "11")
+
+# The paper's sixteen expressions: row k is the sign of cell (x, y) of
+# expression k + 1, as 3 rows of 3.
+SIGN_TABLES = (
+    ((1, 1, 1), (1, 1, 1), (1, 1, -1)),
+    ((1, 1, 1), (-1, 1, -1), (-1, 1, 1)),
+    ((1, -1, -1), (1, 1, 1), (1, -1, 1)),
+    ((1, -1, -1), (-1, 1, -1), (-1, -1, -1)),
+    ((1, 1, 1), (1, -1, -1), (1, -1, 1)),
+    ((1, 1, 1), (-1, -1, 1), (-1, -1, -1)),
+    ((1, -1, -1), (1, -1, -1), (1, 1, -1)),
+    ((1, -1, -1), (-1, -1, 1), (-1, 1, 1)),
+    ((-1, 1, -1), (1, 1, 1), (-1, 1, 1)),
+    ((-1, 1, -1), (-1, 1, -1), (1, 1, -1)),
+    ((-1, -1, 1), (1, 1, 1), (-1, -1, -1)),
+    ((-1, -1, 1), (-1, 1, -1), (1, -1, 1)),
+    ((-1, 1, -1), (1, -1, -1), (-1, -1, -1)),
+    ((-1, 1, -1), (-1, -1, 1), (1, -1, 1)),
+    ((-1, -1, 1), (1, -1, -1), (-1, 1, 1)),
+    ((-1, -1, 1), (-1, -1, 1), (1, 1, -1)),
+)
 
 
 def masked_sign(outcome: int, mask: str) -> int:

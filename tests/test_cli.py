@@ -879,14 +879,21 @@ class TestClosedStdout:
         assert capsys.readouterr().err == "error: stdout is closed\n"
 
 
-def _run_module(argv, cwd, stdout=subprocess.PIPE, code=None):
+def _run_module(argv, cwd, stdout=subprocess.PIPE, code=None, stderr=subprocess.PIPE):
     """``python -m nlbox ARGV`` (or ``python -c CODE``) as a fresh process
-    from ``cwd``, with stdout buffered as it is without PYTHONUNBUFFERED."""
+    from ``cwd``, with stdout buffered as it is without PYTHONUNBUFFERED;
+    ``stderr="closed"`` starts it with fd 2 closed."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
     head = ["-m", "nlbox"] if code is None else ["-c", code]
+    closed = stderr == "closed"
     return subprocess.run(
-        [sys.executable, *head, *argv], cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE
+        [sys.executable, *head, *argv],
+        cwd=cwd,
+        env=env,
+        stdout=stdout,
+        stderr=None if closed else stderr,
+        preexec_fn=(lambda: os.close(2)) if closed else None,
     )
 
 
@@ -933,6 +940,23 @@ class TestEntryPoint:
         if argv[0] == "sample":
             names = sorted(path.name for path in (tmp_path / "d").iterdir())
             assert names == ["events.csv", "summary.json"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    @pytest.mark.parametrize(
+        "argv, status",
+        [(["bogus"], 2), (["sample", "--shots", "10", "--out", "f"], 1), (["verify-table3"], 0)],
+        ids=["usage-error", "io-error", "success"],
+    )
+    def test_broken_stderr_keeps_the_exit_status(self, tmp_path, stderr, argv, status):
+        # with nowhere to report, the status is all that is left, and a lost
+        # error line goes nowhere rather than to stdout
+        (tmp_path / "f").write_text("old\n")
+        with open("/dev/full", "w") as full:
+            done = _run_module(argv, tmp_path, stderr=full if stderr == "full" else stderr)
+        assert done.returncode == status
+        golden = (GOLDEN / "verify-table3.json").read_bytes() if status == 0 else b""
+        assert done.stdout == golden
 
     def test_freezes_after_main_and_exits_with_its_status(self, tmp_path):
         # a patched main sees no frozen object, and an atexit hook, which runs

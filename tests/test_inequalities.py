@@ -11,6 +11,7 @@ from oracle import (
     PHI_PLUS,
     PRODUCT_LABELS,
     PSI_MINUS,
+    SIGN_TABLES,
     Behavior,
     alice_kets,
     behavior_value,
@@ -25,7 +26,6 @@ from oracle import (
 from nlbox import cli, inequalities
 from nlbox.inequalities import (
     NUM_EXPRESSIONS,
-    SIGN_TABLES,
     C,
     coefficient_rows,
     product_counts,

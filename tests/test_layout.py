@@ -7,7 +7,9 @@ code such as ``__main__``.  Code whose only callers are tests belongs in
 the tests (``tests/oracle.py`` or a fixture) or nowhere.  The oracle
 keeps no dead code either: each of its definitions is reached from a test
 module other than ``test_oracle.py`` (its own unit tests),
-directly or through other oracle definitions.
+directly or through other oracle definitions.  The oracle imports nothing
+from ``nlbox.inequalities``: its sign tables are its own, a second route
+to the package's ``C``.
 
 The package is integer-only: it holds no complex number and no ket; the
 dense ket route lives in ``tests/oracle.py``, and it is exact too: the
@@ -194,6 +196,34 @@ def test_package_is_integer_only():
         f"{module} {use}" for module, tree in _modules().items() for use in _complex_uses(tree)
     ]
     assert found == [], f"complex numbers in the package: {found}"
+
+
+def _names_from(tree: ast.Module, module: str) -> list[str]:
+    """What ``tree`` imports from ``module``, or ``module`` itself, in any import form."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [(f"{node.module}.{a.name}", a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [(a.name, a.name) for a in node.names]
+        else:
+            continue
+        found += [name for full, name in names if f"{full}.".startswith(f"{module}.")]
+    return found
+
+
+def test_the_oracle_reads_no_expression_off_the_package():
+    sample = (
+        "from nlbox.inequalities import SIGN_TABLES, C\n"
+        "from nlbox import inequalities, swap\n"
+        "import nlbox.inequalities\n"
+        "from nlbox.swap import class_map\n"
+    )
+    found = _names_from(ast.parse(sample), "nlbox.inequalities")
+    assert found == ["SIGN_TABLES", "C", "inequalities", "nlbox.inequalities"]
+    oracle = ast.parse((TESTS / "oracle.py").read_text(encoding="utf-8"))
+    found = _names_from(oracle, "nlbox.inequalities")
+    assert found == [], f"the oracle imports {found} from nlbox.inequalities"
 
 
 TOLERANCES = re.compile(r"approx|atol|rtol|isclose|allclose|1e-")

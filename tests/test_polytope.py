@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracle import (
     NUM_JOINT_STRATEGIES,
     PRODUCT_LABELS,
+    SIGN_TABLES,
     Behavior,
     affine_dimension,
     behavior_value,
@@ -18,7 +19,7 @@ from oracle import (
 from oracle import integer_rank as oracle_rank
 
 from nlbox import inequalities, polytope
-from nlbox.inequalities import ALICE_PAULIS, NUM_EXPRESSIONS, SIGN_TABLES, C, coefficient_rows, flip
+from nlbox.inequalities import ALICE_PAULIS, NUM_EXPRESSIONS, C, coefficient_rows, flip
 from nlbox.polytope import (
     NUM_PARTY_STRATEGIES,
     facets,

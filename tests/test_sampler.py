@@ -18,6 +18,7 @@ from oracle import (
     PHI_MINUS,
     PHI_PLUS,
     PSI_MINUS,
+    SIGN_TABLES,
     behavior_value,
     decode,
     dense_behavior,
@@ -194,7 +195,7 @@ class TestEstimation:
 
     def test_synthetic_single_event_per_cell(self):
         # one hand-built event per cell, each saturating expression 1
-        signs = np.asarray(inequalities.SIGN_TABLES[0])
+        signs = np.asarray(SIGN_TABLES[0])
         events = [0] * 144
         for i in range(3):
             for j in range(3):

@@ -39,8 +39,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # One command line: its name, argv after ``nlbox``, whether argparse accepts
 # argv, the directories and files made before it runs, and where its stdout
-# goes: a pipe, nowhere (fd 1 closed), or /dev/full.
-Entry = namedtuple("Entry", "name argv parses dirs files stdout", defaults=((), {}, "pipe"))
+# and its stderr go: a pipe, nowhere (the fd closed), or /dev/full.
+Entry = namedtuple(
+    "Entry", "name argv parses dirs files stdout stderr", defaults=((), {}, "pipe", "pipe")
+)
 
 CODES = ("PP", "PM", "SP", "SM")
 TABLE = (
@@ -124,6 +126,16 @@ TABLE = (
     Entry("full-swap-map-csv", ["swap-map", "--format", "csv"], True, stdout="full"),
     Entry("full-sample", ["sample", "--shots", "10"], True, stdout="full"),
     Entry("full-bounds-out", ["bounds", "--out", "b.json"], True, stdout="full"),
+    # stderr closed, and stderr on a full device: a usage error, an I/O error
+    *(
+        Entry(f"stderr-{how}-{name}", argv, parses, files={"f": "old\n"}, stderr=how)
+        for how in ("closed", "full")
+        for name, argv, parses in (
+            ("unknown-command", ["frobnicate"], False),
+            ("zero-shots", ["sample", "--shots", "0"], False),
+            ("sample-out-on-file", ["sample", "--shots", "10", "--out", "f"], True),
+        )
+    ),
 )
 
 Outcome = namedtuple("Outcome", "stdout stderr code files")
@@ -159,14 +171,17 @@ def run(entry: Entry, tree: Path, where: Path) -> Outcome:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=str(tree / "src"), COLUMNS="80")
     argv = [sys.executable, "-m", "nlbox", *entry.argv]
-    with open(os.devnull if entry.stdout != "full" else "/dev/full", "w") as sink:
+    hows = (entry.stdout, entry.stderr)
+    closed = [fd for fd, how in enumerate(hows, 1) if how == "closed"]
+    with open("/dev/full" if "full" in hows else os.devnull, "w") as sink:
+        stdout, stderr = (subprocess.PIPE if how == "pipe" else sink for how in hows)
         proc = subprocess.run(
             argv,
             cwd=where,
             env=env,
-            stdout=subprocess.PIPE if entry.stdout == "pipe" else sink,
-            stderr=subprocess.PIPE,
-            preexec_fn=(lambda: os.close(1)) if entry.stdout == "closed" else None,
+            stdout=stdout,
+            stderr=stderr,
+            preexec_fn=(lambda: [os.close(fd) for fd in closed]) if closed else None,
         )
     files = {
         str(path.relative_to(where)): hashlib.sha256(path.read_bytes()).hexdigest()

@@ -7,9 +7,11 @@ Runs each entry of ``tools/bytecheck.py``'s ``TABLE`` in this process, as
 ``bytecheck.prepare``, under the standard library's ``trace``.  A ``pipe``
 entry writes to a buffer, a ``closed`` one finds ``sys.stdout`` None, as a
 process started with fd 1 closed does, and a ``full`` one writes to
-/dev/full.  Tracing starts before the package is imported, so its
-module-level lines count too.  A line of ``src/nlbox`` is executable when
-the bytecode compiled from its file starts a line there.
+/dev/full.  Every entry's stderr is a buffer: a closed or full stderr
+changes only what ``entry_point`` does, which only a whole process runs.
+Tracing starts before the package is imported, so its module-level lines
+count too.  A line of ``src/nlbox`` is executable when the bytecode
+compiled from its file starts a line there.
 
 The check exits 1 on any executable line that no entry reached and that
 ``ALLOWED`` does not name, and on any line that ``ALLOWED`` names but an
@@ -36,6 +38,7 @@ import bytecheck
 PACKAGE = bytecheck.ROOT / "src" / "nlbox"
 CLI_TESTS = "tests/test_cli.py::"
 ENTRY_POINT_TEST = CLI_TESTS + "TestEntryPoint::test_full_stdout_at_the_final_flush"
+STDERR_TEST = CLI_TESTS + "TestEntryPoint::test_broken_stderr_keeps_the_exit_status"
 
 # Lines that no in-process run of the table reaches, and the test that does.
 ALLOWED = {
@@ -63,7 +66,7 @@ ALLOWED = {
     ("tmp.unlink(missing_ok=True)",): (
         CLI_TESTS + "TestAtomicWrites::test_failed_write_leaves_no_partial_file"
     ),
-    # verify-table3's mismatch records and its failure line
+    # verify-table3's mismatch records
     (
         "{",
         '"state": states[row],',
@@ -71,27 +74,37 @@ ALLOWED = {
         '"computed": values[row][col],',
         '"expected": float(expected),',
     ): CLI_TESTS + "TestVerifyTable3::test_detects_a_corrupted_reference",
-    ("print(report.failure, file=sys.stderr)", "return 1"): (
-        CLI_TESTS + "TestVerifyTable3::test_detects_a_corrupted_reference"
-    ),
     # what only a whole process reaches: python -m nlbox and its entry point
     ("from .cli import entry_point", "", "entry_point()"): ENTRY_POINT_TEST,
     ("import gc",): ENTRY_POINT_TEST,
+    (
+        "if sys.stderr is None:  # fd 2 closed: print would fall back to stdout",
+        'sys.stderr = open(os.devnull, "w")',
+    ): STDERR_TEST,
     (
         "try:",
         "status = main()",
         "except SystemExit as stop:  # argparse's help and usage errors",
         "status = stop.code",
+    ): ENTRY_POINT_TEST,
+    ("except OSError:  # stderr failed while main printed its failure line", "status = 1"): (
+        STDERR_TEST
+    ),
+    (
+        "try:",
         "try:",
         "if sys.stdout is not None:",
         "sys.stdout.flush()",
         "except OSError as err:",
-        'print(f"error: {err}", file=sys.stderr)',
         "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())",
         "status = 1",
-        "gc.freeze()",
-        "sys.exit(status)",
+        'print(f"error: {err}", file=sys.stderr)',
+        "sys.stderr.flush()",
     ): ENTRY_POINT_TEST,
+    ("except OSError:", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())"): (
+        STDERR_TEST
+    ),
+    ("gc.freeze()", "sys.exit(status)"): ENTRY_POINT_TEST,
 }
 
 
