@@ -67,11 +67,9 @@ def load_reference_table() -> dict:
 
 def _write_atomic(files: dict) -> None:
     """Write each path's text chunks to a temporary file beside it, creating
-    parent directories; rename them all once all are written, then print each
-    path.  A directory at a path, a file where a parent directory should be,
-    or a failed write, changes no path and leaves no temporary file behind.
-    A failed print comes after the renames, so it fails the run with every
-    path already replaced, but no line names a file that was not renamed."""
+    parent directories, and rename them all once all are written.  A
+    directory at a path, a file where a parent directory should be, or a
+    failed write, changes no path and leaves no temporary file behind."""
     tmps = {}
     try:
         for path, chunks in files.items():
@@ -91,8 +89,6 @@ def _write_atomic(files: dict) -> None:
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
         raise
-    for path in files:
-        print(f"wrote {path}")
 
 
 def _cell(value) -> str:
@@ -377,6 +373,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command line; return its exit code.  The one write to stdout,
+    the report or a ``wrote`` line per file, comes after every rename, so no
+    line names a file that was not renamed; a closed stdout fails the run."""
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
@@ -384,13 +383,13 @@ def main(argv=None) -> int:
         failure = report.failure
         text = _render(args.format, report)
         if args.command == "sample":
-            _write_atomic({**report.files, Path(args.out) / f"summary.{args.format}": [text]})
-        elif args.out is not None:
-            _write_atomic({Path(args.out): [text]})
-        elif sys.stdout is None:
-            raise OSError("stdout is closed")
+            files = {**report.files, Path(args.out) / f"summary.{args.format}": [text]}
         else:
-            sys.stdout.write(text)
+            files = {} if args.out is None else {Path(args.out): [text]}
+        _write_atomic(files)
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        sys.stdout.write("".join(f"wrote {path}\n" for path in files) or text)
     except (OSError, RuntimeError, ValueError) as err:
         failure = f"error: {err}"
     if failure is None:

@@ -16,7 +16,6 @@ row 0's saturators.
 
 import itertools
 import math
-import operator
 
 from .inequalities import COLUMNS, C, flip, matched_beta, relabel
 
@@ -79,9 +78,9 @@ def integer_rank(mat) -> int:
     each row, kept sparse, is reduced against the pivot row of its leading
     column, r -> (p r - c pivot) / gcd(p, c), and divided by the gcd of its
     entries; it becomes a pivot row if anything is left.  ``mat`` must be
-    rows of integers (numpy's are converted); nothing checks it.
+    rows of Python integers; nothing checks it.
     """
-    rows = [{j: v for j, v in enumerate(map(operator.index, row)) if v} for row in mat]
+    rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
     pivots = {}  # leading column -> pivot row
     for row in rows:
         while row:

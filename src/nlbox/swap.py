@@ -41,7 +41,7 @@ def swapped_pair(left: int, right: int, robot: int) -> int:
     return left ^ right ^ robot
 
 
-def class_map(sources: tuple[int, int] = DEFAULT_SOURCES) -> tuple[int, ...]:
+def class_map(sources: tuple[int, int]) -> tuple[int, ...]:
     """The row of the Bell product each of the 16 robot outcomes leaves.
 
     Entry c = 4 * r1 + r2 is the class of the robot results r1 on (2,5)

@@ -18,7 +18,7 @@ def reference_doc():
 def default_class_map():
     from nlbox import swap
 
-    return swap.class_map()
+    return swap.class_map(swap.DEFAULT_SOURCES)
 
 
 @pytest.fixture(scope="session")

@@ -115,7 +115,7 @@ def test_criterion_04_algebraic_maximum_attained():
 def test_criterion_05_swap_class_map():
     """The 16 robot outcomes are uniform and map bijectively onto the
     expressions, each reaching 9 on its resulting Bell product."""
-    rows = swap.class_map()
+    rows = swap.class_map(swap.DEFAULT_SOURCES)
     # probabilities and reduced states from the dense eight-qubit collapse,
     # each probability count / norm
     dense = dense_swap(swap.DEFAULT_SOURCES)
@@ -157,7 +157,7 @@ def test_criterion_07_sampled_saturation():
     """1e5 seeded shots: every event saturates its class's expression and
     every per-class estimate equals 9.0 exactly."""
     shots = 100_000
-    rows = swap.class_map()
+    rows = swap.class_map(swap.DEFAULT_SOURCES)
     codes = sampler.sample_events(shots, 20240501, rows)
     # each event scores +1 on its class's expression if it saturates it and
     # -1 if not, so a class of n events scoring v holds (n - v) / 2 misses

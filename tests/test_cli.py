@@ -878,6 +878,37 @@ class TestClosedStdout:
         assert main([command]) == 1
         assert capsys.readouterr().err == "error: stdout is closed\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--out", "b.json"],
+            ["swap-map", "--out", "s.json"],
+            ["sample", "--shots", "10", "--out", "run"],
+        ],
+        ids=["bounds", "swap-map", "sample"],
+    )
+    def test_closed_stdout_fails_after_the_files_are_written(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # the wrote lines obey the report's rule, once every file is in place
+        def run(side):
+            (tmp_path / side).mkdir()
+            monkeypatch.chdir(tmp_path / side)
+            code = main(argv)
+            files = {
+                str(path.relative_to(tmp_path / side)): path.read_bytes()
+                for path in sorted((tmp_path / side).rglob("*"))
+                if path.is_file()
+            }
+            return code, capsys.readouterr().err, files
+
+        opened = run("open")
+        monkeypatch.setattr(sys, "stdout", None)
+        closed = run("closed")
+        assert opened[:2] == (0, "")
+        assert closed[:2] == (1, "error: stdout is closed\n")
+        assert closed[2] == opened[2] != {}
+
 
 def _run_module(argv, cwd, stdout=subprocess.PIPE, code=None, stderr=subprocess.PIPE):
     """``python -m nlbox ARGV`` (or ``python -c CODE``) as a fresh process

@@ -22,7 +22,9 @@ but for the contract's draw ``u() * 1152.0`` and the ``Path`` joins, and
 no command loads ``fractions`` or ``decimal``.
 
 The CLI writes its reports in one place: only the renderer serializes JSON
-or joins fields with a separator, and no command reads ``--format``.  Only
+or joins fields with a separator, and no command reads ``--format``.  It
+reaches stdout in one place too: every ``print`` passes ``file=sys.stderr``,
+and ``main`` makes the one ``sys.stdout.write``.  Only
 ``cli.py`` holds text: no other module has a string constant equal to an
 outcome label or a Bell code.  No module imports another's private name.
 Only ``cli.entry_point`` names ``gc``, so the heap is frozen once the
@@ -348,6 +350,58 @@ def test_cli_reports_are_rendered_in_one_place():
     assert len(_hand_written_reports(ast.parse(sample))) == 3
     found = _hand_written_reports(_modules()["cli.py"])
     assert found == [], f"report text written outside the renderer: {found}"
+
+
+def _is_name(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def _is_sys(node: ast.AST, attr: str) -> bool:
+    """Whether ``node`` reads ``sys.<attr>``."""
+    return isinstance(node, ast.Attribute) and node.attr == attr and _is_name(node.value, "sys")
+
+
+def _ways_to_stdout(source: str) -> list[str]:
+    """Each ``print`` that does not pass ``file=sys.stderr``, and each
+    ``sys.stdout.write``, as the top-level definition around it and its text."""
+    found = []
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            func, files = node.func, [k.value for k in node.keywords if k.arg == "file"]
+            printed = _is_name(func, "print") and not any(_is_sys(f, "stderr") for f in files)
+            written = getattr(func, "attr", None) == "write" and _is_sys(func.value, "stdout")
+            if printed or written:
+                text = ast.get_source_segment(source, node)
+                found.append(f"{getattr(stmt, 'name', 'module')}: {text}")
+    return found
+
+
+def test_stdout_is_written_once_in_main():
+    # one write, after every rename, so one closed-stdout rule covers the
+    # report and the wrote lines
+    sample = (
+        "import sys\n"
+        "print('x')\n"
+        "def f():\n"
+        "    print('y', file=sys.stderr)\n"
+        "    print('z', file=sys.stdout)\n"
+        "    sys.stdout.write('w')\n"
+        "    sys.stderr.write('v')\n"
+    )
+    assert _ways_to_stdout(sample) == [
+        "module: print('x')",
+        "f: print('z', file=sys.stdout)",
+        "f: sys.stdout.write('w')",
+    ]
+    found = [
+        f"{path.name} {hit}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for hit in _ways_to_stdout(path.read_text(encoding="utf-8"))
+    ]
+    assert [hit for hit in found if "sys.stdout.write(" not in hit] == [], found
+    assert [hit.split(":")[0] for hit in found] == ["cli.py main"]
 
 
 # the command line's outcome labels and Bell codes

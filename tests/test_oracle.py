@@ -327,7 +327,7 @@ class TestProducts:
         assert len(PRODUCT_LABELS) == 16
         # the package's row of a class's product is its matched expression's
         # row, and the default sources leave every product once
-        rows = swap.class_map()
+        rows = swap.class_map(swap.DEFAULT_SOURCES)
         assert sorted(rows) == list(range(16))
         assert [PRODUCT_LABELS[row] for row in rows] == [divmod(row, 4) for row in rows]
 

@@ -79,16 +79,16 @@ class TestStrategies:
 
 class TestIntegerRank:
     def test_known_ranks(self):
-        assert integer_rank(np.eye(4, dtype=np.int64)) == 4
-        assert integer_rank(np.zeros((3, 5), dtype=np.int64)) == 0
-        assert integer_rank(np.array([[2, 4], [1, 2]])) == 1
-        assert integer_rank(np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
+        assert integer_rank(np.eye(4, dtype=np.int64).tolist()) == 4
+        assert integer_rank(np.zeros((3, 5), dtype=np.int64).tolist()) == 0
+        assert integer_rank(np.array([[2, 4], [1, 2]]).tolist()) == 1
+        assert integer_rank(np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).tolist()) == 2
 
     def test_large_entries_rank_exactly(self):
         big = 2**40
         mat = np.array([[big, 1], [1, big]], dtype=np.int64)
-        assert integer_rank(mat) == 2
-        assert integer_rank(np.array([[big, big], [big, big]], dtype=np.int64)) == 1
+        assert integer_rank(mat.tolist()) == 2
+        assert integer_rank(np.array([[big, big], [big, big]], dtype=np.int64).tolist()) == 1
 
     @settings(max_examples=80)
     @given(st.integers(1, 5), st.integers(1, 5), st.data())

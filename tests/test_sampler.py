@@ -31,7 +31,7 @@ from nlbox import inequalities, sampler, swap
 from nlbox.sampler import BLOCK, class_counts, code_table, estimate_beta, sample_events
 from nlbox.swap import DEFAULT_SOURCES, class_map
 
-ROWS = class_map()
+ROWS = class_map(DEFAULT_SOURCES)
 LARGEST_U = math.nextafter(1.0, 0.0)
 
 

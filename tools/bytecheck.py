@@ -122,6 +122,9 @@ TABLE = (
         for c in ("verify-table3", "bounds", "swap-map")
     ),
     Entry("closed-sample", ["sample", "--shots", "10"], True, stdout="closed"),
+    Entry("closed-bounds-out", ["bounds", "--out", "b.json"], True, stdout="closed"),
+    Entry("closed-swap-map-out", ["swap-map", "--out", "s.json"], True, stdout="closed"),
+    Entry("closed-help", ["-h"], False, stdout="closed"),  # argparse falls back to stderr
     Entry("full-verify-table3", ["verify-table3"], True, stdout="full"),
     Entry("full-swap-map-csv", ["swap-map", "--format", "csv"], True, stdout="full"),
     Entry("full-sample", ["sample", "--shots", "10"], True, stdout="full"),
