@@ -420,6 +420,15 @@ def entry_point() -> None:
         status = stop.code
     except OSError:  # stderr failed while main printed its failure line
         status = 1
+    except KeyboardInterrupt:  # Ctrl-C: one line, then the end by SIGINT a shell expects
+        import signal
+
+        try:
+            print("error: interrupted", file=sys.stderr)
+        except OSError:  # a full stderr loses the line, not the signal
+            pass
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
     try:
         try:
             if sys.stdout is not None:

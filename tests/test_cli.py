@@ -9,11 +9,13 @@ import math
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 from argparse import ArgumentTypeError
 from pathlib import Path
 
+import bytecheck
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -748,56 +750,30 @@ class TestGoldenOutput:
         assert captured.err.encode("utf-8") == stderr
 
 
-# the command lines whose help, usage and error text argparse writes; COLUMNS
-# fixes the width argparse wraps its help to
-USAGE_ARGV = {
-    "no-command": [],
-    "help": ["-h"],
-    "sample-help": ["sample", "-h"],
-    "swap-map-help": ["swap-map", "-h"],
-    "unknown-command": ["frobnicate"],
-    "zero-shots": ["sample", "--shots", "0"],
-    "shots-not-integer": ["sample", "--shots", "abc"],
-    "bad-format": ["bounds", "--format", "xml"],
-    "abbreviation": ["sample", "--sh", "5"],
-    "equals-form": ["bounds", "--format=xml"],
-    "bad-source": ["swap-map", "--sources", "XX,SM"],
-    "one-source": ["sample", "--sources", "SM"],
-    "lower-case-source": ["swap-map", "--sources", "sm,pp"],
-    # how --out is printed: "." parts and repeated slashes dropped, ".." kept
-    "out-dot-slash": ["sample", "--shots", "10", "--out", "./d"],
-    "out-trailing-slash": ["sample", "--shots", "10", "--out", "d/"],
-    "out-double-slash": ["sample", "--shots", "10", "--out", "d//x"],
-    "out-dot": ["sample", "--shots", "10", "--out", "."],
-    "out-empty": ["sample", "--shots", "10", "--out", ""],
-    "out-parent": ["sample", "--shots", "10", "--out", "a/../b"],
-    "bounds-out-double-slash": ["bounds", "--out", "./r//b.json"],
-    "bounds-out-empty": ["bounds", "--out", ""],
-    "out-is-directory": ["bounds", "--out", "d"],
-}
-# the directories made in the fresh working directory before a USAGE_ARGV run
-USAGE_DIRS = {"out-is-directory": ["d"]}
+# the command lines of the byte check's table whose help, usage and error
+# text argparse writes, and the printed --out paths
+USAGE = [e for e in bytecheck.TABLE if (GOLDEN / "usage" / f"{e.name}.stdout").exists()]
 
 
 class TestUsageOutput:
     """The stdout, stderr and exit code of help, usage errors, argparse-only
     forms and the printed --out paths."""
 
-    @pytest.mark.parametrize("name", list(USAGE_ARGV))
-    def test_usage_is_byte_identical(self, tmp_path, capsys, monkeypatch, name):
+    @pytest.mark.parametrize("entry", USAGE, ids=lambda entry: entry.name)
+    def test_usage_is_byte_identical(self, tmp_path, capsys, monkeypatch, entry):
+        # COLUMNS fixes the width argparse wraps its help to
         monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.chdir(tmp_path)
-        for directory in USAGE_DIRS.get(name, []):
-            (tmp_path / directory).mkdir()
+        bytecheck.prepare(entry, tmp_path / "run")
+        monkeypatch.chdir(tmp_path / "run")
         try:
-            code = main(USAGE_ARGV[name])
+            code = main(list(entry.argv))
         except SystemExit as stop:
             code = stop.code
         captured = capsys.readouterr()
         golden = GOLDEN / "usage"
-        assert code == json.loads((golden / "exit_codes.json").read_text())[name]
-        assert captured.out.encode("utf-8") == (golden / f"{name}.stdout").read_bytes()
-        assert captured.err.encode("utf-8") == (golden / f"{name}.stderr").read_bytes()
+        assert code == json.loads((golden / "exit_codes.json").read_text())[entry.name]
+        assert captured.out.encode("utf-8") == (golden / f"{entry.name}.stdout").read_bytes()
+        assert captured.err.encode("utf-8") == (golden / f"{entry.name}.stderr").read_bytes()
 
 
 class TestAtomicWrites:
@@ -1005,6 +981,46 @@ class TestEntryPoint:
         done = _run_module([], tmp_path, code=code)
         assert (done.returncode, done.stderr) == (3, b"")
         assert done.stdout == b"main 0\nexit True\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_interrupt_is_one_error_line(self, tmp_path):
+        # Ctrl-C prints one line, no traceback, and then ends the process by
+        # SIGINT, so that a shell reports 130 and a loop around nlbox stops
+        interrupted = (-signal.SIGINT, b"", b"error: interrupted\n")
+        in_main = (
+            "import os, signal\n"
+            "from nlbox import cli\n"
+            "cli.main = lambda: os.kill(os.getpid(), signal.SIGINT)\n"
+            "cli.entry_point()\n"
+        )
+        done = _run_module([], tmp_path, code=in_main)
+        assert (done.returncode, done.stdout, done.stderr) == interrupted
+        # a closed or full stderr loses the line and keeps the signal
+        done = _run_module([], tmp_path, code=in_main, stderr="closed")
+        assert (done.returncode, done.stdout) == interrupted[:2]
+        with open("/dev/full", "w") as full:
+            done = _run_module([], tmp_path, code=in_main, stderr=full)
+        assert (done.returncode, done.stdout) == interrupted[:2]
+        # partway through the events of a run over an older one: the older
+        # files stay as they were, and no temporary file is left
+        assert _run_module(["sample", "--shots", "50", "--out", "d"], tmp_path).returncode == 0
+        before = {path.name: path.read_bytes() for path in (tmp_path / "d").iterdir()}
+        in_writer = (
+            "import os, signal\n"
+            "from nlbox import cli\n"
+            "event_text = cli._event_text\n"
+            "def interrupted(codes, block):\n"
+            "    chunks = event_text(codes, block)\n"
+            "    yield next(chunks)\n"
+            "    os.kill(os.getpid(), signal.SIGINT)\n"
+            "    yield from chunks\n"
+            "cli._event_text = interrupted\n"
+            "cli.entry_point()\n"
+        )
+        argv = ["sample", "--shots", "60", "--out", "d"]
+        done = _run_module(argv, tmp_path, code=in_writer)
+        assert (done.returncode, done.stdout, done.stderr) == interrupted
+        assert {path.name: path.read_bytes() for path in (tmp_path / "d").iterdir()} == before
 
 
 class TestBellStates:

@@ -40,8 +40,10 @@ module ``m`` of the package, or tests the oracle, the oracle's observables,
 the layout, the acceptance criteria or the byte check.  Every line of the package that no
 command line of the byte check reaches is named, with the test that
 reaches it, in ``tools/reach.py``'s allow-list; each of its texts stands
-once in the package, and each test it names exists.  Running the command
-lines under ``trace`` stays out of the test suite.
+once in the package, and each test it names exists.  One command line of
+the table runs as a whole process under reach's ``trace`` script here, so
+that its counts reach the entry point; running the full table stays out of
+the test suite.
 
 Importing the CLI loads neither ``dataclasses`` (nor ``inspect``, which
 it pulls in), ``typing`` nor ``importlib.resources``: the package's
@@ -51,15 +53,17 @@ name.
 """
 
 import ast
-import importlib.util
 import os
+import pickle
 import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
+import bytecheck
 import pytest
+import reach
 
 import nlbox
 
@@ -646,13 +650,6 @@ def test_each_test_file_is_named_after_a_module():
     assert stray == [], f"test files named after no module: {stray}"
 
 
-def _tool(name: str):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _defines(tree: ast.Module, names) -> bool:
     """Whether ``tree`` defines ``names[0]`` at top level, ``names[1]`` in it, and so on."""
     body = tree.body
@@ -664,9 +661,7 @@ def _defines(tree: ast.Module, names) -> bool:
     return True
 
 
-def test_reach_allow_list_names_single_lines_and_existing_tests(monkeypatch):
-    monkeypatch.setitem(sys.modules, "bytecheck", _tool("bytecheck"))
-    reach = _tool("reach")
+def test_reach_allow_list_names_single_lines_and_existing_tests():
     assert _defines(ast.parse("class A:\n    def f(self): pass\n"), ["A", "f"])
     assert not _defines(ast.parse("def f(): pass\n"), ["A", "f"])
     assert len(reach.occurrences(("try:",))) > 1
@@ -680,3 +675,16 @@ def test_reach_allow_list_names_single_lines_and_existing_tests(monkeypatch):
         if not _defines(tree, names):
             found.append(f"{key} names a missing test {test}")
     assert found == []
+
+
+def test_reach_counts_a_whole_process(tmp_path):
+    # the entry runs as the byte check runs it, with stdout closed; its counts
+    # reach python -m nlbox's one call and entry_point's freeze at the end
+    entry = next(entry for entry in bytecheck.TABLE if entry.name == "closed-verify-table3")
+    counts = tmp_path / "counts"
+    done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "run", ("-c", reach.TRACED, counts))
+    assert (done.code, done.stderr) == (1, b"error: stdout is closed\n")
+    reached = pickle.loads(counts.read_bytes())
+    for name, text in (("__main__.py", "entry_point()"), ("cli.py", "    gc.freeze()")):
+        lines = (reach.PACKAGE / name).read_text(encoding="utf-8").splitlines()
+        assert (str(reach.PACKAGE / name), lines.index(text) + 1) in reached, (name, text)

@@ -18,8 +18,6 @@ checks that every entry's options still parse, and the verdict on fixed
 outcomes; running the two trees stays out of the test suite.
 """
 
-from __future__ import annotations
-
 import argparse
 import compileall
 import hashlib
@@ -59,7 +57,8 @@ TABLE = (
         for f in ("json", "csv")
     ),
     Entry("sample-100003-1", ["sample", "--shots", "100003", "--seed", "1"], True),
-    # the usage goldens (tests/test_cli.py USAGE_ARGV), under the same names
+    # the usage goldens: tests/test_cli.py runs each entry named by a
+    # tests/golden/usage/NAME.stdout
     Entry("no-command", [], False),
     Entry("help", ["-h"], False),
     Entry("sample-help", ["sample", "-h"], False),
@@ -73,6 +72,7 @@ TABLE = (
     Entry("bad-source", ["swap-map", "--sources", "XX,SM"], False),
     Entry("one-source", ["sample", "--sources", "SM"], False),
     Entry("lower-case-source", ["swap-map", "--sources", "sm,pp"], False),
+    # how --out is printed: "." parts and repeated slashes dropped, ".." kept
     Entry("out-dot-slash", ["sample", "--shots", "10", "--out", "./d"], True),
     Entry("out-trailing-slash", ["sample", "--shots", "10", "--out", "d/"], True),
     Entry("out-double-slash", ["sample", "--shots", "10", "--out", "d//x"], True),
@@ -168,12 +168,13 @@ def prepare(entry: Entry, where: Path) -> None:
         (where / name).write_text(text)
 
 
-def run(entry: Entry, tree: Path, where: Path) -> Outcome:
-    """Run one entry with the package of ``tree``, from the fresh directory ``where``."""
+def run(entry: Entry, tree: Path, where: Path, head=("-m", "nlbox")) -> Outcome:
+    """Run one entry with the package of ``tree``, from the fresh directory ``where``,
+    as ``python HEAD ARGV``."""
     prepare(entry, where)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=str(tree / "src"), COLUMNS="80")
-    argv = [sys.executable, "-m", "nlbox", *entry.argv]
+    argv = [sys.executable, *head, *entry.argv]
     hows = (entry.stdout, entry.stderr)
     closed = [fd for fd, how in enumerate(hows, 1) if how == "closed"]
     with open("/dev/full" if "full" in hows else os.devnull, "w") as sink:

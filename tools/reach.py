@@ -2,45 +2,52 @@
 
 Usage: python tools/reach.py
 
-Runs each entry of ``tools/bytecheck.py``'s ``TABLE`` in this process, as
-``cli.main(ARGV)`` in a fresh directory of its own made by
-``bytecheck.prepare``, under the standard library's ``trace``.  A ``pipe``
-entry writes to a buffer, a ``closed`` one finds ``sys.stdout`` None, as a
-process started with fd 1 closed does, and a ``full`` one writes to
-/dev/full.  Every entry's stderr is a buffer: a closed or full stderr
-changes only what ``entry_point`` does, which only a whole process runs.
-Tracing starts before the package is imported, so its module-level lines
-count too.  A line of ``src/nlbox`` is executable when the bytecode
-compiled from its file starts a line there.
+Runs each entry of ``tools/bytecheck.py``'s ``TABLE`` as a whole process,
+through ``bytecheck.run``, as the byte check does: a fresh directory of
+its own, and stdout and stderr on a pipe, closed or on /dev/full.  The
+process runs ``TRACED`` in place of ``python -m nlbox``: the package's
+``__main__`` under the standard library's ``trace``, which writes the
+counts of the lines run to a file outside the entry's directory as the
+process exits.  Tracing starts before the package is imported, so its
+module-level lines count too, and ``entry_point``'s handling of the
+streams counts as any other line.  A line of ``src/nlbox`` is executable
+when the bytecode compiled from its file starts a line there.
 
 The check exits 1 on any executable line that no entry reached and that
 ``ALLOWED`` does not name, and on any line that ``ALLOWED`` names but an
 entry reached.  A key of ``ALLOWED`` is the exact text of one line, or of
 consecutive lines, stripped, and must stand once in the package; its value
 names the test that reaches those lines.  ``tests/test_layout.py`` checks
-both; running the table under ``trace`` stays out of the test suite.
+both, and runs one entry under ``TRACED``; running the whole table stays
+out of the test suite.
 """
 
-from __future__ import annotations
-
-import contextlib
 import dis
-import io
-import os
+import pickle
 import sys
 import tempfile
 import time
-import trace
 from pathlib import Path
 
 import bytecheck
 
 PACKAGE = bytecheck.ROOT / "src" / "nlbox"
 CLI_TESTS = "tests/test_cli.py::"
-ENTRY_POINT_TEST = CLI_TESTS + "TestEntryPoint::test_full_stdout_at_the_final_flush"
-STDERR_TEST = CLI_TESTS + "TestEntryPoint::test_broken_stderr_keeps_the_exit_status"
 
-# Lines that no in-process run of the table reaches, and the test that does.
+# python -c TRACED COUNTS ARGV: python -m nlbox ARGV, with its line counts
+# pickled to the file COUNTS however it exits
+TRACED = """\
+import pickle, runpy, sys, trace
+counts = sys.argv.pop(1)
+tracer = trace.Trace(count=1, trace=0)
+try:
+    tracer.runfunc(runpy.run_module, "nlbox", run_name="__main__", alter_sys=True)
+finally:
+    with open(counts, "wb") as fh:
+        pickle.dump(tracer.results().counts, fh)
+"""
+
+# Lines that no command line of the table reaches, and the test that does.
 ALLOWED = {
     # the claim checks, which a test with a patched input trips
     (
@@ -74,37 +81,18 @@ ALLOWED = {
         '"computed": values[row][col],',
         '"expected": float(expected),',
     ): CLI_TESTS + "TestVerifyTable3::test_detects_a_corrupted_reference",
-    # what only a whole process reaches: python -m nlbox and its entry point
-    ("from .cli import entry_point", "", "entry_point()"): ENTRY_POINT_TEST,
-    ("import gc",): ENTRY_POINT_TEST,
+    # Ctrl-C, which a test sends from a patched main or a patched writer
     (
-        "if sys.stderr is None:  # fd 2 closed: print would fall back to stdout",
-        'sys.stderr = open(os.devnull, "w")',
-    ): STDERR_TEST,
-    (
+        "except KeyboardInterrupt:  # Ctrl-C: one line, then the end by SIGINT a shell expects",
+        "import signal",
+        "",
         "try:",
-        "status = main()",
-        "except SystemExit as stop:  # argparse's help and usage errors",
-        "status = stop.code",
-    ): ENTRY_POINT_TEST,
-    ("except OSError:  # stderr failed while main printed its failure line", "status = 1"): (
-        STDERR_TEST
-    ),
-    (
-        "try:",
-        "try:",
-        "if sys.stdout is not None:",
-        "sys.stdout.flush()",
-        "except OSError as err:",
-        "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())",
-        "status = 1",
-        'print(f"error: {err}", file=sys.stderr)',
-        "sys.stderr.flush()",
-    ): ENTRY_POINT_TEST,
-    ("except OSError:", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())"): (
-        STDERR_TEST
-    ),
-    ("gc.freeze()", "sys.exit(status)"): ENTRY_POINT_TEST,
+        'print("error: interrupted", file=sys.stderr)',
+        "except OSError:  # a full stderr loses the line, not the signal",
+        "pass",
+        "signal.signal(signal.SIGINT, signal.SIG_DFL)",
+        "os.kill(os.getpid(), signal.SIGINT)",
+    ): CLI_TESTS + "TestEntryPoint::test_interrupt_is_one_error_line",
 }
 
 
@@ -131,39 +119,23 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def run_table(where: Path) -> None:
-    """Run every entry of the table with ``cli.main``, each in a directory below ``where``."""
-    from nlbox import cli
-
-    home = os.getcwd()
+def reached_lines(where: Path) -> set[tuple[str, int]]:
+    """Each (file, line) that some entry of the table ran, each entry in a directory below
+    ``where``."""
+    reached = set()
     for entry in bytecheck.TABLE:
-        bytecheck.prepare(entry, where / entry.name)
-        os.chdir(where / entry.name)
-        if entry.stdout == "full":
-            sink = open("/dev/full", "w")
-        else:
-            sink = io.StringIO() if entry.stdout == "pipe" else None
-        try:
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
-                try:
-                    cli.main(list(entry.argv))
-                except SystemExit:  # argparse's help and usage errors
-                    pass
-        finally:
-            os.chdir(home)
-            if entry.stdout == "full":
-                with contextlib.suppress(OSError):  # the write to /dev/full fails here
-                    sink.close()
+        counts = where / f"{entry.name}.counts"
+        head = ("-c", TRACED, str(counts))
+        bytecheck.run(entry, bytecheck.ROOT, where / "runs" / entry.name, head)
+        reached.update(pickle.loads(counts.read_bytes()))
+    return reached
 
 
 def main() -> int:
-    sys.path.insert(0, str(PACKAGE.parent))
     start = time.perf_counter()
-    tracer = trace.Trace(count=1, trace=0)
     with tempfile.TemporaryDirectory() as tmp:
-        tracer.runfunc(run_table, Path(tmp))
+        ran = reached_lines(Path(tmp))
     seconds = time.perf_counter() - start
-    counts = tracer.results().counts
     allowed = {
         (path, first + i)
         for key in ALLOWED
@@ -175,7 +147,7 @@ def main() -> int:
         text = path.read_text(encoding="utf-8").splitlines()
         for number in sorted(executable_lines(path)):
             total += 1
-            reached = counts.get((str(path), number), 0) > 0
+            reached = (str(path), number) in ran
             if reached == ((path, number) in allowed):
                 verdict = "ALLOWED BUT REACHED" if reached else "UNREACHED"
                 failures.append(f"{verdict}  {path.name}:{number}: {text[number - 1].strip()}")
