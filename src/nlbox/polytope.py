@@ -17,7 +17,7 @@ row 0's saturators.
 import itertools
 import math
 
-from .inequalities import COLUMNS, C, flip, matched_beta, relabel
+from .inequalities import COLUMNS, C, flip, matched_beta, product_counts, relabel
 
 NUM_PARTY_STRATEGIES = 64
 
@@ -55,11 +55,12 @@ def vertex_values(row: int) -> tuple[int, ...]:
 
 
 def ns_bound(row: int) -> int:
-    """Algebraic maximum of the expression of row ``row``, checked to be quantum-attainable.
+    """Algebraic maximum of the expression of row ``row``, certified reached without signaling.
 
-    The bound, the most any behavior gives, is the sum over the nine cells of
-    the cell's largest coefficient.  The Bell-state product of the same row
-    must reach it exactly, in sixteenths; a miss signals a construction bug.
+    The bound, the sum over the nine cells of the cell's largest coefficient,
+    is the most any behavior gives.  The Bell-state product of the same row
+    must reach it exactly, in sixteenths, and without signaling: each party's
+    four outcomes count 4 of 16 in every cell.  A miss is a construction bug.
     """
     bound = sum(max(C[row][k : k + 16]) for k in range(0, 144, 16))
     attained = matched_beta(row)
@@ -68,6 +69,11 @@ def ns_bound(row: int) -> int:
             f"expression {row + 1}: matched state reaches {attained}/16, "
             f"expected the algebraic bound {bound}"
         )
+    counts = product_counts()[row]
+    alice = [sum(counts[k + 4 * a : k + 4 * a + 4]) for k in range(0, 144, 16) for a in range(4)]
+    bob = [sum(counts[k + b : k + 16 : 4]) for k in range(0, 144, 16) for b in range(4)]
+    if set(alice + bob) != {4}:
+        raise RuntimeError(f"expression {row + 1}: matched state signals: a marginal is not 1/4")
     return bound
 
 

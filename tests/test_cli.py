@@ -10,7 +10,6 @@ import os
 import random
 import re
 import signal
-import subprocess
 import sys
 from argparse import ArgumentTypeError
 from pathlib import Path
@@ -750,6 +749,22 @@ class TestGoldenOutput:
         assert captured.err.encode("utf-8") == stderr
 
 
+def _run_in_process(entry, where, capsys, monkeypatch) -> bytecheck.Outcome:
+    """Run ``entry``, whose stdout and stderr are pipes, through ``main`` in this
+    process, from the fresh directory ``where``, as ``bytecheck.run`` runs it."""
+    # COLUMNS fixes the width argparse wraps its help to
+    monkeypatch.setenv("COLUMNS", "80")
+    bytecheck.prepare(entry, where)
+    monkeypatch.chdir(where)
+    try:
+        code = main(list(entry.argv))
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    out, err = captured.out.encode("utf-8"), captured.err.encode("utf-8")
+    return bytecheck.Outcome(out, err, code, bytecheck.files_in(where))
+
+
 # the command lines of the byte check's table whose help, usage and error
 # text argparse writes, and the printed --out paths
 USAGE = [e for e in bytecheck.TABLE if (GOLDEN / "usage" / f"{e.name}.stdout").exists()]
@@ -761,19 +776,31 @@ class TestUsageOutput:
 
     @pytest.mark.parametrize("entry", USAGE, ids=lambda entry: entry.name)
     def test_usage_is_byte_identical(self, tmp_path, capsys, monkeypatch, entry):
-        # COLUMNS fixes the width argparse wraps its help to
-        monkeypatch.setenv("COLUMNS", "80")
-        bytecheck.prepare(entry, tmp_path / "run")
-        monkeypatch.chdir(tmp_path / "run")
-        try:
-            code = main(list(entry.argv))
-        except SystemExit as stop:
-            code = stop.code
-        captured = capsys.readouterr()
+        done = _run_in_process(entry, tmp_path / "run", capsys, monkeypatch)
         golden = GOLDEN / "usage"
-        assert code == json.loads((golden / "exit_codes.json").read_text())[entry.name]
-        assert captured.out.encode("utf-8") == (golden / f"{entry.name}.stdout").read_bytes()
-        assert captured.err.encode("utf-8") == (golden / f"{entry.name}.stderr").read_bytes()
+        assert done.code == json.loads((golden / "exit_codes.json").read_text())[entry.name]
+        assert done.stdout == (golden / f"{entry.name}.stdout").read_bytes()
+        assert done.stderr == (golden / f"{entry.name}.stderr").read_bytes()
+
+
+ENTRIES = {entry.name: entry for entry in bytecheck.TABLE}
+RECORD = json.loads(bytecheck.RECORD.read_text())
+
+
+class TestTable:
+    """Every other entry of the byte check's table against its record in
+    tests/golden/table.json, which ``python tools/bytecheck.py`` rewrites."""
+
+    @pytest.mark.parametrize("name", list(RECORD))
+    def test_outcome_matches_the_record(self, tmp_path, capsys, monkeypatch, name):
+        entry = ENTRIES[name]
+        if (entry.stdout, entry.stderr) == ("pipe", "pipe"):
+            done = _run_in_process(entry, tmp_path / "run", capsys, monkeypatch)
+        elif "full" in (entry.stdout, entry.stderr) and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        else:
+            done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "run")
+        assert bytecheck.recorded(done) == RECORD[name]
 
 
 class TestAtomicWrites:
@@ -886,26 +913,9 @@ class TestClosedStdout:
         assert closed[2] == opened[2] != {}
 
 
-def _run_module(argv, cwd, stdout=subprocess.PIPE, code=None, stderr=subprocess.PIPE):
-    """``python -m nlbox ARGV`` (or ``python -c CODE``) as a fresh process
-    from ``cwd``, with stdout buffered as it is without PYTHONUNBUFFERED;
-    ``stderr="closed"`` starts it with fd 2 closed."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-    head = ["-m", "nlbox"] if code is None else ["-c", code]
-    closed = stderr == "closed"
-    return subprocess.run(
-        [sys.executable, *head, *argv],
-        cwd=cwd,
-        env=env,
-        stdout=stdout,
-        stderr=None if closed else stderr,
-        preexec_fn=(lambda: os.close(2)) if closed else None,
-    )
-
-
 class TestEntryPoint:
-    """``python -m nlbox`` as a whole process: its bytes, its flush and its freeze."""
+    """``python -m nlbox`` as a whole process, through ``bytecheck.run``: its
+    bytes, its flush and its freeze."""
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -918,14 +928,14 @@ class TestEntryPoint:
         ],
     )
     def test_goldens_end_to_end(self, tmp_path, argv, name):
-        done = _run_module(argv, tmp_path)
-        assert (done.returncode, done.stderr) == (0, b"")
+        done = bytecheck.run(bytecheck.Entry(name, argv, True), bytecheck.ROOT, tmp_path / "cwd")
+        assert (done.code, done.stderr) == (0, b"")
         if argv[0] != "sample":
             assert done.stdout == (GOLDEN / name).read_bytes()
             return
         assert done.stdout == f"wrote run/events.csv\nwrote run/summary.{name}\n".encode()
         golden = (GOLDEN / f"sample-summary-400-0.{name}").read_bytes()
-        assert (tmp_path / "run" / f"summary.{name}").read_bytes() == golden
+        assert (tmp_path / "cwd" / "run" / f"summary.{name}").read_bytes() == golden
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize(
@@ -940,12 +950,12 @@ class TestEntryPoint:
     )
     def test_full_stdout_at_the_final_flush(self, tmp_path, argv):
         # the text fits stdout's buffer, so only the flush at the end fails
-        with open("/dev/full", "w") as full:
-            done = _run_module(argv, tmp_path, stdout=full)
-        assert done.returncode == 1
+        entry = bytecheck.Entry("", argv, True, stdout="full")
+        done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "cwd")
+        assert done.code == 1
         assert done.stderr == b"error: [Errno 28] No space left on device\n"
         if argv[0] == "sample":
-            names = sorted(path.name for path in (tmp_path / "d").iterdir())
+            names = sorted(path.name for path in (tmp_path / "cwd" / "d").iterdir())
             assert names == ["events.csv", "summary.json"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -958,10 +968,9 @@ class TestEntryPoint:
     def test_broken_stderr_keeps_the_exit_status(self, tmp_path, stderr, argv, status):
         # with nowhere to report, the status is all that is left, and a lost
         # error line goes nowhere rather than to stdout
-        (tmp_path / "f").write_text("old\n")
-        with open("/dev/full", "w") as full:
-            done = _run_module(argv, tmp_path, stderr=full if stderr == "full" else stderr)
-        assert done.returncode == status
+        entry = bytecheck.Entry("", argv, True, files={"f": "old\n"}, stderr=stderr)
+        done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "cwd")
+        assert done.code == status
         golden = (GOLDEN / "verify-table3.json").read_bytes() if status == 0 else b""
         assert done.stdout == golden
 
@@ -978,8 +987,9 @@ class TestEntryPoint:
             "atexit.register(lambda: print('exit', gc.get_freeze_count() > 0))\n"
             "cli.entry_point()\n"
         )
-        done = _run_module([], tmp_path, code=code)
-        assert (done.returncode, done.stderr) == (3, b"")
+        entry = bytecheck.Entry("", [], True)
+        done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "cwd", ("-c", code))
+        assert (done.code, done.stderr) == (3, b"")
         assert done.stdout == b"main 0\nexit True\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -993,18 +1003,20 @@ class TestEntryPoint:
             "cli.main = lambda: os.kill(os.getpid(), signal.SIGINT)\n"
             "cli.entry_point()\n"
         )
-        done = _run_module([], tmp_path, code=in_main)
-        assert (done.returncode, done.stdout, done.stderr) == interrupted
+        head = ("-c", in_main)
+        done = bytecheck.run(bytecheck.Entry("", [], True), bytecheck.ROOT, tmp_path / "pipe", head)
+        assert (done.code, done.stdout, done.stderr) == interrupted
         # a closed or full stderr loses the line and keeps the signal
-        done = _run_module([], tmp_path, code=in_main, stderr="closed")
-        assert (done.returncode, done.stdout) == interrupted[:2]
-        with open("/dev/full", "w") as full:
-            done = _run_module([], tmp_path, code=in_main, stderr=full)
-        assert (done.returncode, done.stdout) == interrupted[:2]
+        for how in ("closed", "full"):
+            entry = bytecheck.Entry("", [], True, stderr=how)
+            done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / how, head)
+            assert (done.code, done.stdout) == interrupted[:2]
         # partway through the events of a run over an older one: the older
         # files stay as they were, and no temporary file is left
-        assert _run_module(["sample", "--shots", "50", "--out", "d"], tmp_path).returncode == 0
-        before = {path.name: path.read_bytes() for path in (tmp_path / "d").iterdir()}
+        entry = bytecheck.Entry("", ["sample", "--shots", "50", "--out", "d"], True)
+        older = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "older")
+        assert older.code == 0
+        files = {f"d/{path.name}": path.read_text() for path in (tmp_path / "older/d").iterdir()}
         in_writer = (
             "import os, signal\n"
             "from nlbox import cli\n"
@@ -1018,9 +1030,10 @@ class TestEntryPoint:
             "cli.entry_point()\n"
         )
         argv = ["sample", "--shots", "60", "--out", "d"]
-        done = _run_module(argv, tmp_path, code=in_writer)
-        assert (done.returncode, done.stdout, done.stderr) == interrupted
-        assert {path.name: path.read_bytes() for path in (tmp_path / "d").iterdir()} == before
+        entry = bytecheck.Entry("", argv, True, dirs=("d",), files=files)
+        done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "writer", ("-c", in_writer))
+        assert (done.code, done.stdout, done.stderr) == interrupted
+        assert done.files == older.files
 
 
 class TestBellStates:

@@ -192,6 +192,29 @@ class TestBounds:
         with pytest.raises(RuntimeError, match=f"^{message}$"):
             ns_bound(2)
 
+    def test_ns_bound_checks_no_signaling(self, monkeypatch):
+        # boxes that win every cell of expression 1, so reach 9, yet signal:
+        # all 16 counts on one winning pair, Alice's outcome x + y mod 4; and
+        # 4 counts on each outcome of one party, paired with the other
+        # party's first winning outcome, which two of the four share
+        def wins(k, a, b):
+            return C[0][16 * k + 4 * a + b] > 0
+
+        both, alice_uniform, bob_uniform = ([0] * 144 for _ in range(3))
+        for k in range(9):
+            a = sum(divmod(k, 3)) % 4
+            both[16 * k + 4 * a + min(b for b in range(4) if wins(k, a, b))] = 16
+            for o in range(4):
+                alice_uniform[16 * k + 4 * o + min(b for b in range(4) if wins(k, o, b))] = 4
+                bob_uniform[16 * k + 4 * min(a for a in range(4) if wins(k, a, o)) + o] = 4
+        message = "expression 1: matched state signals: a marginal is not 1/4"
+        for box in (both, alice_uniform, bob_uniform):
+            assert sum(p * c for p, c in zip(box, C[0])) == 16 * 9
+            for module in (inequalities, polytope):
+                monkeypatch.setattr(module, "product_counts", lambda: (box, *C[1:]))
+            with pytest.raises(RuntimeError, match=f"^{message}$"):
+                ns_bound(0)
+
     def test_party_swap_leaves_value_multiset_invariant(self):
         for k in range(NUM_EXPRESSIONS):
             orig = np.asarray(vertex_values(k))

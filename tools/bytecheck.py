@@ -1,33 +1,27 @@
-"""Compare the command line's bytes in the working tree with those of a commit.
+"""The command line's table, and the committed record of its outcomes.
 
-Usage: python tools/bytecheck.py PARENT [--expect NAME]...
+Usage: python tools/bytecheck.py
 
-Exports the ``src/`` tree of commit PARENT with ``git archive``, copies
-the working tree's ``src/``, and compiles both trees' bytecode once, so
-that no run compiles the package again.  Each entry of ``TABLE`` then
-runs once per tree as ``python -m nlbox ARGV`` in a fresh directory of
-its own, with ``COLUMNS=80`` so that argparse wraps help the same way, and
-without ``PYTHONUNBUFFERED``, so that stdout is buffered as it is by
-default and a full device fails only at the final flush.
-An entry's outcome is its stdout, stderr, exit code, and the name and
-SHA-256 of every file in its directory afterwards.  A difference is
-allowed only on an entry declared with ``--expect NAME``; the check
-reports it and exits 1 on any other, and on a declared entry whose
-outcome did not change (``UNCHANGED  NAME``).  ``tests/test_bytecheck.py``
-checks that every entry's options still parse, and the verdict on fixed
-outcomes; running the two trees stays out of the test suite.
+Each entry of ``TABLE`` is one ``python -m nlbox ARGV``, run in a fresh
+directory of its own, with ``COLUMNS=80`` so that argparse wraps help the
+same way, and without ``PYTHONUNBUFFERED``, so that stdout is buffered as
+it is by default and a full device fails only at the final flush.  An
+entry's outcome is its exit code, stdout, stderr, and the name and SHA-256
+of every file in its directory afterwards.
+
+With no arguments, the tool runs every entry that has no usage golden in
+``tests/golden/usage/`` as a process on the working tree, and rewrites
+``tests/golden/table.json`` with their outcomes.
+``tests/test_cli.py::TestTable`` compares each of those entries with the
+record, so a change to the command line's bytes is the record's diff.
 """
 
-import argparse
-import compileall
 import hashlib
-import io
 import itertools
+import json
 import os
-import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from collections import namedtuple
@@ -143,20 +137,11 @@ TABLE = (
 
 Outcome = namedtuple("Outcome", "stdout stderr code files")
 
-
-def export_trees(parent: str, into: Path) -> dict[str, Path]:
-    """``src/`` of commit ``parent`` and of the working tree, below ``into``, compiled."""
-    archive = subprocess.run(
-        ["git", "archive", "--format=tar", parent, "src"], cwd=ROOT, capture_output=True, check=True
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into / "parent")
-    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
-    shutil.copytree(ROOT / "src", into / "change" / "src", ignore=ignore)
-    trees = {"parent": into / "parent", "change": into / "change"}
-    for tree in trees.values():
-        compileall.compile_dir(tree / "src", quiet=1)
-    return trees
+RECORD = ROOT / "tests" / "golden" / "table.json"
+USAGE = ROOT / "tests" / "golden" / "usage"
+# stdout or stderr longer than this many bytes is recorded as its SHA-256;
+# the long ones are the JSON reports, whose text tests/golden/ holds
+TEXT_LIMIT = 1024
 
 
 def prepare(entry: Entry, where: Path) -> None:
@@ -166,6 +151,15 @@ def prepare(entry: Entry, where: Path) -> None:
         (where / name).mkdir()
     for name, text in entry.files.items():
         (where / name).write_text(text)
+
+
+def files_in(where: Path) -> dict[str, str]:
+    """The SHA-256 of every file below ``where``, by its name relative to ``where``."""
+    return {
+        str(path.relative_to(where)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(where.rglob("*"))
+        if path.is_file()
+    }
 
 
 def run(entry: Entry, tree: Path, where: Path, head=("-m", "nlbox")) -> Outcome:
@@ -187,47 +181,31 @@ def run(entry: Entry, tree: Path, where: Path, head=("-m", "nlbox")) -> Outcome:
             stderr=stderr,
             preexec_fn=(lambda: [os.close(fd) for fd in closed]) if closed else None,
         )
-    files = {
-        str(path.relative_to(where)): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(where.rglob("*"))
-        if path.is_file()
-    }
-    return Outcome(proc.stdout, proc.stderr, proc.returncode, files)
+    return Outcome(proc.stdout, proc.stderr, proc.returncode, files_in(where))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("parent", help="the commit to compare with, such as HEAD~1")
-    parser.add_argument(
-        "--expect", action="append", default=[], metavar="NAME", help="an entry allowed to differ"
-    )
-    args = parser.parse_args(argv)
-    unknown = set(args.expect) - {entry.name for entry in TABLE}
-    if unknown:
-        parser.error(f"no entries named {sorted(unknown)}")
+def recorded(outcome: Outcome) -> dict:
+    """``outcome`` as the record holds it: stdout and stderr as lines of text, as their
+    SHA-256 above ``TEXT_LIMIT`` bytes, or null where the stream was not a pipe."""
+    entry = {"code": outcome.code}
+    for stream, data in (("stdout", outcome.stdout), ("stderr", outcome.stderr)):
+        if data is not None and len(data) > TEXT_LIMIT:
+            entry[f"{stream}_sha256"] = hashlib.sha256(data).hexdigest()
+        else:
+            entry[stream] = None if data is None else data.decode().splitlines(keepends=True)
+    entry["files"] = outcome.files
+    return entry
+
+
+def main() -> int:
     start = time.perf_counter()
-    failed = unchanged = 0
+    entries = [e for e in TABLE if not (USAGE / f"{e.name}.stdout").exists()]
     with tempfile.TemporaryDirectory() as tmp:
-        trees = export_trees(args.parent, Path(tmp))
-        for entry in TABLE:
-            parent, change = (
-                run(entry, tree, Path(tmp) / side / "runs" / entry.name)
-                for side, tree in trees.items()
-            )
-            parts = [field for field, a, b in zip(Outcome._fields, parent, change) if a != b]
-            declared = entry.name in args.expect
-            if parts:
-                failed += not declared
-                print(f"{'declared' if declared else 'DIFFERS'}  {entry.name}: {', '.join(parts)}")
-            elif declared:
-                unchanged += 1
-                print(f"UNCHANGED  {entry.name}")
+        record = {e.name: recorded(run(e, ROOT, Path(tmp) / e.name)) for e in entries}
+    RECORD.write_text(json.dumps(record, indent=1) + "\n")
     seconds = time.perf_counter() - start
-    print(
-        f"{len(TABLE)} entries, {failed} undeclared differences, "
-        f"{unchanged} declared but unchanged, {seconds:.1f} s"
-    )
-    return 1 if failed or unchanged else 0
+    print(f"{len(record)} entries recorded in {RECORD.relative_to(ROOT)}, {seconds:.1f} s")
+    return 0
 
 
 if __name__ == "__main__":

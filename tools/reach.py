@@ -55,6 +55,9 @@ ALLOWED = {
         'f"expression {row + 1}: matched state reaches {attained}/16, "',
         'f"expected the algebraic bound {bound}"',
     ): "tests/test_polytope.py::TestBounds::test_ns_bound_checks_the_matched_product",
+    (
+        'raise RuntimeError(f"expression {row + 1}: matched state signals: a marginal is not 1/4")',
+    ): "tests/test_polytope.py::TestBounds::test_ns_bound_checks_no_signaling",
     ('raise RuntimeError(f"expression {row + 1} is not a relabeling of expression 1")',): (
         CLI_TESTS + "TestBounds::test_an_expression_off_the_orbit_is_an_error"
     ),
