@@ -25,6 +25,7 @@ from nlbox.cli import main, sig12
 
 
 GOLDEN = Path(__file__).parent / "golden"
+RECORD = json.loads(bytecheck.RECORD.read_text())
 PINNED_SHOTS = (4095, 4096, 4097, 12293, 100003)
 # sha256 of events.csv under RNG contract 3, by seed, at PINNED_SHOTS
 EVENTS_SHA256 = {
@@ -707,44 +708,37 @@ class TestDirectReader:
 
 
 class TestGoldenOutput:
-    """The exact reports and sample summaries, captured once."""
+    """The sample files and the failed verification, captured once."""
 
     @pytest.mark.parametrize(
-        "argv, name",
+        "name, entry, path",
         [
-            (["verify-table3", "--format", "json"], "verify-table3.json"),
-            (["verify-table3", "--format", "csv"], "verify-table3.csv"),
-            (["bounds", "--format", "json"], "bounds.json"),
-            (["bounds", "--format", "csv"], "bounds.csv"),
-            (["swap-map", "--format", "json"], "swap-map.json"),
-            (["swap-map", "--format", "csv"], "swap-map.csv"),
-            (["swap-map", "--sources", "PM,PP"], "swap-map-PM-PP.json"),
+            ("sample-summary-400-0.json", "sample-400-0-json", "nlbox_sample/summary.json"),
+            ("sample-summary-400-0.csv", "sample-400-0-csv", "nlbox_sample/summary.csv"),
+            ("sample-events-50-0.csv", "sample-50-0", "nlbox_sample/events.csv"),
         ],
+        ids=["summary-json", "summary-csv", "events"],
     )
-    def test_stdout_is_byte_identical(self, capsys, argv, name):
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
-
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_sample_summary_is_byte_identical(self, tmp_path, capsys, fmt):
-        # 400 shots at seed 0: 7 of 16 classes have an empty cell
-        out_dir = tmp_path / "run"
-        argv = ["sample", "--shots", "400", "--seed", "0", "--format", fmt]
-        assert main(argv + ["--out", str(out_dir)]) == 0
-        capsys.readouterr()
-        golden = (GOLDEN / f"sample-summary-400-0.{fmt}").read_bytes()
-        assert (out_dir / f"summary.{fmt}").read_bytes() == golden
+    def test_sample_file_is_the_recorded_one(self, name, entry, path):
+        # the files of the record's runs; at 400 shots and seed 0, 7 of 16
+        # classes have an empty cell
+        digest = hashlib.sha256((GOLDEN / name).read_bytes()).hexdigest()
+        assert digest == RECORD[entry]["files"][path]
 
     @pytest.mark.parametrize(
         "fmt, name", [("json", "verify-table3-corrupted.json"), ("csv", "verify-table3.csv")]
     )
     def test_failed_verification_is_byte_identical(self, capsys, monkeypatch, fmt, name):
         # the CSV report holds only the computed values, so it does not change
+        # from the one the record holds
         corrupt_reference(monkeypatch)
         assert main(["verify-table3", "--format", fmt]) == 1
         captured = capsys.readouterr()
-        assert captured.out.encode("utf-8") == (GOLDEN / name).read_bytes()
+        if fmt == "csv":
+            golden = "".join(RECORD["verify-table3-csv"]["stdout"]).encode("utf-8")
+        else:
+            golden = (GOLDEN / name).read_bytes()
+        assert captured.out.encode("utf-8") == golden
         stderr = (GOLDEN / "verify-table3-corrupted.stderr").read_bytes()
         assert captured.err.encode("utf-8") == stderr
 
@@ -765,30 +759,11 @@ def _run_in_process(entry, where, capsys, monkeypatch) -> bytecheck.Outcome:
     return bytecheck.Outcome(out, err, code, bytecheck.files_in(where))
 
 
-# the command lines of the byte check's table whose help, usage and error
-# text argparse writes, and the printed --out paths
-USAGE = [e for e in bytecheck.TABLE if (GOLDEN / "usage" / f"{e.name}.stdout").exists()]
-
-
-class TestUsageOutput:
-    """The stdout, stderr and exit code of help, usage errors, argparse-only
-    forms and the printed --out paths."""
-
-    @pytest.mark.parametrize("entry", USAGE, ids=lambda entry: entry.name)
-    def test_usage_is_byte_identical(self, tmp_path, capsys, monkeypatch, entry):
-        done = _run_in_process(entry, tmp_path / "run", capsys, monkeypatch)
-        golden = GOLDEN / "usage"
-        assert done.code == json.loads((golden / "exit_codes.json").read_text())[entry.name]
-        assert done.stdout == (golden / f"{entry.name}.stdout").read_bytes()
-        assert done.stderr == (golden / f"{entry.name}.stderr").read_bytes()
-
-
 ENTRIES = {entry.name: entry for entry in bytecheck.TABLE}
-RECORD = json.loads(bytecheck.RECORD.read_text())
 
 
 class TestTable:
-    """Every other entry of the byte check's table against its record in
+    """Every entry of the byte check's table against its record in
     tests/golden/table.json, which ``python tools/bytecheck.py`` rewrites."""
 
     @pytest.mark.parametrize("name", list(RECORD))
@@ -914,65 +889,9 @@ class TestClosedStdout:
 
 
 class TestEntryPoint:
-    """``python -m nlbox`` as a whole process, through ``bytecheck.run``: its
-    bytes, its flush and its freeze."""
-
-    @pytest.mark.parametrize(
-        "argv, name",
-        [
-            (["verify-table3", "--format", "json"], "verify-table3.json"),
-            (["bounds", "--format", "csv"], "bounds.csv"),
-            (["swap-map", "--sources", "PM,PP"], "swap-map-PM-PP.json"),
-            (["sample", "--shots", "400", "--seed", "0", "--out", "run"], "json"),
-            (["sample", "--shots", "400", "--seed", "0", "--format", "csv", "--out", "run"], "csv"),
-        ],
-    )
-    def test_goldens_end_to_end(self, tmp_path, argv, name):
-        done = bytecheck.run(bytecheck.Entry(name, argv, True), bytecheck.ROOT, tmp_path / "cwd")
-        assert (done.code, done.stderr) == (0, b"")
-        if argv[0] != "sample":
-            assert done.stdout == (GOLDEN / name).read_bytes()
-            return
-        assert done.stdout == f"wrote run/events.csv\nwrote run/summary.{name}\n".encode()
-        golden = (GOLDEN / f"sample-summary-400-0.{name}").read_bytes()
-        assert (tmp_path / "cwd" / "run" / f"summary.{name}").read_bytes() == golden
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["swap-map", "--format", "csv"],
-            ["sample", "--shots", "10", "--out", "d"],
-            ["verify-table3"],
-            ["-h"],
-        ],
-        ids=["swap-map-csv", "sample", "verify-table3", "help"],
-    )
-    def test_full_stdout_at_the_final_flush(self, tmp_path, argv):
-        # the text fits stdout's buffer, so only the flush at the end fails
-        entry = bytecheck.Entry("", argv, True, stdout="full")
-        done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "cwd")
-        assert done.code == 1
-        assert done.stderr == b"error: [Errno 28] No space left on device\n"
-        if argv[0] == "sample":
-            names = sorted(path.name for path in (tmp_path / "cwd" / "d").iterdir())
-            assert names == ["events.csv", "summary.json"]
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("stderr", ["closed", "full"])
-    @pytest.mark.parametrize(
-        "argv, status",
-        [(["bogus"], 2), (["sample", "--shots", "10", "--out", "f"], 1), (["verify-table3"], 0)],
-        ids=["usage-error", "io-error", "success"],
-    )
-    def test_broken_stderr_keeps_the_exit_status(self, tmp_path, stderr, argv, status):
-        # with nowhere to report, the status is all that is left, and a lost
-        # error line goes nowhere rather than to stdout
-        entry = bytecheck.Entry("", argv, True, files={"f": "old\n"}, stderr=stderr)
-        done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "cwd")
-        assert done.code == status
-        golden = (GOLDEN / "verify-table3.json").read_bytes() if status == 0 else b""
-        assert done.stdout == golden
+    """``entry_point`` as a whole process, through ``bytecheck.run``, with a
+    patched ``main``: its freeze and its Ctrl-C.  Its streams are the table's
+    ``closed-*``, ``full-*`` and ``stderr-*`` entries."""
 
     def test_freezes_after_main_and_exits_with_its_status(self, tmp_path):
         # a patched main sees no frozen object, and an atexit hook, which runs

@@ -9,11 +9,10 @@ it is by default and a full device fails only at the final flush.  An
 entry's outcome is its exit code, stdout, stderr, and the name and SHA-256
 of every file in its directory afterwards.
 
-With no arguments, the tool runs every entry that has no usage golden in
-``tests/golden/usage/`` as a process on the working tree, and rewrites
-``tests/golden/table.json`` with their outcomes.
-``tests/test_cli.py::TestTable`` compares each of those entries with the
-record, so a change to the command line's bytes is the record's diff.
+With no arguments, the tool runs every entry as a process on the working
+tree, and rewrites ``tests/golden/table.json`` with their outcomes.
+``tests/test_cli.py::TestTable`` compares each entry with the record, so a
+change to the command line's bytes is the record's diff.
 """
 
 import hashlib
@@ -38,7 +37,8 @@ Entry = namedtuple(
 
 CODES = ("PP", "PM", "SP", "SM")
 TABLE = (
-    # the golden reports and sample runs of tests/test_cli.py, and the defaults
+    # the reports in each format, the sample runs whose files tests/golden/
+    # holds, and the defaults
     *(
         Entry(f"{command}-{fmt}", [command, "--format", fmt], True)
         for command in ("verify-table3", "bounds", "swap-map")
@@ -51,8 +51,7 @@ TABLE = (
         for f in ("json", "csv")
     ),
     Entry("sample-100003-1", ["sample", "--shots", "100003", "--seed", "1"], True),
-    # the usage goldens: tests/test_cli.py runs each entry named by a
-    # tests/golden/usage/NAME.stdout
+    # help, usage errors and the forms that only argparse reads
     Entry("no-command", [], False),
     Entry("help", ["-h"], False),
     Entry("sample-help", ["sample", "-h"], False),
@@ -123,7 +122,10 @@ TABLE = (
     Entry("full-swap-map-csv", ["swap-map", "--format", "csv"], True, stdout="full"),
     Entry("full-sample", ["sample", "--shots", "10"], True, stdout="full"),
     Entry("full-bounds-out", ["bounds", "--out", "b.json"], True, stdout="full"),
+    Entry("full-help", ["-h"], False, stdout="full"),
     # stderr closed, and stderr on a full device: a usage error, an I/O error
+    # and a success keep their exit status, and a lost error line goes
+    # nowhere rather than to stdout
     *(
         Entry(f"stderr-{how}-{name}", argv, parses, files={"f": "old\n"}, stderr=how)
         for how in ("closed", "full")
@@ -131,6 +133,7 @@ TABLE = (
             ("unknown-command", ["frobnicate"], False),
             ("zero-shots", ["sample", "--shots", "0"], False),
             ("sample-out-on-file", ["sample", "--shots", "10", "--out", "f"], True),
+            ("verify-table3", ["verify-table3"], True),
         )
     ),
 )
@@ -138,10 +141,6 @@ TABLE = (
 Outcome = namedtuple("Outcome", "stdout stderr code files")
 
 RECORD = ROOT / "tests" / "golden" / "table.json"
-USAGE = ROOT / "tests" / "golden" / "usage"
-# stdout or stderr longer than this many bytes is recorded as its SHA-256;
-# the long ones are the JSON reports, whose text tests/golden/ holds
-TEXT_LIMIT = 1024
 
 
 def prepare(entry: Entry, where: Path) -> None:
@@ -185,23 +184,19 @@ def run(entry: Entry, tree: Path, where: Path, head=("-m", "nlbox")) -> Outcome:
 
 
 def recorded(outcome: Outcome) -> dict:
-    """``outcome`` as the record holds it: stdout and stderr as lines of text, as their
-    SHA-256 above ``TEXT_LIMIT`` bytes, or null where the stream was not a pipe."""
-    entry = {"code": outcome.code}
-    for stream, data in (("stdout", outcome.stdout), ("stderr", outcome.stderr)):
-        if data is not None and len(data) > TEXT_LIMIT:
-            entry[f"{stream}_sha256"] = hashlib.sha256(data).hexdigest()
-        else:
-            entry[stream] = None if data is None else data.decode().splitlines(keepends=True)
-    entry["files"] = outcome.files
-    return entry
+    """``outcome`` as the record holds it: stdout and stderr as lines of text, or null
+    where the stream was not a pipe, and each file's SHA-256."""
+    stdout, stderr = (
+        None if data is None else data.decode().splitlines(keepends=True)
+        for data in (outcome.stdout, outcome.stderr)
+    )
+    return {"code": outcome.code, "stdout": stdout, "stderr": stderr, "files": outcome.files}
 
 
 def main() -> int:
     start = time.perf_counter()
-    entries = [e for e in TABLE if not (USAGE / f"{e.name}.stdout").exists()]
     with tempfile.TemporaryDirectory() as tmp:
-        record = {e.name: recorded(run(e, ROOT, Path(tmp) / e.name)) for e in entries}
+        record = {e.name: recorded(run(e, ROOT, Path(tmp) / e.name)) for e in TABLE}
     RECORD.write_text(json.dumps(record, indent=1) + "\n")
     seconds = time.perf_counter() - start
     print(f"{len(record)} entries recorded in {RECORD.relative_to(ROOT)}, {seconds:.1f} s")
