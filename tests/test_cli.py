@@ -26,6 +26,16 @@ from nlbox.cli import main, sig12
 
 GOLDEN = Path(__file__).parent / "golden"
 RECORD = json.loads(bytecheck.RECORD.read_text())
+
+
+def recorded_stdout(argv) -> bytes:
+    """The stdout that the record holds for ``python -m nlbox ARGV`` run with pipes."""
+    (name,) = (
+        e.name for e in bytecheck.TABLE if e.argv == argv and e.stdout == e.stderr == "pipe"
+    )
+    return "".join(RECORD[name]["stdout"]).encode("utf-8")
+
+
 PINNED_SHOTS = (4095, 4096, 4097, 12293, 100003)
 # sha256 of events.csv under RNG contract 3, by seed, at PINNED_SHOTS
 EVENTS_SHA256 = {
@@ -708,7 +718,27 @@ class TestDirectReader:
 
 
 class TestGoldenOutput:
-    """The sample files and the failed verification, captured once."""
+    """The reports, the sample files and the failed verification, captured once."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["verify-table3", "--format", "json"], "verify-table3.json"),
+            (["verify-table3", "--format", "csv"], "verify-table3.csv"),
+            (["bounds", "--format", "json"], "bounds.json"),
+            (["bounds", "--format", "csv"], "bounds.csv"),
+            (["swap-map", "--format", "json"], "swap-map.json"),
+            (["swap-map", "--format", "csv"], "swap-map.csv"),
+            (["swap-map", "--sources", "PM,PP"], "swap-map-PM-PP.json"),
+        ],
+    )
+    def test_stdout_is_byte_identical(self, tmp_path, capsys, argv, name):
+        # and --out NAME writes the same bytes as the report on stdout
+        golden = recorded_stdout(argv)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == golden
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / name).read_bytes() == golden
 
     @pytest.mark.parametrize(
         "name, entry, path",
@@ -735,7 +765,7 @@ class TestGoldenOutput:
         assert main(["verify-table3", "--format", fmt]) == 1
         captured = capsys.readouterr()
         if fmt == "csv":
-            golden = "".join(RECORD["verify-table3-csv"]["stdout"]).encode("utf-8")
+            golden = recorded_stdout(["verify-table3", "--format", "csv"])
         else:
             golden = (GOLDEN / name).read_bytes()
         assert captured.out.encode("utf-8") == golden
@@ -889,9 +919,64 @@ class TestClosedStdout:
 
 
 class TestEntryPoint:
-    """``entry_point`` as a whole process, through ``bytecheck.run``, with a
-    patched ``main``: its freeze and its Ctrl-C.  Its streams are the table's
-    ``closed-*``, ``full-*`` and ``stderr-*`` entries."""
+    """``python -m nlbox`` as a whole process, through ``bytecheck.run``: its
+    bytes, its flush, its broken stderr, and, with a patched ``main``, its
+    freeze and its Ctrl-C."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["verify-table3", "--format", "json"], "verify-table3.json"),
+            (["bounds", "--format", "csv"], "bounds.csv"),
+            (["swap-map", "--sources", "PM,PP"], "swap-map-PM-PP.json"),
+            (["sample", "--shots", "400", "--seed", "0", "--out", "run"], "json"),
+            (["sample", "--shots", "400", "--seed", "0", "--format", "csv", "--out", "run"], "csv"),
+        ],
+    )
+    def test_goldens_end_to_end(self, tmp_path, argv, name):
+        done = bytecheck.run(bytecheck.Entry("", argv, True), bytecheck.ROOT, tmp_path / "cwd")
+        assert (done.code, done.stderr) == (0, b"")
+        if argv[0] != "sample":
+            assert done.stdout == recorded_stdout(argv)
+            return
+        assert done.stdout == f"wrote run/events.csv\nwrote run/summary.{name}\n".encode()
+        golden = (GOLDEN / f"sample-summary-400-0.{name}").read_bytes()
+        assert (tmp_path / "cwd" / "run" / f"summary.{name}").read_bytes() == golden
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["swap-map", "--format", "csv"],
+            ["sample", "--shots", "10", "--out", "d"],
+            ["verify-table3"],
+            ["-h"],
+        ],
+        ids=["swap-map-csv", "sample", "verify-table3", "help"],
+    )
+    def test_full_stdout_at_the_final_flush(self, tmp_path, argv):
+        # the text fits stdout's buffer, so only the flush at the end fails
+        entry = bytecheck.Entry("", argv, True, stdout="full")
+        done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "cwd")
+        assert done.code == 1
+        assert done.stderr == b"error: [Errno 28] No space left on device\n"
+        if argv[0] == "sample":
+            assert sorted(done.files) == ["d/events.csv", "d/summary.json"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    @pytest.mark.parametrize(
+        "argv, status",
+        [(["bogus"], 2), (["sample", "--shots", "10", "--out", "f"], 1), (["verify-table3"], 0)],
+        ids=["usage-error", "io-error", "success"],
+    )
+    def test_broken_stderr_keeps_the_exit_status(self, tmp_path, stderr, argv, status):
+        # with nowhere to report, the status is all that is left, and a lost
+        # error line goes nowhere rather than to stdout
+        entry = bytecheck.Entry("", argv, True, files={"f": "old\n"}, stderr=stderr)
+        done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "cwd")
+        assert done.code == status
+        assert done.stdout == (recorded_stdout(argv) if status == 0 else b"")
 
     def test_freezes_after_main_and_exits_with_its_status(self, tmp_path):
         # a patched main sees no frozen object, and an atexit hook, which runs
