@@ -13,6 +13,7 @@ exit, so that no process pays for collecting it at shutdown.
 
 import functools
 import os
+import stat
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -68,13 +69,20 @@ def load_reference_table() -> dict:
 def _write_atomic(files: dict) -> None:
     """Write each path's text chunks to a temporary file beside it, creating
     parent directories, and rename them all once all are written.  A
-    directory at a path, a file where a parent directory should be, or a
-    failed write, changes no path and leaves no temporary file behind."""
+    directory at a path, a symlink, FIFO or device there, a file where a
+    parent directory should be, or a failed write, changes no path and
+    leaves no temporary file behind."""
     tmps = {}
     try:
         for path, chunks in files.items():
             if path.is_dir():
                 raise IsADirectoryError(f"{path} is a directory")
+            try:
+                mode = path.lstat().st_mode
+            except OSError:  # nothing there yet, or a file on the way
+                mode = stat.S_IFREG
+            if not stat.S_ISREG(mode):  # the rename would replace the link or node itself
+                raise OSError(f"{path} is not a regular file")
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
             except (FileExistsError, NotADirectoryError):  # a file on the way

@@ -1,5 +1,6 @@
 """The byte check's table (tools/bytecheck.py) still fits the command line,
-and its record holds every entry, as the tool writes it, with no entry run."""
+its record holds every entry, as the tool writes it, and its reach verdict
+names the right lines of fixed sources, with no entry run."""
 
 import contextlib
 import io
@@ -25,7 +26,7 @@ def test_every_entry_parses_as_declared():
 
 
 def test_record_holds_every_entry():
-    # the record, the run directories and reach's count files go by name,
+    # the record, the run directories and the count files go by name,
     # and an entry added to the table without rewriting the record, or a
     # record edited by hand, fails here
     names = [entry.name for entry in bytecheck.TABLE]
@@ -36,3 +37,18 @@ def test_record_holds_every_entry():
     # every stream is text or null, never a hash of its bytes
     assert {tuple(entry) for entry in record.values()} == {("code", "stdout", "stderr", "files")}
     assert text == json.dumps(record, indent=1) + "\n"
+
+
+def test_verdict_names_unreached_and_allowed_but_reached_lines():
+    texts = {"/p/m.py": "x = 1\nif x:\n    y = 2\n    z = 3\n", "/p/n.py": "w = 0\n"}
+    allowed = {("y = 2", "z = 3"): "a test"}  # one key over two lines
+    ran = {("/p/m.py", 1), ("/p/m.py", 2), ("/p/n.py", 1)}
+    assert bytecheck.verdict(texts, ran, allowed) == []
+    assert bytecheck.verdict(texts, ran - {("/p/m.py", 2)}, allowed) == ["UNREACHED  m.py:2: if x:"]
+    assert bytecheck.verdict(texts, ran | {("/p/m.py", 4)}, allowed) == [
+        "ALLOWED BUT REACHED  m.py:4: z = 3"
+    ]
+    assert bytecheck.verdict(texts, ran, {}) == [
+        "UNREACHED  m.py:3: y = 2",
+        "UNREACHED  m.py:4: z = 3",
+    ]

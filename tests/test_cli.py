@@ -877,6 +877,25 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_text() == "ab\n"
 
+    @pytest.mark.parametrize("node", ["symlink", "fifo"])
+    def test_target_that_is_not_a_regular_file_is_an_error(self, tmp_path, capsys, node):
+        # the rename would replace the link itself, not the file it names,
+        # and a FIFO or a device by a regular file
+        target = tmp_path / "target.json"
+        target.write_text("old")
+        out = tmp_path / "out.json"
+        if node == "symlink":
+            out.symlink_to(target.name)
+        else:
+            os.mkfifo(out)
+        before = out.lstat()
+        assert main(["swap-map", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {out} is not a regular file\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out.json", "target.json"]
+        after = out.lstat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert target.read_text() == "old"
+
 
 class TestClosedStdout:
     @pytest.mark.parametrize("command", ["verify-table3", "bounds", "swap-map"])

@@ -39,11 +39,11 @@ The test files mirror the modules: each is named ``test_<m>.py`` after a
 module ``m`` of the package, or tests the oracle, the oracle's observables,
 the layout, the acceptance criteria or the byte check.  Every line of the package that no
 command line of the byte check reaches is named, with the test that
-reaches it, in ``tools/reach.py``'s allow-list; each of its texts stands
-once in the package, and each test it names exists.  One command line of
-the table runs as a whole process under reach's ``trace`` script here, so
-that its counts reach the entry point; running the full table stays out of
-the test suite.
+reaches it, in ``tools/bytecheck.py``'s allow-list; each of its texts
+stands once in the package, and each test it names exists.  One command
+line of the table runs as a whole process under the byte check's
+``trace`` script here, so that its counts reach the entry point; running
+the full table stays out of the test suite.
 
 Importing the CLI loads neither ``dataclasses`` (nor ``inspect``, which
 it pulls in), ``typing`` nor ``importlib.resources``: the package's
@@ -63,7 +63,6 @@ from pathlib import Path
 
 import bytecheck
 import pytest
-import reach
 
 import nlbox
 
@@ -664,10 +663,11 @@ def _defines(tree: ast.Module, names) -> bool:
 def test_reach_allow_list_names_single_lines_and_existing_tests():
     assert _defines(ast.parse("class A:\n    def f(self): pass\n"), ["A", "f"])
     assert not _defines(ast.parse("def f(): pass\n"), ["A", "f"])
-    assert len(reach.occurrences(("try:",))) > 1
+    texts = bytecheck.package_texts()
+    assert len(bytecheck.occurrences(("try:",), texts)) > 1
     found = []
-    for key, test in reach.ALLOWED.items():
-        count = len(reach.occurrences(key))
+    for key, test in bytecheck.ALLOWED.items():
+        count = len(bytecheck.occurrences(key, texts))
         if count != 1:
             found.append(f"{key} stands {count} times in the package")
         path, *names = test.split("::")
@@ -682,9 +682,9 @@ def test_reach_counts_a_whole_process(tmp_path):
     # reach python -m nlbox's one call and entry_point's freeze at the end
     entry = next(entry for entry in bytecheck.TABLE if entry.name == "closed-verify-table3")
     counts = tmp_path / "counts"
-    done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "run", ("-c", reach.TRACED, counts))
+    done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "run", ("-c", bytecheck.TRACED, counts))
     assert (done.code, done.stderr) == (1, b"error: stdout is closed\n")
     reached = pickle.loads(counts.read_bytes())
     for name, text in (("__main__.py", "entry_point()"), ("cli.py", "    gc.freeze()")):
-        lines = (reach.PACKAGE / name).read_text(encoding="utf-8").splitlines()
-        assert (str(reach.PACKAGE / name), lines.index(text) + 1) in reached, (name, text)
+        lines = (bytecheck.PACKAGE / name).read_text(encoding="utf-8").splitlines()
+        assert (str(bytecheck.PACKAGE / name), lines.index(text) + 1) in reached, (name, text)

@@ -1,4 +1,5 @@
-"""The command line's table, and the committed record of its outcomes.
+"""The command line's table, the committed record of its outcomes, and the
+lines of the package that the table reaches.
 
 Usage: python tools/bytecheck.py
 
@@ -9,16 +10,34 @@ it is by default and a full device fails only at the final flush.  An
 entry's outcome is its exit code, stdout, stderr, and the name and SHA-256
 of every file in its directory afterwards.
 
-With no arguments, the tool runs every entry as a process on the working
-tree, and rewrites ``tests/golden/table.json`` with their outcomes.
-``tests/test_cli.py::TestTable`` compares each entry with the record, so a
-change to the command line's bytes is the record's diff.
+With no arguments, the tool runs every entry once, as a process on the
+working tree, and rewrites ``tests/golden/table.json`` with their
+outcomes.  ``tests/test_cli.py::TestTable`` compares each entry with the
+record, so a change to the command line's bytes is the record's diff.
+
+Each of those processes runs ``TRACED`` in place of ``python -m nlbox``:
+the package's ``__main__`` under the standard library's ``trace``, which
+writes the counts of the lines run to a file outside the entry's
+directory as the process exits.  Tracing starts before the package is
+imported, so its module-level lines count too, and ``entry_point``'s
+handling of the streams counts as any other line.  A line of
+``src/nlbox`` is executable when the bytecode compiled from its file
+starts a line there.  Once the record is written, the tool prints every
+executable line that no entry reached and that ``ALLOWED`` does not name,
+and every line that ``ALLOWED`` names but an entry reached, and exits 1
+if there is any.  A key of ``ALLOWED`` is the exact text of one line, or
+of consecutive lines, stripped, and must stand once in the package; its
+value names the test that reaches those lines.  ``tests/test_layout.py``
+checks both, and runs one entry under ``TRACED``; running the whole table
+stays out of the test suite.
 """
 
+import dis
 import hashlib
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -141,6 +160,76 @@ TABLE = (
 Outcome = namedtuple("Outcome", "stdout stderr code files")
 
 RECORD = ROOT / "tests" / "golden" / "table.json"
+PACKAGE = ROOT / "src" / "nlbox"
+CLI_TESTS = "tests/test_cli.py::"
+
+# python -c TRACED COUNTS ARGV: python -m nlbox ARGV, with its line counts
+# pickled to the file COUNTS however it exits
+TRACED = """\
+import pickle, runpy, sys, trace
+counts = sys.argv.pop(1)
+tracer = trace.Trace(count=1, trace=0)
+try:
+    tracer.runfunc(runpy.run_module, "nlbox", run_name="__main__", alter_sys=True)
+finally:
+    with open(counts, "wb") as fh:
+        pickle.dump(tracer.results().counts, fh)
+"""
+
+# Lines that no command line of the table reaches, and the test that does.
+ALLOWED = {
+    # the claim checks, which a test with a patched input trips
+    (
+        "raise RuntimeError(",
+        'f"expression {row + 1}: matched state reaches {attained}/16, "',
+        'f"expected the algebraic bound {bound}"',
+    ): "tests/test_polytope.py::TestBounds::test_ns_bound_checks_the_matched_product",
+    (
+        'raise RuntimeError(f"expression {row + 1}: matched state signals: a marginal is not 1/4")',
+    ): "tests/test_polytope.py::TestBounds::test_ns_bound_checks_no_signaling",
+    ('raise RuntimeError(f"expression {row + 1} is not a relabeling of expression 1")',): (
+        CLI_TESTS + "TestBounds::test_an_expression_off_the_orbit_is_an_error"
+    ),
+    ('raise RuntimeError("the joint table is not 1/128 on 128 outcomes per cell")',): (
+        "tests/test_sampler.py::TestExactTable::test_a_table_off_the_premise_is_an_error"
+    ),
+    (
+        "raise RuntimeError(",
+        'f"reference table schema {schema} is not "',
+        'f"supported (expected {REFERENCE_SCHEMA_VERSION})"',
+    ): CLI_TESTS + "TestVerifyTable3::test_schema_mismatch_is_an_error",
+    ('raise RuntimeError("reference table values are not 16 rows of 16 numbers")',): (
+        CLI_TESTS + "TestVerifyTable3::test_malformed_reference_is_an_error"
+    ),
+    # _write_atomic's cleanup after a failed write
+    ("tmp.unlink(missing_ok=True)",): (
+        CLI_TESTS + "TestAtomicWrites::test_failed_write_leaves_no_partial_file"
+    ),
+    # --out on a symlink or a FIFO, which the table's entries cannot make
+    ('raise OSError(f"{path} is not a regular file")',): (
+        CLI_TESTS + "TestAtomicWrites::test_target_that_is_not_a_regular_file_is_an_error"
+    ),
+    # verify-table3's mismatch records
+    (
+        "{",
+        '"state": states[row],',
+        '"expression": col + 1,',
+        '"computed": values[row][col],',
+        '"expected": float(expected),',
+    ): CLI_TESTS + "TestVerifyTable3::test_detects_a_corrupted_reference",
+    # Ctrl-C, which a test sends from a patched main or a patched writer
+    (
+        "except KeyboardInterrupt:  # Ctrl-C: one line, then the end by SIGINT a shell expects",
+        "import signal",
+        "",
+        "try:",
+        'print("error: interrupted", file=sys.stderr)',
+        "except OSError:  # a full stderr loses the line, not the signal",
+        "pass",
+        "signal.signal(signal.SIGINT, signal.SIG_DFL)",
+        "os.kill(os.getpid(), signal.SIGINT)",
+    ): CLI_TESTS + "TestEntryPoint::test_interrupt_is_one_error_line",
+}
 
 
 def prepare(entry: Entry, where: Path) -> None:
@@ -193,14 +282,76 @@ def recorded(outcome: Outcome) -> dict:
     return {"code": outcome.code, "stdout": stdout, "stderr": stderr, "files": outcome.files}
 
 
+def package_texts() -> dict[str, str]:
+    """The text of each module of the package, by its path."""
+    return {str(path): path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def occurrences(key: tuple[str, ...], texts: dict[str, str]) -> list[tuple[str, int]]:
+    """Each path of ``texts`` and first line number at which the stripped lines of ``key``
+    stand."""
+    found = []
+    for path, text in texts.items():
+        lines = [line.strip() for line in text.splitlines()]
+        found += [
+            (path, start + 1)
+            for start in range(len(lines))
+            if tuple(lines[start : start + len(key)]) == key
+        ]
+    return found
+
+
+def executable_lines(text: str) -> set[int]:
+    """The lines at which the bytecode compiled from ``text`` starts a line."""
+    lines, stack = set(), [compile(text, "<module>", "exec")]
+    while stack:
+        code = stack.pop()
+        lines.update(line for _, line in dis.findlinestarts(code) if line)
+        stack += [const for const in code.co_consts if hasattr(const, "co_code")]
+    return lines
+
+
+def verdict(texts: dict[str, str], ran: set[tuple[str, int]], allowed) -> list[str]:
+    """One line for each executable line of ``texts`` that is not in ``ran`` and that no
+    key of ``allowed`` covers, and for each that is in ``ran`` and that a key covers."""
+    covered = {
+        (path, first + i)
+        for key in allowed
+        for path, first in occurrences(key, texts)
+        for i in range(len(key))
+    }
+    failures = []
+    for path, text in texts.items():
+        lines = text.splitlines()
+        for number in sorted(executable_lines(text)):
+            reached = (path, number) in ran
+            if reached == ((path, number) in covered):
+                kind = "ALLOWED BUT REACHED" if reached else "UNREACHED"
+                failures.append(f"{kind}  {Path(path).name}:{number}: {lines[number - 1].strip()}")
+    return failures
+
+
 def main() -> int:
     start = time.perf_counter()
+    record, ran = {}, set()
     with tempfile.TemporaryDirectory() as tmp:
-        record = {e.name: recorded(run(e, ROOT, Path(tmp) / e.name)) for e in TABLE}
+        for entry in TABLE:
+            counts = Path(tmp) / f"{entry.name}.counts"
+            head = ("-c", TRACED, str(counts))
+            record[entry.name] = recorded(run(entry, ROOT, Path(tmp) / entry.name, head))
+            ran.update(pickle.loads(counts.read_bytes()))
     RECORD.write_text(json.dumps(record, indent=1) + "\n")
     seconds = time.perf_counter() - start
-    print(f"{len(record)} entries recorded in {RECORD.relative_to(ROOT)}, {seconds:.1f} s")
-    return 0
+    texts = package_texts()
+    failures = verdict(texts, ran, ALLOWED)
+    for line in failures:
+        print(line)
+    total = sum(len(executable_lines(text)) for text in texts.values())
+    print(
+        f"{len(record)} entries recorded in {RECORD.relative_to(ROOT)}, {total} executable lines, "
+        f"{len(ALLOWED)} allowed texts, {len(failures)} reach failures, {seconds:.1f} s"
+    )
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
