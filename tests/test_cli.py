@@ -97,30 +97,6 @@ def corrupt_reference(monkeypatch):
 
 
 class TestVerifyTable3:
-    def test_json_report(self, capsys):
-        code, doc = run_json(capsys, ["verify-table3"])
-        assert code == 0
-        assert doc["schema_version"] == 1
-        assert doc["ok"] is True
-        assert doc["matches"] == 256
-        assert doc["mismatches"] == []
-        assert len(doc["state_order"]) == 16
-        assert doc["state_order"][0] == "PP.PP"
-        assert len(doc["values"]) == 16
-        flat = [v for row in doc["values"] for v in row]
-        assert set(flat) == {9.0, 1.0, -3.0}
-
-    def test_csv_report(self, capsys):
-        code = main(["verify-table3", "--format", "csv"])
-        out = capsys.readouterr().out
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert len(lines) == 17
-        assert lines[0].startswith("state,beta_1,")
-        first = lines[1].split(",")
-        assert first[0] == "PP.PP"
-        assert first[1] == "9"
-
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code = main(["verify-table3", "--out", str(target)])
@@ -199,26 +175,6 @@ class TestVerifyTable3:
 
 
 class TestBounds:
-    def test_json_report(self, capsys):
-        code, doc = run_json(capsys, ["bounds"])
-        assert code == 0
-        assert doc["polytope_affine_dim"] == 99
-        assert len(doc["expressions"]) == 16
-        for entry in doc["expressions"]:
-            assert entry["lhv_max"] == 7
-            assert entry["ns_value"] == 9
-            assert entry["saturator_affine_dim"] == 98
-            assert entry["is_facet"] is True
-            assert len(entry["witness_alice"]) == 3
-
-    def test_csv_report(self, capsys):
-        code = main(["bounds", "--format", "csv"])
-        out = capsys.readouterr().out
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert len(lines) == 17
-        assert all(line.split(",")[6] == "true" for line in lines[1:])
-
     def test_evaluates_each_deterministic_maximum_once(self, capsys, monkeypatch):
         # every expression's maximum, count and witness come from expression 1's values
         calls = []
@@ -270,40 +226,10 @@ class TestBounds:
 
 
 class TestSwapMap:
-    def test_default_sources(self, capsys):
-        code, doc = run_json(capsys, ["swap-map"])
-        assert code == 0
-        assert doc["sources"] == ["SM", "SM"]
-        assert len(doc["entries"]) == 16
-        matched = sorted(e["matched_inequality"] for e in doc["entries"])
-        assert matched == list(range(1, 17))
-        for entry in doc["entries"]:
-            assert entry["probability"] == 0.0625
-            assert entry["beta"] == 9.0
-
-    def test_explicit_sources(self, capsys):
-        code, doc = run_json(capsys, ["swap-map", "--sources", "PM,PP"])
-        assert code == 0
-        assert doc["sources"] == ["PM", "PP"]
-        matched = sorted(e["matched_inequality"] for e in doc["entries"])
-        assert matched == list(range(1, 17))
-
-    def test_invalid_source_code(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["swap-map", "--sources", "XX,SM"])
-        assert exc.value.code == 2
-
     @pytest.mark.parametrize(
         "text, error",
-        [
-            (" SP , PM ", None),
-            (",", "unknown Bell code '', expected one of PP, PM, SP, SM"),
-            ("PP,", "unknown Bell code '', expected one of PP, PM, SP, SM"),
-            ("SM,SM,SM", "expected two comma-separated Bell codes, e.g. SM,SM"),
-            ("", "expected two comma-separated Bell codes, e.g. SM,SM"),
-            ("sm,pp", "unknown Bell code 'sm', expected one of PP, PM, SP, SM"),
-        ],
-        ids=["spaced", "comma", "half", "three", "empty", "lower-case"],
+        [(" SP , PM ", None), ("", "expected two comma-separated Bell codes, e.g. SM,SM")],
+        ids=["spaced", "empty"],
     )
     def test_sources_forms(self, capsys, text, error):
         # spaces around a code are dropped; every other form is a usage error
@@ -317,12 +243,6 @@ class TestSwapMap:
         assert exc.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == f"nlbox swap-map: error: argument --sources: {error}"
-
-    def test_csv_has_sixteen_rows(self, capsys):
-        code = main(["swap-map", "--format", "csv"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert len(out.strip().split("\n")) == 17
 
 
 class TestSample:
@@ -390,25 +310,6 @@ class TestSample:
         assert shallow
         for entry in shallow:
             assert entry["insufficient_cells"]
-
-    def test_out_on_an_existing_file_is_an_error(self, tmp_path, capsys):
-        target = tmp_path / "taken"
-        target.write_text("x")
-        code = main(["sample", "--shots", "20", "--out", str(target)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: ")
-        assert target.read_text() == "x"
-
-    def test_events_match_the_pinned_contract(self, tmp_path, capsys):
-        # rng contract 3: a change to the draws or the event format fails here
-        out_dir = tmp_path / "run"
-        assert main(["sample", "--shots", "50", "--seed", "0", "--out", str(out_dir)]) == 0
-        capsys.readouterr()
-        golden = (GOLDEN / "sample-events-50-0.csv").read_bytes()
-        assert (out_dir / "events.csv").read_bytes() == golden
-        summary = json.loads((out_dir / "summary.json").read_text())
-        assert summary["rng_contract"] == 3
 
     @pytest.mark.parametrize(
         "seed, shots, sha256",
@@ -485,35 +386,8 @@ class TestSample:
         capsys.readouterr()
         assert len(calls) == 1
 
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            ("0", "must be a positive integer"),
-            ("-3", "must be a positive integer"),
-            ("abc", "'abc' is not an integer"),
-        ],
-        ids=["0", "-3", "abc"],
-    )
-    def test_rejects_bad_shot_counts(self, capsys, bad, message):
-        with pytest.raises(SystemExit) as exc:
-            main(["sample", "--shots", bad])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(f"error: argument --shots: {message}\n")
-
 
 class TestParsing:
-    def test_unknown_command(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
-
-    def test_negative_seed_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sample", "--seed", "-1"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.endswith("error: argument --seed: seed must be non-negative\n")
-
     def test_report_schema_is_not_the_reference_schema(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "REPORT_SCHEMA_VERSION", 2)
         code, doc = run_json(capsys, ["verify-table3"])
@@ -745,9 +619,8 @@ class TestGoldenOutput:
         [
             ("sample-summary-400-0.json", "sample-400-0-json", "nlbox_sample/summary.json"),
             ("sample-summary-400-0.csv", "sample-400-0-csv", "nlbox_sample/summary.csv"),
-            ("sample-events-50-0.csv", "sample-50-0", "nlbox_sample/events.csv"),
         ],
-        ids=["summary-json", "summary-csv", "events"],
+        ids=["summary-json", "summary-csv"],
     )
     def test_sample_file_is_the_recorded_one(self, name, entry, path):
         # the files of the record's runs; at 400 shots and seed 0, 7 of 16
@@ -804,7 +677,7 @@ class TestTable:
         elif "full" in (entry.stdout, entry.stderr) and not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
         else:
-            done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "run")
+            done = bytecheck.run(entry, tmp_path / "run")
         assert bytecheck.recorded(done) == RECORD[name]
 
 
@@ -898,13 +771,6 @@ class TestAtomicWrites:
 
 
 class TestClosedStdout:
-    @pytest.mark.parametrize("command", ["verify-table3", "bounds", "swap-map"])
-    def test_closed_stdout_is_an_error(self, capsys, monkeypatch, command):
-        # python >&- starts with sys.stdout None
-        monkeypatch.setattr(sys, "stdout", None)
-        assert main([command]) == 1
-        assert capsys.readouterr().err == "error: stdout is closed\n"
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -939,8 +805,7 @@ class TestClosedStdout:
 
 class TestEntryPoint:
     """``python -m nlbox`` as a whole process, through ``bytecheck.run``: its
-    bytes, its flush, its broken stderr, and, with a patched ``main``, its
-    freeze and its Ctrl-C."""
+    bytes and, with a patched ``main``, its freeze and its Ctrl-C."""
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -953,7 +818,7 @@ class TestEntryPoint:
         ],
     )
     def test_goldens_end_to_end(self, tmp_path, argv, name):
-        done = bytecheck.run(bytecheck.Entry("", argv, True), bytecheck.ROOT, tmp_path / "cwd")
+        done = bytecheck.run(bytecheck.Entry("", argv), tmp_path / "cwd")
         assert (done.code, done.stderr) == (0, b"")
         if argv[0] != "sample":
             assert done.stdout == recorded_stdout(argv)
@@ -961,41 +826,6 @@ class TestEntryPoint:
         assert done.stdout == f"wrote run/events.csv\nwrote run/summary.{name}\n".encode()
         golden = (GOLDEN / f"sample-summary-400-0.{name}").read_bytes()
         assert (tmp_path / "cwd" / "run" / f"summary.{name}").read_bytes() == golden
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["swap-map", "--format", "csv"],
-            ["sample", "--shots", "10", "--out", "d"],
-            ["verify-table3"],
-            ["-h"],
-        ],
-        ids=["swap-map-csv", "sample", "verify-table3", "help"],
-    )
-    def test_full_stdout_at_the_final_flush(self, tmp_path, argv):
-        # the text fits stdout's buffer, so only the flush at the end fails
-        entry = bytecheck.Entry("", argv, True, stdout="full")
-        done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "cwd")
-        assert done.code == 1
-        assert done.stderr == b"error: [Errno 28] No space left on device\n"
-        if argv[0] == "sample":
-            assert sorted(done.files) == ["d/events.csv", "d/summary.json"]
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("stderr", ["closed", "full"])
-    @pytest.mark.parametrize(
-        "argv, status",
-        [(["bogus"], 2), (["sample", "--shots", "10", "--out", "f"], 1), (["verify-table3"], 0)],
-        ids=["usage-error", "io-error", "success"],
-    )
-    def test_broken_stderr_keeps_the_exit_status(self, tmp_path, stderr, argv, status):
-        # with nowhere to report, the status is all that is left, and a lost
-        # error line goes nowhere rather than to stdout
-        entry = bytecheck.Entry("", argv, True, files={"f": "old\n"}, stderr=stderr)
-        done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "cwd")
-        assert done.code == status
-        assert done.stdout == (recorded_stdout(argv) if status == 0 else b"")
 
     def test_freezes_after_main_and_exits_with_its_status(self, tmp_path):
         # a patched main sees no frozen object, and an atexit hook, which runs
@@ -1010,8 +840,8 @@ class TestEntryPoint:
             "atexit.register(lambda: print('exit', gc.get_freeze_count() > 0))\n"
             "cli.entry_point()\n"
         )
-        entry = bytecheck.Entry("", [], True)
-        done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "cwd", ("-c", code))
+        entry = bytecheck.Entry("", [])
+        done = bytecheck.run(entry, tmp_path / "cwd", ("-c", code))
         assert (done.code, done.stderr) == (3, b"")
         assert done.stdout == b"main 0\nexit True\n"
 
@@ -1027,17 +857,17 @@ class TestEntryPoint:
             "cli.entry_point()\n"
         )
         head = ("-c", in_main)
-        done = bytecheck.run(bytecheck.Entry("", [], True), bytecheck.ROOT, tmp_path / "pipe", head)
+        done = bytecheck.run(bytecheck.Entry("", []), tmp_path / "pipe", head)
         assert (done.code, done.stdout, done.stderr) == interrupted
         # a closed or full stderr loses the line and keeps the signal
         for how in ("closed", "full"):
-            entry = bytecheck.Entry("", [], True, stderr=how)
-            done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / how, head)
+            entry = bytecheck.Entry("", [], stderr=how)
+            done = bytecheck.run(entry, tmp_path / how, head)
             assert (done.code, done.stdout) == interrupted[:2]
         # partway through the events of a run over an older one: the older
         # files stay as they were, and no temporary file is left
-        entry = bytecheck.Entry("", ["sample", "--shots", "50", "--out", "d"], True)
-        older = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "older")
+        entry = bytecheck.Entry("", ["sample", "--shots", "50", "--out", "d"])
+        older = bytecheck.run(entry, tmp_path / "older")
         assert older.code == 0
         files = {f"d/{path.name}": path.read_text() for path in (tmp_path / "older/d").iterdir()}
         in_writer = (
@@ -1053,8 +883,8 @@ class TestEntryPoint:
             "cli.entry_point()\n"
         )
         argv = ["sample", "--shots", "60", "--out", "d"]
-        entry = bytecheck.Entry("", argv, True, dirs=("d",), files=files)
-        done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "writer", ("-c", in_writer))
+        entry = bytecheck.Entry("", argv, dirs=("d",), files=files)
+        done = bytecheck.run(entry, tmp_path / "writer", ("-c", in_writer))
         assert (done.code, done.stdout, done.stderr) == interrupted
         assert done.files == older.files
 

@@ -682,7 +682,7 @@ def test_reach_counts_a_whole_process(tmp_path):
     # reach python -m nlbox's one call and entry_point's freeze at the end
     entry = next(entry for entry in bytecheck.TABLE if entry.name == "closed-verify-table3")
     counts = tmp_path / "counts"
-    done = bytecheck.run(entry, bytecheck.ROOT, tmp_path / "run", ("-c", bytecheck.TRACED, counts))
+    done = bytecheck.run(entry, tmp_path / "run", ("-c", bytecheck.TRACED, counts))
     assert (done.code, done.stderr) == (1, b"error: stdout is closed\n")
     reached = pickle.loads(counts.read_bytes())
     for name, text in (("__main__.py", "entry_point()"), ("cli.py", "    gc.freeze()")):

@@ -47,74 +47,73 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# One command line: its name, argv after ``nlbox``, whether argparse accepts
-# argv, the directories and files made before it runs, and where its stdout
-# and its stderr go: a pipe, nowhere (the fd closed), or /dev/full.
-Entry = namedtuple(
-    "Entry", "name argv parses dirs files stdout stderr", defaults=((), {}, "pipe", "pipe")
-)
+# One command line: its name, argv after ``nlbox``, the directories and files
+# made before it runs, and where its stdout and its stderr go: a pipe, nowhere
+# (the fd closed), or /dev/full.
+Entry = namedtuple("Entry", "name argv dirs files stdout stderr", defaults=((), {}, "pipe", "pipe"))
 
 CODES = ("PP", "PM", "SP", "SM")
 TABLE = (
     # the reports in each format, the sample runs whose files tests/golden/
     # holds, and the defaults
     *(
-        Entry(f"{command}-{fmt}", [command, "--format", fmt], True)
+        Entry(f"{command}-{fmt}", [command, "--format", fmt])
         for command in ("verify-table3", "bounds", "swap-map")
         for fmt in ("json", "csv")
     ),
-    *(Entry(c, [c], True) for c in ("verify-table3", "bounds", "swap-map", "sample")),
-    Entry("sample-50-0", ["sample", "--shots", "50", "--seed", "0"], True),
+    *(Entry(c, [c]) for c in ("verify-table3", "bounds", "swap-map", "sample")),
+    Entry("sample-50-0", ["sample", "--shots", "50", "--seed", "0"]),
     *(
-        Entry(f"sample-400-0-{f}", ["sample", "--shots", "400", "--seed", "0", "--format", f], True)
+        Entry(f"sample-400-0-{f}", ["sample", "--shots", "400", "--seed", "0", "--format", f])
         for f in ("json", "csv")
     ),
-    Entry("sample-100003-1", ["sample", "--shots", "100003", "--seed", "1"], True),
+    Entry("sample-100003-1", ["sample", "--shots", "100003", "--seed", "1"]),
     # help, usage errors and the forms that only argparse reads
-    Entry("no-command", [], False),
-    Entry("help", ["-h"], False),
-    Entry("sample-help", ["sample", "-h"], False),
-    Entry("swap-map-help", ["swap-map", "-h"], False),
-    Entry("unknown-command", ["frobnicate"], False),
-    Entry("zero-shots", ["sample", "--shots", "0"], False),
-    Entry("shots-not-integer", ["sample", "--shots", "abc"], False),
-    Entry("bad-format", ["bounds", "--format", "xml"], False),
-    Entry("abbreviation", ["sample", "--sh", "5"], True),
-    Entry("equals-form", ["bounds", "--format=xml"], False),
-    Entry("bad-source", ["swap-map", "--sources", "XX,SM"], False),
-    Entry("one-source", ["sample", "--sources", "SM"], False),
-    Entry("lower-case-source", ["swap-map", "--sources", "sm,pp"], False),
+    Entry("no-command", []),
+    Entry("help", ["-h"]),
+    Entry("sample-help", ["sample", "-h"]),
+    Entry("swap-map-help", ["swap-map", "-h"]),
+    Entry("unknown-command", ["frobnicate"]),
+    Entry("zero-shots", ["sample", "--shots", "0"]),
+    Entry("shots-not-integer", ["sample", "--shots", "abc"]),
+    Entry("negative-shots", ["sample", "--shots", "-3"]),
+    Entry("negative-seed", ["sample", "--seed", "-1"]),
+    Entry("bad-format", ["bounds", "--format", "xml"]),
+    Entry("abbreviation", ["sample", "--sh", "5"]),
+    Entry("equals-form", ["bounds", "--format=xml"]),
+    Entry("bad-source", ["swap-map", "--sources", "XX,SM"]),
+    Entry("one-source", ["sample", "--sources", "SM"]),
+    Entry("lower-case-source", ["swap-map", "--sources", "sm,pp"]),
     # how --out is printed: "." parts and repeated slashes dropped, ".." kept
-    Entry("out-dot-slash", ["sample", "--shots", "10", "--out", "./d"], True),
-    Entry("out-trailing-slash", ["sample", "--shots", "10", "--out", "d/"], True),
-    Entry("out-double-slash", ["sample", "--shots", "10", "--out", "d//x"], True),
-    Entry("out-dot", ["sample", "--shots", "10", "--out", "."], True),
-    Entry("out-empty", ["sample", "--shots", "10", "--out", ""], True),
-    Entry("out-parent", ["sample", "--shots", "10", "--out", "a/../b"], True),
-    Entry("bounds-out-double-slash", ["bounds", "--out", "./r//b.json"], True),
-    Entry("bounds-out-empty", ["bounds", "--out", ""], True),
-    Entry("out-is-directory", ["bounds", "--out", "d"], True, dirs=("d",)),
+    Entry("out-dot-slash", ["sample", "--shots", "10", "--out", "./d"]),
+    Entry("out-trailing-slash", ["sample", "--shots", "10", "--out", "d/"]),
+    Entry("out-double-slash", ["sample", "--shots", "10", "--out", "d//x"]),
+    Entry("out-dot", ["sample", "--shots", "10", "--out", "."]),
+    Entry("out-empty", ["sample", "--shots", "10", "--out", ""]),
+    Entry("out-parent", ["sample", "--shots", "10", "--out", "a/../b"]),
+    Entry("bounds-out-double-slash", ["bounds", "--out", "./r//b.json"]),
+    Entry("bounds-out-empty", ["bounds", "--out", ""]),
+    Entry("out-is-directory", ["bounds", "--out", "d"], dirs=("d",)),
     # every --sources pair, for the map and one sample, and the bad forms
     *(
-        Entry(f"swap-map-{a}-{b}", ["swap-map", "--sources", f"{a},{b}"], True)
+        Entry(f"swap-map-{a}-{b}", ["swap-map", "--sources", f"{a},{b}"])
         for a, b in itertools.product(CODES, repeat=2)
     ),
     *(
         Entry(
             f"sample-{a}-{b}",
             ["sample", "--shots", "300", "--format", "csv", "--sources", f"{a},{b}"],
-            True,
         )
         for a, b in itertools.product(CODES, repeat=2)
     ),
-    Entry("sources-spaced", ["swap-map", "--sources", " SP , PM "], True),
-    Entry("sources-comma", ["swap-map", "--sources", ","], False),
-    Entry("sources-three", ["swap-map", "--sources", "SM,SM,SM"], False),
-    Entry("sources-half", ["swap-map", "--sources", "PP,"], False),
-    Entry("sources-empty", ["sample", "--sources", ""], False),
+    Entry("sources-spaced", ["swap-map", "--sources", " SP , PM "]),
+    Entry("sources-comma", ["swap-map", "--sources", ","]),
+    Entry("sources-three", ["swap-map", "--sources", "SM,SM,SM"]),
+    Entry("sources-half", ["swap-map", "--sources", "PP,"]),
+    Entry("sources-empty", ["sample", "--sources", ""]),
     # --out on a file, below a file, and on a directory in a sample run
     *(
-        Entry(name, argv, True, files={"f": "old\n"})
+        Entry(name, argv, files={"f": "old\n"})
         for name, argv in (
             ("out-on-file", ["bounds", "--out", "f"]),
             ("out-below-file", ["bounds", "--out", "f/x.json"]),
@@ -123,36 +122,30 @@ TABLE = (
         )
     ),
     Entry(
-        "sample-events-dir",
-        ["sample", "--shots", "10", "--out", "r"],
-        True,
-        dirs=("r", "r/events.csv"),
+        "sample-events-dir", ["sample", "--shots", "10", "--out", "r"], dirs=("r", "r/events.csv")
     ),
     # stdout closed, and stdout on a full device
-    *(
-        Entry(f"closed-{c}", [c], True, stdout="closed")
-        for c in ("verify-table3", "bounds", "swap-map")
-    ),
-    Entry("closed-sample", ["sample", "--shots", "10"], True, stdout="closed"),
-    Entry("closed-bounds-out", ["bounds", "--out", "b.json"], True, stdout="closed"),
-    Entry("closed-swap-map-out", ["swap-map", "--out", "s.json"], True, stdout="closed"),
-    Entry("closed-help", ["-h"], False, stdout="closed"),  # argparse falls back to stderr
-    Entry("full-verify-table3", ["verify-table3"], True, stdout="full"),
-    Entry("full-swap-map-csv", ["swap-map", "--format", "csv"], True, stdout="full"),
-    Entry("full-sample", ["sample", "--shots", "10"], True, stdout="full"),
-    Entry("full-bounds-out", ["bounds", "--out", "b.json"], True, stdout="full"),
-    Entry("full-help", ["-h"], False, stdout="full"),
+    *(Entry(f"closed-{c}", [c], stdout="closed") for c in ("verify-table3", "bounds", "swap-map")),
+    Entry("closed-sample", ["sample", "--shots", "10"], stdout="closed"),
+    Entry("closed-bounds-out", ["bounds", "--out", "b.json"], stdout="closed"),
+    Entry("closed-swap-map-out", ["swap-map", "--out", "s.json"], stdout="closed"),
+    Entry("closed-help", ["-h"], stdout="closed"),  # argparse falls back to stderr
+    Entry("full-verify-table3", ["verify-table3"], stdout="full"),
+    Entry("full-swap-map-csv", ["swap-map", "--format", "csv"], stdout="full"),
+    Entry("full-sample", ["sample", "--shots", "10"], stdout="full"),
+    Entry("full-bounds-out", ["bounds", "--out", "b.json"], stdout="full"),
+    Entry("full-help", ["-h"], stdout="full"),
     # stderr closed, and stderr on a full device: a usage error, an I/O error
     # and a success keep their exit status, and a lost error line goes
     # nowhere rather than to stdout
     *(
-        Entry(f"stderr-{how}-{name}", argv, parses, files={"f": "old\n"}, stderr=how)
+        Entry(f"stderr-{how}-{name}", argv, files={"f": "old\n"}, stderr=how)
         for how in ("closed", "full")
-        for name, argv, parses in (
-            ("unknown-command", ["frobnicate"], False),
-            ("zero-shots", ["sample", "--shots", "0"], False),
-            ("sample-out-on-file", ["sample", "--shots", "10", "--out", "f"], True),
-            ("verify-table3", ["verify-table3"], True),
+        for name, argv in (
+            ("unknown-command", ["frobnicate"]),
+            ("zero-shots", ["sample", "--shots", "0"]),
+            ("sample-out-on-file", ["sample", "--shots", "10", "--out", "f"]),
+            ("verify-table3", ["verify-table3"]),
         )
     ),
 )
@@ -250,12 +243,12 @@ def files_in(where: Path) -> dict[str, str]:
     }
 
 
-def run(entry: Entry, tree: Path, where: Path, head=("-m", "nlbox")) -> Outcome:
-    """Run one entry with the package of ``tree``, from the fresh directory ``where``,
+def run(entry: Entry, where: Path, head=("-m", "nlbox")) -> Outcome:
+    """Run one entry with the package of this tree, from the fresh directory ``where``,
     as ``python HEAD ARGV``."""
     prepare(entry, where)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=str(tree / "src"), COLUMNS="80")
+    env.update(PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
     argv = [sys.executable, *head, *entry.argv]
     hows = (entry.stdout, entry.stderr)
     closed = [fd for fd, how in enumerate(hows, 1) if how == "closed"]
@@ -338,7 +331,7 @@ def main() -> int:
         for entry in TABLE:
             counts = Path(tmp) / f"{entry.name}.counts"
             head = ("-c", TRACED, str(counts))
-            record[entry.name] = recorded(run(entry, ROOT, Path(tmp) / entry.name, head))
+            record[entry.name] = recorded(run(entry, Path(tmp) / entry.name, head))
             ran.update(pickle.loads(counts.read_bytes()))
     RECORD.write_text(json.dumps(record, indent=1) + "\n")
     seconds = time.perf_counter() - start
