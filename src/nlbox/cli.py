@@ -400,6 +400,8 @@ def main(argv=None) -> int:
         sys.stdout.write("".join(f"wrote {path}\n" for path in files) or text)
     except (OSError, RuntimeError, ValueError) as err:
         failure = f"error: {err}"
+    except MemoryError:
+        failure = "error: out of memory"
     if failure is None:
         return 0
     print(failure, file=sys.stderr)

@@ -63,6 +63,7 @@ TABLE = (
     ),
     *(Entry(c, [c]) for c in ("verify-table3", "bounds", "swap-map", "sample")),
     Entry("sample-50-0", ["sample", "--shots", "50", "--seed", "0"]),
+    Entry("sample-50-1", ["sample", "--shots", "50", "--seed", "1"]),
     *(
         Entry(f"sample-400-0-{f}", ["sample", "--shots", "400", "--seed", "0", "--format", f])
         for f in ("json", "csv")
@@ -84,6 +85,12 @@ TABLE = (
     Entry("bad-source", ["swap-map", "--sources", "XX,SM"]),
     Entry("one-source", ["sample", "--sources", "SM"]),
     Entry("lower-case-source", ["swap-map", "--sources", "sm,pp"]),
+    # the reports in each format written with --out
+    *(
+        Entry(f"{command}-{fmt}-out", [command, "--format", fmt, "--out", f"r.{fmt}"])
+        for command in ("verify-table3", "bounds", "swap-map")
+        for fmt in ("json", "csv")
+    ),
     # how --out is printed: "." parts and repeated slashes dropped, ".." kept
     Entry("out-dot-slash", ["sample", "--shots", "10", "--out", "./d"]),
     Entry("out-trailing-slash", ["sample", "--shots", "10", "--out", "d/"]),
@@ -201,6 +208,10 @@ ALLOWED = {
     # --out on a symlink or a FIFO, which the table's entries cannot make
     ('raise OSError(f"{path} is not a regular file")',): (
         CLI_TESTS + "TestAtomicWrites::test_target_that_is_not_a_regular_file_is_an_error"
+    ),
+    # a sample too large for memory
+    ("except MemoryError:", 'failure = "error: out of memory"'): (
+        CLI_TESTS + "TestSample::test_out_of_memory_is_one_error_line"
     ),
     # verify-table3's mismatch records
     (
