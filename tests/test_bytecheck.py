@@ -3,16 +3,40 @@ table, as the tool writes it, and its reach verdict names the right lines of
 fixed sources, with no entry run.  Comparisons between command lines are
 properties of the record: test_cli.py's TestTable shows that the package
 reproduces every entry, so each holds of the package, also once a declared
-byte change rewrites the record."""
+byte change rewrites the record.  The reports the record holds, and the
+sample summaries it hashes, are read back against the oracle, so that no
+rewrite of the record can bless a wrong claim."""
 
+import functools
 import hashlib
 import itertools
 import json
 import re
+from fractions import Fraction
 
 import bytecheck
+import numpy as np
+import pytest
+from oracle import (
+    ALICE_PAIR,
+    BOB_PAIR,
+    MATCHED_PAIRS,
+    OUTCOME_LABELS,
+    PRODUCT_LABELS,
+    PSI_MINUS,
+    ROBOT_OUTCOMES,
+    behavior_value,
+    dense_behavior,
+    dense_swap,
+    density_behavior,
+    four_qubit_product,
+    identify_bell_product,
+    vertex_matrix,
+)
 
 RECORD = json.loads(bytecheck.RECORD.read_text())
+GOLDEN = bytecheck.ROOT / "tests" / "golden"
+CODES = bytecheck.CODES  # the command line's names of the oracle's Bell states 0..3
 
 
 def test_record_holds_every_entry():
@@ -78,3 +102,169 @@ def test_verdict_names_unreached_and_allowed_but_reached_lines():
         "UNREACHED  m.py:3: y = 2",
         "UNREACHED  m.py:4: z = 3",
     ]
+
+
+def _printed(command):
+    """(argv, format, stdout) of each entry of ``command`` that printed its report
+    on a pipe: no --out, no -h, and some stdout."""
+    for entry in bytecheck.TABLE:
+        argv, stdout = entry.argv, RECORD[entry.name]["stdout"]
+        if argv[:1] == [command] and stdout and "--out" not in argv and "-h" not in argv:
+            assert RECORD[entry.name]["code"] == 0, entry.name
+            fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+            yield argv, fmt, "".join(stdout)
+
+
+def _field(text: str):
+    """A CSV field read back: a list where it holds a "|", a number or a bool, else text."""
+    if "|" in text:
+        return text.split("|")
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def _csv(text: str) -> list[list]:
+    """A CSV report read back, its header first."""
+    return [list(map(_field, line.split(","))) for line in text.splitlines()]
+
+
+def _sources(argv) -> tuple[int, int]:
+    """The oracle's Bell states that ``argv`` names with --sources; SM,SM by default."""
+    if "--sources" not in argv:
+        return PSI_MINUS, PSI_MINUS
+    first, second = argv[argv.index("--sources") + 1].split(",")
+    return CODES.index(first.strip()), CODES.index(second.strip())
+
+
+@functools.cache
+def _table_values() -> list[list[Fraction]]:
+    """The 256 values [product, expression] of the dense Born behaviors."""
+    born = [dense_behavior(four_qubit_product(*pair), *MATCHED_PAIRS) for pair in PRODUCT_LABELS]
+    return [[Fraction(int(behavior_value(k, c)), norm) for k in range(16)] for c, norm in born]
+
+
+@functools.cache
+def _swapped(sources) -> list[tuple]:
+    """Each robot outcome's probability, resulting product's codes, the one expression
+    that product reaches 9 on, and that value, by the dense collapse."""
+    out = []
+    for count, norm, rho in dense_swap(sources):
+        counts, total = density_behavior(rho, ALICE_PAIR, BOB_PAIR)
+        values = [Fraction(int(behavior_value(k, counts)), total) for k in range(16)]
+        assert values.count(9) == 1
+        state = [CODES[label] for label in identify_bell_product(rho)]
+        out.append((Fraction(count, norm), state, values.index(9) + 1, Fraction(9)))
+    return out
+
+
+def test_verify_table3_prints_the_oracle_values():
+    states = [f"{CODES[first]}.{CODES[second]}" for first, second in PRODUCT_LABELS]
+    formats = set()
+    for _, fmt, text in _printed("verify-table3"):
+        if fmt == "json":
+            doc = json.loads(text)
+            assert (doc["ok"], doc["matches"], doc["mismatches"]) == (True, 256, [])
+            assert doc["state_order"] == states
+            rows = [[state, *values] for state, values in zip(doc["state_order"], doc["values"])]
+        else:
+            header, *rows = _csv(text)
+            assert header == ["state"] + [f"beta_{k}" for k in range(1, 17)]
+        assert [row[0] for row in rows] == states
+        assert [[Fraction(v) for v in row[1:]] for row in rows] == _table_values()
+        formats.add(fmt)
+    assert formats == {"json", "csv"}
+
+
+def _strategy_value(row: int, alice, bob) -> int:
+    """Expression ``row``'s value on the deterministic strategy pair of outcome labels."""
+    behavior = np.zeros(144, dtype=np.int64)
+    for x, y in itertools.product(range(3), repeat=2):
+        a, b = OUTCOME_LABELS.index(alice[x]), OUTCOME_LABELS.index(bob[y])
+        behavior[16 * (3 * x + y) + 4 * a + b] = 1
+    return int(behavior_value(row, behavior))
+
+
+def test_bounds_prints_the_oracle_bounds_and_winning_witnesses():
+    vertices = vertex_matrix()
+    saturators = [int((behavior_value(k, vertices) == 7).sum()) for k in range(16)]
+    formats = set()
+    for _, fmt, text in _printed("bounds"):
+        if fmt == "json":
+            doc = json.loads(text)
+            d = doc["polytope_affine_dim"]
+            expressions = [{**e, "polytope_affine_dim": d} for e in doc["expressions"]]
+        else:
+            header, *rows = _csv(text)
+            expressions = [dict(zip(header, row)) for row in rows]
+        assert [e["index"] for e in expressions] == list(range(1, 17))
+        for row, e in enumerate(expressions):
+            assert (e["lhv_max"], e["ns_value"], e["is_facet"]) == (7, 9, True)
+            assert (e["polytope_affine_dim"], e["saturator_affine_dim"]) == (99, 98)
+            assert e["num_saturators"] == saturators[row]
+            assert _strategy_value(row, e["witness_alice"], e["witness_bob"]) == 7, e
+        formats.add(fmt)
+    assert formats == {"json", "csv"}
+
+
+def test_swap_map_prints_the_dense_collapse():
+    read = set()
+    for argv, fmt, text in _printed("swap-map"):
+        sources = _sources(argv)
+        if fmt == "json":
+            doc = json.loads(text)
+            assert doc["sources"] == [CODES[s] for s in sources]
+            rows = [
+                [*e["robot_outcome"], *e["resulting_state"]]
+                + [e["matched_inequality"], e["probability"], e["beta"]]
+                for e in doc["entries"]
+            ]
+        else:
+            header, *rows = _csv(text)
+        want = [
+            [CODES[r1], CODES[r2], *state, expression, probability, beta]
+            for (r1, r2), (probability, state, expression, beta) in zip(
+                ROBOT_OUTCOMES, _swapped(sources)
+            )
+        ]
+        assert rows == want, argv
+        read.add((fmt, sources))
+    # both formats, and every source pair
+    assert {fmt for fmt, _ in read} == {"json", "csv"}
+    assert {sources for _, sources in read} == set(itertools.product(range(4), repeat=2))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sample_summaries_read_back(fmt):
+    # the committed summaries whose SHA-256 the record holds for an entry
+    path = GOLDEN / f"sample-summary-400-0.{fmt}"
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    argvs = [e.argv for e in bytecheck.TABLE if digest in RECORD[e.name]["files"].values()]
+    assert argvs
+    argv = argvs[0]
+    shots = int(argv[argv.index("--shots") + 1])
+    if fmt == "json":
+        doc = json.loads(path.read_text())
+        assert (doc["shots"], doc["sources"]) == (shots, [CODES[s] for s in _sources(argv)])
+        for c in doc["classes"]:
+            cells = [(i, j) for i in range(3) for j in range(3) if not c["cell_counts"][i][j]]
+            assert c["insufficient_cells"] == [list(cell) for cell in cells]
+            assert sum(map(sum, c["cell_counts"])) == c["count"]
+        rows = [
+            [*c["robot_outcome"], c["count"], c["matched_inequality"], c["beta_hat"]]
+            + [c["insufficient_cells"]]
+            for c in doc["classes"]
+        ]
+    else:
+        header, *rows = _csv(path.read_text())
+        assert header[2:5] == ["count", "matched_inequality", "beta_hat"]
+    assert len(rows) == 16 and sum(row[2] for row in rows) == shots
+    swapped = _swapped(_sources(argv))
+    for (r1, r2), row, (_, _, expression, _) in zip(ROBOT_OUTCOMES, rows, swapped):
+        assert row[:2] == [CODES[r1], CODES[r2]]
+        assert row[3] == expression
+        if row[4] in (None, ""):  # no estimate, for an empty cell
+            assert row[5], row
+        else:
+            assert row[4] == 9, row
