@@ -292,47 +292,47 @@ def cmd_sample(args) -> Report:
     return Report(doc, header, rows, None, {events_path: _event_text(codes, sampler.BLOCK)})
 
 
-def _type_error(message: str) -> Exception:
-    """argparse's own ArgumentTypeError, imported only for a bad value."""
-    from argparse import ArgumentTypeError
-
-    return ArgumentTypeError(message)
+class UsageError(Exception):
+    """A bad command line: its text is the usage line and one ``error:`` line."""
 
 
-def _int_at_least(low: int, message: str, text: str) -> int:
-    """An integer argument of at least ``low``; ``message`` says so when it is not."""
+def _choice(choices, text: str) -> str:
+    """``text``, if it is one of ``choices``."""
+    if text not in choices:
+        raise ValueError(f"{text!r} is not one of {list(choices)}")
+    return text
+
+
+def _int_at_least(low: int, text: str) -> int:
+    """An integer argument of at least ``low``."""
     try:
         value = int(text)
     except ValueError:
-        raise _type_error(f"{text!r} is not an integer")
+        raise ValueError(f"{text!r} is not an integer")
     if value < low:
-        raise _type_error(message)
+        raise ValueError(f"must be at least {low}")
     return value
 
 
 def _sources(text: str):
     codes = [code.strip() for code in text.split(",")]
     if len(codes) != 2:
-        raise _type_error("expected two comma-separated Bell codes, e.g. SM,SM")
-    for code in codes:
-        if code not in BELL_CODES:
-            raise _type_error(f"unknown Bell code {code!r}, expected one of PP, PM, SP, SM")
-    return tuple(map(BELL_CODES.index, codes))
+        raise ValueError("expected two comma-separated Bell codes, e.g. SM,SM")
+    return tuple(BELL_CODES.index(_choice(BELL_CODES, code)) for code in codes)
 
 
 def _commands() -> dict:
-    """Each command's function, help and options in help order, as argparse's
-    add_argument keywords.  Built at each parse, not at import, so that
-    wrappers installed on the module after its import are the ones that run."""
-    out = ("--out", dict(help="write the report here instead of stdout"))
-    fmt = ("--format", dict(choices=("json", "csv"), default="json"))
+    """Each command's function, help and options in help order, as (flag, converter,
+    default, help).  Built at each parse, not at import, so that wrappers installed
+    on the module after its import are the ones that run."""
+    out = ("--out", str, None, "write the report here instead of stdout")
+    fmt = ("--format", functools.partial(_choice, ("json", "csv")), "json", "json (default) or csv")
     pair = "source Bell codes as FIRST,SECOND (default SM,SM)"
-    sources = ("--sources", dict(type=_sources, default=swap.DEFAULT_SOURCES, help=pair))
-    shots = functools.partial(_int_at_least, 1, "must be a positive integer")
-    seed = functools.partial(_int_at_least, 0, "seed must be non-negative")
+    sources = ("--sources", _sources, swap.DEFAULT_SOURCES, pair)
+    shots = ("--shots", functools.partial(_int_at_least, 1), 1000, "number of runs (default 1000)")
+    seed = ("--seed", functools.partial(_int_at_least, 0), 0, "seed of the runs (default 0)")
     run_dir = "directory for events.csv and the summary (default nlbox_sample)"
-    sample = [("--shots", dict(type=shots, default=1000)), ("--seed", dict(type=seed, default=0))]
-    sample += [sources, ("--out", dict(default="nlbox_sample", help=run_dir)), fmt]
+    sample = [shots, seed, sources, ("--out", str, "nlbox_sample", run_dir), fmt]
     std = [out, fmt]  # the options of verify-table3 and bounds
     return {
         "verify-table3": (cmd_verify_table3, "recompute the 256 reference expression values", std),
@@ -342,70 +342,79 @@ def _commands() -> dict:
     }
 
 
+def _help(commands: dict, name=None) -> str:
+    """The help text of the command ``name``, or of nlbox; its first line is the usage."""
+    if name is None:
+        rows = [(command, text) for command, (_, text, _) in commands.items()]
+        head = "nlbox [-h] COMMAND ...\n\n"
+        head += "Verify the sixteen Bell expressions and the swap protocol.\n\ncommands"
+    else:
+        rows = [("-h", "show this help message and exit")]
+        rows += [(f"{flag} {flag[2:].upper()}", text) for flag, _, _, text in commands[name][2]]
+        head = f"nlbox {name}" + "".join(f" [{left}]" for left, _ in rows) + "\n\noptions"
+    return f"usage: {head}:\n" + "".join(f"  {left:18} {text}\n" for left, text in rows)
+
+
 def _read_argv(argv):
-    """What argparse parses from a documented command line, else None: the
-    command, then ``--option value`` pairs of its full option names, each at
-    most once, every value accepted by its converter and none starting with "-"."""
-    commands = _commands()
-    if not argv or argv[0] not in commands or len(argv) % 2 == 0:
-        return None
-    func, _, options = commands[argv[0]]
-    options = dict(options)
-    fields = {flag[2:]: spec.get("default") for flag, spec in options.items()}
-    for flag, text in zip(argv[1::2], argv[2::2]):
-        spec = options.pop(flag, None)
-        if spec is None or text.startswith("-") or text not in spec.get("choices", [text]):
-            return None
-        try:
-            fields[flag[2:]] = spec.get("type", str)(text)
-        except Exception:  # argparse converts the value again and reports the failure
-            return None
-    return SimpleNamespace(command=argv[0], func=func, **fields)
-
-
-def build_parser():
-    """argparse's parser of the commands: help, usage errors and every other form."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="nlbox",
-        description="Verify the sixteen Bell expressions and the swap protocol.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, text, options) in _commands().items():
-        command = sub.add_parser(name, help=text)
-        command.set_defaults(func=func)
-        for flag, spec in options:
-            command.add_argument(flag, **spec)
-    return parser
+    """The command's fields, or the help text, from ``-h`` alone or a command and
+    ``--option value`` pairs of its full option names, each at most once, no value
+    starting with "-", and ``-h`` for any pair.  Any other form raises UsageError."""
+    commands, name, flag, fields = _commands(), None, "command", {}
+    try:
+        if argv in (["-h"], ["--help"]):
+            return _help(commands)
+        name = _choice(commands, argv[0] if argv else "")
+        func, _, options = commands[name]
+        converters = {flag: convert for flag, convert, _, _ in options}
+        for flag, text in zip(argv[1::2], argv[2::2] + ["-"]):  # no last value reads as "-"
+            if flag in ("-h", "--help"):
+                return _help(commands, name)
+            if flag not in converters or flag[2:] in fields:
+                raise ValueError("given twice" if flag in converters else "unknown option")
+            if text.startswith("-"):
+                raise ValueError("expected one argument")
+            fields[flag[2:]] = converters[flag](text)
+    except ValueError as err:
+        usage, prog = _help(commands, name).splitlines()[0], f"nlbox {name or ''}".strip()
+        raise UsageError(f"{usage}\n{prog}: error: argument {flag}: {err}") from None
+    defaults = {flag[2:]: default for flag, _, default, _ in options}
+    return SimpleNamespace(command=name, func=func, **{**defaults, **fields})
 
 
 def main(argv=None) -> int:
-    """Run one command line; return its exit code.  The one write to stdout,
-    the report or a ``wrote`` line per file, comes after every rename, so no
+    """Run one command line; return its exit code.  The one write to stdout, the
+    help, the report or a ``wrote`` line per file, comes after every rename, so no
     line names a file that was not renamed; a closed stdout fails the run."""
-    argv = sys.argv[1:] if argv is None else argv
-    args = _read_argv(argv) or build_parser().parse_args(argv)
+    failure, status, files = None, 1, {}
     try:
-        report = args.func(args)
-        failure = report.failure
-        text = _render(args.format, report)
-        if args.command == "sample":
-            files = {**report.files, Path(args.out) / f"summary.{args.format}": [text]}
+        args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(args, str):  # the help text
+            text = args
         else:
-            files = {} if args.out is None else {Path(args.out): [text]}
+            report = args.func(args)
+            failure = report.failure
+            text = _render(args.format, report)
+            if args.command == "sample":
+                files = {**report.files, Path(args.out) / f"summary.{args.format}": [text]}
+            elif args.out is not None:
+                files = {Path(args.out): [text]}
         _write_atomic(files)
         if sys.stdout is None:
             raise OSError("stdout is closed")
         sys.stdout.write("".join(f"wrote {path}\n" for path in files) or text)
+    except UsageError as err:
+        failure, status = str(err), 2
     except (OSError, RuntimeError, ValueError) as err:
         failure = f"error: {err}"
     except MemoryError:
         failure = "error: out of memory"
     if failure is None:
         return 0
-    print(failure, file=sys.stderr)
-    return 1
+    try:
+        print(failure, file=sys.stderr)
+    except OSError:  # a full stderr loses the line, not the exit status
+        pass
+    return status
 
 
 def entry_point() -> None:
@@ -426,10 +435,6 @@ def entry_point() -> None:
         sys.stderr = open(os.devnull, "w")
     try:
         status = main()
-    except SystemExit as stop:  # argparse's help and usage errors
-        status = stop.code
-    except OSError:  # stderr failed while main printed its failure line
-        status = 1
     except KeyboardInterrupt:  # Ctrl-C: one line, then the end by SIGINT a shell expects
         import signal
 

@@ -89,6 +89,25 @@ def test_seeds_change_the_events():
     assert len(events) == 2
 
 
+def test_a_lost_stderr_keeps_the_exit_code():
+    # a closed or full stderr loses the error line or usage text, not the exit
+    # code: each such entry against the entry of its argv with stderr on a pipe
+    codes = {}
+    for entry in bytecheck.TABLE:
+        if entry.stdout == "pipe":
+            codes.setdefault(" ".join(entry.argv), {})[entry.stderr] = RECORD[entry.name]["code"]
+    lost = {argv: by_stderr for argv, by_stderr in codes.items() if len(by_stderr) > 1}
+    assert sorted(lost) == [
+        "frobnicate",
+        "sample --shots 0",
+        "sample --shots 10 --out f",
+        "verify-table3",
+    ]
+    for argv, by_stderr in lost.items():
+        assert set(by_stderr) == {"pipe", "closed", "full"}, argv
+        assert len(set(by_stderr.values())) == 1, (argv, by_stderr)
+
+
 def test_verdict_names_unreached_and_allowed_but_reached_lines():
     texts = {"/p/m.py": "x = 1\nif x:\n    y = 2\n    z = 3\n", "/p/n.py": "w = 0\n"}
     allowed = {("y = 2", "z = 3"): "a test"}  # one key over two lines
@@ -147,15 +166,15 @@ def _table_values() -> list[list[Fraction]]:
 
 @functools.cache
 def _swapped(sources) -> list[tuple]:
-    """Each robot outcome's probability, resulting product's codes, the one expression
-    that product reaches 9 on, and that value, by the dense collapse."""
+    """Each robot outcome's probability, resulting product's codes and the one
+    expression that product reaches 9 on, by the dense collapse."""
     out = []
     for count, norm, rho in dense_swap(sources):
         counts, total = density_behavior(rho, ALICE_PAIR, BOB_PAIR)
         values = [Fraction(int(behavior_value(k, counts)), total) for k in range(16)]
         assert values.count(9) == 1
         state = [CODES[label] for label in identify_bell_product(rho)]
-        out.append((Fraction(count, norm), state, values.index(9) + 1, Fraction(9)))
+        out.append((Fraction(count, norm), state, values.index(9) + 1))
     return out
 
 
@@ -166,7 +185,6 @@ def test_verify_table3_prints_the_oracle_values():
         if fmt == "json":
             doc = json.loads(text)
             assert (doc["ok"], doc["matches"], doc["mismatches"]) == (True, 256, [])
-            assert doc["state_order"] == states
             rows = [[state, *values] for state, values in zip(doc["state_order"], doc["values"])]
         else:
             header, *rows = _csv(text)
@@ -223,10 +241,8 @@ def test_swap_map_prints_the_dense_collapse():
         else:
             header, *rows = _csv(text)
         want = [
-            [CODES[r1], CODES[r2], *state, expression, probability, beta]
-            for (r1, r2), (probability, state, expression, beta) in zip(
-                ROBOT_OUTCOMES, _swapped(sources)
-            )
+            [CODES[r1], CODES[r2], *state, expression, probability, 9]
+            for (r1, r2), (probability, state, expression) in zip(ROBOT_OUTCOMES, _swapped(sources))
         ]
         assert rows == want, argv
         read.add((fmt, sources))
@@ -261,7 +277,7 @@ def test_sample_summaries_read_back(fmt):
         assert header[2:5] == ["count", "matched_inequality", "beta_hat"]
     assert len(rows) == 16 and sum(row[2] for row in rows) == shots
     swapped = _swapped(_sources(argv))
-    for (r1, r2), row, (_, _, expression, _) in zip(ROBOT_OUTCOMES, rows, swapped):
+    for (r1, r2), row, (_, _, expression) in zip(ROBOT_OUTCOMES, rows, swapped):
         assert row[:2] == [CODES[r1], CODES[r2]]
         assert row[3] == expression
         if row[4] in (None, ""):  # no estimate, for an empty cell

@@ -577,8 +577,8 @@ def test_csv_sample_loads_no_json(tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["events.csv", "summary.csv"]
 
 
-# modules that import nlbox.cli must not load; argparse (with gettext) and json
-# load only for help or a usage error, and for the reference table or a JSON report
+# modules that import nlbox.cli must not load; argparse (with gettext) never
+# loads, and json loads only for the reference table or a JSON report
 IMPORT_BUDGET_EXCLUDES = (
     "dataclasses",
     "inspect",
@@ -624,6 +624,27 @@ def test_package_import_loads_no_submodule():
         f"nlbox.{name}"
         for name in ("cli", "inequalities", "polytope", "sampler", "swap")
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["sample", "--shots", "5", "-h"], ["sample", "--shots", "0"]],
+    ids=["help", "command-help", "usage"],
+)
+def test_help_and_usage_errors_load_no_argparse(argv):
+    # the package renders its own help, on stdout, and usage text, on stderr,
+    # each in a fresh interpreter
+    script = (
+        "import io, sys\n"
+        "import nlbox.cli as cli\n"
+        "out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()\n"
+        f"code = cli.main({argv!r})\n"
+        "usage = [s.getvalue().startswith('usage: nlbox') for s in (sys.stdout, sys.stderr)]\n"
+        "print(code, *usage, *(m for m in ('argparse', 'gettext') if m in sys.modules), file=out)\n"
+    )
+    read_help = "-h" in argv
+    want = ["0" if read_help else "2", str(read_help), str(not read_help)]
+    assert _printed_by_fresh_python(script) == want
 
 
 def test_cli_import_loads_no_dataclasses_typing_or_resources():

@@ -4,11 +4,10 @@ lines of the package that the table reaches.
 Usage: python tools/bytecheck.py
 
 Each entry of ``TABLE`` is one ``python -m nlbox ARGV``, run in a fresh
-directory of its own, with ``COLUMNS=80`` so that argparse wraps help the
-same way, and without ``PYTHONUNBUFFERED``, so that stdout is buffered as
-it is by default and a full device fails only at the final flush.  An
-entry's outcome is its exit code, stdout, stderr, and the name and SHA-256
-of every file in its directory afterwards.
+directory of its own, without ``PYTHONUNBUFFERED``, so that stdout is
+buffered as it is by default and a full device fails only at the final
+flush.  An entry's outcome is its exit code, stdout, stderr, and the name
+and SHA-256 of every file in its directory afterwards.
 
 With no arguments, the tool runs every entry once, as a process on the
 working tree, and rewrites ``tests/golden/table.json`` with their
@@ -69,7 +68,9 @@ TABLE = (
         for f in ("json", "csv")
     ),
     Entry("sample-100003-1", ["sample", "--shots", "100003", "--seed", "1"]),
-    # help, usage errors and the forms that only argparse reads
+    # help, also after a command's options, and usage errors: a bad value, an
+    # abbreviation, --option=value, an option with no value, a repeated one
+    # and one of another command
     Entry("no-command", []),
     Entry("help", ["-h"]),
     Entry("sample-help", ["sample", "-h"]),
@@ -85,6 +86,10 @@ TABLE = (
     Entry("bad-source", ["swap-map", "--sources", "XX,SM"]),
     Entry("one-source", ["sample", "--sources", "SM"]),
     Entry("lower-case-source", ["swap-map", "--sources", "sm,pp"]),
+    Entry("no-value", ["bounds", "--out"]),
+    Entry("repeated-option", ["sample", "--shots", "5", "--shots", "6"]),
+    Entry("other-command-option", ["bounds", "--seed", "5"]),
+    Entry("help-after-options", ["sample", "--shots", "5", "-h"]),
     # the reports in each format written with --out
     *(
         Entry(f"{command}-{fmt}-out", [command, "--format", fmt, "--out", f"r.{fmt}"])
@@ -136,7 +141,7 @@ TABLE = (
     Entry("closed-sample", ["sample", "--shots", "10"], stdout="closed"),
     Entry("closed-bounds-out", ["bounds", "--out", "b.json"], stdout="closed"),
     Entry("closed-swap-map-out", ["swap-map", "--out", "s.json"], stdout="closed"),
-    Entry("closed-help", ["-h"], stdout="closed"),  # argparse falls back to stderr
+    Entry("closed-help", ["-h"], stdout="closed"),
     Entry("full-verify-table3", ["verify-table3"], stdout="full"),
     Entry("full-swap-map-csv", ["swap-map", "--format", "csv"], stdout="full"),
     Entry("full-sample", ["sample", "--shots", "10"], stdout="full"),
@@ -259,7 +264,7 @@ def run(entry: Entry, where: Path, head=("-m", "nlbox")) -> Outcome:
     as ``python HEAD ARGV``."""
     prepare(entry, where)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    env.update(PYTHONPATH=str(ROOT / "src"))
     argv = [sys.executable, *head, *entry.argv]
     hows = (entry.stdout, entry.stderr)
     closed = [fd for fd, how in enumerate(hows, 1) if how == "closed"]
