@@ -23,10 +23,12 @@ integers: nothing is normalized and no route divides.
   of them from expression 1), and the oracle's own masks, which read the
   signs off the outcome labels rather than the package's bit rule.
   It scores Born behaviors, deterministic vertices and sampled event
-  counts alike.
+  counts alike, and ``born_values`` holds its 256 values on the sixteen
+  Bell products.
 - The local polytope: the 4096x144 vertex matrix, built from base-4
-  digits rather than the package's party table, and a numpy
-  fraction-free rank with its int64 overflow guard.
+  digits rather than the package's party table, the behavior of one
+  deterministic strategy pair, and a numpy fraction-free rank with its
+  int64 overflow guard.
 - Sampled runs: one decode of the sampler's integer event codes, and the
   event counts per robot outcome.
 - The swap: dense collapse of the eight-qubit source state, with 256x256
@@ -480,6 +482,15 @@ def vertex_matrix() -> np.ndarray:
     return rows
 
 
+def strategy_behavior(alice, bob) -> np.ndarray:
+    """The 144-entry 0/1 behavior of deterministic strategies that answer outcome
+    ``alice[x]`` to Alice's setting x and ``bob[y]`` to Bob's setting y."""
+    behavior = np.zeros(144, dtype=np.int64)
+    for x, y in itertools.product(range(3), repeat=2):
+        behavior[16 * (3 * x + y) + 4 * alice[x] + bob[y]] = 1
+    return behavior
+
+
 def integer_rank(mat: np.ndarray) -> int:
     """Exact rank over the rationals of an integer matrix, with numpy.
 
@@ -599,6 +610,19 @@ def behavior_value(row: int, behavior) -> np.ndarray:
         cell = cells[..., x, y, :, :]
         total = total + signs[x][y] * np.einsum("...ab,a,b->...", cell, alice, bob)
     return total
+
+
+@functools.cache
+def born_values() -> tuple[np.ndarray, int]:
+    """All 256 values [product, expression] of the dense Born behaviors of the
+    sixteen Bell products on their matched pairs, as (values, norm): integers
+    over the behaviors' one norm, read-only."""
+    born = [dense_behavior(four_qubit_product(*pair), *MATCHED_PAIRS) for pair in PRODUCT_LABELS]
+    (norm,) = {norm for _, norm in born}
+    counts = np.array([counts for counts, _ in born])
+    values = np.array([behavior_value(k, counts) for k in range(len(SIGN_TABLES))]).T
+    values.flags.writeable = False
+    return values, norm
 
 
 def decode(code: int) -> tuple[int, int, int, int, int, int]:

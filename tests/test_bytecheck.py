@@ -15,22 +15,20 @@ import re
 from fractions import Fraction
 
 import bytecheck
-import numpy as np
 import pytest
 from oracle import (
     ALICE_PAIR,
     BOB_PAIR,
-    MATCHED_PAIRS,
     OUTCOME_LABELS,
     PRODUCT_LABELS,
     PSI_MINUS,
     ROBOT_OUTCOMES,
     behavior_value,
-    dense_behavior,
+    born_values,
     dense_swap,
     density_behavior,
-    four_qubit_product,
     identify_bell_product,
+    strategy_behavior,
     vertex_matrix,
 )
 
@@ -158,13 +156,6 @@ def _sources(argv) -> tuple[int, int]:
 
 
 @functools.cache
-def _table_values() -> list[list[Fraction]]:
-    """The 256 values [product, expression] of the dense Born behaviors."""
-    born = [dense_behavior(four_qubit_product(*pair), *MATCHED_PAIRS) for pair in PRODUCT_LABELS]
-    return [[Fraction(int(behavior_value(k, c)), norm) for k in range(16)] for c, norm in born]
-
-
-@functools.cache
 def _swapped(sources) -> list[tuple]:
     """Each robot outcome's probability, resulting product's codes and the one
     expression that product reaches 9 on, by the dense collapse."""
@@ -180,6 +171,8 @@ def _swapped(sources) -> list[tuple]:
 
 def test_verify_table3_prints_the_oracle_values():
     states = [f"{CODES[first]}.{CODES[second]}" for first, second in PRODUCT_LABELS]
+    values, norm = born_values()
+    want = [[Fraction(int(v), norm) for v in row] for row in values]
     formats = set()
     for _, fmt, text in _printed("verify-table3"):
         if fmt == "json":
@@ -190,18 +183,9 @@ def test_verify_table3_prints_the_oracle_values():
             header, *rows = _csv(text)
             assert header == ["state"] + [f"beta_{k}" for k in range(1, 17)]
         assert [row[0] for row in rows] == states
-        assert [[Fraction(v) for v in row[1:]] for row in rows] == _table_values()
+        assert [[Fraction(v) for v in row[1:]] for row in rows] == want
         formats.add(fmt)
     assert formats == {"json", "csv"}
-
-
-def _strategy_value(row: int, alice, bob) -> int:
-    """Expression ``row``'s value on the deterministic strategy pair of outcome labels."""
-    behavior = np.zeros(144, dtype=np.int64)
-    for x, y in itertools.product(range(3), repeat=2):
-        a, b = OUTCOME_LABELS.index(alice[x]), OUTCOME_LABELS.index(bob[y])
-        behavior[16 * (3 * x + y) + 4 * a + b] = 1
-    return int(behavior_value(row, behavior))
 
 
 def test_bounds_prints_the_oracle_bounds_and_winning_witnesses():
@@ -221,7 +205,9 @@ def test_bounds_prints_the_oracle_bounds_and_winning_witnesses():
             assert (e["lhv_max"], e["ns_value"], e["is_facet"]) == (7, 9, True)
             assert (e["polytope_affine_dim"], e["saturator_affine_dim"]) == (99, 98)
             assert e["num_saturators"] == saturators[row]
-            assert _strategy_value(row, e["witness_alice"], e["witness_bob"]) == 7, e
+            witness = e["witness_alice"], e["witness_bob"]
+            alice, bob = ([OUTCOME_LABELS.index(o) for o in labels] for labels in witness)
+            assert behavior_value(row, strategy_behavior(alice, bob)) == 7, e
         formats.add(fmt)
     assert formats == {"json", "csv"}
 

@@ -653,7 +653,8 @@ class TestAtomicWrites:
 class TestEntryPoint:
     """``python -m nlbox`` as a whole process, through ``bytecheck.run``: the
     sample summaries against their goldens and, with a patched ``main``, its
-    freeze and its Ctrl-C.  The table's process entries cover the reports."""
+    freeze and its Ctrl-C.  The table's process entries, and test_layout.py's
+    probe, cover the commands themselves."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_goldens_end_to_end(self, tmp_path, fmt):
@@ -694,7 +695,12 @@ class TestEntryPoint:
             "cli.entry_point()\n"
         )
         head = ("-c", in_main)
-        done = bytecheck.run(bytecheck.Entry("", []), tmp_path / "pipe", head)
+        # also where the tests run with SIGINT ignored, as a job started with & does
+        ignored = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            done = bytecheck.run(bytecheck.Entry("", []), tmp_path / "pipe", head)
+        finally:
+            signal.signal(signal.SIGINT, ignored)
         assert (done.code, done.stdout, done.stderr) == interrupted
         # a closed or full stderr loses the line and keeps the signal
         for how in ("closed", "full"):

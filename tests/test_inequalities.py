@@ -16,6 +16,7 @@ from oracle import (
     alice_kets,
     behavior_value,
     bell_product,
+    born_values,
     bob_kets,
     bob_bit_conditionals,
     dense_behavior,
@@ -40,16 +41,6 @@ def matched_counts(row):
 def one_cell(behavior, cell):
     """The behavior with every cell but ``cell`` = 3x + y set to zero."""
     return np.where(np.arange(144) // 16 == cell, behavior, 0)
-
-
-@pytest.fixture(scope="module")
-def dense_values():
-    """All 256 values [product, expression] of the dense Born behaviors, as
-    (values, norm): integers over the behaviors' one norm."""
-    born = [dense_behavior(four_qubit_product(*pair), *MATCHED_PAIRS) for pair in PRODUCT_LABELS]
-    (norm,) = {norm for _, norm in born}
-    counts = np.array([counts for counts, _ in born])
-    return np.array([behavior_value(k, counts) for k in range(NUM_EXPRESSIONS)]).T, norm
 
 
 class TestMaskPattern:
@@ -187,10 +178,10 @@ class TestQuantumRoute:
             16 * amps**2, norms * matched_counts(3).reshape(3, 3, 4, 4)
         )
 
-    def test_full_value_table_matches_reference(self, reference_doc, dense_values):
+    def test_full_value_table_matches_reference(self, reference_doc):
         # dense Born behaviors scored by sign tables and masks, independent
         # of the coefficient matrix
-        values, norm = dense_values
+        values, norm = born_values()
         np.testing.assert_array_equal(values, norm * np.array(reference_doc["values"]))
 
     def test_reference_table_is_a_cayley_table(self, reference_doc):
@@ -248,11 +239,11 @@ class TestBehaviorRoute:
         values = uniform.counts.reshape(144) @ np.asarray(C).T
         np.testing.assert_array_equal(values, np.zeros(NUM_EXPRESSIONS, dtype=int))
 
-    def test_routes_agree_on_all_products(self, dense_values):
+    def test_routes_agree_on_all_products(self):
         # the coefficient route, in sixteenths, and the dense Born route
         # must give the same 256 numbers
         sixteenths = np.asarray(product_counts()) @ np.asarray(C).T
-        values, norm = dense_values
+        values, norm = born_values()
         np.testing.assert_array_equal(16 * values, norm * sixteenths)
 
     def test_correlator_routes_agree(self):

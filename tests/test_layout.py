@@ -30,9 +30,6 @@ outcome label or a Bell code.  No module imports another's private name.
 Only ``cli.entry_point`` names ``gc``, so the heap is frozen once the
 command is done, and never at import or in an in-process ``main``.
 
-No module imports numpy: the package runs on the standard library alone,
-and every command runs in an interpreter that cannot import numpy.
-
 No line of the package or of ``tools/`` is longer than 100 characters.
 
 The test files mirror the modules: each is named ``test_<m>.py`` after a
@@ -45,19 +42,18 @@ line of the table runs as a whole process under the byte check's
 ``trace`` script here, so that its counts reach the entry point; running
 the full table stays out of the test suite.
 
-Importing the CLI loads neither ``dataclasses`` (nor ``inspect``, which
-it pulls in), ``typing`` nor ``importlib.resources``: the package's
-records are named tuples and the reference table is read by path.
-Importing the package alone loads none of its modules: it re-exports no
-name.
+No module imports numpy, and a probe runs entries of the byte check's
+table as whole ``python -S`` processes, through ``bytecheck.run``, in an
+interpreter that cannot import numpy.  Each reproduces its record, loads
+the package's five modules and none of ``BUDGET``, and loads ``json`` only
+to write a JSON report or read the reference table.  Importing the
+package alone loads none of its modules: it re-exports no name.
 """
 
 import ast
-import os
+import json
 import pickle
 import re
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -535,122 +531,89 @@ def test_no_module_imports_numpy():
     assert found == [], f"numpy imported in the package: {found}"
 
 
-def test_commands_run_without_numpy(tmp_path):
-    # a fresh interpreter in which any import of numpy raises ImportError
-    script = (
-        "import sys\n"
-        "sys.modules['numpy'] = None\n"
-        "import nlbox.cli as cli\n"
-        "out = sys.argv[1]\n"
-        "commands = [['verify-table3'], ['bounds'], ['swap-map', '--sources', 'PM,PP']]\n"
-        "for i, argv in enumerate(commands):\n"
-        "    assert cli.main(argv + ['--out', f'{out}/{i}.json']) == 0\n"
-        "assert cli.main(['sample', '--shots', '5000', '--out', f'{out}/sample']) == 0\n"
-        "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
-        "assert 'argparse' not in sys.modules\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env
-    )
-    assert done.returncode == 0, done.stderr
-    names = sorted(path.name for path in tmp_path.iterdir())
-    assert names == ["0.json", "1.json", "2.json", "sample"]
-    assert sorted(path.name for path in (tmp_path / "sample").iterdir()) == [
-        "events.csv",
-        "summary.json",
-    ]
+# python -S -c PROBE MODULES ARGV: nlbox ARGV in an interpreter that cannot
+# import numpy.  It calls the entry point directly, so that no import of its own
+# counts, and however the command exits it writes the names of the modules it
+# holds to the file MODULES
+PROBE = """\
+import sys
+modules = sys.argv.pop(1)
+sys.modules["numpy"] = None
+try:
+    import nlbox.cli
+    nlbox.cli.entry_point()
+finally:
+    names = [name for name, module in sys.modules.items() if module is not None]
+    with open(modules, "w") as fh:
+        fh.write(" ".join(names))
+"""
 
-
-def test_csv_sample_loads_no_json(tmp_path):
-    script = (
-        "import sys\n"
-        "import nlbox.cli as cli\n"
-        "argv = ['sample', '--shots', '500', '--format', 'csv', '--out', sys.argv[1]]\n"
-        "assert cli.main(argv) == 0\n"
-        "assert 'json' not in sys.modules and 'argparse' not in sys.modules\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    argv = [sys.executable, "-S", "-c", script, str(tmp_path)]
-    done = subprocess.run(argv, capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["events.csv", "summary.csv"]
-
-
-# modules that import nlbox.cli must not load; argparse (with gettext) never
-# loads, and json loads only for the reference table or a JSON report
-IMPORT_BUDGET_EXCLUDES = (
+# modules that no command loads: numpy, exact arithmetic beside the package's
+# integers, argparse with the gettext it brings, and what the named tuples and
+# the reference table read by path spare
+BUDGET = (
+    "numpy",
+    "fractions",
+    "decimal",
+    "argparse",
+    "gettext",
     "dataclasses",
     "inspect",
     "typing",
     "importlib.resources",
-    "argparse",
-    "gettext",
-    "json",
 )
+SUBMODULES = [f"nlbox.{name}" for name in ("cli", "inequalities", "polytope", "sampler", "swap")]
+
+# entries of the byte check's table, each with its exit code, the stream that
+# starts with the usage line, and whether it loads json: to write a JSON report
+# or to read the reference table
+PROBED = {
+    "help": (0, "stdout", False),
+    "help-after-options": (0, "stdout", False),
+    "zero-shots": (2, "stderr", False),
+    "verify-table3-csv": (0, None, True),
+    "bounds-csv": (0, None, False),
+    "swap-map-PM-PP": (0, None, True),
+    "sample-400-0-csv": (0, None, False),
+    "sample-400-0-json": (0, None, True),
+}
+RECORD = json.loads(bytecheck.RECORD.read_text())
 
 
-def _printed_by_fresh_python(script: str) -> list[str]:
-    """The words a fresh ``python -S`` prints running ``script``."""
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.split()
+@pytest.mark.parametrize("name", list(PROBED))
+def test_command_keeps_its_module_budget(tmp_path, name):
+    entry = next(entry for entry in bytecheck.TABLE if entry.name == name)
+    modules = tmp_path / "modules"
+    done = bytecheck.run(entry, tmp_path / "run", ("-S", "-c", PROBE, modules))
+    assert bytecheck.recorded(done) == RECORD[name]
+    code, usage, reads_json = PROBED[name]
+    usages = [stream.startswith(b"usage: nlbox") for stream in (done.stdout, done.stderr)]
+    assert (done.code, usages) == (code, [usage == "stdout", usage == "stderr"])
+    loaded = modules.read_text().split()
+    assert [module for module in BUDGET if module in loaded] == []
+    assert ("json" in loaded) == reads_json
+    assert sorted(module for module in loaded if module.startswith("nlbox.")) == SUBMODULES
 
 
-def _excluded_after_cli_import(prelude: str = "") -> list[str]:
-    """Which of ``IMPORT_BUDGET_EXCLUDES`` a fresh ``python -S`` holds after
-    running ``prelude`` and importing ``nlbox.cli``."""
-    return _printed_by_fresh_python(
-        f"{prelude}import sys\n"
-        "import nlbox.cli\n"
-        f"print(*(m for m in {IMPORT_BUDGET_EXCLUDES!r} if m in sys.modules))\n"
-    )
-
-
-def _submodules_after(statement: str) -> list[str]:
-    """The ``nlbox.*`` modules a fresh ``python -S`` holds after ``statement``."""
-    return _printed_by_fresh_python(
-        f"import sys\n{statement}\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('nlbox.')))\n"
-    )
-
-
-def test_package_import_loads_no_submodule():
-    assert _submodules_after("import nlbox") == []
-    assert _submodules_after("import nlbox.cli") == [
-        f"nlbox.{name}"
-        for name in ("cli", "inequalities", "polytope", "sampler", "swap")
-    ]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["-h"], ["sample", "--shots", "5", "-h"], ["sample", "--shots", "0"]],
-    ids=["help", "command-help", "usage"],
-)
-def test_help_and_usage_errors_load_no_argparse(argv):
-    # the package renders its own help, on stdout, and usage text, on stderr,
-    # each in a fresh interpreter
+def test_csv_sample_loads_no_json(tmp_path):
+    # a CSV sample of another size than the table's, called through main
     script = (
-        "import io, sys\n"
+        "import sys\n"
         "import nlbox.cli as cli\n"
-        "out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()\n"
-        f"code = cli.main({argv!r})\n"
-        "usage = [s.getvalue().startswith('usage: nlbox') for s in (sys.stdout, sys.stderr)]\n"
-        "print(code, *usage, *(m for m in ('argparse', 'gettext') if m in sys.modules), file=out)\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "assert 'json' not in sys.modules and 'argparse' not in sys.modules\n"
     )
-    read_help = "-h" in argv
-    want = ["0" if read_help else "2", str(read_help), str(not read_help)]
-    assert _printed_by_fresh_python(script) == want
+    argv = ["sample", "--shots", "500", "--format", "csv", "--out", "run"]
+    done = bytecheck.run(bytecheck.Entry("", argv), tmp_path / "cwd", ("-S", "-c", script))
+    assert (done.code, done.stderr) == (0, b"")
+    names = sorted(path.name for path in (tmp_path / "cwd" / "run").iterdir())
+    assert names == ["events.csv", "summary.csv"]
 
 
-def test_cli_import_loads_no_dataclasses_typing_or_resources():
-    # the probe sees a module that something else loaded first
-    assert _excluded_after_cli_import("import typing\n") == ["typing"]
-    assert _excluded_after_cli_import() == []
+def test_package_import_loads_no_submodule(tmp_path):
+    script = "import sys, nlbox\nprint(*(m for m in sys.modules if m.startswith('nlbox.')))"
+    done = bytecheck.run(bytecheck.Entry("", []), tmp_path / "run", ("-S", "-c", script))
+    assert (done.code, done.stdout, done.stderr) == (0, b"\n", b"")
 
 
 # the test files that test no single module of the package; test_observables.py

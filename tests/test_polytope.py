@@ -14,6 +14,7 @@ from oracle import (
     affine_dimension,
     behavior_value,
     pauli_frame,
+    strategy_behavior,
     vertex_matrix,
 )
 from oracle import integer_rank as oracle_rank
@@ -53,16 +54,6 @@ def flipped(string, frames) -> int:
     each qubit, (fx, fz) the qubit's entry of ``frames``, else 0."""
     pairs = zip(string, frames)
     return sum((p in "ZY") * fx + (p in "XY") * fz for p, (fx, fz) in pairs) % 2
-
-
-def strategy_behavior(strategy) -> Behavior:
-    """The behavior of an (alice, bob) pair of deterministic strategies."""
-    alice, bob = strategy
-    counts = np.zeros((3, 3, 4, 4), dtype=int)
-    for x in range(3):
-        for y in range(3):
-            counts[x, y, alice[x], bob[y]] = 1
-    return Behavior(counts)
 
 
 class TestStrategies:
@@ -163,13 +154,12 @@ class TestBounds:
         assert len(witnesses) == NUM_EXPRESSIONS
         for k, witness in enumerate(witnesses):
             # recompute the witness value through the scalar route
-            assert behavior_value(k, strategy_behavior(witness).counts.reshape(144)) == 7
+            assert behavior_value(k, strategy_behavior(*witness)) == 7
 
     def test_witness_realizes_seven_as_a_behavior(self):
         witnesses = facets()[4]
         for k in (0, 7, 15):
-            behavior = strategy_behavior(witnesses[k])
-            assert behavior.counts.reshape(144) @ C[k] == 7
+            assert strategy_behavior(*witnesses[k]) @ C[k] == 7
 
     def test_beta_matrix_agrees_with_scalar_route(self):
         mat = np.asarray(vertex_values(2)).reshape(NUM_PARTY_STRATEGIES, NUM_PARTY_STRATEGIES)
@@ -179,7 +169,7 @@ class TestBounds:
             f = int(rng.integers(NUM_PARTY_STRATEGIES))
             g = int(rng.integers(NUM_PARTY_STRATEGIES))
             strat = (singles[f], singles[g])
-            assert mat[f, g] == behavior_value(2, strategy_behavior(strat).counts.reshape(144))
+            assert mat[f, g] == behavior_value(2, strategy_behavior(*strat))
 
     def test_ns_bound_is_nine_and_attained(self):
         for k in range(NUM_EXPRESSIONS):
@@ -301,8 +291,7 @@ class TestFacets:
             cells = Behavior(row.reshape(3, 3, 4, 4)).counts
             alice = tuple(int(np.argmax(cells[x, 0].sum(axis=1))) for x in range(3))
             bob = tuple(int(np.argmax(cells[0, y].sum(axis=0))) for y in range(3))
-            behavior = strategy_behavior((alice, bob))
-            assert behavior_value(0, behavior.counts.reshape(144)) == 7
+            assert behavior_value(0, strategy_behavior(alice, bob)) == 7
 
     def test_flips_are_linear_in_the_product(self, loop_flips):
         # product k ^ j carries the frames of k and j composed, so its flip is

@@ -37,6 +37,7 @@ import itertools
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import tempfile
@@ -261,13 +262,20 @@ def files_in(where: Path) -> dict[str, str]:
 
 def run(entry: Entry, where: Path, head=("-m", "nlbox")) -> Outcome:
     """Run one entry with the package of this tree, from the fresh directory ``where``,
-    as ``python HEAD ARGV``."""
+    as ``python HEAD ARGV``, with SIGINT at its default even where this process
+    ignores it, as a job started with ``&`` does."""
     prepare(entry, where)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=str(ROOT / "src"))
     argv = [sys.executable, *head, *entry.argv]
     hows = (entry.stdout, entry.stderr)
     closed = [fd for fd, how in enumerate(hows, 1) if how == "closed"]
+
+    def in_child() -> None:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        for fd in closed:
+            os.close(fd)
+
     with open("/dev/full" if "full" in hows else os.devnull, "w") as sink:
         stdout, stderr = (subprocess.PIPE if how == "pipe" else sink for how in hows)
         proc = subprocess.run(
@@ -276,7 +284,7 @@ def run(entry: Entry, where: Path, head=("-m", "nlbox")) -> Outcome:
             env=env,
             stdout=stdout,
             stderr=stderr,
-            preexec_fn=(lambda: [os.close(fd) for fd in closed]) if closed else None,
+            preexec_fn=in_child,
         )
     return Outcome(proc.stdout, proc.stderr, proc.returncode, files_in(where))
 
